@@ -24,10 +24,10 @@ import numpy as np
 
 from ._accum import dot, prefix_with_zero
 from .errors import DomainError, require
-from .identities import apostol_log_average_profile, stirling_remainder_term
+from .identities import apostol_log_average_terms
 from .tables import (DIVISOR_LOG, ID, MU, ONE, PHI, SIGMA, TAU, VON_MANGOLDT,
-                     FunctionSpec, convolve, id_pow, jordan, sieve_values,
-                     sigma_pow)
+                     FunctionSpec, _pow2_ceil, convolve, id_pow, jordan, sieve,
+                     sieve_values, sigma_pow)
 from .zeta import LOG_SQRT_2PI, constants
 
 # O(x) memory is accepted up to here; larger x raises DomainError.
@@ -35,10 +35,6 @@ MAX_SIEVE = 10_000_000
 
 THETA_LO = 0.0
 THETA_HI = 1.0 / 12.0
-
-
-def _pow2_ceil(n: int) -> int:
-    return 1 << max(0, (n - 1).bit_length())
 
 
 def _cut(x: float) -> int:
@@ -68,13 +64,6 @@ def _prefix_cached(spec: FunctionSpec, over_n: bool, log_ratio: bool,
 def _prefix(spec: FunctionSpec, n: int, over_n: bool = False,
             log_ratio: bool = False) -> np.ndarray:
     return _prefix_cached(spec, over_n, log_ratio, _capacity(n))[:n + 1]
-
-
-def _floor_ratio(x: float, narr: np.ndarray) -> np.ndarray:
-    """floor(x / n) for n in narr, exact when x is integral."""
-    if float(x).is_integer():
-        return np.int64(x) // narr
-    return np.floor(x / narr).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +156,8 @@ def mu_delta_sum(x: float, kind: str, a: float | None = None,
     n = _cut(x)
     narr = np.arange(1, n + 1, dtype=np.float64)
     w = sieve_values(_WEIGHT_SPECS[kind], n)[1:n + 1] / narr
-    q = _floor_ratio(x, np.arange(1, n + 1, dtype=np.int64))
+    # floor(x/d) = floor(n/d) for integer d, so one integer path serves any x
+    q = n // np.arange(1, n + 1, dtype=np.int64)
     y = x / narr
     gamma = constants().gamma
     if a is None:
@@ -495,7 +485,8 @@ def exact_value(target: str, x: float, a: float | None = None) -> float:
             a = _require_a(a)
         n = _cut(x)
         f_spec, g_spec = t.pair(a)
-        return float(apostol_log_average_profile(f_spec, g_spec, n)[n])
+        return apostol_log_average_terms(sieve(f_spec, n), sieve(g_spec, n),
+                                         x).total
     if target in STATISTICS:
         return summatory(target, x, a)[0]
     raise DomainError(f"unknown target {target!r}")
@@ -552,16 +543,16 @@ def residual_scan(target: str, grid, a: float | None = None) -> ResidualScan:
             a = _require_a(a)
         f_spec, g_spec = t.pair(a)
         n_top = int(math.floor(grid[-1]))
-        profile = apostol_log_average_profile(f_spec, g_spec, n_top)
-        exact = np.array([profile[int(math.floor(x))] for x in grid])
+        f, g = sieve(f_spec, n_top), sieve(g_spec, n_top)
+        decs = [apostol_log_average_terms(f, g, x) for x in grid]
+        exact = np.array([dec.total for dec in decs])
         main0 = np.array([t.main(x, a, THETA_LO) for x in grid])
         main_hi = np.array([t.main(x, a, THETA_HI) for x in grid])
         mu_corr = np.array([
             mu_delta_sum(x, t.weight, a if t.delta_a else None)
             if t.weight else 0.0 for x in grid])
         if t.has_theta:
-            rem = np.array([stirling_remainder_term(f_spec, g_spec, x)
-                            for x in grid])
+            rem = np.array([dec.remainder_term for dec in decs])
         else:
             rem = np.zeros_like(grid)
         residual = exact - main0 - mu_corr - rem
@@ -608,19 +599,19 @@ def standard_grid(lo: float = 1e3, hi: float = 1e6, points: int = 7) -> np.ndarr
 
 
 def tau_gcd_log_avg_routes(x: float) -> tuple[float, float]:
-    """The tau-log-avg exact side computed two independent ways.
+    """The tau-log-avg exact side computed two ways.
 
-    Route one sums the per-k identity values; route two assembles the four
-    sieved summatory statistics (sigma log(n/e), divisor-log, tau) plus
-    the exact Stirling remainder.
+    Route one is the six-term decomposition's total; route two assembles
+    the three sieved summatory statistics (sigma log(n/e), divisor-log,
+    tau/n) plus the decomposition's exact Stirling remainder.  The routes
+    share only that remainder, which the tests pin to a log-gamma oracle.
     """
-    n = _cut(x)
-    route_profile = float(apostol_log_average_profile(ONE, ONE, n)[n])
+    one = sieve(ONE, _cut(x))
+    dec = apostol_log_average_terms(one, one, x)
     s1 = summatory("sigma_logne", x)[0]
     s2 = 0.5 * summatory("divisor_log", x)[0]
     s3 = LOG_SQRT_2PI * summatory("tau_over_n", x)[0]
-    rem = stirling_remainder_term(ONE, ONE, x)
-    return route_profile, s1 + s2 + s3 + rem
+    return dec.total, s1 + s2 + s3 + dec.remainder_term
 
 
 _LIMIT_VARIANTS = {

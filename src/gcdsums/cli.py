@@ -31,14 +31,25 @@ IDENTITY_TOL = {"apostol": 1e-9, "toth": 1e-10, "cesaro": 1e-10}
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    if text.startswith("geom:"):
-        parts = text[5:].split(",")
-        if len(parts) != 3:
-            raise DomainError(f"bad grid spec {text!r}")
-        lo, hi, points = float(parts[0]), float(parts[1]), int(parts[2])
-        return asymptotics.standard_grid(lo, hi, points)
-    values = np.asarray([float(v) for v in text.split(",")], dtype=np.float64)
-    return values
+    try:
+        if text.startswith("geom:"):
+            parts = text[5:].split(",")
+            if len(parts) != 3:
+                raise DomainError(f"bad grid spec {text!r}")
+            lo, hi, points = float(parts[0]), float(parts[1]), int(parts[2])
+            return asymptotics.standard_grid(lo, hi, points)
+        return np.asarray([float(v) for v in text.split(",")],
+                          dtype=np.float64)
+    except ValueError as exc:
+        raise DomainError(f"bad grid spec {text!r}: {exc}") from None
+
+
+def _parse_counts(text: str) -> list[int]:
+    """Sorted distinct integers of a comma list such as ``10,100,1000``."""
+    try:
+        return sorted({int(v) for v in text.split(",")})
+    except ValueError as exc:
+        raise DomainError(f"bad count list {text!r}: {exc}") from None
 
 
 def _fail(report: dict) -> int:
@@ -125,9 +136,10 @@ def cmd_delta(args) -> int:
     else:  # series
         if args.a is None:
             raise DomainError("delta --which series requires --a")
+        k_values = _parse_counts(args.K)
         exact = asymptotics.divisor_delta_a(args.xmax, args.a)
         rows = []
-        for n_terms in sorted({int(v) for v in args.K.split(",")}):
+        for n_terms in k_values:
             approx = asymptotics.divisor_delta_a_series(args.xmax, args.a,
                                                         n_terms)
             rows.append((n_terms, approx, exact, abs(exact - approx)))
@@ -136,7 +148,7 @@ def cmd_delta(args) -> int:
 
 
 def cmd_series(args) -> int:
-    k_values = sorted({int(v) for v in args.K.split(",")})
+    k_values = _parse_counts(args.K)
     n_max = max(k_values)
     if args.which == "identity":
         f = sieve(parse_spec(args.f), n_max)

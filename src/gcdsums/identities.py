@@ -13,7 +13,9 @@ Core objects, for tables f, g and integers k, j:
 - ``apostol_log_average(f, g, x)``: sum_{k<=x} u(k)/k, and its exact
   six-term expansion over pairs d*l <= x obtained by replacing L(l) with
   the Stirling form l log l - l + (1/2) log l + log sqrt(2 pi) + rho(l)
-  (``apostol_log_average_terms``).
+  (``apostol_log_average_terms``).  The expansion is one O(x) pass and is
+  the route scans take for both the exact side and the Stirling
+  remainder; the per-k sum is the reference it is checked against.
 - ``gcd_log_average(f, x)``: sum_{k<=x} (1/k) sum_{j<=k} f(gcd(k,j)) log j,
   evaluated as the (f*mu, 1) case of the above since
   sum_{d | gcd} (f*mu)(d) = f(gcd).
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -189,7 +190,12 @@ def _cut(x: float, n_max: int) -> int:
 
 def identity_sum_table(fv: np.ndarray, gv: np.ndarray,
                        log_fact: np.ndarray, n: int) -> np.ndarray:
-    """u(k) for all k <= n via the identity, by the divisor double loop."""
+    """u(k) for all k <= n via the identity, by the divisor double loop.
+
+    Used where every u(k) is needed (the reference average and the series
+    partial sums); a summatory value alone comes cheaper from
+    ``apostol_log_average_terms``.
+    """
     larr = np.arange(n + 1, dtype=np.float64)
     g_id = gv[:n + 1] * larr
     g_lf = gv[:n + 1] * log_fact[:n + 1]
@@ -198,31 +204,6 @@ def identity_sum_table(fv: np.ndarray, gv: np.ndarray,
         m = n // d
         u[d::d] += (fv[d] * math.log(d)) * g_id[1:m + 1] + fv[d] * g_lf[1:m + 1]
     return u
-
-
-@lru_cache(maxsize=32)
-def _average_profile_cached(f_spec: FunctionSpec, g_spec: FunctionSpec,
-                            capacity: int) -> np.ndarray:
-    fv = sieve_values(f_spec, capacity)
-    gv = sieve_values(g_spec, capacity)
-    lf = log_factorial_table(capacity).log_factorial
-    u = identity_sum_table(fv, gv, lf, capacity)
-    u[1:] /= np.arange(1, capacity + 1, dtype=np.float64)
-    profile = prefix_with_zero(u)
-    profile.setflags(write=False)
-    return profile
-
-
-def _pow2_ceil(n: int) -> int:
-    return 1 << max(0, (n - 1).bit_length())
-
-
-def apostol_log_average_profile(f_spec: FunctionSpec, g_spec: FunctionSpec,
-                                n: int) -> np.ndarray:
-    """Array A with A[m] = sum_{k<=m} u(k)/k for m = 0..n (cached by spec)."""
-    require(n >= 1, "n must be >= 1")
-    cap = max(_pow2_ceil(n), 1024)
-    return _average_profile_cached(f_spec, g_spec, cap)[:n + 1]
 
 
 def apostol_log_average(f: FunctionTable, g: FunctionTable, x: float) -> float:
@@ -270,22 +251,6 @@ def apostol_log_average_terms(f: FunctionTable, g: FunctionTable,
     )
 
 
-def stirling_remainder_term(f_spec: FunctionSpec, g_spec: FunctionSpec,
-                            x: float) -> float:
-    """The exact remainder component sum_{dl<=x} (f(d)/d) g(l) rho(l)/l."""
-    require(x >= 1.0, "x must be >= 1")
-    n = int(math.floor(x))
-    fv = sieve_values(f_spec, n)
-    gv = sieve_values(g_spec, n)
-    rho = log_factorial_table(n).rho
-    larr = np.arange(n + 1, dtype=np.float64)
-    inv_l = np.zeros(n + 1)
-    inv_l[1:] = 1.0 / larr[1:]
-    cg_rho = prefix_with_zero(gv[:n + 1] * rho[:n + 1] * inv_l)
-    d = np.arange(1, n + 1, dtype=np.int64)
-    return dot(fv[1:n + 1] / d, cg_rho[n // d])
-
-
 def _with_mu(f: FunctionTable, n: int) -> FunctionTable:
     """Table of f*mu on 1..n built from the given table's values."""
     fmu = _convolve_values(f.values, sieve_values(MU, n), n)
@@ -302,10 +267,6 @@ def gcd_log_average(f: FunctionTable, x: float) -> float:
     n = _cut(x, f.n_max)
     one = FunctionTable(ONE, n, sieve_values(ONE, n))
     return apostol_log_average(_with_mu(f, n), one, x)
-
-
-def gcd_log_average_profile(f_spec: FunctionSpec, n: int) -> np.ndarray:
-    return apostol_log_average_profile(convolve(f_spec, MU), ONE, n)
 
 
 def gcd_log_average_terms(f: FunctionTable, x: float) -> AverageDecomposition:

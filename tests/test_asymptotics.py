@@ -99,16 +99,16 @@ def test_mu_delta_sum_examples():
 
 
 def test_mu_delta_sum_against_double_loop():
-    x = 100.0
     mu = [naive_value("mu", n) for n in range(0, 101)]
-    expected = 0.0
-    for n in range(1, 101):
-        y = x / n
-        tau_sum = sum(naive_value("tau", m) for m in range(1, int(y) + 1))
-        delta = tau_sum - (y * math.log(y) + (2 * GAMMA - 1) * y)
-        expected += mu[n] / n * delta
-    expected *= math.log(x) - 1.0
-    assert mu_delta_sum(x, "mu") == pytest.approx(expected, abs=1e-9)
+    for x in (100.0, 100.5):
+        expected = 0.0
+        for n in range(1, 101):
+            y = x / n
+            tau_sum = sum(naive_value("tau", m) for m in range(1, int(y) + 1))
+            delta = tau_sum - (y * math.log(y) + (2 * GAMMA - 1) * y)
+            expected += mu[n] / n * delta
+        expected *= math.log(x) - 1.0
+        assert mu_delta_sum(x, "mu") == pytest.approx(expected, abs=1e-9), x
 
 
 def test_summatory_examples():

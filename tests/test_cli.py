@@ -101,9 +101,17 @@ def test_delta_series_command(tmp_path):
 
 
 def test_parse_error_exit_2(capsys):
-    assert run_cli(["sieve", "--spec", "bogus", "--nmax", "5"]) == 2
-    err = capsys.readouterr().err
-    assert "usage" in err
+    malformed = [
+        ["sieve", "--spec", "bogus", "--nmax", "5"],
+        ["scan", "--target", "tau-log-avg", "--grid", "1e3,abc"],
+        ["scan", "--target", "tau-log-avg", "--grid", "geom:1e3,1e4,x"],
+        ["series", "--K", "10,abc"],
+        ["delta", "--which", "series", "--a", "-0.5", "--K", "10,z"],
+    ]
+    for argv in malformed:
+        assert run_cli(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "usage" in err and "Traceback" not in err, argv
 
 
 def test_argparse_error_exit_2():

@@ -155,12 +155,39 @@ def test_decomposition_matches_average_on_catalog(catalog_tables):
             assert abs(dec.remainder_term) <= dec.remainder_bound
 
 
-def test_profile_matches_pointwise(small_tables):
-    t = small_tables
-    profile = G.apostol_log_average_profile(G.ONE, G.ONE, 50)
-    for x in (1, 2, 17, 50):
-        assert profile[x] == pytest.approx(
-            G.apostol_log_average(t["one"], t["one"], float(x)), rel=1e-13)
+def test_exact_value_matches_per_k_reference():
+    # a scan target's exact side (the six-term decomposition) against the
+    # per-k identity sum and, for small x, the brute-force j-loop
+    for name, target in G.SCAN_TARGETS.items():
+        a = -0.5 if target.needs_a else None
+        f_spec, g_spec = target.pair(a)
+        f, g = G.sieve(f_spec, 1000), G.sieve(g_spec, 1000)
+        for x in (2.0, 17.0, 50.5, 1000.0):
+            value = G.exact_value(name, x, a)
+            assert value == pytest.approx(
+                G.apostol_log_average(f, g, x), rel=1e-12), (name, x)
+            if x <= 60:
+                brute = sum(G.apostol_log_sum_direct(f, g, k) / k
+                            for k in range(1, int(x) + 1))
+                assert value == pytest.approx(brute, rel=1e-12), (name, x)
+
+
+def test_remainder_term_against_log_gamma_oracle(catalog_tables):
+    # sum_{dl<=x} (f(d)/d) g(l) rho(l)/l with rho from log Gamma at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    x = 300
+    rho = [mpmath.mpf(0)] + [
+        mpmath.loggamma(l + 1) - (l * mpmath.log(l) - l + mpmath.log(l) / 2
+                                  + mpmath.log(2 * mpmath.pi) / 2)
+        for l in range(1, x + 1)]
+    for f, g in catalog_tables:
+        oracle = mpmath.fsum(
+            mpmath.mpf(float(f.values[d])) / d * float(g.values[l]) * rho[l] / l
+            for d in range(1, x + 1) for l in range(1, x // d + 1))
+        value = G.apostol_log_average_terms(f, g, float(x)).remainder_term
+        assert abs(value - float(oracle)) <= 1e-12 * (1.0 + abs(value)), \
+            (f.spec, g.spec)
 
 
 def test_gcd_log_average_equals_general_form(small_tables):
