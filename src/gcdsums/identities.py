@@ -36,8 +36,8 @@ from ._accum import dot, fsum, prefix_with_zero
 from .errors import DomainError, require
 from .stirling import log_factorial_table
 from .tables import (LOG, MU, ONE, PHI, VON_MANGOLDT, FunctionSpec,
-                     FunctionTable, _convolve_values, convolve, divisors_of,
-                     sieve_values)
+                     FunctionTable, _convolve_values, _divisor_pair_sum,
+                     convolve, divisors_of, sieve_values)
 from .zeta import LOG_SQRT_2PI
 
 
@@ -190,20 +190,23 @@ def _cut(x: float, n_max: int) -> int:
 
 def identity_sum_table(fv: np.ndarray, gv: np.ndarray,
                        log_fact: np.ndarray, n: int) -> np.ndarray:
-    """u(k) for all k <= n via the identity, by the divisor double loop.
+    """u(k) for all k <= n via the identity, as one divisor-pair sum.
 
-    Used where every u(k) is needed (the reference average and the series
-    partial sums); a summatory value alone comes cheaper from
-    ``apostol_log_average_terms``.
+    u(k) = sum_{d*l = k} (f(d) log d) (g(l) l) + f(d) (g(l) log l!), summed
+    in ascending d by the same split loop as the convolution sieves.  The
+    per-d log is ``math.log``, as in the plain divisor loop this replaced;
+    ``np.log`` rounds a few arguments differently.  Used where every u(k)
+    is needed (the reference average and the series partial sums); a
+    summatory value alone comes cheaper from ``apostol_log_average_terms``.
     """
     larr = np.arange(n + 1, dtype=np.float64)
     g_id = gv[:n + 1] * larr
     g_lf = gv[:n + 1] * log_fact[:n + 1]
-    u = np.zeros(n + 1)
-    for d in (np.nonzero(fv[1:n + 1])[0] + 1):
-        m = n // d
-        u[d::d] += (fv[d] * math.log(d)) * g_id[1:m + 1] + fv[d] * g_lf[1:m + 1]
-    return u
+    f_log = np.zeros(n + 1)
+    f_log[1:] = fv[1:n + 1] * np.fromiter(map(math.log, range(1, n + 1)),
+                                          dtype=np.float64, count=n)
+    return _divisor_pair_sum(
+        fv, n, lambda d, l: f_log[d] * g_id[l] + fv[d] * g_lf[l])
 
 
 def apostol_log_average(f: FunctionTable, g: FunctionTable, x: float) -> float:

@@ -20,17 +20,23 @@ the table end from the remainder series
 
 log_factorial itself is a plain extended-precision cumulative sum of
 log m, so identity checks elsewhere reuse one consistent L(l) array.
+
+One table is kept, built at a power-of-two capacity and rebuilt larger
+only when a request exceeds it; smaller requests get read-only slices.
+log_factorial and approx are prefix-exact, so a slice equals a direct
+build bit for bit; rho and theta depend on the seed point, which moves
+with the capacity, by at most two roundings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from ._accum import cumsum_extended
 from .errors import require
+from .tables import _pow2_ceil
 from .zeta import LOG_SQRT_2PI
 
 _SEED_MIN = 1024
@@ -82,7 +88,6 @@ def _rho_seed(l: int) -> float:
             + 1.0 / (1260.0 * li ** 5) - 1.0 / (1680.0 * li ** 7))
 
 
-@lru_cache(maxsize=8)
 def _build(l_max: int) -> StirlingTable:
     n = np.arange(l_max + 1, dtype=np.float64)
     logs = np.zeros(l_max + 1)
@@ -92,19 +97,29 @@ def _build(l_max: int) -> StirlingTable:
 
     approx = np.zeros(l_max + 1)
     approx[1:] = n[1:] * logs[1:] - n[1:] + 0.5 * logs[1:] + LOG_SQRT_2PI
+    # each temporary is freed once used: the build's transient peak is a
+    # large share of a series command's peak memory
+    del n, logs
 
     seed_l = max(l_max, _SEED_MIN)
     t = _transition_terms(np.arange(2, seed_l + 1))
     # rho(l) = rho(seed) + sum_{j=l+1..seed} t_j, accumulated high-to-low
     suffix = np.cumsum(t[::-1].astype(np.longdouble))
+    del t
     rho_long = np.zeros(seed_l + 1, dtype=np.longdouble)
     rho_long[seed_l] = _rho_seed(seed_l)
-    rho_long[1:seed_l] = rho_long[seed_l] + suffix[::-1]
-    theta = (12.0 * np.arange(seed_l + 1, dtype=np.longdouble) * rho_long)
+    rho_long[1:seed_l] = suffix[::-1]
+    del suffix
+    rho_long[1:seed_l] += rho_long[seed_l]
+    rho_long = rho_long[:l_max + 1]
+    theta = np.arange(l_max + 1, dtype=np.longdouble)
+    theta *= 12.0
+    theta *= rho_long
 
-    rho = rho_long[:l_max + 1].astype(np.float64)
+    rho = rho_long.astype(np.float64)
     rho[0] = 0.0
-    theta64 = theta[:l_max + 1].astype(np.float64)
+    del rho_long
+    theta64 = theta.astype(np.float64)
     theta64[0] = 0.0
 
     for arr in (log_factorial, approx, rho, theta64):
@@ -112,7 +127,19 @@ def _build(l_max: int) -> StirlingTable:
     return StirlingTable(l_max, log_factorial, approx, rho, theta64)
 
 
+# the largest table built so far; a larger request replaces it
+_table: StirlingTable | None = None
+
+
 def log_factorial_table(l_max: int) -> StirlingTable:
     """Table of L(l), approx(l), rho(l), theta(l) for l = 1..l_max."""
+    global _table
     require(l_max >= 1, "l_max must be >= 1")
-    return _build(int(l_max))
+    l_max = int(l_max)
+    if _table is None or _table.l_max < l_max:
+        _table = None  # drop the old arrays before building the new ones
+        _table = _build(max(_pow2_ceil(l_max), _SEED_MIN))
+    t = _table
+    return StirlingTable(l_max, t.log_factorial[:l_max + 1],
+                         t.approx[:l_max + 1], t.rho[:l_max + 1],
+                         t.theta[:l_max + 1])

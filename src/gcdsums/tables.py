@@ -8,7 +8,15 @@ exact values on 1..n_max.
 
 Integer-valued functions (mu, phi, tau, sigma) are sieved in int64 and
 converted once, so their float values are exact as long as they fit in 53
-bits.  Convolutions use the divisor double loop, O(n_max log n_max).
+bits.
+
+Convolutions do O(n_max log n_max) work in about 2 sqrt(n_max) Python
+iterations: every pair d*l <= n_max has d <= r = isqrt(n_max) or
+l <= n_max // (r+1), so one strided update per small d (a row) and one
+per small l (a column) cover all pairs.  The columns run in descending l,
+so each entry still adds its terms in ascending d, the order of the plain
+divisor loop, and the float results are bit-identical to it.  The mu and
+phi sieves split their primes at r the same way.
 """
 
 from __future__ import annotations
@@ -26,6 +34,9 @@ MAX_NESTING = 4
 
 # exponents |a|*log(n_max) beyond this overflow float64
 _MAX_EXP_PRODUCT = 700.0
+
+# smallest capacity of a cached value array
+_MIN_CAPACITY = 1024
 
 
 class Kind(Enum):
@@ -238,21 +249,43 @@ def _primes_upto(n: int) -> np.ndarray:
     return np.nonzero(is_prime)[0].astype(np.int64)
 
 
+def _split_primes(n: int):
+    """The primes p <= r = isqrt(n), and the pairs (k, P) that cover the rest.
+
+    A prime p > r divides m <= n at most once, as m = k*p with k <= n // (r+1).
+    So for each such k, P holds the primes in (r, n // k], and the pairs
+    reach every multiple of a large prime in about sqrt(n) iterations.
+    """
+    r = math.isqrt(n)
+    primes = _primes_upto(n)
+    cut = np.searchsorted(primes, r, side="right")
+    large = primes[cut:]
+    ends = np.searchsorted(large, n // np.arange(1, n // (r + 1) + 1), side="right")
+    return primes[:cut], [(k, large[:end]) for k, end in enumerate(ends, 1)]
+
+
 def _mobius_values(n: int) -> np.ndarray:
     mu = np.ones(n + 1, dtype=np.int64)
     mu[0] = 0
-    for p in _primes_upto(n):
+    small, large = _split_primes(n)
+    for p in small:
         mu[p::p] *= -1
-        if p * p <= n:
-            mu[p * p::p * p] = 0
+        mu[p * p::p * p] = 0
+    for k, P in large:
+        mu[k * P] *= -1
     return mu
 
 
 def _totient_values(n: int) -> np.ndarray:
     phi = np.arange(n + 1, dtype=np.int64)
-    for p in _primes_upto(n):
+    small, large = _split_primes(n)
+    for p in small:
         phi[p::p] //= p
         phi[p::p] *= p - 1
+    for k, P in large:
+        multiples = k * P
+        phi[multiples] //= P
+        phi[multiples] *= P - 1
     return phi
 
 
@@ -300,15 +333,40 @@ def _divisor_log_values(n: int) -> np.ndarray:
         n, lambda v: np.log(np.asarray(v, dtype=np.float64)), np.float64)
 
 
-def _convolve_values(fv: np.ndarray, gv: np.ndarray, n: int) -> np.ndarray:
-    """(f*g)(k) = sum_{d|k} f(d) g(k/d) for k <= n by the divisor loop."""
-    # iterate over the sparser factor
-    if np.count_nonzero(gv[1:n + 1]) < np.count_nonzero(fv[1:n + 1]):
-        fv, gv = gv, fv
+def _divisor_pair_sum(fv: np.ndarray, n: int, term) -> np.ndarray:
+    """out[k] = sum_{d*l = k} term(d, l) for k <= n, added in ascending d.
+
+    ``term`` is called with one index an int and the other a slice (rows
+    d <= isqrt(n) against every l, then columns l <= n // (isqrt(n)+1)
+    against every d > isqrt(n), in descending l) and returns the pair
+    terms as an array.  Rows with fv[d] == 0 are skipped, so ``term`` must
+    vanish where fv does; the columns add those zeros, which leaves every
+    sum bit-unchanged for finite operands.
+    """
+    r = math.isqrt(n)
     out = np.zeros(n + 1, dtype=np.float64)
-    for d in (np.nonzero(fv[1:n + 1])[0] + 1):
-        out[d::d] += fv[d] * gv[1:n // d + 1]
+    for d in (np.nonzero(fv[1:r + 1])[0] + 1):
+        out[d::d] += term(d, slice(1, n // d + 1))
+    for l in range(n // (r + 1), 0, -1):
+        m = n // l
+        out[l * (r + 1):l * m + 1:l] += term(slice(r + 1, m + 1), l)
     return out
+
+
+def _convolve_values(fv: np.ndarray, gv: np.ndarray, n: int) -> np.ndarray:
+    """(f*g)(k) = sum_{d|k} f(d) g(k/d) for k <= n, summed in ascending d.
+
+    d runs over the factor with fewer nonzero values among its first
+    ``_MIN_CAPACITY``.  The split loop is as fast either way, but the
+    choice fixes the summation order: the other order moves float results
+    in the last bits (the jordan scan's exact side by 1 ulp).  Counting a
+    fixed prefix, not all n values, makes every cached capacity pick the
+    same order.
+    """
+    w = min(n, _MIN_CAPACITY) + 1
+    if np.count_nonzero(gv[1:w]) < np.count_nonzero(fv[1:w]):
+        fv, gv = gv, fv
+    return _divisor_pair_sum(fv, n, lambda d, l: fv[d] * gv[l])
 
 
 def _check_exponent(a: float, n: int) -> None:
@@ -383,12 +441,16 @@ def _sieve_cached(spec: FunctionSpec, capacity: int) -> np.ndarray:
 def sieve_values(spec: FunctionSpec, n_max: int) -> np.ndarray:
     """Read-only value array for spec on 0..n_max (slot 0 is 0).
 
-    Results are cached with power-of-two capacity growth; all sieves fill
-    index n only from data at indices <= n, so a slice of a larger cached
-    array is bit-identical to a direct build.
+    Results are cached with power-of-two capacity growth from
+    ``_MIN_CAPACITY``.  All sieves fill index n only from data at indices
+    <= n, and a convolution picks its summation order from its operands'
+    first ``_MIN_CAPACITY`` values, so a slice of a larger cached array is
+    bit-identical to a direct build of any size >= ``_MIN_CAPACITY``.  A
+    direct build below that can differ in the last bit where a
+    convolution's sparser operand changes with n (conv:log,mu at n = 6).
     """
     require(n_max >= 1, "n_max must be >= 1")
-    cap = max(_pow2_ceil(n_max), 1024)
+    cap = max(_pow2_ceil(n_max), _MIN_CAPACITY)
     return _sieve_cached(spec, cap)[:n_max + 1]
 
 

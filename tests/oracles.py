@@ -4,10 +4,16 @@ Everything here is deliberately written without touching the production
 sieves or series accelerations: naive divisor enumeration, trial-division
 factorization, Euler-Maclaurin zeta, and harmonic-sum extrapolation for
 Euler's constant.
+
+The ``loop_*`` functions are the plain sieve loops (one Python iteration
+per divisor or prime up to n) that the production kernels replaced; the
+kernels must reproduce them bit for bit.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 # Bernoulli numbers B_2, B_4, ..., B_16
 _BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
@@ -101,3 +107,55 @@ def euler_gamma_oracle(n_cut: int = 10 ** 5) -> float:
     harmonic = math.fsum(1.0 / k for k in range(1, n_cut + 1))
     return (harmonic - math.log(n_cut) - 0.5 / n_cut
             + 1.0 / (12.0 * n_cut ** 2) - 1.0 / (120.0 * n_cut ** 4))
+
+
+def _loop_primes(n: int) -> list[int]:
+    is_prime = [True] * (n + 1)
+    primes = []
+    for p in range(2, n + 1):
+        if is_prime[p]:
+            primes.append(p)
+            for m in range(p * p, n + 1, p):
+                is_prime[m] = False
+    return primes
+
+
+def loop_mobius(n: int) -> np.ndarray:
+    mu = np.ones(n + 1, dtype=np.int64)
+    mu[0] = 0
+    for p in _loop_primes(n):
+        mu[p::p] *= -1
+        if p * p <= n:
+            mu[p * p::p * p] = 0
+    return mu
+
+
+def loop_totient(n: int) -> np.ndarray:
+    phi = np.arange(n + 1, dtype=np.int64)
+    for p in _loop_primes(n):
+        phi[p::p] //= p
+        phi[p::p] *= p - 1
+    return phi
+
+
+def loop_convolve(fv: np.ndarray, gv: np.ndarray, n: int) -> np.ndarray:
+    """(f*g)(k) for k <= n, one strided update per nonzero f(d)."""
+    if np.count_nonzero(gv[1:n + 1]) < np.count_nonzero(fv[1:n + 1]):
+        fv, gv = gv, fv
+    out = np.zeros(n + 1, dtype=np.float64)
+    for d in (np.nonzero(fv[1:n + 1])[0] + 1):
+        out[d::d] += fv[d] * gv[1:n // d + 1]
+    return out
+
+
+def loop_identity_sum(fv: np.ndarray, gv: np.ndarray,
+                      log_fact: np.ndarray, n: int) -> np.ndarray:
+    """u(k) = sum_{d|k} f(d) (log d g(l) l + g(l) log l!), l = k/d."""
+    larr = np.arange(n + 1, dtype=np.float64)
+    g_id = gv[:n + 1] * larr
+    g_lf = gv[:n + 1] * log_fact[:n + 1]
+    u = np.zeros(n + 1)
+    for d in (np.nonzero(fv[1:n + 1])[0] + 1):
+        m = n // d
+        u[d::d] += (fv[d] * math.log(d)) * g_id[1:m + 1] + fv[d] * g_lf[1:m + 1]
+    return u

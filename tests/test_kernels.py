@@ -1,0 +1,134 @@
+"""The sqrt-split sieve kernels against the plain loops they replaced.
+
+Every kernel must reproduce its reference loop in ``oracles`` bit for
+bit, and every cached array must slice to the same bytes as a build at
+the sliced size.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gcdsums as G
+from gcdsums import identities, stirling, tables
+from gcdsums.errors import DomainError
+from gcdsums.tables import parse_spec
+
+from oracles import (loop_convolve, loop_identity_sum, loop_mobius,
+                     loop_totient, naive_mobius, naive_phi)
+
+_PRIMITIVES = ["one", "id", "mu", "phi", "lambda", "log", "tau", "sigma",
+               "divlog", "idpow:-0.5", "idpow:0.5", "sigmapow:-1",
+               "jordan:0.5", "jordan:-1"]
+_EXPONENTS = st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0])
+_primitive = st.sampled_from(_PRIMITIVES)
+_conv = st.builds("conv:{},{}".format, _primitive, _primitive)
+_operand = st.one_of(_primitive, _conv)
+
+# the spec grammar: primitives, conv pairs of primitives, jordan:a and
+# pointwise log/power weightings of either
+grammar_specs = st.one_of(
+    _primitive,
+    _conv,
+    st.builds("jordan:{:g}".format, _EXPONENTS),
+    st.builds("ptlog:{}".format, _operand),
+    st.builds("ptpow:{:g},{}".format, _EXPONENTS, _operand),
+).map(parse_spec)
+
+# r^2 - 1, r^2 and r^2 + 2r bracket the row/column split at r = isqrt(n);
+# 9170 is the smallest d whose np.log and math.log differ (numpy 2.4 on
+# x86-64), so a kernel taking its log weights from np.log fails there
+_R = 36
+KERNEL_SIZES = [1, 2, 3, 4, _R * _R - 1, _R * _R, _R * _R + 2 * _R, 1000,
+                4096, 9170]
+_PAIRS = [("id", "mu"), ("phi", "mu"), ("mu", "idpow:0.5"), ("one", "one"),
+          ("log", "mu"), ("lambda", "tau"), ("ptlog:mu", "sigmapow:-1")]
+
+
+def _reference_sieve(spec, n):
+    """``_sieve_values`` with the reference loops in place of the kernels."""
+    with mock.patch.multiple(tables, _convolve_values=loop_convolve,
+                             _mobius_values=loop_mobius,
+                             _totient_values=loop_totient):
+        return tables._sieve_values(spec, n)
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_kernels_match_reference_loops(n):
+    assert _same_bytes(tables._mobius_values(n), loop_mobius(n))
+    assert _same_bytes(tables._totient_values(n), loop_totient(n))
+    lf = G.log_factorial_table(n).log_factorial
+    for f, g in _PAIRS:
+        fv = tables._sieve_values(parse_spec(f), n)
+        gv = tables._sieve_values(parse_spec(g), n)
+        assert _same_bytes(tables._convolve_values(fv, gv, n),
+                           loop_convolve(fv, gv, n)), (f, g)
+        assert _same_bytes(identities.identity_sum_table(fv, gv, lf, n),
+                           loop_identity_sum(fv, gv, lf, n)), (f, g)
+
+
+def test_mobius_and_totient_sieves_match_naive():
+    n_max = 500
+    mu = np.array([0] + [naive_mobius(k) for k in range(1, n_max + 1)])
+    phi = np.array([0] + [naive_phi(k) for k in range(1, n_max + 1)])
+    for n in range(1, n_max + 1):
+        assert np.array_equal(tables._mobius_values(n), mu[:n + 1]), n
+        assert np.array_equal(tables._totient_values(n), phi[:n + 1]), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(grammar_specs, st.integers(min_value=1, max_value=4096))
+def test_grammar_sieves_match_reference_loops(spec, n):
+    assert _same_bytes(tables._sieve_values(spec, n), _reference_sieve(spec, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grammar_specs, grammar_specs, st.integers(min_value=1, max_value=4096))
+def test_identity_sum_table_matches_reference_loop(f_spec, g_spec, n):
+    fv = tables.sieve_values(f_spec, n)
+    gv = tables.sieve_values(g_spec, n)
+    lf = G.log_factorial_table(n).log_factorial
+    assert _same_bytes(identities.identity_sum_table(fv, gv, lf, n),
+                       loop_identity_sum(fv, gv, lf, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(grammar_specs, st.integers(min_value=1, max_value=4096))
+def test_cached_slice_is_bit_identical(spec, n):
+    cached = tables.sieve_values(spec, n)
+    assert _same_bytes(cached, tables._sieve_values(spec, 4096)[:n + 1])
+    if n >= tables._MIN_CAPACITY:
+        assert _same_bytes(cached, tables._sieve_values(spec, n))
+
+
+@pytest.mark.parametrize("l_max", [1, 7, 1023, 1025, 5000, 4 * 4096 + 1])
+def test_stirling_slice_matches_direct_build(l_max):
+    table = G.log_factorial_table(l_max)
+    direct = stirling._build(l_max)
+    assert table.l_max == l_max
+    assert _same_bytes(table.log_factorial, direct.log_factorial)
+    assert _same_bytes(table.approx, direct.approx)
+    # rho's seed point moves with the capacity: two roundings at most
+    np.testing.assert_allclose(table.rho[1:], direct.rho[1:],
+                               rtol=2 * np.finfo(np.float64).eps)
+    for arr in (table.log_factorial, table.approx, table.rho, table.theta):
+        assert len(arr) == l_max + 1
+        assert not arr.flags.writeable
+
+
+def test_stirling_table_grows_and_keeps_its_bounds():
+    big = G.log_factorial_table(3000)
+    small = G.log_factorial_table(10)
+    assert small.log_factorial[10] == big.log_factorial[10]
+    assert small.value(10).log_factorial == pytest.approx(math.log(3628800.0),
+                                                          rel=1e-15)
+    with pytest.raises(DomainError):
+        small.value(11)
