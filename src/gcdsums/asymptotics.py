@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +25,8 @@ from ._accum import dot, prefix_with_zero
 from .errors import DomainError, require
 from .identities import apostol_log_average_terms
 from .tables import (DIVISOR_LOG, ID, MU, ONE, PHI, SIGMA, TAU, VON_MANGOLDT,
-                     FunctionSpec, _pow2_ceil, convolve, id_pow, jordan, sieve,
-                     sieve_values, sigma_pow)
+                     _MIN_CAPACITY, FunctionSpec, _capacity_cached, _pow2_ceil,
+                     convolve, id_pow, jordan, sieve, sieve_values, sigma_pow)
 from .zeta import LOG_SQRT_2PI, constants
 
 # O(x) memory is accepted up to here; larger x raises DomainError.
@@ -44,26 +43,42 @@ def _cut(x: float) -> int:
 
 
 def _capacity(n: int) -> int:
-    return min(max(_pow2_ceil(n), 1024), MAX_SIEVE)
+    return min(max(_pow2_ceil(n), _MIN_CAPACITY), MAX_SIEVE)
 
 
-@lru_cache(maxsize=64)
-def _prefix_cached(spec: FunctionSpec, over_n: bool, log_ratio: bool,
-                   capacity: int) -> np.ndarray:
-    vals = sieve_values(spec, capacity).copy()
-    narr = np.arange(1, capacity + 1, dtype=np.float64)
+def _prefix_build(spec: FunctionSpec, over_n: bool, log_ratio: bool,
+                  n: int) -> np.ndarray:
+    """Prefix sums of spec's values on 0..n, optionally weighted by
+    log(m/e) and divided by m; entry m depends on nothing past m."""
+    vals = sieve_values(spec, n).copy()
+    narr = np.arange(1, n + 1, dtype=np.float64)
     if log_ratio:
         vals[1:] *= np.log(narr) - 1.0
     if over_n:
         vals[1:] /= narr
-    out = prefix_with_zero(vals)
-    out.setflags(write=False)
-    return out
+    return prefix_with_zero(vals)
 
 
 def _prefix(spec: FunctionSpec, n: int, over_n: bool = False,
             log_ratio: bool = False) -> np.ndarray:
-    return _prefix_cached(spec, over_n, log_ratio, _capacity(n))[:n + 1]
+    key = ("prefix", spec, over_n, log_ratio)
+    return _capacity_cached(
+        key, _capacity(n),
+        lambda cap: _prefix_build(spec, over_n, log_ratio, cap))[:n + 1]
+
+
+def top_down(fn, xs) -> list:
+    """[fn(x) for x in xs], with the calls made in descending x.
+
+    The first call then grows the cached tables to the largest size and
+    the rest are served by slices of them; slices equal smaller builds
+    bit for bit, so the results do not depend on the order.
+    """
+    order = sorted(range(len(xs)), key=lambda i: xs[i], reverse=True)
+    out = [None] * len(xs)
+    for i in order:
+        out[i] = fn(xs[i])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +563,12 @@ def residual_scan(target: str, grid, a: float | None = None) -> ResidualScan:
         exact = np.array([dec.total for dec in decs])
         main0 = np.array([t.main(x, a, THETA_LO) for x in grid])
         main_hi = np.array([t.main(x, a, THETA_HI) for x in grid])
-        mu_corr = np.array([
-            mu_delta_sum(x, t.weight, a if t.delta_a else None)
-            if t.weight else 0.0 for x in grid])
+        if t.weight:
+            mu_corr = np.array(top_down(
+                lambda x: mu_delta_sum(x, t.weight,
+                                       a if t.delta_a else None), grid))
+        else:
+            mu_corr = np.zeros_like(grid)
         if t.has_theta:
             rem = np.array([dec.remainder_term for dec in decs])
         else:
@@ -563,13 +581,16 @@ def residual_scan(target: str, grid, a: float | None = None) -> ResidualScan:
         stat = STATISTICS[target]
         if stat.needs_a:
             a = _require_a(a)
-        pairs = [summatory(target, x, a) for x in grid]
+        pairs = top_down(lambda x: summatory(target, x, a), grid)
         exact = np.array([p[0] for p in pairs])
         main0 = np.array([p[1] for p in pairs])
-        mu_corr = np.array([
-            mu_delta_sum(x, stat.weight, a if stat.delta_a else None,
-                         log_factor=False)
-            if stat.weight else 0.0 for x in grid])
+        if stat.weight:
+            mu_corr = np.array(top_down(
+                lambda x: mu_delta_sum(x, stat.weight,
+                                       a if stat.delta_a else None,
+                                       log_factor=False), grid))
+        else:
+            mu_corr = np.zeros_like(grid)
         residual = exact - main0 - mu_corr
         residual_lo = residual_hi = residual
         rem = np.zeros_like(grid)

@@ -24,6 +24,7 @@ import sys
 import numpy as np
 
 from . import asymptotics, csvio, identities, series
+from .asymptotics import top_down
 from .errors import DomainError
 from .tables import parse_spec, sieve
 
@@ -125,14 +126,15 @@ def cmd_delta(args) -> int:
     if args.which == "point":
         grid = _parse_grid(args.grid)
         if args.a is None:
-            rows = [(x, asymptotics.divisor_delta(x)) for x in grid]
+            values = top_down(asymptotics.divisor_delta, grid)
         else:
-            rows = [(x, asymptotics.divisor_delta_a(x, args.a)) for x in grid]
-        csvio.write_rows("x,delta", rows, args.out)
+            values = top_down(
+                lambda x: asymptotics.divisor_delta_a(x, args.a), grid)
+        csvio.write_rows("x,delta", zip(grid, values), args.out)
     elif args.which == "integral":
         grid = _parse_grid(args.grid)
-        rows = [(x, asymptotics.delta_integral_ratio(x)) for x in grid]
-        csvio.write_rows("X,ratio", rows, args.out)
+        values = top_down(asymptotics.delta_integral_ratio, grid)
+        csvio.write_rows("X,ratio", zip(grid, values), args.out)
     else:  # series
         if args.a is None:
             raise DomainError("delta --which series requires --a")

@@ -5,7 +5,8 @@ Core objects, for tables f, g and integers k, j:
 - ``anderson_apostol(f, g, k, j)``: s_k(j) = sum_{d | gcd(k,j)} f(d) g(k/d);
   the Ramanujan sum c_k(j) is the special case f = id, g = mu.
 - ``apostol_log_sum*``: u(k) = sum_{j<=k} s_k(j) log j, computed either by
-  the brute-force double sum (oracle) or through the exact identity
+  the brute-force sum over every j <= k (oracle) or through the exact
+  identity
 
       u(k) = (f.log * g.id)(k) + (f * g.L)(k),      L(m) = log m!,
 
@@ -21,6 +22,14 @@ Core objects, for tables f, g and integers k, j:
   sum_{d | gcd} (f*mu)(d) = f(gcd).
 - ``cesaro_*``: the unweighted identity sum_{j<=k} f(gcd(j,k)) = (f*phi)(k)
   and its summatory average.
+
+The brute-force sides (``apostol_log_sum_direct``, ``toth_identity``'s
+lhs, ``cesaro_*``'s lhs) still visit every j <= k; gcd(j, k) is found by
+divisor strides rather than by Euclid.  For each divisor m of k, taken in
+ascending order, the value at m is written to every multiple of m, so the
+last write to j comes from the largest divisor of k dividing j, which is
+gcd(j, k).  That is sigma(k) strided stores and tau(k) Python iterations
+per k.
 
 All sums over x cut at floor(x); an integer x includes k = x.
 """
@@ -108,6 +117,19 @@ def ramanujan_sum(k: int, j: int) -> int:
     return sum(d * mobius_of(k // d) for d in divisors_of(m))
 
 
+def _gather_by_gcd(values: np.ndarray, divs: list[int], k: int) -> np.ndarray:
+    """out[j-1] = values[gcd(j, k)] for j = 1..k, by divisor strides.
+
+    ``divs`` is ``divisors_of(k)``, ascending: a later, larger divisor m
+    overwrites the multiples of m, so slot j ends with the largest divisor
+    of k that divides j.
+    """
+    out = np.empty(k, dtype=values.dtype)
+    for m in divs:
+        out[m - 1::m] = values[m]
+    return out
+
+
 def _s_by_gcd(fv: np.ndarray, gv: np.ndarray, k: int) -> tuple[list[int], np.ndarray]:
     """s_k evaluated at every possible gcd value (the divisors of k)."""
     divs = divisors_of(k)
@@ -118,12 +140,15 @@ def _s_by_gcd(fv: np.ndarray, gv: np.ndarray, k: int) -> tuple[list[int], np.nda
 
 
 def apostol_log_sum_direct(f: FunctionTable, g: FunctionTable, k: int) -> float:
-    """Brute-force sum_{j<=k} s_k(j) log j; the oracle path."""
+    """Brute-force sum_{j<=k} s_k(j) log j over every j; the oracle path.
+
+    s_k(j) depends on j only through gcd(j, k), so it is evaluated once per
+    divisor of k and spread over j by ``_gather_by_gcd``.
+    """
     _check_tables(f, g, k)
-    _, table = _s_by_gcd(f.values, g.values, k)
-    j = np.arange(1, k + 1)
+    divs, table = _s_by_gcd(f.values, g.values, k)
     logs = sieve_values(LOG, k)
-    return dot(logs[1:k + 1], table[np.gcd(j, k)])
+    return dot(logs[1:k + 1], _gather_by_gcd(table, divs, k))
 
 
 def apostol_log_sum(f: FunctionTable, g: FunctionTable, k: int) -> float:
@@ -149,6 +174,10 @@ def toth_identity(k: int) -> tuple[float, float]:
 
     lhs = (1/k) sum_{j<=k} c_k(j) log j
     rhs = Lambda(k) + sum_{d|k} (mu(d)/d) log d!
+
+    The lhs is the brute force over every j <= k.  c_k(m) for the divisors
+    m of k is one integer divisibility-matrix product, so it is exact;
+    c_k(j) = c_k(gcd(j, k)) is then spread over j by ``_gather_by_gcd``.
     """
     require(k >= 1, "k must be >= 1")
     mu = sieve_values(MU, k)
@@ -157,11 +186,11 @@ def toth_identity(k: int) -> tuple[float, float]:
     lf = log_factorial_table(k).log_factorial
 
     divs = divisors_of(k)
+    dv = np.array(divs)
     c_by = np.zeros(k + 1)
-    for m in divs:
-        c_by[m] = fsum(d * mu[k // d] for d in divs if m % d == 0)
-    j = np.arange(1, k + 1)
-    lhs = dot(logs[1:k + 1], c_by[np.gcd(j, k)]) / k
+    c_terms = dv * mu[k // dv].astype(np.int64)
+    c_by[dv] = (dv[:, None] % dv[None, :] == 0) @ c_terms
+    lhs = dot(logs[1:k + 1], _gather_by_gcd(c_by, divs, k)) / k
     rhs = float(lam[k]) + fsum(mu[d] / d * lf[d] for d in divs)
     return lhs, rhs
 
@@ -171,9 +200,9 @@ def cesaro_identity(f: FunctionTable, k: int) -> tuple[float, float]:
     require(k >= 1, "k must be >= 1")
     require(k <= f.n_max, f"k={k} outside table range {f.n_max}")
     phi = sieve_values(PHI, k)
-    j = np.arange(1, k + 1)
-    lhs = float(np.take(f.values, np.gcd(j, k)).sum())
-    rhs = fsum(f.values[d] * phi[k // d] for d in divisors_of(k))
+    divs = divisors_of(k)
+    lhs = float(_gather_by_gcd(f.values, divs, k).sum())
+    rhs = fsum(f.values[d] * phi[k // d] for d in divs)
     return lhs, rhs
 
 
@@ -289,8 +318,7 @@ def cesaro_average(f: FunctionTable, x: float) -> tuple[float, float]:
     n = _cut(x, f.n_max)
     lhs_terms = np.empty(n)
     for k in range(1, n + 1):
-        j = np.arange(1, k + 1)
-        lhs_terms[k - 1] = np.take(f.values, np.gcd(j, k)).sum() / k
+        lhs_terms[k - 1] = _gather_by_gcd(f.values, divisors_of(k), k).sum() / k
     lhs = float(np.sum(lhs_terms))
     conv = _convolve_values(f.values, sieve_values(PHI, n), n)
     rhs = dot(conv[1:n + 1], 1.0 / np.arange(1, n + 1, dtype=np.float64))
@@ -304,8 +332,7 @@ def cesaro_average_profile(f_spec: FunctionSpec, n: int) -> tuple[np.ndarray, np
     inner = np.empty(n + 1)
     inner[0] = 0.0
     for k in range(1, n + 1):
-        j = np.arange(1, k + 1)
-        inner[k] = np.take(fv, np.gcd(j, k)).sum() / k
+        inner[k] = _gather_by_gcd(fv, divisors_of(k), k).sum() / k
     lhs = prefix_with_zero(inner)
     conv = sieve_values(convolve(f_spec, PHI), n).copy()
     conv[1:] /= np.arange(1, n + 1, dtype=np.float64)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -431,27 +430,49 @@ def _pow2_ceil(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
-@lru_cache(maxsize=64)
-def _sieve_cached(spec: FunctionSpec, capacity: int) -> np.ndarray:
-    vals = _sieve_values(spec, capacity)
-    vals.setflags(write=False)
-    return vals
+# key -> the largest read-only array built for it so far, in build order
+_grown: dict = {}
+_CACHE_KEYS = 64
+
+
+def _capacity_cached(key, capacity: int, build) -> np.ndarray:
+    """Read-only array of at least ``capacity + 1`` entries cached under key.
+
+    ``build(capacity)`` makes entries 0..capacity.  Each key keeps only its
+    largest array: a request within it is served by that array (callers
+    slice it), a larger request replaces it.  At most ``_CACHE_KEYS`` keys
+    are kept, the one built longest ago dropped first.  Only builders whose
+    entry n depends on nothing past n may share this cache, so that a
+    slice equals a smaller build.
+    """
+    arr = _grown.get(key)
+    if arr is None or len(arr) <= capacity:
+        _grown.pop(key, None)
+        arr = None  # drop the old array before building the new one
+        arr = build(capacity)
+        arr.setflags(write=False)
+        _grown[key] = arr
+        if len(_grown) > _CACHE_KEYS:
+            del _grown[next(iter(_grown))]
+    return arr
 
 
 def sieve_values(spec: FunctionSpec, n_max: int) -> np.ndarray:
     """Read-only value array for spec on 0..n_max (slot 0 is 0).
 
-    Results are cached with power-of-two capacity growth from
-    ``_MIN_CAPACITY``.  All sieves fill index n only from data at indices
-    <= n, and a convolution picks its summation order from its operands'
-    first ``_MIN_CAPACITY`` values, so a slice of a larger cached array is
-    bit-identical to a direct build of any size >= ``_MIN_CAPACITY``.  A
-    direct build below that can differ in the last bit where a
-    convolution's sparser operand changes with n (conv:log,mu at n = 6).
+    One array per spec is cached, built at a power-of-two capacity of at
+    least ``_MIN_CAPACITY`` and replaced only by a larger one.  All sieves
+    fill index n only from data at indices <= n, and a convolution picks
+    its summation order from its operands' first ``_MIN_CAPACITY`` values,
+    so a slice of a larger cached array is bit-identical to a direct
+    build of any size >= ``_MIN_CAPACITY``.  A direct build below that can
+    differ in the last bit where a convolution's sparser operand changes
+    with n (conv:log,mu at n = 6).
     """
     require(n_max >= 1, "n_max must be >= 1")
     cap = max(_pow2_ceil(n_max), _MIN_CAPACITY)
-    return _sieve_cached(spec, cap)[:n_max + 1]
+    return _capacity_cached(("sieve", spec), cap,
+                            lambda n: _sieve_values(spec, n))[:n_max + 1]
 
 
 def sieve(spec: FunctionSpec, n_max: int) -> FunctionTable:

@@ -7,7 +7,8 @@ Euler's constant.
 
 The ``loop_*`` functions are the plain sieve loops (one Python iteration
 per divisor or prime up to n) that the production kernels replaced; the
-kernels must reproduce them bit for bit.
+kernels must reproduce them bit for bit.  ``euclid_gather`` is likewise
+the Euclid-based gcd gather the per-k brute-force audits replaced.
 """
 
 import math
@@ -159,3 +160,8 @@ def loop_identity_sum(fv: np.ndarray, gv: np.ndarray,
         m = n // d
         u[d::d] += (fv[d] * math.log(d)) * g_id[1:m + 1] + fv[d] * g_lf[1:m + 1]
     return u
+
+
+def euclid_gather(values: np.ndarray, k: int) -> np.ndarray:
+    """values[gcd(j, k)] for j = 1..k, with gcd by Euclid (np.gcd)."""
+    return values[np.gcd(np.arange(1, k + 1), k)]
