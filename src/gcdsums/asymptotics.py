@@ -24,26 +24,17 @@ import numpy as np
 from ._accum import dot, prefix_with_zero
 from .errors import DomainError, require
 from .identities import apostol_log_average_terms
-from .tables import (DIVISOR_LOG, ID, MU, ONE, PHI, SIGMA, TAU, VON_MANGOLDT,
-                     _MIN_CAPACITY, FunctionSpec, _capacity_cached, _pow2_ceil,
+from .stirling import THETA_HI, THETA_LO
+from .tables import (DIVISOR_LOG, ID, MAX_SIEVE, MU, ONE, PHI, SIGMA, TAU,
+                     VON_MANGOLDT, FunctionSpec, _capacity_cached,
                      convolve, id_pow, jordan, sieve, sieve_values, sigma_pow)
 from .zeta import LOG_SQRT_2PI, constants
-
-# O(x) memory is accepted up to here; larger x raises DomainError.
-MAX_SIEVE = 10_000_000
-
-THETA_LO = 0.0
-THETA_HI = 1.0 / 12.0
 
 
 def _cut(x: float) -> int:
     require(x >= 1.0, "x must be >= 1")
     require(x <= MAX_SIEVE, f"x={x} beyond supported sieve range {MAX_SIEVE}")
     return int(math.floor(x))
-
-
-def _capacity(n: int) -> int:
-    return min(max(_pow2_ceil(n), _MIN_CAPACITY), MAX_SIEVE)
 
 
 def _prefix_build(spec: FunctionSpec, over_n: bool, log_ratio: bool,
@@ -63,8 +54,7 @@ def _prefix(spec: FunctionSpec, n: int, over_n: bool = False,
             log_ratio: bool = False) -> np.ndarray:
     key = ("prefix", spec, over_n, log_ratio)
     return _capacity_cached(
-        key, _capacity(n),
-        lambda cap: _prefix_build(spec, over_n, log_ratio, cap))[:n + 1]
+        key, n, lambda cap: _prefix_build(spec, over_n, log_ratio, cap))[:n + 1]
 
 
 def top_down(fn, xs) -> list:
@@ -559,7 +549,7 @@ def residual_scan(target: str, grid, a: float | None = None) -> ResidualScan:
         f_spec, g_spec = t.pair(a)
         n_top = int(math.floor(grid[-1]))
         f, g = sieve(f_spec, n_top), sieve(g_spec, n_top)
-        decs = [apostol_log_average_terms(f, g, x) for x in grid]
+        decs = top_down(lambda x: apostol_log_average_terms(f, g, x), grid)
         exact = np.array([dec.total for dec in decs])
         main0 = np.array([t.main(x, a, THETA_LO) for x in grid])
         main_hi = np.array([t.main(x, a, THETA_HI) for x in grid])

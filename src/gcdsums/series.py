@@ -24,13 +24,10 @@ import numpy as np
 from ._accum import dot
 from .errors import DomainError, require
 from .identities import identity_sum_table
-from .stirling import log_factorial_table
+from .stirling import THETA_HI, THETA_LO, log_factorial_table
 from .tables import (MU, ONE, FunctionTable, abscissa, dirichlet_convolve,
                      sieve)
 from .zeta import LOG_SQRT_2PI, constants
-
-THETA_LO = 0.0
-THETA_HI = 1.0 / 12.0
 
 # coefficient of the (1 + log K)^2 / K^(s-2) truncation allowance; the
 # catalog u(k) grow like k log^2 k times an O(1) factor, so the tail of

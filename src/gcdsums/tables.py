@@ -37,6 +37,10 @@ _MAX_EXP_PRODUCT = 700.0
 # smallest capacity of a cached value array
 _MIN_CAPACITY = 1024
 
+# O(x) memory is accepted up to here: scans reject larger x, and no cached
+# capacity rounds a request up past it
+MAX_SIEVE = 10_000_000
+
 
 class Kind(Enum):
     ONE = "one"
@@ -426,8 +430,10 @@ def _sieve_values(spec: FunctionSpec, n: int) -> np.ndarray:
     raise DomainError(f"cannot sieve {spec}")
 
 
-def _pow2_ceil(n: int) -> int:
-    return 1 << max(0, (n - 1).bit_length())
+def _capacity(n: int) -> int:
+    """The power of two >= n, at least _MIN_CAPACITY, at most max(n, MAX_SIEVE)."""
+    pow2 = 1 << max(0, (n - 1).bit_length())
+    return min(max(pow2, _MIN_CAPACITY), max(n, MAX_SIEVE))
 
 
 # key -> the largest read-only array built for it so far, in build order
@@ -435,21 +441,22 @@ _grown: dict = {}
 _CACHE_KEYS = 64
 
 
-def _capacity_cached(key, capacity: int, build) -> np.ndarray:
-    """Read-only array of at least ``capacity + 1`` entries cached under key.
+def _capacity_cached(key, n: int, build) -> np.ndarray:
+    """Read-only array cached under key, with entries 0..n or more.
 
-    ``build(capacity)`` makes entries 0..capacity.  Each key keeps only its
-    largest array: a request within it is served by that array (callers
-    slice it), a larger request replaces it.  At most ``_CACHE_KEYS`` keys
-    are kept, the one built longest ago dropped first.  Only builders whose
-    entry n depends on nothing past n may share this cache, so that a
-    slice equals a smaller build.
+    ``build(capacity)`` makes entries 0..capacity along the array's last
+    axis.  Each key keeps only its largest array: a request within it is
+    served by that array (callers slice it), a larger request replaces it
+    with a build at ``_capacity(n)``.  At most ``_CACHE_KEYS`` keys are
+    kept, the one built longest ago dropped first.  Only build functions
+    whose entry m depends on nothing past max(m, ``_MIN_CAPACITY``) may
+    share this cache, so that a slice equals a build of any size.
     """
     arr = _grown.get(key)
-    if arr is None or len(arr) <= capacity:
+    if arr is None or arr.shape[-1] <= n:
         _grown.pop(key, None)
         arr = None  # drop the old array before building the new one
-        arr = build(capacity)
+        arr = build(_capacity(n))
         arr.setflags(write=False)
         _grown[key] = arr
         if len(_grown) > _CACHE_KEYS:
@@ -460,18 +467,17 @@ def _capacity_cached(key, capacity: int, build) -> np.ndarray:
 def sieve_values(spec: FunctionSpec, n_max: int) -> np.ndarray:
     """Read-only value array for spec on 0..n_max (slot 0 is 0).
 
-    One array per spec is cached, built at a power-of-two capacity of at
-    least ``_MIN_CAPACITY`` and replaced only by a larger one.  All sieves
-    fill index n only from data at indices <= n, and a convolution picks
-    its summation order from its operands' first ``_MIN_CAPACITY`` values,
-    so a slice of a larger cached array is bit-identical to a direct
-    build of any size >= ``_MIN_CAPACITY``.  A direct build below that can
-    differ in the last bit where a convolution's sparser operand changes
-    with n (conv:log,mu at n = 6).
+    One array per spec is cached, built at ``_capacity(n_max)`` and
+    replaced only by a larger one.  All sieves fill index n only from data
+    at indices <= n, and a convolution picks its summation order from its
+    operands' first ``_MIN_CAPACITY`` values, so a slice of a larger
+    cached array is bit-identical to a direct build of any size >=
+    ``_MIN_CAPACITY``.  A direct build below that can differ in the last
+    bit where a convolution's sparser operand changes with n (conv:log,mu
+    at n = 6).
     """
     require(n_max >= 1, "n_max must be >= 1")
-    cap = max(_pow2_ceil(n_max), _MIN_CAPACITY)
-    return _capacity_cached(("sieve", spec), cap,
+    return _capacity_cached(("sieve", spec), n_max,
                             lambda n: _sieve_values(spec, n))[:n_max + 1]
 
 

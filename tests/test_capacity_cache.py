@@ -1,4 +1,5 @@
-"""The one capacity cache behind ``sieve_values`` and the scan prefixes.
+"""The one capacity cache behind ``sieve_values``, the scan prefixes and
+the Stirling table.
 
 Each key keeps its largest array; a smaller request must get a slice
 equal by bytes to a direct build at the smaller size, so a scan's values
@@ -9,25 +10,21 @@ import numpy as np
 import pytest
 
 import gcdsums as G
-from gcdsums import asymptotics, stirling, tables
-from gcdsums.tables import parse_spec
+from gcdsums import asymptotics, tables
+from gcdsums.tables import MAX_SIEVE, parse_spec
 
 
 def _clear():
     tables._grown.clear()
-    # the Stirling table's rho moves with its capacity, so scans compared
-    # across runs start it afresh too
-    stirling._table = None
 
 
 @pytest.fixture
 def fresh_cache():
-    saved = tables._grown.copy(), stirling._table
+    # not restored afterwards: holding the old arrays would stack them
+    # under the 10^7-entry tables built here
     _clear()
     yield
     _clear()
-    tables._grown.update(saved[0])
-    stirling._table = saved[1]
 
 
 def _same_bytes(a, b):
@@ -70,9 +67,29 @@ def test_cache_keeps_largest_array_per_key(fresh_cache):
     assert ("sieve", G.PHI) not in tables._grown
 
 
+@pytest.mark.parametrize("n, capacity", [
+    (1, 1024), (1024, 1024), (1025, 2048), (5000, 8192), (1 << 20, 1 << 20),
+    (9_000_000, MAX_SIEVE), (MAX_SIEVE, MAX_SIEVE),
+    (MAX_SIEVE + 1, MAX_SIEVE + 1), (30_000_000, 30_000_000)])
+def test_one_capacity_rule(n, capacity):
+    assert tables._capacity(n) == capacity
+
+
+def test_capacity_capped_for_every_table(fresh_cache):
+    # the prefix and the sieve under it stop at MAX_SIEVE, not at 2^24
+    asymptotics._prefix(G.TAU, 9_000_000)
+    assert len(tables._grown[("prefix", G.TAU, False, False)]) == MAX_SIEVE + 1
+    assert len(tables._grown[("sieve", G.TAU)]) == MAX_SIEVE + 1
+    _clear()
+    G.log_factorial_table(3000)
+    assert tables._grown["stirling"].shape == (4, 4096 + 1)
+
+
 @pytest.mark.parametrize("target, a", [("id_phi", None), ("sigma_logne", None),
                                        ("jordan_phi", -0.5),
-                                       ("id-log-avg", None)])
+                                       ("id-log-avg", None),
+                                       ("tau-log-avg", None),
+                                       ("jordan-log-avg", -0.5)])
 def test_scan_matches_ascending_pointwise_scan(fresh_cache, target, a):
     grid = asymptotics.standard_grid(1e3, 2e5, 5)
     pointwise = [asymptotics.residual_scan(target, [x], a) for x in grid]

@@ -109,16 +109,18 @@ def test_cached_slice_is_bit_identical(spec, n):
         assert _same_bytes(cached, tables._sieve_values(spec, n))
 
 
-@pytest.mark.parametrize("l_max", [1, 7, 1023, 1025, 5000, 4 * 4096 + 1])
+@pytest.mark.parametrize("l_max", [1, 7, 1023, 1024, 1025, 5000,
+                                   4 * 4096 + 1])
 def test_stirling_slice_matches_direct_build(l_max):
-    table = G.log_factorial_table(l_max)
     direct = stirling._build(l_max)
+    G.log_factorial_table(1 << 16)  # a larger table serves the request
+    table = G.log_factorial_table(l_max)
+    wider = stirling._build(tables._capacity(l_max))
     assert table.l_max == l_max
-    assert _same_bytes(table.log_factorial, direct.log_factorial)
-    assert _same_bytes(table.approx, direct.approx)
-    # rho's seed point moves with the capacity: two roundings at most
-    np.testing.assert_allclose(table.rho[1:], direct.rho[1:],
-                               rtol=2 * np.finfo(np.float64).eps)
+    for name in ("log_factorial", "approx", "rho", "theta"):
+        want = getattr(direct, name)
+        assert _same_bytes(getattr(table, name), want), name
+        assert _same_bytes(getattr(wider, name)[:l_max + 1], want), name
     for arr in (table.log_factorial, table.approx, table.rho, table.theta):
         assert len(arr) == l_max + 1
         assert not arr.flags.writeable

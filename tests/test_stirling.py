@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gcdsums as G
+from gcdsums import stirling
 from gcdsums.errors import DomainError
 from gcdsums.zeta import LOG_SQRT_2PI
 
@@ -41,6 +42,29 @@ def test_theta_against_log_gamma_oracle():
                   + mpmath.log(2 * mpmath.pi) / 2)
         theta_oracle = float(12 * l * (lf - approx))
         assert abs(t.theta[l] - theta_oracle) <= 1e-9
+
+
+def test_rho_within_one_ulp_at_the_seam_and_far_out():
+    # the recurrence below _MIN_CAPACITY meets the series at 1024
+    mpmath = pytest.importorskip("mpmath")
+    t = G.log_factorial_table(1 << 20)
+    with mpmath.workdps(50):
+        for l in (1023, 1024, 1025, 1 << 20):
+            exact = (mpmath.loggamma(l + 1) - l * mpmath.log(l) + l
+                     - mpmath.log(l) / 2 - mpmath.log(2 * mpmath.pi) / 2)
+            ulp = np.spacing(float(exact))
+            assert abs(mpmath.mpf(float(t.rho[l])) - exact) <= ulp, l
+
+
+def test_theta_range_from_the_series():
+    # no table: the series alone reaches l where float64 theta hits 1
+    l = np.array([1024, 10 ** 6, 2 * 10 ** 7])
+    rho = stirling._remainder_series(l)
+    theta = (12 * l * rho).astype(np.float64)
+    assert np.all(rho > 0)
+    assert np.all((theta > 0) & (theta < 1))
+    far = np.array([25_000_000])
+    assert float((12 * far * stirling._remainder_series(far))[0]) == 1.0
 
 
 def test_rho_consistent_with_direct_subtraction():
