@@ -41,12 +41,13 @@ def _prefix_build(spec: FunctionSpec, over_n: bool, log_ratio: bool,
                   n: int) -> np.ndarray:
     """Prefix sums of spec's values on 0..n, optionally weighted by
     log(m/e) and divided by m; entry m depends on nothing past m."""
-    vals = sieve_values(spec, n).copy()
-    narr = np.arange(1, n + 1, dtype=np.float64)
-    if log_ratio:
-        vals[1:] *= np.log(narr) - 1.0
-    if over_n:
-        vals[1:] /= narr
+    vals = sieve_values(spec, n)
+    if log_ratio or over_n:
+        vals, narr = vals.copy(), np.arange(1, n + 1, dtype=np.float64)
+        if log_ratio:
+            vals[1:] *= np.log(narr) - 1.0
+        if over_n:
+            vals[1:] /= narr
     return prefix_with_zero(vals)
 
 
@@ -155,6 +156,11 @@ def mu_delta_sum(x: float, kind: str, a: float | None = None,
     With ``a`` given, Delta_a replaces Delta.  ``log_factor=False`` drops
     the log(x/e) factor (the bare form corrects the unweighted summatory
     statistics; the weighted form corrects the log averages).
+
+    It stays one term per n <= x, as each summand T(x/n) - smooth(x/n)
+    cancels inside itself: a ``hyperbola_sum`` minus the smooth sum erred
+    6.6e-10 (mu) and 3.9e-9 (mu*mu) relative to a longdouble oracle at
+    x = 1e6, against 1.4e-11 and 2.6e-11 per term.
     """
     if kind not in _WEIGHT_SPECS:
         raise DomainError(f"unknown weight kind {kind!r}")

@@ -14,8 +14,8 @@ Core objects, for tables f, g and integers k, j:
 - ``apostol_log_average(f, g, x)``: sum_{k<=x} u(k)/k, and its exact
   six-term expansion over pairs d*l <= x obtained by replacing L(l) with
   the Stirling form l log l - l + (1/2) log l + log sqrt(2 pi) + rho(l)
-  (``apostol_log_average_terms``).  The expansion is one O(x) pass and is
-  the route scans take for both the exact side and the Stirling
+  (``apostol_log_average_terms``), one Dirichlet hyperbola sum per term.
+  It is the route scans take for both the exact side and the Stirling
   remainder; the per-k sum is the reference it is checked against.
 - ``gcd_log_average(f, x)``: sum_{k<=x} (1/k) sum_{j<=k} f(gcd(k,j)) log j,
   evaluated as the (f*mu, 1) case of the above since
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import dot, fsum, prefix_with_zero
+from ._accum import dot, fsum, hyperbola_sum, on_quotients, prefix_with_zero
 from .errors import DomainError, require
 from .stirling import log_factorial_table
 from .tables import (LOG, MU, ONE, PHI, VON_MANGOLDT, FunctionSpec,
@@ -224,9 +224,9 @@ def identity_sum_table(fv: np.ndarray, gv: np.ndarray,
     u(k) = sum_{d*l = k} (f(d) log d) (g(l) l) + f(d) (g(l) log l!), summed
     in ascending d by the same split loop as the convolution sieves.  The
     per-d log is ``math.log``, as in the plain divisor loop this replaced;
-    ``np.log`` rounds a few arguments differently.  Used where every u(k)
-    is needed (the reference average and the series partial sums); a
-    summatory value alone comes cheaper from ``apostol_log_average_terms``.
+    ``np.log`` rounds a few arguments differently.  Reference only: it
+    serves the per-k ``apostol_log_average``; summatory values and the
+    series partial sums are hyperbola sums over d*l <= n instead.
     """
     larr = np.arange(n + 1, dtype=np.float64)
     g_id = gv[:n + 1] * larr
@@ -249,37 +249,29 @@ def apostol_log_average(f: FunctionTable, g: FunctionTable, x: float) -> float:
 
 def apostol_log_average_terms(f: FunctionTable, g: FunctionTable,
                               x: float) -> AverageDecomposition:
-    """Exact six-term expansion of ``apostol_log_average`` over d*l <= x."""
+    """Exact six-term expansion of ``apostol_log_average`` over d*l <= x,
+    one ``hyperbola_sum`` of an f-side and a g-side weight per term."""
     n = _cut(x, min(f.n_max, g.n_max))
-    table = log_factorial_table(n)
-    larr = np.arange(n + 1, dtype=np.float64)
+    rho = log_factorial_table(n).rho[:n + 1]
     logs = sieve_values(LOG, n)
+    inv = np.append(0.0, 1.0 / np.arange(1, n + 1))
     gv = g.values[:n + 1]
-
-    inv_l = np.zeros(n + 1)
-    inv_l[1:] = 1.0 / larr[1:]
-    cg = prefix_with_zero(gv)
-    cg_log = prefix_with_zero(gv * logs)
-    cg_log_over = prefix_with_zero(gv * logs * inv_l)
-    cg_over = prefix_with_zero(gv * inv_l)
-    cg_rho = prefix_with_zero(gv * table.rho[:n + 1] * inv_l)
-    cg_abs = prefix_with_zero(np.abs(gv) * inv_l * inv_l)
-
-    d = np.arange(1, n + 1, dtype=np.int64)
-    m = n // d
-    fd = f.values[1:n + 1]
-    w_log = fd * logs[1:n + 1] / d
-    w = fd / d
+    gi = gv * inv
+    cg, cg_log, cg_log_over, cg_over, cg_rho, cg_abs = (
+        on_quotients(v, n) for v in (gv, gv * logs, gi * logs, gi, gi * rho,
+                                     np.abs(gi) * inv))
+    w = f.values[:n + 1] * inv
+    fw, fw_log, fw_abs = (on_quotients(v, n) for v in (w, w * logs, np.abs(w)))
 
     return AverageDecomposition(
         x=float(x),
-        log_d_term=dot(w_log, cg[m]),
-        log_l_term=dot(w, cg_log[m]),
-        unit_term=-dot(w, cg[m]),
-        half_log_term=0.5 * dot(w, cg_log_over[m]),
-        const_term=LOG_SQRT_2PI * dot(w, cg_over[m]),
-        remainder_term=dot(w, cg_rho[m]),
-        remainder_bound=dot(np.abs(w), cg_abs[m]) / 12.0,
+        log_d_term=hyperbola_sum(fw_log, cg),
+        log_l_term=hyperbola_sum(fw, cg_log),
+        unit_term=-hyperbola_sum(fw, cg),
+        half_log_term=0.5 * hyperbola_sum(fw, cg_log_over),
+        const_term=LOG_SQRT_2PI * hyperbola_sum(fw, cg_over),
+        remainder_term=hyperbola_sum(fw, cg_rho),
+        remainder_bound=hyperbola_sum(fw_abs, cg_abs) / 12.0,
     )
 
 

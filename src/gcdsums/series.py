@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import dot
+from ._accum import dot, hyperbola_sum, on_quotients
 from .errors import DomainError, require
-from .identities import identity_sum_table
 from .stirling import THETA_HI, THETA_LO, log_factorial_table
-from .tables import (MU, ONE, FunctionTable, abscissa, dirichlet_convolve,
-                     sieve)
+from .tables import (LOG, MU, ONE, FunctionTable, abscissa,
+                     dirichlet_convolve, sieve, sieve_values)
 from .zeta import LOG_SQRT_2PI, constants
 
 # coefficient of the (1 + log K)^2 / K^(s-2) truncation allowance; the
@@ -89,9 +88,18 @@ def log_factorial_partial_sum(g: FunctionTable, s: float, k_max: int) -> float:
 
 def _u_partial_sum(f: FunctionTable, g: FunctionTable, s: float,
                    k_max: int) -> float:
-    lf = log_factorial_table(k_max).log_factorial
-    u = identity_sum_table(f.values, g.values, lf, k_max)
-    return dot(u[1:], _powers(k_max, s))
+    """sum_{k<=K} u(k) k^-s as the hyperbola sums over d*l <= K of
+    (f(d) log d d^-s) (g(l) l^(1-s)) + (f(d) d^-s) (g(l) L(l) l^-s)."""
+    lf = log_factorial_table(k_max).log_factorial[:k_max + 1]
+    logs = sieve_values(LOG, k_max)
+    fv, gv = f.values[:k_max + 1], g.values[:k_max + 1]
+
+    def weighted(values, power):
+        return on_quotients(np.append(0.0, values[1:] * _powers(k_max, power)),
+                            k_max)
+
+    return (hyperbola_sum(weighted(fv * logs, s), weighted(gv, s - 1.0))
+            + hyperbola_sum(weighted(fv, s), weighted(gv * lf, s)))
 
 
 def series_identity_compare(f: FunctionTable, g: FunctionTable, s: float,

@@ -118,7 +118,7 @@ def _build_arrays(l_max: int) -> np.ndarray:
     n = np.arange(l_max + 1, dtype=np.float64)
     logs = np.zeros(l_max + 1)
     logs[1:] = np.log(n[1:])
-    log_factorial[1:] = cumsum_extended(logs[1:])
+    cumsum_extended(logs[1:], out=log_factorial[1:])
     approx[1:] = n[1:] * logs[1:] - n[1:] + 0.5 * logs[1:] + LOG_SQRT_2PI
     # each temporary is freed once used: the build's transient peak is a
     # large share of a series command's peak memory

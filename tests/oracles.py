@@ -9,6 +9,10 @@ The ``loop_*`` functions are the plain sieve loops (one Python iteration
 per divisor or prime up to n) that the production kernels replaced; the
 kernels must reproduce them bit for bit.  ``euclid_gather`` is likewise
 the Euclid-based gcd gather the per-k brute-force audits replaced.
+
+The ``*_longdouble`` functions are the pair sums over d*l <= n as the
+O(n) gather the hyperbola kernel replaced, with every weight, prefix and
+sum in ``np.longdouble``; they take the f and g values (and rho) as given.
 """
 
 import math
@@ -165,3 +169,40 @@ def loop_identity_sum(fv: np.ndarray, gv: np.ndarray,
 def euclid_gather(values: np.ndarray, k: int) -> np.ndarray:
     """values[gcd(j, k)] for j = 1..k, with gcd by Euclid (np.gcd)."""
     return values[np.gcd(np.arange(1, k + 1), k)]
+
+
+def _pair_sum_longdouble(w, c, n: int):
+    """sum_{d*l<=n} w(d) c(l) = sum_d w(d) C(n // d), all in longdouble;
+    w and c hold the values at 1..n."""
+    q = n // np.arange(1, n + 1) - 1
+    return np.sum(w * np.cumsum(c)[q])
+
+
+def six_term_longdouble(fv: np.ndarray, gv: np.ndarray, rho: np.ndarray,
+                        n: int) -> list:
+    """The six terms of ``apostol_log_average_terms`` at n, in longdouble."""
+    ld = np.longdouble
+    l = np.arange(1, n + 1, dtype=ld)
+    logs = np.log(l)
+    g = gv[1:n + 1].astype(ld)
+    w = fv[1:n + 1].astype(ld) / l
+    log_sqrt_2pi = ld("0.9189385332046727417803297364056176398614")
+    return [_pair_sum_longdouble(w * logs, g, n),
+            _pair_sum_longdouble(w, g * logs, n),
+            -_pair_sum_longdouble(w, g, n),
+            _pair_sum_longdouble(w, g * logs / l, n) / 2,
+            log_sqrt_2pi * _pair_sum_longdouble(w, g / l, n),
+            _pair_sum_longdouble(w, g * rho[1:n + 1].astype(ld) / l, n)]
+
+
+def series_lhs_longdouble(fv: np.ndarray, gv: np.ndarray, s: float, k: int):
+    """sum_{k'<=K} u(k') k'^-s as the pair sum over d*l <= K of
+    f(d) g(l) (dl)^-s (l log d + log l!), in longdouble."""
+    ld = np.longdouble
+    l = np.arange(1, k + 1, dtype=ld)
+    logs = np.log(l)
+    powers = l ** ld(-s)
+    f = fv[1:k + 1].astype(ld) * powers
+    g = gv[1:k + 1].astype(ld) * powers
+    return (_pair_sum_longdouble(f * logs, g * l, k)
+            + _pair_sum_longdouble(f, g * np.cumsum(logs), k))

@@ -1,0 +1,115 @@
+"""The Dirichlet-hyperbola kernel and the blocked extended-precision cumsum.
+
+``hyperbola_sum`` must equal a brute-force double loop exactly on
+integer-valued weights, ``on_quotients`` must carry the bytes of
+``prefix_with_zero`` at every quotient, and the two callers of the
+kernel must stay within a few ulps of longdouble oracles.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import gcdsums as G
+from gcdsums import _accum, asymptotics, series
+from gcdsums.identities import identity_sum_table
+from gcdsums.stirling import log_factorial_table
+from gcdsums.tables import TAU, sieve_values
+
+from oracles import series_lhs_longdouble, six_term_longdouble
+
+_BOUNDARY_N = sorted({m for r in range(1, 41)
+                      for m in (r * r - 1, r * r, r * r + r, r * r + r + 1)
+                      if m > 400})
+
+
+@pytest.mark.parametrize("length", [1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1,
+                                    10 ** 6 + 7])
+def test_cumsum_extended_matches_one_longdouble_cumsum(length):
+    v = np.random.default_rng(length).standard_normal(length) * 1e3
+    want = np.cumsum(v.astype(np.longdouble)).astype(np.float64)
+    out = np.full(length, np.nan)
+    assert _accum.cumsum_extended(v, out=out) is out
+    assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("log_ratio,over_n,factor", [
+    (False, False, 1.5),   # the result, one longdouble block and slack
+    (True, True, 4.0),     # plus one weighted copy and its log temporary
+])
+def test_prefix_build_peak_memory(log_ratio, over_n, factor):
+    n = 2 ** 20
+    sieve_values(TAU, n)           # cached before the measurement
+    tracemalloc.start()
+    try:
+        out = asymptotics._prefix_build(TAU, over_n, log_ratio, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < factor * out.nbytes
+
+
+def _brute_pair_sum(w: list[int], c: list[int], n: int) -> int:
+    return sum(w[d] * c[l] for d in range(1, n + 1) for l in range(1, n // d + 1))
+
+
+@pytest.mark.parametrize("n_values", [range(1, 401), _BOUNDARY_N],
+                         ids=["all_n_to_400", "near_squares_to_1681"])
+def test_hyperbola_sum_equals_double_loop(n_values):
+    rng = np.random.default_rng(7)
+    size = max(n_values) + 1
+    w = rng.integers(-50, 51, size)
+    c = rng.integers(-50, 51, size)
+    w[0] = c[0] = 0
+    wl, cl = w.tolist(), c.tolist()
+    for n in n_values:
+        got = _accum.hyperbola_sum(_accum.on_quotients(w.astype(float), n),
+                                   _accum.on_quotients(c.astype(float), n))
+        assert got == _brute_pair_sum(wl, cl, n), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 10, 99, 1000, 4097, 65536])
+def test_on_quotients_equals_prefix_at_every_quotient(n):
+    v = np.random.default_rng(n).standard_normal(n + 1)
+    full = _accum.prefix_with_zero(v)
+    lo, hi = _accum.on_quotients(v, n)
+    r = math.isqrt(n)
+    assert lo.tobytes() == full[:r + 1].tobytes()
+    assert hi[0] == full[n]
+    assert hi[1:].tobytes() == full[[n // d for d in range(1, r + 1)]].tobytes()
+    quotients = {n // i for i in range(1, n + 1)}
+    assert quotients <= set(range(r + 1)) | {n // d for d in range(1, r + 1)}
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3, 17, 1000])
+def test_series_partial_sum_matches_per_k_table(catalog_tables, k_max):
+    for f, g in catalog_tables:
+        lf = log_factorial_table(k_max).log_factorial
+        u = identity_sum_table(f.values, g.values, lf, k_max)
+        for s in (3.0, 4.0):
+            want = float(np.dot(u[1:], np.arange(1, k_max + 1.0) ** -s))
+            got = series._u_partial_sum(f, g, s, k_max)
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-300)
+
+
+def test_exact_side_against_longdouble_oracle():
+    n = 10 ** 6
+    f, g = G.sieve(G.ID, n), G.sieve(G.MU, n)
+    dec = G.apostol_log_average_terms(f, g, float(n))
+    rho = log_factorial_table(n).rho
+    oracle = float(sum(six_term_longdouble(f.values, g.values, rho, n)))
+    assert abs(dec.total - oracle) <= 2e-14 * abs(oracle)
+
+
+@pytest.mark.parametrize("s", [3.0, 4.0])
+def test_series_lhs_against_longdouble_oracle(s):
+    # log l! is taken as it is: through the six-term Stirling split of
+    # apostol_log_average_terms the lhs erred 7.6e-15 (s = 3) and 2.8e-14
+    # (s = 4) here
+    k_max = 10 ** 4
+    f, g = G.sieve(G.id_pow(0.5), k_max), G.sieve(G.MU, k_max)
+    oracle = float(series_lhs_longdouble(f.values, g.values, s, k_max))
+    got = series._u_partial_sum(f, g, s, k_max)
+    assert abs(got - oracle) <= 5e-15 * abs(oracle)
