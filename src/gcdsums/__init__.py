@@ -9,12 +9,13 @@ from .asymptotics import (SCAN_TARGETS, STATISTICS, ResidualScan, calibrate,
                           tau_gcd_log_avg_routes, write_calibration)
 from .errors import DomainError
 from .identities import (AverageDecomposition, GcdSumResult, anderson_apostol,
-                         apostol_log_average, apostol_log_average_terms,
-                         apostol_log_sum, apostol_log_sum_direct,
+                         apostol_audits, apostol_log_average,
+                         apostol_log_average_terms, apostol_log_sum,
+                         apostol_log_sum_direct, cesaro_audits,
                          cesaro_average, cesaro_average_profile,
                          cesaro_identity, gcd_log_average,
                          gcd_log_average_terms, log_sum_audit, ramanujan_sum,
-                         toth_identity)
+                         toth_audits, toth_identity)
 from .series import (MuSeriesReport, SeriesComparison, ThetaBracket,
                      dirichlet_partial_sum, log_factorial_partial_sum,
                      mu_series_report, series_identity_compare,

@@ -67,28 +67,21 @@ def cmd_sieve(args) -> int:
 
 def cmd_identity(args) -> int:
     tol = IDENTITY_TOL[args.which]
+    if args.which == "toth":
+        sides = identities.toth_audits(args.kmax)
+    else:
+        f = sieve(parse_spec(args.f), args.kmax)
+        sides = (identities.cesaro_audits(f, args.kmax) if args.which == "cesaro"
+                 else identities.apostol_audits(
+                     f, sieve(parse_spec(args.g), args.kmax), args.kmax))
     rows = []
     worst = (0.0, None)
-    if args.which == "apostol":
-        f = sieve(parse_spec(args.f), args.kmax)
-        g = sieve(parse_spec(args.g), args.kmax)
-        for k in range(1, args.kmax + 1):
-            r = identities.log_sum_audit(f, g, k)
-            rows.append((k, r.direct, r.via_identity, r.abs_gap))
-            rel = r.abs_gap / (1.0 + abs(r.direct))
-            if rel > worst[0]:
-                worst = (rel, k)
-    else:
-        check = (identities.toth_identity if args.which == "toth"
-                 else None)
-        f = sieve(parse_spec(args.f), args.kmax) if args.which == "cesaro" else None
-        for k in range(1, args.kmax + 1):
-            lhs, rhs = (check(k) if check else identities.cesaro_identity(f, k))
-            gap = abs(lhs - rhs)
-            rows.append((k, lhs, rhs, gap))
-            rel = gap / (1.0 + abs(lhs))
-            if rel > worst[0]:
-                worst = (rel, k)
+    for k, (lhs, rhs) in enumerate(sides, 1):
+        gap = abs(lhs - rhs)
+        rows.append((k, lhs, rhs, gap))
+        rel = gap / (1.0 + abs(lhs))
+        if rel > worst[0]:
+            worst = (rel, k)
     csvio.write_rows("k,direct,identity,abs_gap", rows, args.out)
     if worst[0] > tol:
         return _fail({"invariant": f"{args.which}-identity",

@@ -31,6 +31,11 @@ last write to j comes from the largest divisor of k dividing j, which is
 gcd(j, k).  That is sigma(k) strided stores and tau(k) Python iterations
 per k.
 
+Each audit has one per-k kernel, given D[m] = the divisors of each m | k.
+The ``*_audits`` batches that ``identity`` runs take D from one
+``divisor_lists`` sieve and fetch each table once; a table passed as a
+list of Python floats gives the same IEEE products as numpy scalars.
+
 All sums over x cut at floor(x); an integer x includes k = x.
 """
 
@@ -46,7 +51,7 @@ from .errors import DomainError, require
 from .stirling import log_factorial_table
 from .tables import (LOG, MU, ONE, PHI, VON_MANGOLDT, FunctionSpec,
                      FunctionTable, _convolve_values, _divisor_pair_sum,
-                     convolve, divisors_of, sieve_values)
+                     convolve, divisor_lists, divisors_of, sieve_values)
 from .zeta import LOG_SQRT_2PI
 
 
@@ -120,7 +125,7 @@ def ramanujan_sum(k: int, j: int) -> int:
 def _gather_by_gcd(values: np.ndarray, divs: list[int], k: int) -> np.ndarray:
     """out[j-1] = values[gcd(j, k)] for j = 1..k, by divisor strides.
 
-    ``divs`` is ``divisors_of(k)``, ascending: a later, larger divisor m
+    ``divs`` holds the divisors of k, ascending: a later, larger divisor m
     overwrites the multiples of m, so slot j ends with the largest divisor
     of k that divides j.
     """
@@ -130,37 +135,46 @@ def _gather_by_gcd(values: np.ndarray, divs: list[int], k: int) -> np.ndarray:
     return out
 
 
-def _s_by_gcd(fv: np.ndarray, gv: np.ndarray, k: int) -> tuple[list[int], np.ndarray]:
-    """s_k evaluated at every possible gcd value (the divisors of k)."""
-    divs = divisors_of(k)
-    table = np.zeros(k + 1)
-    for m in divs:
-        table[m] = fsum(fv[d] * gv[k // d] for d in divs if m % d == 0)
-    return divs, table
+def _apostol_direct(fv, gv, logs: np.ndarray, k: int, D) -> float:
+    divs = D[k]
+    term = {d: fv[d] * gv[k // d] for d in divs}.__getitem__
+    table = np.zeros(k + 1)  # s_k at each divisor of k
+    table[divs] = [fsum(map(term, D[m])) for m in divs]
+    return dot(logs[1:k + 1], _gather_by_gcd(table, divs, k))
+
+
+def _apostol_identity(fv, gv, lf, k: int, D) -> float:
+    return fsum(fv[d] * (math.log(d) * gv[l] * l + gv[l] * lf[l])
+                for d, l in zip(D[k], reversed(D[k])))  # l = k/d
+
+
+def _toth_sides(mu, logs: np.ndarray, lam, lf, k: int, D) -> tuple[float, float]:
+    divs = D[k]
+    term = {d: d * mu[k // d] for d in divs}.__getitem__
+    c_by = np.zeros(k + 1)  # c_k at each m | k, exact: integers below 2^53
+    c_by[divs] = [sum(map(term, D[m])) for m in divs]
+    lhs = dot(logs[1:k + 1], _gather_by_gcd(c_by, divs, k)) / k
+    return lhs, float(lam[k]) + fsum(mu[d] / d * lf[d] for d in divs)
+
+
+def _cesaro_sides(fv: np.ndarray, phi, k: int, D) -> tuple[float, float]:
+    return (float(_gather_by_gcd(fv, D[k], k).sum()),
+            fsum(fv[d] * phi[k // d] for d in D[k]))
 
 
 def apostol_log_sum_direct(f: FunctionTable, g: FunctionTable, k: int) -> float:
-    """Brute-force sum_{j<=k} s_k(j) log j over every j; the oracle path.
-
-    s_k(j) depends on j only through gcd(j, k), so it is evaluated once per
-    divisor of k and spread over j by ``_gather_by_gcd``.
-    """
+    """Brute-force sum_{j<=k} s_k(j) log j over every j; the oracle path."""
     _check_tables(f, g, k)
-    divs, table = _s_by_gcd(f.values, g.values, k)
-    logs = sieve_values(LOG, k)
-    return dot(logs[1:k + 1], _gather_by_gcd(table, divs, k))
+    divs = divisors_of(k)
+    D = {m: [d for d in divs if m % d == 0] for m in divs}
+    return _apostol_direct(f.values, g.values, sieve_values(LOG, k), k, D)
 
 
 def apostol_log_sum(f: FunctionTable, g: FunctionTable, k: int) -> float:
     """sum_{j<=k} s_k(j) log j through the exact log-factorial identity."""
     _check_tables(f, g, k)
     lf = log_factorial_table(k).log_factorial
-    fv, gv = f.values, g.values
-    parts = []
-    for d in divisors_of(k):
-        l = k // d
-        parts.append(fv[d] * (math.log(d) * gv[l] * l + gv[l] * lf[l]))
-    return fsum(parts)
+    return _apostol_identity(f.values, g.values, lf, k, {k: divisors_of(k)})
 
 
 def log_sum_audit(f: FunctionTable, g: FunctionTable, k: int) -> GcdSumResult:
@@ -174,36 +188,56 @@ def toth_identity(k: int) -> tuple[float, float]:
 
     lhs = (1/k) sum_{j<=k} c_k(j) log j
     rhs = Lambda(k) + sum_{d|k} (mu(d)/d) log d!
-
-    The lhs is the brute force over every j <= k.  c_k(m) for the divisors
-    m of k is one integer divisibility-matrix product, so it is exact;
-    c_k(j) = c_k(gcd(j, k)) is then spread over j by ``_gather_by_gcd``.
     """
     require(k >= 1, "k must be >= 1")
-    mu = sieve_values(MU, k)
-    logs = sieve_values(LOG, k)
-    lam = sieve_values(VON_MANGOLDT, k)
-    lf = log_factorial_table(k).log_factorial
-
     divs = divisors_of(k)
-    dv = np.array(divs)
-    c_by = np.zeros(k + 1)
-    c_terms = dv * mu[k // dv].astype(np.int64)
-    c_by[dv] = (dv[:, None] % dv[None, :] == 0) @ c_terms
-    lhs = dot(logs[1:k + 1], _gather_by_gcd(c_by, divs, k)) / k
-    rhs = float(lam[k]) + fsum(mu[d] / d * lf[d] for d in divs)
-    return lhs, rhs
+    D = {m: [d for d in divs if m % d == 0] for m in divs}
+    return _toth_sides(sieve_values(MU, k), sieve_values(LOG, k),
+                       sieve_values(VON_MANGOLDT, k),
+                       log_factorial_table(k).log_factorial, k, D)
 
 
 def cesaro_identity(f: FunctionTable, k: int) -> tuple[float, float]:
     """sum_{j<=k} f(gcd(j,k)) against (f*phi)(k)."""
     require(k >= 1, "k must be >= 1")
     require(k <= f.n_max, f"k={k} outside table range {f.n_max}")
-    phi = sieve_values(PHI, k)
-    divs = divisors_of(k)
-    lhs = float(_gather_by_gcd(f.values, divs, k).sum())
-    rhs = fsum(f.values[d] * phi[k // d] for d in divs)
-    return lhs, rhs
+    return _cesaro_sides(f.values, sieve_values(PHI, k), k,
+                         {k: divisors_of(k)})
+
+
+def _batch(kernel, D):
+    """kernel(k) for k = 1..kmax; D[k] is dropped once 2k > kmax (its last use)."""
+    kmax = len(D) - 1
+    for k in range(1, kmax + 1):
+        yield kernel(k)
+        if 2 * k > kmax:
+            D[k] = None
+
+
+def apostol_audits(f: FunctionTable, g: FunctionTable, kmax: int):
+    """(``apostol_log_sum_direct``, ``apostol_log_sum``) for k = 1..kmax."""
+    _check_tables(f, g, kmax)
+    D, logs = divisor_lists(kmax), sieve_values(LOG, kmax)
+    fv, gv = f.values[:kmax + 1].tolist(), g.values[:kmax + 1].tolist()
+    lf = log_factorial_table(kmax).log_factorial.tolist()
+    return _batch(lambda k: (_apostol_direct(fv, gv, logs, k, D),
+                             _apostol_identity(fv, gv, lf, k, D)), D)
+
+
+def toth_audits(kmax: int):
+    """``toth_identity(k)`` for k = 1..kmax."""
+    D, logs = divisor_lists(kmax), sieve_values(LOG, kmax)
+    mu = sieve_values(MU, kmax).astype(np.int64).tolist()
+    lam = sieve_values(VON_MANGOLDT, kmax)
+    lf = log_factorial_table(kmax).log_factorial
+    return _batch(lambda k: _toth_sides(mu, logs, lam, lf, k, D), D)
+
+
+def cesaro_audits(f: FunctionTable, kmax: int):
+    """``cesaro_identity(f, k)`` for k = 1..kmax."""
+    require(kmax <= f.n_max, f"k={kmax} outside table range {f.n_max}")
+    D, phi = divisor_lists(kmax), sieve_values(PHI, kmax).tolist()
+    return _batch(lambda k: _cesaro_sides(f.values, phi, k, D), D)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +343,8 @@ def cesaro_average(f: FunctionTable, x: float) -> tuple[float, float]:
     """
     n = _cut(x, f.n_max)
     lhs_terms = np.empty(n)
-    for k in range(1, n + 1):
-        lhs_terms[k - 1] = _gather_by_gcd(f.values, divisors_of(k), k).sum() / k
+    for k, divs in enumerate(divisor_lists(n)[1:], 1):
+        lhs_terms[k - 1] = _gather_by_gcd(f.values, divs, k).sum() / k
     lhs = float(np.sum(lhs_terms))
     conv = _convolve_values(f.values, sieve_values(PHI, n), n)
     rhs = dot(conv[1:n + 1], 1.0 / np.arange(1, n + 1, dtype=np.float64))
@@ -323,8 +357,8 @@ def cesaro_average_profile(f_spec: FunctionSpec, n: int) -> tuple[np.ndarray, np
     fv = sieve_values(f_spec, n)
     inner = np.empty(n + 1)
     inner[0] = 0.0
-    for k in range(1, n + 1):
-        inner[k] = _gather_by_gcd(fv, divisors_of(k), k).sum() / k
+    for k, divs in enumerate(divisor_lists(n)[1:], 1):
+        inner[k] = _gather_by_gcd(fv, divs, k).sum() / k
     lhs = prefix_with_zero(inner)
     conv = sieve_values(convolve(f_spec, PHI), n).copy()
     conv[1:] /= np.arange(1, n + 1, dtype=np.float64)

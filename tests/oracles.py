@@ -8,7 +8,10 @@ Euler's constant.
 The ``loop_*`` functions are the plain sieve loops (one Python iteration
 per divisor or prime up to n) that the production kernels replaced; the
 kernels must reproduce them bit for bit.  ``euclid_gather`` is likewise
-the Euclid-based gcd gather the per-k brute-force audits replaced.
+the Euclid-based gcd gather the per-k brute-force audits replaced, and
+``loop_s_by_gcd`` and ``matrix_toth`` are those audits' per-k tables as
+they were before the divisor sieve: an O(tau(k)^2) divisibility scan and
+an int64 divisibility-matrix product.
 
 The ``*_longdouble`` functions are the pair sums over d*l <= n as the
 O(n) gather the hyperbola kernel replaced, with every weight, prefix and
@@ -169,6 +172,30 @@ def loop_identity_sum(fv: np.ndarray, gv: np.ndarray,
 def euclid_gather(values: np.ndarray, k: int) -> np.ndarray:
     """values[gcd(j, k)] for j = 1..k, with gcd by Euclid (np.gcd)."""
     return values[np.gcd(np.arange(1, k + 1), k)]
+
+
+def loop_s_by_gcd(fv: np.ndarray, gv: np.ndarray, k: int) -> np.ndarray:
+    """s_k(m) = sum_{d | m} f(d) g(k/d) at every divisor m of k, 0 elsewhere."""
+    divs = naive_divisors(k)
+    table = np.zeros(k + 1)
+    for m in divs:
+        table[m] = math.fsum(fv[d] * gv[k // d] for d in divs if m % d == 0)
+    return table
+
+
+def matrix_toth(mu: np.ndarray, logs: np.ndarray, lam: np.ndarray,
+                lf: np.ndarray, k: int) -> tuple[float, float]:
+    """Both sides of the log-weighted Ramanujan-sum identity at k, with
+    c_k on the divisors of k as one integer divisibility-matrix product
+    and c_k(j) = c_k(gcd(j, k)) spread by ``euclid_gather``."""
+    divs = naive_divisors(k)
+    dv = np.array(divs)
+    c_by = np.zeros(k + 1)
+    c_terms = dv * mu[k // dv].astype(np.int64)
+    c_by[dv] = (dv[:, None] % dv[None, :] == 0) @ c_terms
+    lhs = float(np.dot(logs[1:k + 1], euclid_gather(c_by, k))) / k
+    rhs = float(lam[k]) + math.fsum(mu[d] / d * lf[d] for d in divs)
+    return lhs, rhs
 
 
 def _pair_sum_longdouble(w, c, n: int):

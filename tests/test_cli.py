@@ -1,8 +1,10 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
+import gcdsums as G
 from gcdsums import cli, csvio, sieve, MU
 
 
@@ -53,6 +55,28 @@ def test_identity_command_apostol(tmp_path):
     assert run_cli(["identity", "--which", "apostol", "--kmax", "50",
                     "--f", "idpow:0.5", "--g", "mu", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 51
+
+
+def _per_k_row(which, f, g, k):
+    if which == "apostol":
+        r = G.log_sum_audit(f, g, k)
+        return k, r.direct, r.via_identity, r.abs_gap
+    lhs, rhs = G.toth_identity(k) if which == "toth" else G.cesaro_identity(f, k)
+    return k, lhs, rhs, abs(lhs - rhs)
+
+
+@pytest.mark.parametrize("which, f, g", [
+    ("apostol", "id", "mu"), ("apostol", "one", "one"),
+    ("apostol", "phi", "one"), ("apostol", "idpow:0.5", "mu"),
+    ("toth", "id", "mu"), ("cesaro", "id", "mu")])
+def test_identity_stdout_equals_per_k_rows(capsys, which, f, g):
+    kmax = 300
+    assert run_cli(["identity", "--which", which, "--kmax", str(kmax),
+                    "--f", f, "--g", g]) == 0
+    ft, gt = sieve(G.parse_spec(f), kmax), sieve(G.parse_spec(g), kmax)
+    rows = [_per_k_row(which, ft, gt, k) for k in range(1, kmax + 1)]
+    expected = csvio.write_rows("k,direct,identity,abs_gap", rows, io.StringIO())
+    assert capsys.readouterr().out == expected
 
 
 def test_scan_command_csv_and_check(tmp_path):
@@ -107,6 +131,9 @@ def test_parse_error_exit_2(capsys):
         ["scan", "--target", "tau-log-avg", "--grid", "geom:1e3,1e4,x"],
         ["series", "--K", "10,abc"],
         ["delta", "--which", "series", "--a", "-0.5", "--K", "10,z"],
+        ["identity", "--which", "apostol", "--kmax", "0"],
+        ["identity", "--which", "toth", "--kmax", "0"],
+        ["identity", "--which", "cesaro", "--kmax", "0"],
     ]
     for argv in malformed:
         assert run_cli(argv) == 2, argv

@@ -1,8 +1,13 @@
-"""The divisor-stride gcd gather of the per-k brute-force audits.
+"""The per-k brute-force audits: divisors, gcd gather and batches.
 
 ``_gather_by_gcd`` must equal the Euclid gather it replaced by bytes, and
 each audit built on it must equal its former Euclid-based form bit for bit.
+The batch generators behind ``identity`` must equal the public per-k
+functions bit for bit, and the divisor sieve they share must equal naive
+divisor enumeration.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,17 +15,40 @@ import pytest
 import gcdsums as G
 from gcdsums import identities
 from gcdsums._accum import dot, fsum
+from gcdsums.errors import DomainError
 from gcdsums.stirling import log_factorial_table
-from gcdsums.tables import divisors_of, sieve_values
+from gcdsums.tables import MAX_SIEVE, divisor_lists, divisors_of, sieve_values
 
-from oracles import euclid_gather, naive_divisors
+from oracles import euclid_gather, loop_s_by_gcd, matrix_toth, naive_divisors
 
 SAMPLED_K = [1, 2, 12, 360, 997, 1024, 2310, 4096, 5000]
 
 
 def test_divisors_of_matches_naive():
+    lists = divisor_lists(3000)
+    assert len(lists) == 3001 and lists[0] == []
     for n in range(1, 3001):
-        assert divisors_of(n) == naive_divisors(n), n
+        assert divisors_of(n) == naive_divisors(n) == lists[n], n
+
+
+def test_divisor_sieve_memory_budget():
+    tracemalloc.start()
+    try:
+        lists = divisor_lists(10 ** 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, lists)) == 93668
+    # about 1.8 MB, 180 bytes per m, measured
+    assert peak < 2.5e6
+
+
+@pytest.mark.parametrize("n", [0, MAX_SIEVE + 1])
+def test_divisor_sieve_rejects_size_before_allocating(n):
+    with pytest.raises(DomainError):
+        divisor_lists(n)
+    with pytest.raises(DomainError):
+        G.toth_audits(n)
 
 
 def _non_integer_table(k):
@@ -48,23 +76,15 @@ def test_gather_matches_euclid_large_k(k):
 
 
 def _old_apostol_direct(f, g, k):
-    _, table = identities._s_by_gcd(f.values, g.values, k)
+    table = loop_s_by_gcd(f.values, g.values, k)
     logs = sieve_values(G.LOG, k)
     return dot(logs[1:k + 1], euclid_gather(table, k))
 
 
 def _old_toth(k):
-    mu = sieve_values(G.MU, k)
-    logs = sieve_values(G.LOG, k)
-    lam = sieve_values(G.VON_MANGOLDT, k)
-    lf = log_factorial_table(k).log_factorial
-    divs = divisors_of(k)
-    c_by = np.zeros(k + 1)
-    for m in divs:
-        c_by[m] = fsum(d * mu[k // d] for d in divs if m % d == 0)
-    lhs = dot(logs[1:k + 1], euclid_gather(c_by, k)) / k
-    rhs = float(lam[k]) + fsum(mu[d] / d * lf[d] for d in divs)
-    return lhs, rhs
+    return matrix_toth(sieve_values(G.MU, k), sieve_values(G.LOG, k),
+                       sieve_values(G.VON_MANGOLDT, k),
+                       log_factorial_table(k).log_factorial, k)
 
 
 def _old_cesaro(f, k):
@@ -90,3 +110,17 @@ def test_audits_bit_equal_to_euclid_forms(catalog_tables):
         for k in SAMPLED_K:
             assert _bits(*identities.cesaro_identity(f, k)) == \
                 _bits(*_old_cesaro(f, k)), (spec, k)
+
+
+def test_batches_bit_equal_to_per_k(catalog_tables):
+    for f, g in catalog_tables:
+        for k, sides in enumerate(G.apostol_audits(f, g, 3000), 1):
+            assert _bits(*sides) == _bits(G.apostol_log_sum_direct(f, g, k),
+                                          G.apostol_log_sum(f, g, k)), (f.spec, k)
+    for k, sides in enumerate(G.toth_audits(10000), 1):
+        if k <= 3000 or k == 10000:
+            assert _bits(*sides) == _bits(*G.toth_identity(k)), k
+    for spec in (G.ONE, G.TAU, G.ID, G.id_pow(0.5)):
+        f = G.sieve(spec, 3000)
+        for k, sides in enumerate(G.cesaro_audits(f, 3000), 1):
+            assert _bits(*sides) == _bits(*G.cesaro_identity(f, k)), (spec, k)
