@@ -7,6 +7,13 @@ order-of-growth claims are checked by calibration regression: the first
 run freezes the normalized residuals over a standard geometric grid and
 later runs must stay within 2x of the frozen maxima.
 
+The paper's log averages and the summatory statistics behind them are
+one kind of record, a ``Target``: an exact side with the exact Stirling
+remainder its main term's theta slot stands for, the main term, a
+normalizer and an optional mu-weighted Delta correction.  ``residual_scan``,
+``main_term``, ``exact_value`` and ``summatory`` run every target through
+the same steps.
+
 The Stirling-remainder coefficient Theta is never fitted to a single
 number.  Main terms take theta in [0, 1/12] as a parameter; scans report
 residuals against both bracket ends and, as the calibrated quantity, the
@@ -27,7 +34,8 @@ from .identities import apostol_log_average_terms
 from .stirling import THETA_HI, THETA_LO
 from .tables import (DIVISOR_LOG, ID, MAX_SIEVE, MU, ONE, PHI, SIGMA, TAU,
                      VON_MANGOLDT, FunctionSpec, _capacity_cached,
-                     convolve, id_pow, jordan, sieve, sieve_values, sigma_pow)
+                     convolve, id_pow, jordan, pointwise_pow_spec, sieve,
+                     sieve_values, sigma_pow)
 from .zeta import LOG_SQRT_2PI, constants
 
 
@@ -76,6 +84,10 @@ def top_down(fn, xs) -> list:
 # divisor-problem remainders
 
 
+# n * tau(n); its prefix sums feed the Delta integral
+_N_TAU = pointwise_pow_spec(TAU, 1.0)
+
+
 def divisor_delta(x: float) -> float:
     """Delta(x) = sum_{n<=x} tau(n) - (x log x + (2 gamma - 1) x)."""
     n = _cut(x)
@@ -94,7 +106,7 @@ def delta_integral_ratio(big_x: float) -> float:
     n = _cut(big_x)
     gamma = constants().gamma
     t_prefix = float(_prefix(TAU, n)[n])
-    nt_prefix = float(_prefix(_n_tau_spec(), n)[n])
+    nt_prefix = float(_prefix(_N_TAU, n)[n])
     step_integral = big_x * t_prefix - nt_prefix
 
     def smooth_antiderivative(y: float) -> float:
@@ -103,12 +115,6 @@ def delta_integral_ratio(big_x: float) -> float:
 
     smooth = smooth_antiderivative(big_x) - smooth_antiderivative(1.0)
     return (step_integral - smooth) / big_x
-
-
-def _n_tau_spec() -> FunctionSpec:
-    """Spec for n * tau(n); its prefix sums feed the Delta integral."""
-    from .tables import pointwise_pow_spec
-    return pointwise_pow_spec(TAU, 1.0)
 
 
 def _require_a(a: float | None) -> float:
@@ -185,13 +191,17 @@ def mu_delta_sum(x: float, kind: str, a: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# summatory statistics (exact, main) pairs
+# targets: an exact side and the displayed main term it is checked against
 
 
 @dataclass(frozen=True)
 class Normalizer:
     kind: str  # "log_pow" | "x_pow" | "const"
-    power: float = 0.0
+    power: float | None = 0.0  # None stands for the exponent a
+
+    def at(self, a: float | None) -> "Normalizer":
+        """This normalizer with the exponent a in place of a power of None."""
+        return self if self.power is not None else Normalizer(self.kind, a)
 
     def value(self, x: float) -> float:
         if self.kind == "log_pow":
@@ -209,24 +219,34 @@ class Normalizer:
 
 
 @dataclass(frozen=True)
-class Statistic:
-    """One summatory statistic: sieved exact side plus displayed main term."""
+class Target:
+    """A summatory quantity and the displayed main term it is checked against.
+
+    ``parts(x, a)`` gives (exact, stirling_remainder): the exact side and
+    the exactly computed component that the main term's Stirling slot
+    stands for (0.0 where the main term has no slot).  ``main(x, a,
+    theta)`` is the displayed main term with the slot at theta.  The
+    mu-weighted Delta correction sums ``weight`` against Delta (Delta_a
+    with ``delta_a``), times log(x/e) with ``log_factor``.  A log average
+    keeps its (f, g) specs in ``pair(a)``; a statistic leaves it None.
+    """
 
     name: str
-    spec: object            # FunctionSpec or callable a -> FunctionSpec
-    over_n: bool
-    main: object            # callable (x, a) -> float
+    parts: object           # callable (x, a) -> (exact, stirling_remainder)
+    main: object            # callable (x, a, theta) -> float
     normalizer: Normalizer
     needs_a: bool = False
-    log_ratio: bool = False  # weight each term by log(n/e)
     weight: str | None = None       # mu-weighted Delta correction kind
     delta_a: bool = False           # correction uses Delta_a
+    log_factor: bool = True         # correction carries log(x/e)
+    pair: object = None             # callable a -> (f, g) specs, or None
 
-
-def _spec_of(stat: Statistic, a: float | None) -> FunctionSpec:
-    if callable(stat.spec):
-        return stat.spec(_require_a(a))
-    return stat.spec
+    def correction(self, x: float, a: float | None) -> float:
+        """The mu-weighted Delta correction at x (0.0 where there is none)."""
+        if self.weight is None:
+            return 0.0
+        return mu_delta_sum(x, self.weight, a if self.delta_a else None,
+                            log_factor=self.log_factor)
 
 
 def _stat_main(stat_name):
@@ -301,14 +321,24 @@ def _stat_main(stat_name):
     return locals()[stat_name]
 
 
-def _statistics() -> dict[str, Statistic]:
+def _statistics() -> dict[str, Target]:
     log = lambda p: Normalizer("log_pow", p)
     const = Normalizer("const")
     phi_m1 = jordan(-1.0)
 
-    def stat(name, spec, over_n=True, norm=const, main_name=None, **kw):
-        return Statistic(name, spec, over_n, _stat_main(main_name or name),
-                         norm, **kw)
+    def stat(name, spec, over_n=True, norm=const, main_name=None,
+             log_ratio=False, **kw):
+        """A sieved prefix sum of spec(a) (or of spec), divided by n with
+        ``over_n`` and weighted by log(n/e) with ``log_ratio``."""
+        spec_at = spec if callable(spec) else lambda a: spec
+        main = _stat_main(main_name or name)
+
+        def parts(x, a):
+            n = _cut(x)
+            return float(_prefix(spec_at(a), n, over_n, log_ratio)[n]), 0.0
+
+        return Target(name, parts, lambda x, a, theta: main(x, a), norm,
+                      log_factor=False, **kw)
 
     defs = [
         stat("id_phi", convolve(ID, PHI), norm=log(1), weight="mu"),
@@ -319,8 +349,8 @@ def _statistics() -> dict[str, Statistic]:
              needs_a=True, weight="mu_star_mu", delta_a=True),
         stat("divisor_log", DIVISOR_LOG, norm=log(1)),
         stat("sigma_logne", SIGMA, norm=log(5 / 3), log_ratio=True),
-        stat("power_sum", lambda a: id_pow(a), over_n=False,
-             norm=Normalizer("x_pow", 0.0), needs_a=True),
+        stat("power_sum", id_pow, over_n=False,
+             norm=Normalizer("x_pow", None), needs_a=True),
         stat("jordan_over_n", lambda a: jordan(1 + a), needs_a=True),
         stat("sigma_minus1", sigma_pow(-1.0), norm=log(1), main_name="zero"),
         stat("phi_over_n", PHI, norm=log(2 / 3)),
@@ -340,49 +370,6 @@ def _statistics() -> dict[str, Statistic]:
              norm=log(1), needs_a=True),
     ]
     return {s.name: s for s in defs}
-
-
-STATISTICS = _statistics()
-
-# the power_sum normalizer depends on a; substituted at evaluation time
-
-
-def summatory(statistic: str, x: float, a: float | None = None) -> tuple[float, float]:
-    """(exact, main) for one summatory statistic at x."""
-    if statistic not in STATISTICS:
-        raise DomainError(f"unsupported statistic {statistic!r}")
-    stat = STATISTICS[statistic]
-    n = _cut(x)
-    if stat.needs_a:
-        a = _require_a(a)
-    spec = _spec_of(stat, a)
-    exact = float(_prefix(spec, n, over_n=stat.over_n,
-                          log_ratio=stat.log_ratio)[n])
-    main = stat.main(x, a)
-    return exact, main
-
-
-# ---------------------------------------------------------------------------
-# headline scan targets
-
-
-@dataclass(frozen=True)
-class ScanTarget:
-    """One summatory average with its displayed main term.
-
-    ``pair(a)`` gives the (f, g) specs whose identity-path average equals
-    the exact side; ``main(x, a, theta)`` is the displayed main term with
-    the Stirling coefficient evaluated at theta.
-    """
-
-    name: str
-    pair: object
-    main: object
-    normalizer: Normalizer
-    has_theta: bool
-    needs_a: bool = False
-    weight: str | None = None
-    delta_a: bool = False
 
 
 def _target_main(name):
@@ -444,63 +431,74 @@ def _target_main(name):
     return locals()[name.replace("-", "_")]
 
 
-def _scan_targets() -> dict[str, ScanTarget]:
-    def target(name, pair, norm, **kw):
-        return ScanTarget(name, pair, _target_main(name), norm, **kw)
+def _scan_targets() -> dict[str, Target]:
+    def target(name, pair, power, stirling=True, **kw):
+        """The log average of the (f, g) = pair(a) sums; with ``stirling``
+        the main term has a slot for the exact Stirling remainder."""
+        def parts(x, a):
+            n = _cut(x)
+            f_spec, g_spec = pair(a)
+            dec = apostol_log_average_terms(sieve(f_spec, n), sieve(g_spec, n),
+                                            x)
+            return dec.total, dec.remainder_term if stirling else 0.0
+
+        return Target(name, parts, _target_main(name),
+                      Normalizer("log_pow", power), pair=pair, **kw)
 
     defs = [
-        target("tau-log-avg", lambda a: (ONE, ONE),
-               Normalizer("log_pow", 5 / 3), has_theta=False),
-        target("ramanujan-log-avg", lambda a: (ID, MU),
-               Normalizer("log_pow", 2), has_theta=True),
-        target("id-log-avg", lambda a: (PHI, ONE),
-               Normalizer("log_pow", 2), has_theta=True, weight="mu"),
-        target("phi-log-avg", lambda a: (convolve(PHI, MU), ONE),
-               Normalizer("log_pow", 3), has_theta=True, weight="mu_star_mu"),
-        target("idpow-log-avg", lambda a: (jordan(1 + a), ONE),
-               Normalizer("log_pow", 1), has_theta=True, needs_a=True,
-               weight="mu", delta_a=True),
+        target("tau-log-avg", lambda a: (ONE, ONE), 5 / 3, stirling=False),
+        target("ramanujan-log-avg", lambda a: (ID, MU), 2),
+        target("id-log-avg", lambda a: (PHI, ONE), 2, weight="mu"),
+        target("phi-log-avg", lambda a: (convolve(PHI, MU), ONE), 3,
+               weight="mu_star_mu"),
+        target("idpow-log-avg", lambda a: (jordan(1 + a), ONE), 1,
+               needs_a=True, weight="mu", delta_a=True),
         target("jordan-log-avg", lambda a: (convolve(jordan(1 + a), MU), ONE),
-               Normalizer("log_pow", 3), has_theta=True, needs_a=True,
-               weight="mu_star_mu", delta_a=True),
+               3, needs_a=True, weight="mu_star_mu", delta_a=True),
     ]
     return {t.name: t for t in defs}
 
 
-SCAN_TARGETS: dict[str, ScanTarget] = _scan_targets()
+SCAN_TARGETS: dict[str, Target] = _scan_targets()
+STATISTICS: dict[str, Target] = _statistics()
+
+
+def _lookup(name: str, a: float | None,
+            statistic: bool = False) -> tuple[Target, float | None]:
+    """The entry named ``name`` (a statistic only, with ``statistic``) and
+    the exponent to run it with, checked where the entry needs one.
+
+    The registries are read at call time, so an entry replaced in them is
+    the one that runs.
+    """
+    registries = (STATISTICS,) if statistic else (SCAN_TARGETS, STATISTICS)
+    for registry in registries:
+        if name in registry:
+            t = registry[name]
+            return t, _require_a(a) if t.needs_a else a
+    raise DomainError(f"unsupported statistic {name!r}" if statistic
+                      else f"unknown target {name!r}")
+
+
+def summatory(statistic: str, x: float, a: float | None = None) -> tuple[float, float]:
+    """(exact, main) for one summatory statistic at x."""
+    t, a = _lookup(statistic, a, statistic=True)
+    return t.parts(x, a)[0], t.main(x, a, THETA_LO)
 
 
 def main_term(target: str, x: float, a: float | None = None,
               theta: float = 0.0) -> float:
-    """Displayed main term of a scan target at x, Stirling slot at theta."""
+    """Displayed main term of a target at x, Stirling slot at theta."""
     require(x > 1.0, "x must be > 1")
     require(THETA_LO <= theta <= THETA_HI, "theta outside [0, 1/12]")
-    if target in SCAN_TARGETS:
-        t = SCAN_TARGETS[target]
-        if t.needs_a:
-            a = _require_a(a)
-        return t.main(x, a, theta)
-    if target in STATISTICS:
-        stat = STATISTICS[target]
-        if stat.needs_a:
-            a = _require_a(a)
-        return stat.main(x, a)
-    raise DomainError(f"unknown target {target!r}")
+    t, a = _lookup(target, a)
+    return t.main(x, a, theta)
 
 
 def exact_value(target: str, x: float, a: float | None = None) -> float:
-    """Exact (sieved) summatory value of a scan target at x."""
-    if target in SCAN_TARGETS:
-        t = SCAN_TARGETS[target]
-        if t.needs_a:
-            a = _require_a(a)
-        n = _cut(x)
-        f_spec, g_spec = t.pair(a)
-        return apostol_log_average_terms(sieve(f_spec, n), sieve(g_spec, n),
-                                         x).total
-    if target in STATISTICS:
-        return summatory(target, x, a)[0]
-    raise DomainError(f"unknown target {target!r}")
+    """Exact (sieved) summatory value of a target at x."""
+    t, a = _lookup(target, a)
+    return t.parts(x, a)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -548,57 +546,18 @@ def residual_scan(target: str, grid, a: float | None = None) -> ResidualScan:
     require(float(grid[0]) > 1.0, "grid points must exceed 1")
     require(float(grid[-1]) <= MAX_SIEVE, "grid beyond supported sieve range")
 
-    if target in SCAN_TARGETS:
-        t = SCAN_TARGETS[target]
-        if t.needs_a:
-            a = _require_a(a)
-        f_spec, g_spec = t.pair(a)
-        n_top = int(math.floor(grid[-1]))
-        f, g = sieve(f_spec, n_top), sieve(g_spec, n_top)
-        decs = top_down(lambda x: apostol_log_average_terms(f, g, x), grid)
-        exact = np.array([dec.total for dec in decs])
-        main0 = np.array([t.main(x, a, THETA_LO) for x in grid])
-        main_hi = np.array([t.main(x, a, THETA_HI) for x in grid])
-        if t.weight:
-            mu_corr = np.array(top_down(
-                lambda x: mu_delta_sum(x, t.weight,
-                                       a if t.delta_a else None), grid))
-        else:
-            mu_corr = np.zeros_like(grid)
-        if t.has_theta:
-            rem = np.array([dec.remainder_term for dec in decs])
-        else:
-            rem = np.zeros_like(grid)
-        residual = exact - main0 - mu_corr - rem
-        residual_hi = exact - main0 - mu_corr
-        residual_lo = exact - main_hi - mu_corr
-        normalizer = t.normalizer
-    elif target in STATISTICS:
-        stat = STATISTICS[target]
-        if stat.needs_a:
-            a = _require_a(a)
-        pairs = top_down(lambda x: summatory(target, x, a), grid)
-        exact = np.array([p[0] for p in pairs])
-        main0 = np.array([p[1] for p in pairs])
-        if stat.weight:
-            mu_corr = np.array(top_down(
-                lambda x: mu_delta_sum(x, stat.weight,
-                                       a if stat.delta_a else None,
-                                       log_factor=False), grid))
-        else:
-            mu_corr = np.zeros_like(grid)
-        residual = exact - main0 - mu_corr
-        residual_lo = residual_hi = residual
-        rem = np.zeros_like(grid)
-        normalizer = stat.normalizer
-        if target == "power_sum":
-            normalizer = Normalizer("x_pow", a)
-    else:
-        raise DomainError(f"unknown target {target!r}")
-
+    t, a = _lookup(target, a)
+    exact, rem = np.array(top_down(lambda x: t.parts(x, a), grid)).T
+    main0 = np.array([t.main(x, a, THETA_LO) for x in grid])
+    main_hi = np.array([t.main(x, a, THETA_HI) for x in grid])
+    corr = np.array(top_down(lambda x: t.correction(x, a), grid))
+    residual_hi = exact - main0 - corr
+    residual = residual_hi - rem
+    residual_lo = exact - main_hi - corr
+    normalizer = t.normalizer.at(a)
     norms = np.array([normalizer.value(x) for x in grid])
     return ResidualScan(target=target, a=a, grid=grid, exact=exact,
-                        main=main0, correction=mu_corr + rem,
+                        main=main0, correction=corr + rem,
                         residual=residual, normalized=residual / norms,
                         residual_lo=residual_lo, residual_hi=residual_hi,
                         normalizer_label=normalizer.label())
@@ -645,10 +604,8 @@ def limit_ratio(variant: str, x: float, a: float | None = None) -> float:
     if variant not in _LIMIT_VARIANTS:
         raise DomainError(f"unknown limit variant {variant!r}")
     target, p, limit_fn = _LIMIT_VARIANTS[variant]
-    t = SCAN_TARGETS[target]
-    if t.needs_a:
-        a = _require_a(a)
-    value = exact_value(target, x, a)
+    t, a = _lookup(target, a)
+    value = t.parts(x, a)[0]
     limit = limit_fn(constants(), a)
     return value / (limit * x * math.log(x) ** p)
 

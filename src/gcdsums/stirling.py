@@ -7,13 +7,16 @@ For l >= 1 let L(l) = sum_{m<=l} log m and
     theta(l)  = 12 l rho(l).
 
 rho(l) ~ 1/(12 l) and theta(l) = 1 - 1/(30 l^2) + O(l^-4), so theta lies
-in (0, 1) and approaches 1.  The stored float64 theta is below 1 up to
-about l = 2.4e7 and rounds to exactly 1.0 from about l = 2.45e7 on, where
-1/(30 l^2) drops under half an ulp of 1.  Subtracting two ~l log l sized
-numbers would lose rho, so from l = _MIN_CAPACITY on the table evaluates
-the remainder series 1/(12 l) - 1/(360 l^3) + 1/(1260 l^5) - 1/(1680 l^7)
-(relative truncation error < l^-8) in extended precision, and below that
-it runs the cancellation-free backward recurrence
+in (0, 1) and approaches 1.  The float64 theta, 12 l times the stored
+float64 rho, is below 1 up to l = 15,784,319; from there on 1/(30 l^2)
+is smaller than the rounding of rho, and theta is 1.0 or just below it
+(both still occur at l = 4e7; no l up to 4e7 gives more than 1.0).
+
+Subtracting two ~l log l sized numbers would lose rho, so from
+l = _MIN_CAPACITY on the table evaluates the remainder series
+1/(12 l) - 1/(360 l^3) + 1/(1260 l^5) - 1/(1680 l^7) (relative truncation
+error < l^-8) in extended precision, and below that it runs the
+cancellation-free backward recurrence
 
     rho(l-1) = rho(l) + t_l,   t_l = (l - 1/2) log(l / (l-1)) - 1,
 
@@ -23,9 +26,11 @@ with x = 1/(2l-1) is a positive fast-converging series.
 log_factorial itself is a plain extended-precision cumulative sum of
 log m, so identity checks elsewhere reuse one consistent L(l) array.
 
-Entry l depends on nothing past max(l, _MIN_CAPACITY), so the four arrays
-share the tables' capacity cache as the rows of one array, and a request
-gets read-only slices that equal a direct build bit for bit.
+Entry l depends on nothing past max(l, _MIN_CAPACITY), so L and rho share
+the tables' capacity cache as the two rows of one array, and a request
+gets read-only slices that equal a direct build bit for bit.  approx and
+theta are derived from l and rho when read; the package itself reads only
+L and rho.
 """
 
 from __future__ import annotations
@@ -60,21 +65,45 @@ class StirlingValue:
 
 @dataclass(frozen=True)
 class StirlingTable:
-    """Arrays indexed by l (slot 0 unused); immutable after construction."""
+    """L(l) and rho(l) indexed by l (slot 0 unused), read-only.
+
+    approx and theta are derived from them on read, as new read-only
+    arrays: nothing in the package reads them, so they are not cached.
+    """
 
     l_max: int
     log_factorial: np.ndarray
-    approx: np.ndarray
     rho: np.ndarray
-    theta: np.ndarray
 
     def __len__(self) -> int:
         return self.l_max
 
+    @property
+    def approx(self) -> np.ndarray:
+        out = np.zeros(self.l_max + 1)
+        out[1:] = _approx(np.arange(1, self.l_max + 1, dtype=np.float64))
+        out.setflags(write=False)
+        return out
+
+    @property
+    def theta(self) -> np.ndarray:
+        out = np.arange(0, 12 * (self.l_max + 1), 12, dtype=np.float64)
+        out *= self.rho
+        out.setflags(write=False)
+        return out
+
     def value(self, l: int) -> StirlingValue:
         require(1 <= l <= self.l_max, f"l={l} outside 1..{self.l_max}")
-        return StirlingValue(l, float(self.log_factorial[l]), float(self.approx[l]),
-                             float(self.rho[l]), float(self.theta[l]))
+        rho = self.rho[l]
+        return StirlingValue(l, float(self.log_factorial[l]),
+                             float(_approx(np.array([l], dtype=np.float64))[0]),
+                             float(rho), float(np.float64(12 * l) * rho))
+
+
+def _approx(l: np.ndarray) -> np.ndarray:
+    """l log l - l + (1/2) log l + log sqrt(2 pi) at each float64 l."""
+    logs = np.log(l)
+    return l * logs - l + 0.5 * logs + LOG_SQRT_2PI
 
 
 def _transition_terms(l_values: np.ndarray) -> np.ndarray:
@@ -112,22 +141,15 @@ def _rho_extended(l_max: int) -> np.ndarray:
 
 
 def _build_arrays(l_max: int) -> np.ndarray:
-    """Rows L, approx, rho, theta of l = 0..l_max, all zero at l = 0."""
-    out = np.zeros((4, l_max + 1))
-    log_factorial, approx, rho, theta = out
-    n = np.arange(l_max + 1, dtype=np.float64)
-    logs = np.zeros(l_max + 1)
-    logs[1:] = np.log(n[1:])
-    cumsum_extended(logs[1:], out=log_factorial[1:])
-    approx[1:] = n[1:] * logs[1:] - n[1:] + 0.5 * logs[1:] + LOG_SQRT_2PI
-    # each temporary is freed once used: the build's transient peak is a
-    # large share of a series command's peak memory
-    del n, logs
-
-    rho_long = _rho_extended(l_max)
-    rho[:] = rho_long
-    rho_long *= np.arange(0, 12 * (l_max + 1), 12, dtype=np.longdouble)
-    theta[:] = rho_long  # 12 l rho(l), formed in place
+    """Rows L and rho of l = 0..l_max, both zero at l = 0."""
+    out = np.zeros((2, l_max + 1))
+    log_factorial, rho = out
+    logs = np.log(np.arange(1, l_max + 1, dtype=np.float64))
+    cumsum_extended(logs, out=log_factorial[1:])
+    # freed before rho's extended-precision temporary is made: the build's
+    # transient peak is a large share of a series command's peak memory
+    del logs
+    rho[:] = _rho_extended(l_max)
     return out
 
 
@@ -143,5 +165,4 @@ def log_factorial_table(l_max: int) -> StirlingTable:
     require(l_max >= 1, "l_max must be >= 1")
     l_max = int(l_max)
     a = _capacity_cached("stirling", l_max, _build_arrays)
-    n = l_max + 1
-    return StirlingTable(l_max, a[0, :n], a[1, :n], a[2, :n], a[3, :n])
+    return StirlingTable(l_max, a[0, :l_max + 1], a[1, :l_max + 1])

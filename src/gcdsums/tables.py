@@ -27,6 +27,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._accum import _BLOCK
 from .errors import DomainError, require
 
 MAX_NESTING = 4
@@ -308,13 +309,19 @@ def _divisor_weight_sieve(n: int, weight, dtype) -> np.ndarray:
 
     ``weight`` maps a divisor (scalar or int64 array) to its contribution;
     the loop runs d up to sqrt(n) and credits both members of each divisor
-    pair, counting the square root of a perfect square once.
+    pair, counting the square root of a perfect square once.  Each row of
+    cofactors l is taken in blocks of ``_BLOCK``, so the temporaries stay
+    small next to ``out`` (the d = 1 row whole would take three more
+    n-long arrays); every entry still gets the same one addition per d.
     """
     out = np.zeros(n + 1, dtype=dtype)
     for d in range(1, math.isqrt(n) + 1):
-        larr = np.arange(d, n // d + 1, dtype=np.int64)
-        out[d * d::d] += weight(np.int64(d)) + weight(larr)
-        out[d * d] -= weight(np.int64(d))
+        wd = weight(np.int64(d))
+        for lo in range(d, n // d + 1, _BLOCK):
+            hi = min(lo + _BLOCK, n // d + 1)
+            larr = np.arange(lo, hi, dtype=np.int64)
+            out[d * lo:d * hi:d] += wd + weight(larr)
+        out[d * d] -= wd
     return out
 
 
@@ -527,11 +534,17 @@ def divisors_of(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def check_list_range(n: int) -> None:
+    """Reject a ``divisor_lists`` size outside 1..MAX_SIEVE; callers that
+    allocate other tables of that size first check it up front."""
+    require(1 <= n <= MAX_SIEVE, f"n must be in 1..{MAX_SIEVE}")
+
+
 def divisor_lists(n: int) -> list[list[int]]:
     """Ascending divisors of every m <= n, as lists indexed by m (slot 0 empty):
     about n ln n appends and 180 bytes per m at n = 10^4.  n is bounded by
     ``MAX_SIEVE`` before any allocation."""
-    require(1 <= n <= MAX_SIEVE, f"n must be in 1..{MAX_SIEVE}")
+    check_list_range(n)
     lists = [[] for _ in range(n + 1)]
     for d in range(1, n + 1):
         for divs in lists[d::d]:

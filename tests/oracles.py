@@ -146,6 +146,16 @@ def loop_totient(n: int) -> np.ndarray:
     return phi
 
 
+def row_divisor_weight_sieve(n: int, weight, dtype) -> np.ndarray:
+    """sum_{d|m} weight(d) for m <= n, one whole row of pairs per d <= sqrt(n)."""
+    out = np.zeros(n + 1, dtype=dtype)
+    for d in range(1, math.isqrt(n) + 1):
+        larr = np.arange(d, n // d + 1, dtype=np.int64)
+        out[d * d::d] += weight(np.int64(d)) + weight(larr)
+        out[d * d] -= weight(np.int64(d))
+    return out
+
+
 def loop_convolve(fv: np.ndarray, gv: np.ndarray, n: int) -> np.ndarray:
     """(f*g)(k) for k <= n, one strided update per nonzero f(d)."""
     if np.count_nonzero(gv[1:n + 1]) < np.count_nonzero(fv[1:n + 1]):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gcdsums as G
-from gcdsums.asymptotics import (STATISTICS, divisor_delta,
+from gcdsums.asymptotics import (SCAN_TARGETS, STATISTICS, divisor_delta,
                                  divisor_delta_a, divisor_delta_a_series,
                                  delta_integral_ratio, exact_value,
                                  limit_ratio, main_term, mu_delta_sum,
@@ -176,12 +176,33 @@ def test_main_term_theta_linearity():
 
 
 def test_residual_scan_single_point_composition():
-    scan = residual_scan("tau-log-avg", [10.0])
-    exact = exact_value("tau-log-avg", 10.0)
-    main = main_term("tau-log-avg", 10.0)
-    assert scan.exact[0] == pytest.approx(exact, rel=1e-14)
-    assert scan.residual[0] == pytest.approx(exact - main, rel=1e-12)
-    assert scan.correction[0] == 0.0
+    # every entry, rebuilt from the public pieces: the log averages carry
+    # log(x/e) on their Delta correction and, where the main term has a
+    # Stirling slot, the exact remainder; the statistics carry neither
+    x = 1000.0
+    for name in list(SCAN_TARGETS) + list(STATISTICS):
+        log_average = name in SCAN_TARGETS
+        t = SCAN_TARGETS[name] if log_average else STATISTICS[name]
+        a = -0.5 if t.needs_a else None
+        scan = residual_scan(name, [x], a)
+        exact = exact_value(name, x, a)
+        main = main_term(name, x, a)
+        corr = (mu_delta_sum(x, t.weight, a if t.delta_a else None,
+                             log_factor=log_average) if t.weight else 0.0)
+        rem = 0.0
+        if log_average and main_term(name, x, a, theta=1 / 12) != main:
+            f, g = (G.sieve(spec, 1000) for spec in t.pair(a))
+            rem = G.apostol_log_average_terms(f, g, x).remainder_term
+        assert scan.exact[0] == exact, name
+        assert scan.main[0] == main, name
+        assert scan.correction[0] == corr + rem, name
+        assert scan.residual[0] == exact - main - corr - rem, name
+        if not log_average:
+            assert scan.residual_lo[0] == scan.residual[0] \
+                == scan.residual_hi[0], name
+    assert (SCAN_TARGETS["tau-log-avg"].weight is None
+            and residual_scan("tau-log-avg", [x]).correction[0] == 0.0)
+    assert residual_scan("power_sum", [x], -0.5).normalizer_label == "x^-0.5"
 
 
 def test_residual_scan_theta_envelope_order():

@@ -82,7 +82,7 @@ def test_capacity_capped_for_every_table(fresh_cache):
     assert len(tables._grown[("sieve", G.TAU)]) == MAX_SIEVE + 1
     _clear()
     G.log_factorial_table(3000)
-    assert tables._grown["stirling"].shape == (4, 4096 + 1)
+    assert tables._grown["stirling"].shape == (2, 4096 + 1)
 
 
 @pytest.mark.parametrize("target, a", [("id_phi", None), ("sigma_logne", None),

@@ -6,6 +6,7 @@ import pytest
 
 import gcdsums as G
 from gcdsums import cli, csvio, sieve, MU
+from gcdsums.tables import MAX_SIEVE
 
 
 def run_cli(args):
@@ -159,3 +160,23 @@ def test_failure_report_exit_1(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert report["invariant"] == "residual-regression"
     assert report["target"] == "tau-log-avg"
+
+
+@pytest.mark.parametrize("which", ["apostol", "cesaro", "toth"])
+@pytest.mark.parametrize("kmax", [0, MAX_SIEVE + 1])
+def test_identity_kmax_rejected_before_any_sieve(monkeypatch, capsys, which,
+                                                 kmax):
+    import tracemalloc
+    calls = []
+    monkeypatch.setattr(cli, "sieve", lambda *a: calls.append(a))
+    tracemalloc.start()
+    try:
+        rc = run_cli(["identity", "--which", which, "--kmax", str(kmax)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.splitlines()[-1].startswith("usage: gcdsums")
+    assert calls == []
+    assert peak < 1 << 20  # argument parsing only; a table would be 80 MB

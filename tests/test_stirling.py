@@ -84,3 +84,17 @@ def test_value_accessor_and_errors():
         t.value(11)
     with pytest.raises(DomainError):
         G.log_factorial_table(0)
+
+
+def test_derived_rows_match_the_stored_ones():
+    # approx and theta are derived on read: theta within 1 ulp of 12 l rho
+    # formed in extended precision, value(l) equal to the arrays
+    t = G.log_factorial_table(1 << 20)
+    theta, approx = t.theta, t.approx
+    assert not theta.flags.writeable and not approx.flags.writeable
+    l = np.unique(np.geomspace(1, 1 << 20, 400).astype(np.int64))
+    extended = (stirling._rho_extended(1 << 20)[l] * (12 * l)).astype(np.float64)
+    assert np.all(np.abs(theta[l] - extended) <= np.spacing(extended))
+    for i in l[::20]:
+        v = t.value(int(i))
+        assert (v.approx, v.theta, v.rho) == (approx[i], theta[i], t.rho[i])

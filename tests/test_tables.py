@@ -192,3 +192,35 @@ def test_abscissa_rules():
     assert G.abscissa(G.id_pow(0.5)) == 1.5
     assert G.abscissa(G.convolve(G.PHI, G.MU)) == 2.0
     assert G.abscissa(G.jordan(-0.5)) == 1.0
+
+
+@pytest.mark.parametrize("name", ["_tau_values", "_sigma_pow_values"])
+def test_divisor_weight_sieve_peak_near_its_result(name):
+    # rows go in blocks: taking the d = 1 row whole peaked at 3x the result
+    import tracemalloc
+    from gcdsums import tables
+    build = getattr(tables, name)
+    args = (1 << 20,) if name == "_tau_values" else (1 << 20, -0.5)
+    tracemalloc.start()
+    try:
+        out = build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * out.nbytes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 1000, 1 << 16, (1 << 16) + 1,
+                               (1 << 17) + 5])
+def test_blocked_divisor_weight_sieve_equals_whole_rows(n):
+    # n = 2^17 + 5 puts the rows of d = 1 and d = 2 over one block
+    from gcdsums import tables
+    from oracles import row_divisor_weight_sieve
+    weights = [(lambda v: np.ones_like(v), np.int64),
+               (lambda v: v, np.int64),
+               (lambda v: np.asarray(v, dtype=np.float64) ** -0.5, np.float64),
+               (lambda v: np.log(np.asarray(v, dtype=np.float64)), np.float64)]
+    for weight, dtype in weights:
+        got = tables._divisor_weight_sieve(n, weight, dtype)
+        want = row_divisor_weight_sieve(n, weight, dtype)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
