@@ -25,16 +25,24 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b))
 
 
+def running_sum(block: np.ndarray, total) -> np.ndarray:
+    """block's cumulative sums in longdouble, seeded with ``total`` (the
+    sum of everything before it).  Chained over consecutive blocks, with
+    each result's last entry as the next total, these make the same
+    additions in the same order as one longdouble ``np.cumsum``."""
+    sums = block.astype(np.longdouble)
+    sums[0] += total
+    return np.cumsum(sums, out=sums)
+
+
 def cumsum_extended(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Cumulative sum in extended precision, written to float64 ``out``.
-    Blocks seeded with the running longdouble total make the same
-    additions as one longdouble ``np.cumsum``, holding one block."""
+    """Cumulative sum in extended precision, written to float64 ``out``,
+    holding one block of ``_BLOCK`` at a time."""
     total = np.longdouble(0.0)
     for lo in range(0, len(values), _BLOCK):
-        block = values[lo:lo + _BLOCK].astype(np.longdouble)
-        block[0] += total
-        total = np.cumsum(block, out=block)[-1]
-        out[lo:lo + len(block)] = block
+        sums = running_sum(values[lo:lo + _BLOCK], total)
+        out[lo:lo + len(sums)] = sums
+        total = sums[-1]
     return out
 
 
@@ -50,13 +58,43 @@ def prefix_with_zero(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def quotient_prefixes(weights, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``on_quotients`` pairs of several weights, in one blocked pass.
+
+    ``weights(lo, hi)`` gives each weight's values at lo..hi-1, an
+    iterable of arrays (a generator forms them one at a time); it is
+    called once per block of ``_BLOCK`` covering 1..n, in ascending
+    order.  Each weight's running sums are chained with ``running_sum``
+    and sampled at the quotients of n as its blocks pass, so the pass
+    holds a block or two and 2 (isqrt(n) + 1) floats per pair, never an
+    n-length array.  The pairs equal ``prefix_with_zero`` sampled at the
+    quotients, bit for bit.
+    """
+    r = math.isqrt(n)
+    # hi's positions n // d for d = r..1 and n itself (d = 0), ascending
+    at = (n // np.maximum(np.arange(r + 1), 1))[::-1]
+    pairs, totals = [], []
+    for start in range(1, n + 1, _BLOCK):
+        stop = min(start + _BLOCK, n + 1)
+        i, j = np.searchsorted(at, (start, stop))
+        for k, block in enumerate(weights(start, stop)):
+            if k == len(pairs):
+                pairs.append((np.zeros(r + 1), np.empty(r + 1)))
+                totals.append(np.longdouble(0.0))
+            lo, hi_reversed = pairs[k]
+            sums = running_sum(block, totals[k])
+            totals[k] = sums[-1]
+            if start <= r:
+                lo[start:r + 1] = sums[:r + 1 - start]
+            hi_reversed[i:j] = sums[at[i:j] - start]
+    return [(lo, hi_reversed[::-1].copy()) for lo, hi_reversed in pairs]
+
+
 def on_quotients(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``prefix_with_zero`` sums P of ``values`` at the quotients of n only:
     (lo, hi) with lo[i] = P(i) for i <= r = isqrt(n), hi[d] = P(n // d) for
-    1 <= d <= r and hi[0] = P(n).  The full-length P is dropped."""
-    r = math.isqrt(n)
-    full = prefix_with_zero(values[:n + 1])
-    return full[:r + 1].copy(), full[n // np.maximum(np.arange(r + 1), 1)]
+    1 <= d <= r and hi[0] = P(n).  No full-length P is formed."""
+    return quotient_prefixes(lambda lo, hi: (values[lo:hi],), n)[0]
 
 
 def hyperbola_sum(w_pair, c_pair) -> float:

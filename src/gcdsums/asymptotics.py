@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._accum import dot, prefix_with_zero
+from ._accum import _BLOCK, dot, prefix_with_zero
 from .errors import DomainError, require
 from .identities import apostol_log_average_terms
 from .stirling import THETA_HI, THETA_LO
@@ -167,23 +167,35 @@ def mu_delta_sum(x: float, kind: str, a: float | None = None,
     cancels inside itself: a ``hyperbola_sum`` minus the smooth sum erred
     6.6e-10 (mu) and 3.9e-9 (mu*mu) relative to a longdouble oracle at
     x = 1e6, against 1.4e-11 and 2.6e-11 per term.
+
+    Peak memory: the cached weight sieve and Delta prefix it reads plus two
+    n-length float64 arrays, the terms' weights and Delta values, filled a
+    block of ``_accum._BLOCK`` at a time and summed by one dot.
     """
     if kind not in _WEIGHT_SPECS:
         raise DomainError(f"unknown weight kind {kind!r}")
     n = _cut(x)
-    narr = np.arange(1, n + 1, dtype=np.float64)
-    w = sieve_values(_WEIGHT_SPECS[kind], n)[1:n + 1] / narr
-    # floor(x/d) = floor(n/d) for integer d, so one integer path serves any x
-    q = n // np.arange(1, n + 1, dtype=np.int64)
-    y = x / narr
-    gamma = constants().gamma
     if a is None:
-        t_prefix = _prefix(TAU, n)
-        deltas = t_prefix[q] - (y * np.log(y) + (2.0 * gamma - 1.0) * y)
+        prefix = _prefix(TAU, n)
+        slope = 2.0 * constants().gamma - 1.0
+
+        def smooth(y):
+            return y * np.log(y) + slope * y
     else:
         a = _require_a(a)
-        s_prefix = _prefix(sigma_pow(a), n)
-        deltas = s_prefix[q] - _sigma_a_smooth(y, a)
+        prefix = _prefix(sigma_pow(a), n)
+
+        def smooth(y):
+            return _sigma_a_smooth(y, a)
+    wv = sieve_values(_WEIGHT_SPECS[kind], n)
+    w, deltas = np.empty(n), np.empty(n)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        narr = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        w[lo:hi] = wv[lo + 1:hi + 1] / narr
+        y = x / narr
+        # floor(x/d) = floor(n/d) for integer d, so one integer path serves any x
+        deltas[lo:hi] = prefix[n // np.arange(lo + 1, hi + 1)] - smooth(y)
     total = dot(w, deltas)
     if log_factor:
         total *= math.log(x) - 1.0

@@ -12,7 +12,8 @@ Function arguments use the ``name[:param]`` grammar (``mu``, ``id``,
 ``geom:lo,hi,points`` (rounded to integers) or comma-separated values.
 
 Exit status: 0 on success, 1 when a checked invariant fails (a JSON
-report naming the violation is printed), 2 on unusable arguments.
+report naming the violation is printed), 2 on unusable arguments, a file
+argument that cannot be read or written included.
 """
 
 from __future__ import annotations
@@ -255,9 +256,16 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(parser.format_usage(), file=sys.stderr, end="")
-        return 2
+        message = str(exc)
+    except OSError as exc:
+        # a named path is one of the file arguments (--out, --calibration,
+        # --write-calibration) that cannot be read or written
+        if exc.filename is None:
+            raise
+        message = f"cannot use {exc.filename}: {exc.strerror}"
+    print(f"error: {message}", file=sys.stderr)
+    print(parser.format_usage(), file=sys.stderr, end="")
+    return 2
 
 
 if __name__ == "__main__":

@@ -46,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import dot, fsum, hyperbola_sum, on_quotients, prefix_with_zero
+from ._accum import (dot, fsum, hyperbola_sum, prefix_with_zero,
+                     quotient_prefixes)
 from .errors import DomainError, require
 from .stirling import log_factorial_table
 from .tables import (LOG, MU, ONE, PHI, VON_MANGOLDT, FunctionSpec,
@@ -281,21 +282,42 @@ def apostol_log_average(f: FunctionTable, g: FunctionTable, x: float) -> float:
     return dot(u[1:], 1.0 / k)
 
 
+def _average_pairs(fv: np.ndarray, gv: np.ndarray, rho: np.ndarray,
+                   logs: np.ndarray, n: int) -> list:
+    """The ``on_quotients`` pairs of the six-term expansion's weights at n:
+    g-side g, g log, g log/l, g/l, g rho/l and |g|/l^2, then f-side f/d,
+    f log d/d and |f|/d, each formed a block at a time, one after another."""
+    def weights(lo, hi):
+        inv = 1.0 / np.arange(lo, hi)
+        g, lg = gv[lo:hi], logs[lo:hi]
+        gi = g * inv
+        yield g
+        yield g * lg
+        yield gi * lg
+        yield gi
+        yield gi * rho[lo:hi]
+        yield np.abs(gi) * inv
+        w = fv[lo:hi] * inv
+        yield w
+        yield w * lg
+        yield np.abs(w)
+
+    return quotient_prefixes(weights, n)
+
+
 def apostol_log_average_terms(f: FunctionTable, g: FunctionTable,
                               x: float) -> AverageDecomposition:
     """Exact six-term expansion of ``apostol_log_average`` over d*l <= x,
-    one ``hyperbola_sum`` of an f-side and a g-side weight per term."""
+    one ``hyperbola_sum`` of an f-side and a g-side weight per term.
+
+    Peak memory: the cached tables it reads (f, g, log and the Stirling
+    rows) plus one block of ``_accum._BLOCK`` per weight; no n-length
+    array is formed.
+    """
     n = _cut(x, min(f.n_max, g.n_max))
-    rho = log_factorial_table(n).rho[:n + 1]
-    logs = sieve_values(LOG, n)
-    inv = np.append(0.0, 1.0 / np.arange(1, n + 1))
-    gv = g.values[:n + 1]
-    gi = gv * inv
-    cg, cg_log, cg_log_over, cg_over, cg_rho, cg_abs = (
-        on_quotients(v, n) for v in (gv, gv * logs, gi * logs, gi, gi * rho,
-                                     np.abs(gi) * inv))
-    w = f.values[:n + 1] * inv
-    fw, fw_log, fw_abs = (on_quotients(v, n) for v in (w, w * logs, np.abs(w)))
+    rho = log_factorial_table(n).rho
+    cg, cg_log, cg_log_over, cg_over, cg_rho, cg_abs, fw, fw_log, fw_abs = (
+        _average_pairs(f.values, g.values, rho, sieve_values(LOG, n), n))
 
     return AverageDecomposition(
         x=float(x),

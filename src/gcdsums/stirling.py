@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import cumsum_extended
+from ._accum import _BLOCK, running_sum
 from .errors import require
 from .tables import _MIN_CAPACITY, _capacity_cached
 from .zeta import LOG_SQRT_2PI
@@ -128,28 +128,38 @@ def _remainder_series(l_values: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _rho_extended(l_max: int) -> np.ndarray:
-    """rho(l) for l = 0..l_max in longdouble (slot 0 holds 0)."""
+def _rho_below_seed() -> np.ndarray:
+    """rho(l) for l = 1.._MIN_CAPACITY - 1 in longdouble, by the backward
+    recurrence seeded with the series at l = _MIN_CAPACITY."""
     seed = _MIN_CAPACITY
-    rho = np.zeros(max(l_max, seed) + 1, dtype=np.longdouble)
-    rho[seed:] = _remainder_series(np.arange(seed, len(rho)))
     # rho(l) = rho(seed) + sum_{j=l+1..seed} t_j, accumulated high-to-low
     t = _transition_terms(np.arange(2, seed + 1))
-    rho[1:seed] = np.cumsum(t[::-1].astype(np.longdouble))[::-1]
-    rho[1:seed] += rho[seed]
-    return rho[:l_max + 1]
+    rho = np.cumsum(t[::-1].astype(np.longdouble))[::-1]
+    rho += _remainder_series(np.arange(seed, seed + 1))[0]
+    return rho
 
 
 def _build_arrays(l_max: int) -> np.ndarray:
-    """Rows L and rho of l = 0..l_max, both zero at l = 0."""
+    """Rows L and rho of l = 0..l_max, both zero at l = 0.
+
+    Both rows are evaluated a block of ``_BLOCK`` at a time straight into
+    the result, so the peak is the result plus a few blocks: a float64
+    log, its longdouble running sums, and the series' int64 l and two
+    longdouble arrays.
+    """
     out = np.zeros((2, l_max + 1))
     log_factorial, rho = out
-    logs = np.log(np.arange(1, l_max + 1, dtype=np.float64))
-    cumsum_extended(logs, out=log_factorial[1:])
-    # freed before rho's extended-precision temporary is made: the build's
-    # transient peak is a large share of a series command's peak memory
-    del logs
-    rho[:] = _rho_extended(l_max)
+    total = np.longdouble(0.0)
+    for lo in range(1, l_max + 1, _BLOCK):
+        hi = min(lo + _BLOCK, l_max + 1)
+        sums = running_sum(np.log(np.arange(lo, hi, dtype=np.float64)), total)
+        log_factorial[lo:hi] = sums
+        total = sums[-1]
+    seed = _MIN_CAPACITY
+    rho[1:seed] = _rho_below_seed()[:l_max]
+    for lo in range(seed, l_max + 1, _BLOCK):
+        hi = min(lo + _BLOCK, l_max + 1)
+        rho[lo:hi] = _remainder_series(np.arange(lo, hi))
     return out
 
 

@@ -22,6 +22,7 @@ phi sieves split their primes at r the same way.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -379,12 +380,59 @@ def _convolve_values(fv: np.ndarray, gv: np.ndarray, n: int) -> np.ndarray:
     return _divisor_pair_sum(fv, n, lambda d, l: fv[d] * gv[l])
 
 
+def _overflows(a: float, n: int) -> bool:
+    return n > 1 and abs(a) * math.log(n) > _MAX_EXP_PRODUCT
+
+
 def _check_exponent(a: float, n: int) -> None:
-    if n > 1 and abs(a) * math.log(n) > _MAX_EXP_PRODUCT:
+    if _overflows(a, n):
         raise DomainError(f"exponent {a} overflows float64 at n_max={n}")
 
 
+def _parts(spec: FunctionSpec) -> tuple[FunctionSpec, ...]:
+    """The specs a build of spec sieves first: its operands, and mu and
+    id_a for jordan:a."""
+    if spec.kind is Kind.JORDAN:
+        return (MU, id_pow(spec.exponent))
+    return spec.operands
+
+
+def _all_parts(spec: FunctionSpec):
+    """Every part sieved on the way to spec, once per use."""
+    for part in _parts(spec):
+        yield part
+        yield from _all_parts(part)
+
+
+def _exponents(spec: FunctionSpec) -> list[float]:
+    """The exponent of spec and of every part sieved on the way to it."""
+    return [s.exponent for s in (spec, *_all_parts(spec))
+            if s.exponent is not None]
+
+
 def _sieve_values(spec: FunctionSpec, n: int) -> np.ndarray:
+    """spec's values on 0..n.  A part that occurs more than once in spec's
+    tree (mu in conv:jordan:a,mu and conv:mu,mu) is sieved once per build
+    and dropped after its last use; nothing is left in the cache."""
+    for a in _exponents(spec):
+        _check_exponent(a, n)
+    uses = Counter(_all_parts(spec))
+    shared = {}
+
+    def part(node):
+        if node not in shared:
+            if uses[node] == 1:
+                return _build_values(node, n, part)
+            shared[node] = _build_values(node, n, part)
+        uses[node] -= 1
+        return shared[node] if uses[node] else shared.pop(node)
+
+    return _build_values(spec, n, part)
+
+
+def _build_values(spec: FunctionSpec, n: int, part) -> np.ndarray:
+    """spec's values on 0..n, taking the values of each of ``_parts(spec)``
+    from ``part``."""
     kind = spec.kind
     if kind is Kind.ONE:
         vals = np.ones(n + 1, dtype=np.float64)
@@ -393,7 +441,6 @@ def _sieve_values(spec: FunctionSpec, n: int) -> np.ndarray:
     if kind is Kind.ID:
         return np.arange(n + 1, dtype=np.float64)
     if kind is Kind.ID_POW:
-        _check_exponent(spec.exponent, n)
         vals = np.zeros(n + 1, dtype=np.float64)
         vals[1:] = np.arange(1, n + 1, dtype=np.float64) ** spec.exponent
         return vals
@@ -412,26 +459,21 @@ def _sieve_values(spec: FunctionSpec, n: int) -> np.ndarray:
     if kind is Kind.SIGMA:
         return _sigma_values(n).astype(np.float64)
     if kind is Kind.SIGMA_POW:
-        _check_exponent(spec.exponent, n)
         return _sigma_pow_values(n, spec.exponent)
     if kind is Kind.DIVISOR_LOG:
         return _divisor_log_values(n)
     if kind is Kind.JORDAN:
-        _check_exponent(spec.exponent, n)
-        mu = _mobius_values(n).astype(np.float64)
-        ida = _sieve_values(id_pow(spec.exponent), n)
+        mu, ida = map(part, _parts(spec))
         return _convolve_values(mu, ida, n)
     if kind is Kind.CONVOLVE:
-        fv = _sieve_values(spec.operands[0], n)
-        gv = _sieve_values(spec.operands[1], n)
+        fv, gv = map(part, spec.operands)
         return _convolve_values(fv, gv, n)
     if kind is Kind.POINTWISE_LOG:
-        fv = _sieve_values(spec.operands[0], n).copy()
+        fv = part(spec.operands[0]).copy()
         fv[1:] *= np.log(np.arange(1, n + 1, dtype=np.float64))
         return fv
     if kind is Kind.POINTWISE_POW:
-        _check_exponent(spec.exponent, n)
-        fv = _sieve_values(spec.operands[0], n).copy()
+        fv = part(spec.operands[0]).copy()
         fv[1:] *= np.arange(1, n + 1, dtype=np.float64) ** spec.exponent
         return fv
     raise DomainError(f"cannot sieve {spec}")
@@ -481,11 +523,21 @@ def sieve_values(spec: FunctionSpec, n_max: int) -> np.ndarray:
     cached array is bit-identical to a direct build of any size >=
     ``_MIN_CAPACITY``.  A direct build below that can differ in the last
     bit where a convolution's sparser operand changes with n (conv:log,mu
-    at n = 6).
+    at n = 6).  Every exponent in the spec's tree is checked against
+    n_max; where the capacity would overflow float64 and n_max does not,
+    the array is built at n_max.
     """
     require(n_max >= 1, "n_max must be >= 1")
-    return _capacity_cached(("sieve", spec), n_max,
-                            lambda n: _sieve_values(spec, n))[:n_max + 1]
+    for a in _exponents(spec):
+        _check_exponent(a, n_max)
+
+    def build(capacity):
+        # a capacity past n_max can overflow where n_max does not
+        if any(_overflows(a, capacity) for a in _exponents(spec)):
+            capacity = n_max
+        return _sieve_values(spec, capacity)
+
+    return _capacity_cached(("sieve", spec), n_max, build)[:n_max + 1]
 
 
 def sieve(spec: FunctionSpec, n_max: int) -> FunctionTable:

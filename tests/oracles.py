@@ -243,3 +243,81 @@ def series_lhs_longdouble(fv: np.ndarray, gv: np.ndarray, s: float, k: int):
     g = gv[1:k + 1].astype(ld) * powers
     return (_pair_sum_longdouble(f * logs, g * l, k)
             + _pair_sum_longdouble(f, g * np.cumsum(logs), k))
+
+
+# ---------------------------------------------------------------------------
+# whole-array forms of the blocked stages: each builds every n-length
+# temporary at once, as the stages did before they were blocked, and must
+# give the same bytes
+
+
+def whole_array_on_quotients(values: np.ndarray, n: int):
+    """(lo, hi) of ``_accum.on_quotients`` from one full-length longdouble
+    prefix: lo[i] = P(i) for i <= isqrt(n), hi[d] = P(n // d), hi[0] = P(n)."""
+    full = np.zeros(n + 1)
+    full[1:] = np.cumsum(values[1:n + 1].astype(np.longdouble))
+    r = math.isqrt(n)
+    return full[:r + 1].copy(), full[n // np.maximum(np.arange(r + 1), 1)]
+
+
+def whole_array_average_pairs(fv: np.ndarray, gv: np.ndarray, rho: np.ndarray,
+                              logs: np.ndarray, n: int) -> list:
+    """The nine weights of the six-term expansion at n as whole arrays
+    (g, g log, g log/l, g/l, g rho/l, |g|/l^2, f/d, f log d/d, |f|/d),
+    each taken to its ``whole_array_on_quotients`` pair."""
+    inv = np.append(0.0, 1.0 / np.arange(1, n + 1))
+    gv, logs = gv[:n + 1], logs[:n + 1]
+    gi = gv * inv
+    w = fv[:n + 1] * inv
+    weights = (gv, gv * logs, gi * logs, gi, gi * rho[:n + 1],
+               np.abs(gi) * inv, w, w * logs, np.abs(w))
+    return [whole_array_on_quotients(v, n) for v in weights]
+
+
+def whole_array_mu_delta(x: float, weights: np.ndarray, prefix: np.ndarray,
+                         smooth) -> float:
+    """sum_{n<=x} w(n)/n (P(x/n) - smooth(x/n)) with one n-length array per
+    step and one dot; ``weights`` and ``prefix`` are indexed from 0."""
+    n = math.floor(x)
+    narr = np.arange(1, n + 1, dtype=np.float64)
+    w = weights[1:n + 1] / narr
+    q = n // np.arange(1, n + 1, dtype=np.int64)
+    y = x / narr
+    deltas = prefix[q] - smooth(y)
+    return float(np.dot(w, deltas))
+
+
+# the Stirling remainder series' coefficients in 1/l^2, highest power first
+_STIRLING_COEFFS = tuple(np.longdouble(1) / c for c in (-1680, 1260, -360, 12))
+_STIRLING_SERIES_TERMS = 20
+
+
+def whole_array_stirling(l_max: int, seed: int = 1024) -> np.ndarray:
+    """Rows log l! and rho(l) for l = 0..l_max, each from whole arrays: one
+    longdouble cumsum of log l, the remainder series 1/(12 l) - ... from
+    l = seed on, and below it the backward recurrence rho(l-1) = rho(l)
+    + (l - 1/2) log(l/(l-1)) - 1 with its terms as a series in 1/(2l-1)^2."""
+    out = np.zeros((2, l_max + 1))
+    logs = np.log(np.arange(1, l_max + 1, dtype=np.float64))
+    out[0, 1:] = np.cumsum(logs.astype(np.longdouble))
+    out[1] = whole_array_rho(l_max, seed)
+    return out
+
+
+def whole_array_rho(l_max: int, seed: int = 1024) -> np.ndarray:
+    """rho(l) for l = 0..l_max in longdouble (slot 0 holds 0)."""
+    rho = np.zeros(max(l_max, seed) + 1, dtype=np.longdouble)
+    l_values = np.arange(seed, len(rho))
+    inv_l2 = 1 / np.square(l_values, dtype=np.longdouble)
+    acc = np.full_like(inv_l2, _STIRLING_COEFFS[0])
+    for c in _STIRLING_COEFFS[1:]:
+        acc = acc * inv_l2 + c
+    rho[seed:] = acc / l_values
+    x2 = 1.0 / (2.0 * np.arange(2, seed + 1, dtype=np.float64) - 1.0) ** 2
+    t = np.full_like(x2, 1.0 / (2 * _STIRLING_SERIES_TERMS + 1))
+    for i in range(_STIRLING_SERIES_TERMS - 1, 0, -1):
+        t = 1.0 / (2 * i + 1) + x2 * t
+    t = x2 * t
+    rho[1:seed] = np.cumsum(t[::-1].astype(np.longdouble))[::-1]
+    rho[1:seed] += rho[seed]
+    return rho[:l_max + 1]

@@ -98,3 +98,38 @@ def test_scan_matches_ascending_pointwise_scan(fresh_cache, target, a):
     for field in ("exact", "main", "correction", "residual", "normalized"):
         want = np.concatenate([getattr(p, field) for p in pointwise])
         assert _same_bytes(getattr(scan, field), want), field
+
+
+def _recording_mobius(monkeypatch):
+    calls = []
+    real = tables._mobius_values
+
+    def record(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(tables, "_mobius_values", record)
+    return calls
+
+
+@pytest.mark.parametrize("text", ["conv:jordan:0.5,mu", "conv:mu,mu"])
+def test_shared_operand_sieved_once_per_build(fresh_cache, monkeypatch, text):
+    spec = parse_spec(text)
+    n = 5000
+    # built without sharing: every operand sieved on its own
+    left, right = (tables._sieve_values(op, n) for op in spec.operands)
+    unshared = tables._convolve_values(left, right, n)
+    calls = _recording_mobius(monkeypatch)
+    got = tables.sieve_values(spec, n)
+    assert calls == [tables._capacity(n)]
+    assert _same_bytes(got, unshared[:n + 1])
+    # the operands are dropped after the build: only the result is cached
+    assert list(tables._grown) == [("sieve", spec)]
+
+
+def test_jordan_scan_sieves_mu_twice(fresh_cache, monkeypatch):
+    # once for conv:jordan:0.5,mu (the exact side), once for conv:mu,mu
+    # (the Delta weights)
+    calls = _recording_mobius(monkeypatch)
+    asymptotics.residual_scan("jordan-log-avg", [1e3, 2e4], -0.5)
+    assert calls == [32768, 32768]

@@ -180,3 +180,37 @@ def test_identity_kmax_rejected_before_any_sieve(monkeypatch, capsys, which,
     assert err.splitlines()[-1].startswith("usage: gcdsums")
     assert calls == []
     assert peak < 1 << 20  # argument parsing only; a table would be 80 MB
+
+
+def test_exponent_checked_at_the_requested_n(tmp_path, capsys):
+    # the cache rounds 100000 up to 131072, where 60 log n exceeds the bound
+    # although 60 log 100000 = 690.8 does not
+    from gcdsums import tables
+    out = tmp_path / "p.csv"
+    assert run_cli(["sieve", "--f", "idpow:60", "--nmax", "100000",
+                    "--out", str(out)]) == 0
+    spec = G.id_pow(60.0)
+    want = tables._sieve_values(spec, 100000)
+    assert tables.sieve_values(spec, 100000).tobytes() == want.tobytes()
+    assert np.array_equal(csvio.read_table_values(out), want)
+    nested = G.convolve(spec, G.MU)
+    assert (tables.sieve_values(nested, 100000).tobytes()
+            == tables._sieve_values(nested, 100000).tobytes())
+    for text in ("idpow:60", "conv:mu,idpow:60"):
+        assert run_cli(["sieve", "--f", text, "--nmax", "200000"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "error: exponent 60.0 overflows float64 at n_max=200000"
+        assert err[1].startswith("usage: gcdsums")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--write-calibration",
+                                  "--calibration"])
+def test_unusable_file_argument_exit_2(tmp_path, capsys, flag):
+    path = tmp_path / "missing" / "x.csv"
+    argv = ["scan", "--target", "tau-log-avg", "--grid", "1e3,1e4", flag,
+            str(path)]
+    assert run_cli(argv + (["--check"] if flag == "--calibration" else [])) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0] == f"error: cannot use {path}: No such file or directory"
+    assert err[1].startswith("usage: gcdsums")
