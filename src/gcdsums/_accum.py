@@ -5,7 +5,8 @@ these, so the numerical contract (pairwise or extended-precision
 summation) is kept in a single place:
 
 - ``np.dot`` / ``np.sum`` already use pairwise blocking,
-- long running prefix sums are done in ``np.longdouble`` and rounded once,
+- long running prefix sums are done in ``np.longdouble`` and rounded once;
+  the exact sides keep them at the quotients n // i (``quotient_prefixes``),
 - short heterogeneous sums use ``math.fsum``,
 - sums over the pairs d*l <= n go through ``hyperbola_sum``.
 """
@@ -35,26 +36,20 @@ def running_sum(block: np.ndarray, total) -> np.ndarray:
     return np.cumsum(sums, out=sums)
 
 
-def cumsum_extended(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Cumulative sum in extended precision, written to float64 ``out``,
-    holding one block of ``_BLOCK`` at a time."""
-    total = np.longdouble(0.0)
-    for lo in range(0, len(values), _BLOCK):
-        sums = running_sum(values[lo:lo + _BLOCK], total)
-        out[lo:lo + len(sums)] = sums
-        total = sums[-1]
-    return out
-
-
 def prefix_with_zero(values: np.ndarray) -> np.ndarray:
-    """Prefix sums P with P[0] = 0 and P[m] = values[1] + ... + values[m].
+    """Prefix sums P with P[0] = 0 and P[m] = values[1] + ... + values[m],
+    in extended precision, holding one block of ``_BLOCK`` at a time.
 
     ``values`` is indexed from 0; entry 0 is ignored (tables store n = 1..N
     at positions 1..N).
     """
     out = np.empty(len(values), dtype=np.float64)
     out[0] = 0.0
-    cumsum_extended(values[1:], out=out[1:])
+    total = np.longdouble(0.0)
+    for lo in range(1, len(values), _BLOCK):
+        sums = running_sum(values[lo:lo + _BLOCK], total)
+        out[lo:lo + len(sums)] = sums
+        total = sums[-1]
     return out
 
 

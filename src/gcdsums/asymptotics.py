@@ -28,14 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ._accum import _BLOCK, dot, prefix_with_zero
+from ._accum import _BLOCK, dot, on_quotients, quotient_prefixes
 from .errors import DomainError, require
 from .identities import apostol_log_average_terms
 from .stirling import THETA_HI, THETA_LO
 from .tables import (DIVISOR_LOG, ID, MAX_SIEVE, MU, ONE, PHI, SIGMA, TAU,
-                     VON_MANGOLDT, FunctionSpec, _capacity_cached,
-                     convolve, id_pow, jordan, pointwise_pow_spec, sieve,
-                     sieve_values, sigma_pow)
+                     VON_MANGOLDT, FunctionSpec, convolve, id_pow, jordan,
+                     sieve, sieve_values, sigma_pow)
 from .zeta import LOG_SQRT_2PI, constants
 
 
@@ -45,25 +44,19 @@ def _cut(x: float) -> int:
     return int(math.floor(x))
 
 
-def _prefix_build(spec: FunctionSpec, over_n: bool, log_ratio: bool,
-                  n: int) -> np.ndarray:
-    """Prefix sums of spec's values on 0..n, optionally weighted by
-    log(m/e) and divided by m; entry m depends on nothing past m."""
+def _quotient_sums(spec: FunctionSpec, n: int, *weights) -> list:
+    """The ``on_quotients`` pairs at n of spec's sieved values weighted by
+    each of ``weights`` (a function of a block of values and its m as
+    float64, which only the last weight may overwrite); hi[0] of a pair is
+    the sum over m <= n.  One blocked pass over the cached sieve; no
+    n-length array is formed."""
     vals = sieve_values(spec, n)
-    if log_ratio or over_n:
-        vals, narr = vals.copy(), np.arange(1, n + 1, dtype=np.float64)
-        if log_ratio:
-            vals[1:] *= np.log(narr) - 1.0
-        if over_n:
-            vals[1:] /= narr
-    return prefix_with_zero(vals)
 
+    def blocks(lo, hi):
+        m = np.arange(lo, hi, dtype=np.float64)
+        return (weigh(vals[lo:hi], m) for weigh in weights)
 
-def _prefix(spec: FunctionSpec, n: int, over_n: bool = False,
-            log_ratio: bool = False) -> np.ndarray:
-    key = ("prefix", spec, over_n, log_ratio)
-    return _capacity_cached(
-        key, n, lambda cap: _prefix_build(spec, over_n, log_ratio, cap))[:n + 1]
+    return quotient_prefixes(blocks, n)
 
 
 def top_down(fn, xs) -> list:
@@ -84,16 +77,12 @@ def top_down(fn, xs) -> list:
 # divisor-problem remainders
 
 
-# n * tau(n); its prefix sums feed the Delta integral
-_N_TAU = pointwise_pow_spec(TAU, 1.0)
-
-
 def divisor_delta(x: float) -> float:
     """Delta(x) = sum_{n<=x} tau(n) - (x log x + (2 gamma - 1) x)."""
     n = _cut(x)
     gamma = constants().gamma
-    exact = float(_prefix(TAU, n)[n])
-    return exact - (x * math.log(x) + (2.0 * gamma - 1.0) * x)
+    _, hi = on_quotients(sieve_values(TAU, n), n)
+    return float(hi[0]) - (x * math.log(x) + (2.0 * gamma - 1.0) * x)
 
 
 def delta_integral_ratio(big_x: float) -> float:
@@ -105,9 +94,9 @@ def delta_integral_ratio(big_x: float) -> float:
     require(big_x >= 2.0, "X must be >= 2")
     n = _cut(big_x)
     gamma = constants().gamma
-    t_prefix = float(_prefix(TAU, n)[n])
-    nt_prefix = float(_prefix(_N_TAU, n)[n])
-    step_integral = big_x * t_prefix - nt_prefix
+    (_, t), (_, nt) = _quotient_sums(TAU, n, lambda v, m: v,
+                                     lambda v, m: v * m)
+    step_integral = big_x * float(t[0]) - float(nt[0])
 
     def smooth_antiderivative(y: float) -> float:
         return (0.5 * y * y * math.log(y) - 0.25 * y * y
@@ -135,8 +124,8 @@ def divisor_delta_a(x: float, a: float) -> float:
     + zeta(1+a) x^(1+a)/(1+a) - zeta(-a)/2), for -1 < a < 0."""
     a = _require_a(a)
     n = _cut(x)
-    exact = float(_prefix(sigma_pow(a), n)[n])
-    return exact - float(_sigma_a_smooth(x, a))
+    _, hi = on_quotients(sieve_values(sigma_pow(a), n), n)
+    return float(hi[0]) - float(_sigma_a_smooth(x, a))
 
 
 def divisor_delta_a_series(x: float, a: float, n_terms: int) -> float:
@@ -168,34 +157,40 @@ def mu_delta_sum(x: float, kind: str, a: float | None = None,
     6.6e-10 (mu) and 3.9e-9 (mu*mu) relative to a longdouble oracle at
     x = 1e6, against 1.4e-11 and 2.6e-11 per term.
 
-    Peak memory: the cached weight sieve and Delta prefix it reads plus two
-    n-length float64 arrays, the terms' weights and Delta values, filled a
-    block of ``_accum._BLOCK`` at a time and summed by one dot.
+    Peak memory: the cached sieves it reads plus two n-length float64
+    arrays, the terms' weights and Delta values, filled a block of
+    ``_accum._BLOCK`` at a time and summed by one dot.
     """
     if kind not in _WEIGHT_SPECS:
         raise DomainError(f"unknown weight kind {kind!r}")
     n = _cut(x)
     if a is None:
-        prefix = _prefix(TAU, n)
+        spec = TAU
         slope = 2.0 * constants().gamma - 1.0
 
         def smooth(y):
             return y * np.log(y) + slope * y
     else:
         a = _require_a(a)
-        prefix = _prefix(sigma_pow(a), n)
+        spec = sigma_pow(a)
 
         def smooth(y):
             return _sigma_a_smooth(y, a)
+    p_lo, p_hi = on_quotients(sieve_values(spec, n), n)
+    r = len(p_lo) - 1
     wv = sieve_values(_WEIGHT_SPECS[kind], n)
     w, deltas = np.empty(n), np.empty(n)
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
+        d = np.arange(lo + 1, hi + 1)
+        # floor(x/d) = floor(n/d) for integer d, so one integer path serves
+        # any x; P(n // d) is p_hi[d] up to d = r, then p_lo[n // d]
+        k = min(max(r - lo, 0), hi - lo)
+        deltas[lo:lo + k] = p_hi[d[:k]]
+        deltas[lo + k:hi] = p_lo[n // d[k:]]
         narr = np.arange(lo + 1, hi + 1, dtype=np.float64)
         w[lo:hi] = wv[lo + 1:hi + 1] / narr
-        y = x / narr
-        # floor(x/d) = floor(n/d) for integer d, so one integer path serves any x
-        deltas[lo:hi] = prefix[n // np.arange(lo + 1, hi + 1)] - smooth(y)
+        deltas[lo:hi] -= smooth(np.divide(x, narr, out=narr))
     total = dot(w, deltas)
     if log_factor:
         total *= math.log(x) - 1.0
@@ -340,14 +335,19 @@ def _statistics() -> dict[str, Target]:
 
     def stat(name, spec, over_n=True, norm=const, main_name=None,
              log_ratio=False, **kw):
-        """A sieved prefix sum of spec(a) (or of spec), divided by n with
-        ``over_n`` and weighted by log(n/e) with ``log_ratio``."""
+        """The sum over m <= x of spec(a) (or of spec), divided by m with
+        ``over_n`` and weighted by log(m/e) with ``log_ratio``."""
         spec_at = spec if callable(spec) else lambda a: spec
         main = _stat_main(main_name or name)
 
+        def weigh(v, m):
+            if log_ratio:
+                v = v * (np.log(m) - 1.0)
+            return np.divide(v, m, out=m) if over_n else v
+
         def parts(x, a):
-            n = _cut(x)
-            return float(_prefix(spec_at(a), n, over_n, log_ratio)[n]), 0.0
+            (_, hi), = _quotient_sums(spec_at(a), _cut(x), weigh)
+            return float(hi[0]), 0.0
 
         return Target(name, parts, lambda x, a, theta: main(x, a), norm,
                       log_factor=False, **kw)

@@ -283,13 +283,14 @@ def apostol_log_average(f: FunctionTable, g: FunctionTable, x: float) -> float:
 
 
 def _average_pairs(fv: np.ndarray, gv: np.ndarray, rho: np.ndarray,
-                   logs: np.ndarray, n: int) -> list:
+                   n: int) -> list:
     """The ``on_quotients`` pairs of the six-term expansion's weights at n:
     g-side g, g log, g log/l, g/l, g rho/l and |g|/l^2, then f-side f/d,
     f log d/d and |f|/d, each formed a block at a time, one after another."""
     def weights(lo, hi):
-        inv = 1.0 / np.arange(lo, hi)
-        g, lg = gv[lo:hi], logs[lo:hi]
+        l = np.arange(lo, hi, dtype=np.float64)
+        g, lg = gv[lo:hi], np.log(l)  # equal to the LOG sieve bit for bit
+        inv = np.divide(1.0, l, out=l)
         gi = g * inv
         yield g
         yield g * lg
@@ -310,14 +311,13 @@ def apostol_log_average_terms(f: FunctionTable, g: FunctionTable,
     """Exact six-term expansion of ``apostol_log_average`` over d*l <= x,
     one ``hyperbola_sum`` of an f-side and a g-side weight per term.
 
-    Peak memory: the cached tables it reads (f, g, log and the Stirling
-    rows) plus one block of ``_accum._BLOCK`` per weight; no n-length
-    array is formed.
+    Peak memory: the cached tables it reads (f, g and the Stirling rows)
+    plus a few blocks of ``_accum._BLOCK``; no n-length array is formed.
     """
     n = _cut(x, min(f.n_max, g.n_max))
     rho = log_factorial_table(n).rho
     cg, cg_log, cg_log_over, cg_over, cg_rho, cg_abs, fw, fw_log, fw_abs = (
-        _average_pairs(f.values, g.values, rho, sieve_values(LOG, n), n))
+        _average_pairs(f.values, g.values, rho, n))
 
     return AverageDecomposition(
         x=float(x),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accum import dot, hyperbola_sum, on_quotients
-from .errors import DomainError, require
+from .errors import require
 from .stirling import THETA_HI, THETA_LO, log_factorial_table
 from .tables import (LOG, MU, ONE, FunctionTable, abscissa,
                      dirichlet_convolve, sieve, sieve_values)
@@ -106,8 +106,8 @@ def series_identity_compare(f: FunctionTable, g: FunctionTable, s: float,
                             k_max: int) -> SeriesComparison:
     """Truncated U(s) against -F'(s) G(s-1) + F(s) G_L(s) at the same K."""
     alpha = max(abscissa(f.spec), abscissa(g.spec) + 1.0)
-    if s <= alpha:
-        raise DomainError(f"s={s} inside divergence region (need s > {alpha})")
+    require(alpha < s < math.inf,
+            f"s={s} not finite or in the divergence region (need s > {alpha})")
     require(k_max >= 1, "K must be >= 1")
     require(k_max <= min(f.n_max, g.n_max), "K beyond table range")
     lhs = _u_partial_sum(f, g, s, k_max)
@@ -131,7 +131,8 @@ def series_theta_bracket(f: FunctionTable, s: float, k_max: int) -> ThetaBracket
     evaluated with F, F' truncated at K and exact zeta values; the
     interval is [rhs(0), rhs(1/12)] widened by the truncation allowance.
     """
-    require(s > max(abscissa(f.spec), 2.0), f"s={s} too small for the bracket")
+    require(max(abscissa(f.spec), 2.0) < s < math.inf,
+            f"s={s} too small for the bracket, or not finite")
     require(k_max >= 1, "K must be >= 1")
     require(k_max <= f.n_max, "K beyond table range")
     C = constants()
@@ -196,7 +197,7 @@ class MuSeriesReport:
 def mu_series_report(s: float, k_max: int, id_table: FunctionTable,
                      mu_table: FunctionTable) -> MuSeriesReport:
     """Compare truncated U_{id,mu}(s) against both closed-form candidates."""
-    require(s > 2.0, "the id,mu series needs s > 2")
+    require(2.0 < s < math.inf, "the id,mu series needs a finite s > 2")
     C = constants()
     lhs = _u_partial_sum(id_table, mu_table, s, k_max)
     z = C.zeta(s)

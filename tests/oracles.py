@@ -260,6 +260,21 @@ def whole_array_on_quotients(values: np.ndarray, n: int):
     return full[:r + 1].copy(), full[n // np.maximum(np.arange(r + 1), 1)]
 
 
+def whole_array_prefix(values: np.ndarray, n: int, over_n: bool = False,
+                       log_ratio: bool = False) -> np.ndarray:
+    """The prefix sums P(0..n) of values[1..n] weighted by log(m/e) with
+    ``log_ratio`` and divided by m with ``over_n``, from one longdouble
+    cumsum of the whole weighted array."""
+    vals = values[1:n + 1].copy()
+    narr = np.arange(1, n + 1, dtype=np.float64)
+    if log_ratio:
+        vals *= np.log(narr) - 1.0
+    if over_n:
+        vals /= narr
+    return np.append(0.0, np.cumsum(vals.astype(np.longdouble))
+                     .astype(np.float64))
+
+
 def whole_array_average_pairs(fv: np.ndarray, gv: np.ndarray, rho: np.ndarray,
                               logs: np.ndarray, n: int) -> list:
     """The nine weights of the six-term expansion at n as whole arrays

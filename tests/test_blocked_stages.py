@@ -1,7 +1,8 @@
 """The blocked O(x) stages of a scan against their whole-array forms.
 
-``mu_delta_sum``, the log-average prefixes (``on_quotients`` and the six-term
-weights of ``apostol_log_average_terms``) and the Stirling build work a block
+``mu_delta_sum``, the prefix sums at the quotients (``on_quotients``, the
+six-term weights of ``apostol_log_average_terms`` and the exact sides of the
+statistics and the Delta diagnostics) and the Stirling build work a block
 of ``_accum._BLOCK`` at a time.  Each must give the bytes of the whole-array
 form in ``oracles`` at sizes around the block edge, and peak at the cached
 tables it reads plus its declared count of n-length arrays and a few blocks.
@@ -15,11 +16,14 @@ import pytest
 
 import gcdsums as G
 from gcdsums import _accum, asymptotics, identities, stirling
-from gcdsums.tables import LOG, MU, TAU, convolve, sieve_values, sigma_pow
+from gcdsums.tables import (DIVISOR_LOG, ID, LOG, MU, PHI, SIGMA, TAU,
+                            VON_MANGOLDT, convolve, id_pow, jordan,
+                            pointwise_pow_spec, sieve_values, sigma_pow)
 from gcdsums.zeta import constants
 
 from oracles import (whole_array_average_pairs, whole_array_mu_delta,
-                     whole_array_on_quotients, whole_array_stirling)
+                     whole_array_on_quotients, whole_array_prefix,
+                     whole_array_stirling)
 
 _B = _accum._BLOCK
 SIZES = [1, _B - 1, _B, _B + 1, 10 ** 6 + 7, 100.5]
@@ -42,12 +46,12 @@ def test_mu_delta_sum_equals_whole_array_form(x, kind, weight, a):
     n = math.floor(x)
     if a is None:
         slope = 2.0 * constants().gamma - 1.0
-        prefix = asymptotics._prefix(TAU, n)
+        prefix = whole_array_prefix(sieve_values(TAU, n), n)
 
         def smooth(y):
             return y * np.log(y) + slope * y
     else:
-        prefix = asymptotics._prefix(sigma_pow(a), n)
+        prefix = whole_array_prefix(sieve_values(sigma_pow(a), n), n)
 
         def smooth(y):
             return asymptotics._sigma_a_smooth(y, a)
@@ -69,10 +73,98 @@ def test_on_quotients_equals_whole_array_form(x):
 @pytest.mark.parametrize("f, g", [(G.ID, G.MU), (G.PHI, G.ONE)])
 def test_average_weights_equal_whole_array_form(x, f, g):
     n = math.floor(x)
-    args = (sieve_values(f, n), sieve_values(g, n),
-            G.log_factorial_table(n).rho, sieve_values(LOG, n), n)
-    assert _same_pairs(identities._average_pairs(*args),
-                       whole_array_average_pairs(*args))
+    fv, gv, rho = (sieve_values(f, n), sieve_values(g, n),
+                   G.log_factorial_table(n).rho)
+    assert _same_pairs(identities._average_pairs(fv, gv, rho, n),
+                       whole_array_average_pairs(fv, gv, rho,
+                                                 sieve_values(LOG, n), n))
+
+
+# each statistic's spec at a = -0.5 and whether its terms are divided by m
+# (over_n) and weighted by log(m/e) (log_ratio), as ``_statistics`` defines it
+_A = -0.5
+_PHI_M1 = jordan(-1.0)
+_STATISTIC_SUMS = {
+    "id_phi": (convolve(ID, PHI), True, False),
+    "phi_phi": (convolve(PHI, PHI), True, False),
+    "idpow_phi": (convolve(id_pow(1 + _A), PHI), True, False),
+    "jordan_phi": (convolve(jordan(1 + _A), PHI), True, False),
+    "divisor_log": (DIVISOR_LOG, True, False),
+    "sigma_logne": (SIGMA, True, True),
+    "power_sum": (id_pow(_A), False, False),
+    "jordan_over_n": (jordan(1 + _A), True, False),
+    "sigma_minus1": (sigma_pow(-1.0), True, False),
+    "phi_over_n": (PHI, True, False),
+    "tau_over_n": (TAU, True, False),
+    "sigma_over_n": (SIGMA, True, False),
+    "id_lambda": (convolve(ID, VON_MANGOLDT), True, False),
+    "phi_lambda": (convolve(PHI, VON_MANGOLDT), True, False),
+    "idpow_lambda": (convolve(id_pow(1 + _A), VON_MANGOLDT), True, False),
+    "jordan_lambda": (convolve(jordan(1 + _A), VON_MANGOLDT), True, False),
+    "id_jordan_m1": (convolve(ID, _PHI_M1), True, False),
+    "phi_jordan_m1": (convolve(PHI, _PHI_M1), True, False),
+    "idpow_jordan_m1": (convolve(id_pow(1 + _A), _PHI_M1), True, False),
+    "jordan_jordan_m1": (convolve(jordan(1 + _A), _PHI_M1), True, False),
+}
+
+
+def _statistic(name):
+    spec, over_n, log_ratio = _STATISTIC_SUMS[name]
+    t = asymptotics.STATISTICS[name]
+    a = _A if t.needs_a else None
+
+    def got(n):
+        exact, remainder = t.parts(float(n), a)
+        assert remainder == 0.0
+        return exact
+
+    return got, lambda n: float(
+        whole_array_prefix(sieve_values(spec, n), n, over_n, log_ratio)[n])
+
+
+def _delta(n):
+    gamma = constants().gamma
+    p = whole_array_prefix(sieve_values(TAU, n), n)
+    return float(p[n]) - (n * math.log(n) + (2.0 * gamma - 1.0) * n)
+
+
+def _delta_a(n):
+    p = whole_array_prefix(sieve_values(sigma_pow(_A), n), n)
+    return float(p[n]) - float(asymptotics._sigma_a_smooth(float(n), _A))
+
+
+def _delta_integral(n):
+    # both step sums, of tau(m) and of m tau(m), from whole-array prefixes
+    t = whole_array_prefix(sieve_values(TAU, n), n)[n]
+    nt = whole_array_prefix(
+        sieve_values(pointwise_pow_spec(TAU, 1.0), n), n)[n]
+    slope = 2.0 * constants().gamma - 1.0
+
+    def smooth(y):
+        return 0.5 * y * y * math.log(y) - 0.25 * y * y + 0.5 * slope * y * y
+
+    step = n * float(t) - float(nt)
+    return (step - (smooth(n) - smooth(1.0))) / n
+
+
+_EXACT_SIDES = {
+    "divisor_delta": (asymptotics.divisor_delta, _delta),
+    "divisor_delta_a": (lambda n: asymptotics.divisor_delta_a(n, _A), _delta_a),
+    "delta_integral_ratio": (asymptotics.delta_integral_ratio,
+                             _delta_integral),
+}
+_PREFIX_N = [300_000, 123_456, _B + 1, _B, _B - 1, 4097, 1024, 999, 1]
+
+
+@pytest.mark.parametrize("side", sorted(asymptotics.STATISTICS)
+                         + sorted(_EXACT_SIDES))
+def test_exact_side_equals_whole_array_prefix(side):
+    got, want = (_EXACT_SIDES[side] if side in _EXACT_SIDES
+                 else _statistic(side))
+    for n in _PREFIX_N:
+        if side == "delta_integral_ratio" and n < 2:
+            continue  # X >= 2
+        assert got(n) == want(n), n
 
 
 @pytest.mark.parametrize("x", SIZES)
@@ -98,6 +190,9 @@ _STAGES = {
     "mu_delta_sum_a": (lambda: asymptotics.mu_delta_sum(_N, "mu", -0.5), 2, 6),
     "on_quotients": (lambda: _accum.on_quotients(_VALUES, _N), 0, 5),
     "apostol_log_average_terms": (_terms, 0, 10),
+    "statistic_exact_side": (
+        lambda: asymptotics.summatory("sigma_logne", _N), 0, 6),
+    "delta_integral_ratio": (lambda: asymptotics.delta_integral_ratio(_N), 0, 7),
     # the result, two rows of n + 1 entries
     "stirling_build": (lambda: stirling._build_arrays(_N), 2, 8),
 }

@@ -1,9 +1,9 @@
-"""The one capacity cache behind ``sieve_values``, the scan prefixes and
-the Stirling table.
+"""The one capacity cache behind ``sieve_values`` and the Stirling table.
 
 Each key keeps its largest array; a smaller request must get a slice
 equal by bytes to a direct build at the smaller size, so a scan's values
-do not depend on the order its points are evaluated in.
+do not depend on the order its points are evaluated in.  Prefix sums are
+not cached: a scan keeps only the sieves it reads and the Stirling rows.
 """
 
 import numpy as np
@@ -44,16 +44,21 @@ def test_sieve_slice_after_large_request(fresh_cache, text):
         assert _same_bytes(small, tables._sieve_values(spec, n)), n
 
 
-@pytest.mark.parametrize("spec, over_n, log_ratio", [
-    (G.TAU, False, False), (G.SIGMA, True, True),
-    (G.convolve(G.ID, G.PHI), True, False)])
-def test_prefix_slice_equals_fresh_build(fresh_cache, spec, over_n, log_ratio):
-    asymptotics._prefix(spec, 300_000, over_n, log_ratio)
-    for n in (1, 999, 1024, 4097, 123_456, 300_000):
-        got = asymptotics._prefix(spec, n, over_n, log_ratio)
-        want = asymptotics._prefix_build(spec, over_n, log_ratio, n)
-        assert not got.flags.writeable
-        assert _same_bytes(got, want), n
+_GRID = asymptotics.standard_grid(1e3, 1e5, 3)
+
+
+@pytest.mark.parametrize("run, specs, stirling", [
+    (lambda: asymptotics.residual_scan("id-log-avg", _GRID),
+     [G.PHI, G.ONE, G.MU, G.TAU], True),
+    (lambda: asymptotics.residual_scan("id_phi", _GRID),
+     [G.convolve(G.ID, G.PHI), G.MU, G.TAU], False),
+    (lambda: [asymptotics.delta_integral_ratio(x) for x in _GRID],
+     [G.TAU], False)], ids=["id-log-avg", "id_phi", "delta_integral_ratio"])
+def test_cache_holds_only_what_a_scan_reads(fresh_cache, run, specs, stirling):
+    run()
+    want = {("sieve", spec) for spec in specs} | ({"stirling"} if stirling
+                                                  else set())
+    assert set(tables._grown) == want
 
 
 def test_cache_keeps_largest_array_per_key(fresh_cache):
@@ -76,9 +81,9 @@ def test_one_capacity_rule(n, capacity):
 
 
 def test_capacity_capped_for_every_table(fresh_cache):
-    # the prefix and the sieve under it stop at MAX_SIEVE, not at 2^24
-    asymptotics._prefix(G.TAU, 9_000_000)
-    assert len(tables._grown[("prefix", G.TAU, False, False)]) == MAX_SIEVE + 1
+    # the sieve stops at MAX_SIEVE, not at 2^24, and no prefix is cached
+    asymptotics.divisor_delta(9_000_000)
+    assert list(tables._grown) == [("sieve", G.TAU)]
     assert len(tables._grown[("sieve", G.TAU)]) == MAX_SIEVE + 1
     _clear()
     G.log_factorial_table(3000)

@@ -131,6 +131,10 @@ def test_parse_error_exit_2(capsys):
         ["scan", "--target", "tau-log-avg", "--grid", "1e3,abc"],
         ["scan", "--target", "tau-log-avg", "--grid", "geom:1e3,1e4,x"],
         ["series", "--K", "10,abc"],
+        ["series", "--which", "identity", "--s", "nan", "--K", "10"],
+        ["series", "--which", "identity", "--s", "inf", "--K", "10"],
+        ["series", "--which", "bracket", "--f", "id", "--s", "inf", "--K", "10"],
+        ["series", "--which", "mu-report", "--s", "inf", "--K", "10"],
         ["delta", "--which", "series", "--a", "-0.5", "--K", "10,z"],
         ["identity", "--which", "apostol", "--kmax", "0"],
         ["identity", "--which", "toth", "--kmax", "0"],

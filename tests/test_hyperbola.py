@@ -7,16 +7,14 @@ kernel must stay within a few ulps of longdouble oracles.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import gcdsums as G
-from gcdsums import _accum, asymptotics, series
+from gcdsums import _accum, series
 from gcdsums.identities import identity_sum_table
 from gcdsums.stirling import log_factorial_table
-from gcdsums.tables import TAU, sieve_values
 
 from oracles import series_lhs_longdouble, six_term_longdouble
 
@@ -28,27 +26,10 @@ _BOUNDARY_N = sorted({m for r in range(1, 41)
 @pytest.mark.parametrize("length", [1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1,
                                     10 ** 6 + 7])
 def test_cumsum_extended_matches_one_longdouble_cumsum(length):
-    v = np.random.default_rng(length).standard_normal(length) * 1e3
-    want = np.cumsum(v.astype(np.longdouble)).astype(np.float64)
-    out = np.full(length, np.nan)
-    assert _accum.cumsum_extended(v, out=out) is out
-    assert out.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("log_ratio,over_n,factor", [
-    (False, False, 1.5),   # the result, one longdouble block and slack
-    (True, True, 4.0),     # plus one weighted copy and its log temporary
-])
-def test_prefix_build_peak_memory(log_ratio, over_n, factor):
-    n = 2 ** 20
-    sieve_values(TAU, n)           # cached before the measurement
-    tracemalloc.start()
-    try:
-        out = asymptotics._prefix_build(TAU, over_n, log_ratio, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < factor * out.nbytes
+    v = np.random.default_rng(length).standard_normal(length + 1) * 1e3
+    sums = np.cumsum(v[1:].astype(np.longdouble)).astype(np.float64)
+    want = np.append(0.0, sums)
+    assert _accum.prefix_with_zero(v).tobytes() == want.tobytes()
 
 
 def _brute_pair_sum(w: list[int], c: list[int], n: int) -> int:
