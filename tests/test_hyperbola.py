@@ -7,14 +7,16 @@ kernel must stay within a few ulps of longdouble oracles.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import gcdsums as G
-from gcdsums import _accum, series
+from gcdsums import _accum, asymptotics, series
 from gcdsums.identities import identity_sum_table
 from gcdsums.stirling import log_factorial_table
+from gcdsums.tables import TAU, sieve_values
 
 from oracles import series_lhs_longdouble, six_term_longdouble
 
@@ -30,6 +32,31 @@ def test_cumsum_extended_matches_one_longdouble_cumsum(length):
     sums = np.cumsum(v[1:].astype(np.longdouble)).astype(np.float64)
     want = np.append(0.0, sums)
     assert _accum.prefix_with_zero(v).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("log_ratio,over_n,factor", [
+    (False, False, 1.5),   # the plain tau sum
+    (True, True, 4.0),     # weighted by log(m/e) and divided by m
+])
+def test_prefix_build_peak_memory(log_ratio, over_n, factor):
+    """The blocked prefix pass stays below the bound the full-length
+    prefix build it replaced was held to: factor n-length arrays."""
+    n = 2 ** 20
+
+    def weigh(v, m):
+        if log_ratio:
+            v = v * (np.log(m) - 1.0)
+        return np.divide(v, m, out=m) if over_n else v
+
+    sieve_values(TAU, n)           # cached before the measurement
+    tracemalloc.start()
+    try:
+        (_, hi), = asymptotics._quotient_sums(TAU, n, weigh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(hi[0])
+    assert peak < factor * 8 * (n + 1)
 
 
 def _brute_pair_sum(w: list[int], c: list[int], n: int) -> int:
