@@ -60,10 +60,11 @@ def quotient_prefixes(weights, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     iterable of arrays (a generator forms them one at a time); it is
     called once per block of ``_BLOCK`` covering 1..n, in ascending
     order.  Each weight's running sums are chained with ``running_sum``
-    and sampled at the quotients of n as its blocks pass, so the pass
-    holds a block or two and 2 (isqrt(n) + 1) floats per pair, never an
-    n-length array.  The pairs equal ``prefix_with_zero`` sampled at the
-    quotients, bit for bit.
+    and sampled at the quotients of n as its blocks pass; a block and its
+    sums are released before the next one is formed, so the pass holds
+    one weight's block, its longdouble sums and 2 (isqrt(n) + 1) floats
+    per pair, never an n-length array.  The pairs equal
+    ``prefix_with_zero`` sampled at the quotients, bit for bit.
     """
     r = math.isqrt(n)
     # hi's positions n // d for d = r..1 and n itself (d = 0), ascending
@@ -82,6 +83,7 @@ def quotient_prefixes(weights, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
             if start <= r:
                 lo[start:r + 1] = sums[:r + 1 - start]
             hi_reversed[i:j] = sums[at[i:j] - start]
+            del block, sums  # before the next block is formed
     return [(lo, hi_reversed[::-1].copy()) for lo, hi_reversed in pairs]
 
 

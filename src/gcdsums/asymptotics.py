@@ -77,11 +77,39 @@ def top_down(fn, xs) -> list:
 # divisor-problem remainders
 
 
+def _tau_prefixes(n: int) -> list:
+    """The ``on_quotients`` pairs at n of tau(m) and of m tau(m), by the
+    integer hyperbola: with s = isqrt(v) and T(u) = u (u + 1) / 2,
+
+        D(v) = sum_{m<=v} tau(m)   = 2 sum_{i<=s} floor(v/i) - s^2,
+        S(v) = sum_{m<=v} m tau(m) = 2 sum_{i<=s} i T(floor(v/i)) - T(s)^2,
+
+    in int64 at the 2 isqrt(n) + 1 quotients, O(n^(3/4)) work and no
+    sieve.  Every partial sum up to ``MAX_SIEVE`` is an integer below
+    2^53, so its float64 equals the longdouble prefix of the tau sieve.
+    """
+    r = math.isqrt(n)
+    # the points of hi (n // d for d = 1..r) then of lo (r..0): descending
+    v = np.concatenate((n // np.arange(1, r + 1), np.arange(r, -1, -1)))
+    squares = np.arange(1, r + 1) ** 2
+    d_sum, s_sum = np.zeros_like(v), np.zeros_like(v)
+    # the points with i <= isqrt(v), i.e. v >= i^2, are a prefix of v
+    for i, k in enumerate(np.searchsorted(-v, -squares, side="right"), 1):
+        q = v[:k] // i
+        d_sum[:k] += q
+        s_sum[:k] += i * (q * (q + 1) // 2)
+    s = np.searchsorted(squares, v, side="right")  # isqrt(v)
+    t = s * (s + 1) // 2
+    return [(p[r:][::-1].astype(np.float64),
+             np.concatenate((p[:1], p[:r])).astype(np.float64))
+            for p in (2 * d_sum - s * s, 2 * s_sum - t * t)]
+
+
 def divisor_delta(x: float) -> float:
     """Delta(x) = sum_{n<=x} tau(n) - (x log x + (2 gamma - 1) x)."""
     n = _cut(x)
     gamma = constants().gamma
-    _, hi = on_quotients(sieve_values(TAU, n), n)
+    (_, hi), _ = _tau_prefixes(n)
     return float(hi[0]) - (x * math.log(x) + (2.0 * gamma - 1.0) * x)
 
 
@@ -94,8 +122,7 @@ def delta_integral_ratio(big_x: float) -> float:
     require(big_x >= 2.0, "X must be >= 2")
     n = _cut(big_x)
     gamma = constants().gamma
-    (_, t), (_, nt) = _quotient_sums(TAU, n, lambda v, m: v,
-                                     lambda v, m: v * m)
+    (_, t), (_, nt) = _tau_prefixes(n)
     step_integral = big_x * float(t[0]) - float(nt[0])
 
     def smooth_antiderivative(y: float) -> float:
@@ -157,26 +184,26 @@ def mu_delta_sum(x: float, kind: str, a: float | None = None,
     6.6e-10 (mu) and 3.9e-9 (mu*mu) relative to a longdouble oracle at
     x = 1e6, against 1.4e-11 and 2.6e-11 per term.
 
-    Peak memory: the cached sieves it reads plus two n-length float64
-    arrays, the terms' weights and Delta values, filled a block of
-    ``_accum._BLOCK`` at a time and summed by one dot.
+    Peak memory: the cached sieves it reads (the weight, and sigma_a with
+    ``a``; Delta's tau prefix comes from ``_tau_prefixes``, no sieve) plus
+    two n-length float64 arrays, the terms' weights and Delta values,
+    filled a block of ``_accum._BLOCK`` at a time and summed by one dot.
     """
     if kind not in _WEIGHT_SPECS:
         raise DomainError(f"unknown weight kind {kind!r}")
     n = _cut(x)
     if a is None:
-        spec = TAU
+        (p_lo, p_hi), _ = _tau_prefixes(n)
         slope = 2.0 * constants().gamma - 1.0
 
         def smooth(y):
             return y * np.log(y) + slope * y
     else:
         a = _require_a(a)
-        spec = sigma_pow(a)
+        p_lo, p_hi = on_quotients(sieve_values(sigma_pow(a), n), n)
 
         def smooth(y):
             return _sigma_a_smooth(y, a)
-    p_lo, p_hi = on_quotients(sieve_values(spec, n), n)
     r = len(p_lo) - 1
     wv = sieve_values(_WEIGHT_SPECS[kind], n)
     w, deltas = np.empty(n), np.empty(n)
@@ -450,8 +477,9 @@ def _scan_targets() -> dict[str, Target]:
         def parts(x, a):
             n = _cut(x)
             f_spec, g_spec = pair(a)
-            dec = apostol_log_average_terms(sieve(f_spec, n), sieve(g_spec, n),
-                                            x)
+            f, g = (None if spec == ONE else sieve(spec, n)
+                    for spec in (f_spec, g_spec))  # 1 is formed per block
+            dec = apostol_log_average_terms(f, g, x)
             return dec.total, dec.remainder_term if stirling else 0.0
 
         return Target(name, parts, _target_main(name),
@@ -594,8 +622,7 @@ def tau_gcd_log_avg_routes(x: float) -> tuple[float, float]:
     tau/n) plus the decomposition's exact Stirling remainder.  The routes
     share only that remainder, which the tests pin to a log-gamma oracle.
     """
-    one = sieve(ONE, _cut(x))
-    dec = apostol_log_average_terms(one, one, x)
+    dec = apostol_log_average_terms(None, None, x)  # f = g = 1
     s1 = summatory("sigma_logne", x)[0]
     s2 = 0.5 * summatory("divisor_log", x)[0]
     s3 = LOG_SQRT_2PI * summatory("tau_over_n", x)[0]

@@ -49,10 +49,11 @@ import numpy as np
 from ._accum import (dot, fsum, hyperbola_sum, prefix_with_zero,
                      quotient_prefixes)
 from .errors import DomainError, require
-from .stirling import log_factorial_table
-from .tables import (LOG, MU, ONE, PHI, VON_MANGOLDT, FunctionSpec,
+from .stirling import log_factorial_row, rho_row
+from .tables import (LOG, MAX_SIEVE, MU, ONE, PHI, VON_MANGOLDT, FunctionSpec,
                      FunctionTable, _convolve_values, _divisor_pair_sum,
-                     convolve, divisor_lists, divisors_of, sieve_values)
+                     _sieve_values, convolve, divisor_lists, divisors_of,
+                     sieve_values)
 from .zeta import LOG_SQRT_2PI
 
 
@@ -174,7 +175,7 @@ def apostol_log_sum_direct(f: FunctionTable, g: FunctionTable, k: int) -> float:
 def apostol_log_sum(f: FunctionTable, g: FunctionTable, k: int) -> float:
     """sum_{j<=k} s_k(j) log j through the exact log-factorial identity."""
     _check_tables(f, g, k)
-    lf = log_factorial_table(k).log_factorial
+    lf = log_factorial_row(k)
     return _apostol_identity(f.values, g.values, lf, k, {k: divisors_of(k)})
 
 
@@ -195,7 +196,7 @@ def toth_identity(k: int) -> tuple[float, float]:
     D = {m: [d for d in divs if m % d == 0] for m in divs}
     return _toth_sides(sieve_values(MU, k), sieve_values(LOG, k),
                        sieve_values(VON_MANGOLDT, k),
-                       log_factorial_table(k).log_factorial, k, D)
+                       log_factorial_row(k), k, D)
 
 
 def cesaro_identity(f: FunctionTable, k: int) -> tuple[float, float]:
@@ -220,7 +221,7 @@ def apostol_audits(f: FunctionTable, g: FunctionTable, kmax: int):
     _check_tables(f, g, kmax)
     D, logs = divisor_lists(kmax), sieve_values(LOG, kmax)
     fv, gv = f.values[:kmax + 1].tolist(), g.values[:kmax + 1].tolist()
-    lf = log_factorial_table(kmax).log_factorial.tolist()
+    lf = log_factorial_row(kmax).tolist()
     return _batch(lambda k: (_apostol_direct(fv, gv, logs, k, D),
                              _apostol_identity(fv, gv, lf, k, D)), D)
 
@@ -230,7 +231,7 @@ def toth_audits(kmax: int):
     D, logs = divisor_lists(kmax), sieve_values(LOG, kmax)
     mu = sieve_values(MU, kmax).astype(np.int64).tolist()
     lam = sieve_values(VON_MANGOLDT, kmax)
-    lf = log_factorial_table(kmax).log_factorial
+    lf = log_factorial_row(kmax)
     return _batch(lambda k: _toth_sides(mu, logs, lam, lf, k, D), D)
 
 
@@ -276,20 +277,28 @@ def identity_sum_table(fv: np.ndarray, gv: np.ndarray,
 def apostol_log_average(f: FunctionTable, g: FunctionTable, x: float) -> float:
     """sum_{k<=x} u(k)/k with u through the identity path."""
     n = _cut(x, min(f.n_max, g.n_max))
-    lf = log_factorial_table(n).log_factorial
+    lf = log_factorial_row(n)
     u = identity_sum_table(f.values, g.values, lf, n)
     k = np.arange(1, n + 1, dtype=np.float64)
     return dot(u[1:], 1.0 / k)
 
 
-def _average_pairs(fv: np.ndarray, gv: np.ndarray, rho: np.ndarray,
-                   n: int) -> list:
+def _block(values: np.ndarray | None, lo: int, hi: int) -> np.ndarray:
+    """values[lo:hi], or for values None (the constant 1) a block of ones,
+    which makes the same products as a slice of the ONE sieve."""
+    return np.ones(hi - lo) if values is None else values[lo:hi]
+
+
+def _average_pairs(fv: np.ndarray | None, gv: np.ndarray | None,
+                   rho: np.ndarray, n: int) -> list:
     """The ``on_quotients`` pairs of the six-term expansion's weights at n:
     g-side g, g log, g log/l, g/l, g rho/l and |g|/l^2, then f-side f/d,
-    f log d/d and |f|/d, each formed a block at a time, one after another."""
+    f log d/d and |f|/d, each formed a block at a time, one after another.
+    fv or gv given as None is the constant 1, formed a block at a time."""
     def weights(lo, hi):
         l = np.arange(lo, hi, dtype=np.float64)
-        g, lg = gv[lo:hi], np.log(l)  # equal to the LOG sieve bit for bit
+        g = _block(gv, lo, hi)
+        lg = np.log(l)  # equal to the LOG sieve bit for bit
         inv = np.divide(1.0, l, out=l)
         gi = g * inv
         yield g
@@ -298,7 +307,7 @@ def _average_pairs(fv: np.ndarray, gv: np.ndarray, rho: np.ndarray,
         yield gi
         yield gi * rho[lo:hi]
         yield np.abs(gi) * inv
-        w = fv[lo:hi] * inv
+        w = _block(fv, lo, hi) * inv
         yield w
         yield w * lg
         yield np.abs(w)
@@ -306,18 +315,22 @@ def _average_pairs(fv: np.ndarray, gv: np.ndarray, rho: np.ndarray,
     return quotient_prefixes(weights, n)
 
 
-def apostol_log_average_terms(f: FunctionTable, g: FunctionTable,
+def apostol_log_average_terms(f: FunctionTable | None,
+                              g: FunctionTable | None,
                               x: float) -> AverageDecomposition:
     """Exact six-term expansion of ``apostol_log_average`` over d*l <= x,
     one ``hyperbola_sum`` of an f-side and a g-side weight per term.
+    f or g given as None is the constant 1, which is then never sieved.
 
-    Peak memory: the cached tables it reads (f, g and the Stirling rows)
-    plus a few blocks of ``_accum._BLOCK``; no n-length array is formed.
+    Peak memory: the cached tables it reads (f and g where given, and the
+    Stirling rho row) plus a few blocks of ``_accum._BLOCK``; no n-length
+    array is formed.
     """
-    n = _cut(x, min(f.n_max, g.n_max))
-    rho = log_factorial_table(n).rho
+    n = _cut(x, min((t.n_max for t in (f, g) if t is not None),
+                    default=MAX_SIEVE))
+    fv, gv = (None if t is None else t.values for t in (f, g))
     cg, cg_log, cg_log_over, cg_over, cg_rho, cg_abs, fw, fw_log, fw_abs = (
-        _average_pairs(f.values, g.values, rho, n))
+        _average_pairs(fv, gv, rho_row(n), n))
 
     return AverageDecomposition(
         x=float(x),
@@ -345,7 +358,7 @@ def gcd_log_average(f: FunctionTable, x: float) -> float:
     since sum_{d | gcd} (f*mu)(d) = f(gcd); same identity path underneath.
     """
     n = _cut(x, f.n_max)
-    one = FunctionTable(ONE, n, sieve_values(ONE, n))
+    one = FunctionTable(ONE, n, _sieve_values(ONE, n))  # not cached
     return apostol_log_average(_with_mu(f, n), one, x)
 
 
@@ -354,8 +367,7 @@ def gcd_log_average_terms(f: FunctionTable, x: float) -> AverageDecomposition:
     terms gives sum (f*phi)(n)/n log(n/e), the fourth is
     (1/2) sum (f*Lambda)(n)/n and the fifth log sqrt(2 pi) sum f(n)/n."""
     n = _cut(x, f.n_max)
-    one = FunctionTable(ONE, n, sieve_values(ONE, n))
-    return apostol_log_average_terms(_with_mu(f, n), one, x)
+    return apostol_log_average_terms(_with_mu(f, n), None, x)
 
 
 def cesaro_average(f: FunctionTable, x: float) -> tuple[float, float]:

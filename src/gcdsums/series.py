@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import dot, hyperbola_sum, on_quotients
+from ._accum import dot, hyperbola_sum, quotient_prefixes
 from .errors import require
-from .stirling import THETA_HI, THETA_LO, log_factorial_table
-from .tables import (LOG, MU, ONE, FunctionTable, abscissa,
-                     dirichlet_convolve, sieve, sieve_values)
+from .stirling import THETA_HI, THETA_LO, log_factorial_row
+from .tables import (MU, ONE, FunctionTable, abscissa, dirichlet_convolve,
+                     sieve)
 from .zeta import LOG_SQRT_2PI, constants
 
 # coefficient of the (1 + log K)^2 / K^(s-2) truncation allowance; the
@@ -60,8 +60,9 @@ class ThetaBracket:
         return self.lo <= self.lhs <= self.hi
 
 
-def _powers(k_max: int, s: float) -> np.ndarray:
-    return np.arange(1, k_max + 1, dtype=np.float64) ** (-s)
+def _powers(lo: int, hi: int, s: float) -> np.ndarray:
+    """l^-s for l = lo..hi-1."""
+    return np.arange(lo, hi, dtype=np.float64) ** (-s)
 
 
 def dirichlet_partial_sum(f: FunctionTable, s: float, k_max: int,
@@ -72,7 +73,7 @@ def dirichlet_partial_sum(f: FunctionTable, s: float, k_max: int,
     """
     require(k_max >= 1, "K must be >= 1")
     require(k_max <= f.n_max, f"K={k_max} beyond table range {f.n_max}")
-    vals = f.values[1:k_max + 1] * _powers(k_max, s)
+    vals = f.values[1:k_max + 1] * _powers(1, k_max + 1, s)
     if log_weight:
         vals = vals * np.log(np.arange(1, k_max + 1, dtype=np.float64))
     return float(np.sum(vals))
@@ -82,24 +83,36 @@ def log_factorial_partial_sum(g: FunctionTable, s: float, k_max: int) -> float:
     """sum_{k<=K} g(k) L(k) / k^s with exact L(k) = log k!."""
     require(k_max >= 1, "K must be >= 1")
     require(k_max <= g.n_max, f"K={k_max} beyond table range {g.n_max}")
-    lf = log_factorial_table(k_max).log_factorial
-    return dot(g.values[1:k_max + 1] * lf[1:k_max + 1], _powers(k_max, s))
+    lf = log_factorial_row(k_max)
+    return dot(g.values[1:k_max + 1] * lf[1:k_max + 1],
+               _powers(1, k_max + 1, s))
 
 
 def _u_partial_sum(f: FunctionTable, g: FunctionTable, s: float,
                    k_max: int) -> float:
     """sum_{k<=K} u(k) k^-s as the hyperbola sums over d*l <= K of
-    (f(d) log d d^-s) (g(l) l^(1-s)) + (f(d) d^-s) (g(l) L(l) l^-s)."""
-    lf = log_factorial_table(k_max).log_factorial[:k_max + 1]
-    logs = sieve_values(LOG, k_max)
-    fv, gv = f.values[:k_max + 1], g.values[:k_max + 1]
+    (f(d) log d d^-s) (g(l) l^(1-s)) + (f(d) d^-s) (g(l) L(l) l^-s).
 
-    def weighted(values, power):
-        return on_quotients(np.append(0.0, values[1:] * _powers(k_max, power)),
-                            k_max)
+    The four weights are formed a block of ``_accum._BLOCK`` at a time,
+    with the products and powers of the whole-K forms, so the peak is the
+    cached tables it reads (f, g and the log l! row) plus a few blocks; no
+    K-length array is formed.
+    """
+    lf = log_factorial_row(k_max)
+    fv, gv = f.values, g.values
 
-    return (hyperbola_sum(weighted(fv * logs, s), weighted(gv, s - 1.0))
-            + hyperbola_sum(weighted(fv, s), weighted(gv * lf, s)))
+    def weights(lo, hi):
+        # log l equals the LOG sieve, and the powers _powers(1, K + 1, .),
+        # bit for bit
+        lg = np.log(np.arange(lo, hi, dtype=np.float64))
+        p = _powers(lo, hi, s)
+        yield fv[lo:hi] * lg * p
+        yield gv[lo:hi] * _powers(lo, hi, s - 1.0)
+        yield fv[lo:hi] * p
+        yield gv[lo:hi] * lf[lo:hi] * p
+
+    w_log, c_id, w, c_lf = quotient_prefixes(weights, k_max)
+    return hyperbola_sum(w_log, c_id) + hyperbola_sum(w, c_lf)
 
 
 def series_identity_compare(f: FunctionTable, g: FunctionTable, s: float,

@@ -26,11 +26,13 @@ with x = 1/(2l-1) is a positive fast-converging series.
 log_factorial itself is a plain extended-precision cumulative sum of
 log m, so identity checks elsewhere reuse one consistent L(l) array.
 
-Entry l depends on nothing past max(l, _MIN_CAPACITY), so L and rho share
-the tables' capacity cache as the two rows of one array, and a request
-gets read-only slices that equal a direct build bit for bit.  approx and
-theta are derived from l and rho when read; the package itself reads only
-L and rho.
+Entry l depends on nothing past max(l, _MIN_CAPACITY), so L and rho live
+in the tables' capacity cache, and a request gets read-only slices that
+equal a direct build bit for bit.  Neither row reads the other, so each
+has its own key: the scans read rho alone (``rho_row``), the per-k audits
+and the Dirichlet series L alone (``log_factorial_row``), and
+``log_factorial_table`` is the public view of both.  approx and theta are
+derived from l and rho when read; the package itself reads only L and rho.
 """
 
 from __future__ import annotations
@@ -139,6 +141,28 @@ def _rho_below_seed() -> np.ndarray:
     return rho
 
 
+def _fill_log_factorial(row: np.ndarray) -> None:
+    """row[l] = L(l) for l = 0..len(row) - 1, as running longdouble sums
+    of log l, a block of ``_BLOCK`` at a time."""
+    total = np.longdouble(0.0)
+    for lo in range(1, len(row), _BLOCK):
+        hi = min(lo + _BLOCK, len(row))
+        sums = running_sum(np.log(np.arange(lo, hi, dtype=np.float64)), total)
+        row[lo:hi] = sums
+        total = sums[-1]
+
+
+def _fill_rho(row: np.ndarray) -> None:
+    """row[l] = rho(l) for l = 1..len(row) - 1: the backward recurrence
+    below _MIN_CAPACITY and the remainder series a block at a time from
+    there on."""
+    seed = _MIN_CAPACITY
+    row[1:seed] = _rho_below_seed()[:len(row) - 1]
+    for lo in range(seed, len(row), _BLOCK):
+        hi = min(lo + _BLOCK, len(row))
+        row[lo:hi] = _remainder_series(np.arange(lo, hi))
+
+
 def _build_arrays(l_max: int) -> np.ndarray:
     """Rows L and rho of l = 0..l_max, both zero at l = 0.
 
@@ -148,18 +172,8 @@ def _build_arrays(l_max: int) -> np.ndarray:
     longdouble arrays.
     """
     out = np.zeros((2, l_max + 1))
-    log_factorial, rho = out
-    total = np.longdouble(0.0)
-    for lo in range(1, l_max + 1, _BLOCK):
-        hi = min(lo + _BLOCK, l_max + 1)
-        sums = running_sum(np.log(np.arange(lo, hi, dtype=np.float64)), total)
-        log_factorial[lo:hi] = sums
-        total = sums[-1]
-    seed = _MIN_CAPACITY
-    rho[1:seed] = _rho_below_seed()[:l_max]
-    for lo in range(seed, l_max + 1, _BLOCK):
-        hi = min(lo + _BLOCK, l_max + 1)
-        rho[lo:hi] = _remainder_series(np.arange(lo, hi))
+    _fill_log_factorial(out[0])
+    _fill_rho(out[1])
     return out
 
 
@@ -170,9 +184,30 @@ def _build(l_max: int) -> StirlingTable:
     return StirlingTable(l_max, *arrays)
 
 
-def log_factorial_table(l_max: int) -> StirlingTable:
-    """Table of L(l), approx(l), rho(l), theta(l) for l = 1..l_max."""
+def _cached_row(name: str, fill, l_max: int) -> np.ndarray:
+    """Entries 0..l_max of the row that ``fill`` writes, read-only, from
+    the cache key ("stirling", name)."""
     require(l_max >= 1, "l_max must be >= 1")
     l_max = int(l_max)
-    a = _capacity_cached("stirling", l_max, _build_arrays)
-    return StirlingTable(l_max, a[0, :l_max + 1], a[1, :l_max + 1])
+
+    def build(capacity):
+        row = np.zeros(capacity + 1)
+        fill(row)
+        return row
+
+    return _capacity_cached(("stirling", name), l_max, build)[:l_max + 1]
+
+
+def log_factorial_row(l_max: int) -> np.ndarray:
+    """L(l) for l = 0..l_max, read-only; builds no rho."""
+    return _cached_row("log_factorial", _fill_log_factorial, l_max)
+
+
+def rho_row(l_max: int) -> np.ndarray:
+    """rho(l) for l = 0..l_max, read-only; builds no L."""
+    return _cached_row("rho", _fill_rho, l_max)
+
+
+def log_factorial_table(l_max: int) -> StirlingTable:
+    """Table of L(l), approx(l), rho(l), theta(l) for l = 1..l_max."""
+    return StirlingTable(int(l_max), log_factorial_row(l_max), rho_row(l_max))

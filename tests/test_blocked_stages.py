@@ -1,11 +1,14 @@
 """The blocked O(x) stages of a scan against their whole-array forms.
 
 ``mu_delta_sum``, the prefix sums at the quotients (``on_quotients``, the
-six-term weights of ``apostol_log_average_terms`` and the exact sides of the
-statistics and the Delta diagnostics) and the Stirling build work a block
-of ``_accum._BLOCK`` at a time.  Each must give the bytes of the whole-array
-form in ``oracles`` at sizes around the block edge, and peak at the cached
-tables it reads plus its declared count of n-length arrays and a few blocks.
+six-term weights of ``apostol_log_average_terms``, the Dirichlet series'
+weights and the exact sides of the statistics and the Delta diagnostics)
+and the Stirling rows work a block of ``_accum._BLOCK`` at a time.  Each
+must give the bytes of the whole-array form in ``oracles`` at sizes around
+the block edge, and peak at the cached tables it reads plus its declared
+count of n-length arrays and a few blocks.  The constant 1 formed per block
+must equal the ONE sieve, and tau's prefixes by the integer hyperbola the
+tau sieve's, by bytes.
 """
 
 import math
@@ -13,17 +16,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gcdsums as G
-from gcdsums import _accum, asymptotics, identities, stirling
-from gcdsums.tables import (DIVISOR_LOG, ID, LOG, MU, PHI, SIGMA, TAU,
+from gcdsums import _accum, asymptotics, identities, series, stirling, tables
+from gcdsums.tables import (DIVISOR_LOG, ID, LOG, MU, ONE, PHI, SIGMA, TAU,
                             VON_MANGOLDT, convolve, id_pow, jordan,
                             pointwise_pow_spec, sieve_values, sigma_pow)
 from gcdsums.zeta import constants
 
 from oracles import (whole_array_average_pairs, whole_array_mu_delta,
                      whole_array_on_quotients, whole_array_prefix,
-                     whole_array_stirling)
+                     whole_array_rho, whole_array_stirling)
 
 _B = _accum._BLOCK
 SIZES = [1, _B - 1, _B, _B + 1, 10 ** 6 + 7, 100.5]
@@ -78,6 +83,63 @@ def test_average_weights_equal_whole_array_form(x, f, g):
     assert _same_pairs(identities._average_pairs(fv, gv, rho, n),
                        whole_array_average_pairs(fv, gv, rho,
                                                  sieve_values(LOG, n), n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=3 * _B + 7))
+def test_average_weights_with_one_per_block_equal_one_sieve(n):
+    fv, one = sieve_values(PHI, n), sieve_values(ONE, n)
+    rho = stirling.rho_row(n)
+    assert _same_pairs(identities._average_pairs(fv, None, rho, n),
+                       identities._average_pairs(fv, one, rho, n))
+    assert _same_pairs(identities._average_pairs(None, None, rho, n),
+                       identities._average_pairs(one, one, rho, n))
+
+
+# perfect squares (1, 4, 1024, 10^6) and the block and capacity edges
+_TAU_N = [1, 2, 3, 4, 5, 1023, 1024, 1025, 999_999, 10 ** 6, 3_000_017,
+          9_999_991, 10 ** 7]
+
+
+@pytest.fixture(scope="module")
+def tau_values():
+    return tables._sieve_values(TAU, max(_TAU_N))  # not cached
+
+
+@pytest.mark.parametrize("n", _TAU_N)
+def test_tau_prefixes_equal_tau_sieve_prefixes(tau_values, n):
+    d_pair, s_pair = asymptotics._tau_prefixes(n)
+    assert _same_pairs([d_pair], [whole_array_on_quotients(tau_values, n)])
+    m_tau = tau_values[:n + 1] * np.arange(n + 1)
+    assert _same_pairs([s_pair], [whole_array_on_quotients(m_tau, n)])
+
+
+@pytest.mark.parametrize("k", [1, 7, _B - 1, _B, _B + 1, 3 * _B + 5])
+@pytest.mark.parametrize("s", [3.0, 4.0])
+def test_blocked_powers_equal_whole_array_powers(k, s):
+    for e in (s, s - 1.0):
+        whole = np.arange(1, k + 1, dtype=np.float64) ** (-e)
+        blocks = [series._powers(lo, min(lo + _B, k + 1), e)
+                  for lo in range(1, k + 1, _B)]
+        assert _same_bytes(np.concatenate(blocks), whole)
+
+
+@pytest.mark.parametrize("k", [1, 7, _B - 1, _B, _B + 1, 3 * _B + 5])
+@pytest.mark.parametrize("f, g, s", [(ID, MU, 3.0), (PHI, ONE, 4.0)])
+def test_u_partial_sum_equals_whole_array_form(k, f, g, s):
+    ft, gt = G.sieve(f, k), G.sieve(g, k)
+    lf, logs = whole_array_stirling(k)[0], sieve_values(LOG, k)
+
+    def pair(values, e):
+        # the whole-K weight, as the series formed it before the blocking
+        whole = values[1:k + 1] * np.arange(1, k + 1, dtype=np.float64) ** (-e)
+        return whole_array_on_quotients(np.append(0.0, whole), k)
+
+    want = (_accum.hyperbola_sum(pair(ft.values * logs, s),
+                                 pair(gt.values, s - 1.0))
+            + _accum.hyperbola_sum(pair(ft.values, s),
+                                   pair(gt.values * lf, s)))
+    assert series._u_partial_sum(ft, gt, s, k) == want
 
 
 # each statistic's spec at a = -0.5 and whether its terms are divided by m
@@ -173,6 +235,18 @@ def test_stirling_build_equals_whole_array_form(x):
     assert _same_bytes(stirling._build_arrays(n), whole_array_stirling(n))
 
 
+@pytest.mark.parametrize("x", SIZES)
+def test_each_stirling_row_equals_whole_array_form(x):
+    # each row from its own cache key, built without the other row
+    n = math.floor(x)
+    both = stirling._build_arrays(n)
+    rho, lf = stirling.rho_row(n), stirling.log_factorial_row(n)
+    assert _same_bytes(rho, whole_array_rho(n).astype(np.float64))
+    assert _same_bytes(rho, both[1])
+    assert _same_bytes(lf, whole_array_stirling(n)[0])
+    assert _same_bytes(lf, both[0])
+
+
 # peaks at n = 2^18, where one block is a quarter of an n-length array:
 # stage -> (call, its declared n-length float64 arrays, float64 blocks
 # allowed besides); a first call fills the caches the stage reads
@@ -185,14 +259,22 @@ def _terms():
     return identities.apostol_log_average_terms(f, g, float(_N))
 
 
+def _u_sum():
+    f, g = G.sieve(G.ID, _N), G.sieve(G.MU, _N)
+    return series._u_partial_sum(f, g, 3.0, _N)
+
+
 _STAGES = {
     "mu_delta_sum": (lambda: asymptotics.mu_delta_sum(_N, "mu"), 2, 6),
     "mu_delta_sum_a": (lambda: asymptotics.mu_delta_sum(_N, "mu", -0.5), 2, 6),
-    "on_quotients": (lambda: _accum.on_quotients(_VALUES, _N), 0, 5),
+    "on_quotients": (lambda: _accum.on_quotients(_VALUES, _N), 0, 3),
     "apostol_log_average_terms": (_terms, 0, 10),
+    "u_partial_sum": (_u_sum, 0, 6),
     "statistic_exact_side": (
-        lambda: asymptotics.summatory("sigma_logne", _N), 0, 6),
-    "delta_integral_ratio": (lambda: asymptotics.delta_integral_ratio(_N), 0, 7),
+        lambda: asymptotics.summatory("sigma_logne", _N), 0, 4),
+    # tau's prefixes at the quotients: O(isqrt(n)) entries, no sieve
+    "delta_integral_ratio": (
+        lambda: asymptotics.delta_integral_ratio(_N), 0, 1),
     # the result, two rows of n + 1 entries
     "stirling_build": (lambda: stirling._build_arrays(_N), 2, 8),
 }

@@ -1,16 +1,19 @@
-"""The one capacity cache behind ``sieve_values`` and the Stirling table.
+"""The one capacity cache behind ``sieve_values`` and the Stirling rows.
 
 Each key keeps its largest array; a smaller request must get a slice
 equal by bytes to a direct build at the smaller size, so a scan's values
-do not depend on the order its points are evaluated in.  Prefix sums are
-not cached: a scan keeps only the sieves it reads and the Stirling rows.
+do not depend on the order its points are evaluated in.  A scan caches
+only the n-length arrays it reads: its f and weight sieves and the rho
+row.  Prefix sums are not cached, g = 1 is formed per block, the log l!
+row is built only for the per-k audits and the series, and tau's prefix
+at the quotients comes from the integer hyperbola, not a sieve.
 """
 
 import numpy as np
 import pytest
 
 import gcdsums as G
-from gcdsums import asymptotics, tables
+from gcdsums import asymptotics, stirling, tables
 from gcdsums.tables import MAX_SIEVE, parse_spec
 
 
@@ -49,15 +52,15 @@ _GRID = asymptotics.standard_grid(1e3, 1e5, 3)
 
 @pytest.mark.parametrize("run, specs, stirling", [
     (lambda: asymptotics.residual_scan("id-log-avg", _GRID),
-     [G.PHI, G.ONE, G.MU, G.TAU], True),
+     [G.PHI, G.MU], True),
     (lambda: asymptotics.residual_scan("id_phi", _GRID),
-     [G.convolve(G.ID, G.PHI), G.MU, G.TAU], False),
+     [G.convolve(G.ID, G.PHI), G.MU], False),
     (lambda: [asymptotics.delta_integral_ratio(x) for x in _GRID],
-     [G.TAU], False)], ids=["id-log-avg", "id_phi", "delta_integral_ratio"])
+     [], False)], ids=["id-log-avg", "id_phi", "delta_integral_ratio"])
 def test_cache_holds_only_what_a_scan_reads(fresh_cache, run, specs, stirling):
     run()
-    want = {("sieve", spec) for spec in specs} | ({"stirling"} if stirling
-                                                  else set())
+    want = {("sieve", spec) for spec in specs} | ({("stirling", "rho")}
+                                                  if stirling else set())
     assert set(tables._grown) == want
 
 
@@ -81,13 +84,20 @@ def test_one_capacity_rule(n, capacity):
 
 
 def test_capacity_capped_for_every_table(fresh_cache):
-    # the sieve stops at MAX_SIEVE, not at 2^24, and no prefix is cached
-    asymptotics.divisor_delta(9_000_000)
+    # the sieve stops at MAX_SIEVE, not at 2^24
+    tables.sieve_values(G.TAU, 9_000_000)
     assert list(tables._grown) == [("sieve", G.TAU)]
     assert len(tables._grown[("sieve", G.TAU)]) == MAX_SIEVE + 1
     _clear()
+    # each Stirling row on its own key, at the same capacity
+    stirling.rho_row(3000)
+    assert list(tables._grown) == [("stirling", "rho")]
+    stirling.log_factorial_row(3000)
     G.log_factorial_table(3000)
-    assert tables._grown["stirling"].shape == (2, 4096 + 1)
+    assert list(tables._grown) == [("stirling", "rho"),
+                                   ("stirling", "log_factorial")]
+    for row in tables._grown.values():
+        assert row.shape == (4096 + 1,)
 
 
 @pytest.mark.parametrize("target, a", [("id_phi", None), ("sigma_logne", None),
