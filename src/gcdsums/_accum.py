@@ -36,6 +36,12 @@ def running_sum(block: np.ndarray, total) -> np.ndarray:
     return np.cumsum(sums, out=sums)
 
 
+def block_of(values: np.ndarray | None, lo: int, hi: int) -> np.ndarray:
+    """values[lo:hi], or for values None (the constant 1) a block of ones,
+    which makes the same products as a slice of the ONE sieve."""
+    return np.ones(hi - lo) if values is None else values[lo:hi]
+
+
 def prefix_with_zero(values: np.ndarray) -> np.ndarray:
     """Prefix sums P with P[0] = 0 and P[m] = values[1] + ... + values[m],
     in extended precision, holding one block of ``_BLOCK`` at a time.

@@ -105,11 +105,22 @@ def _tau_prefixes(n: int) -> list:
             for p in (2 * d_sum - s * s, 2 * s_sum - t * t)]
 
 
+def _delta_prefixes(n: int, a: float | None):
+    """(the ``on_quotients`` pair at n, smooth part on arrays) of Delta's
+    divisor sum: tau by ``_tau_prefixes`` for a None, else sigma_a."""
+    if a is None:
+        slope = 2.0 * constants().gamma - 1.0
+        return _tau_prefixes(n)[0], lambda y: y * np.log(y) + slope * y
+    a = _require_a(a)
+    return (on_quotients(sieve_values(sigma_pow(a), n), n),
+            lambda y: _sigma_a_smooth(y, a))
+
+
 def divisor_delta(x: float) -> float:
     """Delta(x) = sum_{n<=x} tau(n) - (x log x + (2 gamma - 1) x)."""
-    n = _cut(x)
+    (_, hi), _ = _delta_prefixes(_cut(x), None)
     gamma = constants().gamma
-    (_, hi), _ = _tau_prefixes(n)
+    # math.log, not the smooth part's np.log, which rounds a few x otherwise
     return float(hi[0]) - (x * math.log(x) + (2.0 * gamma - 1.0) * x)
 
 
@@ -150,9 +161,8 @@ def divisor_delta_a(x: float, a: float) -> float:
     """Delta_a(x) = sum_{n<=x} sigma_a(n) - (zeta(1-a) x
     + zeta(1+a) x^(1+a)/(1+a) - zeta(-a)/2), for -1 < a < 0."""
     a = _require_a(a)
-    n = _cut(x)
-    _, hi = on_quotients(sieve_values(sigma_pow(a), n), n)
-    return float(hi[0]) - float(_sigma_a_smooth(x, a))
+    (_, hi), smooth = _delta_prefixes(_cut(x), a)
+    return float(hi[0]) - float(smooth(x))
 
 
 def divisor_delta_a_series(x: float, a: float, n_terms: int) -> float:
@@ -185,25 +195,14 @@ def mu_delta_sum(x: float, kind: str, a: float | None = None,
     x = 1e6, against 1.4e-11 and 2.6e-11 per term.
 
     Peak memory: the cached sieves it reads (the weight, and sigma_a with
-    ``a``; Delta's tau prefix comes from ``_tau_prefixes``, no sieve) plus
+    ``a``; ``_delta_prefixes`` forms tau's prefix without a sieve) plus
     two n-length float64 arrays, the terms' weights and Delta values,
     filled a block of ``_accum._BLOCK`` at a time and summed by one dot.
     """
     if kind not in _WEIGHT_SPECS:
         raise DomainError(f"unknown weight kind {kind!r}")
     n = _cut(x)
-    if a is None:
-        (p_lo, p_hi), _ = _tau_prefixes(n)
-        slope = 2.0 * constants().gamma - 1.0
-
-        def smooth(y):
-            return y * np.log(y) + slope * y
-    else:
-        a = _require_a(a)
-        p_lo, p_hi = on_quotients(sieve_values(sigma_pow(a), n), n)
-
-        def smooth(y):
-            return _sigma_a_smooth(y, a)
+    (p_lo, p_hi), smooth = _delta_prefixes(n, a)
     r = len(p_lo) - 1
     wv = sieve_values(_WEIGHT_SPECS[kind], n)
     w, deltas = np.empty(n), np.empty(n)
@@ -259,10 +258,10 @@ class Target:
     ``parts(x, a)`` gives (exact, stirling_remainder): the exact side and
     the exactly computed component that the main term's Stirling slot
     stands for (0.0 where the main term has no slot).  ``main(x, a,
-    theta)`` is the displayed main term with the slot at theta.  The
-    mu-weighted Delta correction sums ``weight`` against Delta (Delta_a
-    with ``delta_a``), times log(x/e) with ``log_factor``.  A log average
-    keeps its (f, g) specs in ``pair(a)``; a statistic leaves it None.
+    theta)`` is the displayed main term with the slot at theta.  A log
+    average keeps its (f, g) specs in ``pair(a)``; a statistic leaves it
+    None.  The mu-weighted Delta correction sums ``weight`` against Delta
+    (Delta_a where ``needs_a``), times log(x/e) for a log average.
     """
 
     name: str
@@ -271,16 +270,14 @@ class Target:
     normalizer: Normalizer
     needs_a: bool = False
     weight: str | None = None       # mu-weighted Delta correction kind
-    delta_a: bool = False           # correction uses Delta_a
-    log_factor: bool = True         # correction carries log(x/e)
     pair: object = None             # callable a -> (f, g) specs, or None
 
     def correction(self, x: float, a: float | None) -> float:
         """The mu-weighted Delta correction at x (0.0 where there is none)."""
         if self.weight is None:
             return 0.0
-        return mu_delta_sum(x, self.weight, a if self.delta_a else None,
-                            log_factor=self.log_factor)
+        return mu_delta_sum(x, self.weight, a if self.needs_a else None,
+                            log_factor=self.pair is not None)
 
 
 def _stat_main(stat_name):
@@ -376,16 +373,15 @@ def _statistics() -> dict[str, Target]:
             (_, hi), = _quotient_sums(spec_at(a), _cut(x), weigh)
             return float(hi[0]), 0.0
 
-        return Target(name, parts, lambda x, a, theta: main(x, a), norm,
-                      log_factor=False, **kw)
+        return Target(name, parts, lambda x, a, theta: main(x, a), norm, **kw)
 
     defs = [
         stat("id_phi", convolve(ID, PHI), norm=log(1), weight="mu"),
         stat("phi_phi", convolve(PHI, PHI), norm=log(2), weight="mu_star_mu"),
         stat("idpow_phi", lambda a: convolve(id_pow(1 + a), PHI),
-             needs_a=True, weight="mu", delta_a=True),
+             needs_a=True, weight="mu"),
         stat("jordan_phi", lambda a: convolve(jordan(1 + a), PHI), norm=log(2),
-             needs_a=True, weight="mu_star_mu", delta_a=True),
+             needs_a=True, weight="mu_star_mu"),
         stat("divisor_log", DIVISOR_LOG, norm=log(1)),
         stat("sigma_logne", SIGMA, norm=log(5 / 3), log_ratio=True),
         stat("power_sum", id_pow, over_n=False,
@@ -492,9 +488,9 @@ def _scan_targets() -> dict[str, Target]:
         target("phi-log-avg", lambda a: (convolve(PHI, MU), ONE), 3,
                weight="mu_star_mu"),
         target("idpow-log-avg", lambda a: (jordan(1 + a), ONE), 1,
-               needs_a=True, weight="mu", delta_a=True),
+               needs_a=True, weight="mu"),
         target("jordan-log-avg", lambda a: (convolve(jordan(1 + a), MU), ONE),
-               3, needs_a=True, weight="mu_star_mu", delta_a=True),
+               3, needs_a=True, weight="mu_star_mu"),
     ]
     return {t.name: t for t in defs}
 

@@ -46,14 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import (dot, fsum, hyperbola_sum, prefix_with_zero,
+from ._accum import (block_of, dot, fsum, hyperbola_sum, prefix_with_zero,
                      quotient_prefixes)
 from .errors import DomainError, require
 from .stirling import log_factorial_row, rho_row
-from .tables import (LOG, MAX_SIEVE, MU, ONE, PHI, VON_MANGOLDT, FunctionSpec,
+from .tables import (LOG, MAX_SIEVE, MU, PHI, VON_MANGOLDT, FunctionSpec,
                      FunctionTable, _convolve_values, _divisor_pair_sum,
-                     _sieve_values, convolve, divisor_lists, divisors_of,
-                     sieve_values)
+                     convolve, divisor_lists, divisors_of, sieve_values)
 from .zeta import LOG_SQRT_2PI
 
 
@@ -164,19 +163,24 @@ def _cesaro_sides(fv: np.ndarray, phi, k: int, D) -> tuple[float, float]:
             fsum(fv[d] * phi[k // d] for d in D[k]))
 
 
+def _divisor_map(k: int) -> dict[int, list[int]]:
+    """D[m] = the divisors of m, ascending, for each m | k."""
+    divs = divisors_of(k)
+    return {m: [d for d in divs if m % d == 0] for m in divs}
+
+
 def apostol_log_sum_direct(f: FunctionTable, g: FunctionTable, k: int) -> float:
     """Brute-force sum_{j<=k} s_k(j) log j over every j; the oracle path."""
     _check_tables(f, g, k)
-    divs = divisors_of(k)
-    D = {m: [d for d in divs if m % d == 0] for m in divs}
-    return _apostol_direct(f.values, g.values, sieve_values(LOG, k), k, D)
+    return _apostol_direct(f.values, g.values, sieve_values(LOG, k), k,
+                           _divisor_map(k))
 
 
 def apostol_log_sum(f: FunctionTable, g: FunctionTable, k: int) -> float:
     """sum_{j<=k} s_k(j) log j through the exact log-factorial identity."""
     _check_tables(f, g, k)
     lf = log_factorial_row(k)
-    return _apostol_identity(f.values, g.values, lf, k, {k: divisors_of(k)})
+    return _apostol_identity(f.values, g.values, lf, k, _divisor_map(k))
 
 
 def log_sum_audit(f: FunctionTable, g: FunctionTable, k: int) -> GcdSumResult:
@@ -192,19 +196,16 @@ def toth_identity(k: int) -> tuple[float, float]:
     rhs = Lambda(k) + sum_{d|k} (mu(d)/d) log d!
     """
     require(k >= 1, "k must be >= 1")
-    divs = divisors_of(k)
-    D = {m: [d for d in divs if m % d == 0] for m in divs}
     return _toth_sides(sieve_values(MU, k), sieve_values(LOG, k),
                        sieve_values(VON_MANGOLDT, k),
-                       log_factorial_row(k), k, D)
+                       log_factorial_row(k), k, _divisor_map(k))
 
 
 def cesaro_identity(f: FunctionTable, k: int) -> tuple[float, float]:
     """sum_{j<=k} f(gcd(j,k)) against (f*phi)(k)."""
     require(k >= 1, "k must be >= 1")
     require(k <= f.n_max, f"k={k} outside table range {f.n_max}")
-    return _cesaro_sides(f.values, sieve_values(PHI, k), k,
-                         {k: divisors_of(k)})
+    return _cesaro_sides(f.values, sieve_values(PHI, k), k, _divisor_map(k))
 
 
 def _batch(kernel, D):
@@ -246,27 +247,30 @@ def cesaro_audits(f: FunctionTable, kmax: int):
 # summatory averages
 
 
-def _cut(x: float, n_max: int) -> int:
+def _cut(x: float, *tables: FunctionTable | None) -> int:
+    """floor(x) within every table's range; None (the constant 1) has none."""
     require(x >= 1.0, "x must be >= 1")
     n = int(math.floor(x))
+    n_max = min((t.n_max for t in tables if t is not None), default=MAX_SIEVE)
     require(n <= n_max, f"x={x} beyond table range {n_max}")
     return n
 
 
-def identity_sum_table(fv: np.ndarray, gv: np.ndarray,
+def identity_sum_table(fv: np.ndarray, gv: np.ndarray | None,
                        log_fact: np.ndarray, n: int) -> np.ndarray:
     """u(k) for all k <= n via the identity, as one divisor-pair sum.
 
     u(k) = sum_{d*l = k} (f(d) log d) (g(l) l) + f(d) (g(l) log l!), summed
     in ascending d by the same split loop as the convolution sieves.  The
     per-d log is ``math.log``, as in the plain divisor loop this replaced;
-    ``np.log`` rounds a few arguments differently.  Reference only: it
-    serves the per-k ``apostol_log_average``; summatory values and the
-    series partial sums are hyperbola sums over d*l <= n instead.
+    ``np.log`` rounds a few arguments differently; gv None is 1.  Reference
+    only: it serves the per-k ``apostol_log_average``; summatory values
+    and the series partial sums are hyperbola sums over d*l <= n instead.
     """
     larr = np.arange(n + 1, dtype=np.float64)
-    g_id = gv[:n + 1] * larr
-    g_lf = gv[:n + 1] * log_fact[:n + 1]
+    g = block_of(gv, 0, n + 1)
+    g_id = g * larr
+    g_lf = g * log_fact[:n + 1]
     f_log = np.zeros(n + 1)
     f_log[1:] = fv[1:n + 1] * np.fromiter(map(math.log, range(1, n + 1)),
                                           dtype=np.float64, count=n)
@@ -274,19 +278,14 @@ def identity_sum_table(fv: np.ndarray, gv: np.ndarray,
         fv, n, lambda d, l: f_log[d] * g_id[l] + fv[d] * g_lf[l])
 
 
-def apostol_log_average(f: FunctionTable, g: FunctionTable, x: float) -> float:
-    """sum_{k<=x} u(k)/k with u through the identity path."""
-    n = _cut(x, min(f.n_max, g.n_max))
+def apostol_log_average(f: FunctionTable, g: FunctionTable | None,
+                        x: float) -> float:
+    """sum_{k<=x} u(k)/k with u through the identity path; g None is 1."""
+    n = _cut(x, f, g)
     lf = log_factorial_row(n)
-    u = identity_sum_table(f.values, g.values, lf, n)
+    u = identity_sum_table(f.values, None if g is None else g.values, lf, n)
     k = np.arange(1, n + 1, dtype=np.float64)
     return dot(u[1:], 1.0 / k)
-
-
-def _block(values: np.ndarray | None, lo: int, hi: int) -> np.ndarray:
-    """values[lo:hi], or for values None (the constant 1) a block of ones,
-    which makes the same products as a slice of the ONE sieve."""
-    return np.ones(hi - lo) if values is None else values[lo:hi]
 
 
 def _average_pairs(fv: np.ndarray | None, gv: np.ndarray | None,
@@ -297,7 +296,7 @@ def _average_pairs(fv: np.ndarray | None, gv: np.ndarray | None,
     fv or gv given as None is the constant 1, formed a block at a time."""
     def weights(lo, hi):
         l = np.arange(lo, hi, dtype=np.float64)
-        g = _block(gv, lo, hi)
+        g = block_of(gv, lo, hi)
         lg = np.log(l)  # equal to the LOG sieve bit for bit
         inv = np.divide(1.0, l, out=l)
         gi = g * inv
@@ -307,7 +306,7 @@ def _average_pairs(fv: np.ndarray | None, gv: np.ndarray | None,
         yield gi
         yield gi * rho[lo:hi]
         yield np.abs(gi) * inv
-        w = _block(fv, lo, hi) * inv
+        w = block_of(fv, lo, hi) * inv
         yield w
         yield w * lg
         yield np.abs(w)
@@ -326,8 +325,7 @@ def apostol_log_average_terms(f: FunctionTable | None,
     Stirling rho row) plus a few blocks of ``_accum._BLOCK``; no n-length
     array is formed.
     """
-    n = _cut(x, min((t.n_max for t in (f, g) if t is not None),
-                    default=MAX_SIEVE))
+    n = _cut(x, f, g)
     fv, gv = (None if t is None else t.values for t in (f, g))
     cg, cg_log, cg_log_over, cg_over, cg_rho, cg_abs, fw, fw_log, fw_abs = (
         _average_pairs(fv, gv, rho_row(n), n))
@@ -357,16 +355,15 @@ def gcd_log_average(f: FunctionTable, x: float) -> float:
     Evaluated exactly as the (f*mu, 1) case of ``apostol_log_average``,
     since sum_{d | gcd} (f*mu)(d) = f(gcd); same identity path underneath.
     """
-    n = _cut(x, f.n_max)
-    one = FunctionTable(ONE, n, _sieve_values(ONE, n))  # not cached
-    return apostol_log_average(_with_mu(f, n), one, x)
+    n = _cut(x, f)
+    return apostol_log_average(_with_mu(f, n), None, x)
 
 
 def gcd_log_average_terms(f: FunctionTable, x: float) -> AverageDecomposition:
     """Exact expansion of ``gcd_log_average``; grouping the first three
     terms gives sum (f*phi)(n)/n log(n/e), the fourth is
     (1/2) sum (f*Lambda)(n)/n and the fifth log sqrt(2 pi) sum f(n)/n."""
-    n = _cut(x, f.n_max)
+    n = _cut(x, f)
     return apostol_log_average_terms(_with_mu(f, n), None, x)
 
 
@@ -375,7 +372,7 @@ def cesaro_average(f: FunctionTable, x: float) -> tuple[float, float]:
 
     lhs is the double loop, rhs is sum_{n<=x} (f*phi)(n)/n.
     """
-    n = _cut(x, f.n_max)
+    n = _cut(x, f)
     lhs_terms = np.empty(n)
     for k, divs in enumerate(divisor_lists(n)[1:], 1):
         lhs_terms[k - 1] = _gather_by_gcd(f.values, divs, k).sum() / k

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import dot, hyperbola_sum, quotient_prefixes
+from ._accum import block_of, dot, hyperbola_sum, quotient_prefixes
 from .errors import require
+from .identities import _with_mu
 from .stirling import THETA_HI, THETA_LO, log_factorial_row
-from .tables import (MU, ONE, FunctionTable, abscissa, dirichlet_convolve,
-                     sieve)
+from .tables import FunctionTable, abscissa
 from .zeta import LOG_SQRT_2PI, constants
 
 # coefficient of the (1 + log K)^2 / K^(s-2) truncation allowance; the
@@ -88,28 +88,29 @@ def log_factorial_partial_sum(g: FunctionTable, s: float, k_max: int) -> float:
                _powers(1, k_max + 1, s))
 
 
-def _u_partial_sum(f: FunctionTable, g: FunctionTable, s: float,
+def _u_partial_sum(f: FunctionTable, g: FunctionTable | None, s: float,
                    k_max: int) -> float:
     """sum_{k<=K} u(k) k^-s as the hyperbola sums over d*l <= K of
     (f(d) log d d^-s) (g(l) l^(1-s)) + (f(d) d^-s) (g(l) L(l) l^-s).
 
-    The four weights are formed a block of ``_accum._BLOCK`` at a time,
-    with the products and powers of the whole-K forms, so the peak is the
-    cached tables it reads (f, g and the log l! row) plus a few blocks; no
-    K-length array is formed.
+    g given as None is the constant 1.  The four weights are formed a
+    block of ``_accum._BLOCK`` at a time, with the products and powers of
+    the whole-K forms, so the peak is the cached tables it reads (f, g and
+    the log l! row) plus a few blocks; no K-length array is formed.
     """
     lf = log_factorial_row(k_max)
-    fv, gv = f.values, g.values
+    fv, gv = f.values, None if g is None else g.values
 
     def weights(lo, hi):
         # log l equals the LOG sieve, and the powers _powers(1, K + 1, .),
         # bit for bit
         lg = np.log(np.arange(lo, hi, dtype=np.float64))
         p = _powers(lo, hi, s)
+        g = block_of(gv, lo, hi)
         yield fv[lo:hi] * lg * p
-        yield gv[lo:hi] * _powers(lo, hi, s - 1.0)
+        yield g * _powers(lo, hi, s - 1.0)
         yield fv[lo:hi] * p
-        yield gv[lo:hi] * lf[lo:hi] * p
+        yield g * lf[lo:hi] * p
 
     w_log, c_id, w, c_lf = quotient_prefixes(weights, k_max)
     return hyperbola_sum(w_log, c_id) + hyperbola_sum(w, c_lf)
@@ -135,6 +136,14 @@ def _tail_allowance(s: float, k_max: int) -> float:
     return _TAIL_COEFF * (1.0 + math.log(k_max)) ** 2 * k_max ** (2.0 - s)
 
 
+def _zetas(s: float) -> tuple[float, float, float, float, float]:
+    """zeta(s), zeta'(s), zeta(s-1), zeta'(s-1) and zeta(s+1), the values
+    both closed forms read."""
+    C = constants()
+    return (C.zeta(s), C.zeta_prime(s), C.zeta(s - 1.0),
+            C.zeta_prime(s - 1.0), C.zeta(s + 1.0))
+
+
 def series_theta_bracket(f: FunctionTable, s: float, k_max: int) -> ThetaBracket:
     """Truncated U_{f*mu,1}(s) against its zeta closed form bracket.
 
@@ -148,19 +157,11 @@ def series_theta_bracket(f: FunctionTable, s: float, k_max: int) -> ThetaBracket
             f"s={s} too small for the bracket, or not finite")
     require(k_max >= 1, "K must be >= 1")
     require(k_max <= f.n_max, "K beyond table range")
-    C = constants()
-    mu = sieve(MU, f.n_max)
-    fmu = dirichlet_convolve(f, mu)
-    one = sieve(ONE, f.n_max)
-    lhs = _u_partial_sum(fmu, one, s, k_max)
+    lhs = _u_partial_sum(_with_mu(f, f.n_max), None, s, k_max)
 
     big_f = dirichlet_partial_sum(f, s, k_max)
     big_f_prime = -dirichlet_partial_sum(f, s, k_max, log_weight=True)
-    z = C.zeta(s)
-    zp = C.zeta_prime(s)
-    zm1 = C.zeta(s - 1.0)
-    zpm1 = C.zeta_prime(s - 1.0)
-    zp1 = C.zeta(s + 1.0)
+    z, zp, zm1, zpm1, zp1 = _zetas(s)
 
     def rhs(theta: float) -> float:
         return ((big_f * zp - big_f_prime * z) * zm1 / z ** 2
@@ -211,13 +212,8 @@ def mu_series_report(s: float, k_max: int, id_table: FunctionTable,
                      mu_table: FunctionTable) -> MuSeriesReport:
     """Compare truncated U_{id,mu}(s) against both closed-form candidates."""
     require(2.0 < s < math.inf, "the id,mu series needs a finite s > 2")
-    C = constants()
     lhs = _u_partial_sum(id_table, mu_table, s, k_max)
-    z = C.zeta(s)
-    zp = C.zeta_prime(s)
-    zm1 = C.zeta(s - 1.0)
-    zpm1 = C.zeta_prime(s - 1.0)
-    zp1 = C.zeta(s + 1.0)
+    z, zp, zm1, zpm1, zp1 = _zetas(s)
     head = lambda theta: (zm1 * zp / (2.0 * z ** 2) + LOG_SQRT_2PI * zm1 / z
                           + theta * zm1 / zp1)
     constant_tail = -1.0

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import gcdsums as G
-from gcdsums.asymptotics import (SCAN_TARGETS, STATISTICS, divisor_delta,
-                                 divisor_delta_a, divisor_delta_a_series,
+from gcdsums.asymptotics import (SCAN_TARGETS, STATISTICS, calibrate,
+                                 divisor_delta, divisor_delta_a,
+                                 divisor_delta_a_series,
                                  delta_integral_ratio, exact_value,
-                                 limit_ratio, main_term, mu_delta_sum,
-                                 residual_scan, standard_grid, summatory,
-                                 tau_gcd_log_avg_routes)
+                                 limit_ratio, load_calibration, main_term,
+                                 mu_delta_sum, residual_scan, standard_grid,
+                                 summatory, tau_gcd_log_avg_routes,
+                                 write_calibration)
 from gcdsums.errors import DomainError
 
 from oracles import naive_value
@@ -187,7 +189,7 @@ def test_residual_scan_single_point_composition():
         scan = residual_scan(name, [x], a)
         exact = exact_value(name, x, a)
         main = main_term(name, x, a)
-        corr = (mu_delta_sum(x, t.weight, a if t.delta_a else None,
+        corr = (mu_delta_sum(x, t.weight, a if t.needs_a else None,
                              log_factor=log_average) if t.weight else 0.0)
         rem = 0.0
         if log_average and main_term(name, x, a, theta=1 / 12) != main:
@@ -260,3 +262,22 @@ def test_standard_grid_integer_ascending():
     assert list(grid.astype(int)) == [1000, 3162, 10000, 31623, 100000,
                                       316228, 1000000]
     assert np.all(np.diff(grid) > 0)
+
+
+def test_calibrate_rows_round_trip_through_a_file(tmp_path):
+    frozen = G.asymptotics.default_calibration_path().read_bytes()
+    rows = calibrate(grid=[1e3, 4e3])
+    keys = [(name, a_text) for name, a_text, _ in rows]
+    assert keys == [("tau-log-avg", ""), ("ramanujan-log-avg", ""),
+                    ("id-log-avg", ""), ("phi-log-avg", ""),
+                    ("idpow-log-avg", "-0.5"), ("jordan-log-avg", "-0.5"),
+                    ("delta-integral-ratio", ""), ("sigma_minus1", "")]
+    values = [float(value) for *_, value in rows]
+    assert all(math.isfinite(v) and v > 0.0 for v in values)
+    path = tmp_path / "calibration.txt"
+    write_calibration(rows, path)
+    loaded = load_calibration(path)
+    assert list(loaded) == keys
+    assert [loaded[key].hex() for key in keys] == [v.hex() for v in values]
+    # the frozen file is read, never written
+    assert G.asymptotics.default_calibration_path().read_bytes() == frozen

@@ -7,7 +7,8 @@ and the Stirling rows work a block of ``_accum._BLOCK`` at a time.  Each
 must give the bytes of the whole-array form in ``oracles`` at sizes around
 the block edge, and peak at the cached tables it reads plus its declared
 count of n-length arrays and a few blocks.  The constant 1 formed per block
-must equal the ONE sieve, and tau's prefixes by the integer hyperbola the
+(in the six-term weights, the series and the per-k reference) must equal
+the ONE sieve, and tau's prefixes by the integer hyperbola the
 tau sieve's, by bytes.
 """
 
@@ -94,6 +95,17 @@ def test_average_weights_with_one_per_block_equal_one_sieve(n):
                        identities._average_pairs(fv, one, rho, n))
     assert _same_pairs(identities._average_pairs(None, None, rho, n),
                        identities._average_pairs(one, one, rho, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, _B - 1, _B, _B + 1])
+def test_series_and_per_k_reference_with_one_equal_one_sieve(n):
+    fmu, one = G.sieve(convolve(PHI, MU), n), G.sieve(ONE, n)
+    assert (series._u_partial_sum(fmu, None, 3.5, n)
+            == series._u_partial_sum(fmu, one, 3.5, n))
+    lf = stirling.log_factorial_row(n)
+    assert _same_bytes(identities.identity_sum_table(fmu.values, None, lf, n),
+                       identities.identity_sum_table(fmu.values, one.values,
+                                                     lf, n))
 
 
 # perfect squares (1, 4, 1024, 10^6) and the block and capacity edges

@@ -6,7 +6,9 @@ do not depend on the order its points are evaluated in.  A scan caches
 only the n-length arrays it reads: its f and weight sieves and the rho
 row.  Prefix sums are not cached, g = 1 is formed per block, the log l!
 row is built only for the per-k audits and the series, and tau's prefix
-at the quotients comes from the integer hyperbola, not a sieve.
+at the quotients comes from the integer hyperbola, not a sieve.  The
+series bracket caches f, mu and the log l! row: its f*mu is built from
+f and mu, and its g = 1 is formed per block too.
 """
 
 import numpy as np
@@ -50,17 +52,21 @@ def test_sieve_slice_after_large_request(fresh_cache, text):
 _GRID = asymptotics.standard_grid(1e3, 1e5, 3)
 
 
-@pytest.mark.parametrize("run, specs, stirling", [
+@pytest.mark.parametrize("run, specs, rows", [
     (lambda: asymptotics.residual_scan("id-log-avg", _GRID),
-     [G.PHI, G.MU], True),
+     [G.PHI, G.MU], ["rho"]),
     (lambda: asymptotics.residual_scan("id_phi", _GRID),
-     [G.convolve(G.ID, G.PHI), G.MU], False),
+     [G.convolve(G.ID, G.PHI), G.MU], []),
     (lambda: [asymptotics.delta_integral_ratio(x) for x in _GRID],
-     [], False)], ids=["id-log-avg", "id_phi", "delta_integral_ratio"])
-def test_cache_holds_only_what_a_scan_reads(fresh_cache, run, specs, stirling):
+     [], []),
+    (lambda: G.series_theta_bracket(G.sieve(G.ID, 10 ** 5), 3.0, 10 ** 5),
+     [G.ID, G.MU], ["log_factorial"])],
+    ids=["id-log-avg", "id_phi", "delta_integral_ratio",
+         "series_theta_bracket"])
+def test_cache_holds_only_what_a_scan_reads(fresh_cache, run, specs, rows):
     run()
-    want = {("sieve", spec) for spec in specs} | ({("stirling", "rho")}
-                                                  if stirling else set())
+    want = ({("sieve", spec) for spec in specs}
+            | {("stirling", row) for row in rows})
     assert set(tables._grown) == want
 
 
