@@ -32,16 +32,10 @@ from ._accum import _BLOCK, dot, on_quotients, quotient_prefixes
 from .errors import DomainError, require
 from .identities import apostol_log_average_terms
 from .stirling import THETA_HI, THETA_LO
-from .tables import (DIVISOR_LOG, ID, MAX_SIEVE, MU, ONE, PHI, SIGMA, TAU,
-                     VON_MANGOLDT, FunctionSpec, convolve, id_pow, jordan,
-                     sieve, sieve_values, sigma_pow)
+from .tables import (DIVISOR_LOG, ID, MU, ONE, PHI, SIGMA, TAU, VON_MANGOLDT,
+                     FunctionSpec, convolve, cut, id_pow, jordan, sieve,
+                     sieve_values, sigma_pow)
 from .zeta import LOG_SQRT_2PI, constants
-
-
-def _cut(x: float) -> int:
-    require(x >= 1.0, "x must be >= 1")
-    require(x <= MAX_SIEVE, f"x={x} beyond supported sieve range {MAX_SIEVE}")
-    return int(math.floor(x))
 
 
 def _quotient_sums(spec: FunctionSpec, n: int, *weights) -> list:
@@ -118,7 +112,7 @@ def _delta_prefixes(n: int, a: float | None):
 
 def divisor_delta(x: float) -> float:
     """Delta(x) = sum_{n<=x} tau(n) - (x log x + (2 gamma - 1) x)."""
-    (_, hi), _ = _delta_prefixes(_cut(x), None)
+    (_, hi), _ = _delta_prefixes(cut(x), None)
     gamma = constants().gamma
     # math.log, not the smooth part's np.log, which rounds a few x otherwise
     return float(hi[0]) - (x * math.log(x) + (2.0 * gamma - 1.0) * x)
@@ -131,7 +125,7 @@ def delta_integral_ratio(big_x: float) -> float:
     T(X) = sum_{n<=X} tau(n); the smooth part has a closed antiderivative.
     """
     require(big_x >= 2.0, "X must be >= 2")
-    n = _cut(big_x)
+    n = cut(big_x)
     gamma = constants().gamma
     (_, t), (_, nt) = _tau_prefixes(n)
     step_integral = big_x * float(t[0]) - float(nt[0])
@@ -161,7 +155,7 @@ def divisor_delta_a(x: float, a: float) -> float:
     """Delta_a(x) = sum_{n<=x} sigma_a(n) - (zeta(1-a) x
     + zeta(1+a) x^(1+a)/(1+a) - zeta(-a)/2), for -1 < a < 0."""
     a = _require_a(a)
-    (_, hi), smooth = _delta_prefixes(_cut(x), a)
+    (_, hi), smooth = _delta_prefixes(cut(x), a)
     return float(hi[0]) - float(smooth(x))
 
 
@@ -201,7 +195,7 @@ def mu_delta_sum(x: float, kind: str, a: float | None = None,
     """
     if kind not in _WEIGHT_SPECS:
         raise DomainError(f"unknown weight kind {kind!r}")
-    n = _cut(x)
+    n = cut(x)
     (p_lo, p_hi), smooth = _delta_prefixes(n, a)
     r = len(p_lo) - 1
     wv = sieve_values(_WEIGHT_SPECS[kind], n)
@@ -370,7 +364,7 @@ def _statistics() -> dict[str, Target]:
             return np.divide(v, m, out=m) if over_n else v
 
         def parts(x, a):
-            (_, hi), = _quotient_sums(spec_at(a), _cut(x), weigh)
+            (_, hi), = _quotient_sums(spec_at(a), cut(x), weigh)
             return float(hi[0]), 0.0
 
         return Target(name, parts, lambda x, a, theta: main(x, a), norm, **kw)
@@ -471,7 +465,7 @@ def _scan_targets() -> dict[str, Target]:
         """The log average of the (f, g) = pair(a) sums; with ``stirling``
         the main term has a slot for the exact Stirling remainder."""
         def parts(x, a):
-            n = _cut(x)
+            n = cut(x)
             f_spec, g_spec = pair(a)
             f, g = (None if spec == ONE else sieve(spec, n)
                     for spec in (f_spec, g_spec))  # 1 is formed per block
@@ -580,9 +574,9 @@ def residual_scan(target: str, grid, a: float | None = None) -> ResidualScan:
     require(len(grid) >= 1, "grid is empty")
     require(bool(np.all(np.diff(grid) > 0)), "grid must be strictly ascending")
     require(float(grid[0]) > 1.0, "grid points must exceed 1")
-    require(float(grid[-1]) <= MAX_SIEVE, "grid beyond supported sieve range")
 
     t, a = _lookup(target, a)
+    # the largest x runs first, so an x out of range fails before any sieve
     exact, rem = np.array(top_down(lambda x: t.parts(x, a), grid)).T
     main0 = np.array([t.main(x, a, THETA_LO) for x in grid])
     main_hi = np.array([t.main(x, a, THETA_HI) for x in grid])

@@ -27,7 +27,7 @@ import numpy as np
 from . import asymptotics, csvio, identities, series
 from .asymptotics import top_down
 from .errors import DomainError
-from .tables import check_list_range, parse_spec, sieve
+from .tables import cut, parse_spec, sieve
 
 IDENTITY_TOL = {"apostol": 1e-9, "toth": 1e-10, "cesaro": 1e-10}
 
@@ -70,7 +70,7 @@ def cmd_identity(args) -> int:
     tol = IDENTITY_TOL[args.which]
     # every audit lists the divisors of each k <= kmax: reject its size
     # before the sieves of f and g are built
-    check_list_range(args.kmax)
+    cut(args.kmax)
     if args.which == "toth":
         sides = identities.toth_audits(args.kmax)
     else:

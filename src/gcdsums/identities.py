@@ -48,11 +48,11 @@ import numpy as np
 
 from ._accum import (block_of, dot, fsum, hyperbola_sum, prefix_with_zero,
                      quotient_prefixes)
-from .errors import DomainError, require
+from .errors import require
 from .stirling import log_factorial_row, rho_row
-from .tables import (LOG, MAX_SIEVE, MU, PHI, VON_MANGOLDT, FunctionSpec,
-                     FunctionTable, _convolve_values, _divisor_pair_sum,
-                     convolve, divisor_lists, divisors_of, sieve_values)
+from .tables import (LOG, MU, PHI, VON_MANGOLDT, FunctionSpec, FunctionTable,
+                     _derived, _divisor_pair_sum, convolve, cut,
+                     divisor_lists, divisors_of, sieve_values)
 from .zeta import LOG_SQRT_2PI
 
 
@@ -100,16 +100,9 @@ class AverageDecomposition:
         return fsum(self.terms)
 
 
-def _check_tables(f: FunctionTable, g: FunctionTable, k: int) -> None:
-    require(k >= 1, "k must be >= 1")
-    if k > f.n_max or k > g.n_max:
-        raise DomainError(f"k={k} outside table range "
-                          f"({f.n_max}, {g.n_max})")
-
-
 def anderson_apostol(f: FunctionTable, g: FunctionTable, k: int, j: int) -> float:
     """s_k(j) = sum_{d | gcd(k,j)} f(d) g(k/d)."""
-    _check_tables(f, g, k)
+    cut(k, f, g)
     require(j >= 1, "j must be >= 1")
     m = math.gcd(k, j)
     return fsum(f.values[d] * g.values[k // d] for d in divisors_of(m))
@@ -171,14 +164,14 @@ def _divisor_map(k: int) -> dict[int, list[int]]:
 
 def apostol_log_sum_direct(f: FunctionTable, g: FunctionTable, k: int) -> float:
     """Brute-force sum_{j<=k} s_k(j) log j over every j; the oracle path."""
-    _check_tables(f, g, k)
+    cut(k, f, g)
     return _apostol_direct(f.values, g.values, sieve_values(LOG, k), k,
                            _divisor_map(k))
 
 
 def apostol_log_sum(f: FunctionTable, g: FunctionTable, k: int) -> float:
     """sum_{j<=k} s_k(j) log j through the exact log-factorial identity."""
-    _check_tables(f, g, k)
+    cut(k, f, g)
     lf = log_factorial_row(k)
     return _apostol_identity(f.values, g.values, lf, k, _divisor_map(k))
 
@@ -195,7 +188,7 @@ def toth_identity(k: int) -> tuple[float, float]:
     lhs = (1/k) sum_{j<=k} c_k(j) log j
     rhs = Lambda(k) + sum_{d|k} (mu(d)/d) log d!
     """
-    require(k >= 1, "k must be >= 1")
+    cut(k)
     return _toth_sides(sieve_values(MU, k), sieve_values(LOG, k),
                        sieve_values(VON_MANGOLDT, k),
                        log_factorial_row(k), k, _divisor_map(k))
@@ -203,8 +196,7 @@ def toth_identity(k: int) -> tuple[float, float]:
 
 def cesaro_identity(f: FunctionTable, k: int) -> tuple[float, float]:
     """sum_{j<=k} f(gcd(j,k)) against (f*phi)(k)."""
-    require(k >= 1, "k must be >= 1")
-    require(k <= f.n_max, f"k={k} outside table range {f.n_max}")
+    cut(k, f)
     return _cesaro_sides(f.values, sieve_values(PHI, k), k, _divisor_map(k))
 
 
@@ -219,7 +211,7 @@ def _batch(kernel, D):
 
 def apostol_audits(f: FunctionTable, g: FunctionTable, kmax: int):
     """(``apostol_log_sum_direct``, ``apostol_log_sum``) for k = 1..kmax."""
-    _check_tables(f, g, kmax)
+    cut(kmax, f, g)
     D, logs = divisor_lists(kmax), sieve_values(LOG, kmax)
     fv, gv = f.values[:kmax + 1].tolist(), g.values[:kmax + 1].tolist()
     lf = log_factorial_row(kmax).tolist()
@@ -238,22 +230,13 @@ def toth_audits(kmax: int):
 
 def cesaro_audits(f: FunctionTable, kmax: int):
     """``cesaro_identity(f, k)`` for k = 1..kmax."""
-    require(kmax <= f.n_max, f"k={kmax} outside table range {f.n_max}")
+    cut(kmax, f)
     D, phi = divisor_lists(kmax), sieve_values(PHI, kmax).tolist()
     return _batch(lambda k: _cesaro_sides(f.values, phi, k, D), D)
 
 
 # ---------------------------------------------------------------------------
 # summatory averages
-
-
-def _cut(x: float, *tables: FunctionTable | None) -> int:
-    """floor(x) within every table's range; None (the constant 1) has none."""
-    require(x >= 1.0, "x must be >= 1")
-    n = int(math.floor(x))
-    n_max = min((t.n_max for t in tables if t is not None), default=MAX_SIEVE)
-    require(n <= n_max, f"x={x} beyond table range {n_max}")
-    return n
 
 
 def identity_sum_table(fv: np.ndarray, gv: np.ndarray | None,
@@ -281,7 +264,7 @@ def identity_sum_table(fv: np.ndarray, gv: np.ndarray | None,
 def apostol_log_average(f: FunctionTable, g: FunctionTable | None,
                         x: float) -> float:
     """sum_{k<=x} u(k)/k with u through the identity path; g None is 1."""
-    n = _cut(x, f, g)
+    n = cut(x, f, g)
     lf = log_factorial_row(n)
     u = identity_sum_table(f.values, None if g is None else g.values, lf, n)
     k = np.arange(1, n + 1, dtype=np.float64)
@@ -325,7 +308,7 @@ def apostol_log_average_terms(f: FunctionTable | None,
     Stirling rho row) plus a few blocks of ``_accum._BLOCK``; no n-length
     array is formed.
     """
-    n = _cut(x, f, g)
+    n = cut(x, f, g)
     fv, gv = (None if t is None else t.values for t in (f, g))
     cg, cg_log, cg_log_over, cg_over, cg_rho, cg_abs, fw, fw_log, fw_abs = (
         _average_pairs(fv, gv, rho_row(n), n))
@@ -344,9 +327,7 @@ def apostol_log_average_terms(f: FunctionTable | None,
 
 def _with_mu(f: FunctionTable, n: int) -> FunctionTable:
     """Table of f*mu on 1..n built from the given table's values."""
-    fmu = _convolve_values(f.values, sieve_values(MU, n), n)
-    fmu.setflags(write=False)
-    return FunctionTable(convolve(f.spec, MU), n, fmu)
+    return _derived(convolve(f.spec, MU), n, f.values, sieve_values(MU, n))
 
 
 def gcd_log_average(f: FunctionTable, x: float) -> float:
@@ -355,7 +336,7 @@ def gcd_log_average(f: FunctionTable, x: float) -> float:
     Evaluated exactly as the (f*mu, 1) case of ``apostol_log_average``,
     since sum_{d | gcd} (f*mu)(d) = f(gcd); same identity path underneath.
     """
-    n = _cut(x, f)
+    n = cut(x, f)
     return apostol_log_average(_with_mu(f, n), None, x)
 
 
@@ -363,8 +344,17 @@ def gcd_log_average_terms(f: FunctionTable, x: float) -> AverageDecomposition:
     """Exact expansion of ``gcd_log_average``; grouping the first three
     terms gives sum (f*phi)(n)/n log(n/e), the fourth is
     (1/2) sum (f*Lambda)(n)/n and the fifth log sqrt(2 pi) sum f(n)/n."""
-    n = _cut(x, f)
+    n = cut(x, f)
     return apostol_log_average_terms(_with_mu(f, n), None, x)
+
+
+def _cesaro_terms(fv: np.ndarray, n: int) -> np.ndarray:
+    """(1/k) sum_{j<=k} f(gcd(j,k)) in slot k = 1..n by the double loop;
+    slot 0 holds 0."""
+    terms = np.zeros(n + 1)
+    for k, divs in enumerate(divisor_lists(n)[1:], 1):
+        terms[k] = _gather_by_gcd(fv, divs, k).sum() / k
+    return terms
 
 
 def cesaro_average(f: FunctionTable, x: float) -> tuple[float, float]:
@@ -372,25 +362,18 @@ def cesaro_average(f: FunctionTable, x: float) -> tuple[float, float]:
 
     lhs is the double loop, rhs is sum_{n<=x} (f*phi)(n)/n.
     """
-    n = _cut(x, f)
-    lhs_terms = np.empty(n)
-    for k, divs in enumerate(divisor_lists(n)[1:], 1):
-        lhs_terms[k - 1] = _gather_by_gcd(f.values, divs, k).sum() / k
-    lhs = float(np.sum(lhs_terms))
-    conv = _convolve_values(f.values, sieve_values(PHI, n), n)
+    n = cut(x, f)
+    lhs = float(np.sum(_cesaro_terms(f.values, n)[1:]))
+    conv = _derived(convolve(f.spec, PHI), n, f.values,
+                    sieve_values(PHI, n)).values
     rhs = dot(conv[1:n + 1], 1.0 / np.arange(1, n + 1, dtype=np.float64))
     return lhs, rhs
 
 
 def cesaro_average_profile(f_spec: FunctionSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative lhs and rhs of ``cesaro_average`` at every integer x <= n."""
-    require(n >= 1, "n must be >= 1")
-    fv = sieve_values(f_spec, n)
-    inner = np.empty(n + 1)
-    inner[0] = 0.0
-    for k, divs in enumerate(divisor_lists(n)[1:], 1):
-        inner[k] = _gather_by_gcd(fv, divs, k).sum() / k
-    lhs = prefix_with_zero(inner)
+    n = cut(n)
+    lhs = prefix_with_zero(_cesaro_terms(sieve_values(f_spec, n), n))
     conv = sieve_values(convolve(f_spec, PHI), n).copy()
     conv[1:] /= np.arange(1, n + 1, dtype=np.float64)
     rhs = prefix_with_zero(conv)

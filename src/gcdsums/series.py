@@ -25,7 +25,7 @@ from ._accum import block_of, dot, hyperbola_sum, quotient_prefixes
 from .errors import require
 from .identities import _with_mu
 from .stirling import THETA_HI, THETA_LO, log_factorial_row
-from .tables import FunctionTable, abscissa
+from .tables import FunctionTable, abscissa, cut
 from .zeta import LOG_SQRT_2PI, constants
 
 # coefficient of the (1 + log K)^2 / K^(s-2) truncation allowance; the
@@ -71,8 +71,7 @@ def dirichlet_partial_sum(f: FunctionTable, s: float, k_max: int,
 
     Note F'(s) = -(the log-weighted sum).
     """
-    require(k_max >= 1, "K must be >= 1")
-    require(k_max <= f.n_max, f"K={k_max} beyond table range {f.n_max}")
+    cut(k_max, f)
     vals = f.values[1:k_max + 1] * _powers(1, k_max + 1, s)
     if log_weight:
         vals = vals * np.log(np.arange(1, k_max + 1, dtype=np.float64))
@@ -81,8 +80,7 @@ def dirichlet_partial_sum(f: FunctionTable, s: float, k_max: int,
 
 def log_factorial_partial_sum(g: FunctionTable, s: float, k_max: int) -> float:
     """sum_{k<=K} g(k) L(k) / k^s with exact L(k) = log k!."""
-    require(k_max >= 1, "K must be >= 1")
-    require(k_max <= g.n_max, f"K={k_max} beyond table range {g.n_max}")
+    cut(k_max, g)
     lf = log_factorial_row(k_max)
     return dot(g.values[1:k_max + 1] * lf[1:k_max + 1],
                _powers(1, k_max + 1, s))
@@ -122,8 +120,7 @@ def series_identity_compare(f: FunctionTable, g: FunctionTable, s: float,
     alpha = max(abscissa(f.spec), abscissa(g.spec) + 1.0)
     require(alpha < s < math.inf,
             f"s={s} not finite or in the divergence region (need s > {alpha})")
-    require(k_max >= 1, "K must be >= 1")
-    require(k_max <= min(f.n_max, g.n_max), "K beyond table range")
+    cut(k_max, f, g)
     lhs = _u_partial_sum(f, g, s, k_max)
     rhs = (dirichlet_partial_sum(f, s, k_max, log_weight=True)
            * dirichlet_partial_sum(g, s - 1.0, k_max)
@@ -155,8 +152,7 @@ def series_theta_bracket(f: FunctionTable, s: float, k_max: int) -> ThetaBracket
     """
     require(max(abscissa(f.spec), 2.0) < s < math.inf,
             f"s={s} too small for the bracket, or not finite")
-    require(k_max >= 1, "K must be >= 1")
-    require(k_max <= f.n_max, "K beyond table range")
+    cut(k_max, f)
     lhs = _u_partial_sum(_with_mu(f, f.n_max), None, s, k_max)
 
     big_f = dirichlet_partial_sum(f, s, k_max)
@@ -212,6 +208,7 @@ def mu_series_report(s: float, k_max: int, id_table: FunctionTable,
                      mu_table: FunctionTable) -> MuSeriesReport:
     """Compare truncated U_{id,mu}(s) against both closed-form candidates."""
     require(2.0 < s < math.inf, "the id,mu series needs a finite s > 2")
+    cut(k_max, id_table, mu_table)
     lhs = _u_partial_sum(id_table, mu_table, s, k_max)
     z, zp, zm1, zpm1, zp1 = _zetas(s)
     head = lambda theta: (zm1 * zp / (2.0 * z ** 2) + LOG_SQRT_2PI * zm1 / z

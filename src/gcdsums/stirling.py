@@ -163,30 +163,14 @@ def _fill_rho(row: np.ndarray) -> None:
         row[lo:hi] = _remainder_series(np.arange(lo, hi))
 
 
-def _build_arrays(l_max: int) -> np.ndarray:
-    """Rows L and rho of l = 0..l_max, both zero at l = 0.
-
-    Both rows are evaluated a block of ``_BLOCK`` at a time straight into
-    the result, so the peak is the result plus a few blocks: a float64
-    log, its longdouble running sums, and the series' int64 l and two
-    longdouble arrays.
-    """
-    out = np.zeros((2, l_max + 1))
-    _fill_log_factorial(out[0])
-    _fill_rho(out[1])
-    return out
-
-
-def _build(l_max: int) -> StirlingTable:
-    """A table built at exactly l_max, bypassing the cache."""
-    arrays = _build_arrays(l_max)
-    arrays.setflags(write=False)
-    return StirlingTable(l_max, *arrays)
-
-
 def _cached_row(name: str, fill, l_max: int) -> np.ndarray:
     """Entries 0..l_max of the row that ``fill`` writes, read-only, from
-    the cache key ("stirling", name)."""
+    the cache key ("stirling", name).
+
+    A build fills the row a block of ``_BLOCK`` at a time, so its peak is
+    the row plus a few blocks (a float64 log and its longdouble running
+    sums, or the series' int64 l and two longdouble arrays).
+    """
     require(l_max >= 1, "l_max must be >= 1")
     l_max = int(l_max)
 

@@ -6,9 +6,10 @@ convolutions and pointwise log/power weightings of those).  ``sieve``
 turns a spec into a :class:`FunctionTable`: an immutable float64 array of
 exact values on 1..n_max.
 
-Integer-valued functions (mu, phi, tau, sigma) are sieved in int64 and
+Integer-valued functions (mu, phi, sigma) are sieved in int64 and
 converted once, so their float values are exact as long as they fit in 53
-bits.
+bits.  The constant 1 is id_0 and tau is sigma_0: their float64 builds
+add only integers below 2^53, so they are exact too.
 
 Convolutions do O(n_max log n_max) work in about 2 sqrt(n_max) Python
 iterations: every pair d*l <= n_max has d <= r = isqrt(n_max) or
@@ -45,7 +46,6 @@ MAX_SIEVE = 10_000_000
 
 
 class Kind(Enum):
-    ONE = "one"
     ID = "id"
     ID_POW = "idpow"
     MOEBIUS = "mu"
@@ -53,7 +53,6 @@ class Kind(Enum):
     JORDAN = "jordan"
     VON_MANGOLDT = "lambda"
     LOG = "log"
-    TAU = "tau"
     SIGMA = "sigma"
     SIGMA_POW = "sigmapow"
     DIVISOR_LOG = "divlog"
@@ -111,13 +110,11 @@ class FunctionSpec:
 
 
 # primitive specs
-ONE = FunctionSpec(Kind.ONE)
 ID = FunctionSpec(Kind.ID)
 MU = FunctionSpec(Kind.MOEBIUS)
 PHI = FunctionSpec(Kind.TOTIENT)
 VON_MANGOLDT = FunctionSpec(Kind.VON_MANGOLDT)
 LOG = FunctionSpec(Kind.LOG)
-TAU = FunctionSpec(Kind.TAU)
 SIGMA = FunctionSpec(Kind.SIGMA)
 DIVISOR_LOG = FunctionSpec(Kind.DIVISOR_LOG)
 
@@ -135,6 +132,11 @@ def jordan(a: float) -> FunctionSpec:
 def sigma_pow(a: float) -> FunctionSpec:
     """sigma_a = 1 * id_a."""
     return FunctionSpec(Kind.SIGMA_POW, exponent=float(a))
+
+
+# the constant 1 and the divisor count tau, by their builds
+ONE = id_pow(0.0)
+TAU = sigma_pow(0.0)
 
 
 def convolve(f: FunctionSpec, g: FunctionSpec) -> FunctionSpec:
@@ -204,8 +206,7 @@ def parse_spec(text: str) -> FunctionSpec:
 def abscissa(spec: FunctionSpec) -> float:
     """Abscissa of absolute convergence of sum |f(k)| / k^s (conservative)."""
     k = spec.kind
-    if k in (Kind.ONE, Kind.MOEBIUS, Kind.VON_MANGOLDT, Kind.LOG, Kind.TAU,
-             Kind.DIVISOR_LOG):
+    if k in (Kind.MOEBIUS, Kind.VON_MANGOLDT, Kind.LOG, Kind.DIVISOR_LOG):
         return 1.0
     if k in (Kind.ID, Kind.TOTIENT, Kind.SIGMA):
         return 2.0
@@ -241,6 +242,16 @@ class FunctionTable:
     def __getitem__(self, n: int) -> float:
         require(1 <= n <= self.n_max, f"index {n} outside 1..{self.n_max}")
         return float(self.values[n])
+
+
+def cut(x: float, *tables: FunctionTable | None) -> int:
+    """floor(x), for x in 1..n_max: n_max is the smallest range of the
+    given tables (None, the constant 1, has none), ``MAX_SIEVE`` if none
+    has one.  x is checked before it is floored, so inf and nan are
+    rejected as out of range."""
+    n_max = min((t.n_max for t in tables if t is not None), default=MAX_SIEVE)
+    require(1 <= x < n_max + 1, f"{x} outside 1..{n_max}")
+    return int(math.floor(x))
 
 
 def _primes_upto(n: int) -> np.ndarray:
@@ -324,10 +335,6 @@ def _divisor_weight_sieve(n: int, weight, dtype) -> np.ndarray:
             out[d * lo:d * hi:d] += wd + weight(larr)
         out[d * d] -= wd
     return out
-
-
-def _tau_values(n: int) -> np.ndarray:
-    return _divisor_weight_sieve(n, lambda v: np.ones_like(v), np.int64)
 
 
 def _sigma_values(n: int) -> np.ndarray:
@@ -434,10 +441,6 @@ def _build_values(spec: FunctionSpec, n: int, part) -> np.ndarray:
     """spec's values on 0..n, taking the values of each of ``_parts(spec)``
     from ``part``."""
     kind = spec.kind
-    if kind is Kind.ONE:
-        vals = np.ones(n + 1, dtype=np.float64)
-        vals[0] = 0.0
-        return vals
     if kind is Kind.ID:
         return np.arange(n + 1, dtype=np.float64)
     if kind is Kind.ID_POW:
@@ -454,8 +457,6 @@ def _build_values(spec: FunctionSpec, n: int, part) -> np.ndarray:
         return _totient_values(n).astype(np.float64)
     if kind is Kind.VON_MANGOLDT:
         return _von_mangoldt_values(n)
-    if kind is Kind.TAU:
-        return _tau_values(n).astype(np.float64)
     if kind is Kind.SIGMA:
         return _sigma_values(n).astype(np.float64)
     if kind is Kind.SIGMA_POW:
@@ -546,30 +547,31 @@ def sieve(spec: FunctionSpec, n_max: int) -> FunctionTable:
     return FunctionTable(spec, n_max, sieve_values(spec, n_max))
 
 
+def _derived(spec: FunctionSpec, n: int, *operands: np.ndarray) -> FunctionTable:
+    """The table of spec on 1..n, built by ``_build_values`` from the given
+    operand values (in the order of ``spec.operands``) instead of sieves."""
+    given = iter(operands)
+    vals = _build_values(spec, n, lambda _: next(given))
+    vals.setflags(write=False)
+    return FunctionTable(spec, n, vals)
+
+
 def dirichlet_convolve(f: FunctionTable, g: FunctionTable) -> FunctionTable:
     """Table of (f*g)(n) = sum_{d|n} f(d) g(n/d)."""
     require(f.n_max == g.n_max,
             f"table sizes differ: {f.n_max} != {g.n_max}")
-    vals = _convolve_values(f.values, g.values, f.n_max)
-    vals.setflags(write=False)
-    return FunctionTable(convolve(f.spec, g.spec), f.n_max, vals)
+    return _derived(convolve(f.spec, g.spec), f.n_max, f.values, g.values)
 
 
 def pointwise_log(f: FunctionTable) -> FunctionTable:
     """Table of f(n) * log n."""
-    vals = f.values.copy()
-    vals[1:] *= np.log(np.arange(1, f.n_max + 1, dtype=np.float64))
-    vals.setflags(write=False)
-    return FunctionTable(pointwise_log_spec(f.spec), f.n_max, vals)
+    return _derived(pointwise_log_spec(f.spec), f.n_max, f.values)
 
 
 def pointwise_power(f: FunctionTable, a: float) -> FunctionTable:
     """Table of f(n) * n^a."""
     _check_exponent(a, f.n_max)
-    vals = f.values.copy()
-    vals[1:] *= np.arange(1, f.n_max + 1, dtype=np.float64) ** a
-    vals.setflags(write=False)
-    return FunctionTable(pointwise_pow_spec(f.spec, a), f.n_max, vals)
+    return _derived(pointwise_pow_spec(f.spec, a), f.n_max, f.values)
 
 
 def divisors_of(n: int) -> list[int]:
@@ -586,17 +588,11 @@ def divisors_of(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def check_list_range(n: int) -> None:
-    """Reject a ``divisor_lists`` size outside 1..MAX_SIEVE; callers that
-    allocate other tables of that size first check it up front."""
-    require(1 <= n <= MAX_SIEVE, f"n must be in 1..{MAX_SIEVE}")
-
-
 def divisor_lists(n: int) -> list[list[int]]:
     """Ascending divisors of every m <= n, as lists indexed by m (slot 0 empty):
     about n ln n appends and 180 bytes per m at n = 10^4.  n is bounded by
     ``MAX_SIEVE`` before any allocation."""
-    check_list_range(n)
+    n = cut(n)
     lists = [[] for _ in range(n + 1)]
     for d in range(1, n + 1):
         for divs in lists[d::d]:

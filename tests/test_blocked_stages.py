@@ -241,21 +241,29 @@ def test_exact_side_equals_whole_array_prefix(side):
         assert got(n) == want(n), n
 
 
+def _filled_rows(n):
+    """The rows log l! and rho filled at exactly l = 0..n, past the cache."""
+    out = np.zeros((2, n + 1))
+    stirling._fill_log_factorial(out[0])
+    stirling._fill_rho(out[1])
+    return out
+
+
 @pytest.mark.parametrize("x", SIZES)
 def test_stirling_build_equals_whole_array_form(x):
+    # the row fills at an exact length, as a direct build makes them
     n = math.floor(x)
-    assert _same_bytes(stirling._build_arrays(n), whole_array_stirling(n))
+    assert _same_bytes(_filled_rows(n), whole_array_stirling(n))
 
 
 @pytest.mark.parametrize("x", SIZES)
 def test_each_stirling_row_equals_whole_array_form(x):
     # each row from its own cache key, built without the other row
     n = math.floor(x)
-    both = stirling._build_arrays(n)
+    both = whole_array_stirling(n)
     rho, lf = stirling.rho_row(n), stirling.log_factorial_row(n)
     assert _same_bytes(rho, whole_array_rho(n).astype(np.float64))
     assert _same_bytes(rho, both[1])
-    assert _same_bytes(lf, whole_array_stirling(n)[0])
     assert _same_bytes(lf, both[0])
 
 
@@ -276,6 +284,14 @@ def _u_sum():
     return series._u_partial_sum(f, g, 3.0, _N)
 
 
+def _row_build(name, row):
+    """A Stirling row built anew at _N: its key is evicted first."""
+    def run():
+        tables._grown.pop(("stirling", name), None)
+        return row(_N)
+    return run
+
+
 _STAGES = {
     "mu_delta_sum": (lambda: asymptotics.mu_delta_sum(_N, "mu"), 2, 6),
     "mu_delta_sum_a": (lambda: asymptotics.mu_delta_sum(_N, "mu", -0.5), 2, 6),
@@ -287,8 +303,10 @@ _STAGES = {
     # tau's prefixes at the quotients: O(isqrt(n)) entries, no sieve
     "delta_integral_ratio": (
         lambda: asymptotics.delta_integral_ratio(_N), 0, 1),
-    # the result, two rows of n + 1 entries
-    "stirling_build": (lambda: stirling._build_arrays(_N), 2, 8),
+    # each Stirling row: the result, one row of n + 1 entries
+    "log_factorial_row": (
+        _row_build("log_factorial", stirling.log_factorial_row), 1, 8),
+    "rho_row": (_row_build("rho", stirling.rho_row), 1, 8),
 }
 
 

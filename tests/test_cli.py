@@ -186,6 +186,20 @@ def test_identity_kmax_rejected_before_any_sieve(monkeypatch, capsys, which,
     assert peak < 1 << 20  # argument parsing only; a table would be 80 MB
 
 
+@pytest.mark.parametrize("grid", ["2e7", "inf", "1e3,2e7"])
+def test_scan_x_rejected_before_any_sieve(monkeypatch, capsys, grid):
+    # the scan's largest x runs first and fails the range rule at once
+    from gcdsums import tables
+    calls = []
+    monkeypatch.setattr(tables, "_sieve_values", lambda *a: calls.append(a))
+    rc = run_cli(["scan", "--target", "id-log-avg", "--grid", grid])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("usage: gcdsums")
+    assert calls == []
+
+
 def test_exponent_checked_at_the_requested_n(tmp_path, capsys):
     # the cache rounds 100000 up to 131072, where 60 log n exceeds the bound
     # although 60 log 100000 = 690.8 does not

@@ -146,6 +146,21 @@ def test_decomposition_examples(small_tables):
     assert abs(dec.remainder_term) <= dec.remainder_bound
 
 
+@pytest.mark.parametrize("x, over", [(math.inf, math.inf),
+                                     (math.nan, math.nan), (0.5, 0.5),
+                                     (401.0, 2e7)])
+def test_averages_reject_x_out_of_range(small_tables, x, over):
+    # x is checked before it is floored (inf raised OverflowError); x is
+    # beyond the 400-entry tables, over beyond MAX_SIEVE for the constant 1
+    f = small_tables["id"]
+    with pytest.raises(DomainError):
+        G.apostol_log_average_terms(None, None, over)
+    for average in (G.gcd_log_average, G.gcd_log_average_terms,
+                    G.cesaro_average):
+        with pytest.raises(DomainError):
+            average(f, x)
+
+
 def test_decomposition_matches_average_on_catalog(catalog_tables):
     for f, g in catalog_tables:
         for x in (10.0, 100.0, 1000.0):

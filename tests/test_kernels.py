@@ -109,13 +109,21 @@ def test_cached_slice_is_bit_identical(spec, n):
         assert _same_bytes(cached, tables._sieve_values(spec, n))
 
 
+def _direct_stirling(l_max):
+    """A table from the row fills at exactly l_max, past the cache."""
+    rows = np.zeros((2, l_max + 1))
+    stirling._fill_log_factorial(rows[0])
+    stirling._fill_rho(rows[1])
+    return stirling.StirlingTable(l_max, *rows)
+
+
 @pytest.mark.parametrize("l_max", [1, 7, 1023, 1024, 1025, 5000,
                                    4 * 4096 + 1])
 def test_stirling_slice_matches_direct_build(l_max):
-    direct = stirling._build(l_max)
+    direct = _direct_stirling(l_max)
     G.log_factorial_table(1 << 16)  # a larger table serves the request
     table = G.log_factorial_table(l_max)
-    wider = stirling._build(tables._capacity(l_max))
+    wider = _direct_stirling(tables._capacity(l_max))
     assert table.l_max == l_max
     for name in ("log_factorial", "approx", "rho", "theta"):
         want = getattr(direct, name)

@@ -96,3 +96,10 @@ def test_mu_series_report(tables):
     assert r.matches_constant_tail
     assert not r.matches_ratio_tail
     assert r.ratio_tail_lo > r.lhs or r.ratio_tail_hi < r.lhs
+
+
+@pytest.mark.parametrize("k_max", [0, 10 ** 4 + 1, 10 ** 5])
+def test_mu_series_report_rejects_k_outside_its_tables(tables, k_max):
+    # the same range rule as the other series: K in 1..n_max of both tables
+    with pytest.raises(DomainError):
+        mu_series_report(3.0, k_max, tables["id"], tables["mu"])

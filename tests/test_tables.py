@@ -194,13 +194,16 @@ def test_abscissa_rules():
     assert G.abscissa(G.jordan(-0.5)) == 1.0
 
 
-@pytest.mark.parametrize("name", ["_tau_values", "_sigma_pow_values"])
-def test_divisor_weight_sieve_peak_near_its_result(name):
+@pytest.mark.parametrize("name, args", [
+    ("_sigma_values", (1 << 20,)),
+    ("_sigma_pow_values", (1 << 20, -0.5)),
+    ("_sigma_pow_values", (1 << 20, 0.0)),
+], ids=["_sigma_values", "_sigma_pow_values", "tau"])
+def test_divisor_weight_sieve_peak_near_its_result(name, args):
     # rows go in blocks: taking the d = 1 row whole peaked at 3x the result
     import tracemalloc
     from gcdsums import tables
     build = getattr(tables, name)
-    args = (1 << 20,) if name == "_tau_values" else (1 << 20, -0.5)
     tracemalloc.start()
     try:
         out = build(*args)
@@ -223,4 +226,18 @@ def test_blocked_divisor_weight_sieve_equals_whole_rows(n):
     for weight, dtype in weights:
         got = tables._divisor_weight_sieve(n, weight, dtype)
         want = row_divisor_weight_sieve(n, weight, dtype)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 1 << 16, (1 << 16) + 1,
+                               (1 << 17) + 5])
+def test_one_and_tau_builds_equal_their_former_sieves(n):
+    # one is idpow:0 and tau is sigmapow:0; their values keep their bytes
+    from gcdsums import tables
+    from oracles import row_divisor_weight_sieve
+    tau = row_divisor_weight_sieve(n, lambda v: np.ones_like(v), np.int64)
+    one = np.ones(n + 1)
+    one[0] = 0.0
+    for spec, want in ((G.TAU, tau.astype(np.float64)), (G.ONE, one)):
+        got = tables._sieve_values(spec, n)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
