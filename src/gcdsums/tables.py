@@ -1,15 +1,15 @@
 """Sieved value tables of classical arithmetical functions.
 
 A :class:`FunctionSpec` is a small symbolic description of an arithmetical
-function (mu, phi, tau, sigma_a, Lambda, n^a, log n, Dirichlet
+function (mu, phi, Lambda, n^a, sigma_a, divisor logs, Dirichlet
 convolutions and pointwise log/power weightings of those).  ``sieve``
 turns a spec into a :class:`FunctionTable`: an immutable float64 array of
-exact values on 1..n_max.
+exact values on 1..n_max.  The named functions are members of these
+families: 1 and n are id_0 and id_1, tau and sigma are sigma_0 and
+sigma_1, log n is 1 weighted by log, and phi_a is mu * id_a.
 
-Integer-valued functions (mu, phi, sigma) are sieved in int64 and
-converted once, so their float values are exact as long as they fit in 53
-bits.  The constant 1 is id_0 and tau is sigma_0: their float64 builds
-add only integers below 2^53, so they are exact too.
+mu and phi are sieved in int64 and converted once.  The float64 builds of
+n, tau and sigma add only integers below 2^53, so all of these are exact.
 
 Convolutions do O(n_max log n_max) work in about 2 sqrt(n_max) Python
 iterations: every pair d*l <= n_max has d <= r = isqrt(n_max) or
@@ -23,6 +23,7 @@ phi sieves split their primes at r the same way.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -46,14 +47,10 @@ MAX_SIEVE = 10_000_000
 
 
 class Kind(Enum):
-    ID = "id"
     ID_POW = "idpow"
     MOEBIUS = "mu"
     TOTIENT = "phi"
-    JORDAN = "jordan"
     VON_MANGOLDT = "lambda"
-    LOG = "log"
-    SIGMA = "sigma"
     SIGMA_POW = "sigmapow"
     DIVISOR_LOG = "divlog"
     CONVOLVE = "conv"
@@ -61,7 +58,7 @@ class Kind(Enum):
     POINTWISE_POW = "ptpow"
 
 
-_NEEDS_EXPONENT = {Kind.ID_POW, Kind.JORDAN, Kind.SIGMA_POW, Kind.POINTWISE_POW}
+_NEEDS_EXPONENT = {Kind.ID_POW, Kind.SIGMA_POW, Kind.POINTWISE_POW}
 _UNARY = {Kind.POINTWISE_LOG, Kind.POINTWISE_POW}
 
 
@@ -94,28 +91,26 @@ class FunctionSpec:
         return 1 + max(op.depth() for op in self.operands)
 
     def label(self) -> str:
-        """Grammar string understood by :func:`parse_spec`."""
-        if self.kind is Kind.CONVOLVE:
-            return f"conv:{self.operands[0].label()},{self.operands[1].label()}"
-        if self.kind is Kind.POINTWISE_LOG:
-            return f"ptlog:{self.operands[0].label()}"
-        if self.kind is Kind.POINTWISE_POW:
-            return f"ptpow:{self.exponent:g},{self.operands[0].label()}"
-        if self.kind in _NEEDS_EXPONENT:
-            return f"{self.kind.value}:{self.exponent:g}"
-        return self.kind.value
+        """Grammar string that :func:`parse_spec` reads back to this spec.
+        An exponent is written as ``:g`` writes it unless that drops digits."""
+        params = [op.label() for op in self.operands]
+        if self.exponent is not None:
+            a = f"{self.exponent:g}"
+            if float(a) != self.exponent:
+                a = repr(float(self.exponent))
+            params.insert(0, a)
+        if not params:
+            return self.kind.value
+        return f"{self.kind.value}:{','.join(params)}"
 
     def __str__(self) -> str:
         return self.label()
 
 
 # primitive specs
-ID = FunctionSpec(Kind.ID)
 MU = FunctionSpec(Kind.MOEBIUS)
 PHI = FunctionSpec(Kind.TOTIENT)
 VON_MANGOLDT = FunctionSpec(Kind.VON_MANGOLDT)
-LOG = FunctionSpec(Kind.LOG)
-SIGMA = FunctionSpec(Kind.SIGMA)
 DIVISOR_LOG = FunctionSpec(Kind.DIVISOR_LOG)
 
 
@@ -124,19 +119,9 @@ def id_pow(a: float) -> FunctionSpec:
     return FunctionSpec(Kind.ID_POW, exponent=float(a))
 
 
-def jordan(a: float) -> FunctionSpec:
-    """phi_a = mu * id_a (phi_1 is Euler's totient)."""
-    return FunctionSpec(Kind.JORDAN, exponent=float(a))
-
-
 def sigma_pow(a: float) -> FunctionSpec:
     """sigma_a = 1 * id_a."""
     return FunctionSpec(Kind.SIGMA_POW, exponent=float(a))
-
-
-# the constant 1 and the divisor count tau, by their builds
-ONE = id_pow(0.0)
-TAU = sigma_pow(0.0)
 
 
 def convolve(f: FunctionSpec, g: FunctionSpec) -> FunctionSpec:
@@ -151,6 +136,19 @@ def pointwise_pow_spec(f: FunctionSpec, a: float) -> FunctionSpec:
     return FunctionSpec(Kind.POINTWISE_POW, exponent=float(a), operands=(f,))
 
 
+def jordan(a: float) -> FunctionSpec:
+    """phi_a = mu * id_a (phi_1 is Euler's totient, sieved as ``PHI``)."""
+    return convolve(MU, id_pow(a))
+
+
+# the named members of the families above, by their builds
+ONE = id_pow(0.0)
+ID = id_pow(1.0)
+TAU = sigma_pow(0.0)
+SIGMA = sigma_pow(1.0)
+LOG = pointwise_log_spec(ONE)
+
+
 _SIMPLE_NAMES = {
     "one": ONE,
     "1": ONE,
@@ -163,56 +161,77 @@ _SIMPLE_NAMES = {
     "sigma": SIGMA,
     "divlog": DIVISOR_LOG,
 }
+_EXPONENT_FAMILIES = {"idpow": id_pow, "sigmapow": sigma_pow, "jordan": jordan}
 
 
 def parse_spec(text: str) -> FunctionSpec:
-    """Parse the ``name[:param]`` mini-grammar.
+    """Parse the prefix grammar that :meth:`FunctionSpec.label` writes.
 
-    Examples: ``mu``, ``idpow:-0.5``, ``jordan:0.5``, ``conv:tau,one``,
-    ``ptlog:mu``, ``ptpow:-1,id``.  Convolution operands must themselves be
-    primitive (one nesting level), which covers every pair used by the
-    identity and scan commands.
+    A spec is a name from ``_SIMPLE_NAMES``; ``idpow:a``, ``sigmapow:a``
+    or ``jordan:a``; or an operator with a fixed number of parameters,
+    ``conv:f,g``, ``ptlog:f`` or ``ptpow:a,f``, whose operands are specs
+    in turn, to any depth up to ``MAX_NESTING``.  So
+    ``conv:conv:mu,mu,idpow:0`` is (mu * mu) * 1, and
+    ``parse_spec(spec.label()) == spec`` for every spec.
     """
-    text = text.strip()
-    if text in _SIMPLE_NAMES:
-        return _SIMPLE_NAMES[text]
-    head, sep, rest = text.partition(":")
-    if not sep:
-        raise DomainError(f"unknown function spec {text!r}")
-    try:
-        if head == "idpow":
-            return id_pow(float(rest))
-        if head == "jordan":
-            return jordan(float(rest))
-        if head == "sigmapow":
-            return sigma_pow(float(rest))
-        if head == "conv":
-            left, _, right = rest.partition(",")
-            if not _:
-                raise DomainError(f"conv needs two operands in {text!r}")
-            return convolve(parse_spec(left), parse_spec(right))
-        if head == "ptlog":
-            return pointwise_log_spec(parse_spec(rest))
-        if head == "ptpow":
-            a_text, _, inner = rest.partition(",")
-            if not _:
-                raise DomainError(f"ptpow needs an exponent and an operand in {text!r}")
-            return pointwise_pow_spec(parse_spec(inner), float(a_text))
-    except ValueError as exc:
-        raise DomainError(f"bad parameter in spec {text!r}: {exc}") from None
-    raise DomainError(f"unknown function spec {text!r}")
+    # words (names and exponents) at even indices, ':' and ',' between them
+    tokens = [t.strip() for t in re.split(r"([:,])", text)]
+    pos = 0
+
+    def fail(why):
+        raise DomainError(f"bad function spec {text!r}: {why}")
+
+    def word(sep):
+        """The next word, which must follow sep (nothing for the first)."""
+        nonlocal pos
+        if sep is not None:
+            if tokens[pos:pos + 1] != [sep]:
+                fail(f"expected {sep!r} after {''.join(tokens[:pos])!r}")
+            pos += 1
+        pos += 1
+        return tokens[pos - 1]
+
+    def exponent(sep):
+        a = word(sep)
+        try:
+            return float(a)
+        except ValueError:
+            pass
+        fail(f"bad exponent {a!r}")
+
+    def spec(sep, depth):
+        if depth > MAX_NESTING:
+            fail(f"nesting deeper than {MAX_NESTING}")
+        name = word(sep)
+        if name in _SIMPLE_NAMES:
+            return _SIMPLE_NAMES[name]
+        if name in _EXPONENT_FAMILIES:
+            return _EXPONENT_FAMILIES[name](exponent(":"))
+        if name == "conv":
+            return convolve(spec(":", depth + 1), spec(",", depth + 1))
+        if name == "ptlog":
+            return pointwise_log_spec(spec(":", depth + 1))
+        if name == "ptpow":
+            a = exponent(":")
+            return pointwise_pow_spec(spec(",", depth + 1), a)
+        fail(f"unknown name {name!r}")
+
+    result = spec(None, 1)
+    if pos < len(tokens):
+        fail(f"unexpected {''.join(tokens[pos:])!r} after a whole spec")
+    return result
 
 
 def abscissa(spec: FunctionSpec) -> float:
     """Abscissa of absolute convergence of sum |f(k)| / k^s (conservative)."""
     k = spec.kind
-    if k in (Kind.MOEBIUS, Kind.VON_MANGOLDT, Kind.LOG, Kind.DIVISOR_LOG):
+    if k in (Kind.MOEBIUS, Kind.VON_MANGOLDT, Kind.DIVISOR_LOG):
         return 1.0
-    if k in (Kind.ID, Kind.TOTIENT, Kind.SIGMA):
+    if k is Kind.TOTIENT:
         return 2.0
     if k is Kind.ID_POW:
         return 1.0 + spec.exponent
-    if k in (Kind.JORDAN, Kind.SIGMA_POW):
+    if k is Kind.SIGMA_POW:
         return max(1.0, 1.0 + spec.exponent)
     if k is Kind.CONVOLVE:
         return max(abscissa(spec.operands[0]), abscissa(spec.operands[1]))
@@ -316,7 +335,7 @@ def _von_mangoldt_values(n: int) -> np.ndarray:
     return lam
 
 
-def _divisor_weight_sieve(n: int, weight, dtype) -> np.ndarray:
+def _divisor_weight_sieve(n: int, weight) -> np.ndarray:
     """out[m] = sum_{d|m} weight(d), accumulated over pairs d <= m/d.
 
     ``weight`` maps a divisor (scalar or int64 array) to its contribution;
@@ -326,7 +345,7 @@ def _divisor_weight_sieve(n: int, weight, dtype) -> np.ndarray:
     small next to ``out`` (the d = 1 row whole would take three more
     n-long arrays); every entry still gets the same one addition per d.
     """
-    out = np.zeros(n + 1, dtype=dtype)
+    out = np.zeros(n + 1, dtype=np.float64)
     for d in range(1, math.isqrt(n) + 1):
         wd = weight(np.int64(d))
         for lo in range(d, n // d + 1, _BLOCK):
@@ -337,18 +356,14 @@ def _divisor_weight_sieve(n: int, weight, dtype) -> np.ndarray:
     return out
 
 
-def _sigma_values(n: int) -> np.ndarray:
-    return _divisor_weight_sieve(n, lambda v: v, np.int64)
-
-
 def _sigma_pow_values(n: int, a: float) -> np.ndarray:
     return _divisor_weight_sieve(
-        n, lambda v: np.asarray(v, dtype=np.float64) ** a, np.float64)
+        n, lambda v: np.asarray(v, dtype=np.float64) ** a)
 
 
 def _divisor_log_values(n: int) -> np.ndarray:
     return _divisor_weight_sieve(
-        n, lambda v: np.log(np.asarray(v, dtype=np.float64)), np.float64)
+        n, lambda v: np.log(np.asarray(v, dtype=np.float64)))
 
 
 def _divisor_pair_sum(fv: np.ndarray, n: int, term) -> np.ndarray:
@@ -396,17 +411,9 @@ def _check_exponent(a: float, n: int) -> None:
         raise DomainError(f"exponent {a} overflows float64 at n_max={n}")
 
 
-def _parts(spec: FunctionSpec) -> tuple[FunctionSpec, ...]:
-    """The specs a build of spec sieves first: its operands, and mu and
-    id_a for jordan:a."""
-    if spec.kind is Kind.JORDAN:
-        return (MU, id_pow(spec.exponent))
-    return spec.operands
-
-
 def _all_parts(spec: FunctionSpec):
-    """Every part sieved on the way to spec, once per use."""
-    for part in _parts(spec):
+    """Every operand sieved on the way to spec, once per use."""
+    for part in spec.operands:
         yield part
         yield from _all_parts(part)
 
@@ -438,18 +445,12 @@ def _sieve_values(spec: FunctionSpec, n: int) -> np.ndarray:
 
 
 def _build_values(spec: FunctionSpec, n: int, part) -> np.ndarray:
-    """spec's values on 0..n, taking the values of each of ``_parts(spec)``
+    """spec's values on 0..n, taking the values of each of its operands
     from ``part``."""
     kind = spec.kind
-    if kind is Kind.ID:
-        return np.arange(n + 1, dtype=np.float64)
     if kind is Kind.ID_POW:
         vals = np.zeros(n + 1, dtype=np.float64)
         vals[1:] = np.arange(1, n + 1, dtype=np.float64) ** spec.exponent
-        return vals
-    if kind is Kind.LOG:
-        vals = np.zeros(n + 1, dtype=np.float64)
-        vals[1:] = np.log(np.arange(1, n + 1, dtype=np.float64))
         return vals
     if kind is Kind.MOEBIUS:
         return _mobius_values(n).astype(np.float64)
@@ -457,15 +458,10 @@ def _build_values(spec: FunctionSpec, n: int, part) -> np.ndarray:
         return _totient_values(n).astype(np.float64)
     if kind is Kind.VON_MANGOLDT:
         return _von_mangoldt_values(n)
-    if kind is Kind.SIGMA:
-        return _sigma_values(n).astype(np.float64)
     if kind is Kind.SIGMA_POW:
         return _sigma_pow_values(n, spec.exponent)
     if kind is Kind.DIVISOR_LOG:
         return _divisor_log_values(n)
-    if kind is Kind.JORDAN:
-        mu, ida = map(part, _parts(spec))
-        return _convolve_values(mu, ida, n)
     if kind is Kind.CONVOLVE:
         fv, gv = map(part, spec.operands)
         return _convolve_values(fv, gv, n)
@@ -528,7 +524,7 @@ def sieve_values(spec: FunctionSpec, n_max: int) -> np.ndarray:
     n_max; where the capacity would overflow float64 and n_max does not,
     the array is built at n_max.
     """
-    require(n_max >= 1, "n_max must be >= 1")
+    n_max = cut(n_max)
     for a in _exponents(spec):
         _check_exponent(a, n_max)
 
@@ -543,7 +539,7 @@ def sieve_values(spec: FunctionSpec, n_max: int) -> np.ndarray:
 
 def sieve(spec: FunctionSpec, n_max: int) -> FunctionTable:
     """Build the exact value table of ``spec`` on 1..n_max."""
-    require(n_max >= 1, "n_max must be >= 1")
+    n_max = cut(n_max)
     return FunctionTable(spec, n_max, sieve_values(spec, n_max))
 
 

@@ -18,7 +18,6 @@ Both are memoized through :class:`ConstantSet`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -81,7 +80,6 @@ def euler_gamma() -> float:
     return float(np.euler_gamma)
 
 
-@dataclass
 class ConstantSet:
     """Memoized zeta values and the constants every main term needs.
 
@@ -89,10 +87,12 @@ class ConstantSet:
     threads is safe under the GIL.
     """
 
-    gamma: float = field(default_factory=euler_gamma)
-    log_sqrt_2pi: float = LOG_SQRT_2PI
-    _zeta_cache: dict = field(default_factory=dict)
-    _zeta_prime_cache: dict = field(default_factory=dict)
+    gamma = euler_gamma()
+    log_sqrt_2pi = LOG_SQRT_2PI
+
+    def __init__(self):
+        self._zeta_cache = {}
+        self._zeta_prime_cache = {}
 
     @property
     def zeta2(self) -> float:

@@ -200,6 +200,34 @@ def test_scan_x_rejected_before_any_sieve(monkeypatch, capsys, grid):
     assert calls == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["sieve", "--spec", "mu", "--nmax", str(MAX_SIEVE + 1)],
+    ["series", "--K", f"10,{MAX_SIEVE + 1}"],
+    ["delta", "--which", "series", "--a", "-0.5", "--K", str(MAX_SIEVE + 1)],
+], ids=["sieve", "series", "delta-series"])
+def test_sieve_size_rejected_before_any_sieve(monkeypatch, capsys, argv):
+    # every sieve takes its size through the one range rule; delta sieves
+    # sigma_a for its default --xmax before the series is asked for
+    from gcdsums import tables
+    calls = []
+    real = tables._sieve_values
+    monkeypatch.setattr(tables, "_sieve_values",
+                        lambda spec, n: calls.append(n) or real(spec, n))
+    rc = run_cli(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"error: {MAX_SIEVE + 1} outside 1..{MAX_SIEVE}" in err
+    assert all(n <= MAX_SIEVE for n in calls)
+
+
+@pytest.mark.parametrize("text", ["conv:mu,idpow:x", "conv:mu", "ptpow:-1",
+                                  "mu,one", "idpow:", ""])
+def test_malformed_spec_exit_2(capsys, text):
+    assert run_cli(["identity", "--f", text, "--kmax", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("bad function spec") == 1 and "Traceback" not in err
+
+
 def test_exponent_checked_at_the_requested_n(tmp_path, capsys):
     # the cache rounds 100000 up to 131072, where 60 log n exceeds the bound
     # although 60 log 100000 = 690.8 does not

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gcdsums as G
 from gcdsums.errors import DomainError
-from gcdsums.tables import Kind, parse_spec
+from gcdsums.tables import (MAX_NESTING, Kind, parse_spec, pointwise_log_spec,
+                            pointwise_pow_spec)
 
 from oracles import naive_value
 
@@ -157,12 +158,48 @@ def test_convolution_associativity(fa, fb, fc):
     assert np.allclose(left, right, rtol=1e-12, atol=1e-12)
 
 
-def test_spec_grammar_round_trip():
-    texts = ["mu", "one", "id", "idpow:-0.5", "jordan:0.5", "sigmapow:-1",
-             "conv:tau,one", "conv:jordan:0.5,mu", "ptlog:mu", "ptpow:-1,id"]
-    for text in texts:
-        spec = parse_spec(text)
-        assert parse_spec(spec.label()) == spec
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _specs(depth):
+    """Spec trees at most depth deep, from every constructor and name."""
+    leaves = st.one_of(
+        st.sampled_from([G.MU, G.PHI, G.VON_MANGOLDT, G.DIVISOR_LOG, G.ONE,
+                         G.ID, G.TAU, G.SIGMA]),
+        st.builds(G.id_pow, _FINITE), st.builds(G.sigma_pow, _FINITE))
+    if depth == 1:
+        return leaves
+    inner = _specs(depth - 1)
+    return st.one_of(leaves, st.just(G.LOG), st.builds(G.jordan, _FINITE),
+                     st.builds(G.convolve, inner, inner),
+                     st.builds(pointwise_log_spec, inner),
+                     st.builds(pointwise_pow_spec, inner, _FINITE))
+
+
+@settings(max_examples=300, deadline=None)
+@example(G.convolve(pointwise_pow_spec(G.TAU, -1.0), G.ONE))
+@example(G.convolve(G.convolve(G.MU, G.MU), G.ONE))
+@example(G.id_pow(0.1234567))
+@given(_specs(MAX_NESTING))
+def test_spec_grammar_round_trip(spec):
+    assert parse_spec(spec.label()) == spec
+
+
+def test_named_functions_are_family_members():
+    assert len(Kind) == 9
+    named = {"id": G.id_pow(1.0), "sigma": G.sigma_pow(1.0),
+             "log": pointwise_log_spec(G.ONE),
+             "jordan:0.5": G.convolve(G.MU, G.id_pow(0.5))}
+    assert [G.ID, G.SIGMA, G.LOG, G.jordan(0.5)] == list(named.values())
+    for text, spec in named.items():
+        assert parse_spec(text) == spec
+    labels = {"conv:ptpow:-1,sigmapow:0,idpow:0":
+              G.convolve(pointwise_pow_spec(G.TAU, -1.0), G.ONE),
+              "conv:conv:mu,mu,idpow:0": G.convolve(G.convolve(G.MU, G.MU), G.ONE),
+              "conv:conv:mu,idpow:0.5,mu": parse_spec("conv:jordan:0.5,mu"),
+              "idpow:0.1234567": G.id_pow(0.1234567)}
+    for text, spec in labels.items():
+        assert spec.label() == text and parse_spec(text) == spec
 
 
 def test_spec_validation_errors():
@@ -195,10 +232,10 @@ def test_abscissa_rules():
 
 
 @pytest.mark.parametrize("name, args", [
-    ("_sigma_values", (1 << 20,)),
+    ("_sigma_pow_values", (1 << 20, 1.0)),
     ("_sigma_pow_values", (1 << 20, -0.5)),
     ("_sigma_pow_values", (1 << 20, 0.0)),
-], ids=["_sigma_values", "_sigma_pow_values", "tau"])
+], ids=["sigma", "_sigma_pow_values", "tau"])
 def test_divisor_weight_sieve_peak_near_its_result(name, args):
     # rows go in blocks: taking the d = 1 row whole peaked at 3x the result
     import tracemalloc
@@ -224,20 +261,33 @@ def test_blocked_divisor_weight_sieve_equals_whole_rows(n):
                (lambda v: np.asarray(v, dtype=np.float64) ** -0.5, np.float64),
                (lambda v: np.log(np.asarray(v, dtype=np.float64)), np.float64)]
     for weight, dtype in weights:
-        got = tables._divisor_weight_sieve(n, weight, dtype)
-        want = row_divisor_weight_sieve(n, weight, dtype)
+        got = tables._divisor_weight_sieve(n, weight)
+        # the integer weights summed in int64 rows, cast once
+        want = row_divisor_weight_sieve(n, weight, dtype).astype(np.float64)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 1 << 16, (1 << 16) + 1,
                                (1 << 17) + 5])
 def test_one_and_tau_builds_equal_their_former_sieves(n):
-    # one is idpow:0 and tau is sigmapow:0; their values keep their bytes
+    # the named functions are built as members of their families (one and
+    # id are idpow:0 and 1, tau and sigma sigmapow:0 and 1, log is ptlog:one,
+    # jordan:a is conv:mu,idpow:a); their values keep the bytes of the
+    # builds they had of their own
     from gcdsums import tables
     from oracles import row_divisor_weight_sieve
     tau = row_divisor_weight_sieve(n, lambda v: np.ones_like(v), np.int64)
+    sigma = row_divisor_weight_sieve(n, lambda v: v, np.int64)
     one = np.ones(n + 1)
     one[0] = 0.0
-    for spec, want in ((G.TAU, tau.astype(np.float64)), (G.ONE, one)):
+    log = np.zeros(n + 1)
+    log[1:] = np.log(np.arange(1, n + 1, dtype=np.float64))
+    mu = tables._sieve_values(G.MU, n)
+    former = [(G.TAU, tau.astype(np.float64)), (G.ONE, one),
+              (G.ID, np.arange(n + 1, dtype=np.float64)),
+              (G.SIGMA, sigma.astype(np.float64)), (G.LOG, log)]
+    former += [(G.jordan(a), tables._convolve_values(
+        mu, tables._sieve_values(G.id_pow(a), n), n)) for a in (-1.0, -0.5, 0.5)]
+    for spec, want in former:
         got = tables._sieve_values(spec, n)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), spec

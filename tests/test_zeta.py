@@ -72,6 +72,15 @@ def test_constant_set_cache_reproducible():
     assert abs(fresh.zeta(2.5) - first) <= 1e-12
 
 
+def test_constant_set_takes_no_arguments():
+    fresh = G.ConstantSet()
+    assert fresh.gamma == G.euler_gamma() == G.constants().gamma
+    assert fresh.log_sqrt_2pi == G.LOG_SQRT_2PI
+    assert fresh._zeta_cache is not G.constants()._zeta_cache
+    with pytest.raises(TypeError):
+        G.ConstantSet(gamma=0.5)
+
+
 def test_domain_errors():
     for bad in (0.0, -1.0, 1.0):
         with pytest.raises(DomainError):
