@@ -59,45 +59,92 @@ def prefix_with_zero(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def quotient_prefixes(weights, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The ``on_quotients`` pairs of several weights, in one blocked pass.
+def _runs(ns: list[int]):
+    """ns (ascending, distinct) cut into consecutive runs whose quotient
+    sets, sum 2 (isqrt(n) + 1) floats, hold at most max(ns) + 1 floats, or
+    into a single n: a run's pass holds no more than one whole prefix
+    would."""
+    budget, run, held = ns[-1] + 1, [], 0
+    for n in ns:
+        size = 2 * (math.isqrt(n) + 1)
+        if run and held + size > budget:
+            yield run
+            run, held = [], 0
+        run.append(n)
+        held += size
+    yield run
+
+
+def _one_pass(weights, ns: list[int]) -> list[list]:
+    """The pairs of every n of ns (ascending, distinct), from one blocked
+    pass up to max(ns): each weight's running sums are sampled at every
+    n's quotients as its blocks pass."""
+    rs = [math.isqrt(n) for n in ns]
+    pairs = [[] for _ in ns]  # per n, per weight: (lo, hi)
+    totals = []
+    for start in range(1, ns[-1] + 1, _BLOCK):
+        stop = min(start + _BLOCK, ns[-1] + 1)
+        # hi[d] = P(n // d) for the d <= r with n // d in [start, stop)
+        live = [(p, n, r, n // stop + 1, min(n // start, r))
+                for p, n, r in zip(pairs, ns, rs) if n >= start]
+        for k, block in enumerate(weights(start, stop)):
+            if k == len(totals):
+                totals.append(np.longdouble(0.0))
+                for p, r in zip(pairs, rs):
+                    p.append((np.zeros(r + 1), np.empty(r + 1)))
+            sums = running_sum(block, totals[k])
+            totals[k] = sums[-1]
+            for p, n, r, d_lo, d_hi in live:
+                lo, hi = p[k]
+                if start <= r:
+                    lo[start:r + 1] = sums[:r + 1 - start]
+                if d_lo <= d_hi:
+                    hi[d_lo:d_hi + 1] = sums[n // np.arange(d_lo, d_hi + 1)
+                                             - start]
+                if n < stop:
+                    hi[0] = sums[n - start]
+            del block, sums  # before the next block is formed
+    return pairs
+
+
+def quotient_prefixes(weights, ns):
+    """The ``on_quotients`` pairs of several weights at every n of a grid,
+    in one blocked pass per run of ``_runs``.
 
     ``weights(lo, hi)`` gives each weight's values at lo..hi-1, an
     iterable of arrays (a generator forms them one at a time); it is
-    called once per block of ``_BLOCK`` covering 1..n, in ascending
-    order.  Each weight's running sums are chained with ``running_sum``
-    and sampled at the quotients of n as its blocks pass; a block and its
-    sums are released before the next one is formed, so the pass holds
-    one weight's block, its longdouble sums and 2 (isqrt(n) + 1) floats
-    per pair, never an n-length array.  The pairs equal
-    ``prefix_with_zero`` sampled at the quotients, bit for bit.
+    called once per block of ``_BLOCK`` covering 1..max(n), in ascending
+    order, and a value must not depend on where its block starts or
+    stops.  ``ns`` is ascending and may repeat an n.  This yields, for
+    each n of ns in turn, the list of its pairs, one per weight; a
+    repeated n yields the same list again.  Each weight's running sums
+    are chained with ``running_sum`` and sampled at the quotients of every
+    n as its blocks pass; a block and its sums are released before the
+    next one is formed.  So a pass holds one weight's block, its
+    longdouble sums and sum 2 (isqrt(n) + 1) floats per weight over its
+    run, at most max(ns) + 1, never a whole prefix.  The running sums do
+    not depend on n, so each pair equals ``prefix_with_zero`` sampled at
+    the quotients of its n, bit for bit, and the pass over a grid gives
+    the bytes of the passes over its points one at a time.
     """
-    r = math.isqrt(n)
-    # hi's positions n // d for d = r..1 and n itself (d = 0), ascending
-    at = (n // np.maximum(np.arange(r + 1), 1))[::-1]
-    pairs, totals = [], []
-    for start in range(1, n + 1, _BLOCK):
-        stop = min(start + _BLOCK, n + 1)
-        i, j = np.searchsorted(at, (start, stop))
-        for k, block in enumerate(weights(start, stop)):
-            if k == len(pairs):
-                pairs.append((np.zeros(r + 1), np.empty(r + 1)))
-                totals.append(np.longdouble(0.0))
-            lo, hi_reversed = pairs[k]
-            sums = running_sum(block, totals[k])
-            totals[k] = sums[-1]
-            if start <= r:
-                lo[start:r + 1] = sums[:r + 1 - start]
-            hi_reversed[i:j] = sums[at[i:j] - start]
-            del block, sums  # before the next block is formed
-    return [(lo, hi_reversed[::-1].copy()) for lo, hi_reversed in pairs]
+    ns = [int(n) for n in ns]
+    if any(b < a for a, b in zip(ns, ns[1:])):
+        raise ValueError("quotient_prefixes takes an ascending ns")
+    i = 0
+    for run in _runs(sorted(set(ns))):
+        done = dict(zip(run, _one_pass(weights, run)))
+        while i < len(ns) and ns[i] in done:
+            yield done[ns[i]]
+            i += 1
+        del done  # before the next run's pass
 
 
 def on_quotients(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``prefix_with_zero`` sums P of ``values`` at the quotients of n only:
     (lo, hi) with lo[i] = P(i) for i <= r = isqrt(n), hi[d] = P(n // d) for
     1 <= d <= r and hi[0] = P(n).  No full-length P is formed."""
-    return quotient_prefixes(lambda lo, hi: (values[lo:hi],), n)[0]
+    pairs, = quotient_prefixes(lambda lo, hi: (values[lo:hi],), [n])
+    return pairs[0]
 
 
 def hyperbola_sum(w_pair, c_pair) -> float:

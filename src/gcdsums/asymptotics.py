@@ -28,29 +28,26 @@ from pathlib import Path
 
 import numpy as np
 
-from ._accum import _BLOCK, dot, on_quotients, quotient_prefixes
+from ._accum import _BLOCK, dot, quotient_prefixes
 from .errors import DomainError, require
-from .identities import apostol_log_average_terms
+from .identities import apostol_log_average_grid, apostol_log_average_terms
 from .stirling import THETA_HI, THETA_LO
 from .tables import (DIVISOR_LOG, ID, MU, ONE, PHI, SIGMA, TAU, VON_MANGOLDT,
-                     FunctionSpec, convolve, cut, id_pow, jordan, sieve,
-                     sieve_values, sigma_pow)
+                     convolve, cut, id_pow, jordan, sieve_once, sieve_values,
+                     sigma_pow)
 from .zeta import LOG_SQRT_2PI, constants
 
 
-def _quotient_sums(spec: FunctionSpec, n: int, *weights) -> list:
-    """The ``on_quotients`` pairs at n of spec's sieved values weighted by
-    each of ``weights`` (a function of a block of values and its m as
-    float64, which only the last weight may overwrite); hi[0] of a pair is
-    the sum over m <= n.  One blocked pass over the cached sieve; no
-    n-length array is formed."""
-    vals = sieve_values(spec, n)
-
+def _quotient_sums(values: np.ndarray, ns, weigh):
+    """The ``on_quotients`` pair at each n of ns (ascending) of ``values``
+    weighted by ``weigh`` (a function of a block of values and its m as
+    float64, which it may overwrite), as ``quotient_prefixes`` yields it;
+    hi[0] of a pair is the sum over m <= n.  One blocked pass over the
+    values; no n-length array is formed."""
     def blocks(lo, hi):
-        m = np.arange(lo, hi, dtype=np.float64)
-        return (weigh(vals[lo:hi], m) for weigh in weights)
+        return (weigh(values[lo:hi], np.arange(lo, hi, dtype=np.float64)),)
 
-    return quotient_prefixes(blocks, n)
+    return (pairs[0] for pairs in quotient_prefixes(blocks, ns))
 
 
 def top_down(fn, xs) -> list:
@@ -106,8 +103,15 @@ def _delta_prefixes(n: int, a: float | None):
         slope = 2.0 * constants().gamma - 1.0
         return _tau_prefixes(n)[0], lambda y: y * np.log(y) + slope * y
     a = _require_a(a)
-    return (on_quotients(sieve_values(sigma_pow(a), n), n),
-            lambda y: _sigma_a_smooth(y, a))
+    return next(_sigma_a_prefixes([n], a)), lambda y: _sigma_a_smooth(y, a)
+
+
+def _sigma_a_prefixes(ns, a: float):
+    """The ``on_quotients`` pair of sigma_a at each n of ns (ascending),
+    from one pass over its sieve.  The sieve is cached, as
+    ``mu_delta_sum`` reads it again at every x."""
+    values = sieve_values(sigma_pow(a), ns[-1])
+    return _quotient_sums(values, ns, lambda v, m: v)
 
 
 def divisor_delta(x: float) -> float:
@@ -153,10 +157,22 @@ def _sigma_a_smooth(y, a: float) -> np.ndarray:
 
 def divisor_delta_a(x: float, a: float) -> float:
     """Delta_a(x) = sum_{n<=x} sigma_a(n) - (zeta(1-a) x
-    + zeta(1+a) x^(1+a)/(1+a) - zeta(-a)/2), for -1 < a < 0."""
+    + zeta(1+a) x^(1+a)/(1+a) - zeta(-a)/2), for -1 < a < 0: the grid of
+    one of ``divisor_delta_a_grid``."""
+    return divisor_delta_a_grid([x], a)[0]
+
+
+def divisor_delta_a_grid(xs, a: float) -> list[float]:
+    """``divisor_delta_a`` at every x of xs, in any order, from one pass
+    over the sigma_a sieve up to the largest x, which is checked first."""
     a = _require_a(a)
-    (_, hi), smooth = _delta_prefixes(cut(x), a)
-    return float(hi[0]) - float(smooth(x))
+    ns = top_down(cut, xs)
+    order = sorted(range(len(ns)), key=ns.__getitem__)
+    pairs = _sigma_a_prefixes([ns[i] for i in order], a)
+    out = [0.0] * len(ns)
+    for i, (_, hi) in zip(order, pairs):
+        out[i] = float(hi[0]) - float(_sigma_a_smooth(xs[i], a))
+    return out
 
 
 def divisor_delta_a_series(x: float, a: float, n_terms: int) -> float:
@@ -249,17 +265,23 @@ class Normalizer:
 class Target:
     """A summatory quantity and the displayed main term it is checked against.
 
-    ``parts(x, a)`` gives (exact, stirling_remainder): the exact side and
-    the exactly computed component that the main term's Stirling slot
-    stands for (0.0 where the main term has no slot).  ``main(x, a,
-    theta)`` is the displayed main term with the slot at theta.  A log
+    ``parts(xs, a)`` is the grid-level exact side: for an ascending grid
+    xs (one x is a grid of one) it gives the float64 arrays (exact,
+    stirling_remainder), the exact side at each x and the exactly computed
+    component that the main term's Stirling slot stands for (0.0 where the
+    main term has no slot).  It checks the largest x first, reads each
+    table it needs once, built outside the cache (``tables.sieve_once``)
+    for the largest x, and samples every x's prefix sums in one
+    ``quotient_prefixes`` pass; nothing x-long is left when it returns.
+    ``main(x, a, theta)`` is the displayed main term with the slot at
+    theta.  A log
     average keeps its (f, g) specs in ``pair(a)``; a statistic leaves it
     None.  The mu-weighted Delta correction sums ``weight`` against Delta
     (Delta_a where ``needs_a``), times log(x/e) for a log average.
     """
 
     name: str
-    parts: object           # callable (x, a) -> (exact, stirling_remainder)
+    parts: object           # callable (xs, a) -> (exact, stirling_remainder)
     main: object            # callable (x, a, theta) -> float
     normalizer: Normalizer
     needs_a: bool = False
@@ -363,9 +385,11 @@ def _statistics() -> dict[str, Target]:
                 v = v * (np.log(m) - 1.0)
             return np.divide(v, m, out=m) if over_n else v
 
-        def parts(x, a):
-            (_, hi), = _quotient_sums(spec_at(a), cut(x), weigh)
-            return float(hi[0]), 0.0
+        def parts(xs, a):
+            ns = top_down(cut, xs)
+            values = sieve_once(spec_at(a), max(ns)).values
+            exact = [hi[0] for _, hi in _quotient_sums(values, ns, weigh)]
+            return np.array(exact), np.zeros(len(exact))
 
         return Target(name, parts, lambda x, a, theta: main(x, a), norm, **kw)
 
@@ -464,13 +488,14 @@ def _scan_targets() -> dict[str, Target]:
     def target(name, pair, power, stirling=True, **kw):
         """The log average of the (f, g) = pair(a) sums; with ``stirling``
         the main term has a slot for the exact Stirling remainder."""
-        def parts(x, a):
-            n = cut(x)
-            f_spec, g_spec = pair(a)
-            f, g = (None if spec == ONE else sieve(spec, n)
-                    for spec in (f_spec, g_spec))  # 1 is formed per block
-            dec = apostol_log_average_terms(f, g, x)
-            return dec.total, dec.remainder_term if stirling else 0.0
+        def parts(xs, a):
+            n = max(top_down(cut, xs))
+            f, g = (None if spec == ONE else sieve_once(spec, n)
+                    for spec in pair(a))  # 1 is formed per block
+            decs = apostol_log_average_grid(f, g, xs)
+            return (np.array([d.total for d in decs]),
+                    np.array([d.remainder_term if stirling else 0.0
+                              for d in decs]))
 
         return Target(name, parts, _target_main(name),
                       Normalizer("log_pow", power), pair=pair, **kw)
@@ -513,7 +538,7 @@ def _lookup(name: str, a: float | None,
 def summatory(statistic: str, x: float, a: float | None = None) -> tuple[float, float]:
     """(exact, main) for one summatory statistic at x."""
     t, a = _lookup(statistic, a, statistic=True)
-    return t.parts(x, a)[0], t.main(x, a, THETA_LO)
+    return float(t.parts([x], a)[0][0]), t.main(x, a, THETA_LO)
 
 
 def main_term(target: str, x: float, a: float | None = None,
@@ -528,7 +553,7 @@ def main_term(target: str, x: float, a: float | None = None,
 def exact_value(target: str, x: float, a: float | None = None) -> float:
     """Exact (sieved) summatory value of a target at x."""
     t, a = _lookup(target, a)
-    return t.parts(x, a)[0]
+    return float(t.parts([x], a)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +601,9 @@ def residual_scan(target: str, grid, a: float | None = None) -> ResidualScan:
     require(float(grid[0]) > 1.0, "grid points must exceed 1")
 
     t, a = _lookup(target, a)
-    # the largest x runs first, so an x out of range fails before any sieve
-    exact, rem = np.array(top_down(lambda x: t.parts(x, a), grid)).T
+    # the largest x is checked first, so an x out of range fails before
+    # any sieve; the exact side is one call for the whole grid
+    exact, rem = t.parts(grid, a)
     main0 = np.array([t.main(x, a, THETA_LO) for x in grid])
     main_hi = np.array([t.main(x, a, THETA_HI) for x in grid])
     corr = np.array(top_down(lambda x: t.correction(x, a), grid))
@@ -595,7 +621,9 @@ def residual_scan(target: str, grid, a: float | None = None) -> ResidualScan:
 
 def standard_grid(lo: float = 1e3, hi: float = 1e6, points: int = 7) -> np.ndarray:
     """Geometric grid rounded to integers so Delta(x/n) uses exact
-    integer floors."""
+    integer floors.  ``points`` goes through ``tables.cut`` before the
+    grid is allocated."""
+    points = cut(points)
     pts = np.unique(np.rint(np.geomspace(lo, hi, points)).astype(np.int64))
     return pts.astype(np.float64)
 
@@ -634,7 +662,7 @@ def limit_ratio(variant: str, x: float, a: float | None = None) -> float:
         raise DomainError(f"unknown limit variant {variant!r}")
     target, p, limit_fn = _LIMIT_VARIANTS[variant]
     t, a = _lookup(target, a)
-    value = t.parts(x, a)[0]
+    value = float(t.parts([x], a)[0][0])
     limit = limit_fn(constants(), a)
     return value / (limit * x * math.log(x) ** p)
 

@@ -42,6 +42,8 @@ def _parse_grid(text: str) -> np.ndarray:
             return asymptotics.standard_grid(lo, hi, points)
         return np.asarray([float(v) for v in text.split(",")],
                           dtype=np.float64)
+    except DomainError:
+        raise
     except ValueError as exc:
         raise DomainError(f"bad grid spec {text!r}: {exc}") from None
 
@@ -125,8 +127,7 @@ def cmd_delta(args) -> int:
         if args.a is None:
             values = top_down(asymptotics.divisor_delta, grid)
         else:
-            values = top_down(
-                lambda x: asymptotics.divisor_delta_a(x, args.a), grid)
+            values = asymptotics.divisor_delta_a_grid(grid, args.a)
         csvio.write_rows("x,delta", zip(grid, values), args.out)
     elif args.which == "integral":
         grid = _parse_grid(args.grid)

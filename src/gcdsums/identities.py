@@ -15,8 +15,10 @@ Core objects, for tables f, g and integers k, j:
   six-term expansion over pairs d*l <= x obtained by replacing L(l) with
   the Stirling form l log l - l + (1/2) log l + log sqrt(2 pi) + rho(l)
   (``apostol_log_average_terms``), one Dirichlet hyperbola sum per term.
-  It is the route scans take for both the exact side and the Stirling
-  remainder; the per-k sum is the reference it is checked against.
+  Scans take it for a whole grid from one pass
+  (``apostol_log_average_grid``), for both the exact side and the
+  Stirling remainder; the per-k sum is the reference it is checked
+  against.
 - ``gcd_log_average(f, x)``: sum_{k<=x} (1/k) sum_{j<=k} f(gcd(k,j)) log j,
   evaluated as the (f*mu, 1) case of the above since
   sum_{d | gcd} (f*mu)(d) = f(gcd).
@@ -49,7 +51,7 @@ import numpy as np
 from ._accum import (block_of, dot, fsum, hyperbola_sum, prefix_with_zero,
                      quotient_prefixes)
 from .errors import require
-from .stirling import log_factorial_row, rho_row
+from .stirling import log_factorial_row, rho_block
 from .tables import (LOG, MU, PHI, VON_MANGOLDT, FunctionSpec, FunctionTable,
                      _derived, _divisor_pair_sum, convolve, cut,
                      divisor_lists, divisors_of, sieve_values)
@@ -271,13 +273,15 @@ def apostol_log_average(f: FunctionTable, g: FunctionTable | None,
     return dot(u[1:], 1.0 / k)
 
 
-def _average_pairs(fv: np.ndarray | None, gv: np.ndarray | None,
-                   rho: np.ndarray, n: int) -> list:
-    """The ``on_quotients`` pairs of the six-term expansion's weights at n:
-    g-side g, g log, g log/l, g/l, g rho/l and |g|/l^2, then f-side f/d,
-    f log d/d and |f|/d, each formed a block at a time, one after another.
-    fv or gv given as None is the constant 1, formed a block at a time."""
+def _average_pairs(fv: np.ndarray | None, gv: np.ndarray | None, ns):
+    """The ``on_quotients`` pairs of the six-term expansion's weights at
+    each n of ns (ascending), in one ``quotient_prefixes`` pass: g-side g,
+    g log, g log/l, g/l, g rho/l and |g|/l^2, then f-side f/d, f log d/d
+    and |f|/d, each formed a block at a time, one after another.  fv or
+    gv given as None is the constant 1, and rho is formed per block too,
+    first, so its longdouble temporaries are gone before the rest is."""
     def weights(lo, hi):
+        rho = rho_block(lo, hi)
         l = np.arange(lo, hi, dtype=np.float64)
         g = block_of(gv, lo, hi)
         lg = np.log(l)  # equal to the LOG sieve bit for bit
@@ -287,32 +291,38 @@ def _average_pairs(fv: np.ndarray | None, gv: np.ndarray | None,
         yield g * lg
         yield gi * lg
         yield gi
-        yield gi * rho[lo:hi]
+        rho *= gi
+        yield rho
+        del rho
         yield np.abs(gi) * inv
         w = block_of(fv, lo, hi) * inv
         yield w
         yield w * lg
         yield np.abs(w)
 
-    return quotient_prefixes(weights, n)
+    return quotient_prefixes(weights, ns)
 
 
-def apostol_log_average_terms(f: FunctionTable | None,
-                              g: FunctionTable | None,
-                              x: float) -> AverageDecomposition:
-    """Exact six-term expansion of ``apostol_log_average`` over d*l <= x,
-    one ``hyperbola_sum`` of an f-side and a g-side weight per term.
-    f or g given as None is the constant 1, which is then never sieved.
+def apostol_log_average_grid(f: FunctionTable | None,
+                             g: FunctionTable | None,
+                             xs) -> list[AverageDecomposition]:
+    """``apostol_log_average_terms`` at every x of an ascending grid, from
+    one pass of ``_average_pairs`` up to the largest x.  f or g given as
+    None is the constant 1, which is then never sieved.
 
-    Peak memory: the cached tables it reads (f and g where given, and the
-    Stirling rho row) plus a few blocks of ``_accum._BLOCK``; no n-length
-    array is formed.
+    Peak memory: the tables it reads (f and g where given) plus a few
+    blocks of ``_accum._BLOCK`` and the pairs of one run of
+    ``quotient_prefixes``, sum 2 (isqrt(n) + 1) floats per weight and
+    never more than max(n) + 1; rho is formed per block.
     """
-    n = cut(x, f, g)
+    ns = [cut(x, f, g) for x in xs]
     fv, gv = (None if t is None else t.values for t in (f, g))
-    cg, cg_log, cg_log_over, cg_over, cg_rho, cg_abs, fw, fw_log, fw_abs = (
-        _average_pairs(fv, gv, rho_row(n), n))
+    return [_decomposition(x, *pairs)
+            for x, pairs in zip(xs, _average_pairs(fv, gv, ns))]
 
+
+def _decomposition(x, cg, cg_log, cg_log_over, cg_over, cg_rho, cg_abs, fw,
+                   fw_log, fw_abs) -> AverageDecomposition:
     return AverageDecomposition(
         x=float(x),
         log_d_term=hyperbola_sum(fw_log, cg),
@@ -323,6 +333,15 @@ def apostol_log_average_terms(f: FunctionTable | None,
         remainder_term=hyperbola_sum(fw, cg_rho),
         remainder_bound=hyperbola_sum(fw_abs, cg_abs) / 12.0,
     )
+
+
+def apostol_log_average_terms(f: FunctionTable | None,
+                              g: FunctionTable | None,
+                              x: float) -> AverageDecomposition:
+    """Exact six-term expansion of ``apostol_log_average`` over d*l <= x,
+    one ``hyperbola_sum`` of an f-side and a g-side weight per term: the
+    grid of one of ``apostol_log_average_grid``."""
+    return apostol_log_average_grid(f, g, [x])[0]
 
 
 def _with_mu(f: FunctionTable, n: int) -> FunctionTable:

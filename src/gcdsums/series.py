@@ -110,7 +110,7 @@ def _u_partial_sum(f: FunctionTable, g: FunctionTable | None, s: float,
         yield fv[lo:hi] * p
         yield g * lf[lo:hi] * p
 
-    w_log, c_id, w, c_lf = quotient_prefixes(weights, k_max)
+    (w_log, c_id, w, c_lf), = quotient_prefixes(weights, [k_max])
     return hyperbola_sum(w_log, c_id) + hyperbola_sum(w, c_lf)
 
 

@@ -29,10 +29,12 @@ log m, so identity checks elsewhere reuse one consistent L(l) array.
 Entry l depends on nothing past max(l, _MIN_CAPACITY), so L and rho live
 in the tables' capacity cache, and a request gets read-only slices that
 equal a direct build bit for bit.  Neither row reads the other, so each
-has its own key: the scans read rho alone (``rho_row``), the per-k audits
-and the Dirichlet series L alone (``log_factorial_row``), and
-``log_factorial_table`` is the public view of both.  approx and theta are
-derived from l and rho when read; the package itself reads only L and rho.
+has its own key: the per-k audits and the Dirichlet series read L alone
+(``log_factorial_row``), and ``log_factorial_table`` is the public view
+of both.  The scans cache no rho: they form it a block at a time
+(``rho_block``, which fills the rho row too), so their blocks equal the
+row's entries bit for bit.  approx and theta are derived from l and rho
+when read; the package itself reads only L and rho.
 """
 
 from __future__ import annotations
@@ -152,15 +154,25 @@ def _fill_log_factorial(row: np.ndarray) -> None:
         total = sums[-1]
 
 
+def rho_block(lo: int, hi: int) -> np.ndarray:
+    """rho(l) for l = lo..hi-1 (lo >= 1) as float64, the entries of the
+    rho row: the backward recurrence below _MIN_CAPACITY and the remainder
+    series from there on.  The series' longdouble temporaries (about five
+    float64 blocks) are freed before it returns."""
+    out = np.empty(hi - lo)
+    below = min(max(_MIN_CAPACITY - lo, 0), hi - lo)
+    if below:
+        out[:below] = _rho_below_seed()[lo - 1:lo - 1 + below]
+    out[below:] = _remainder_series(np.arange(lo + below, hi))
+    return out
+
+
 def _fill_rho(row: np.ndarray) -> None:
-    """row[l] = rho(l) for l = 1..len(row) - 1: the backward recurrence
-    below _MIN_CAPACITY and the remainder series a block at a time from
-    there on."""
-    seed = _MIN_CAPACITY
-    row[1:seed] = _rho_below_seed()[:len(row) - 1]
-    for lo in range(seed, len(row), _BLOCK):
+    """row[l] = rho(l) for l = 1..len(row) - 1, a block of ``_BLOCK`` at a
+    time."""
+    for lo in range(1, len(row), _BLOCK):
         hi = min(lo + _BLOCK, len(row))
-        row[lo:hi] = _remainder_series(np.arange(lo, hi))
+        row[lo:hi] = rho_block(lo, hi)
 
 
 def _cached_row(name: str, fill, l_max: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import gcdsums as G
 from gcdsums.asymptotics import (SCAN_TARGETS, STATISTICS, calibrate,
                                  divisor_delta, divisor_delta_a,
+                                 divisor_delta_a_grid,
                                  divisor_delta_a_series,
                                  delta_integral_ratio, exact_value,
                                  limit_ratio, load_calibration, main_term,
@@ -205,6 +207,34 @@ def test_residual_scan_single_point_composition():
     assert (SCAN_TARGETS["tau-log-avg"].weight is None
             and residual_scan("tau-log-avg", [x]).correction[0] == 0.0)
     assert residual_scan("power_sum", [x], -0.5).normalizer_label == "x^-0.5"
+
+
+@pytest.mark.parametrize("name, a", [("id-log-avg", None),
+                                     ("jordan-log-avg", -0.5),
+                                     ("sigma_logne", None)])
+def test_residual_scan_reads_the_exact_side_once(monkeypatch, name, a):
+    # the exact side is one grid-level call per scan, not one per x
+    registry = SCAN_TARGETS if name in SCAN_TARGETS else STATISTICS
+    target = registry[name]
+    calls = []
+
+    def parts(xs, a):
+        calls.append(list(xs))
+        return target.parts(xs, a)
+
+    monkeypatch.setitem(registry, name,
+                        dataclasses.replace(target, parts=parts))
+    grid = standard_grid(1e3, 3e4, 4)
+    residual_scan(name, grid, a)
+    assert calls == [grid.tolist()]
+
+
+def test_delta_a_grid_in_any_order_equals_points():
+    xs = [5000.0, 1000.5, 70000.0, 1000.0, 5000.0]
+    got = divisor_delta_a_grid(xs, -0.5)
+    assert got == [divisor_delta_a(x, -0.5) for x in xs]
+    with pytest.raises(DomainError):
+        divisor_delta_a_grid([1e3, 2e7], -0.5)
 
 
 def test_residual_scan_theta_envelope_order():

@@ -6,7 +6,10 @@ weights and the exact sides of the statistics and the Delta diagnostics)
 and the Stirling rows work a block of ``_accum._BLOCK`` at a time.  Each
 must give the bytes of the whole-array form in ``oracles`` at sizes around
 the block edge, and peak at the cached tables it reads plus its declared
-count of n-length arrays and a few blocks.  The constant 1 formed per block
+count of n-length arrays, a few blocks and, for the one pass over a whole
+grid, its declared quotient-set floats; the pass over a grid must give
+the bytes of the passes over its points one at a time, and rho formed
+per block the bytes of the cached rho row.  The constant 1 formed per block
 (in the six-term weights, the series and the per-k reference) must equal
 the ONE sieve, and tau's prefixes by the integer hyperbola the
 tau sieve's, by bytes.
@@ -75,13 +78,55 @@ def test_on_quotients_equals_whole_array_form(x):
                        [whole_array_on_quotients(v, n)])
 
 
+_GRIDS = {
+    "repeated_n": [500.2, 500.7, 1500, 2e5],
+    "below_1024": [1, 2, 3, 4, 5, 31, 32, 33, 100.5, 1023],
+    "single_point": [_B + 1],
+    "benchmark": asymptotics.standard_grid(1e3, 1e6, 7),
+    "dense_runs": range(1000, 2001),
+}
+
+
+@pytest.mark.parametrize("grid", _GRIDS.values(), ids=_GRIDS)
+def test_grid_pass_equals_per_n_passes(grid):
+    ns = [math.floor(x) for x in grid]
+    v = np.random.default_rng(len(ns)).standard_normal(max(ns) + 1) * 1e3
+
+    def weights(lo, hi):
+        yield v[lo:hi]
+        yield v[lo:hi] / np.arange(lo, hi)
+
+    got = list(_accum.quotient_prefixes(weights, ns))
+    assert len(got) == len(ns)
+    for n, pairs in zip(ns, got):
+        alone, = _accum.quotient_prefixes(weights, [n])
+        assert _same_pairs(pairs, alone), n
+    runs = list(_accum._runs(sorted(set(ns))))
+    assert (len(runs) > 1) == (grid is _GRIDS["dense_runs"])
+    assert all(len(run) == 1 or sum(2 * (math.isqrt(n) + 1) for n in run)
+               <= max(ns) + 1 for run in runs)
+
+
+def test_grid_pass_rejects_a_descending_grid():
+    with pytest.raises(ValueError):
+        next(_accum.quotient_prefixes(lambda lo, hi: (_VALUES[lo:hi],),
+                                      [10, 9]))
+
+
+def _average_pairs(fv, gv, n):
+    """The six-term weights' pairs at n alone, rho formed per block."""
+    pairs, = identities._average_pairs(fv, gv, [n])
+    return pairs
+
+
 @pytest.mark.parametrize("x", SIZES)
 @pytest.mark.parametrize("f, g", [(G.ID, G.MU), (G.PHI, G.ONE)])
 def test_average_weights_equal_whole_array_form(x, f, g):
+    # rho formed per block must give the bytes of the cached rho row
     n = math.floor(x)
     fv, gv, rho = (sieve_values(f, n), sieve_values(g, n),
                    G.log_factorial_table(n).rho)
-    assert _same_pairs(identities._average_pairs(fv, gv, rho, n),
+    assert _same_pairs(_average_pairs(fv, gv, n),
                        whole_array_average_pairs(fv, gv, rho,
                                                  sieve_values(LOG, n), n))
 
@@ -90,11 +135,10 @@ def test_average_weights_equal_whole_array_form(x, f, g):
 @given(st.integers(min_value=1, max_value=3 * _B + 7))
 def test_average_weights_with_one_per_block_equal_one_sieve(n):
     fv, one = sieve_values(PHI, n), sieve_values(ONE, n)
-    rho = stirling.rho_row(n)
-    assert _same_pairs(identities._average_pairs(fv, None, rho, n),
-                       identities._average_pairs(fv, one, rho, n))
-    assert _same_pairs(identities._average_pairs(None, None, rho, n),
-                       identities._average_pairs(one, one, rho, n))
+    assert _same_pairs(_average_pairs(fv, None, n),
+                       _average_pairs(fv, one, n))
+    assert _same_pairs(_average_pairs(None, None, n),
+                       _average_pairs(one, one, n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, _B - 1, _B, _B + 1])
@@ -187,10 +231,11 @@ def _statistic(name):
     t = asymptotics.STATISTICS[name]
     a = _A if t.needs_a else None
 
-    def got(n):
-        exact, remainder = t.parts(float(n), a)
-        assert remainder == 0.0
-        return exact
+    def got(ns):
+        # the whole grid in one pass, ascending
+        exact, remainder = t.parts([float(n) for n in ns[::-1]], a)
+        assert not remainder.any()
+        return exact[::-1].tolist()
 
     return got, lambda n: float(
         whole_array_prefix(sieve_values(spec, n), n, over_n, log_ratio)[n])
@@ -221,12 +266,18 @@ def _delta_integral(n):
     return (step - (smooth(n) - smooth(1.0))) / n
 
 
+def _per_x(fn):
+    return lambda ns: [fn(n) for n in ns]
+
+
 _EXACT_SIDES = {
-    "divisor_delta": (asymptotics.divisor_delta, _delta),
-    "divisor_delta_a": (lambda n: asymptotics.divisor_delta_a(n, _A), _delta_a),
-    "delta_integral_ratio": (asymptotics.delta_integral_ratio,
+    "divisor_delta": (_per_x(asymptotics.divisor_delta), _delta),
+    "divisor_delta_a": (lambda ns: asymptotics.divisor_delta_a_grid(ns, _A),
+                        _delta_a),
+    "delta_integral_ratio": (_per_x(asymptotics.delta_integral_ratio),
                              _delta_integral),
 }
+# descending: the per-x sides build their tables at the first, largest n
 _PREFIX_N = [300_000, 123_456, _B + 1, _B, _B - 1, 4097, 1024, 999, 1]
 
 
@@ -235,10 +286,10 @@ _PREFIX_N = [300_000, 123_456, _B + 1, _B, _B - 1, 4097, 1024, 999, 1]
 def test_exact_side_equals_whole_array_prefix(side):
     got, want = (_EXACT_SIDES[side] if side in _EXACT_SIDES
                  else _statistic(side))
-    for n in _PREFIX_N:
-        if side == "delta_integral_ratio" and n < 2:
-            continue  # X >= 2
-        assert got(n) == want(n), n
+    # X >= 2 for the Delta integral
+    ns = [n for n in _PREFIX_N if n >= 2 or side != "delta_integral_ratio"]
+    for n, value in zip(ns, got(ns)):
+        assert value == want(n), n
 
 
 def _filled_rows(n):
@@ -269,9 +320,26 @@ def test_each_stirling_row_equals_whole_array_form(x):
 
 # peaks at n = 2^18, where one block is a quarter of an n-length array:
 # stage -> (call, its declared n-length float64 arrays, float64 blocks
-# allowed besides); a first call fills the caches the stage reads
+# and quotient-set floats allowed besides); a first call fills the caches
+# the stage reads
 _N = 1 << 18
 _VALUES = np.ones(_N + 1)
+_GEOM_N = [int(x) for x in asymptotics.standard_grid(1e3, _N, 7)]
+_DENSE_N = list(range(_N - 600, _N + 1))
+
+
+def _quotient_floats(ns):
+    """The floats one weight's pairs hold over the grid ns."""
+    return sum(2 * (math.isqrt(n) + 1) for n in ns)
+
+
+def _grid_pass(ns):
+    """One weight's pass over the grid ns, each n's pairs dropped once
+    read, as the exact sides read them."""
+    def run():
+        pairs = _accum.quotient_prefixes(lambda lo, hi: (_VALUES[lo:hi],), ns)
+        return [hi[0] for ((_, hi),) in pairs]
+    return run
 
 
 def _terms():
@@ -293,26 +361,33 @@ def _row_build(name, row):
 
 
 _STAGES = {
-    "mu_delta_sum": (lambda: asymptotics.mu_delta_sum(_N, "mu"), 2, 6),
-    "mu_delta_sum_a": (lambda: asymptotics.mu_delta_sum(_N, "mu", -0.5), 2, 6),
-    "on_quotients": (lambda: _accum.on_quotients(_VALUES, _N), 0, 3),
-    "apostol_log_average_terms": (_terms, 0, 10),
-    "u_partial_sum": (_u_sum, 0, 6),
+    "mu_delta_sum": (lambda: asymptotics.mu_delta_sum(_N, "mu"), 2, 6, 0),
+    "mu_delta_sum_a": (
+        lambda: asymptotics.mu_delta_sum(_N, "mu", -0.5), 2, 6, 0),
+    "on_quotients": (lambda: _accum.on_quotients(_VALUES, _N), 0, 3, 0),
+    # one pass for a whole grid: every point's quotient set ...
+    "grid_pass": (_grid_pass(_GEOM_N), 0, 3, _quotient_floats(_GEOM_N)),
+    # ... and for a dense one, runs whose sets hold at most max(ns) + 1
+    "grid_pass_runs": (_grid_pass(_DENSE_N), 0, 3, _N + 1),
+    # rho formed per block, its block first
+    "apostol_log_average_terms": (_terms, 0, 10, 0),
+    "u_partial_sum": (_u_sum, 0, 6, 0),
+    # the sigma table it builds outside the cache and reads once
     "statistic_exact_side": (
-        lambda: asymptotics.summatory("sigma_logne", _N), 0, 4),
+        lambda: asymptotics.summatory("sigma_logne", _N), 1, 4, 0),
     # tau's prefixes at the quotients: O(isqrt(n)) entries, no sieve
     "delta_integral_ratio": (
-        lambda: asymptotics.delta_integral_ratio(_N), 0, 1),
+        lambda: asymptotics.delta_integral_ratio(_N), 0, 1, 0),
     # each Stirling row: the result, one row of n + 1 entries
     "log_factorial_row": (
-        _row_build("log_factorial", stirling.log_factorial_row), 1, 8),
-    "rho_row": (_row_build("rho", stirling.rho_row), 1, 8),
+        _row_build("log_factorial", stirling.log_factorial_row), 1, 8, 0),
+    "rho_row": (_row_build("rho", stirling.rho_row), 1, 8, 0),
 }
 
 
 @pytest.mark.parametrize("stage", sorted(_STAGES))
 def test_stage_peak_is_its_declared_arrays(stage):
-    run, arrays, blocks = _STAGES[stage]
+    run, arrays, blocks, floats = _STAGES[stage]
     run()  # the cached tables it reads are built outside the measurement
     tracemalloc.start()
     try:
@@ -320,4 +395,4 @@ def test_stage_peak_is_its_declared_arrays(stage):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * (arrays * (_N + 1) + blocks * _B)
+    assert peak < 8 * (arrays * (_N + 1) + blocks * _B + floats)

@@ -3,12 +3,14 @@
 Each key keeps its largest array; a smaller request must get a slice
 equal by bytes to a direct build at the smaller size, so a scan's values
 do not depend on the order its points are evaluated in.  A scan caches
-only the n-length arrays it reads: its f and weight sieves and the rho
-row.  Prefix sums are not cached, g = 1 is formed per block, the log l!
-row is built only for the per-k audits and the series, and tau's prefix
-at the quotients comes from the integer hyperbola, not a sieve.  The
-series bracket caches f, mu and the log l! row: its f*mu is built from
-f and mu, and its g = 1 is formed per block too.
+only the weight sieve of its Delta correction, which ``mu_delta_sum``
+reads once per x.  Its exact side reads each table once for the whole
+grid, built outside the cache (``tables.sieve_once``), and forms g = 1
+and rho per block; prefix sums are not cached, the log l! row is built
+only for the per-k audits and the series, and tau's prefix at the
+quotients comes from the integer hyperbola, not a sieve.  The series
+bracket caches f, mu and the log l! row: its f*mu is built from f and
+mu, and its g = 1 is formed per block too.
 """
 
 import numpy as np
@@ -53,10 +55,8 @@ _GRID = asymptotics.standard_grid(1e3, 1e5, 3)
 
 
 @pytest.mark.parametrize("run, specs, rows", [
-    (lambda: asymptotics.residual_scan("id-log-avg", _GRID),
-     [G.PHI, G.MU], ["rho"]),
-    (lambda: asymptotics.residual_scan("id_phi", _GRID),
-     [G.convolve(G.ID, G.PHI), G.MU], []),
+    (lambda: asymptotics.residual_scan("id-log-avg", _GRID), [G.MU], []),
+    (lambda: asymptotics.residual_scan("id_phi", _GRID), [G.MU], []),
     (lambda: [asymptotics.delta_integral_ratio(x) for x in _GRID],
      [], []),
     (lambda: G.series_theta_bracket(G.sieve(G.ID, 10 ** 5), 3.0, 10 ** 5),
@@ -149,8 +149,11 @@ def test_shared_operand_sieved_once_per_build(fresh_cache, monkeypatch, text):
 
 
 def test_jordan_scan_sieves_mu_twice(fresh_cache, monkeypatch):
-    # once for conv:jordan:0.5,mu (the exact side), once for conv:mu,mu
-    # (the Delta weights)
+    # once for conv:jordan:0.5,mu (the exact side, built outside the cache),
+    # once for conv:mu,mu (the Delta weights, cached with the sigma_a sieve
+    # of Delta_a), both at the capacity of the largest x
     calls = _recording_mobius(monkeypatch)
     asymptotics.residual_scan("jordan-log-avg", [1e3, 2e4], -0.5)
     assert calls == [32768, 32768]
+    assert set(tables._grown) == {("sieve", G.convolve(G.MU, G.MU)),
+                                  ("sieve", G.sigma_pow(-0.5))}

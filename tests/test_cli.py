@@ -200,6 +200,29 @@ def test_scan_x_rejected_before_any_sieve(monkeypatch, capsys, grid):
     assert calls == []
 
 
+@pytest.mark.parametrize("points", [MAX_SIEVE + 1, 10 ** 15, 0])
+def test_geom_point_count_rejected_before_allocation(monkeypatch, capsys,
+                                                     points):
+    # the point count takes the range rule before np.geomspace runs, so a
+    # count of 10^15 allocates nothing
+    import tracemalloc
+    calls = []
+    monkeypatch.setattr(np, "geomspace", lambda *a, **k: calls.append(a))
+    tracemalloc.start()
+    try:
+        rc = run_cli(["scan", "--target", "id-log-avg",
+                      "--grid", f"geom:1e3,1e6,{points}"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert err[0] == f"error: {points} outside 1..{MAX_SIEVE}"
+    assert err[1].startswith("usage: gcdsums")
+    assert calls == []
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("argv", [
     ["sieve", "--spec", "mu", "--nmax", str(MAX_SIEVE + 1)],
     ["series", "--K", f"10,{MAX_SIEVE + 1}"],

@@ -51,7 +51,8 @@ def test_prefix_build_peak_memory(log_ratio, over_n, factor):
     sieve_values(TAU, n)           # cached before the measurement
     tracemalloc.start()
     try:
-        (_, hi), = asymptotics._quotient_sums(TAU, n, weigh)
+        (_, hi), = asymptotics._quotient_sums(sieve_values(TAU, n), [n],
+                                              weigh)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
