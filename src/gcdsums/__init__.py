@@ -4,9 +4,10 @@ from .asymptotics import (SCAN_TARGETS, STATISTICS, ResidualScan, calibrate,
                           default_calibration_path, delta_integral_ratio,
                           divisor_delta, divisor_delta_a,
                           divisor_delta_a_series, exact_value, limit_ratio,
-                          load_calibration, main_term, mu_delta_sum,
-                          residual_scan, standard_grid, summatory,
-                          tau_gcd_log_avg_routes, write_calibration)
+                          limit_ratio_grid, load_calibration, main_term,
+                          mu_delta_sum, residual_scan, standard_grid,
+                          summatory, tau_gcd_log_avg_routes,
+                          write_calibration)
 from .errors import DomainError
 from .identities import (AverageDecomposition, GcdSumResult, anderson_apostol,
                          apostol_audits, apostol_log_average,

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._accum import _BLOCK, dot, quotient_prefixes
+from ._accum import _BLOCK, dot, fsum, quotient_prefixes
 from .errors import DomainError, require
 from .identities import apostol_log_average_grid, apostol_log_average_terms
 from .stirling import THETA_HI, THETA_LO
@@ -205,9 +205,14 @@ def mu_delta_sum(x: float, kind: str, a: float | None = None,
     x = 1e6, against 1.4e-11 and 2.6e-11 per term.
 
     Peak memory: the cached sieves it reads (the weight, and sigma_a with
-    ``a``; ``_delta_prefixes`` forms tau's prefix without a sieve) plus
-    two n-length float64 arrays, the terms' weights and Delta values,
-    filled a block of ``_accum._BLOCK`` at a time and summed by one dot.
+    ``a``; ``_delta_prefixes`` forms tau's prefix without a sieve) plus a
+    few blocks of ``_accum._BLOCK``.  Each block's weights and Delta
+    values are summed by one dot, and the partial dots by ``math.fsum``.
+    For x below ``_BLOCK`` + 1 that is one dot, as in the whole-array
+    form.  Past it the additions come in another order: on x = 1e5 to
+    1e7 the sum erred at most 7.7e-16 times the sum of the terms'
+    absolute values against their exact sum, where one dot over all
+    terms erred up to 7.9e-15.
     """
     if kind not in _WEIGHT_SPECS:
         raise DomainError(f"unknown weight kind {kind!r}")
@@ -215,19 +220,19 @@ def mu_delta_sum(x: float, kind: str, a: float | None = None,
     (p_lo, p_hi), smooth = _delta_prefixes(n, a)
     r = len(p_lo) - 1
     wv = sieve_values(_WEIGHT_SPECS[kind], n)
-    w, deltas = np.empty(n), np.empty(n)
+    partials = []
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        d = np.arange(lo + 1, hi + 1)
         # floor(x/d) = floor(n/d) for integer d, so one integer path serves
         # any x; P(n // d) is p_hi[d] up to d = r, then p_lo[n // d]
-        k = min(max(r - lo, 0), hi - lo)
-        deltas[lo:lo + k] = p_hi[d[:k]]
-        deltas[lo + k:hi] = p_lo[n // d[k:]]
+        mid = lo + 1 + min(max(r - lo, 0), hi - lo)
+        deltas = np.concatenate((p_hi[lo + 1:mid],
+                                 p_lo[n // np.arange(mid, hi + 1)]))
         narr = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        w[lo:hi] = wv[lo + 1:hi + 1] / narr
-        deltas[lo:hi] -= smooth(np.divide(x, narr, out=narr))
-    total = dot(w, deltas)
+        w = wv[lo + 1:hi + 1] / narr
+        deltas -= smooth(np.divide(x, narr, out=narr))
+        partials.append(dot(w, deltas))
+    total = fsum(partials)
     if log_factor:
         total *= math.log(x) - 1.0
     return total
@@ -657,14 +662,22 @@ _LIMIT_VARIANTS = {
 
 
 def limit_ratio(variant: str, x: float, a: float | None = None) -> float:
-    """L(x; f) / (limit * x log^p x); tends to 1 as x grows."""
+    """L(x; f) / (limit * x log^p x); tends to 1 as x grows: the grid of
+    one of ``limit_ratio_grid``."""
+    return limit_ratio_grid(variant, [x], a)[0]
+
+
+def limit_ratio_grid(variant: str, xs, a: float | None = None) -> list[float]:
+    """``limit_ratio`` at every x of xs, in any order, from one exact-side
+    pass (``Target.parts``) up to the largest x."""
     if variant not in _LIMIT_VARIANTS:
         raise DomainError(f"unknown limit variant {variant!r}")
     target, p, limit_fn = _LIMIT_VARIANTS[variant]
     t, a = _lookup(target, a)
-    value = float(t.parts([x], a)[0][0])
+    grid = sorted(xs)
+    exact = dict(zip(grid, t.parts(grid, a)[0]))
     limit = limit_fn(constants(), a)
-    return value / (limit * x * math.log(x) ** p)
+    return [float(exact[x]) / (limit * x * math.log(x) ** p) for x in xs]
 
 
 # ---------------------------------------------------------------------------

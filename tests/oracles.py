@@ -248,7 +248,8 @@ def series_lhs_longdouble(fv: np.ndarray, gv: np.ndarray, s: float, k: int):
 # ---------------------------------------------------------------------------
 # whole-array forms of the blocked stages: each builds every n-length
 # temporary at once, as the stages did before they were blocked, and must
-# give the same bytes
+# give the same bytes (mu_delta_sum within one block; past it, whose
+# partial dots add in another order, ``fsum_mu_delta`` bounds it)
 
 
 def whole_array_on_quotients(values: np.ndarray, n: int):
@@ -289,17 +290,33 @@ def whole_array_average_pairs(fv: np.ndarray, gv: np.ndarray, rho: np.ndarray,
     return [whole_array_on_quotients(v, n) for v in weights]
 
 
-def whole_array_mu_delta(x: float, weights: np.ndarray, prefix: np.ndarray,
-                         smooth) -> float:
-    """sum_{n<=x} w(n)/n (P(x/n) - smooth(x/n)) with one n-length array per
-    step and one dot; ``weights`` and ``prefix`` are indexed from 0."""
+def _mu_delta_terms(x: float, weights: np.ndarray, prefix: np.ndarray,
+                    smooth):
+    """The weights w(n)/n and Delta values P(x // n) - smooth(x/n) of
+    ``mu_delta_sum``'s terms for n <= x, one n-length array each."""
     n = math.floor(x)
     narr = np.arange(1, n + 1, dtype=np.float64)
     w = weights[1:n + 1] / narr
     q = n // np.arange(1, n + 1, dtype=np.int64)
     y = x / narr
-    deltas = prefix[q] - smooth(y)
-    return float(np.dot(w, deltas))
+    return w, prefix[q] - smooth(y)
+
+
+def whole_array_mu_delta(x: float, weights: np.ndarray, prefix: np.ndarray,
+                         smooth) -> float:
+    """sum_{n<=x} w(n)/n (P(x/n) - smooth(x/n)) with one n-length array per
+    step and one dot; ``weights`` and ``prefix`` are indexed from 0."""
+    return float(np.dot(*_mu_delta_terms(x, weights, prefix, smooth)))
+
+
+def fsum_mu_delta(x: float, weights: np.ndarray, prefix: np.ndarray,
+                  smooth) -> tuple[float, float]:
+    """The ``math.fsum`` of the products ``whole_array_mu_delta`` dots,
+    which is the correctly rounded sum of those rounded products, and the
+    fsum of their absolute values (the scale of any summation error)."""
+    w, deltas = _mu_delta_terms(x, weights, prefix, smooth)
+    terms = w * deltas
+    return math.fsum(terms), math.fsum(np.abs(terms))
 
 
 # the Stirling remainder series' coefficients in 1/l^2, highest power first

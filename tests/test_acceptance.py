@@ -15,8 +15,9 @@ import pytest
 import gcdsums as G
 from gcdsums.asymptotics import (delta_integral_ratio, divisor_delta_a,
                                  divisor_delta_a_series, exact_value,
-                                 limit_ratio, load_calibration, residual_scan,
-                                 standard_grid, tau_gcd_log_avg_routes)
+                                 limit_ratio_grid, load_calibration,
+                                 residual_scan, standard_grid,
+                                 tau_gcd_log_avg_routes)
 from gcdsums.series import (mu_series_report, series_identity_compare,
                             series_theta_bracket)
 
@@ -221,8 +222,7 @@ def test_c13_limit_ratios():
     details = []
     for variant, a in (("id", None), ("phi", None), ("idpow", -0.5),
                        ("jordan", -0.5)):
-        r_small = limit_ratio(variant, 1e4, a)
-        r_large = limit_ratio(variant, 1e6, a)
+        r_small, r_large = limit_ratio_grid(variant, [1e4, 1e6], a)
         improved = abs(r_large - 1.0) < abs(r_small - 1.0)
         ok = ok and improved
         details.append(f"{variant}: {abs(r_small-1):.4f} -> {abs(r_large-1):.4f}")

@@ -10,7 +10,8 @@ from gcdsums.asymptotics import (SCAN_TARGETS, STATISTICS, calibrate,
                                  divisor_delta_a_grid,
                                  divisor_delta_a_series,
                                  delta_integral_ratio, exact_value,
-                                 limit_ratio, load_calibration, main_term,
+                                 limit_ratio, limit_ratio_grid,
+                                 load_calibration, main_term,
                                  mu_delta_sum, residual_scan, standard_grid,
                                  summatory, tau_gcd_log_avg_routes,
                                  write_calibration)
@@ -265,9 +266,11 @@ def test_two_route_exact_side():
 
 
 def test_limit_ratio_improves():
-    r1 = limit_ratio("id", 1e3)
-    r2 = limit_ratio("id", 1e4)
+    r1, r2 = limit_ratio_grid("id", [1e3, 1e4])
     assert abs(r2 - 1.0) < abs(r1 - 1.0)
+    # one pass for the grid, in any order, gives each x's own ratio
+    assert limit_ratio_grid("id", [1e4, 1e3]) == [r2, r1]
+    assert limit_ratio("id", 1e3) == r1
     with pytest.raises(DomainError):
         limit_ratio("nope", 1e3)
 

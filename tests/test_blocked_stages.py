@@ -5,14 +5,17 @@ six-term weights of ``apostol_log_average_terms``, the Dirichlet series'
 weights and the exact sides of the statistics and the Delta diagnostics)
 and the Stirling rows work a block of ``_accum._BLOCK`` at a time.  Each
 must give the bytes of the whole-array form in ``oracles`` at sizes around
-the block edge, and peak at the cached tables it reads plus its declared
-count of n-length arrays, a few blocks and, for the one pass over a whole
-grid, its declared quotient-set floats; the pass over a grid must give
-the bytes of the passes over its points one at a time, and rho formed
-per block the bytes of the cached rho row.  The constant 1 formed per block
-(in the six-term weights, the series and the per-k reference) must equal
-the ONE sieve, and tau's prefixes by the integer hyperbola the
-tau sieve's, by bytes.
+the block edge; past one block, ``mu_delta_sum``, whose partial dots add
+in another order, must instead come within a few ulps of the exact sum
+of its terms.  Each must peak at the cached tables it reads plus its
+declared count of n-length arrays, a few blocks and, for the one pass
+over a whole grid, its declared quotient-set floats, and each sieve
+build at its result and live operands plus a few blocks.  The pass over
+a grid must give the bytes of the passes over its points one at a time,
+and rho formed per block the bytes of the cached rho row.  The constant
+1 formed per block (in the six-term weights, the series and the per-k
+reference) must equal the ONE sieve, and tau's prefixes by the integer
+hyperbola the tau sieve's, by bytes.
 """
 
 import math
@@ -30,9 +33,9 @@ from gcdsums.tables import (DIVISOR_LOG, ID, LOG, MU, ONE, PHI, SIGMA, TAU,
                             pointwise_pow_spec, sieve_values, sigma_pow)
 from gcdsums.zeta import constants
 
-from oracles import (whole_array_average_pairs, whole_array_mu_delta,
-                     whole_array_on_quotients, whole_array_prefix,
-                     whole_array_rho, whole_array_stirling)
+from oracles import (fsum_mu_delta, whole_array_average_pairs,
+                     whole_array_mu_delta, whole_array_on_quotients,
+                     whole_array_prefix, whole_array_rho, whole_array_stirling)
 
 _B = _accum._BLOCK
 SIZES = [1, _B - 1, _B, _B + 1, 10 ** 6 + 7, 100.5]
@@ -64,10 +67,17 @@ def test_mu_delta_sum_equals_whole_array_form(x, kind, weight, a):
 
         def smooth(y):
             return asymptotics._sigma_a_smooth(y, a)
-    want = whole_array_mu_delta(x, sieve_values(weight, n), prefix, smooth)
-    assert asymptotics.mu_delta_sum(x, kind, a, log_factor=False) == want
-    assert (asymptotics.mu_delta_sum(x, kind, a)
-            == want * (math.log(x) - 1.0))
+    weights = sieve_values(weight, n)
+    got = asymptotics.mu_delta_sum(x, kind, a, log_factor=False)
+    if n <= _B:
+        # one block: the one dot of the whole-array form
+        assert got == whole_array_mu_delta(x, weights, prefix, smooth)
+    else:
+        # the blocks' dots add in another order: within a few ulps of the
+        # exact sum of the same products, scaled by the sum of their sizes
+        want, size = fsum_mu_delta(x, weights, prefix, smooth)
+        assert abs(got - want) <= 4 * 2.0 ** -52 * size
+    assert asymptotics.mu_delta_sum(x, kind, a) == got * (math.log(x) - 1.0)
 
 
 @pytest.mark.parametrize("x", SIZES)
@@ -321,7 +331,7 @@ def test_each_stirling_row_equals_whole_array_form(x):
 # peaks at n = 2^18, where one block is a quarter of an n-length array:
 # stage -> (call, its declared n-length float64 arrays, float64 blocks
 # and quotient-set floats allowed besides); a first call fills the caches
-# the stage reads
+# the stage reads, and a build outside the cache is measured whole
 _N = 1 << 18
 _VALUES = np.ones(_N + 1)
 _GEOM_N = [int(x) for x in asymptotics.standard_grid(1e3, _N, 7)]
@@ -360,10 +370,27 @@ def _row_build(name, row):
     return run
 
 
+def _build(text):
+    """A sieve built outside the cache: its peak is the result and the
+    operands live at once, each part freed after its last use."""
+    spec = tables.parse_spec(text)
+    return lambda: tables._sieve_values(spec, _N)
+
+
 _STAGES = {
-    "mu_delta_sum": (lambda: asymptotics.mu_delta_sum(_N, "mu"), 2, 6, 0),
+    # a block's weights and Delta values, one dot each
+    "mu_delta_sum": (lambda: asymptotics.mu_delta_sum(_N, "mu"), 0, 6, 0),
     "mu_delta_sum_a": (
-        lambda: asymptotics.mu_delta_sum(_N, "mu", -0.5), 2, 6, 0),
+        lambda: asymptotics.mu_delta_sum(_N, "mu", -0.5), 0, 6, 0),
+    # the result and the int8 (mu) or int32 (phi) sieve it is cast from
+    "build_mu": (_build("mu"), 1 + 1 / 8, 1, 0),
+    "build_phi": (_build("phi"), 1 + 1 / 2, 1, 0),
+    # the result, powered in place
+    "build_idpow": (_build("idpow:0.5"), 1, 1, 0),
+    # the result and mu, shared by both operands; the conv:mu,idpow:0.5
+    # inside holds mu, idpow:0.5 and its own result
+    "build_conv_mu_mu": (_build("conv:mu,mu"), 2, 2, 0),
+    "build_conv_jordan_mu": (_build("conv:conv:mu,idpow:0.5,mu"), 3, 2, 0),
     "on_quotients": (lambda: _accum.on_quotients(_VALUES, _N), 0, 3, 0),
     # one pass for a whole grid: every point's quotient set ...
     "grid_pass": (_grid_pass(_GEOM_N), 0, 3, _quotient_floats(_GEOM_N)),

@@ -1,8 +1,9 @@
 """The sqrt-split sieve kernels against the plain loops they replaced.
 
 Every kernel must reproduce its reference loop in ``oracles`` bit for
-bit, and every cached array must slice to the same bytes as a build at
-the sliced size.
+bit (mu and phi, sieved in int8 and int32, by exact value and their own
+dtype), and every cached array must slice to the same bytes as a build
+at the sliced size.
 """
 
 import math
@@ -63,8 +64,10 @@ def _same_bytes(a, b):
 
 @pytest.mark.parametrize("n", KERNEL_SIZES)
 def test_kernels_match_reference_loops(n):
-    assert _same_bytes(tables._mobius_values(n), loop_mobius(n))
-    assert _same_bytes(tables._totient_values(n), loop_totient(n))
+    mu, phi = tables._mobius_values(n), tables._totient_values(n)
+    assert mu.dtype == np.int8 and phi.dtype == np.int32
+    assert np.array_equal(mu, loop_mobius(n))
+    assert np.array_equal(phi, loop_totient(n))
     lf = G.log_factorial_table(n).log_factorial
     for f, g in _PAIRS:
         fv = tables._sieve_values(parse_spec(f), n)
@@ -73,6 +76,12 @@ def test_kernels_match_reference_loops(n):
                            loop_convolve(fv, gv, n)), (f, g)
         assert _same_bytes(identities.identity_sum_table(fv, gv, lf, n),
                            loop_identity_sum(fv, gv, lf, n)), (f, g)
+
+
+def test_totient_dtype_holds_every_sieve_size():
+    # phi(n) <= n <= MAX_SIEVE, the largest n that ``cut`` lets through
+    assert tables.MAX_SIEVE < 2 ** 31
+    assert tables.MAX_SIEVE <= np.iinfo(tables._totient_values(1).dtype).max
 
 
 def test_mobius_and_totient_sieves_match_naive():
