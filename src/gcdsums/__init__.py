@@ -5,8 +5,8 @@ from .asymptotics import (SCAN_TARGETS, STATISTICS, ResidualScan, calibrate,
                           divisor_delta, divisor_delta_a,
                           divisor_delta_a_series, exact_value, limit_ratio,
                           limit_ratio_grid, load_calibration, main_term,
-                          mu_delta_sum, residual_scan, standard_grid,
-                          summatory, tau_gcd_log_avg_routes,
+                          mu_delta_grid, mu_delta_sum, residual_scan,
+                          standard_grid, summatory, tau_gcd_log_avg_routes,
                           write_calibration)
 from .errors import DomainError
 from .identities import (AverageDecomposition, GcdSumResult, anderson_apostol,

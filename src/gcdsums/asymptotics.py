@@ -33,7 +33,7 @@ from .errors import DomainError, require
 from .identities import apostol_log_average_grid, apostol_log_average_terms
 from .stirling import THETA_HI, THETA_LO
 from .tables import (DIVISOR_LOG, ID, MU, ONE, PHI, SIGMA, TAU, VON_MANGOLDT,
-                     convolve, cut, id_pow, jordan, sieve_once, sieve_values,
+                     convolve, cut, id_pow, jordan, sieve, sieve_values,
                      sigma_pow)
 from .zeta import LOG_SQRT_2PI, constants
 
@@ -50,18 +50,11 @@ def _quotient_sums(values: np.ndarray, ns, weigh):
     return (pairs[0] for pairs in quotient_prefixes(blocks, ns))
 
 
-def top_down(fn, xs) -> list:
-    """[fn(x) for x in xs], with the calls made in descending x.
-
-    The first call then grows the cached tables to the largest size and
-    the rest are served by slices of them; slices equal smaller builds
-    bit for bit, so the results do not depend on the order.
-    """
-    order = sorted(range(len(xs)), key=lambda i: xs[i], reverse=True)
-    out = [None] * len(xs)
-    for i in order:
-        out[i] = fn(xs[i])
-    return out
+def _floors(xs) -> list[int]:
+    """floor(x) at each x of xs, the largest checked by ``cut`` first, so
+    an x out of range fails before any table is built."""
+    cut(max(xs))
+    return [cut(x) for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -96,27 +89,30 @@ def _tau_prefixes(n: int) -> list:
             for p in (2 * d_sum - s * s, 2 * s_sum - t * t)]
 
 
-def _delta_prefixes(n: int, a: float | None):
-    """(the ``on_quotients`` pair at n, smooth part on arrays) of Delta's
-    divisor sum: tau by ``_tau_prefixes`` for a None, else sigma_a."""
+def _delta_prefixes(ns, a: float | None):
+    """(the ``on_quotients`` pair at each n of ns, ascending, smooth part
+    on arrays) of Delta's divisor sum: tau by ``_tau_prefixes`` for a
+    None, else sigma_a from one pass."""
     if a is None:
         slope = 2.0 * constants().gamma - 1.0
-        return _tau_prefixes(n)[0], lambda y: y * np.log(y) + slope * y
+        return ((_tau_prefixes(n)[0] for n in ns),
+                lambda y: y * np.log(y) + slope * y)
     a = _require_a(a)
-    return next(_sigma_a_prefixes([n], a)), lambda y: _sigma_a_smooth(y, a)
+    return _sigma_a_prefixes(ns, a), lambda y: _sigma_a_smooth(y, a)
 
 
 def _sigma_a_prefixes(ns, a: float):
     """The ``on_quotients`` pair of sigma_a at each n of ns (ascending),
-    from one pass over its sieve.  The sieve is cached, as
-    ``mu_delta_sum`` reads it again at every x."""
+    from one pass over its sieve, built up to the largest n and freed
+    once the last pair is out."""
     values = sieve_values(sigma_pow(a), ns[-1])
     return _quotient_sums(values, ns, lambda v, m: v)
 
 
 def divisor_delta(x: float) -> float:
     """Delta(x) = sum_{n<=x} tau(n) - (x log x + (2 gamma - 1) x)."""
-    (_, hi), _ = _delta_prefixes(cut(x), None)
+    pairs, _ = _delta_prefixes([cut(x)], None)
+    (_, hi), = pairs
     gamma = constants().gamma
     # math.log, not the smooth part's np.log, which rounds a few x otherwise
     return float(hi[0]) - (x * math.log(x) + (2.0 * gamma - 1.0) * x)
@@ -166,7 +162,7 @@ def divisor_delta_a_grid(xs, a: float) -> list[float]:
     """``divisor_delta_a`` at every x of xs, in any order, from one pass
     over the sigma_a sieve up to the largest x, which is checked first."""
     a = _require_a(a)
-    ns = top_down(cut, xs)
+    ns = _floors(xs)
     order = sorted(range(len(ns)), key=ns.__getitem__)
     pairs = _sigma_a_prefixes([ns[i] for i in order], a)
     out = [0.0] * len(ns)
@@ -197,16 +193,28 @@ def mu_delta_sum(x: float, kind: str, a: float | None = None,
 
     With ``a`` given, Delta_a replaces Delta.  ``log_factor=False`` drops
     the log(x/e) factor (the bare form corrects the unweighted summatory
-    statistics; the weighted form corrects the log averages).
+    statistics; the weighted form corrects the log averages).  The grid
+    of one of ``mu_delta_grid``.
+    """
+    return mu_delta_grid([x], kind, a, log_factor)[0]
 
-    It stays one term per n <= x, as each summand T(x/n) - smooth(x/n)
+
+def mu_delta_grid(xs, kind: str, a: float | None = None,
+                  log_factor: bool = True) -> list[float]:
+    """``mu_delta_sum`` at every x of xs, in any order, from one weight
+    sieve built for the largest x, which is checked first.  With ``a``,
+    Delta_a's pairs at every x come from one pass over sigma_a, whose
+    sieve is freed before the weights are built.
+
+    Each x stays one term per n <= x, as each summand T(x/n) - smooth(x/n)
     cancels inside itself: a ``hyperbola_sum`` minus the smooth sum erred
     6.6e-10 (mu) and 3.9e-9 (mu*mu) relative to a longdouble oracle at
     x = 1e6, against 1.4e-11 and 2.6e-11 per term.
 
-    Peak memory: the cached sieves it reads (the weight, and sigma_a with
-    ``a``; ``_delta_prefixes`` forms tau's prefix without a sieve) plus a
-    few blocks of ``_accum._BLOCK``.  Each block's weights and Delta
+    Peak memory: the weight sieve (mu*mu is a convolution of one mu; mu is
+    sieved in int8 and cast once, so 1 + 1/8 x-length arrays while it is
+    built), a few blocks of ``_accum._BLOCK`` and Delta's pairs at every
+    x, sum 2 (isqrt(n) + 1) floats.  Each block's weights and Delta
     values are summed by one dot, and the partial dots by ``math.fsum``.
     For x below ``_BLOCK`` + 1 that is one dot, as in the whole-array
     form.  Past it the additions come in another order: on x = 1e5 to
@@ -216,26 +224,32 @@ def mu_delta_sum(x: float, kind: str, a: float | None = None,
     """
     if kind not in _WEIGHT_SPECS:
         raise DomainError(f"unknown weight kind {kind!r}")
-    n = cut(x)
-    (p_lo, p_hi), smooth = _delta_prefixes(n, a)
-    r = len(p_lo) - 1
-    wv = sieve_values(_WEIGHT_SPECS[kind], n)
-    partials = []
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        # floor(x/d) = floor(n/d) for integer d, so one integer path serves
-        # any x; P(n // d) is p_hi[d] up to d = r, then p_lo[n // d]
-        mid = lo + 1 + min(max(r - lo, 0), hi - lo)
-        deltas = np.concatenate((p_hi[lo + 1:mid],
-                                 p_lo[n // np.arange(mid, hi + 1)]))
-        narr = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        w = wv[lo + 1:hi + 1] / narr
-        deltas -= smooth(np.divide(x, narr, out=narr))
-        partials.append(dot(w, deltas))
-    total = fsum(partials)
-    if log_factor:
-        total *= math.log(x) - 1.0
-    return total
+    ns = _floors(xs)
+    order = sorted(range(len(ns)), key=ns.__getitem__)
+    pairs, smooth = _delta_prefixes([ns[i] for i in order], a)
+    pairs = list(pairs)  # sigma_a's sieve is freed before wv is built
+    wv = sieve_values(_WEIGHT_SPECS[kind], ns[order[-1]])
+    out = [0.0] * len(ns)
+    for i, (p_lo, p_hi) in zip(order, pairs):
+        x, n = xs[i], ns[i]
+        r = len(p_lo) - 1
+        partials = []
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            # floor(x/d) = floor(n/d) for integer d, so one integer path
+            # serves any x; P(n // d) is p_hi[d] up to d = r, then
+            # p_lo[n // d]
+            mid = lo + 1 + min(max(r - lo, 0), hi - lo)
+            deltas = np.concatenate((p_hi[lo + 1:mid],
+                                     p_lo[n // np.arange(mid, hi + 1)]))
+            narr = np.arange(lo + 1, hi + 1, dtype=np.float64)
+            w = wv[lo + 1:hi + 1] / narr
+            deltas -= smooth(np.divide(x, narr, out=narr))
+            partials.append(dot(w, deltas))
+        out[i] = fsum(partials)
+        if log_factor:
+            out[i] *= math.log(x) - 1.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +288,15 @@ class Target:
     xs (one x is a grid of one) it gives the float64 arrays (exact,
     stirling_remainder), the exact side at each x and the exactly computed
     component that the main term's Stirling slot stands for (0.0 where the
-    main term has no slot).  It checks the largest x first, reads each
-    table it needs once, built outside the cache (``tables.sieve_once``)
-    for the largest x, and samples every x's prefix sums in one
-    ``quotient_prefixes`` pass; nothing x-long is left when it returns.
-    ``main(x, a, theta)`` is the displayed main term with the slot at
-    theta.  A log
-    average keeps its (f, g) specs in ``pair(a)``; a statistic leaves it
-    None.  The mu-weighted Delta correction sums ``weight`` against Delta
-    (Delta_a where ``needs_a``), times log(x/e) for a log average.
+    main term has no slot).  It checks the largest x first, builds each
+    table it needs once, for the largest x, and samples every x's prefix
+    sums in one ``quotient_prefixes`` pass; nothing x-long is left when it
+    returns.  ``main(x, a, theta)`` is the displayed main term with the
+    slot at theta.  A log average keeps its (f, g) specs in ``pair(a)``;
+    a statistic leaves it None.  The mu-weighted Delta correction
+    (``correction(xs, a)``, one ``mu_delta_grid`` call for a grid) sums
+    ``weight`` against Delta (Delta_a where ``needs_a``), times log(x/e)
+    for a log average.
     """
 
     name: str
@@ -293,12 +307,14 @@ class Target:
     weight: str | None = None       # mu-weighted Delta correction kind
     pair: object = None             # callable a -> (f, g) specs, or None
 
-    def correction(self, x: float, a: float | None) -> float:
-        """The mu-weighted Delta correction at x (0.0 where there is none)."""
+    def correction(self, xs, a: float | None) -> np.ndarray:
+        """The mu-weighted Delta correction at each x of xs (0.0 where
+        there is none)."""
         if self.weight is None:
-            return 0.0
-        return mu_delta_sum(x, self.weight, a if self.needs_a else None,
-                            log_factor=self.pair is not None)
+            return np.zeros(len(xs))
+        return np.array(mu_delta_grid(xs, self.weight,
+                                      a if self.needs_a else None,
+                                      log_factor=self.pair is not None))
 
 
 def _stat_main(stat_name):
@@ -391,8 +407,8 @@ def _statistics() -> dict[str, Target]:
             return np.divide(v, m, out=m) if over_n else v
 
         def parts(xs, a):
-            ns = top_down(cut, xs)
-            values = sieve_once(spec_at(a), max(ns)).values
+            ns = _floors(xs)
+            values = sieve_values(spec_at(a), max(ns))
             exact = [hi[0] for _, hi in _quotient_sums(values, ns, weigh)]
             return np.array(exact), np.zeros(len(exact))
 
@@ -494,8 +510,8 @@ def _scan_targets() -> dict[str, Target]:
         """The log average of the (f, g) = pair(a) sums; with ``stirling``
         the main term has a slot for the exact Stirling remainder."""
         def parts(xs, a):
-            n = max(top_down(cut, xs))
-            f, g = (None if spec == ONE else sieve_once(spec, n)
+            n = max(_floors(xs))
+            f, g = (None if spec == ONE else sieve(spec, n)
                     for spec in pair(a))  # 1 is formed per block
             decs = apostol_log_average_grid(f, g, xs)
             return (np.array([d.total for d in decs]),
@@ -611,7 +627,7 @@ def residual_scan(target: str, grid, a: float | None = None) -> ResidualScan:
     exact, rem = t.parts(grid, a)
     main0 = np.array([t.main(x, a, THETA_LO) for x in grid])
     main_hi = np.array([t.main(x, a, THETA_HI) for x in grid])
-    corr = np.array(top_down(lambda x: t.correction(x, a), grid))
+    corr = t.correction(grid, a)
     residual_hi = exact - main0 - corr
     residual = residual_hi - rem
     residual_lo = exact - main_hi - corr

@@ -25,7 +25,6 @@ import sys
 import numpy as np
 
 from . import asymptotics, csvio, identities, series
-from .asymptotics import top_down
 from .errors import DomainError
 from .tables import cut, parse_spec, sieve
 
@@ -125,13 +124,13 @@ def cmd_delta(args) -> int:
     if args.which == "point":
         grid = _parse_grid(args.grid)
         if args.a is None:
-            values = top_down(asymptotics.divisor_delta, grid)
+            values = [asymptotics.divisor_delta(x) for x in grid]
         else:
             values = asymptotics.divisor_delta_a_grid(grid, args.a)
         csvio.write_rows("x,delta", zip(grid, values), args.out)
     elif args.which == "integral":
         grid = _parse_grid(args.grid)
-        values = top_down(asymptotics.delta_integral_ratio, grid)
+        values = [asymptotics.delta_integral_ratio(x) for x in grid]
         csvio.write_rows("X,ratio", zip(grid, values), args.out)
     else:  # series
         if args.a is None:

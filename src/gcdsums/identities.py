@@ -35,8 +35,12 @@ per k.
 
 Each audit has one per-k kernel, given D[m] = the divisors of each m | k.
 The ``*_audits`` batches that ``identity`` runs take D from one
-``divisor_lists`` sieve and fetch each table once; a table passed as a
+``divisor_lists`` sieve and build each table once; a table passed as a
 list of Python floats gives the same IEEE products as numpy scalars.
+The public per-k functions build no sieve: they take log m from ``np.log``
+(the LOG sieve's bytes) and mu, phi and Lambda at the divisors of k from
+the divisors themselves, mu and phi as exact integers, so their values
+equal the batches' bit for bit.
 
 All sums over x cut at floor(x); an integer x includes k = x.
 """
@@ -52,7 +56,7 @@ from ._accum import (block_of, dot, fsum, hyperbola_sum, prefix_with_zero,
                      quotient_prefixes)
 from .errors import require
 from .stirling import log_factorial_row, rho_block
-from .tables import (LOG, MU, PHI, VON_MANGOLDT, FunctionSpec, FunctionTable,
+from .tables import (MU, PHI, VON_MANGOLDT, FunctionSpec, FunctionTable,
                      _derived, _divisor_pair_sum, convolve, cut,
                      divisor_lists, divisors_of, sieve_values)
 from .zeta import LOG_SQRT_2PI
@@ -144,13 +148,14 @@ def _apostol_identity(fv, gv, lf, k: int, D) -> float:
                 for d, l in zip(D[k], reversed(D[k])))  # l = k/d
 
 
-def _toth_sides(mu, logs: np.ndarray, lam, lf, k: int, D) -> tuple[float, float]:
+def _toth_sides(mu, logs: np.ndarray, lam_k, lf, k: int,
+                D) -> tuple[float, float]:
     divs = D[k]
     term = {d: d * mu[k // d] for d in divs}.__getitem__
     c_by = np.zeros(k + 1)  # c_k at each m | k, exact: integers below 2^53
     c_by[divs] = [sum(map(term, D[m])) for m in divs]
     lhs = dot(logs[1:k + 1], _gather_by_gcd(c_by, divs, k)) / k
-    return lhs, float(lam[k]) + fsum(mu[d] / d * lf[d] for d in divs)
+    return lhs, float(lam_k) + fsum(mu[d] / d * lf[d] for d in divs)
 
 
 def _cesaro_sides(fv: np.ndarray, phi, k: int, D) -> tuple[float, float]:
@@ -164,11 +169,26 @@ def _divisor_map(k: int) -> dict[int, list[int]]:
     return {m: [d for d in divs if m % d == 0] for m in divs}
 
 
+def _mobius_on(D) -> dict[int, int]:
+    """mu(m) for each m | k, exact, from D = ``_divisor_map(k)`` (whose
+    keys ascend): sum_{d|m} mu(d) is 1 at m = 1 and 0 past it."""
+    mu = {}
+    for m, divs in D.items():
+        mu[m] = 1 if m == 1 else -sum(mu[d] for d in divs[:-1])
+    return mu
+
+
+def _logs(k: int) -> np.ndarray:
+    """log m in slot m = 1..k (slot 0 holds 0), the LOG sieve's bytes."""
+    logs = np.zeros(k + 1)
+    np.log(np.arange(1, k + 1, dtype=np.float64), out=logs[1:])
+    return logs
+
+
 def apostol_log_sum_direct(f: FunctionTable, g: FunctionTable, k: int) -> float:
     """Brute-force sum_{j<=k} s_k(j) log j over every j; the oracle path."""
     cut(k, f, g)
-    return _apostol_direct(f.values, g.values, sieve_values(LOG, k), k,
-                           _divisor_map(k))
+    return _apostol_direct(f.values, g.values, _logs(k), k, _divisor_map(k))
 
 
 def apostol_log_sum(f: FunctionTable, g: FunctionTable, k: int) -> float:
@@ -191,15 +211,22 @@ def toth_identity(k: int) -> tuple[float, float]:
     rhs = Lambda(k) + sum_{d|k} (mu(d)/d) log d!
     """
     cut(k)
-    return _toth_sides(sieve_values(MU, k), sieve_values(LOG, k),
-                       sieve_values(VON_MANGOLDT, k),
-                       log_factorial_row(k), k, _divisor_map(k))
+    D = _divisor_map(k)
+    divs = D[k]
+    # k = p^e exactly when its divisors are 1, p, ..., p^e
+    lam_k = (math.log(divs[1]) if k > 1 and divs[1] ** (len(divs) - 1) == k
+             else 0.0)
+    return _toth_sides(_mobius_on(D), _logs(k), lam_k, log_factorial_row(k),
+                       k, D)
 
 
 def cesaro_identity(f: FunctionTable, k: int) -> tuple[float, float]:
     """sum_{j<=k} f(gcd(j,k)) against (f*phi)(k)."""
     cut(k, f)
-    return _cesaro_sides(f.values, sieve_values(PHI, k), k, _divisor_map(k))
+    D = _divisor_map(k)
+    mu = _mobius_on(D)
+    phi = {m: sum(mu[d] * (m // d) for d in D[m]) for m in D}  # mu * id
+    return _cesaro_sides(f.values, phi, k, D)
 
 
 def _batch(kernel, D):
@@ -214,7 +241,7 @@ def _batch(kernel, D):
 def apostol_audits(f: FunctionTable, g: FunctionTable, kmax: int):
     """(``apostol_log_sum_direct``, ``apostol_log_sum``) for k = 1..kmax."""
     cut(kmax, f, g)
-    D, logs = divisor_lists(kmax), sieve_values(LOG, kmax)
+    D, logs = divisor_lists(kmax), _logs(kmax)
     fv, gv = f.values[:kmax + 1].tolist(), g.values[:kmax + 1].tolist()
     lf = log_factorial_row(kmax).tolist()
     return _batch(lambda k: (_apostol_direct(fv, gv, logs, k, D),
@@ -223,11 +250,11 @@ def apostol_audits(f: FunctionTable, g: FunctionTable, kmax: int):
 
 def toth_audits(kmax: int):
     """``toth_identity(k)`` for k = 1..kmax."""
-    D, logs = divisor_lists(kmax), sieve_values(LOG, kmax)
+    D, logs = divisor_lists(kmax), _logs(kmax)
     mu = sieve_values(MU, kmax).astype(np.int64).tolist()
     lam = sieve_values(VON_MANGOLDT, kmax)
     lf = log_factorial_row(kmax)
-    return _batch(lambda k: _toth_sides(mu, logs, lam, lf, k, D), D)
+    return _batch(lambda k: _toth_sides(mu, logs, lam[k], lf, k, D), D)
 
 
 def cesaro_audits(f: FunctionTable, kmax: int):

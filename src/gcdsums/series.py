@@ -25,7 +25,7 @@ from ._accum import block_of, dot, hyperbola_sum, quotient_prefixes
 from .errors import require
 from .identities import _with_mu
 from .stirling import THETA_HI, THETA_LO, log_factorial_row
-from .tables import FunctionTable, abscissa, cut
+from .tables import _MIN_CAPACITY, FunctionTable, abscissa, cut
 from .zeta import LOG_SQRT_2PI, constants
 
 # coefficient of the (1 + log K)^2 / K^(s-2) truncation allowance; the
@@ -93,8 +93,9 @@ def _u_partial_sum(f: FunctionTable, g: FunctionTable | None, s: float,
 
     g given as None is the constant 1.  The four weights are formed a
     block of ``_accum._BLOCK`` at a time, with the products and powers of
-    the whole-K forms, so the peak is the cached tables it reads (f, g and
-    the log l! row) plus a few blocks; no K-length array is formed.
+    the whole-K forms, so the peak is the tables it reads (f and g), the
+    log l! row it builds and a few blocks; no other K-length array is
+    formed.
     """
     lf = log_factorial_row(k_max)
     fv, gv = f.values, None if g is None else g.values
@@ -149,11 +150,14 @@ def series_theta_bracket(f: FunctionTable, s: float, k_max: int) -> ThetaBracket
 
     evaluated with F, F' truncated at K and exact zeta values; the
     interval is [rhs(0), rhs(1/12)] widened by the truncation allowance.
+    f*mu (and the mu it is built from) is built up to K only, or to
+    ``_MIN_CAPACITY`` below that, where the convolution fixes its order.
     """
     require(max(abscissa(f.spec), 2.0) < s < math.inf,
             f"s={s} too small for the bracket, or not finite")
     cut(k_max, f)
-    lhs = _u_partial_sum(_with_mu(f, f.n_max), None, s, k_max)
+    n = min(f.n_max, max(k_max, _MIN_CAPACITY))
+    lhs = _u_partial_sum(_with_mu(f, n), None, s, k_max)
 
     big_f = dirichlet_partial_sum(f, s, k_max)
     big_f_prime = -dirichlet_partial_sum(f, s, k_max, log_weight=True)

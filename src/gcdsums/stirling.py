@@ -26,13 +26,13 @@ with x = 1/(2l-1) is a positive fast-converging series.
 log_factorial itself is a plain extended-precision cumulative sum of
 log m, so identity checks elsewhere reuse one consistent L(l) array.
 
-Entry l depends on nothing past max(l, _MIN_CAPACITY), so L and rho live
-in the tables' capacity cache, and a request gets read-only slices that
-equal a direct build bit for bit.  Neither row reads the other, so each
-has its own key: the per-k audits and the Dirichlet series read L alone
+Each row is built at the l_max asked for, read-only, and freed with its
+last reference; entry l depends on nothing past l, so a row equals the
+first l_max + 1 entries of a wider row bit for bit.  Neither row reads
+the other: the per-k audits and the Dirichlet series read L alone
 (``log_factorial_row``), and ``log_factorial_table`` is the public view
-of both.  The scans cache no rho: they form it a block at a time
-(``rho_block``, which fills the rho row too), so their blocks equal the
+of both.  The scans build no rho row: they form rho a block at a time
+(``rho_block``, which fills the row too), so their blocks equal the
 row's entries bit for bit.  approx and theta are derived from l and rho
 when read; the package itself reads only L and rho.
 """
@@ -45,7 +45,7 @@ import numpy as np
 
 from ._accum import _BLOCK, running_sum
 from .errors import require
-from .tables import _MIN_CAPACITY, _capacity_cached
+from .tables import _MIN_CAPACITY
 from .zeta import LOG_SQRT_2PI
 
 # the Stirling slot Theta of the main terms ranges over [THETA_LO, THETA_HI]
@@ -72,7 +72,7 @@ class StirlingTable:
     """L(l) and rho(l) indexed by l (slot 0 unused), read-only.
 
     approx and theta are derived from them on read, as new read-only
-    arrays: nothing in the package reads them, so they are not cached.
+    arrays: nothing in the package reads them, so they are not stored.
     """
 
     l_max: int
@@ -175,33 +175,28 @@ def _fill_rho(row: np.ndarray) -> None:
         row[lo:hi] = rho_block(lo, hi)
 
 
-def _cached_row(name: str, fill, l_max: int) -> np.ndarray:
-    """Entries 0..l_max of the row that ``fill`` writes, read-only, from
-    the cache key ("stirling", name).
+def _row(fill, l_max: int) -> np.ndarray:
+    """Entries 0..l_max of the row that ``fill`` writes, read-only.
 
-    A build fills the row a block of ``_BLOCK`` at a time, so its peak is
-    the row plus a few blocks (a float64 log and its longdouble running
+    ``fill`` writes the row a block of ``_BLOCK`` at a time, so the peak
+    is the row plus a few blocks (a float64 log and its longdouble running
     sums, or the series' int64 l and two longdouble arrays).
     """
     require(l_max >= 1, "l_max must be >= 1")
-    l_max = int(l_max)
-
-    def build(capacity):
-        row = np.zeros(capacity + 1)
-        fill(row)
-        return row
-
-    return _capacity_cached(("stirling", name), l_max, build)[:l_max + 1]
+    row = np.zeros(int(l_max) + 1)
+    fill(row)
+    row.setflags(write=False)
+    return row
 
 
 def log_factorial_row(l_max: int) -> np.ndarray:
     """L(l) for l = 0..l_max, read-only; builds no rho."""
-    return _cached_row("log_factorial", _fill_log_factorial, l_max)
+    return _row(_fill_log_factorial, l_max)
 
 
 def rho_row(l_max: int) -> np.ndarray:
     """rho(l) for l = 0..l_max, read-only; builds no L."""
-    return _cached_row("rho", _fill_rho, l_max)
+    return _row(_fill_rho, l_max)
 
 
 def log_factorial_table(l_max: int) -> StirlingTable:

@@ -20,6 +20,10 @@ temporary is n_max long.  The columns run in descending l,
 so each entry still adds its terms in ascending d, the order of the plain
 divisor loop, and the float results are bit-identical to it.  The mu and
 phi sieves split their primes at r the same way.
+
+No table is cached: each is built for the call that reads it and freed
+with its last reference, so a caller that reads one table at several
+sizes builds it once, at the largest.
 """
 
 from __future__ import annotations
@@ -40,11 +44,11 @@ MAX_NESTING = 4
 # exponents |a|*log(n_max) beyond this overflow float64
 _MAX_EXP_PRODUCT = 700.0
 
-# smallest capacity of a cached value array
+# smallest size a table is built at (see ``sieve_values``)
 _MIN_CAPACITY = 1024
 
-# O(x) memory is accepted up to here: scans reject larger x, and no cached
-# capacity rounds a request up past it
+# O(x) memory is accepted up to here: every x, k, K and sieve size past it
+# is rejected before any allocation
 MAX_SIEVE = 10_000_000
 
 
@@ -408,8 +412,8 @@ def _convolve_values(fv: np.ndarray, gv: np.ndarray, n: int) -> np.ndarray:
     ``_MIN_CAPACITY``.  The split loop is as fast either way, but the
     choice fixes the summation order: the other order moves float results
     in the last bits (the jordan scan's exact side by 1 ulp).  Counting a
-    fixed prefix, not all n values, makes every cached capacity pick the
-    same order.
+    fixed prefix, not all n values, makes every build from
+    ``_MIN_CAPACITY`` up pick the same order.
     """
     w = min(n, _MIN_CAPACITY) + 1
     if np.count_nonzero(gv[1:w]) < np.count_nonzero(fv[1:w]):
@@ -442,7 +446,7 @@ def _exponents(spec: FunctionSpec) -> list[float]:
 def _sieve_values(spec: FunctionSpec, n: int) -> np.ndarray:
     """spec's values on 0..n.  A part that occurs more than once in spec's
     tree (mu in conv:jordan:a,mu and conv:mu,mu) is sieved once per build
-    and dropped after its last use; nothing is left in the cache."""
+    and dropped after its last use."""
     for a in _exponents(spec):
         _check_exponent(a, n)
     uses = Counter(_all_parts(spec))
@@ -481,104 +485,47 @@ def _build_values(spec: FunctionSpec, n: int, part) -> np.ndarray:
     if kind is Kind.CONVOLVE:
         fv, gv = map(part, spec.operands)
         return _convolve_values(fv, gv, n)
-    if kind is Kind.POINTWISE_LOG:
+    if kind in _UNARY:
+        # the weights a block at a time, so no temporary is n long
+        weigh = (np.log if kind is Kind.POINTWISE_LOG
+                 else lambda m: m ** spec.exponent)
         fv = part(spec.operands[0]).copy()
-        fv[1:] *= np.log(np.arange(1, n + 1, dtype=np.float64))
-        return fv
-    if kind is Kind.POINTWISE_POW:
-        fv = part(spec.operands[0]).copy()
-        fv[1:] *= np.arange(1, n + 1, dtype=np.float64) ** spec.exponent
+        for lo in range(1, n + 1, _BLOCK):
+            hi = min(lo + _BLOCK, n + 1)
+            fv[lo:hi] *= weigh(np.arange(lo, hi, dtype=np.float64))
         return fv
     raise DomainError(f"cannot sieve {spec}")
 
 
-def _capacity(n: int) -> int:
-    """The power of two >= n, at least _MIN_CAPACITY, at most max(n, MAX_SIEVE)."""
-    pow2 = 1 << max(0, (n - 1).bit_length())
-    return min(max(pow2, _MIN_CAPACITY), max(n, MAX_SIEVE))
-
-
-# key -> the largest read-only array built for it so far, in build order
-_grown: dict = {}
-_CACHE_KEYS = 64
-
-
-def _capacity_cached(key, n: int, build) -> np.ndarray:
-    """Read-only array cached under key, with entries 0..n or more.
-
-    ``build(capacity)`` makes entries 0..capacity along the array's last
-    axis.  Each key keeps only its largest array: a request within it is
-    served by that array (callers slice it), a larger request replaces it
-    with a build at ``_capacity(n)``.  At most ``_CACHE_KEYS`` keys are
-    kept, the one built longest ago dropped first.  Only build functions
-    whose entry m depends on nothing past max(m, ``_MIN_CAPACITY``) may
-    share this cache, so that a slice equals a build of any size.
-    """
-    arr = _grown.get(key)
-    if arr is None or arr.shape[-1] <= n:
-        _grown.pop(key, None)
-        arr = None  # drop the old array before building the new one
-        arr = build(_capacity(n))
-        arr.setflags(write=False)
-        _grown[key] = arr
-        if len(_grown) > _CACHE_KEYS:
-            del _grown[next(iter(_grown))]
-    return arr
-
-
 def sieve_values(spec: FunctionSpec, n_max: int) -> np.ndarray:
-    """Read-only value array for spec on 0..n_max (slot 0 is 0).
+    """Read-only value array for spec on 0..n_max (slot 0 is 0), built for
+    this call and freed with its last reference.
 
-    One array per spec is cached, built at ``_capacity(n_max)`` and
-    replaced only by a larger one.  All sieves fill index n only from data
-    at indices <= n, and a convolution picks its summation order from its
-    operands' first ``_MIN_CAPACITY`` values, so a slice of a larger
-    cached array is bit-identical to a direct build of any size >=
-    ``_MIN_CAPACITY``.  A direct build below that can differ in the last
-    bit where a convolution's sparser operand changes with n (conv:log,mu
-    at n = 6).  Every exponent in the spec's tree is checked against
-    n_max; where the capacity would overflow float64 and n_max does not,
-    the array is built at n_max.
+    It is built at max(n_max, ``_MIN_CAPACITY``) and sliced: a convolution
+    picks its summation order from its operands' first ``_MIN_CAPACITY``
+    values, so a build below that can differ in the last bit where the
+    sparser operand changes with n (conv:log,mu at n = 6).  Every other
+    entry depends only on data at indices <= its own, so the array is bit
+    for bit the first n_max + 1 entries of a build at any larger size.
+    Every exponent in the spec's tree is checked against n_max; where the
+    larger size would overflow float64 and n_max does not, the array is
+    built at n_max.
     """
     n_max = cut(n_max)
     for a in _exponents(spec):
         _check_exponent(a, n_max)
-    arr = _capacity_cached(("sieve", spec), n_max,
-                           lambda size: _build_past(spec, n_max, size))
-    return arr[:n_max + 1]
-
-
-def _build_past(spec: FunctionSpec, n_max: int, size: int) -> np.ndarray:
-    """spec's values on 0..size, or on 0..n_max where size would overflow
-    float64 and n_max does not."""
+    size = max(n_max, _MIN_CAPACITY)
     if any(_overflows(a, size) for a in _exponents(spec)):
         size = n_max
-    return _sieve_values(spec, size)
+    vals = _sieve_values(spec, size)
+    vals.setflags(write=False)
+    return vals[:n_max + 1]
 
 
 def sieve(spec: FunctionSpec, n_max: int) -> FunctionTable:
     """Build the exact value table of ``spec`` on 1..n_max."""
     n_max = cut(n_max)
     return FunctionTable(spec, n_max, sieve_values(spec, n_max))
-
-
-def sieve_once(spec: FunctionSpec, n_max: int) -> FunctionTable:
-    """The table ``sieve`` gives, built for a caller that reads it once:
-    by ``_sieve_values`` at ``_capacity(n_max)``, read-only and outside
-    the cache, so it is freed with its last reference.  Its values equal
-    ``sieve_values(spec, n_max)`` bit for bit.
-
-    The size is the cache's, not n_max: a scan builds its cached tables
-    after this one is freed, and at the same size they reuse its memory.
-    On a 2-core x86-64 VM with numpy 2.4, ``scan --target jordan-log-avg
-    --a -0.5 --grid geom:1e3,1e6,7`` peaked at 60.9 MB RSS with a build
-    at n_max and at 59.5 MB with this one."""
-    n_max = cut(n_max)
-    for a in _exponents(spec):
-        _check_exponent(a, n_max)
-    vals = _build_past(spec, n_max, _capacity(n_max))
-    vals.setflags(write=False)
-    return FunctionTable(spec, n_max, vals[:n_max + 1])
 
 
 def _derived(spec: FunctionSpec, n: int, *operands: np.ndarray) -> FunctionTable:

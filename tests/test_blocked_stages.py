@@ -7,17 +7,19 @@ and the Stirling rows work a block of ``_accum._BLOCK`` at a time.  Each
 must give the bytes of the whole-array form in ``oracles`` at sizes around
 the block edge; past one block, ``mu_delta_sum``, whose partial dots add
 in another order, must instead come within a few ulps of the exact sum
-of its terms.  Each must peak at the cached tables it reads plus its
-declared count of n-length arrays, a few blocks and, for the one pass
-over a whole grid, its declared quotient-set floats, and each sieve
-build at its result and live operands plus a few blocks.  The pass over
-a grid must give the bytes of the passes over its points one at a time,
-and rho formed per block the bytes of the cached rho row.  The constant
+of its terms.  Each must peak at the tables it is given plus its
+declared count of n-length arrays (the tables it builds among them), a
+few blocks and, for the one pass over a whole grid, its declared
+quotient-set floats, and each sieve build at its result and live
+operands plus a few blocks.  The pass over a grid must give the bytes of
+the passes over its points one at a time, and rho formed per block the
+bytes of the rho row.  The constant
 1 formed per block (in the six-term weights, the series and the per-k
 reference) must equal the ONE sieve, and tau's prefixes by the integer
 hyperbola the tau sieve's, by bytes.
 """
 
+import functools
 import math
 import tracemalloc
 
@@ -132,7 +134,7 @@ def _average_pairs(fv, gv, n):
 @pytest.mark.parametrize("x", SIZES)
 @pytest.mark.parametrize("f, g", [(G.ID, G.MU), (G.PHI, G.ONE)])
 def test_average_weights_equal_whole_array_form(x, f, g):
-    # rho formed per block must give the bytes of the cached rho row
+    # rho formed per block must give the bytes of the rho row
     n = math.floor(x)
     fv, gv, rho = (sieve_values(f, n), sieve_values(g, n),
                    G.log_factorial_table(n).rho)
@@ -169,7 +171,7 @@ _TAU_N = [1, 2, 3, 4, 5, 1023, 1024, 1025, 999_999, 10 ** 6, 3_000_017,
 
 @pytest.fixture(scope="module")
 def tau_values():
-    return tables._sieve_values(TAU, max(_TAU_N))  # not cached
+    return tables._sieve_values(TAU, max(_TAU_N))
 
 
 @pytest.mark.parametrize("n", _TAU_N)
@@ -287,7 +289,7 @@ _EXACT_SIDES = {
     "delta_integral_ratio": (_per_x(asymptotics.delta_integral_ratio),
                              _delta_integral),
 }
-# descending: the per-x sides build their tables at the first, largest n
+# descending, around the block edge and the smallest build size
 _PREFIX_N = [300_000, 123_456, _B + 1, _B, _B - 1, 4097, 1024, 999, 1]
 
 
@@ -303,7 +305,7 @@ def test_exact_side_equals_whole_array_prefix(side):
 
 
 def _filled_rows(n):
-    """The rows log l! and rho filled at exactly l = 0..n, past the cache."""
+    """The rows log l! and rho filled at exactly l = 0..n, as one array."""
     out = np.zeros((2, n + 1))
     stirling._fill_log_factorial(out[0])
     stirling._fill_rho(out[1])
@@ -319,7 +321,7 @@ def test_stirling_build_equals_whole_array_form(x):
 
 @pytest.mark.parametrize("x", SIZES)
 def test_each_stirling_row_equals_whole_array_form(x):
-    # each row from its own cache key, built without the other row
+    # each row built without the other
     n = math.floor(x)
     both = whole_array_stirling(n)
     rho, lf = stirling.rho_row(n), stirling.log_factorial_row(n)
@@ -330,8 +332,8 @@ def test_each_stirling_row_equals_whole_array_form(x):
 
 # peaks at n = 2^18, where one block is a quarter of an n-length array:
 # stage -> (call, its declared n-length float64 arrays, float64 blocks
-# and quotient-set floats allowed besides); a first call fills the caches
-# the stage reads, and a build outside the cache is measured whole
+# and other floats allowed besides); a table a stage is given is built
+# before the measurement, and one it builds is measured whole
 _N = 1 << 18
 _VALUES = np.ones(_N + 1)
 _GEOM_N = [int(x) for x in asymptotics.standard_grid(1e3, _N, 7)]
@@ -352,36 +354,40 @@ def _grid_pass(ns):
     return run
 
 
+@functools.cache
+def _id_mu():
+    """The tables f = id and g = mu on 1.._N, built once, before any
+    measurement that reads them."""
+    return G.sieve(G.ID, _N), G.sieve(G.MU, _N)
+
+
 def _terms():
-    f, g = G.sieve(G.ID, _N), G.sieve(G.MU, _N)
-    return identities.apostol_log_average_terms(f, g, float(_N))
+    return identities.apostol_log_average_terms(*_id_mu(), float(_N))
 
 
 def _u_sum():
-    f, g = G.sieve(G.ID, _N), G.sieve(G.MU, _N)
-    return series._u_partial_sum(f, g, 3.0, _N)
-
-
-def _row_build(name, row):
-    """A Stirling row built anew at _N: its key is evicted first."""
-    def run():
-        tables._grown.pop(("stirling", name), None)
-        return row(_N)
-    return run
+    return series._u_partial_sum(*_id_mu(), 3.0, _N)
 
 
 def _build(text):
-    """A sieve built outside the cache: its peak is the result and the
-    operands live at once, each part freed after its last use."""
+    """A sieve build: its peak is the result and the operands live at
+    once, each part freed after its last use."""
     spec = tables.parse_spec(text)
     return lambda: tables._sieve_values(spec, _N)
 
 
+# the primes up to _N, which the Lambda sieve holds twice in int64
+_PRIMES = len(tables._primes_upto(_N))
+
+
 _STAGES = {
-    # a block's weights and Delta values, one dot each
-    "mu_delta_sum": (lambda: asymptotics.mu_delta_sum(_N, "mu"), 0, 6, 0),
-    "mu_delta_sum_a": (
-        lambda: asymptotics.mu_delta_sum(_N, "mu", -0.5), 0, 6, 0),
+    # the mu weights it builds, cast from int8 (1 + 1/8), and a block's
+    # weights and Delta values, one dot each; with a, sigma_a's pairs at
+    # the quotients, its sieve freed before the weights are built
+    "mu_delta_sum": (
+        lambda: asymptotics.mu_delta_sum(_N, "mu"), 1 + 1 / 8, 6, 0),
+    "mu_delta_sum_a": (lambda: asymptotics.mu_delta_sum(_N, "mu", -0.5),
+                       1 + 1 / 8, 6, _quotient_floats([_N])),
     # the result and the int8 (mu) or int32 (phi) sieve it is cast from
     "build_mu": (_build("mu"), 1 + 1 / 8, 1, 0),
     "build_phi": (_build("phi"), 1 + 1 / 2, 1, 0),
@@ -391,6 +397,12 @@ _STAGES = {
     # inside holds mu, idpow:0.5 and its own result
     "build_conv_mu_mu": (_build("conv:mu,mu"), 2, 2, 0),
     "build_conv_jordan_mu": (_build("conv:conv:mu,idpow:0.5,mu"), 3, 2, 0),
+    # the operand and the result, its copy weighted a block at a time
+    "build_ptlog_one": (_build("ptlog:one"), 2, 2, 0),
+    "build_ptpow_mu": (_build("ptpow:0.5,mu"), 2, 2, 0),
+    # the result, the bool prime sieve, the primes twice in int64 and
+    # 1 KB (128 floats) of the arrays' headers
+    "build_lambda": (_build("lambda"), 1 + 1 / 8, 0, 2 * _PRIMES + 128),
     "on_quotients": (lambda: _accum.on_quotients(_VALUES, _N), 0, 3, 0),
     # one pass for a whole grid: every point's quotient set ...
     "grid_pass": (_grid_pass(_GEOM_N), 0, 3, _quotient_floats(_GEOM_N)),
@@ -398,24 +410,24 @@ _STAGES = {
     "grid_pass_runs": (_grid_pass(_DENSE_N), 0, 3, _N + 1),
     # rho formed per block, its block first
     "apostol_log_average_terms": (_terms, 0, 10, 0),
-    "u_partial_sum": (_u_sum, 0, 6, 0),
-    # the sigma table it builds outside the cache and reads once
+    # the log l! row it builds
+    "u_partial_sum": (_u_sum, 1, 6, 0),
+    # the sigma table it builds and reads once
     "statistic_exact_side": (
         lambda: asymptotics.summatory("sigma_logne", _N), 1, 4, 0),
     # tau's prefixes at the quotients: O(isqrt(n)) entries, no sieve
     "delta_integral_ratio": (
         lambda: asymptotics.delta_integral_ratio(_N), 0, 1, 0),
     # each Stirling row: the result, one row of n + 1 entries
-    "log_factorial_row": (
-        _row_build("log_factorial", stirling.log_factorial_row), 1, 8, 0),
-    "rho_row": (_row_build("rho", stirling.rho_row), 1, 8, 0),
+    "log_factorial_row": (lambda: stirling.log_factorial_row(_N), 1, 8, 0),
+    "rho_row": (lambda: stirling.rho_row(_N), 1, 8, 0),
 }
 
 
 @pytest.mark.parametrize("stage", sorted(_STAGES))
 def test_stage_peak_is_its_declared_arrays(stage):
     run, arrays, blocks, floats = _STAGES[stage]
-    run()  # the cached tables it reads are built outside the measurement
+    run()  # the tables it is given are built outside the measurement
     tracemalloc.start()
     try:
         run()

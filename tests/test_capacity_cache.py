@@ -1,109 +1,60 @@
-"""The one capacity cache behind ``sieve_values`` and the Stirling rows.
+"""Tables built for the call that reads them, in place of a shared cache.
 
-Each key keeps its largest array; a smaller request must get a slice
-equal by bytes to a direct build at the smaller size, so a scan's values
-do not depend on the order its points are evaluated in.  A scan caches
-only the weight sieve of its Delta correction, which ``mu_delta_sum``
-reads once per x.  Its exact side reads each table once for the whole
-grid, built outside the cache (``tables.sieve_once``), and forms g = 1
-and rho per block; prefix sums are not cached, the log l! row is built
-only for the per-k audits and the series, and tau's prefix at the
-quotients comes from the integer hyperbola, not a sieve.  The series
-bracket caches f, mu and the log l! row: its f*mu is built from f and
-mu, and its g = 1 is formed per block too.
+The sieves and the two Stirling rows were once kept in a capacity cache
+that served smaller requests as slices of the largest array built.  Now
+every table is built for its caller and freed with it, so what the cache
+promised is promised by the builds themselves: a build at n equals the
+first n + 1 entries of any wider build, bit for bit, so a scan's values
+do not depend on the size or order its points are evaluated in.  A scan
+builds each table once: its exact side for the largest x, and its Delta
+correction (``mu_delta_grid``) its weight sieve, and sigma_a for
+``Delta_a``, once for the whole grid.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import gcdsums as G
-from gcdsums import asymptotics, stirling, tables
-from gcdsums.tables import MAX_SIEVE, parse_spec
+from gcdsums import asymptotics, identities, series, stirling, tables
+from gcdsums.tables import parse_spec
 
-
-def _clear():
-    tables._grown.clear()
-
-
-@pytest.fixture
-def fresh_cache():
-    # not restored afterwards: holding the old arrays would stack them
-    # under the 10^7-entry tables built here
-    _clear()
-    yield
-    _clear()
+_WIDE = 1 << 20
+# around the smallest build size (1024), a block edge and above
+_SIZES = [1, 6, 1023, 1024, 1025, 5000, 65537]
 
 
 def _same_bytes(a, b):
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+# every kind; conv:log,mu is the one whose build below 1024 would round
+# differently (at n = 6), as its sparser operand changes with n
 @pytest.mark.parametrize("text", ["phi", "conv:id,phi", "jordan:0.5",
-                                  "conv:mu,mu"])
-def test_sieve_slice_after_large_request(fresh_cache, text):
+                                  "conv:mu,mu", "mu", "idpow:-0.5", "lambda",
+                                  "sigmapow:-0.5", "divlog", "conv:log,mu",
+                                  "ptlog:phi", "ptpow:0.5,mu"])
+def test_sieve_slice_after_large_request(text):
     spec = parse_spec(text)
-    big = tables.sieve_values(spec, 1 << 20)
-    assert len(big) == (1 << 20) + 1
-    for n in (1024, 1500, 5000, 65537, (1 << 20) - 1):
+    wide = tables.sieve_values(spec, _WIDE)
+    assert len(wide) == _WIDE + 1
+    for n in _SIZES:
         small = tables.sieve_values(spec, n)
         assert len(small) == n + 1
         assert not small.flags.writeable
-        assert _same_bytes(small, tables._sieve_values(spec, n)), n
+        assert _same_bytes(small, wide[:n + 1]), n
 
 
-_GRID = asymptotics.standard_grid(1e3, 1e5, 3)
-
-
-@pytest.mark.parametrize("run, specs, rows", [
-    (lambda: asymptotics.residual_scan("id-log-avg", _GRID), [G.MU], []),
-    (lambda: asymptotics.residual_scan("id_phi", _GRID), [G.MU], []),
-    (lambda: [asymptotics.delta_integral_ratio(x) for x in _GRID],
-     [], []),
-    (lambda: G.series_theta_bracket(G.sieve(G.ID, 10 ** 5), 3.0, 10 ** 5),
-     [G.ID, G.MU], ["log_factorial"])],
-    ids=["id-log-avg", "id_phi", "delta_integral_ratio",
-         "series_theta_bracket"])
-def test_cache_holds_only_what_a_scan_reads(fresh_cache, run, specs, rows):
-    run()
-    want = ({("sieve", spec) for spec in specs}
-            | {("stirling", row) for row in rows})
-    assert set(tables._grown) == want
-
-
-def test_cache_keeps_largest_array_per_key(fresh_cache):
-    tables.sieve_values(G.PHI, 5000)
-    tables.sieve_values(G.PHI, 100)
-    assert len(tables._grown[("sieve", G.PHI)]) == 8192 + 1
-    assert len(tables.sieve_values(G.PHI, 20000)) == 20000 + 1
-    for a in np.linspace(-0.9, -0.1, tables._CACHE_KEYS + 5):
-        tables.sieve_values(G.id_pow(float(a)), 10)
-    assert len(tables._grown) == tables._CACHE_KEYS
-    assert ("sieve", G.PHI) not in tables._grown
-
-
-@pytest.mark.parametrize("n, capacity", [
-    (1, 1024), (1024, 1024), (1025, 2048), (5000, 8192), (1 << 20, 1 << 20),
-    (9_000_000, MAX_SIEVE), (MAX_SIEVE, MAX_SIEVE),
-    (MAX_SIEVE + 1, MAX_SIEVE + 1), (30_000_000, 30_000_000)])
-def test_one_capacity_rule(n, capacity):
-    assert tables._capacity(n) == capacity
-
-
-def test_capacity_capped_for_every_table(fresh_cache):
-    # the sieve stops at MAX_SIEVE, not at 2^24
-    tables.sieve_values(G.TAU, 9_000_000)
-    assert list(tables._grown) == [("sieve", G.TAU)]
-    assert len(tables._grown[("sieve", G.TAU)]) == MAX_SIEVE + 1
-    _clear()
-    # each Stirling row on its own key, at the same capacity
-    stirling.rho_row(3000)
-    assert list(tables._grown) == [("stirling", "rho")]
-    stirling.log_factorial_row(3000)
-    G.log_factorial_table(3000)
-    assert list(tables._grown) == [("stirling", "rho"),
-                                   ("stirling", "log_factorial")]
-    for row in tables._grown.values():
-        assert row.shape == (4096 + 1,)
+@pytest.mark.parametrize("row", [stirling.log_factorial_row,
+                                 stirling.rho_row], ids=["log_factorial", "rho"])
+def test_stirling_row_is_a_slice_of_a_wider_row(row):
+    wide = row(_WIDE)
+    for n in _SIZES:
+        small = row(n)
+        assert small.shape == (n + 1,)
+        assert not small.flags.writeable
+        assert _same_bytes(small, wide[:n + 1]), n
 
 
 @pytest.mark.parametrize("target, a", [("id_phi", None), ("sigma_logne", None),
@@ -111,49 +62,76 @@ def test_capacity_capped_for_every_table(fresh_cache):
                                        ("id-log-avg", None),
                                        ("tau-log-avg", None),
                                        ("jordan-log-avg", -0.5)])
-def test_scan_matches_ascending_pointwise_scan(fresh_cache, target, a):
+def test_scan_matches_ascending_pointwise_scan(target, a):
     grid = asymptotics.standard_grid(1e3, 2e5, 5)
     pointwise = [asymptotics.residual_scan(target, [x], a) for x in grid]
-    _clear()
     scan = asymptotics.residual_scan(target, grid, a)
     for field in ("exact", "main", "correction", "residual", "normalized"):
         want = np.concatenate([getattr(p, field) for p in pointwise])
         assert _same_bytes(getattr(scan, field), want), field
 
 
-def _recording_mobius(monkeypatch):
+def _recording(monkeypatch, name):
+    """Calls of the tables function ``name``, recorded as argument tuples."""
     calls = []
-    real = tables._mobius_values
+    real = getattr(tables, name)
 
-    def record(n):
-        calls.append(n)
-        return real(n)
+    def record(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(tables, "_mobius_values", record)
+    monkeypatch.setattr(tables, name, record)
     return calls
 
 
 @pytest.mark.parametrize("text", ["conv:jordan:0.5,mu", "conv:mu,mu"])
-def test_shared_operand_sieved_once_per_build(fresh_cache, monkeypatch, text):
+def test_shared_operand_sieved_once_per_build(monkeypatch, text):
     spec = parse_spec(text)
     n = 5000
     # built without sharing: every operand sieved on its own
     left, right = (tables._sieve_values(op, n) for op in spec.operands)
     unshared = tables._convolve_values(left, right, n)
-    calls = _recording_mobius(monkeypatch)
+    calls = _recording(monkeypatch, "_mobius_values")
     got = tables.sieve_values(spec, n)
-    assert calls == [tables._capacity(n)]
+    assert calls == [(n,)]
     assert _same_bytes(got, unshared[:n + 1])
-    # the operands are dropped after the build: only the result is cached
-    assert list(tables._grown) == [("sieve", spec)]
 
 
-def test_jordan_scan_sieves_mu_twice(fresh_cache, monkeypatch):
-    # once for conv:jordan:0.5,mu (the exact side, built outside the cache),
-    # once for conv:mu,mu (the Delta weights, cached with the sigma_a sieve
-    # of Delta_a), both at the capacity of the largest x
-    calls = _recording_mobius(monkeypatch)
+_GRID = [1e3, 7e3, 2e4]
+
+
+@pytest.mark.parametrize("target, a, specs", [
+    ("id-log-avg", None, ["phi", "mu"]),
+    ("id_phi", None, ["conv:id,phi", "mu"]),
+    ("jordan-log-avg", -0.5,
+     ["conv:conv:mu,idpow:0.5,mu", "conv:mu,mu", "sigmapow:-0.5"])])
+def test_delta_corrected_scan_builds_each_table_once(monkeypatch, target, a,
+                                                     specs):
+    # the exact side and the Delta correction each build their tables for
+    # the largest x, once per scan, not once per x
+    calls = _recording(monkeypatch, "_sieve_values")
+    asymptotics.residual_scan(target, _GRID, a)
+    assert Counter(spec for spec, _ in calls) == Counter(map(parse_spec, specs))
+    assert all(n == _GRID[-1] for _, n in calls)
+
+
+def test_jordan_scan_sieves_mu_twice(monkeypatch):
+    # once for conv:jordan:0.5,mu (the exact side), once for conv:mu,mu
+    # (the Delta weights), both at the largest x
+    calls = _recording(monkeypatch, "_mobius_values")
     asymptotics.residual_scan("jordan-log-avg", [1e3, 2e4], -0.5)
-    assert calls == [32768, 32768]
-    assert set(tables._grown) == {("sieve", G.convolve(G.MU, G.MU)),
-                                  ("sieve", G.sigma_pow(-0.5))}
+    assert calls == [(20000,), (20000,)]
+
+
+@pytest.mark.parametrize("text", ["id", "phi", "idpow:0.5", "log"])
+def test_series_bracket_builds_f_mu_up_to_k(monkeypatch, text):
+    # f*mu and its mu are built up to K (1024 at least), not to f's range,
+    # and the bracket's lhs is the one from f*mu built over all of f
+    f = G.sieve(parse_spec(text), 10 ** 5)
+    whole = identities._with_mu(f, f.n_max)
+    for k in (6, 100, 1000, 5000, 10 ** 5):
+        calls = _recording(monkeypatch, "_mobius_values")
+        lhs = G.series_theta_bracket(f, 3.0, k).lhs
+        monkeypatch.undo()
+        assert calls == [(max(k, 1024),)]
+        assert lhs == series._u_partial_sum(whole, None, 3.0, k), k

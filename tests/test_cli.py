@@ -252,8 +252,8 @@ def test_malformed_spec_exit_2(capsys, text):
 
 
 def test_exponent_checked_at_the_requested_n(tmp_path, capsys):
-    # the cache rounds 100000 up to 131072, where 60 log n exceeds the bound
-    # although 60 log 100000 = 690.8 does not
+    # 60 log 100000 = 690.8 is within the bound and 60 log 131072 is not,
+    # so the table must not be built past the n asked for
     from gcdsums import tables
     out = tmp_path / "p.csv"
     assert run_cli(["sieve", "--f", "idpow:60", "--nmax", "100000",

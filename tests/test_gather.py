@@ -3,8 +3,8 @@
 ``_gather_by_gcd`` must equal the Euclid gather it replaced by bytes, and
 each audit built on it must equal its former Euclid-based form bit for bit.
 The batch generators behind ``identity`` must equal the public per-k
-functions bit for bit, and the divisor sieve they share must equal naive
-divisor enumeration.
+functions bit for bit, the per-k functions must build no sieve, and the
+divisor sieve the batches share must equal naive divisor enumeration.
 """
 
 import tracemalloc
@@ -124,3 +124,19 @@ def test_batches_bit_equal_to_per_k(catalog_tables):
         f = G.sieve(spec, 3000)
         for k, sides in enumerate(G.cesaro_audits(f, 3000), 1):
             assert _bits(*sides) == _bits(*G.cesaro_identity(f, k)), (spec, k)
+
+
+def test_per_k_functions_build_no_sieve(monkeypatch, catalog_tables):
+    # log m, and mu, phi and Lambda at the divisors of k, come without a
+    # table, so a per-k call costs no O(k) sieve
+    from gcdsums import tables
+
+    def refuse(spec, n):
+        raise AssertionError(f"sieved {spec} at {n}")
+
+    f, g = catalog_tables[0]
+    monkeypatch.setattr(tables, "_sieve_values", refuse)
+    for k in SAMPLED_K:
+        identities.apostol_log_sum_direct(f, g, k)
+        identities.toth_identity(k)
+        identities.cesaro_identity(f, k)

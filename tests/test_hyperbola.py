@@ -48,11 +48,10 @@ def test_prefix_build_peak_memory(log_ratio, over_n, factor):
             v = v * (np.log(m) - 1.0)
         return np.divide(v, m, out=m) if over_n else v
 
-    sieve_values(TAU, n)           # cached before the measurement
+    values = sieve_values(TAU, n)  # built before the measurement
     tracemalloc.start()
     try:
-        (_, hi), = asymptotics._quotient_sums(sieve_values(TAU, n), [n],
-                                              weigh)
+        (_, hi), = asymptotics._quotient_sums(values, [n], weigh)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -2,8 +2,9 @@
 
 Every kernel must reproduce its reference loop in ``oracles`` bit for
 bit (mu and phi, sieved in int8 and int32, by exact value and their own
-dtype), and every cached array must slice to the same bytes as a build
-at the sliced size.
+dtype), and every array ``sieve_values`` gives must equal the same
+entries of a wider build, and a build at its own size from 1024 up, by
+bytes.
 """
 
 import math
@@ -112,14 +113,14 @@ def test_identity_sum_table_matches_reference_loop(f_spec, g_spec, n):
 @settings(max_examples=80, deadline=None)
 @given(grammar_specs, st.integers(min_value=1, max_value=4096))
 def test_cached_slice_is_bit_identical(spec, n):
-    cached = tables.sieve_values(spec, n)
-    assert _same_bytes(cached, tables._sieve_values(spec, 4096)[:n + 1])
+    got = tables.sieve_values(spec, n)
+    assert _same_bytes(got, tables._sieve_values(spec, 4096)[:n + 1])
     if n >= tables._MIN_CAPACITY:
-        assert _same_bytes(cached, tables._sieve_values(spec, n))
+        assert _same_bytes(got, tables._sieve_values(spec, n))
 
 
 def _direct_stirling(l_max):
-    """A table from the row fills at exactly l_max, past the cache."""
+    """A table from the row fills at exactly l_max."""
     rows = np.zeros((2, l_max + 1))
     stirling._fill_log_factorial(rows[0])
     stirling._fill_rho(rows[1])
@@ -130,9 +131,8 @@ def _direct_stirling(l_max):
                                    4 * 4096 + 1])
 def test_stirling_slice_matches_direct_build(l_max):
     direct = _direct_stirling(l_max)
-    G.log_factorial_table(1 << 16)  # a larger table serves the request
     table = G.log_factorial_table(l_max)
-    wider = _direct_stirling(tables._capacity(l_max))
+    wider = _direct_stirling(1 << 16)
     assert table.l_max == l_max
     for name in ("log_factorial", "approx", "rho", "theta"):
         want = getattr(direct, name)
