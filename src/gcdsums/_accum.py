@@ -7,6 +7,10 @@ summation) is kept in a single place:
 - ``np.dot`` / ``np.sum`` already use pairwise blocking,
 - long running prefix sums are done in ``np.longdouble`` and rounded once;
   the exact sides keep them at the quotients n // i (``quotient_prefixes``),
+- a prefix of a smooth weight past a table (the g = 1 side of
+  ``identities._average_pairs``) is the table's longdouble sum P(t) plus
+  a longdouble closed form Phi(v) - Phi(t), rounded once
+  (``stirling.one_weight_sums``),
 - short heterogeneous sums use ``math.fsum``,
 - sums over the pairs d*l <= n go through ``hyperbola_sum``.
 """
@@ -57,6 +61,14 @@ def prefix_with_zero(values: np.ndarray) -> np.ndarray:
         out[lo:lo + len(sums)] = sums
         total = sums[-1]
     return out
+
+
+def ascending(ns) -> list[int]:
+    """ns as ints, checked to be ascending (an n may repeat)."""
+    ns = [int(n) for n in ns]
+    if any(b < a for a, b in zip(ns, ns[1:])):
+        raise ValueError("ns must be ascending")
+    return ns
 
 
 def _runs(ns: list[int]):
@@ -127,9 +139,7 @@ def quotient_prefixes(weights, ns):
     the quotients of its n, bit for bit, and the pass over a grid gives
     the bytes of the passes over its points one at a time.
     """
-    ns = [int(n) for n in ns]
-    if any(b < a for a, b in zip(ns, ns[1:])):
-        raise ValueError("quotient_prefixes takes an ascending ns")
+    ns = ascending(ns)
     i = 0
     for run in _runs(sorted(set(ns))):
         done = dict(zip(run, _one_pass(weights, run)))

@@ -656,10 +656,12 @@ def standard_grid(lo: float = 1e3, hi: float = 1e6, points: int = 7) -> np.ndarr
 def tau_gcd_log_avg_routes(x: float) -> tuple[float, float]:
     """The tau-log-avg exact side computed two ways.
 
-    Route one is the six-term decomposition's total; route two assembles
-    the three sieved summatory statistics (sigma log(n/e), divisor-log,
-    tau/n) plus the decomposition's exact Stirling remainder.  The routes
-    share only that remainder, which the tests pin to a log-gamma oracle.
+    Route one is the six-term decomposition's total, which sieves
+    nothing: its prefixes are closed forms above a table of
+    max(isqrt(x), 1024) entries.  Route two assembles the three sieved
+    summatory statistics (sigma log(n/e), divisor-log, tau/n) plus the
+    decomposition's exact Stirling remainder.  The routes share only that
+    remainder, which the tests pin to a log-gamma oracle.
     """
     dec = apostol_log_average_terms(None, None, x)  # f = g = 1
     s1 = summatory("sigma_logne", x)[0]

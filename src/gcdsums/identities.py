@@ -18,7 +18,9 @@ Core objects, for tables f, g and integers k, j:
   Scans take it for a whole grid from one pass
   (``apostol_log_average_grid``), for both the exact side and the
   Stirling remainder; the per-k sum is the reference it is checked
-  against.
+  against.  For g = 1 every g-side prefix is a smooth function of l, so
+  above a table of max(isqrt(x), 1024) entries it is a closed form
+  (Stirling and Euler-Maclaurin) and the pass sieves only the f side.
 - ``gcd_log_average(f, x)``: sum_{k<=x} (1/k) sum_{j<=k} f(gcd(k,j)) log j,
   evaluated as the (f*mu, 1) case of the above since
   sum_{d | gcd} (f*mu)(d) = f(gcd).
@@ -49,15 +51,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from ._accum import (block_of, dot, fsum, hyperbola_sum, prefix_with_zero,
-                     quotient_prefixes)
+from ._accum import (_BLOCK, ascending, block_of, dot, fsum, hyperbola_sum,
+                     prefix_with_zero, quotient_prefixes, running_sum)
 from .errors import require
-from .stirling import log_factorial_row, rho_block
-from .tables import (MU, PHI, VON_MANGOLDT, FunctionSpec, FunctionTable,
-                     _derived, _divisor_pair_sum, convolve, cut,
+from .stirling import log_factorial_row, one_weight_sums, rho_block
+from .tables import (_MIN_CAPACITY, MU, PHI, VON_MANGOLDT, FunctionSpec,
+                     FunctionTable, _derived, _divisor_pair_sum, convolve, cut,
                      divisor_lists, divisors_of, sieve_values)
 from .zeta import LOG_SQRT_2PI
 
@@ -300,47 +303,112 @@ def apostol_log_average(f: FunctionTable, g: FunctionTable | None,
     return dot(u[1:], 1.0 / k)
 
 
+def _g_weights(gv: np.ndarray | None, lo: int, hi: int):
+    """The g-side weights at l = lo..hi-1: g, g log, g log/l, g/l, g rho/l
+    and |g|/l^2, one after another; gv None is the constant 1.  rho is
+    formed first, so its longdouble temporaries are gone before the rest
+    is."""
+    rho = rho_block(lo, hi)
+    l = np.arange(lo, hi, dtype=np.float64)
+    g = block_of(gv, lo, hi)
+    lg = np.log(l)  # equal to the LOG sieve bit for bit
+    inv = np.divide(1.0, l, out=l)
+    gi = g * inv
+    yield g
+    yield g * lg
+    yield gi * lg
+    yield gi
+    rho *= gi
+    yield rho
+    del rho
+    yield np.abs(gi) * inv
+
+
+def _f_weights(fv: np.ndarray, lo: int, hi: int):
+    """The f-side weights at d = lo..hi-1: f/d, f log d/d and |f|/d."""
+    inv = np.arange(lo, hi, dtype=np.float64)
+    lg = np.log(inv)
+    np.divide(1.0, inv, out=inv)
+    w = block_of(fv, lo, hi) * inv
+    yield w
+    yield w * lg
+    yield np.abs(w)
+
+
+def _one_pairs(ns):
+    """The ``on_quotients`` pairs of the six g-side weights for g = 1 at
+    each n of ns (ascending), with no pass past t = min(max(isqrt(max n),
+    1024), max n).
+
+    Up to t, the weights of ``_g_weights`` are summed a block at a time by
+    ``running_sum``, so every prefix P(v) at v <= t has the bytes of the
+    pass over all of 1..n.  Above t, P(v) = P(t) + Phi(v) - Phi(t) with
+    the longdouble P(t) of that sum and the closed forms Phi of
+    ``stirling.one_weight_sums``, rounded once: the count is exact, and
+    every other entry is within an ulp of the pass's.  It holds six
+    (t + 1)-float tables and, per n, its pairs and a few longdouble arrays
+    of isqrt(n) + 1 entries; nothing of length n.
+    """
+    ns = ascending(ns)
+    t = min(max(math.isqrt(ns[-1]), _MIN_CAPACITY), ns[-1])
+    table = np.zeros((6, t + 1))
+    totals = [np.longdouble(0.0)] * 6
+    for start in range(1, t + 1, _BLOCK):
+        stop = min(start + _BLOCK, t + 1)
+        for k, block in enumerate(_g_weights(None, start, stop)):
+            sums = running_sum(block, totals[k])
+            table[k, start:stop] = sums
+            totals[k] = sums[-1]
+    # P(t) - Phi(t), read only above t
+    offsets = [p - phi[0] for p, phi in
+               zip(totals, one_weight_sums(np.array([t])))]
+    for n in ns:
+        r = math.isqrt(n)
+        v = n // np.maximum(np.arange(r + 1), 1)
+        above = int(np.count_nonzero(v > t))  # v descends
+        his = np.empty((6, r + 1))
+        his[:, above:] = table[:, v[above:]]
+        if above:
+            for row, p, phi in zip(his, offsets, one_weight_sums(v[:above])):
+                row[:above] = p + phi
+        yield list(zip(table[:, :r + 1], his))
+
+
 def _average_pairs(fv: np.ndarray | None, gv: np.ndarray | None, ns):
     """The ``on_quotients`` pairs of the six-term expansion's weights at
-    each n of ns (ascending), in one ``quotient_prefixes`` pass: g-side g,
-    g log, g log/l, g/l, g rho/l and |g|/l^2, then f-side f/d, f log d/d
-    and |f|/d, each formed a block at a time, one after another.  fv or
-    gv given as None is the constant 1, and rho is formed per block too,
-    first, so its longdouble temporaries are gone before the rest is."""
-    def weights(lo, hi):
-        rho = rho_block(lo, hi)
-        l = np.arange(lo, hi, dtype=np.float64)
-        g = block_of(gv, lo, hi)
-        lg = np.log(l)  # equal to the LOG sieve bit for bit
-        inv = np.divide(1.0, l, out=l)
-        gi = g * inv
-        yield g
-        yield g * lg
-        yield gi * lg
-        yield gi
-        rho *= gi
-        yield rho
-        del rho
-        yield np.abs(gi) * inv
-        w = block_of(fv, lo, hi) * inv
-        yield w
-        yield w * lg
-        yield np.abs(w)
+    each n of ns (ascending): the six of ``_g_weights``, then the three of
+    ``_f_weights``; fv or gv given as None is the constant 1.
 
-    return quotient_prefixes(weights, ns)
+    For a given g, all nine come from one ``quotient_prefixes`` pass.  For
+    g = 1 the six g-side pairs come from ``_one_pairs``, closed forms above
+    a table of t <= max(isqrt(max n), 1024) entries, and the pass carries
+    only the three f-side weights; for f = 1 too there is no pass, since
+    1/d, log d/d and |1|/d are the g-side's 1/l, log l/l and 1/l.
+    """
+    if gv is not None:
+        return quotient_prefixes(
+            lambda lo, hi: chain(_g_weights(gv, lo, hi),
+                                 _f_weights(fv, lo, hi)), ns)
+    if fv is None:
+        return ([*g, g[3], g[2], g[3]] for g in _one_pairs(ns))
+    return ([*g, *f] for g, f in zip(
+        _one_pairs(ns),
+        quotient_prefixes(lambda lo, hi: _f_weights(fv, lo, hi), ns)))
 
 
 def apostol_log_average_grid(f: FunctionTable | None,
                              g: FunctionTable | None,
                              xs) -> list[AverageDecomposition]:
     """``apostol_log_average_terms`` at every x of an ascending grid, from
-    one pass of ``_average_pairs`` up to the largest x.  f or g given as
-    None is the constant 1, which is then never sieved.
+    ``_average_pairs`` up to the largest x.  f or g given as None is the
+    constant 1, which is then never sieved; for g = 1 the g-side prefixes
+    above a table of t = max(isqrt(max x), 1024) entries are closed forms.
 
     Peak memory: the tables it reads (f and g where given) plus a few
     blocks of ``_accum._BLOCK`` and the pairs of one run of
     ``quotient_prefixes``, sum 2 (isqrt(n) + 1) floats per weight and
-    never more than max(n) + 1; rho is formed per block.
+    never more than max(n) + 1; rho is formed per block.  For f = g = 1
+    it holds only arrays of t or isqrt(x) + 1 entries, none of length x.
     """
     ns = [cut(x, f, g) for x in xs]
     fv, gv = (None if t is None else t.values for t in (f, g))

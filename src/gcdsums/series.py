@@ -81,23 +81,29 @@ def dirichlet_partial_sum(f: FunctionTable, s: float, k_max: int,
 def log_factorial_partial_sum(g: FunctionTable, s: float, k_max: int) -> float:
     """sum_{k<=K} g(k) L(k) / k^s with exact L(k) = log k!."""
     cut(k_max, g)
-    lf = log_factorial_row(k_max)
+    return _log_factorial_dot(g, log_factorial_row(k_max), s, k_max)
+
+
+def _log_factorial_dot(g: FunctionTable, lf: np.ndarray, s: float,
+                       k_max: int) -> float:
+    """``log_factorial_partial_sum`` with the log l! row lf given."""
     return dot(g.values[1:k_max + 1] * lf[1:k_max + 1],
                _powers(1, k_max + 1, s))
 
 
 def _u_partial_sum(f: FunctionTable, g: FunctionTable | None, s: float,
-                   k_max: int) -> float:
+                   k_max: int, lf: np.ndarray | None = None) -> float:
     """sum_{k<=K} u(k) k^-s as the hyperbola sums over d*l <= K of
     (f(d) log d d^-s) (g(l) l^(1-s)) + (f(d) d^-s) (g(l) L(l) l^-s).
 
     g given as None is the constant 1.  The four weights are formed a
     block of ``_accum._BLOCK`` at a time, with the products and powers of
     the whole-K forms, so the peak is the tables it reads (f and g), the
-    log l! row it builds and a few blocks; no other K-length array is
-    formed.
+    log l! row (built here unless given as lf, with at least K + 1
+    entries) and a few blocks; no other K-length array is formed.
     """
-    lf = log_factorial_row(k_max)
+    if lf is None:
+        lf = log_factorial_row(k_max)
     fv, gv = f.values, None if g is None else g.values
 
     def weights(lo, hi):
@@ -122,11 +128,12 @@ def series_identity_compare(f: FunctionTable, g: FunctionTable, s: float,
     require(alpha < s < math.inf,
             f"s={s} not finite or in the divergence region (need s > {alpha})")
     cut(k_max, f, g)
-    lhs = _u_partial_sum(f, g, s, k_max)
+    lf = log_factorial_row(k_max)  # one row for both sides
+    lhs = _u_partial_sum(f, g, s, k_max, lf)
     rhs = (dirichlet_partial_sum(f, s, k_max, log_weight=True)
            * dirichlet_partial_sum(g, s - 1.0, k_max)
            + dirichlet_partial_sum(f, s, k_max)
-           * log_factorial_partial_sum(g, s, k_max))
+           * _log_factorial_dot(g, lf, s, k_max))
     return SeriesComparison(s, k_max, lhs, rhs)
 
 

@@ -35,11 +35,18 @@ of both.  The scans build no rho row: they form rho a block at a time
 (``rho_block``, which fills the row too), so their blocks equal the
 row's entries bit for bit.  approx and theta are derived from l and rho
 when read; the package itself reads only L and rho.
+
+``one_weight_sums`` gives the prefix sums of the g = 1 weights of the
+six-term expansion (1, log l, log l / l, 1/l, rho(l)/l, 1/l^2) above a
+table in closed form: L(v) by Stirling and the remainder series, and the
+others by Euler-Maclaurin.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -56,6 +63,11 @@ THETA_HI = 1.0 / 12.0
 _SERIES_TERMS = 20
 # coefficients of the remainder series in 1/l^2, highest power first
 _REMAINDER_COEFFS = tuple(np.longdouble(1) / c for c in (-1680, 1260, -360, 12))
+# B_2, B_4, B_6, B_8 and the harmonic numbers H_0..H_7 of the
+# Euler-Maclaurin forms in ``one_weight_sums``
+_BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
+              Fraction(-1, 30))
+_HARMONIC = [sum(Fraction(1, i) for i in range(1, m + 1)) for m in range(8)]
 
 
 @dataclass(frozen=True)
@@ -130,6 +142,66 @@ def _remainder_series(l_values: np.ndarray) -> np.ndarray:
     del inv_l2
     acc /= l_values
     return acc
+
+
+def _ld(q: Fraction) -> np.longdouble:
+    return np.longdouble(q.numerator) / q.denominator
+
+
+def _power_sum(u: np.ndarray, s: int) -> np.ndarray:
+    """Phi_s(v) = v^(1-s)/(1-s) + v^-s/2 - sum_k B_2k/(2k)! (s)_(2k-1)
+    v^(1-s-2k) at u = 1/v, for an integer s >= 2: the Euler-Maclaurin
+    form, through B_8, of sum_{l<=v} l^-s up to a constant."""
+    w = u * u
+    acc = np.zeros_like(u)
+    for k in range(len(_BERNOULLI), 0, -1):
+        rising = math.prod(range(s, s + 2 * k - 1))
+        acc += _ld(_BERNOULLI[k - 1] * rising / math.factorial(2 * k))
+        acc *= w
+    acc = 0.5 * u - acc
+    acc -= np.longdouble(1) / (s - 1)
+    for _ in range(s - 1):
+        acc *= u
+    return acc
+
+
+def one_weight_sums(v: np.ndarray) -> list[np.ndarray]:
+    """Phi(v) for each g = 1 weight of the six-term expansion (1, log l,
+    log l / l, 1/l, rho(l)/l and 1/l^2), in longdouble, at each integer
+    v >= _MIN_CAPACITY: sum_{l<=v} of the weight up to a constant of its
+    own, so Phi(v) - Phi(t) is the sum over t < l <= v.
+
+    - 1: v, exactly;
+    - log l: log v! by Stirling, (v + 1/2) log v - v plus the remainder
+      series, less log sqrt(2 pi);
+    - log l / l, 1/l, l^-2 and rho(l)/l = sum_j c_j l^-2j (the remainder
+      series' own coefficients): Euler-Maclaurin through B_8, with
+      d^m/dl^m (log l / l) = (-1)^m m! (log l - H_m) / l^(m+1).
+
+    From v, t >= _MIN_CAPACITY = 1024 on, every first omitted term is
+    below 1e-30 (the largest, 1/(1188 t^9) of the Stirling series, is
+    7e-31; the B_10 term of log l / l is 3e-32), far below the longdouble
+    rounding of Phi.
+    """
+    v = np.asarray(v, dtype=np.int64)
+    u = np.reciprocal(v.astype(np.longdouble))
+    lg = np.log(v.astype(np.longdouble))
+    w = u * u
+    harmonic = np.zeros_like(u)
+    log_over = np.zeros_like(u)
+    for k in range(len(_BERNOULLI), 0, -1):
+        b = _ld(_BERNOULLI[k - 1] / (2 * k))
+        harmonic += b
+        harmonic *= w
+        log_over += b * (lg - _ld(_HARMONIC[2 * k - 1]))
+        log_over *= w
+    harmonic = lg + 0.5 * u - harmonic
+    log_over = 0.5 * lg * (lg + u) - log_over
+    log_fact = (v + np.longdouble(0.5)) * lg - v + _remainder_series(v)
+    rho_over = sum(c * _power_sum(u, 2 * j) for j, c in
+                   enumerate(reversed(_REMAINDER_COEFFS), 1))
+    return [v.astype(np.longdouble), log_fact, log_over, harmonic, rho_over,
+            _power_sum(u, 2)]
 
 
 def _rho_below_seed() -> np.ndarray:

@@ -14,9 +14,11 @@ quotient-set floats, and each sieve build at its result and live
 operands plus a few blocks.  The pass over a grid must give the bytes of
 the passes over its points one at a time, and rho formed per block the
 bytes of the rho row.  The constant
-1 formed per block (in the six-term weights, the series and the per-k
-reference) must equal the ONE sieve, and tau's prefixes by the integer
-hyperbola the tau sieve's, by bytes.
+1 formed per block (in the series and the per-k reference) must equal
+the ONE sieve, and tau's prefixes by the integer hyperbola the tau
+sieve's, by bytes.  The g = 1 six-term prefixes must equal the ONE
+sieve's by bytes up to n = 1024 and, closed forms past their table,
+within an ulp; f = g = 1 must hold no array of length x.
 """
 
 import functools
@@ -143,14 +145,30 @@ def test_average_weights_equal_whole_array_form(x, f, g):
                                                  sieve_values(LOG, n), n))
 
 
+def _within_ulps(got, want, ulps):
+    got, want = np.asarray(got), np.asarray(want)
+    return bool(np.all(np.abs(got - want)
+                       <= ulps * np.spacing(np.maximum(abs(got), abs(want)))))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=3 * _B + 7))
 def test_average_weights_with_one_per_block_equal_one_sieve(n):
+    # g = 1 (and f = 1) from its closed forms past t = 1024: the ONE
+    # sieve's bytes up to there, past it each prefix within an ulp of the
+    # sieve's and each of the seven terms within 4 ulps of 1.0, relative
     fv, one = sieve_values(PHI, n), sieve_values(ONE, n)
-    assert _same_pairs(_average_pairs(fv, None, n),
-                       _average_pairs(fv, one, n))
-    assert _same_pairs(_average_pairs(None, None, n),
-                       _average_pairs(one, one, n))
+    for f, f_sieved in ((fv, fv), (None, one)):
+        got, want = _average_pairs(f, None, n), _average_pairs(f_sieved, one, n)
+        if n <= 1024:
+            assert _same_pairs(got, want)
+            continue
+        assert all(_within_ulps(g, w, 1) for gp, wp in zip(got, want)
+                   for g, w in zip(gp, wp))
+        terms = [np.array([*d.terms, d.remainder_bound]) for d in
+                 (identities._decomposition(n, *p) for p in (got, want))]
+        assert np.all(abs(terms[0] - terms[1])
+                      <= 4 * 2.0 ** -52 * abs(terms[1]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, _B - 1, _B, _B + 1])
@@ -410,6 +428,12 @@ _STAGES = {
     "grid_pass_runs": (_grid_pass(_DENSE_N), 0, 3, _N + 1),
     # rho formed per block, its block first
     "apostol_log_average_terms": (_terms, 0, 10, 0),
+    # f = g = 1 at x = 10^6: six tables of t + 1 = 1025 floats, and per x
+    # its pairs and the closed forms' longdouble arrays over isqrt(x) + 1
+    # entries (measured 39 floats per table entry); nothing of length x
+    "one_closed_forms": (
+        lambda: identities.apostol_log_average_grid(None, None, [1e6]),
+        0, 0, 48 * 1025),
     # the log l! row it builds
     "u_partial_sum": (_u_sum, 1, 6, 0),
     # the sigma table it builds and reads once

@@ -3,7 +3,10 @@
 ``hyperbola_sum`` must equal a brute-force double loop exactly on
 integer-valued weights, ``on_quotients`` must carry the bytes of
 ``prefix_with_zero`` at every quotient, and the two callers of the
-kernel must stay within a few ulps of longdouble oracles.
+kernel must stay within a few ulps of longdouble oracles.  The g = 1
+prefixes, closed forms above their table, must each be within an ulp of
+their exact sums from mpmath; rho(l)/l, whose float64 weights round,
+within 1.5 in its table and 1.25 above it.
 """
 
 import math
@@ -13,12 +16,13 @@ import numpy as np
 import pytest
 
 import gcdsums as G
-from gcdsums import _accum, asymptotics, series
+from gcdsums import _accum, asymptotics, identities, series
 from gcdsums.identities import identity_sum_table
 from gcdsums.stirling import log_factorial_table
-from gcdsums.tables import TAU, sieve_values
+from gcdsums.tables import ONE, TAU, sieve_values
 
-from oracles import series_lhs_longdouble, six_term_longdouble
+from oracles import (MP_DIRECT, mp_one_prefix, series_lhs_longdouble,
+                     six_term_longdouble, ulps_from)
 
 _BOUNDARY_N = sorted({m for r in range(1, 41)
                       for m in (r * r - 1, r * r, r * r + r, r * r + r + 1)
@@ -109,6 +113,43 @@ def test_exact_side_against_longdouble_oracle():
     rho = log_factorial_table(n).rho
     oracle = float(sum(six_term_longdouble(f.values, g.values, rho, n)))
     assert abs(dec.total - oracle) <= 2e-14 * abs(oracle)
+
+
+def test_exact_side_with_one_against_longdouble_oracle():
+    # g = 1: its prefixes are closed forms above t = 1024
+    n = 10 ** 6
+    f = G.sieve(G.PHI, n)
+    dec = G.apostol_log_average_terms(f, None, float(n))
+    rho = log_factorial_table(n).rho
+    oracle = float(sum(six_term_longdouble(f.values, sieve_values(ONE, n),
+                                           rho, n)))
+    assert abs(dec.total - oracle) <= 2e-14 * abs(oracle)
+
+
+# 10^6 (t = 1024) and two random n past 1024^2 (t = isqrt(n))
+_ONE_N = [10 ** 6, *map(int, np.random.default_rng(19).integers(2 ** 20, 4 * 10 ** 6, 2))]
+
+
+@pytest.mark.parametrize("n", _ONE_N)
+def test_one_prefixes_against_mpmath(n):
+    # rho(l)/l is the exception: its float64 weights rho(l) * (1/l) carry
+    # up to 1.5 ulps each, the first few dominate its sum, and so the
+    # table's prefixes (the sieve's bytes) reach 1.47 ulps at v = 7 and
+    # its P(t) is 0.5 ulp off, which each closed form above the table
+    # inherits through its anchor.  log l / l past the direct sums is
+    # checked at every 64th quotient, as mpmath's Stieltjes constant
+    # costs 30 ms.
+    n = int(n)
+    pairs, = identities._one_pairs([n])
+    r = math.isqrt(n)
+    t = max(r, 1024)
+    quotients = [*range(r + 1), *(n // max(d, 1) for d in range(r + 1))]
+    for k, (lo, hi) in enumerate(pairs):
+        for i, (v, got) in enumerate(zip(quotients, [*lo, *hi])):
+            if k == 2 and v > MP_DIRECT and i % 64:
+                continue
+            bound = 1.0 if k != 4 else 1.5 if v <= t else 1.25
+            assert ulps_from(got, mp_one_prefix(k, v)) <= bound, (k, v)
 
 
 @pytest.mark.parametrize("s", [3.0, 4.0])

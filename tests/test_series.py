@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gcdsums as G
+from gcdsums import series
 from gcdsums.errors import DomainError
 from gcdsums.series import (dirichlet_partial_sum, log_factorial_partial_sum,
                             mu_series_report, series_identity_compare,
@@ -54,6 +55,25 @@ def test_identity_compare_gap_shrinks(tables, pair, s):
     f, g = tables[pair[0]], tables[pair[1]]
     gaps = [series_identity_compare(f, g, s, K).gap for K in (100, 10000)]
     assert gaps[1] < gaps[0]
+
+
+@pytest.mark.parametrize("k_max", [1, 1000, 10 ** 4])
+def test_identity_compare_builds_one_log_factorial_row(tables, monkeypatch,
+                                                       k_max):
+    # one row for both sides, and the bytes of a row built for each
+    f, g = tables["phi"], tables["one"]
+    lhs = series._u_partial_sum(f, g, 3.0, k_max)
+    rhs = (dirichlet_partial_sum(f, 3.0, k_max, log_weight=True)
+           * dirichlet_partial_sum(g, 2.0, k_max)
+           + dirichlet_partial_sum(f, 3.0, k_max)
+           * log_factorial_partial_sum(g, 3.0, k_max))
+    built = []
+    row = series.log_factorial_row
+    monkeypatch.setattr(series, "log_factorial_row",
+                        lambda l_max: built.append(l_max) or row(l_max))
+    cmp = series_identity_compare(f, g, 3.0, k_max)
+    assert built == [k_max]
+    assert (cmp.lhs, cmp.rhs) == (lhs, rhs)
 
 
 def test_identity_compare_divergence_guard(tables):
