@@ -14,6 +14,12 @@ normalizer and an optional mu-weighted Delta correction.  ``residual_scan``,
 ``main_term``, ``exact_value`` and ``summatory`` run every target through
 the same steps.
 
+Each family of main terms is one formula in k, the count of factors
+1/zeta(2) (or 1/zeta(2 + a)): k = 1 for f = id and id_{1+a}, k = 2 for
+phi and phi_{1+a}, since phi = id * mu puts one more 1/zeta(s) in the
+Dirichlet series.  A family written in a gives its id and phi members at
+a = 0.0, whatever a they are handed.
+
 The Stirling-remainder coefficient Theta is never fitted to a single
 number.  Main terms take theta in [0, 1/12] as a parameter; scans report
 residuals against both bracket ends and, as the calibrated quantity, the
@@ -317,89 +323,88 @@ class Target:
                                       log_factor=self.pair is not None))
 
 
-def _stat_main(stat_name):
-    C = constants()
-    z2 = C.zeta2
-    zp2 = C.zeta_prime_2
-    g = C.gamma
+# main terms, one formula per family in k (see the module docstring); at
+# a = 0.0, (1 + a) * z is z and x ** (1 + a) is x, bit for bit
 
-    def id_phi(x, a):
-        return x / z2 * math.log(x) + x / z2 * (2 * g - 1 - zp2 / z2)
 
-    def phi_phi(x, a):
-        return (x / z2 ** 2 * math.log(x)
-                + x / z2 ** 2 * (2 * g - 1 - 2 * zp2 / z2))
+def _log_avg_main(k: int):
+    """The id (k = 1) and phi (k = 2) log averages, Stirling slot at theta."""
+    def main(x, a, theta):
+        C = constants()
+        z2, zp2, g = C.zeta2, C.zeta_prime_2, C.gamma
+        lx, zk = math.log(x), z2 ** k
+        return (x * lx ** 2 / zk
+                + (2 * g - 3 - k * zp2 / z2) * x * lx / zk
+                - (4 * g - 3 - 2 * k * zp2 / z2 + zp2 / 2 - theta * C.zeta3
+                   - z2 * LOG_SQRT_2PI) * x / zk)
+    return main
 
-    def idpow_phi(x, a):
-        return (C.zeta(1 - a) / z2 * x
-                + C.zeta(1 + a) / ((1 + a) * C.zeta(2 + a)) * x ** (1 + a))
 
-    def jordan_phi(x, a):
-        return (C.zeta(1 - a) / z2 ** 2 * x
-                + C.zeta(1 + a) / ((1 + a) * C.zeta(2 + a) ** 2) * x ** (1 + a))
+def _pow_log_avg_main(k: int):
+    """The id_{1+a} (k = 1) and phi_{1+a} (k = 2) log averages."""
+    def main(x, a, theta):
+        C = constants()
+        lx, zk, xa = math.log(x), C.zeta2 ** k, x ** (1 + a)
+        z1ma, z1pa, z2pa = C.zeta(1 - a), C.zeta(1 + a), C.zeta(2 + a)
+        return (z1ma / zk * x * lx - 2 * z1ma / zk * x
+                + z1pa / ((1 + a) * z2pa ** k) * xa * lx
+                - ((2 + a) * z1pa / (1 + a) + C.zeta_prime(2 + a) / 2
+                   - theta * C.zeta(3 + a)) / ((1 + a) * z2pa ** k) * xa
+                + LOG_SQRT_2PI / ((1 + a) * z2pa ** (k - 1)) * xa)
+    return main
 
-    def divisor_log(x, a):
-        return math.log(x) ** 3 / 6.0 + 0.5 * g * math.log(x) ** 2
 
-    def sigma_logne(x, a):
-        return z2 * x * math.log(x) - 2 * z2 * x - 0.25 * math.log(x) ** 2
+def _phi_stat_main(k: int):
+    """sum_{m<=x} (f * phi)(m) / m for f = id (k = 1) and phi (k = 2)."""
+    def main(x, a):
+        C = constants()
+        zk = C.zeta2 ** k
+        return (x / zk * math.log(x)
+                + x / zk * (2 * C.gamma - 1 - k * C.zeta_prime_2 / C.zeta2))
+    return main
 
-    def power_sum(x, a):
-        return x ** (1 + a) / (1 + a) + C.zeta(-a)
 
-    def jordan_over_n(x, a):
-        return x ** (1 + a) / ((1 + a) * C.zeta(2 + a))
+def _pow_phi_stat_main(k: int):
+    """The same for f = id_{1+a} (k = 1) and phi_{1+a} (k = 2)."""
+    def main(x, a):
+        C = constants()
+        return (C.zeta(1 - a) / C.zeta2 ** k * x
+                + C.zeta(1 + a) / ((1 + a) * C.zeta(2 + a) ** k) * x ** (1 + a))
+    return main
 
-    def zero(x, a):
-        return 0.0
 
-    def phi_over_n(x, a):
-        return x / z2
-
-    def tau_over_n(x, a):
-        return 0.5 * math.log(x) ** 2 + 2 * g * math.log(x)
-
-    def sigma_over_n(x, a):
-        return z2 * x - 0.5 * math.log(x)
-
-    def id_lambda(x, a):
-        return -zp2 / z2 * x
-
-    def phi_lambda(x, a):
-        return -zp2 / z2 ** 2 * x
-
-    def idpow_lambda(x, a):
-        return -C.zeta_prime(2 + a) / ((1 + a) * C.zeta(2 + a)) * x ** (1 + a)
-
-    def jordan_lambda(x, a):
-        return -C.zeta_prime(2 + a) / ((1 + a) * C.zeta(2 + a) ** 2) * x ** (1 + a)
-
-    def id_jordan_m1(x, a):
-        return C.zeta3 / z2 * x
-
-    def phi_jordan_m1(x, a):
-        return C.zeta3 / z2 ** 2 * x
-
-    def idpow_jordan_m1(x, a):
-        return C.zeta(3 + a) / ((1 + a) * C.zeta(2 + a)) * x ** (1 + a)
-
-    def jordan_jordan_m1(x, a):
-        return C.zeta(3 + a) / ((1 + a) * C.zeta(2 + a) ** 2) * x ** (1 + a)
-
-    return locals()[stat_name]
+def _over_zeta_main(k: int, top):
+    """sum_{m<=x} (f * h)(m) / m for f = id_{1+a} (k = 1) and phi_{1+a}
+    (k = 2), where h's Dirichlet series is T(s) / zeta(s) and top(C, a)
+    gives T(2 + a): -zeta'(2 + a) for h = Lambda, zeta(3 + a) for h =
+    J_{-1}."""
+    def main(x, a):
+        C = constants()
+        return top(C, a) / ((1 + a) * C.zeta(2 + a) ** k) * x ** (1 + a)
+    return main
 
 
 def _statistics() -> dict[str, Target]:
+    """The summatory statistics; ``stat`` runs the main term of an entry
+    that takes no a at a = 0.0, as the id and phi members of the families
+    written in a (``*_lambda``, ``*_jordan_m1``, ``*_over_n``) need."""
     log = lambda p: Normalizer("log_pow", p)
     const = Normalizer("const")
     phi_m1 = jordan(-1.0)
+    C = constants()
+    z2, g = C.zeta2, C.gamma
+    lam = lambda k: _over_zeta_main(k, lambda C, a: -C.zeta_prime(2 + a))
+    j_m1 = lambda k: _over_zeta_main(k, lambda C, a: C.zeta(3 + a))
 
-    def stat(name, spec, over_n=True, norm=const, main_name=None,
-             log_ratio=False, **kw):
+    def phi_over_n(x, a):  # phi (a = 0) and J_{1+a} over n
+        return x ** (1 + a) / ((1 + a) * C.zeta(2 + a))
+
+    def stat(name, spec, main, over_n=True, norm=const, log_ratio=False,
+             needs_a=False, **kw):
         """The sum over m <= x of spec(a) (or of spec), divided by m with
-        ``over_n`` and weighted by log(m/e) with ``log_ratio``."""
+        ``over_n`` and weighted by log(m/e) with ``log_ratio``, against
+        main(x, a)."""
         spec_at = spec if callable(spec) else lambda a: spec
-        main = _stat_main(main_name or name)
 
         def weigh(v, m):
             if log_ratio:
@@ -412,101 +417,63 @@ def _statistics() -> dict[str, Target]:
             exact = [hi[0] for _, hi in _quotient_sums(values, ns, weigh)]
             return np.array(exact), np.zeros(len(exact))
 
-        return Target(name, parts, lambda x, a, theta: main(x, a), norm, **kw)
+        return Target(name, parts,
+                      lambda x, a, theta: main(x, a if needs_a else 0.0),
+                      norm, needs_a=needs_a, **kw)
 
     defs = [
-        stat("id_phi", convolve(ID, PHI), norm=log(1), weight="mu"),
-        stat("phi_phi", convolve(PHI, PHI), norm=log(2), weight="mu_star_mu"),
+        stat("id_phi", convolve(ID, PHI), _phi_stat_main(1), norm=log(1),
+             weight="mu"),
+        stat("phi_phi", convolve(PHI, PHI), _phi_stat_main(2), norm=log(2),
+             weight="mu_star_mu"),
         stat("idpow_phi", lambda a: convolve(id_pow(1 + a), PHI),
-             needs_a=True, weight="mu"),
-        stat("jordan_phi", lambda a: convolve(jordan(1 + a), PHI), norm=log(2),
-             needs_a=True, weight="mu_star_mu"),
-        stat("divisor_log", DIVISOR_LOG, norm=log(1)),
-        stat("sigma_logne", SIGMA, norm=log(5 / 3), log_ratio=True),
-        stat("power_sum", id_pow, over_n=False,
+             _pow_phi_stat_main(1), needs_a=True, weight="mu"),
+        stat("jordan_phi", lambda a: convolve(jordan(1 + a), PHI),
+             _pow_phi_stat_main(2), norm=log(2), needs_a=True,
+             weight="mu_star_mu"),
+        stat("divisor_log", DIVISOR_LOG,
+             lambda x, a: math.log(x) ** 3 / 6.0 + 0.5 * g * math.log(x) ** 2,
+             norm=log(1)),
+        stat("sigma_logne", SIGMA,
+             lambda x, a: (z2 * x * math.log(x) - 2 * z2 * x
+                           - 0.25 * math.log(x) ** 2),
+             norm=log(5 / 3), log_ratio=True),
+        stat("power_sum", id_pow,
+             lambda x, a: x ** (1 + a) / (1 + a) + C.zeta(-a), over_n=False,
              norm=Normalizer("x_pow", None), needs_a=True),
-        stat("jordan_over_n", lambda a: jordan(1 + a), needs_a=True),
-        stat("sigma_minus1", sigma_pow(-1.0), norm=log(1), main_name="zero"),
-        stat("phi_over_n", PHI, norm=log(2 / 3)),
-        stat("tau_over_n", TAU),
-        stat("sigma_over_n", SIGMA, norm=log(2 / 3)),
-        stat("id_lambda", convolve(ID, VON_MANGOLDT), norm=log(1)),
-        stat("phi_lambda", convolve(PHI, VON_MANGOLDT), norm=log(5 / 3)),
-        stat("idpow_lambda", lambda a: convolve(id_pow(1 + a), VON_MANGOLDT),
-             norm=log(1), needs_a=True),
-        stat("jordan_lambda", lambda a: convolve(jordan(1 + a), VON_MANGOLDT),
-             norm=log(1), needs_a=True),
-        stat("id_jordan_m1", convolve(ID, phi_m1), norm=log(1)),
-        stat("phi_jordan_m1", convolve(PHI, phi_m1), norm=log(5 / 3)),
-        stat("idpow_jordan_m1", lambda a: convolve(id_pow(1 + a), phi_m1),
+        stat("jordan_over_n", lambda a: jordan(1 + a), phi_over_n,
              needs_a=True),
+        stat("sigma_minus1", sigma_pow(-1.0), lambda x, a: 0.0, norm=log(1)),
+        stat("phi_over_n", PHI, phi_over_n, norm=log(2 / 3)),
+        stat("tau_over_n", TAU,
+             lambda x, a: 0.5 * math.log(x) ** 2 + 2 * g * math.log(x)),
+        stat("sigma_over_n", SIGMA, lambda x, a: z2 * x - 0.5 * math.log(x),
+             norm=log(2 / 3)),
+        stat("id_lambda", convolve(ID, VON_MANGOLDT), lam(1), norm=log(1)),
+        stat("phi_lambda", convolve(PHI, VON_MANGOLDT), lam(2),
+             norm=log(5 / 3)),
+        stat("idpow_lambda", lambda a: convolve(id_pow(1 + a), VON_MANGOLDT),
+             lam(1), norm=log(1), needs_a=True),
+        stat("jordan_lambda", lambda a: convolve(jordan(1 + a), VON_MANGOLDT),
+             lam(2), norm=log(1), needs_a=True),
+        stat("id_jordan_m1", convolve(ID, phi_m1), j_m1(1), norm=log(1)),
+        stat("phi_jordan_m1", convolve(PHI, phi_m1), j_m1(2),
+             norm=log(5 / 3)),
+        stat("idpow_jordan_m1", lambda a: convolve(id_pow(1 + a), phi_m1),
+             j_m1(1), needs_a=True),
         stat("jordan_jordan_m1", lambda a: convolve(jordan(1 + a), phi_m1),
-             norm=log(1), needs_a=True),
+             j_m1(2), norm=log(1), needs_a=True),
     ]
     return {s.name: s for s in defs}
 
 
-def _target_main(name):
-    C = constants()
-    z2, z3, zp2 = C.zeta2, C.zeta3, C.zeta_prime_2
-    g = C.gamma
-    ls2p = LOG_SQRT_2PI
-
-    def tau_log_avg(x, a, theta):
-        lx = math.log(x)
-        return (z2 * x * lx - 2 * z2 * x + lx ** 3 / 12.0
-                + (g - 1 + math.log(2 * math.pi)) / 4.0 * lx ** 2)
-
-    def ramanujan_log_avg(x, a, theta):
-        return (ls2p / z2 + zp2 / (2 * z2 ** 2) + theta / z3) * x
-
-    def id_log_avg(x, a, theta):
-        lx = math.log(x)
-        return (x * lx ** 2 / z2
-                + (2 * g - 3 - zp2 / z2) * x * lx / z2
-                - (4 * g - 3 - 2 * zp2 / z2 + zp2 / 2 - theta * z3
-                   - z2 * ls2p) * x / z2)
-
-    def phi_log_avg(x, a, theta):
-        lx = math.log(x)
-        return (x * lx ** 2 / z2 ** 2
-                + (2 * g - 3 - 2 * zp2 / z2) * x * lx / z2 ** 2
-                - (4 * g - 3 - 4 * zp2 / z2 + zp2 / 2 - theta * z3
-                   - z2 * ls2p) * x / z2 ** 2)
-
-    def idpow_log_avg(x, a, theta):
-        lx = math.log(x)
-        z1ma = C.zeta(1 - a)
-        z1pa = C.zeta(1 + a)
-        z2pa = C.zeta(2 + a)
-        zp2pa = C.zeta_prime(2 + a)
-        z3pa = C.zeta(3 + a)
-        xa = x ** (1 + a)
-        return (z1ma / z2 * x * lx - 2 * z1ma / z2 * x
-                + z1pa / ((1 + a) * z2pa) * xa * lx
-                - ((2 + a) * z1pa / (1 + a) + zp2pa / 2 - theta * z3pa)
-                / ((1 + a) * z2pa) * xa
-                + ls2p / (1 + a) * xa)
-
-    def jordan_log_avg(x, a, theta):
-        lx = math.log(x)
-        z1ma = C.zeta(1 - a)
-        z1pa = C.zeta(1 + a)
-        z2pa = C.zeta(2 + a)
-        zp2pa = C.zeta_prime(2 + a)
-        z3pa = C.zeta(3 + a)
-        xa = x ** (1 + a)
-        return (z1ma / z2 ** 2 * x * lx - 2 * z1ma / z2 ** 2 * x
-                + z1pa / ((1 + a) * z2pa ** 2) * xa * lx
-                - ((2 + a) * z1pa / (1 + a) + zp2pa / 2 - theta * z3pa)
-                / ((1 + a) * z2pa ** 2) * xa
-                + ls2p / ((1 + a) * z2pa) * xa)
-
-    return locals()[name.replace("-", "_")]
-
-
 def _scan_targets() -> dict[str, Target]:
-    def target(name, pair, power, stirling=True, **kw):
+    """The paper's log averages; id and phi share ``_log_avg_main``,
+    id_{1+a} and phi_{1+a} share ``_pow_log_avg_main``."""
+    C = constants()
+    z2, zp2 = C.zeta2, C.zeta_prime_2
+
+    def target(name, pair, main, power, stirling=True, **kw):
         """The log average of the (f, g) = pair(a) sums; with ``stirling``
         the main term has a slot for the exact Stirling remainder."""
         def parts(xs, a):
@@ -518,19 +485,29 @@ def _scan_targets() -> dict[str, Target]:
                     np.array([d.remainder_term if stirling else 0.0
                               for d in decs]))
 
-        return Target(name, parts, _target_main(name),
-                      Normalizer("log_pow", power), pair=pair, **kw)
+        return Target(name, parts, main, Normalizer("log_pow", power),
+                      pair=pair, **kw)
+
+    def tau_log_avg(x, a, theta):
+        lx = math.log(x)
+        return (z2 * x * lx - 2 * z2 * x + lx ** 3 / 12.0
+                + (C.gamma - 1 + math.log(2 * math.pi)) / 4.0 * lx ** 2)
+
+    def ramanujan_log_avg(x, a, theta):
+        return (LOG_SQRT_2PI / z2 + zp2 / (2 * z2 ** 2) + theta / C.zeta3) * x
 
     defs = [
-        target("tau-log-avg", lambda a: (ONE, ONE), 5 / 3, stirling=False),
-        target("ramanujan-log-avg", lambda a: (ID, MU), 2),
-        target("id-log-avg", lambda a: (PHI, ONE), 2, weight="mu"),
-        target("phi-log-avg", lambda a: (convolve(PHI, MU), ONE), 3,
-               weight="mu_star_mu"),
-        target("idpow-log-avg", lambda a: (jordan(1 + a), ONE), 1,
-               needs_a=True, weight="mu"),
+        target("tau-log-avg", lambda a: (ONE, ONE), tau_log_avg, 5 / 3,
+               stirling=False),
+        target("ramanujan-log-avg", lambda a: (ID, MU), ramanujan_log_avg, 2),
+        target("id-log-avg", lambda a: (PHI, ONE), _log_avg_main(1), 2,
+               weight="mu"),
+        target("phi-log-avg", lambda a: (convolve(PHI, MU), ONE),
+               _log_avg_main(2), 3, weight="mu_star_mu"),
+        target("idpow-log-avg", lambda a: (jordan(1 + a), ONE),
+               _pow_log_avg_main(1), 1, needs_a=True, weight="mu"),
         target("jordan-log-avg", lambda a: (convolve(jordan(1 + a), MU), ONE),
-               3, needs_a=True, weight="mu_star_mu"),
+               _pow_log_avg_main(2), 3, needs_a=True, weight="mu_star_mu"),
     ]
     return {t.name: t for t in defs}
 
@@ -542,7 +519,8 @@ STATISTICS: dict[str, Target] = _statistics()
 def _lookup(name: str, a: float | None,
             statistic: bool = False) -> tuple[Target, float | None]:
     """The entry named ``name`` (a statistic only, with ``statistic``) and
-    the exponent to run it with, checked where the entry needs one.
+    the exponent to run it with, checked where the entry needs one; an
+    exponent given to an entry that takes none is refused.
 
     The registries are read at call time, so an entry replaced in them is
     the one that runs.
@@ -551,7 +529,10 @@ def _lookup(name: str, a: float | None,
     for registry in registries:
         if name in registry:
             t = registry[name]
-            return t, _require_a(a) if t.needs_a else a
+            if t.needs_a:
+                return t, _require_a(a)
+            require(a is None, f"{name} takes no exponent a (got a={a})")
+            return t, None
     raise DomainError(f"unsupported statistic {name!r}" if statistic
                       else f"unknown target {name!r}")
 
@@ -671,11 +652,12 @@ def tau_gcd_log_avg_routes(x: float) -> tuple[float, float]:
 
 
 _LIMIT_VARIANTS = {
-    # target, log power p, limit constant factory
-    "id": ("id-log-avg", 2, lambda C, a: 1.0 / C.zeta2),
-    "phi": ("phi-log-avg", 2, lambda C, a: 1.0 / C.zeta2 ** 2),
-    "idpow": ("idpow-log-avg", 1, lambda C, a: C.zeta(1 - a) / C.zeta2),
-    "jordan": ("jordan-log-avg", 1, lambda C, a: C.zeta(1 - a) / C.zeta2 ** 2),
+    # target, log power p, k: the limit is 1/zeta(2)^k, times zeta(1 - a)
+    # where the target takes a
+    "id": ("id-log-avg", 2, 1),
+    "phi": ("phi-log-avg", 2, 2),
+    "idpow": ("idpow-log-avg", 1, 1),
+    "jordan": ("jordan-log-avg", 1, 2),
 }
 
 
@@ -690,11 +672,12 @@ def limit_ratio_grid(variant: str, xs, a: float | None = None) -> list[float]:
     pass (``Target.parts``) up to the largest x."""
     if variant not in _LIMIT_VARIANTS:
         raise DomainError(f"unknown limit variant {variant!r}")
-    target, p, limit_fn = _LIMIT_VARIANTS[variant]
+    target, p, k = _LIMIT_VARIANTS[variant]
     t, a = _lookup(target, a)
     grid = sorted(xs)
     exact = dict(zip(grid, t.parts(grid, a)[0]))
-    limit = limit_fn(constants(), a)
+    C = constants()
+    limit = (C.zeta(1 - a) if t.needs_a else 1.0) / C.zeta2 ** k
     return [float(exact[x]) / (limit * x * math.log(x) ** p) for x in xs]
 
 
@@ -707,14 +690,21 @@ def default_calibration_path() -> Path:
 
 
 def load_calibration(path: Path | str | None = None) -> dict[tuple[str, str], float]:
+    """The rows ``target,a,max_normalized`` of a calibration file, keyed
+    by (target, a); a line that is not such a row is a DomainError naming
+    the path and line number."""
     path = Path(path) if path is not None else default_calibration_path()
     out: dict[tuple[str, str], float] = {}
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(path.read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        target, a_text, value = line.split(",")
-        out[(target, a_text)] = float(value)
+        try:
+            target, a_text, value = line.split(",")
+            out[(target, a_text)] = float(value)
+        except ValueError:
+            raise DomainError(f"{path}:{number}: not a calibration row: "
+                              f"{line!r}") from None
     return out
 
 

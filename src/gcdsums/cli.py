@@ -13,7 +13,9 @@ Function arguments use the ``name[:param]`` grammar (``mu``, ``id``,
 
 Exit status: 0 on success, 1 when a checked invariant fails (a JSON
 report naming the violation is printed), 2 on unusable arguments, a file
-argument that cannot be read or written included.
+argument that cannot be read or written included.  ``scan --check`` reads
+its calibration row before it scans, so a missing row or a malformed
+calibration file exits 2 with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -96,27 +98,28 @@ def cmd_identity(args) -> int:
 
 def cmd_scan(args) -> int:
     grid = _parse_grid(args.grid)
-    scan = asymptotics.residual_scan(args.target, grid, args.a)
-    csvio.write_rows("x,exact,main,correction,residual,normalized",
-                     scan.rows(), args.out)
-    if args.write_calibration:
-        a_text = f"{args.a:g}" if args.a is not None else ""
-        asymptotics.write_calibration(
-            [(args.target, a_text, scan.max_normalized())],
-            args.write_calibration)
-        return 0
-    if args.check:
+    a_text = f"{args.a:g}" if args.a is not None else ""
+    limit = None
+    if args.check and not args.write_calibration:
+        # the row is resolved before the scan, so a missing row or an
+        # unusable file prints nothing to stdout
         calibration = asymptotics.load_calibration(args.calibration)
-        a_text = f"{args.a:g}" if args.a is not None else ""
         key = (args.target, a_text)
         if key not in calibration:
             raise DomainError(f"no calibration row for {key}")
         limit = 2.0 * calibration[key]
-        if scan.max_normalized() > limit:
-            return _fail({"invariant": "residual-regression",
-                          "target": args.target,
-                          "max_normalized": scan.max_normalized(),
-                          "limit": limit})
+    scan = asymptotics.residual_scan(args.target, grid, args.a)
+    csvio.write_rows("x,exact,main,correction,residual,normalized",
+                     scan.rows(), args.out)
+    if args.write_calibration:
+        asymptotics.write_calibration(
+            [(args.target, a_text, scan.max_normalized())],
+            args.write_calibration)
+    if limit is not None and scan.max_normalized() > limit:
+        return _fail({"invariant": "residual-regression",
+                      "target": args.target,
+                      "max_normalized": scan.max_normalized(),
+                      "limit": limit})
     return 0
 
 

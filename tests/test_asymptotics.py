@@ -159,6 +159,93 @@ def test_main_term_examples():
     assert coeff == pytest.approx(0.38540, abs=1e-5)
 
 
+# every entry's main term at x = 10, 1e3 and 1e6, frozen as hex: a = -0.5
+# where the entry needs a, and the log averages at theta = 0 and 1/12
+_FROZEN_MAINS = {
+    ("tau-log-avg", 0.0):
+        "0x1.f7b38d21ec7e3p+2 0x1.fb548750348a6p+12 0x1.2891f71a777a9p+24",
+    ("tau-log-avg", 1 / 12):
+        "0x1.f7b38d21ec7e3p+2 0x1.fb548750348a6p+12 0x1.2891f71a777a9p+24",
+    ("ramanujan-log-avg", 0.0):
+        "0x1.ed4ff60ae07cdp+1 0x1.816678387f618p+8 0x1.785e11672c653p+18",
+    ("ramanujan-log-avg", 1 / 12):
+        "0x1.23064a09cccccp+2 0x1.c6b9d3af4ffffp+8 0x1.bc1178b9341ffp+18",
+    ("id-log-avg", 0.0):
+        "0x1.7afc37b0072d8p+4 0x1.801b300b46fe6p+14 0x1.95513fc692384p+26",
+    ("id-log-avg", 1 / 12):
+        "0x1.84ba8e1d209aep+4 0x1.810ec67bee7a1p+14 0x1.958cb801131bfp+26",
+    ("phi-log-avg", 0.0):
+        "0x1.e12fd2b7ebcccp+3 0x1.f352aef642bc4p+13 0x1.ffcb9b85c3be0p+25",
+    ("phi-log-avg", 1 / 12):
+        "0x1.ed0892f0399e9p+3 0x1.f47ad9bbc255bp+13 0x1.0009f4fb7db28p+26",
+    ("idpow-log-avg", 0.0):
+        "0x1.1d7d09b229b95p+4 0x1.e51bb2b556584p+12 0x1.1e31167335597p+24",
+    ("idpow-log-avg", 1 / 12):
+        "0x1.21d1995cabd30p+4 0x1.e5470051ff6d4p+12 0x1.1e316c0912a29p+24",
+    ("jordan-log-avg", 0.0):
+        "0x1.fa5f3caeaeb3ep+2 0x1.275dec722d8eep+12 0x1.5c070d903440ep+23",
+    ("jordan-log-avg", 1 / 12):
+        "0x1.0080517c4e62cp+3 0x1.276e7ff1e6621p+12 0x1.5c074f161b3c1p+23",
+    ("id_phi", 0.0):
+        "0x1.266dd6b22e6d4p+4 0x1.21fca14517d33p+12 0x1.0dc0420a0930ep+23",
+    ("phi_phi", 0.0):
+        "0x1.a96384722100cp+3 0x1.7ae9830abd580p+11 0x1.54d5a597fd14cp+22",
+    ("idpow_phi", 0.0):
+        "0x1.8b10fa586e964p+3 0x1.8431d4f238afap+10 0x1.83747bf20b3a7p+20",
+    ("jordan_phi", 0.0):
+        "0x1.09a471c6c6550p+3 0x1.dbf7c9c0fdd6dp+9 0x1.d73632db14460p+19",
+    ("divisor_log", 0.0):
+        "0x1.c84cefba90742p+1 0x1.12d4d58d48326p+6 0x1.ee93a0be7f8d0p+8",
+    ("sigma_logne", 0.0):
+        "0x1.d36fd866ca4cbp+1 0x1.f7d012c1da3acp+12 0x1.2890a81dee4b6p+24",
+    ("power_sum", 0.0):
+        "0x1.374f10ebabe53p+2 0x1.ee481640cfe87p+5 0x1.f3a2898d3e063p+10",
+    ("jordan_over_n", 0.0):
+        "0x1.35e342a1bd4c7p+1 0x1.835c134a2c9f8p+4 0x1.7ecb1b36bab4dp+9",
+    ("sigma_minus1", 0.0):
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+    ("phi_over_n", 0.0):
+        "0x1.8512c6c009aaep+2 0x1.2ff6ab46078d8p+9 0x1.28d6e34263603p+19",
+    ("tau_over_n", 0.0):
+        "0x1.53c8b602e5854p+2 0x1.fd5441d90720cp+4 0x1.bd886beda7ce0p+6",
+    ("sigma_over_n", 0.0):
+        "0x1.e9899c3711f25p+3 0x1.9a5ebb6b84da4p+10 0x1.9197f28ba50bep+20",
+    ("id_lambda", 0.0):
+        "0x1.6cc668bb577d0p+2 0x1.1cfb01d25c59ap+9 0x1.164d1fc76e2f9p+19",
+    ("phi_lambda", 0.0):
+        "0x1.bb836508e6f5ap+1 0x1.5a7ea6eef46fep+8 0x1.525faf055ab54p+18",
+    ("idpow_lambda", 0.0):
+        "0x1.30a3622e9deb1p+3 0x1.7ccc3aba4565cp+6 0x1.784f1011b9625p+11",
+    ("jordan_lambda", 0.0):
+        "0x1.d27437c14e724p+1 0x1.2388a2d8d1076p+5 0x1.2018d96f17cf9p+10",
+    ("id_jordan_m1", 0.0):
+        "0x1.d3b03474c47f5p+2 0x1.6d61a8fb39837p+9 0x1.64d15f05562a6p+19",
+    ("phi_jordan_m1", 0.0):
+        "0x1.1c5205474bac2p+2 0x1.bc40283f663cfp+8 0x1.b1d6a74de9d78p+18",
+    ("idpow_jordan_m1", 0.0):
+        "0x1.9fb5dff0c99f2p+1 0x1.03d1abf67e037p+5 0x1.00c197db4922bp+10",
+    ("jordan_jordan_m1", 0.0):
+        "0x1.3e432ddca34f4p+0 0x1.8dd3f953cc230p+3 0x1.892369e344bd6p+8",
+}
+
+
+@pytest.mark.parametrize("name, theta", list(_FROZEN_MAINS))
+def test_main_term_pinned(name, theta):
+    t = SCAN_TARGETS[name] if name in SCAN_TARGETS else STATISTICS[name]
+    a = -0.5 if t.needs_a else None
+    for x, text in zip((10.0, 1e3, 1e6), _FROZEN_MAINS[name, theta].split()):
+        want = float.fromhex(text)
+        got = main_term(name, x, a, theta)
+        assert abs(got - want) <= 4 * math.ulp(want), (name, x, got.hex())
+
+
+def test_main_term_pins_cover_every_entry():
+    thetas = {name: {theta for n, theta in _FROZEN_MAINS if n == name}
+              for name, _ in _FROZEN_MAINS}
+    assert thetas == {**{name: {0.0, 1 / 12} for name in SCAN_TARGETS},
+                      **{name: {0.0} for name in STATISTICS}}
+
+
 def test_main_term_theta_linearity():
     c = G.constants()
     for target, a, coeff in [
@@ -251,6 +338,25 @@ def test_residual_scan_validation():
         residual_scan("nope", [100.0])
     with pytest.raises(DomainError):
         residual_scan("idpow-log-avg", [100.0], a=0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: residual_scan("id-log-avg", [100.0], a=-0.5),
+    lambda: residual_scan("sigma_logne", [100.0], a=5.0),
+    lambda: summatory("id_phi", 100.0, -0.5),
+    lambda: limit_ratio("phi", 1e3, -0.5),
+    lambda: main_term("tau-log-avg", 100.0, -0.5),
+    lambda: exact_value("ramanujan-log-avg", 100.0, -0.5),
+], ids=["scan-target", "scan-statistic", "summatory", "limit_ratio",
+        "main_term", "exact_value"])
+def test_exponent_refused_where_none_is_taken(monkeypatch, call):
+    # an a handed to an entry that takes none is refused before any table
+    from gcdsums import tables
+    calls = []
+    monkeypatch.setattr(tables, "_sieve_values", lambda *a: calls.append(a))
+    with pytest.raises(DomainError, match="takes no exponent a"):
+        call()
+    assert calls == []
 
 
 def test_thm22_regression_value_at_1e3():

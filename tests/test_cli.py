@@ -279,7 +279,63 @@ def test_unusable_file_argument_exit_2(tmp_path, capsys, flag):
     argv = ["scan", "--target", "tau-log-avg", "--grid", "1e3,1e4", flag,
             str(path)]
     assert run_cli(argv + (["--check"] if flag == "--calibration" else [])) == 2
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     assert len(err) == 2
     assert err[0] == f"error: cannot use {path}: No such file or directory"
     assert err[1].startswith("usage: gcdsums")
+    if flag == "--calibration":
+        # the file is read before the scan, so no CSV reaches stdout
+        assert captured.out == ""
+
+
+def test_missing_calibration_row_exit_2_before_the_scan(monkeypatch, capsys):
+    from gcdsums import tables
+    calls = []
+    monkeypatch.setattr(tables, "_sieve_values", lambda *a: calls.append(a))
+    rc = run_cli(["scan", "--target", "power_sum", "--a", "-0.5",
+                  "--grid", "1e3,1e5", "--check"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert err[0] == "error: no calibration row for ('power_sum', '-0.5')"
+    assert err[1].startswith("usage: gcdsums")
+    assert calls == []
+
+
+@pytest.mark.parametrize("line", ["tau-log-avg,1e-3", "tau-log-avg,,abc"],
+                         ids=["two-fields", "non-numeric"])
+def test_malformed_calibration_line_exit_2(tmp_path, capsys, line):
+    calib = tmp_path / "calib.txt"
+    calib.write_text(f"# target,a,max_normalized\nid-log-avg,,0.5\n{line}\n")
+    message = f"{calib}:3: not a calibration row: {line!r}"
+    with pytest.raises(G.DomainError) as exc:
+        G.load_calibration(calib)
+    assert str(exc.value) == message
+    rc = run_cli(["scan", "--target", "tau-log-avg", "--grid", "1e3",
+                  "--check", "--calibration", str(calib)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == f"error: {message}"
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("target, a", [("id-log-avg", "5"),
+                                       ("tau-log-avg", "-0.5"),
+                                       ("id_phi", "-0.5")])
+def test_exponent_for_an_entry_without_one_exit_2(monkeypatch, capsys,
+                                                  target, a):
+    # an --a the entry takes no exponent for is refused before any sieve
+    from gcdsums import tables
+    calls = []
+    monkeypatch.setattr(tables, "_sieve_values", lambda *a: calls.append(a))
+    rc = run_cli(["scan", "--target", target, "--a", a, "--grid", "1e3,1e4"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert err[0] == f"error: {target} takes no exponent a (got a={float(a)})"
+    assert err[1].startswith("usage: gcdsums")
+    assert calls == []
