@@ -12,10 +12,13 @@ summation) is kept in a single place:
   a longdouble closed form Phi(v) - Phi(t), rounded once
   (``stirling.one_weight_sums``),
 - short heterogeneous sums use ``math.fsum``,
-- sums over the pairs d*l <= n go through ``hyperbola_sum``.
+- sums over the pairs d*l <= n go through ``hyperbola_sum``, or, for
+  the summatory statistics that are a few such sums of the g = 1 pairs
+  and nothing else, ``hyperbola_fsum``.
 """
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -169,3 +172,22 @@ def hyperbola_sum(w_pair, c_pair) -> float:
     (w_lo, w_hi), (c_lo, c_hi) = w_pair, c_pair
     return (dot(np.diff(w_lo), c_hi[1:]) + dot(np.diff(c_lo), w_hi[1:])
             - w_lo[-1] * c_lo[-1])
+
+
+def hyperbola_fsum(terms) -> float:
+    """The sum of sign * ``hyperbola_sum``(w_pair, c_pair) over the terms
+    (sign, w_pair, c_pair), with every product of its dots added by
+    ``math.fsum``: the correctly rounded sum of the rounded products.
+
+    Against exact sums from mpmath at n <= 1e7, H(l^-2, 1/l) by the two
+    float64 dots erred up to 6.5 * 2^-52 relative, and this at most
+    0.52 * 2^-52; the pairs themselves are within an ulp.  The log
+    averages keep ``hyperbola_sum``, whose bytes their output pins.
+    """
+    products, corners = [], []
+    for sign, (w_lo, w_hi), (c_lo, c_hi) in terms:
+        products += [sign * np.diff(w_lo) * c_hi[1:],
+                     sign * np.diff(c_lo) * w_hi[1:]]
+        corners.append(-sign * float(w_lo[-1] * c_lo[-1]))
+    # a memoryview yields Python floats one at a time, with no list of them
+    return math.fsum(chain(corners, *map(memoryview, products)))

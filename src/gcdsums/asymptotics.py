@@ -1,6 +1,9 @@
 """Main-term evaluators, divisor-problem remainders and residual scans.
 
-Exact summatory values come from the sieves; main terms are the displayed
+Exact summatory values come from the sieves, except the divisor sums of
+the g = 1 weights (tau/n, sigma/n, divisor-log, sigma_{-1}/n,
+sigma log(n/e), sum m^a and sum sigma_a), which are hyperbola sums of
+closed-form prefixes and sieve nothing; main terms are the displayed
 asymptotic formulas with all zeta / zeta' / gamma constants evaluated by
 the zeta module.  Because the error bounds carry no explicit constants,
 order-of-growth claims are checked by calibration regression: the first
@@ -34,13 +37,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ._accum import _BLOCK, dot, fsum, quotient_prefixes
+from ._accum import _BLOCK, dot, fsum, hyperbola_fsum, quotient_prefixes
 from .errors import DomainError, require
-from .identities import apostol_log_average_grid, apostol_log_average_terms
+from .identities import (_one_pairs, apostol_log_average_grid,
+                         apostol_log_average_terms)
 from .stirling import THETA_HI, THETA_LO
-from .tables import (DIVISOR_LOG, ID, MU, ONE, PHI, SIGMA, TAU, VON_MANGOLDT,
-                     convolve, cut, id_pow, jordan, sieve, sieve_values,
-                     sigma_pow)
+from .tables import (ID, MU, ONE, PHI, VON_MANGOLDT, convolve, cut, id_pow,
+                     jordan, sieve, sieve_values, sigma_pow)
 from .zeta import LOG_SQRT_2PI, constants
 
 
@@ -54,6 +57,12 @@ def _quotient_sums(values: np.ndarray, ns, weigh):
         return (weigh(values[lo:hi], np.arange(lo, hi, dtype=np.float64)),)
 
     return (pairs[0] for pairs in quotient_prefixes(blocks, ns))
+
+
+# the pairs of ``identities._one_pairs``, by the prefix sums of its g = 1
+# weights: the count, log l!, then those of log l / l, 1/l, rho(l)/l,
+# l^-2 and, where an exponent is given, l^a
+_COUNT, _LOG_FACT, _LOG_OVER, _INV, _RHO_OVER, _INV_SQ, _POW = range(7)
 
 
 def _floors(xs) -> list[int]:
@@ -165,15 +174,17 @@ def divisor_delta_a(x: float, a: float) -> float:
 
 
 def divisor_delta_a_grid(xs, a: float) -> list[float]:
-    """``divisor_delta_a`` at every x of xs, in any order, from one pass
-    over the sigma_a sieve up to the largest x, which is checked first."""
+    """``divisor_delta_a`` at every x of xs, in any order; the largest x
+    is checked first.  sum_{n<=x} sigma_a(n) = sum_{d*l<=x} d^a is the
+    hyperbola sum (``hyperbola_fsum``) of the pairs of l^a and of 1 from
+    ``_one_pairs``, so nothing is sieved."""
     a = _require_a(a)
     ns = _floors(xs)
     order = sorted(range(len(ns)), key=ns.__getitem__)
-    pairs = _sigma_a_prefixes([ns[i] for i in order], a)
     out = [0.0] * len(ns)
-    for i, (_, hi) in zip(order, pairs):
-        out[i] = float(hi[0]) - float(_sigma_a_smooth(xs[i], a))
+    for i, p in zip(order, _one_pairs([ns[i] for i in order], a)):
+        out[i] = (hyperbola_fsum([(1, p[_POW], p[_COUNT])])
+                  - float(_sigma_a_smooth(xs[i], a)))
     return out
 
 
@@ -399,27 +410,41 @@ def _statistics() -> dict[str, Target]:
     def phi_over_n(x, a):  # phi (a = 0) and J_{1+a} over n
         return x ** (1 + a) / ((1 + a) * C.zeta(2 + a))
 
-    def stat(name, spec, main, over_n=True, norm=const, log_ratio=False,
-             needs_a=False, **kw):
-        """The sum over m <= x of spec(a) (or of spec), divided by m with
-        ``over_n`` and weighted by log(m/e) with ``log_ratio``, against
-        main(x, a)."""
-        spec_at = spec if callable(spec) else lambda a: spec
-
-        def weigh(v, m):
-            if log_ratio:
-                v = v * (np.log(m) - 1.0)
-            return np.divide(v, m, out=m) if over_n else v
-
+    def entry(name, exact, main, norm=const, needs_a=False, **kw):
+        """exact(ns, a) at the floors of a grid, against main(x, a)."""
         def parts(xs, a):
-            ns = _floors(xs)
-            values = sieve_values(spec_at(a), max(ns))
-            exact = [hi[0] for _, hi in _quotient_sums(values, ns, weigh)]
-            return np.array(exact), np.zeros(len(exact))
+            values = exact(_floors(xs), a)
+            return np.array(values), np.zeros(len(values))
 
         return Target(name, parts,
                       lambda x, a, theta: main(x, a if needs_a else 0.0),
                       norm, needs_a=needs_a, **kw)
+
+    def stat(name, spec, main, **kw):
+        """The sum over m <= x of spec(a) (or of spec) divided by m, from
+        one pass over its sieve."""
+        spec_at = spec if callable(spec) else lambda a: spec
+
+        def exact(ns, a):
+            values = sieve_values(spec_at(a), max(ns))
+            pairs = _quotient_sums(values, ns,
+                                   lambda v, m: np.divide(v, m, out=m))
+            return [hi[0] for _, hi in pairs]
+
+        return entry(name, exact, main, **kw)
+
+    def pair_stat(name, terms, main, **kw):
+        """The sum of sign * H(w, c) over the terms (sign, w, c), H the
+        hyperbola sum of the named pairs of ``_one_pairs`` (all terms
+        added by one ``hyperbola_fsum``): Dirichlet hyperbola sums of the
+        g = 1 weights (Tenenbaum, Introduction to Analytic and
+        Probabilistic Number Theory, I.3.2), so no sieve."""
+        def exact(ns, a):
+            return [hyperbola_fsum([(sign, p[w], p[c])
+                                    for sign, w, c in terms])
+                    for p in _one_pairs(ns, a)]
+
+        return entry(name, exact, main, **kw)
 
     defs = [
         stat("id_phi", convolve(ID, PHI), _phi_stat_main(1), norm=log(1),
@@ -431,24 +456,33 @@ def _statistics() -> dict[str, Target]:
         stat("jordan_phi", lambda a: convolve(jordan(1 + a), PHI),
              _pow_phi_stat_main(2), norm=log(2), needs_a=True,
              weight="mu_star_mu"),
-        stat("divisor_log", DIVISOR_LOG,
-             lambda x, a: math.log(x) ** 3 / 6.0 + 0.5 * g * math.log(x) ** 2,
-             norm=log(1)),
-        stat("sigma_logne", SIGMA,
-             lambda x, a: (z2 * x * math.log(x) - 2 * z2 * x
-                           - 0.25 * math.log(x) ** 2),
-             norm=log(5 / 3), log_ratio=True),
-        stat("power_sum", id_pow,
-             lambda x, a: x ** (1 + a) / (1 + a) + C.zeta(-a), over_n=False,
-             norm=Normalizer("x_pow", None), needs_a=True),
+        # sum_{d*l<=x} log(d) / (d l)
+        pair_stat("divisor_log", [(1, _LOG_OVER, _INV)],
+                  lambda x, a: (math.log(x) ** 3 / 6.0
+                                + 0.5 * g * math.log(x) ** 2),
+                  norm=log(1)),
+        # sum_{d*l<=x} (log d + log l - 1) / l
+        pair_stat("sigma_logne", [(1, _LOG_OVER, _COUNT),
+                                  (1, _INV, _LOG_FACT), (-1, _INV, _COUNT)],
+                  lambda x, a: (z2 * x * math.log(x) - 2 * z2 * x
+                                - 0.25 * math.log(x) ** 2),
+                  norm=log(5 / 3)),
+        # the l^a prefix at x: hi[0] of its pair
+        entry("power_sum",
+              lambda ns, a: [p[_POW][1][0] for p in _one_pairs(ns, a)],
+              lambda x, a: x ** (1 + a) / (1 + a) + C.zeta(-a),
+              norm=Normalizer("x_pow", None), needs_a=True),
         stat("jordan_over_n", lambda a: jordan(1 + a), phi_over_n,
              needs_a=True),
-        stat("sigma_minus1", sigma_pow(-1.0), lambda x, a: 0.0, norm=log(1)),
+        # sum_{d*l<=x} 1 / (d^2 l)
+        pair_stat("sigma_minus1", [(1, _INV_SQ, _INV)], lambda x, a: 0.0,
+                  norm=log(1)),
         stat("phi_over_n", PHI, phi_over_n, norm=log(2 / 3)),
-        stat("tau_over_n", TAU,
-             lambda x, a: 0.5 * math.log(x) ** 2 + 2 * g * math.log(x)),
-        stat("sigma_over_n", SIGMA, lambda x, a: z2 * x - 0.5 * math.log(x),
-             norm=log(2 / 3)),
+        # sum_{d*l<=x} 1 / (d l) and sum_{d*l<=x} 1 / d
+        pair_stat("tau_over_n", [(1, _INV, _INV)],
+                  lambda x, a: 0.5 * math.log(x) ** 2 + 2 * g * math.log(x)),
+        pair_stat("sigma_over_n", [(1, _INV, _COUNT)],
+                  lambda x, a: z2 * x - 0.5 * math.log(x), norm=log(2 / 3)),
         stat("id_lambda", convolve(ID, VON_MANGOLDT), lam(1), norm=log(1)),
         stat("phi_lambda", convolve(PHI, VON_MANGOLDT), lam(2),
              norm=log(5 / 3)),
@@ -635,14 +669,21 @@ def standard_grid(lo: float = 1e3, hi: float = 1e6, points: int = 7) -> np.ndarr
 
 
 def tau_gcd_log_avg_routes(x: float) -> tuple[float, float]:
-    """The tau-log-avg exact side computed two ways.
+    """The tau-log-avg exact side computed two ways, neither of which
+    sieves.
 
-    Route one is the six-term decomposition's total, which sieves
-    nothing: its prefixes are closed forms above a table of
-    max(isqrt(x), 1024) entries.  Route two assembles the three sieved
-    summatory statistics (sigma log(n/e), divisor-log, tau/n) plus the
-    decomposition's exact Stirling remainder.  The routes share only that
-    remainder, which the tests pin to a log-gamma oracle.
+    Route one is the six-term decomposition's total.  Route two assembles
+    the three summatory statistics the paper reduces tau-log-avg to
+    (sigma log(n/e), divisor-log and tau/n, each a hyperbola sum of the
+    g = 1 pairs) plus the decomposition's exact Stirling remainder.  Both
+    read the pairs of ``identities._one_pairs``, closed forms above a
+    table of max(isqrt(x), 1024) entries, so they agree whether or not
+    those prefixes are right: the routes check the six-term algebra and
+    its regrouping into the statistics.  The prefixes themselves are
+    checked elsewhere: each closed form against mpmath
+    (``tests/oracles.py::mp_one_prefix``), and route two against the
+    whole-array sums of the SIGMA, DIVISOR_LOG and TAU sieves at
+    x <= 1e6.  The remainder is pinned to a log-gamma oracle.
     """
     dec = apostol_log_average_terms(None, None, x)  # f = g = 1
     s1 = summatory("sigma_logne", x)[0]

@@ -14,8 +14,9 @@ Function arguments use the ``name[:param]`` grammar (``mu``, ``id``,
 Exit status: 0 on success, 1 when a checked invariant fails (a JSON
 report naming the violation is printed), 2 on unusable arguments, a file
 argument that cannot be read or written included.  ``scan --check`` reads
-its calibration row before it scans, so a missing row or a malformed
-calibration file exits 2 with nothing on stdout.
+its entry and then its calibration row before it scans, so an ``--a``
+the entry does not take, a missing row or a malformed calibration file
+exits 2 with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -100,9 +101,11 @@ def cmd_scan(args) -> int:
     grid = _parse_grid(args.grid)
     a_text = f"{args.a:g}" if args.a is not None else ""
     limit = None
+    # the entry, then the row, are resolved before the scan, so an --a the
+    # entry does not take, a missing row or an unusable file prints
+    # nothing to stdout
+    asymptotics._lookup(args.target, args.a)
     if args.check and not args.write_calibration:
-        # the row is resolved before the scan, so a missing row or an
-        # unusable file prints nothing to stdout
         calibration = asymptotics.load_calibration(args.calibration)
         key = (args.target, a_text)
         if key not in calibration:

@@ -335,41 +335,52 @@ def _f_weights(fv: np.ndarray, lo: int, hi: int):
     yield np.abs(w)
 
 
-def _one_pairs(ns):
-    """The ``on_quotients`` pairs of the six g-side weights for g = 1 at
-    each n of ns (ascending), with no pass past t = min(max(isqrt(max n),
-    1024), max n).
+def _one_weights(lo: int, hi: int, a: float | None):
+    """The six g = 1 weights of ``_g_weights`` at l = lo..hi-1, then l^a
+    where a is given (the bytes of the ``idpow:a`` sieve's power)."""
+    yield from _g_weights(None, lo, hi)
+    if a is not None:
+        yield np.power(np.arange(lo, hi, dtype=np.float64), a)
 
-    Up to t, the weights of ``_g_weights`` are summed a block at a time by
-    ``running_sum``, so every prefix P(v) at v <= t has the bytes of the
-    pass over all of 1..n.  Above t, P(v) = P(t) + Phi(v) - Phi(t) with
-    the longdouble P(t) of that sum and the closed forms Phi of
+
+def _one_pairs(ns, a: float | None = None):
+    """The ``on_quotients`` pairs of the six g-side weights for g = 1 (1,
+    log l, log l / l, 1/l, rho(l)/l and 1/l^2), then of l^a where a is
+    given, at each n of ns (ascending), with no pass past
+    t = min(max(isqrt(max n), 1024), max n).
+
+    Up to t, the weights of ``_one_weights`` are summed a block at a time
+    by ``running_sum``, so every prefix P(v) at v <= t has the bytes of
+    the pass over all of 1..n.  Above t, P(v) = P(t) + Phi(v) - Phi(t)
+    with the longdouble P(t) of that sum and the closed forms Phi of
     ``stirling.one_weight_sums``, rounded once: the count is exact, and
-    every other entry is within an ulp of the pass's.  It holds six
-    (t + 1)-float tables and, per n, its pairs and a few longdouble arrays
-    of isqrt(n) + 1 entries; nothing of length n.
+    every other entry is within an ulp of the pass's.  It holds six (or
+    seven) (t + 1)-float tables and, per n, its pairs and a few longdouble
+    arrays of isqrt(n) + 1 entries; nothing of length n.
     """
     ns = ascending(ns)
     t = min(max(math.isqrt(ns[-1]), _MIN_CAPACITY), ns[-1])
-    table = np.zeros((6, t + 1))
-    totals = [np.longdouble(0.0)] * 6
+    width = 6 if a is None else 7
+    table = np.zeros((width, t + 1))
+    totals = [np.longdouble(0.0)] * width
     for start in range(1, t + 1, _BLOCK):
         stop = min(start + _BLOCK, t + 1)
-        for k, block in enumerate(_g_weights(None, start, stop)):
+        for k, block in enumerate(_one_weights(start, stop, a)):
             sums = running_sum(block, totals[k])
             table[k, start:stop] = sums
             totals[k] = sums[-1]
     # P(t) - Phi(t), read only above t
     offsets = [p - phi[0] for p, phi in
-               zip(totals, one_weight_sums(np.array([t])))]
+               zip(totals, one_weight_sums(np.array([t]), a))]
     for n in ns:
         r = math.isqrt(n)
         v = n // np.maximum(np.arange(r + 1), 1)
         above = int(np.count_nonzero(v > t))  # v descends
-        his = np.empty((6, r + 1))
+        his = np.empty((width, r + 1))
         his[:, above:] = table[:, v[above:]]
         if above:
-            for row, p, phi in zip(his, offsets, one_weight_sums(v[:above])):
+            for row, p, phi in zip(his, offsets,
+                                   one_weight_sums(v[:above], a)):
                 row[:above] = p + phi
         yield list(zip(table[:, :r + 1], his))
 

@@ -37,9 +37,9 @@ row's entries bit for bit.  approx and theta are derived from l and rho
 when read; the package itself reads only L and rho.
 
 ``one_weight_sums`` gives the prefix sums of the g = 1 weights of the
-six-term expansion (1, log l, log l / l, 1/l, rho(l)/l, 1/l^2) above a
-table in closed form: L(v) by Stirling and the remainder series, and the
-others by Euler-Maclaurin.
+six-term expansion (1, log l, log l / l, 1/l, rho(l)/l, 1/l^2), and of
+l^a for -1 < a < 0, above a table in closed form: L(v) by Stirling and
+the remainder series, and the others by Euler-Maclaurin.
 """
 
 from __future__ import annotations
@@ -64,9 +64,10 @@ _SERIES_TERMS = 20
 # coefficients of the remainder series in 1/l^2, highest power first
 _REMAINDER_COEFFS = tuple(np.longdouble(1) / c for c in (-1680, 1260, -360, 12))
 # B_2, B_4, B_6, B_8 and the harmonic numbers H_0..H_7 of the
-# Euler-Maclaurin forms in ``one_weight_sums``
+# Euler-Maclaurin forms in ``one_weight_sums``; B_10 too for l^a
 _BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
               Fraction(-1, 30))
+_B10 = Fraction(5, 66)
 _HARMONIC = [sum(Fraction(1, i) for i in range(1, m + 1)) for m in range(8)]
 
 
@@ -165,23 +166,44 @@ def _power_sum(u: np.ndarray, s: int) -> np.ndarray:
     return acc
 
 
-def one_weight_sums(v: np.ndarray) -> list[np.ndarray]:
+def _real_power_sum(v: np.ndarray, a: float) -> np.ndarray:
+    """Phi_a(v) = v^(1+a)/(1+a) + v^a/2 + sum_k B_2k/(2k)! (a)_(2k-1)
+    v^(a-2k+1), k = 1..5, at each longdouble v, with (a)_m the falling
+    factorial a (a-1) ... (a-m+1): the Euler-Maclaurin form, through
+    B_10, of sum_{l<=v} l^a for -1 < a < 0, less its constant zeta(-a)."""
+    a = np.longdouble(a)
+    w = np.reciprocal(v * v)
+    acc = np.zeros_like(v)
+    for k, b in reversed(list(enumerate((*_BERNOULLI, _B10), 1))):
+        c = _ld(b / math.factorial(2 * k))
+        for i in range(2 * k - 1):
+            c *= a - i
+        acc *= w
+        acc += c
+    acc /= v
+    acc += v / (1 + a) + np.longdouble(0.5)
+    return acc * np.power(v, a)
+
+
+def one_weight_sums(v: np.ndarray, a: float | None = None) -> list[np.ndarray]:
     """Phi(v) for each g = 1 weight of the six-term expansion (1, log l,
-    log l / l, 1/l, rho(l)/l and 1/l^2), in longdouble, at each integer
-    v >= _MIN_CAPACITY: sum_{l<=v} of the weight up to a constant of its
-    own, so Phi(v) - Phi(t) is the sum over t < l <= v.
+    log l / l, 1/l, rho(l)/l and 1/l^2), then of l^a where a is given,
+    in longdouble, at each integer v >= _MIN_CAPACITY: sum_{l<=v} of the
+    weight up to a constant of its own, so Phi(v) - Phi(t) is the sum
+    over t < l <= v.
 
     - 1: v, exactly;
     - log l: log v! by Stirling, (v + 1/2) log v - v plus the remainder
       series, less log sqrt(2 pi);
     - log l / l, 1/l, l^-2 and rho(l)/l = sum_j c_j l^-2j (the remainder
       series' own coefficients): Euler-Maclaurin through B_8, with
-      d^m/dl^m (log l / l) = (-1)^m m! (log l - H_m) / l^(m+1).
+      d^m/dl^m (log l / l) = (-1)^m m! (log l - H_m) / l^(m+1);
+    - l^a: ``_real_power_sum``, through B_10.
 
     From v, t >= _MIN_CAPACITY = 1024 on, every first omitted term is
     below 1e-30 (the largest, 1/(1188 t^9) of the Stirling series, is
-    7e-31; the B_10 term of log l / l is 3e-32), far below the longdouble
-    rounding of Phi.
+    7e-31; the B_10 term of log l / l is 3e-32, and the B_12 term of l^a
+    below 2e-35), far below the longdouble rounding of Phi.
     """
     v = np.asarray(v, dtype=np.int64)
     u = np.reciprocal(v.astype(np.longdouble))
@@ -200,8 +222,11 @@ def one_weight_sums(v: np.ndarray) -> list[np.ndarray]:
     log_fact = (v + np.longdouble(0.5)) * lg - v + _remainder_series(v)
     rho_over = sum(c * _power_sum(u, 2 * j) for j, c in
                    enumerate(reversed(_REMAINDER_COEFFS), 1))
-    return [v.astype(np.longdouble), log_fact, log_over, harmonic, rho_over,
+    sums = [v.astype(np.longdouble), log_fact, log_over, harmonic, rho_over,
             _power_sum(u, 2)]
+    if a is not None:
+        sums.append(_real_power_sum(sums[0], a))
+    return sums
 
 
 def _rho_below_seed() -> np.ndarray:

@@ -16,8 +16,10 @@ from gcdsums.asymptotics import (SCAN_TARGETS, STATISTICS, calibrate,
                                  summatory, tau_gcd_log_avg_routes,
                                  write_calibration)
 from gcdsums.errors import DomainError
+from gcdsums.tables import DIVISOR_LOG, SIGMA, TAU, sieve_values
+from gcdsums.zeta import LOG_SQRT_2PI
 
-from oracles import naive_value
+from oracles import naive_value, whole_array_prefix
 
 GAMMA = G.euler_gamma()
 
@@ -359,6 +361,27 @@ def test_exponent_refused_where_none_is_taken(monkeypatch, call):
     assert calls == []
 
 
+def test_divisor_sums_of_one_build_no_sieve(monkeypatch):
+    # the five divisor statistics, sum m^a, Delta_a and both routes of
+    # tau-log-avg are hyperbola sums of the g = 1 pairs: no table is sieved
+    from gcdsums import cli, tables
+
+    def refuse(*args):
+        raise AssertionError(f"sieved {args}")
+
+    monkeypatch.setattr(tables, "_sieve_values", refuse)
+    grid = standard_grid(1e3, 1e7, 9)
+    for name in ("tau_over_n", "sigma_over_n", "divisor_log", "sigma_minus1",
+                 "sigma_logne"):
+        residual_scan(name, grid)
+    residual_scan("power_sum", grid, -0.5)
+    divisor_delta_a_grid(grid, -0.5)
+    tau_gcd_log_avg_routes(1e7)
+    for a in ([], ["--a", "-0.5"]):
+        assert cli.main(["delta", "--which", "point",
+                         "--grid", "geom:1e3,1e7,9", *a]) == 0
+
+
 def test_thm22_regression_value_at_1e3():
     scan = residual_scan("id-log-avg", [1000.0])
     # frozen first-run value of the normalized residual
@@ -366,9 +389,21 @@ def test_thm22_regression_value_at_1e3():
 
 
 def test_two_route_exact_side():
-    for x in (100.0, 1e3):
+    # both routes read the g = 1 pairs; the sieved whole-array sums of
+    # SIGMA, DIVISOR_LOG and TAU check route two's statistics apart from
+    # them, each within 4 ulps (see test_blocked_stages)
+    x_random = float(np.random.default_rng(21).integers(2, 10 ** 6))
+    for x in (100.0, 1e3, x_random):
         a, b = tau_gcd_log_avg_routes(x)
         assert abs(a - b) <= 1e-8 * (1.0 + abs(a))
+        n = math.floor(x)
+        sums = [whole_array_prefix(sieve_values(spec, n), n, True,
+                                   spec == SIGMA)[n] * c
+                for spec, c in ((SIGMA, 1.0), (DIVISOR_LOG, 0.5),
+                                (TAU, LOG_SQRT_2PI))]
+        remainder = G.apostol_log_average_terms(None, None, x).remainder_term
+        size = sum(map(abs, sums)) + abs(remainder)
+        assert abs(b - math.fsum([*sums, remainder])) <= 8 * 2.0 ** -52 * size
 
 
 def test_limit_ratio_improves():

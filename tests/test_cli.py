@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,3 +343,35 @@ def test_exponent_for_an_entry_without_one_exit_2(monkeypatch, capsys,
     assert err[0] == f"error: {target} takes no exponent a (got a={float(a)})"
     assert err[1].startswith("usage: gcdsums")
     assert calls == []
+
+
+def test_exponent_refused_before_the_calibration_row(capsys):
+    # with --check, the entry is resolved before its row is looked up
+    rc = run_cli(["scan", "--target", "id-log-avg", "--a", "5", "--check"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert err[0] == "error: id-log-avg takes no exponent a (got a=5.0)"
+    assert err[1].startswith("usage: gcdsums")
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--target", "tau_over_n"],
+    ["delta", "--which", "point", "--a", "-0.5"],
+], ids=["scan-tau_over_n", "delta-point-a"])
+def test_stdout_independent_of_blas_threads(argv):
+    # their hyperbola sums add by math.fsum, through no BLAS dot, so one
+    # thread and two must give the same bytes
+    src = Path(cli.__file__).resolve().parents[1]
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "gcdsums.cli", *argv,
+             "--grid", "geom:1e3,1e7,9"],
+            env=env, capture_output=True, check=True)
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 10

@@ -6,7 +6,8 @@ integer-valued weights, ``on_quotients`` must carry the bytes of
 kernel must stay within a few ulps of longdouble oracles.  The g = 1
 prefixes, closed forms above their table, must each be within an ulp of
 their exact sums from mpmath; rho(l)/l, whose float64 weights round,
-within 1.5 in its table and 1.25 above it.
+within 1.5 in its table and 1.25 above it.  So must the prefixes of l^a,
+against mpmath's Hurwitz zeta.
 """
 
 import math
@@ -21,8 +22,8 @@ from gcdsums.identities import identity_sum_table
 from gcdsums.stirling import log_factorial_table
 from gcdsums.tables import ONE, TAU, sieve_values
 
-from oracles import (MP_DIRECT, mp_one_prefix, series_lhs_longdouble,
-                     six_term_longdouble, ulps_from)
+from oracles import (MP_DIRECT, mp_one_prefix, mp_power_prefix,
+                     series_lhs_longdouble, six_term_longdouble, ulps_from)
 
 _BOUNDARY_N = sorted({m for r in range(1, 41)
                       for m in (r * r - 1, r * r, r * r + r, r * r + r + 1)
@@ -150,6 +151,20 @@ def test_one_prefixes_against_mpmath(n):
                 continue
             bound = 1.0 if k != 4 else 1.5 if v <= t else 1.25
             assert ulps_from(got, mp_one_prefix(k, v)) <= bound, (k, v)
+
+
+@pytest.mark.parametrize("n", _ONE_N)
+@pytest.mark.parametrize("a", [-0.9, -0.5, -0.1])
+def test_power_prefixes_against_mpmath(n, a):
+    # the l^a pair, summed up to t and Euler-Maclaurin past it, at every
+    # quotient of n: within an ulp of zeta(-a) - zeta(-a, v + 1)
+    n = int(n)
+    pairs, = identities._one_pairs([n], a)
+    lo, hi = pairs[6]
+    r = math.isqrt(n)
+    quotients = [*range(r + 1), *(n // max(d, 1) for d in range(r + 1))]
+    for v, got in zip(quotients, [*lo, *hi]):
+        assert ulps_from(got, mp_power_prefix(v, a)) <= 1.0, v
 
 
 @pytest.mark.parametrize("s", [3.0, 4.0])
