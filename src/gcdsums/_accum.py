@@ -12,9 +12,8 @@ summation) is kept in a single place:
   a longdouble closed form Phi(v) - Phi(t), rounded once
   (``stirling.one_weight_sums``),
 - short heterogeneous sums use ``math.fsum``,
-- sums over the pairs d*l <= n go through ``hyperbola_sum``, or, for
-  the summatory statistics that are a few such sums of the g = 1 pairs
-  and nothing else, ``hyperbola_fsum``.
+- sums over the pairs d*l <= n go through ``hyperbola_sum``, which adds
+  every product once by ``math.fsum``.
 """
 
 import math
@@ -160,29 +159,20 @@ def on_quotients(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs[0]
 
 
-def hyperbola_sum(w_pair, c_pair) -> float:
-    """sum_{d*l <= n} w(d) c(l) from the ``on_quotients`` pairs W, C, both
-    taken at the same n:
+def hyperbola_sum(terms) -> float:
+    """The sum over the terms (sign, w_pair, c_pair) of
+    sign * sum_{d*l <= n} w(d) c(l), from the ``on_quotients`` pairs W, C
+    of each term, all taken at the same n:
 
         sum_{d<=r} w(d) C(n//d) + sum_{l<=r} c(l) W(n//l) - W(r) C(r),
 
-    two dots of length r = isqrt(n).  w and c on 1..r are differences of
-    lo, whose roundings telescope against the steps of the other prefix.
-    """
-    (w_lo, w_hi), (c_lo, c_hi) = w_pair, c_pair
-    return (dot(np.diff(w_lo), c_hi[1:]) + dot(np.diff(c_lo), w_hi[1:])
-            - w_lo[-1] * c_lo[-1])
-
-
-def hyperbola_fsum(terms) -> float:
-    """The sum of sign * ``hyperbola_sum``(w_pair, c_pair) over the terms
-    (sign, w_pair, c_pair), with every product of its dots added by
-    ``math.fsum``: the correctly rounded sum of the rounded products.
-
-    Against exact sums from mpmath at n <= 1e7, H(l^-2, 1/l) by the two
-    float64 dots erred up to 6.5 * 2^-52 relative, and this at most
-    0.52 * 2^-52; the pairs themselves are within an ulp.  The log
-    averages keep ``hyperbola_sum``, whose bytes their output pins.
+    r = isqrt(n).  w and c on 1..r are differences of lo, whose roundings
+    telescope against the steps of the other prefix.  Every product is
+    added once by ``math.fsum``: the correctly rounded sum of the rounded
+    products, whatever their order, so a term's bytes do not depend on
+    the side its pairs are given on.  Against exact sums from mpmath at
+    n <= 1e7, H(l^-2, 1/l) erred at most 0.52 * 2^-52 relative, and up
+    to 6.5 * 2^-52 by two float64 dots; the pairs are within an ulp.
     """
     products, corners = [], []
     for sign, (w_lo, w_hi), (c_lo, c_hi) in terms:

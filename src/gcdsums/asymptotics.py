@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._accum import _BLOCK, dot, fsum, hyperbola_fsum, quotient_prefixes
+from ._accum import _BLOCK, dot, fsum, hyperbola_sum, quotient_prefixes
 from .errors import DomainError, require
 from .identities import (_one_pairs, apostol_log_average_grid,
                          apostol_log_average_terms)
@@ -176,14 +176,14 @@ def divisor_delta_a(x: float, a: float) -> float:
 def divisor_delta_a_grid(xs, a: float) -> list[float]:
     """``divisor_delta_a`` at every x of xs, in any order; the largest x
     is checked first.  sum_{n<=x} sigma_a(n) = sum_{d*l<=x} d^a is the
-    hyperbola sum (``hyperbola_fsum``) of the pairs of l^a and of 1 from
-    ``_one_pairs``, so nothing is sieved."""
+    ``hyperbola_sum`` of the pairs of l^a and of 1 from ``_one_pairs``,
+    so nothing is sieved."""
     a = _require_a(a)
     ns = _floors(xs)
     order = sorted(range(len(ns)), key=ns.__getitem__)
     out = [0.0] * len(ns)
     for i, p in zip(order, _one_pairs([ns[i] for i in order], a)):
-        out[i] = (hyperbola_fsum([(1, p[_POW], p[_COUNT])])
+        out[i] = (hyperbola_sum([(1, p[_POW], p[_COUNT])])
                   - float(_sigma_a_smooth(xs[i], a)))
     return out
 
@@ -435,13 +435,13 @@ def _statistics() -> dict[str, Target]:
 
     def pair_stat(name, terms, main, **kw):
         """The sum of sign * H(w, c) over the terms (sign, w, c), H the
-        hyperbola sum of the named pairs of ``_one_pairs`` (all terms
-        added by one ``hyperbola_fsum``): Dirichlet hyperbola sums of the
+        hyperbola sum of the named pairs of ``_one_pairs`` (all terms in
+        one ``hyperbola_sum``): Dirichlet hyperbola sums of the
         g = 1 weights (Tenenbaum, Introduction to Analytic and
         Probabilistic Number Theory, I.3.2), so no sieve."""
         def exact(ns, a):
-            return [hyperbola_fsum([(sign, p[w], p[c])
-                                    for sign, w, c in terms])
+            return [hyperbola_sum([(sign, p[w], p[c])
+                                   for sign, w, c in terms])
                     for p in _one_pairs(ns, a)]
 
         return entry(name, exact, main, **kw)
@@ -679,7 +679,11 @@ def tau_gcd_log_avg_routes(x: float) -> tuple[float, float]:
     read the pairs of ``identities._one_pairs``, closed forms above a
     table of max(isqrt(x), 1024) entries, so they agree whether or not
     those prefixes are right: the routes check the six-term algebra and
-    its regrouping into the statistics.  The prefixes themselves are
+    its regrouping into the statistics.  Both add by the one
+    ``hyperbola_sum``, so route two's tau/n and divisor-log parts equal
+    route one's const and half-log terms by bytes; what is left between
+    the routes is the grouping of the first three terms into sigma
+    log(n/e).  The prefixes themselves are
     checked elsewhere: each closed form against mpmath
     (``tests/oracles.py::mp_one_prefix``), and route two against the
     whole-array sums of the SIGMA, DIVISOR_LOG and TAU sieves at

@@ -14,7 +14,8 @@ Core objects, for tables f, g and integers k, j:
 - ``apostol_log_average(f, g, x)``: sum_{k<=x} u(k)/k, and its exact
   six-term expansion over pairs d*l <= x obtained by replacing L(l) with
   the Stirling form l log l - l + (1/2) log l + log sqrt(2 pi) + rho(l)
-  (``apostol_log_average_terms``), one Dirichlet hyperbola sum per term.
+  (``apostol_log_average_terms``), one Dirichlet hyperbola sum per term
+  (``_accum.hyperbola_sum``, the one kernel for pairs d*l <= x).
   Scans take it for a whole grid from one pass
   (``apostol_log_average_grid``), for both the exact side and the
   Stirling remainder; the per-k sum is the reference it is checked
@@ -431,13 +432,13 @@ def _decomposition(x, cg, cg_log, cg_log_over, cg_over, cg_rho, cg_abs, fw,
                    fw_log, fw_abs) -> AverageDecomposition:
     return AverageDecomposition(
         x=float(x),
-        log_d_term=hyperbola_sum(fw_log, cg),
-        log_l_term=hyperbola_sum(fw, cg_log),
-        unit_term=-hyperbola_sum(fw, cg),
-        half_log_term=0.5 * hyperbola_sum(fw, cg_log_over),
-        const_term=LOG_SQRT_2PI * hyperbola_sum(fw, cg_over),
-        remainder_term=hyperbola_sum(fw, cg_rho),
-        remainder_bound=hyperbola_sum(fw_abs, cg_abs) / 12.0,
+        log_d_term=hyperbola_sum([(1, fw_log, cg)]),
+        log_l_term=hyperbola_sum([(1, fw, cg_log)]),
+        unit_term=-hyperbola_sum([(1, fw, cg)]),
+        half_log_term=0.5 * hyperbola_sum([(1, fw, cg_log_over)]),
+        const_term=LOG_SQRT_2PI * hyperbola_sum([(1, fw, cg_over)]),
+        remainder_term=hyperbola_sum([(1, fw, cg_rho)]),
+        remainder_bound=hyperbola_sum([(1, fw_abs, cg_abs)]) / 12.0,
     )
 
 
@@ -445,7 +446,8 @@ def apostol_log_average_terms(f: FunctionTable | None,
                               g: FunctionTable | None,
                               x: float) -> AverageDecomposition:
     """Exact six-term expansion of ``apostol_log_average`` over d*l <= x,
-    one ``hyperbola_sum`` of an f-side and a g-side weight per term: the
+    one ``hyperbola_sum`` of an f-side and a g-side weight per term (and
+    per remainder_bound), each product added once by ``math.fsum``: the
     grid of one of ``apostol_log_average_grid``."""
     return apostol_log_average_grid(f, g, [x])[0]
 

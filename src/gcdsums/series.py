@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import block_of, dot, hyperbola_sum, quotient_prefixes
+from ._accum import block_of, hyperbola_sum, quotient_prefixes
 from .errors import require
 from .identities import _with_mu
 from .stirling import THETA_HI, THETA_LO, log_factorial_row
@@ -87,8 +87,8 @@ def log_factorial_partial_sum(g: FunctionTable, s: float, k_max: int) -> float:
 def _log_factorial_dot(g: FunctionTable, lf: np.ndarray, s: float,
                        k_max: int) -> float:
     """``log_factorial_partial_sum`` with the log l! row lf given."""
-    return dot(g.values[1:k_max + 1] * lf[1:k_max + 1],
-               _powers(1, k_max + 1, s))
+    return float(np.sum(g.values[1:k_max + 1] * lf[1:k_max + 1]
+                        * _powers(1, k_max + 1, s)))
 
 
 def _u_partial_sum(f: FunctionTable, g: FunctionTable | None, s: float,
@@ -118,7 +118,7 @@ def _u_partial_sum(f: FunctionTable, g: FunctionTable | None, s: float,
         yield g * lf[lo:hi] * p
 
     (w_log, c_id, w, c_lf), = quotient_prefixes(weights, [k_max])
-    return hyperbola_sum(w_log, c_id) + hyperbola_sum(w, c_lf)
+    return hyperbola_sum([(1, w_log, c_id), (1, w, c_lf)])
 
 
 def series_identity_compare(f: FunctionTable, g: FunctionTable, s: float,

@@ -406,6 +406,16 @@ def test_two_route_exact_side():
         assert abs(b - math.fsum([*sums, remainder])) <= 8 * 2.0 ** -52 * size
 
 
+@pytest.mark.parametrize("x", [1e3, 301414.0, 1e6, 8084462.0, 1e7])
+def test_routes_share_the_one_kernel(x):
+    # the six-term sums and the statistics add by the same hyperbola
+    # kernel over the same g = 1 pairs, so route one's const and half-log
+    # terms are route two's tau/n and divisor-log parts, bit for bit
+    dec = G.apostol_log_average_terms(None, None, x)
+    assert dec.const_term == LOG_SQRT_2PI * summatory("tau_over_n", x)[0]
+    assert dec.half_log_term == 0.5 * summatory("divisor_log", x)[0]
+
+
 def test_limit_ratio_improves():
     r1, r2 = limit_ratio_grid("id", [1e3, 1e4])
     assert abs(r2 - 1.0) < abs(r1 - 1.0)

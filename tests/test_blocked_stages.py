@@ -225,10 +225,9 @@ def test_u_partial_sum_equals_whole_array_form(k, f, g, s):
         whole = values[1:k + 1] * np.arange(1, k + 1, dtype=np.float64) ** (-e)
         return whole_array_on_quotients(np.append(0.0, whole), k)
 
-    want = (_accum.hyperbola_sum(pair(ft.values * logs, s),
-                                 pair(gt.values, s - 1.0))
-            + _accum.hyperbola_sum(pair(ft.values, s),
-                                   pair(gt.values * lf, s)))
+    want = _accum.hyperbola_sum([
+        (1, pair(ft.values * logs, s), pair(gt.values, s - 1.0)),
+        (1, pair(ft.values, s), pair(gt.values * lf, s))])
     assert series._u_partial_sum(ft, gt, s, k) == want
 
 

@@ -356,22 +356,28 @@ def test_exponent_refused_before_the_calibration_row(capsys):
     assert err[1].startswith("usage: gcdsums")
 
 
-@pytest.mark.parametrize("argv", [
-    ["scan", "--target", "tau_over_n"],
-    ["delta", "--which", "point", "--a", "-0.5"],
-], ids=["scan-tau_over_n", "delta-point-a"])
-def test_stdout_independent_of_blas_threads(argv):
-    # their hyperbola sums add by math.fsum, through no BLAS dot, so one
-    # thread and two must give the same bytes
+_GEOM = ["--grid", "geom:1e3,1e7,9"]
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["scan", "--target", "tau_over_n", *_GEOM], 10),
+    (["delta", "--which", "point", "--a", "-0.5", *_GEOM], 10),
+    (["scan", "--target", "tau-log-avg", *_GEOM], 10),
+    (["series", "--which", "identity", "--f", "one", "--g", "one", "--s",
+      "4", "--K", "1000,100000"], 3),
+], ids=["scan-tau_over_n", "delta-point-a", "scan-tau-log-avg",
+        "series-identity"])
+def test_stdout_independent_of_blas_threads(argv, lines):
+    # their hyperbola sums add by math.fsum and their plain sums by
+    # np.sum, through no BLAS dot, so one thread and two must give the
+    # same bytes
     src = Path(cli.__file__).resolve().parents[1]
     outs = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": str(src)}
-        done = subprocess.run(
-            [sys.executable, "-m", "gcdsums.cli", *argv,
-             "--grid", "geom:1e3,1e7,9"],
-            env=env, capture_output=True, check=True)
+        done = subprocess.run([sys.executable, "-m", "gcdsums.cli", *argv],
+                              env=env, capture_output=True, check=True)
         outs.append(done.stdout)
     assert outs[0] == outs[1]
-    assert len(outs[0].splitlines()) == 10
+    assert len(outs[0].splitlines()) == lines

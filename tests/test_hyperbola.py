@@ -2,12 +2,12 @@
 
 ``hyperbola_sum`` must equal a brute-force double loop exactly on
 integer-valued weights, ``on_quotients`` must carry the bytes of
-``prefix_with_zero`` at every quotient, and the two callers of the
-kernel must stay within a few ulps of longdouble oracles.  The g = 1
-prefixes, closed forms above their table, must each be within an ulp of
-their exact sums from mpmath; rho(l)/l, whose float64 weights round,
-within 1.5 in its table and 1.25 above it.  So must the prefixes of l^a,
-against mpmath's Hurwitz zeta.
+``prefix_with_zero`` at every quotient, and the six-term expansion
+(each term and the total) and the Dirichlet series must stay within a
+few ulps of longdouble oracles.  The g = 1 prefixes, closed forms above
+their table, must each be within an ulp of their exact sums from mpmath;
+rho(l)/l, whose float64 weights round, within 1.5 in its table and 1.25
+above it.  So must the prefixes of l^a, against mpmath's Hurwitz zeta.
 """
 
 import math
@@ -78,8 +78,8 @@ def test_hyperbola_sum_equals_double_loop(n_values):
     w[0] = c[0] = 0
     wl, cl = w.tolist(), c.tolist()
     for n in n_values:
-        got = _accum.hyperbola_sum(_accum.on_quotients(w.astype(float), n),
-                                   _accum.on_quotients(c.astype(float), n))
+        pairs = [_accum.on_quotients(v.astype(float), n) for v in (w, c)]
+        got = _accum.hyperbola_sum([(1, *pairs)])
         assert got == _brute_pair_sum(wl, cl, n), n
 
 
@@ -125,6 +125,23 @@ def test_exact_side_with_one_against_longdouble_oracle():
     oracle = float(sum(six_term_longdouble(f.values, sieve_values(ONE, n),
                                            rho, n)))
     assert abs(dec.total - oracle) <= 2e-14 * abs(oracle)
+
+
+@pytest.mark.parametrize("n", [10 ** 5, 301414])
+def test_each_term_against_longdouble_oracle(n):
+    # every product of a term's hyperbola sum is added once by math.fsum,
+    # so each term is within a few ulps of its longdouble pair sum (the
+    # g = 1 prefixes above the table are closed forms, within an ulp)
+    rho = log_factorial_table(n).rho
+    one = sieve_values(ONE, n)
+    for f, g in ((None, None), (G.PHI, None), (G.ID, G.MU)):
+        ft, gt = (None if spec is None else G.sieve(spec, n)
+                  for spec in (f, g))
+        dec = G.apostol_log_average_terms(ft, gt, float(n))
+        oracle = six_term_longdouble(
+            *(one if t is None else t.values for t in (ft, gt)), rho, n)
+        for k, (got, want) in enumerate(zip(dec.terms, oracle)):
+            assert abs(got - want) <= 4 * 2.0 ** -52 * abs(want), (f, g, k)
 
 
 # 10^6 (t = 1024) and two random n past 1024^2 (t = isqrt(n))
