@@ -1,14 +1,16 @@
 """Main-term evaluators, divisor-problem remainders and residual scans.
 
-Exact summatory values come from the sieves, except the divisor sums of
-the g = 1 weights (tau/n, sigma/n, divisor-log, sigma_{-1}/n,
-sigma log(n/e), sum m^a and sum sigma_a), which are hyperbola sums of
-closed-form prefixes and sieve nothing; main terms are the displayed
-asymptotic formulas with all zeta / zeta' / gamma constants evaluated by
-the zeta module.  Because the error bounds carry no explicit constants,
-order-of-growth claims are checked by calibration regression: the first
-run freezes the normalized residuals over a standard geometric grid and
-later runs must stay within 2x of the frozen maxima.
+Each summatory statistic is one or a few Dirichlet hyperbola sums over
+d*l <= x, of f(d)/d and h(l)/l for sum_{m<=x} (f * h)(m) / m.  A weight
+of the constant 1 (the count for id, l^a for id_{1+a}, 1/l, l^-2,
+log l / l) takes its closed-form g = 1 prefix, any other one pass over
+its operand's own sieve; no statistic sieves its product.  Main terms
+are the displayed asymptotic formulas with all zeta / zeta' / gamma
+constants evaluated by the zeta module.  Because the error bounds carry
+no explicit constants, order-of-growth claims are checked by
+calibration regression: the first run freezes the normalized residuals
+over a standard geometric grid and later runs must stay within 2x of
+the frozen maxima.
 
 The paper's log averages and the summatory statistics behind them are
 one kind of record, a ``Target``: an exact side with the exact Stirling
@@ -63,6 +65,29 @@ def _quotient_sums(values: np.ndarray, ns, weigh):
 # weights: the count, log l!, then those of log l / l, 1/l, rho(l)/l,
 # l^-2 and, where an exponent is given, l^a
 _COUNT, _LOG_FACT, _LOG_OVER, _INV, _RHO_OVER, _INV_SQ, _POW = range(7)
+
+
+def _hyperbola_sums(ns, a, terms) -> list[float]:
+    """At each n of ns (ascending), the sum of sign * H(w, c) over the
+    terms (sign, w, c), in one ``hyperbola_sum``: H is the Dirichlet
+    hyperbola sum (Tenenbaum, Introduction to Analytic and Probabilistic
+    Number Theory, I.3.2) of the pairs of w and c.  A pair is named by an
+    index of ``_one_pairs``' list, by ID (the count) for a None or
+    id_pow(1 + a) (l^a), or by any other spec h, whose h(m)/m is summed
+    by one ``quotient_prefixes`` pass over its own sieve, built up to
+    max(ns) and freed before the next one is built."""
+    one = {ID: _COUNT} if a is None else {id_pow(1 + a): _POW}
+    terms = [(sign, one.get(w, w), one.get(c, c)) for sign, w, c in terms]
+    keys = dict.fromkeys(k for _, w, c in terms for k in (w, c))
+    specs = [k for k in keys if not isinstance(k, int)]
+    sieved = [list(_quotient_sums(sieve_values(h, ns[-1]), ns,
+                                  lambda v, m: np.divide(v, m, out=m)))
+              for h in specs]
+    out = []
+    for i, p in enumerate(_one_pairs(ns, a)):
+        p = {**dict(enumerate(p)), **{h: s[i] for h, s in zip(specs, sieved)}}
+        out.append(hyperbola_sum([(sign, p[w], p[c]) for sign, w, c in terms]))
+    return out
 
 
 def _floors(xs) -> list[int]:
@@ -307,10 +332,10 @@ class Target:
     component that the main term's Stirling slot stands for (0.0 where the
     main term has no slot).  It checks the largest x first, builds each
     table it needs once, for the largest x, and samples every x's prefix
-    sums in one ``quotient_prefixes`` pass; nothing x-long is left when it
-    returns.  ``main(x, a, theta)`` is the displayed main term with the
-    slot at theta.  A log average keeps its (f, g) specs in ``pair(a)``;
-    a statistic leaves it None.  The mu-weighted Delta correction
+    sums in one ``quotient_prefixes`` pass per table; nothing x-long is
+    left when it returns.  ``main(x, a, theta)`` is the displayed main
+    term with the slot at theta.  A log average keeps its (f, g) specs in
+    ``pair(a)``; a statistic leaves it None.  The mu-weighted Delta correction
     (``correction(xs, a)``, one ``mu_delta_grid`` call for a grid) sums
     ``weight`` against Delta (Delta_a where ``needs_a``), times log(x/e)
     for a log average.
@@ -420,40 +445,27 @@ def _statistics() -> dict[str, Target]:
                       lambda x, a, theta: main(x, a if needs_a else 0.0),
                       norm, needs_a=needs_a, **kw)
 
-    def stat(name, spec, main, **kw):
-        """The sum over m <= x of spec(a) (or of spec) divided by m, from
-        one pass over its sieve."""
-        spec_at = spec if callable(spec) else lambda a: spec
-
-        def exact(ns, a):
-            values = sieve_values(spec_at(a), max(ns))
-            pairs = _quotient_sums(values, ns,
-                                   lambda v, m: np.divide(v, m, out=m))
-            return [hi[0] for _, hi in pairs]
-
-        return entry(name, exact, main, **kw)
-
     def pair_stat(name, terms, main, **kw):
-        """The sum of sign * H(w, c) over the terms (sign, w, c), H the
-        hyperbola sum of the named pairs of ``_one_pairs`` (all terms in
-        one ``hyperbola_sum``): Dirichlet hyperbola sums of the
-        g = 1 weights (Tenenbaum, Introduction to Analytic and
-        Probabilistic Number Theory, I.3.2), so no sieve."""
-        def exact(ns, a):
-            return [hyperbola_sum([(sign, p[w], p[c])
-                                   for sign, w, c in terms])
-                    for p in _one_pairs(ns, a)]
+        """The ``_hyperbola_sums`` of terms that name g = 1 pairs only."""
+        return entry(name, lambda ns, a: _hyperbola_sums(ns, a, terms), main,
+                     **kw)
 
-        return entry(name, exact, main, **kw)
+    def stat(name, operands, main, **kw):
+        """The sum over m <= x of (f * h)(m) / m for (f, h) = operands(a)
+        (or operands): the ``_hyperbola_sums`` H(f(d)/d, h(l)/l), which
+        never sieves the product f * h."""
+        at = operands if callable(operands) else lambda a: operands
+        return entry(name, lambda ns, a: _hyperbola_sums(ns, a, [(1, *at(a))]),
+                     main, **kw)
 
     defs = [
-        stat("id_phi", convolve(ID, PHI), _phi_stat_main(1), norm=log(1),
+        stat("id_phi", (ID, PHI), _phi_stat_main(1), norm=log(1),
              weight="mu"),
-        stat("phi_phi", convolve(PHI, PHI), _phi_stat_main(2), norm=log(2),
+        stat("phi_phi", (PHI, PHI), _phi_stat_main(2), norm=log(2),
              weight="mu_star_mu"),
-        stat("idpow_phi", lambda a: convolve(id_pow(1 + a), PHI),
+        stat("idpow_phi", lambda a: (id_pow(1 + a), PHI),
              _pow_phi_stat_main(1), needs_a=True, weight="mu"),
-        stat("jordan_phi", lambda a: convolve(jordan(1 + a), PHI),
+        stat("jordan_phi", lambda a: (jordan(1 + a), PHI),
              _pow_phi_stat_main(2), norm=log(2), needs_a=True,
              weight="mu_star_mu"),
         # sum_{d*l<=x} log(d) / (d l)
@@ -472,30 +484,28 @@ def _statistics() -> dict[str, Target]:
               lambda ns, a: [p[_POW][1][0] for p in _one_pairs(ns, a)],
               lambda x, a: x ** (1 + a) / (1 + a) + C.zeta(-a),
               norm=Normalizer("x_pow", None), needs_a=True),
-        stat("jordan_over_n", lambda a: jordan(1 + a), phi_over_n,
+        stat("jordan_over_n", lambda a: (MU, id_pow(1 + a)), phi_over_n,
              needs_a=True),
         # sum_{d*l<=x} 1 / (d^2 l)
         pair_stat("sigma_minus1", [(1, _INV_SQ, _INV)], lambda x, a: 0.0,
                   norm=log(1)),
-        stat("phi_over_n", PHI, phi_over_n, norm=log(2 / 3)),
+        stat("phi_over_n", (MU, ID), phi_over_n, norm=log(2 / 3)),
         # sum_{d*l<=x} 1 / (d l) and sum_{d*l<=x} 1 / d
         pair_stat("tau_over_n", [(1, _INV, _INV)],
                   lambda x, a: 0.5 * math.log(x) ** 2 + 2 * g * math.log(x)),
         pair_stat("sigma_over_n", [(1, _INV, _COUNT)],
                   lambda x, a: z2 * x - 0.5 * math.log(x), norm=log(2 / 3)),
-        stat("id_lambda", convolve(ID, VON_MANGOLDT), lam(1), norm=log(1)),
-        stat("phi_lambda", convolve(PHI, VON_MANGOLDT), lam(2),
-             norm=log(5 / 3)),
-        stat("idpow_lambda", lambda a: convolve(id_pow(1 + a), VON_MANGOLDT),
+        stat("id_lambda", (ID, VON_MANGOLDT), lam(1), norm=log(1)),
+        stat("phi_lambda", (PHI, VON_MANGOLDT), lam(2), norm=log(5 / 3)),
+        stat("idpow_lambda", lambda a: (id_pow(1 + a), VON_MANGOLDT),
              lam(1), norm=log(1), needs_a=True),
-        stat("jordan_lambda", lambda a: convolve(jordan(1 + a), VON_MANGOLDT),
+        stat("jordan_lambda", lambda a: (jordan(1 + a), VON_MANGOLDT),
              lam(2), norm=log(1), needs_a=True),
-        stat("id_jordan_m1", convolve(ID, phi_m1), j_m1(1), norm=log(1)),
-        stat("phi_jordan_m1", convolve(PHI, phi_m1), j_m1(2),
-             norm=log(5 / 3)),
-        stat("idpow_jordan_m1", lambda a: convolve(id_pow(1 + a), phi_m1),
+        stat("id_jordan_m1", (ID, phi_m1), j_m1(1), norm=log(1)),
+        stat("phi_jordan_m1", (PHI, phi_m1), j_m1(2), norm=log(5 / 3)),
+        stat("idpow_jordan_m1", lambda a: (id_pow(1 + a), phi_m1),
              j_m1(1), needs_a=True),
-        stat("jordan_jordan_m1", lambda a: convolve(jordan(1 + a), phi_m1),
+        stat("jordan_jordan_m1", lambda a: (jordan(1 + a), phi_m1),
              j_m1(2), norm=log(1), needs_a=True),
     ]
     return {s.name: s for s in defs}
@@ -660,8 +670,9 @@ def standard_grid(lo: float = 1e3, hi: float = 1e6, points: int = 7) -> np.ndarr
     integer floors.  ``points`` goes through ``tables.cut`` before the
     grid is allocated."""
     points = cut(points)
-    pts = np.unique(np.rint(np.geomspace(lo, hi, points)).astype(np.int64))
-    return pts.astype(np.float64)
+    pts = np.sort(np.rint(np.geomspace(lo, hi, points)).astype(np.int64))
+    # the repeats dropped by a diff mask: np.unique would import numpy.ma
+    return pts[np.concatenate(([True], np.diff(pts) > 0))].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -333,10 +333,15 @@ def _totient_values(n: int) -> np.ndarray:
 
 
 def _von_mangoldt_values(n: int) -> np.ndarray:
+    """log p at each prime power p^k <= n, by ``math.log``: at every prime
+    in one assignment, then at the higher powers of the p <= isqrt(n)."""
+    primes = _primes_upto(n)
+    logs = np.fromiter(map(math.log, primes.tolist()), np.float64, len(primes))
     lam = np.zeros(n + 1, dtype=np.float64)
-    for p in _primes_upto(n):
-        log_p = math.log(p)
-        q = p
+    lam[primes] = logs
+    small = np.searchsorted(primes, math.isqrt(n), side="right")
+    for p, log_p in zip(primes[:small].tolist(), logs[:small].tolist()):
+        q = p * p
         while q <= n:
             lam[q] = log_p
             q *= p

@@ -152,6 +152,18 @@ def loop_totient(n: int) -> np.ndarray:
     return phi
 
 
+def loop_von_mangoldt(n: int) -> np.ndarray:
+    """Lambda on 0..n, one Python iteration per prime and per power."""
+    lam = np.zeros(n + 1, dtype=np.float64)
+    for p in _loop_primes(n):
+        log_p = math.log(p)
+        q = p
+        while q <= n:
+            lam[q] = log_p
+            q *= p
+    return lam
+
+
 def row_divisor_weight_sieve(n: int, weight, dtype) -> np.ndarray:
     """sum_{d|m} weight(d) for m <= n, one whole row of pairs per d <= sqrt(n)."""
     out = np.zeros(n + 1, dtype=dtype)

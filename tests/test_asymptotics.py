@@ -448,6 +448,17 @@ def test_standard_grid_integer_ascending():
     assert np.all(np.diff(grid) > 0)
 
 
+@pytest.mark.parametrize("lo, hi, points", [
+    (1e3, 1e6, 7), (1e3, 1e7, 9), (1.0, 10.0, 50), (2.0, 3.0, 1),
+    (1.4, 2.6, 4), (5.0, 5.0, 3), (1e6, 1e3, 7), (1.0, 1e7, 300)])
+def test_standard_grid_equals_unique_form(lo, hi, points):
+    # repeats dropped by a diff mask, as np.unique would drop them
+    want = np.unique(np.rint(np.geomspace(lo, hi, points)).astype(np.int64))
+    got = standard_grid(lo, hi, points)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.astype(np.float64).tobytes()
+
+
 def test_calibrate_rows_round_trip_through_a_file(tmp_path):
     frozen = G.asymptotics.default_calibration_path().read_bytes()
     rows = calibrate(grid=[1e3, 4e3])

@@ -22,11 +22,14 @@ within an ulp; f = g = 1 must hold no array of length x.  The exact
 sides that are hyperbola sums of those g = 1 prefixes (five divisor
 statistics, ``power_sum`` and ``Delta_a``) sieve nothing, and the
 sieved whole-array prefix stays their oracle: each must come within 4
-ulps of it, relative.
+ulps of it, relative.  The other statistics, hyperbola sums of their two
+operands, must come within 2 ulps of it, and build no table of their
+product.
 """
 
 import functools
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -270,8 +273,13 @@ def _statistic(name):
         assert not remainder.any()
         return exact[::-1].tolist()
 
-    return got, lambda n: float(
-        whole_array_prefix(sieve_values(spec, n), n, over_n, log_ratio)[n])
+    # one whole-array prefix for every n: P(n) of a longdouble cumsum does
+    # not depend on the entries past n, and a sieve at n is the first
+    # n + 1 entries of a wider one
+    top = max(_PREFIX_N)
+    prefix = functools.cache(lambda: whole_array_prefix(
+        sieve_values(spec, top), top, over_n, log_ratio))
+    return got, lambda n: float(prefix()[n])
 
 
 def _delta(n):
@@ -313,14 +321,20 @@ _EXACT_SIDES = {
     "delta_integral_ratio": (_per_x(asymptotics.delta_integral_ratio),
                              _delta_integral),
 }
-# descending, around the block edge and the smallest build size
-_PREFIX_N = [300_000, 123_456, _B + 1, _B, _B - 1, 4097, 1024, 999, 1]
-# the sides that are hyperbola sums of the g = 1 pairs, sieving nothing:
-# each within 4 ulps of the sieved sum, relative to it (to the sigma_a sum
-# for Delta_a), where the others keep its bytes
-_FROM_ONE_PAIRS = {"tau_over_n", "sigma_over_n", "divisor_log",
-                   "sigma_minus1", "sigma_logne", "power_sum",
-                   "divisor_delta_a"}
+# descending: two fixed-seed random n <= 1e6, then around the block edge
+# and the smallest build size
+_PREFIX_N = [*sorted(random.Random(23).sample(range(2, 10 ** 6 + 1), 2),
+                     reverse=True),
+             300_000, 123_456, _B + 1, _B, _B - 1, 4097, 1024, 999, 1]
+# the sides that are hyperbola sums, in ulps of the sieved sum, relative
+# to it (to the sigma_a sum for Delta_a): 4 for those of the g = 1 pairs
+# alone, which sieve nothing, and 2 for the other statistics, the sums
+# of two operands (measured at most 1.19); the Delta sides keep its bytes
+_HYPERBOLA_ULPS = {**dict.fromkeys(asymptotics.STATISTICS, 2),
+                   **dict.fromkeys(["tau_over_n", "sigma_over_n",
+                                    "divisor_log", "sigma_minus1",
+                                    "sigma_logne", "power_sum",
+                                    "divisor_delta_a"], 4)}
 
 
 @pytest.mark.parametrize("side", sorted(asymptotics.STATISTICS)
@@ -331,11 +345,13 @@ def test_exact_side_equals_whole_array_prefix(side):
     # X >= 2 for the Delta integral
     ns = [n for n in _PREFIX_N if n >= 2 or side != "delta_integral_ratio"]
     for n, value in zip(ns, got(ns)):
-        if side not in _FROM_ONE_PAIRS:
-            assert value == want(n), n
+        oracle = want(n)
+        if side not in _HYPERBOLA_ULPS:
+            assert value == oracle, n
             continue
-        scale = _sigma_a_sum(n) if side == "divisor_delta_a" else want(n)
-        assert abs(value - want(n)) <= 4 * 2.0 ** -52 * abs(scale), n
+        scale = _sigma_a_sum(n) if side == "divisor_delta_a" else oracle
+        assert (abs(value - oracle)
+                <= _HYPERBOLA_ULPS[side] * 2.0 ** -52 * abs(scale)), n
 
 
 def _filled_rows(n):
@@ -460,6 +476,11 @@ _STAGES = {
     # the same with l^a, a seventh table (measured 21 per entry)
     "divisor_delta_a": (
         lambda: asymptotics.divisor_delta_a(_N, -0.5), 0, 0, 28 * 1025),
+    # id * phi as the hyperbola sum of its operands: phi, cast from int32,
+    # a pass over it (three blocks), its pairs and those of the g = 1
+    # side; no table of id * phi, the product (measured 1.76 arrays)
+    "statistic_operands": (lambda: asymptotics.summatory("id_phi", _N),
+                           1 + 1 / 2, 3, _quotient_floats([_N]) + 24 * 1025),
     # tau's prefixes at the quotients: O(isqrt(n)) entries, no sieve
     "delta_integral_ratio": (
         lambda: asymptotics.delta_integral_ratio(_N), 0, 1, 0),

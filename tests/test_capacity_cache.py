@@ -102,7 +102,7 @@ _GRID = [1e3, 7e3, 2e4]
 
 @pytest.mark.parametrize("target, a, specs", [
     ("id-log-avg", None, ["phi", "mu"]),
-    ("id_phi", None, ["conv:id,phi", "mu"]),
+    ("id_phi", None, ["phi", "mu"]),
     ("jordan-log-avg", -0.5,
      ["conv:conv:mu,idpow:0.5,mu", "conv:mu,mu", "sigmapow:-0.5"])])
 def test_delta_corrected_scan_builds_each_table_once(monkeypatch, target, a,
@@ -112,6 +112,42 @@ def test_delta_corrected_scan_builds_each_table_once(monkeypatch, target, a,
     calls = _recording(monkeypatch, "_sieve_values")
     asymptotics.residual_scan(target, _GRID, a)
     assert Counter(spec for spec, _ in calls) == Counter(map(parse_spec, specs))
+    assert all(n == _GRID[-1] for _, n in calls)
+
+
+# each statistic that reads a sieved operand, at a = -0.5: the product
+# whose sum it is, and the operands it builds instead (id and id_{1+a}
+# are the count and l^a pairs of the g = 1 side, built by no sieve)
+_OPERANDS = {
+    "id_phi": ("conv:id,phi", ["phi"]),
+    "phi_phi": ("conv:phi,phi", ["phi"]),
+    "idpow_phi": ("conv:idpow:0.5,phi", ["phi"]),
+    "jordan_phi": ("conv:jordan:0.5,phi", ["jordan:0.5", "phi"]),
+    "jordan_over_n": ("jordan:0.5", ["mu"]),
+    "phi_over_n": ("phi", ["mu"]),
+    "id_lambda": ("conv:id,lambda", ["lambda"]),
+    "phi_lambda": ("conv:phi,lambda", ["phi", "lambda"]),
+    "idpow_lambda": ("conv:idpow:0.5,lambda", ["lambda"]),
+    "jordan_lambda": ("conv:jordan:0.5,lambda", ["jordan:0.5", "lambda"]),
+    "id_jordan_m1": ("conv:id,jordan:-1", ["jordan:-1"]),
+    "phi_jordan_m1": ("conv:phi,jordan:-1", ["phi", "jordan:-1"]),
+    "idpow_jordan_m1": ("conv:idpow:0.5,jordan:-1", ["jordan:-1"]),
+    "jordan_jordan_m1": ("conv:jordan:0.5,jordan:-1",
+                         ["jordan:0.5", "jordan:-1"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OPERANDS))
+def test_statistic_builds_its_operands_not_their_product(monkeypatch, name):
+    # a hyperbola sum of its two operands: each sieved operand built once,
+    # for the largest x, and the product never
+    product, operands = _OPERANDS[name]
+    calls = _recording(monkeypatch, "_sieve_values")
+    t = asymptotics.STATISTICS[name]
+    t.parts(_GRID, -0.5 if t.needs_a else None)
+    built = [spec for spec, _ in calls]
+    assert parse_spec(product) not in built
+    assert built == [parse_spec(text) for text in operands]
     assert all(n == _GRID[-1] for _, n in calls)
 
 

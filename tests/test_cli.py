@@ -365,8 +365,10 @@ _GEOM = ["--grid", "geom:1e3,1e7,9"]
     (["scan", "--target", "tau-log-avg", *_GEOM], 10),
     (["series", "--which", "identity", "--f", "one", "--g", "one", "--s",
       "4", "--K", "1000,100000"], 3),
+    (["scan", "--target", "jordan_over_n", "--a", "-0.5", *_GEOM], 10),
+    (["scan", "--target", "id_lambda", *_GEOM], 10),
 ], ids=["scan-tau_over_n", "delta-point-a", "scan-tau-log-avg",
-        "series-identity"])
+        "series-identity", "scan-jordan_over_n", "scan-id_lambda"])
 def test_stdout_independent_of_blas_threads(argv, lines):
     # their hyperbola sums add by math.fsum and their plain sums by
     # np.sum, through no BLAS dot, so one thread and two must give the
@@ -381,3 +383,20 @@ def test_stdout_independent_of_blas_threads(argv, lines):
         outs.append(done.stdout)
     assert outs[0] == outs[1]
     assert len(outs[0].splitlines()) == lines
+
+
+@pytest.mark.parametrize("argv", [["scan", "--target", "tau_over_n"],
+                                  ["delta", "--which", "point"]])
+def test_grid_commands_leave_numpy_ma_unimported(argv):
+    # np.unique imports numpy.ma on first use; the grid drops its repeats
+    # without it, so a grid command does not pay for the import
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import contextlib, io, sys\n"
+            "from gcdsums import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

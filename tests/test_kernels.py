@@ -21,7 +21,7 @@ from gcdsums.errors import DomainError
 from gcdsums.tables import parse_spec
 
 from oracles import (loop_convolve, loop_identity_sum, loop_mobius,
-                     loop_totient, naive_mobius, naive_phi)
+                     loop_totient, loop_von_mangoldt, naive_mobius, naive_phi)
 
 _PRIMITIVES = ["one", "id", "mu", "phi", "lambda", "log", "tau", "sigma",
                "divlog", "idpow:-0.5", "idpow:0.5", "sigmapow:-1",
@@ -77,6 +77,13 @@ def test_kernels_match_reference_loops(n):
                            loop_convolve(fv, gv, n)), (f, g)
         assert _same_bytes(identities.identity_sum_table(fv, gv, lf, n),
                            loop_identity_sum(fv, gv, lf, n)), (f, g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 1024, 65537, 10 ** 6])
+def test_von_mangoldt_equals_per_prime_loop(n):
+    # log p set at every prime at once, the higher powers from the
+    # p <= isqrt(n) only; math.log keeps the loop's bytes
+    assert _same_bytes(tables._von_mangoldt_values(n), loop_von_mangoldt(n))
 
 
 def test_totient_dtype_holds_every_sieve_size():
