@@ -23,11 +23,18 @@ def format_value(v) -> str:
 
 
 def write_rows(header: str, rows, out=None) -> str:
-    """Render rows to CSV text; write to a path or file object if given."""
+    """Render rows to CSV text; write to a path or file object if given.
+    A row is one %-format per tuple of its cell types: ``format_value``'s
+    ``%d`` at an integer and ``%.17g`` elsewhere."""
     buf = io.StringIO()
     buf.write(header + "\n")
-    for row in rows:
-        buf.write(",".join(format_value(v) for v in row) + "\n")
+    formats = {}
+    for row in map(tuple, rows):
+        types = tuple(map(type, row))
+        fmt = formats.get(types) or formats.setdefault(types, ",".join(
+            "%d" if issubclass(t, (int, np.integer)) else "%.17g"
+            for t in types) + "\n")
+        buf.write(fmt % row)
     text = buf.getvalue()
     if out is None:
         sys.stdout.write(text)

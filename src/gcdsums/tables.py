@@ -8,18 +8,18 @@ exact values on 1..n_max.  The named functions are members of these
 families: 1 and n are id_0 and id_1, tau and sigma are sigma_0 and
 sigma_1, log n is 1 weighted by log, and phi_a is mu * id_a.
 
-mu and phi are sieved in int8 and int32 and converted once.  The float64
-builds of n, tau and sigma add only integers below 2^53, so all of these
-are exact.
+mu is sieved in int8 and converted once.  phi, sigma_a and every conv
+tree of mu, phi, id_a and sigma_a are products of their values at prime
+powers; n, tau, sigma and phi are integers below 2^53, so all are exact.
 
-Convolutions do O(n_max log n_max) work in about 2 sqrt(n_max) strided
+Other convolutions do O(n_max log n_max) work in about 2 sqrt(n_max) strided
 updates: every pair d*l <= n_max has d <= r = isqrt(n_max) or
 l <= n_max // (r+1), so one update per small d (a row) and one per small
 l (a column) cover all pairs, each taken a block at a time so that no
 temporary is n_max long.  The columns run in descending l,
 so each entry still adds its terms in ascending d, the order of the plain
-divisor loop, and the float results are bit-identical to it.  The mu and
-phi sieves split their primes at r the same way.
+divisor loop, and the float results are bit-identical to it.  The mu
+sieve and the product builder split their primes at r the same way.
 
 No table is cached: each is built for the call that reads it and freed
 with its last reference, so a caller that reads one table at several
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -66,6 +65,9 @@ class Kind(Enum):
 
 _NEEDS_EXPONENT = {Kind.ID_POW, Kind.SIGMA_POW, Kind.POINTWISE_POW}
 _UNARY = {Kind.POINTWISE_LOG, Kind.POINTWISE_POW}
+# the kinds of the trees that ``_multiplicative_values`` builds
+_MULTIPLICATIVE = {Kind.ID_POW, Kind.MOEBIUS, Kind.TOTIENT, Kind.SIGMA_POW,
+                   Kind.CONVOLVE}
 
 
 @dataclass(frozen=True)
@@ -318,18 +320,60 @@ def _mobius_values(n: int) -> np.ndarray:
     return mu
 
 
-def _totient_values(n: int) -> np.ndarray:
-    """phi on 0..n in int32: ``cut`` keeps n <= ``MAX_SIEVE`` < 2^31."""
-    phi = np.arange(n + 1, dtype=np.int32)
+def _prime_power_values(spec: FunctionSpec, q: np.ndarray) -> np.ndarray:
+    """f(p^e) for a multiplicative spec, where row e of q holds p^e at the
+    primes p = q[1] (min(p^e, n): rows past n are not read), in longdouble,
+    so that a factor whose terms cancel (p^(1/2) - 2) keeps its digits when
+    it is rounded to float64; p^a is exp(a log p), 4x quicker than powl."""
+    kind = spec.kind
+    if kind is Kind.ID_POW:
+        return np.exp(spec.exponent * np.log(q))
+    if kind is Kind.SIGMA_POW:
+        return np.cumsum(np.exp(spec.exponent * np.log(q)), axis=0)
+    if kind is Kind.CONVOLVE:
+        f, g = (_prime_power_values(op, q) for op in spec.operands)
+        return np.array([sum(f[i] * g[e - i] for i in range(e + 1))
+                         for e in range(len(q))])
+    out = q - q / q[1] if kind is Kind.TOTIENT else np.zeros_like(q)
+    out[0] = 1.0
+    if kind is Kind.MOEBIUS:
+        out[1] = -1.0
+    return out
+
+
+def _multiplicative_values(spec: FunctionSpec, n: int) -> np.ndarray:
+    """A multiplicative spec on 0..n, the product of f(p^e) over the p^e
+    || m in ascending p: each p <= isqrt(n) scales its multiples a block
+    at a time, and a larger p, which divides m once as its largest prime
+    factor, scales last, through the (k, P) pairs.  f(p) is one expression
+    at every prime, so no entry's bytes depend on n.  The peak is the
+    result, the primes, f at the large ones and a few blocks."""
     small, large = _split_primes(n)
-    for p in small.tolist():  # Python ints keep the updates in int32
-        phi[p::p] //= p
-        phi[p::p] *= p - 1
+    q = np.full((max(n.bit_length(), 2), len(small)), small, np.longdouble)
+    q[0] = 1.0
+    rows = _prime_power_values(spec, np.minimum(np.cumprod(q, axis=0), n))
+    big = large[0][1] if large else small[:0]
+    # 4096 primes at a time, so the longdouble temporaries stay small
+    at_big = np.concatenate([_prime_power_values(spec, np.stack(
+        [np.ones(len(P), np.longdouble), P]))[1].astype(np.float64)
+        for P in np.array_split(big, len(big) // 4096 + 1)])
+    out = np.ones(n + 1)
+    out[0] = 0.0
+    for p, f in zip(small.tolist(), rows.T.astype(np.float64).tolist()):
+        for b in range(1, n // p + 1, _BLOCK):
+            e = min(b + _BLOCK, n // p + 1)
+            factors = np.full(e - b, f[1])
+            step, k = p, 2
+            while step < e:  # p^k divides p*i where p^(k-1) divides i
+                factors[-b % step::step] = f[k]
+                step, k = step * p, k + 1
+            out[p * b:p * e:p] *= factors
     for k, P in large:
-        multiples = k * P
-        phi[multiples] //= P
-        phi[multiples] *= P - 1
-    return phi
+        for lo in range(0, len(P), _BLOCK):
+            hi = min(lo + _BLOCK, len(P))
+            out[k * P[lo:hi]] *= at_big[lo:hi]
+    out += 0.0  # -0.0, a zero factor times a negative one, to 0.0
+    return out
 
 
 def _von_mangoldt_values(n: int) -> np.ndarray:
@@ -377,16 +421,6 @@ def _add_blocked(out: np.ndarray, step: int, lo: int, end: int,
         out[step * b:step * e:step] += terms(slice(b, e))
 
 
-def _sigma_pow_values(n: int, a: float) -> np.ndarray:
-    return _divisor_weight_sieve(
-        n, lambda v: np.asarray(v, dtype=np.float64) ** a)
-
-
-def _divisor_log_values(n: int) -> np.ndarray:
-    return _divisor_weight_sieve(
-        n, lambda v: np.log(np.asarray(v, dtype=np.float64)))
-
-
 def _divisor_pair_sum(fv: np.ndarray, n: int, term) -> np.ndarray:
     """out[k] = sum_{d*l = k} term(d, l) for k <= n, added in ascending d.
 
@@ -416,9 +450,9 @@ def _convolve_values(fv: np.ndarray, gv: np.ndarray, n: int) -> np.ndarray:
     d runs over the factor with fewer nonzero values among its first
     ``_MIN_CAPACITY``.  The split loop is as fast either way, but the
     choice fixes the summation order: the other order moves float results
-    in the last bits (the jordan scan's exact side by 1 ulp).  Counting a
-    fixed prefix, not all n values, makes every build from
-    ``_MIN_CAPACITY`` up pick the same order.
+    in the last bits (conv:log,mu's).  Counting a fixed prefix, not all n
+    values, makes every build from ``_MIN_CAPACITY`` up pick the same
+    order.  Multiplicative trees are built from their prime powers instead.
     """
     w = min(n, _MIN_CAPACITY) + 1
     if np.count_nonzero(gv[1:w]) < np.count_nonzero(fv[1:w]):
@@ -449,23 +483,10 @@ def _exponents(spec: FunctionSpec) -> list[float]:
 
 
 def _sieve_values(spec: FunctionSpec, n: int) -> np.ndarray:
-    """spec's values on 0..n.  A part that occurs more than once in spec's
-    tree (mu in conv:jordan:a,mu and conv:mu,mu) is sieved once per build
-    and dropped after its last use."""
+    """spec's values on 0..n, each operand sieved for the build it is in."""
     for a in _exponents(spec):
         _check_exponent(a, n)
-    uses = Counter(_all_parts(spec))
-    shared = {}
-
-    def part(node):
-        if node not in shared:
-            if uses[node] == 1:
-                return _build_values(node, n, part)
-            shared[node] = _build_values(node, n, part)
-        uses[node] -= 1
-        return shared[node] if uses[node] else shared.pop(node)
-
-    return _build_values(spec, n, part)
+    return _build_values(spec, n, lambda node: _sieve_values(node, n))
 
 
 def _build_values(spec: FunctionSpec, n: int, part) -> np.ndarray:
@@ -479,14 +500,13 @@ def _build_values(spec: FunctionSpec, n: int, part) -> np.ndarray:
         return vals
     if kind is Kind.MOEBIUS:
         return _mobius_values(n).astype(np.float64)
-    if kind is Kind.TOTIENT:
-        return _totient_values(n).astype(np.float64)
     if kind is Kind.VON_MANGOLDT:
         return _von_mangoldt_values(n)
-    if kind is Kind.SIGMA_POW:
-        return _sigma_pow_values(n, spec.exponent)
+    if {s.kind for s in (spec, *_all_parts(spec))} <= _MULTIPLICATIVE:
+        return _multiplicative_values(spec, n)
     if kind is Kind.DIVISOR_LOG:
-        return _divisor_log_values(n)
+        return _divisor_weight_sieve(
+            n, lambda v: np.log(np.asarray(v, dtype=np.float64)))
     if kind is Kind.CONVOLVE:
         fv, gv = map(part, spec.operands)
         return _convolve_values(fv, gv, n)
@@ -506,12 +526,13 @@ def sieve_values(spec: FunctionSpec, n_max: int) -> np.ndarray:
     """Read-only value array for spec on 0..n_max (slot 0 is 0), built for
     this call and freed with its last reference.
 
-    It is built at max(n_max, ``_MIN_CAPACITY``) and sliced: a convolution
-    picks its summation order from its operands' first ``_MIN_CAPACITY``
-    values, so a build below that can differ in the last bit where the
-    sparser operand changes with n (conv:log,mu at n = 6).  Every other
-    entry depends only on data at indices <= its own, so the array is bit
-    for bit the first n_max + 1 entries of a build at any larger size.
+    It is built at max(n_max, ``_MIN_CAPACITY``) and sliced: only the
+    convolution kernel needs that floor, as it picks its summation order
+    from its operands' first ``_MIN_CAPACITY`` values (conv:log,mu differs
+    at n = 6 below it).  Every other entry depends only on data at indices
+    <= its own and a product of prime powers takes each f(p) from one
+    expression, so the array is the first n_max + 1 entries of any larger
+    build bit for bit.
     Every exponent in the spec's tree is checked against n_max; where the
     larger size would overflow float64 and n_max does not, the array is
     built at n_max.
@@ -535,7 +556,9 @@ def sieve(spec: FunctionSpec, n_max: int) -> FunctionTable:
 
 def _derived(spec: FunctionSpec, n: int, *operands: np.ndarray) -> FunctionTable:
     """The table of spec on 1..n, built by ``_build_values`` from the given
-    operand values (in the order of ``spec.operands``) instead of sieves."""
+    operand values (in the order of ``spec.operands``) instead of sieves,
+    so ``dirichlet_convolve(sieve(f), sieve(g))`` is ``sieve(conv:f,g)``
+    (a multiplicative tree reads none; the kernel's from 1024 up)."""
     given = iter(operands)
     vals = _build_values(spec, n, lambda _: next(given))
     vals.setflags(write=False)

@@ -17,6 +17,9 @@ The ``*_longdouble`` functions are the pair sums over d*l <= n as the
 O(n) gather the hyperbola kernel replaced, with every weight, prefix and
 sum in ``np.longdouble``; they take the f and g values (and rho) as given.
 
+``factored_value`` is a multiplicative function at n from the
+factorization of n and its rule at each prime power, in mpmath.
+
 ``mp_one_prefix`` is the exact prefix sum of a g = 1 weight of the
 six-term expansion, and ``mp_power_prefix`` that of l^a, from mpmath's
 special functions.
@@ -99,6 +102,37 @@ def naive_value(kind: str, n: int, a: float | None = None) -> float:
     if kind == "divlog":
         return math.fsum(math.log(d) for d in naive_divisors(n))
     raise ValueError(kind)
+
+
+def _mp_prime_power(spec, p: int, e: int):
+    """f(p^e) for a spec of mu, phi, idpow, sigmapow and conv, in mpmath."""
+    kind, a = spec.kind.value, spec.exponent
+    if kind == "idpow":
+        return mpmath.mpf(p) ** (e * mpmath.mpf(a))
+    if kind == "sigmapow":
+        return mpmath.fsum(mpmath.mpf(p) ** (i * mpmath.mpf(a))
+                           for i in range(e + 1))
+    if kind == "mu":
+        return mpmath.mpf((1, -1, 0)[min(e, 2)])
+    if kind == "phi":
+        return mpmath.mpf(p ** e - p ** (e - 1) if e else 1)
+    if kind == "conv":
+        f, g = spec.operands
+        return mpmath.fsum(_mp_prime_power(f, p, i)
+                           * _mp_prime_power(g, p, e - i)
+                           for i in range(e + 1))
+    raise ValueError(kind)
+
+
+def factored_value(spec, n: int):
+    """f(n) for a multiplicative spec (a tree of mu, phi, idpow, sigmapow
+    and conv) as the product of f(p^e) over the factorization of n by trial
+    division, each f(p^e) from its rule at 30 digits, as an mpmath number."""
+    with mpmath.workdps(_MP_DIGITS):
+        out = mpmath.mpf(1)
+        for p, e in naive_factorize(n).items():
+            out *= _mp_prime_power(spec, p, e)
+        return out
 
 
 def zeta_euler_maclaurin(s: float, n_cut: int = 60, terms: int = 8) -> float:

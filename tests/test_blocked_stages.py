@@ -11,7 +11,8 @@ of its terms.  Each must peak at the tables it is given plus its
 declared count of n-length arrays (the tables it builds among them), a
 few blocks and, for the one pass over a whole grid, its declared
 quotient-set floats, and each sieve build at its result and live
-operands plus a few blocks.  The pass over a grid must give the bytes of
+operands plus a few blocks (a product of prime powers at its result, a
+block and a few floats per prime).  The pass over a grid must give the bytes of
 the passes over its points one at a time, and rho formed per block the
 bytes of the rho row.  The constant
 1 formed per block (in the series and the per-k reference) must equal
@@ -438,15 +439,19 @@ _STAGES = {
         lambda: asymptotics.mu_delta_sum(_N, "mu"), 1 + 1 / 8, 6, 0),
     "mu_delta_sum_a": (lambda: asymptotics.mu_delta_sum(_N, "mu", -0.5),
                        1 + 1 / 8, 6, _quotient_floats([_N])),
-    # the result and the int8 (mu) or int32 (phi) sieve it is cast from
+    # the result and the int8 sieve it is cast from
     "build_mu": (_build("mu"), 1 + 1 / 8, 1, 0),
-    "build_phi": (_build("phi"), 1 + 1 / 2, 1, 0),
+    # a product of prime powers: the result, a block of factors, and per
+    # prime its int64 value, its factor (above isqrt(n)) and the large
+    # pass's index and gathered values, a block at a time (measured 5.9
+    # floats per prime in all)
+    "build_phi": (_build("phi"), 1, 1, 6 * _PRIMES),
+    "build_sigmapow": (_build("sigmapow:-0.5"), 1, 1, 6 * _PRIMES),
+    "build_conv_mu_mu": (_build("conv:mu,mu"), 1, 1, 6 * _PRIMES),
+    "build_conv_jordan_mu": (_build("conv:conv:mu,idpow:0.5,mu"), 1, 1,
+                             6 * _PRIMES),
     # the result, powered in place
     "build_idpow": (_build("idpow:0.5"), 1, 1, 0),
-    # the result and mu, shared by both operands; the conv:mu,idpow:0.5
-    # inside holds mu, idpow:0.5 and its own result
-    "build_conv_mu_mu": (_build("conv:mu,mu"), 2, 2, 0),
-    "build_conv_jordan_mu": (_build("conv:conv:mu,idpow:0.5,mu"), 3, 2, 0),
     # the operand and the result, its copy weighted a block at a time
     "build_ptlog_one": (_build("ptlog:one"), 2, 2, 0),
     "build_ptpow_mu": (_build("ptpow:0.5,mu"), 2, 2, 0),

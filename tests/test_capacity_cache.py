@@ -30,8 +30,13 @@ def _same_bytes(a, b):
 
 
 # every kind; conv:log,mu is the one whose build below 1024 would round
-# differently (at n = 6), as its sparser operand changes with n
+# differently (at n = 6), as its sparser operand changes with n; the
+# products of prime powers (phi, sigma_a and the conv trees of mu, phi,
+# id_a and sigma_a) take f(p) from one expression on both sides of
+# isqrt(n), so a prime that is large in a small build and small in a wide
+# one scales its multiples by the same bytes, and last in both
 @pytest.mark.parametrize("text", ["phi", "conv:id,phi", "jordan:0.5",
+                                  "jordan:-1", "conv:jordan:0.5,mu",
                                   "conv:mu,mu", "mu", "idpow:-0.5", "lambda",
                                   "sigmapow:-0.5", "divlog", "conv:log,mu",
                                   "ptlog:phi", "ptpow:0.5,mu"])
@@ -85,16 +90,20 @@ def _recording(monkeypatch, name):
 
 
 @pytest.mark.parametrize("text", ["conv:jordan:0.5,mu", "conv:mu,mu"])
-def test_shared_operand_sieved_once_per_build(monkeypatch, text):
+def test_multiplicative_tree_builds_no_operand(monkeypatch, text):
+    # built from its prime powers in one pass: no operand is sieved, mu
+    # (which the tree repeats) not even once, and the kernel never runs;
+    # the table derived from its operands' sieves has the same bytes
     spec = parse_spec(text)
     n = 5000
-    # built without sharing: every operand sieved on its own
-    left, right = (tables._sieve_values(op, n) for op in spec.operands)
-    unshared = tables._convolve_values(left, right, n)
-    calls = _recording(monkeypatch, "_mobius_values")
+    derived = G.dirichlet_convolve(*(G.sieve(op, n) for op in spec.operands))
+    builds = _recording(monkeypatch, "_multiplicative_values")
+    others = [_recording(monkeypatch, name) for name in
+              ("_mobius_values", "_convolve_values", "_split_primes")]
     got = tables.sieve_values(spec, n)
-    assert calls == [(n,)]
-    assert _same_bytes(got, unshared[:n + 1])
+    assert builds == [(spec, n)]
+    assert others == [[], [], [(n,)]]
+    assert _same_bytes(got, derived.values)
 
 
 _GRID = [1e3, 7e3, 2e4]
@@ -151,12 +160,17 @@ def test_statistic_builds_its_operands_not_their_product(monkeypatch, name):
     assert all(n == _GRID[-1] for _, n in calls)
 
 
-def test_jordan_scan_sieves_mu_twice(monkeypatch):
-    # once for conv:jordan:0.5,mu (the exact side), once for conv:mu,mu
-    # (the Delta weights), both at the largest x
+def test_jordan_scan_sieves_no_mu(monkeypatch):
+    # conv:jordan:0.5,mu (the exact side), sigma_{-1/2} (for Delta_a) and
+    # conv:mu,mu (the Delta weights) are each one product of prime powers
+    # at the largest x, and none of them sieves mu
     calls = _recording(monkeypatch, "_mobius_values")
+    builds = _recording(monkeypatch, "_multiplicative_values")
     asymptotics.residual_scan("jordan-log-avg", [1e3, 2e4], -0.5)
-    assert calls == [(20000,), (20000,)]
+    assert calls == []
+    assert Counter(builds) == Counter(
+        (parse_spec(text), 20000)
+        for text in ("conv:jordan:0.5,mu", "sigmapow:-0.5", "conv:mu,mu"))
 
 
 @pytest.mark.parametrize("text", ["id", "phi", "idpow:0.5", "log"])

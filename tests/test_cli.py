@@ -35,6 +35,22 @@ def test_table_round_trip(tmp_path):
     assert np.array_equal(back, table.values)
 
 
+def test_write_rows_equals_format_value_per_cell():
+    # one %-format per row, made once per tuple of cell types, gives the
+    # text of format_value cell by cell, whatever the types of a row
+    cells = [0, -7, 2 ** 70, True, np.int64(-3), np.int8(5),
+             np.uint64(2 ** 63),
+             0.0, -0.0, 1.0, -1.5e-300, 5e-324, 1 / 3, 2.0 ** 60,
+             float("inf"), float("-inf"), float("nan"), np.float64(-0.0),
+             np.float64(np.pi), np.float32(0.1), np.float64("nan")]
+    rows = [(k, cells[k], cells[-1 - k]) for k in range(len(cells))]
+    rows += [tuple(cells), (np.float64(1.25), 3), [2, 0.5]]
+    text = csvio.write_rows("a,b,c", rows, io.StringIO())
+    want = "a,b,c\n" + "".join(
+        ",".join(csvio.format_value(v) for v in row) + "\n" for row in rows)
+    assert text == want
+
+
 def test_round_trip_float_table(tmp_path):
     from gcdsums import sigma_pow
     table = sieve(sigma_pow(-0.5), 300)

@@ -100,6 +100,21 @@ def test_convolution_identities():
         assert np.all(gap <= RTOL * (1.0 + np.abs(direct.values))), built.spec
 
 
+@pytest.mark.parametrize("n", [1, 6, 100, 1023, 1024, 5000])
+def test_derived_convolution_equals_sieve_of_its_spec(n):
+    # a product of prime powers reads no operand, so at any n; the kernel
+    # picks its order from the first 1024 values, so from 1024 up
+    pairs = [("mu", "mu"), ("phi", "mu"), ("jordan:0.5", "mu"),
+             ("mu", "idpow:-0.5"), ("sigmapow:-1", "id")]
+    if n >= 1024:
+        pairs += [("log", "mu"), ("lambda", "idpow:0.5")]
+    for f, g in pairs:
+        derived = G.dirichlet_convolve(G.sieve(parse_spec(f), n),
+                                       G.sieve(parse_spec(g), n))
+        want = G.sieve(G.convolve(parse_spec(f), parse_spec(g)), n)
+        assert derived.values.tobytes() == want.values.tobytes(), (f, g)
+
+
 def test_convolution_examples():
     n = 100
     one = G.sieve(G.ONE, n)
@@ -231,23 +246,45 @@ def test_abscissa_rules():
     assert G.abscissa(G.jordan(-0.5)) == 1.0
 
 
-@pytest.mark.parametrize("name, args", [
-    ("_sigma_pow_values", (1 << 20, 1.0)),
-    ("_sigma_pow_values", (1 << 20, -0.5)),
-    ("_sigma_pow_values", (1 << 20, 0.0)),
-], ids=["sigma", "_sigma_pow_values", "tau"])
-def test_divisor_weight_sieve_peak_near_its_result(name, args):
-    # rows go in blocks: taking the d = 1 row whole peaked at 3x the result
+def _traced_peak(build):
+    """The result of build() and the tracemalloc peak of the call."""
     import tracemalloc
-    from gcdsums import tables
-    build = getattr(tables, name)
     tracemalloc.start()
     try:
-        out = build(*args)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("weight", [
+    lambda v: np.asarray(v, dtype=np.float64),
+    lambda v: np.log(np.asarray(v, dtype=np.float64)),
+    lambda v: np.ones_like(v, dtype=np.float64),
+], ids=["sigma", "divlog", "tau"])
+def test_divisor_weight_sieve_peak_near_its_result(weight):
+    # rows go in blocks: taking the d = 1 row whole peaked at 3x the result
+    # (divlog is its one build; sigma_a is a product of prime powers)
+    from gcdsums import tables
+    out, peak = _traced_peak(
+        lambda: tables._divisor_weight_sieve(1 << 20, weight))
     assert peak < 1.5 * out.nbytes
+
+
+# each build's declared peak at 2^20, in results (measured in brackets):
+# a product of prime powers holds the result, the primes, its factors at
+# the primes above isqrt(n) and a few blocks (1.32); lambda the result,
+# the bool prime sieve and the primes twice (1.16); a pointwise weighting
+# its operand and its copy, weighted a block at a time (2.00)
+@pytest.mark.parametrize("text, results", [
+    ("phi", 1.5), ("sigmapow:-0.5", 1.5), ("conv:mu,mu", 1.5),
+    ("conv:jordan:0.5,mu", 1.5), ("lambda", 1.25), ("ptlog:one", 2.1),
+    ("ptpow:0.5,mu", 2.1)])
+def test_sieve_build_peak_near_its_result(text, results):
+    from gcdsums import tables
+    spec = parse_spec(text)
+    out, peak = _traced_peak(lambda: tables._sieve_values(spec, 1 << 20))
+    assert peak < results * out.nbytes
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 1000, 1 << 16, (1 << 16) + 1,
@@ -271,9 +308,11 @@ def test_blocked_divisor_weight_sieve_equals_whole_rows(n):
                                (1 << 17) + 5])
 def test_one_and_tau_builds_equal_their_former_sieves(n):
     # the named functions are built as members of their families (one and
-    # id are idpow:0 and 1, tau and sigma sigmapow:0 and 1, log is ptlog:one,
-    # jordan:a is conv:mu,idpow:a); their values keep the bytes of the
-    # builds they had of their own
+    # id are idpow:0 and 1, tau and sigma sigmapow:0 and 1, log is ptlog:one);
+    # their values keep the bytes of the builds they had of their own.
+    # jordan:a, conv:mu,idpow:a, is a product of prime powers, which moves
+    # its last bits off the kernel's: test_kernels holds it to the
+    # factored oracle
     from gcdsums import tables
     from oracles import row_divisor_weight_sieve
     tau = row_divisor_weight_sieve(n, lambda v: np.ones_like(v), np.int64)
@@ -282,12 +321,9 @@ def test_one_and_tau_builds_equal_their_former_sieves(n):
     one[0] = 0.0
     log = np.zeros(n + 1)
     log[1:] = np.log(np.arange(1, n + 1, dtype=np.float64))
-    mu = tables._sieve_values(G.MU, n)
     former = [(G.TAU, tau.astype(np.float64)), (G.ONE, one),
               (G.ID, np.arange(n + 1, dtype=np.float64)),
               (G.SIGMA, sigma.astype(np.float64)), (G.LOG, log)]
-    former += [(G.jordan(a), tables._convolve_values(
-        mu, tables._sieve_values(G.id_pow(a), n), n)) for a in (-1.0, -0.5, 0.5)]
     for spec, want in former:
         got = tables._sieve_values(spec, n)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), spec
