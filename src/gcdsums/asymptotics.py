@@ -44,17 +44,18 @@ from .errors import DomainError, require
 from .identities import (_one_pairs, apostol_log_average_grid,
                          apostol_log_average_terms)
 from .stirling import THETA_HI, THETA_LO
-from .tables import (ID, MU, ONE, PHI, VON_MANGOLDT, convolve, cut, id_pow,
-                     jordan, sieve, sieve_values, sigma_pow)
+from .tables import (ID, MU, ONE, PHI, VON_MANGOLDT, blocks, convolve, cut,
+                     id_pow, jordan, sieve_values, sigma_pow)
 from .zeta import LOG_SQRT_2PI, constants
 
 
-def _quotient_sums(values: np.ndarray, ns, weigh):
+def _quotient_sums(values, ns, weigh):
     """The ``on_quotients`` pair at each n of ns (ascending) of ``values``
-    weighted by ``weigh`` (a function of a block of values and its m as
-    float64, which it may overwrite), as ``quotient_prefixes`` yields it;
-    hi[0] of a pair is the sum over m <= n.  One blocked pass over the
-    values; no n-length array is formed."""
+    (an array or ``tables.Blocks``) weighted by ``weigh`` (a function of a
+    block of values and its m as float64, which it may overwrite), as
+    ``quotient_prefixes`` yields it; hi[0] of a pair is the sum over
+    m <= n.  One blocked pass over the values per run of ``_runs``; no
+    n-length array is formed."""
     def blocks(lo, hi):
         return (weigh(values[lo:hi], np.arange(lo, hi, dtype=np.float64)),)
 
@@ -74,13 +75,13 @@ def _hyperbola_sums(ns, a, terms) -> list[float]:
     Number Theory, I.3.2) of the pairs of w and c.  A pair is named by an
     index of ``_one_pairs``' list, by ID (the count) for a None or
     id_pow(1 + a) (l^a), or by any other spec h, whose h(m)/m is summed
-    by one ``quotient_prefixes`` pass over its own sieve, built up to
-    max(ns) and freed before the next one is built."""
+    by one ``quotient_prefixes`` pass over its ``tables.blocks`` up to
+    max(ns), one spec after another."""
     one = {ID: _COUNT} if a is None else {id_pow(1 + a): _POW}
     terms = [(sign, one.get(w, w), one.get(c, c)) for sign, w, c in terms]
     keys = dict.fromkeys(k for _, w, c in terms for k in (w, c))
     specs = [k for k in keys if not isinstance(k, int)]
-    sieved = [list(_quotient_sums(sieve_values(h, ns[-1]), ns,
+    sieved = [list(_quotient_sums(blocks(h, ns[-1]).values, ns,
                                   lambda v, m: np.divide(v, m, out=m)))
               for h in specs]
     out = []
@@ -132,21 +133,15 @@ def _tau_prefixes(n: int) -> list:
 def _delta_prefixes(ns, a: float | None):
     """(the ``on_quotients`` pair at each n of ns, ascending, smooth part
     on arrays) of Delta's divisor sum: tau by ``_tau_prefixes`` for a
-    None, else sigma_a from one pass."""
+    None, else sigma_a from one pass over its blocks."""
     if a is None:
         slope = 2.0 * constants().gamma - 1.0
         return ((_tau_prefixes(n)[0] for n in ns),
                 lambda y: y * np.log(y) + slope * y)
     a = _require_a(a)
-    return _sigma_a_prefixes(ns, a), lambda y: _sigma_a_smooth(y, a)
-
-
-def _sigma_a_prefixes(ns, a: float):
-    """The ``on_quotients`` pair of sigma_a at each n of ns (ascending),
-    from one pass over its sieve, built up to the largest n and freed
-    once the last pair is out."""
-    values = sieve_values(sigma_pow(a), ns[-1])
-    return _quotient_sums(values, ns, lambda v, m: v)
+    return (_quotient_sums(blocks(sigma_pow(a), ns[-1]).values, ns,
+                           lambda v, m: v),
+            lambda y: _sigma_a_smooth(y, a))
 
 
 def divisor_delta(x: float) -> float:
@@ -243,54 +238,57 @@ def mu_delta_sum(x: float, kind: str, a: float | None = None,
 
 def mu_delta_grid(xs, kind: str, a: float | None = None,
                   log_factor: bool = True) -> list[float]:
-    """``mu_delta_sum`` at every x of xs, in any order, from one weight
-    sieve built for the largest x, which is checked first.  With ``a``,
-    Delta_a's pairs at every x come from one pass over sigma_a, whose
-    sieve is freed before the weights are built.
+    """``mu_delta_sum`` at every x of xs, in any order, from one pass over
+    the weights' ``tables.blocks`` up to the largest x, which is checked
+    first.  With ``a``, Delta_a's pairs at every x come first, from one
+    pass over sigma_a's blocks.
 
     Each x stays one term per n <= x, as each summand T(x/n) - smooth(x/n)
     cancels inside itself: a ``hyperbola_sum`` minus the smooth sum erred
     6.6e-10 (mu) and 3.9e-9 (mu*mu) relative to a longdouble oracle at
     x = 1e6, against 1.4e-11 and 2.6e-11 per term.
 
-    Peak memory: the weight sieve (mu*mu is a convolution of one mu; mu is
-    sieved in int8 and cast once, so 1 + 1/8 x-length arrays while it is
-    built), a few blocks of ``_accum._BLOCK`` and Delta's pairs at every
-    x, sum 2 (isqrt(n) + 1) floats.  Each block's weights and Delta
-    values are summed by one dot, and the partial dots by ``math.fsum``.
-    For x below ``_BLOCK`` + 1 that is one dot, as in the whole-array
-    form.  Past it the additions come in another order: on x = 1e5 to
-    1e7 the sum erred at most 7.7e-16 times the sum of the terms'
-    absolute values against their exact sum, where one dot over all
-    terms erred up to 7.9e-15.
+    Peak memory: what the weight blocks share (the primes up to the
+    largest x for mu*mu, up to its square root for mu), a few blocks of
+    ``_accum._BLOCK`` and Delta's pairs at every x, sum 2 (isqrt(n) + 1)
+    floats; no x-length array.  Each block of weights is dotted against
+    the Delta values of every x it reaches, one dot per (x, block), and
+    each x's partial dots add by ``math.fsum``.  For x below ``_BLOCK`` + 1
+    that is one dot, as in the whole-array form.  Past it the additions
+    come in another order: on x = 1e5 to 1e7 the sum erred at most
+    7.7e-16 times the sum of the terms' absolute values against their
+    exact sum, where one dot over all terms erred up to 7.9e-15.
     """
     if kind not in _WEIGHT_SPECS:
         raise DomainError(f"unknown weight kind {kind!r}")
     ns = _floors(xs)
     order = sorted(range(len(ns)), key=ns.__getitem__)
     pairs, smooth = _delta_prefixes([ns[i] for i in order], a)
-    pairs = list(pairs)  # sigma_a's sieve is freed before wv is built
-    wv = sieve_values(_WEIGHT_SPECS[kind], ns[order[-1]])
-    out = [0.0] * len(ns)
-    for i, (p_lo, p_hi) in zip(order, pairs):
-        x, n = xs[i], ns[i]
-        r = len(p_lo) - 1
-        partials = []
-        for lo in range(0, n, _BLOCK):
+    pairs = dict(zip(order, pairs))  # sigma_a's pass ends before wv's
+    top = ns[order[-1]]
+    wv = blocks(_WEIGHT_SPECS[kind], top).values
+    partials = [[] for _ in ns]
+    for lo in range(0, top, _BLOCK):
+        narr = np.arange(lo + 1, min(lo + _BLOCK, top) + 1, dtype=np.float64)
+        weights = wv[lo + 1:lo + 1 + len(narr)]
+        weights /= narr
+        for i in order:
+            x, n, (p_lo, p_hi) = xs[i], ns[i], pairs[i]
+            if n <= lo:
+                continue
             hi = min(lo + _BLOCK, n)
+            r = len(p_lo) - 1
             # floor(x/d) = floor(n/d) for integer d, so one integer path
             # serves any x; P(n // d) is p_hi[d] up to d = r, then
             # p_lo[n // d]
             mid = lo + 1 + min(max(r - lo, 0), hi - lo)
             deltas = np.concatenate((p_hi[lo + 1:mid],
                                      p_lo[n // np.arange(mid, hi + 1)]))
-            narr = np.arange(lo + 1, hi + 1, dtype=np.float64)
-            w = wv[lo + 1:hi + 1] / narr
-            deltas -= smooth(np.divide(x, narr, out=narr))
-            partials.append(dot(w, deltas))
-        out[i] = fsum(partials)
-        if log_factor:
-            out[i] *= math.log(x) - 1.0
+            deltas -= smooth(np.divide(x, narr[:hi - lo]))
+            partials[i].append(dot(weights[:hi - lo], deltas))
+    out = [fsum(p) for p in partials]
+    if log_factor:
+        out = [v * (math.log(x) - 1.0) for v, x in zip(out, xs)]
     return out
 
 
@@ -330,12 +328,14 @@ class Target:
     xs (one x is a grid of one) it gives the float64 arrays (exact,
     stirling_remainder), the exact side at each x and the exactly computed
     component that the main term's Stirling slot stands for (0.0 where the
-    main term has no slot).  It checks the largest x first, builds each
-    table it needs once, for the largest x, and samples every x's prefix
-    sums in one ``quotient_prefixes`` pass per table; nothing x-long is
-    left when it returns.  ``main(x, a, theta)`` is the displayed main
-    term with the slot at theta.  A log average keeps its (f, g) specs in
-    ``pair(a)``; a statistic leaves it None.  The mu-weighted Delta correction
+    main term has no slot).  It checks the largest x first, prepares
+    the ``tables.blocks`` of each table it needs once, for the largest x,
+    and samples every x's prefix sums in one ``quotient_prefixes`` pass
+    per table, a block at a time: its peak holds a few blocks and what
+    the blocks share, no x-long array.  ``main(x, a, theta)`` is the
+    displayed main term with the slot at theta.  A log average keeps its
+    (f, g) specs in ``pair(a)``; a statistic leaves it None.  The
+    mu-weighted Delta correction
     (``correction(xs, a)``, one ``mu_delta_grid`` call for a grid) sums
     ``weight`` against Delta (Delta_a where ``needs_a``), times log(x/e)
     for a log average.
@@ -522,7 +522,7 @@ def _scan_targets() -> dict[str, Target]:
         the main term has a slot for the exact Stirling remainder."""
         def parts(xs, a):
             n = max(_floors(xs))
-            f, g = (None if spec == ONE else sieve(spec, n)
+            f, g = (None if spec == ONE else blocks(spec, n)
                     for spec in pair(a))  # 1 is formed per block
             decs = apostol_log_average_grid(f, g, xs)
             return (np.array([d.total for d in decs]),

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import asymptotics, csvio, identities, series
 from .errors import DomainError
-from .tables import cut, parse_spec, sieve
+from .tables import blocks, cut, parse_spec, sieve
 
 IDENTITY_TOL = {"apostol": 1e-9, "toth": 1e-10, "cesaro": 1e-10}
 
@@ -64,9 +64,9 @@ def _fail(report: dict) -> int:
 
 
 def cmd_sieve(args) -> int:
-    spec = parse_spec(args.spec or args.f)
-    table = sieve(spec, args.nmax)
-    csvio.write_table(table, args.out)
+    # streamed a block at a time: no table of nmax entries is held
+    csvio.write_table(blocks(parse_spec(args.spec or args.f), args.nmax),
+                      args.out)
     return 0
 
 

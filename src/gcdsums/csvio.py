@@ -2,18 +2,19 @@
 
 float64 round-trips exactly through 17 significant digits, so dumped
 tables re-read bit-identically and identical configs produce
-byte-identical files.
+byte-identical files.  Rows are written 1024 at a time, and a table dump
+reads its table a block at a time, so it is never held whole.
 """
 
 from __future__ import annotations
 
-import io
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .tables import FunctionTable
+from ._accum import _BLOCK
 
 
 def format_value(v) -> str:
@@ -22,33 +23,39 @@ def format_value(v) -> str:
     return f"{float(v):.17g}"
 
 
-def write_rows(header: str, rows, out=None) -> str:
-    """Render rows to CSV text; write to a path or file object if given.
-    A row is one %-format per tuple of its cell types: ``format_value``'s
-    ``%d`` at an integer and ``%.17g`` elsewhere."""
-    buf = io.StringIO()
-    buf.write(header + "\n")
-    formats = {}
-    for row in map(tuple, rows):
-        types = tuple(map(type, row))
-        fmt = formats.get(types) or formats.setdefault(types, ",".join(
-            "%d" if issubclass(t, (int, np.integer)) else "%.17g"
-            for t in types) + "\n")
-        buf.write(fmt % row)
-    text = buf.getvalue()
-    if out is None:
-        sys.stdout.write(text)
-    elif isinstance(out, (str, Path)):
-        Path(out).write_text(text)
-    else:
-        out.write(text)
-    return text
+def write_rows(header: str, rows, out=None, keep: bool = True) -> str:
+    """Write header and rows as CSV, 1024 rows at a time, to stdout (out
+    None), a path (opened before the first row is formed) or a file object, and
+    return the text written (the header alone without ``keep``).  A row is
+    one %-format per tuple of its cell types: ``format_value``'s ``%d`` at
+    an integer and ``%.17g`` elsewhere."""
+    if isinstance(out, (str, Path)):
+        with open(out, "w") as f:
+            return write_rows(header, rows, f, keep)
+    out, text, formats = out or sys.stdout, [header + "\n"], {}
+    out.write(text[0])
+    rows = map(tuple, rows)
+    while chunk := list(islice(rows, 1024)):
+        lines = []
+        for row in chunk:
+            types = tuple(map(type, row))
+            fmt = formats.get(types) or formats.setdefault(types, ",".join(
+                "%d" if issubclass(t, (int, np.integer)) else "%.17g"
+                for t in types) + "\n")
+            lines.append(fmt % row)
+        out.write("".join(lines))
+        text += lines if keep else []
+    return "".join(text)
 
 
-def write_table(table: FunctionTable, out=None) -> str:
-    """Dump a table as ``n,value`` rows."""
-    rows = ((n, table.values[n]) for n in range(1, table.n_max + 1))
-    return write_rows("n,value", rows, out)
+def write_table(table, out=None) -> None:
+    """Dump a table as ``n,value`` rows, its values read a block at a time
+    and no text kept: a table from ``tables.blocks`` is never whole."""
+    # a memoryview yields Python floats one at a time, with no list of them
+    end = table.n_max + 1
+    rows = (row for lo in range(1, end, _BLOCK) for row in zip(
+        range(lo, end), memoryview(table.values[lo:min(lo + _BLOCK, end)])))
+    write_rows("n,value", rows, out, keep=False)
 
 
 def read_table_values(path) -> np.ndarray:

@@ -412,15 +412,16 @@ def apostol_log_average_grid(f: FunctionTable | None,
                              g: FunctionTable | None,
                              xs) -> list[AverageDecomposition]:
     """``apostol_log_average_terms`` at every x of an ascending grid, from
-    ``_average_pairs`` up to the largest x.  f or g given as None is the
-    constant 1, which is then never sieved; for g = 1 the g-side prefixes
-    above a table of t = max(isqrt(max x), 1024) entries are closed forms.
+    ``_average_pairs`` up to the largest x.  f and g are tables or
+    ``tables.Blocks``; either given as None is the constant 1, which is
+    then never sieved; for g = 1 the g-side prefixes above a table of
+    t = max(isqrt(max x), 1024) entries are closed forms.
 
-    Peak memory: the tables it reads (f and g where given) plus a few
-    blocks of ``_accum._BLOCK`` and the pairs of one run of
+    Peak memory: the tables it is given, or what their blocks share, plus
+    a few blocks of ``_accum._BLOCK`` and the pairs of one run of
     ``quotient_prefixes``, sum 2 (isqrt(n) + 1) floats per weight and
-    never more than max(n) + 1; rho is formed per block.  For f = g = 1
-    it holds only arrays of t or isqrt(x) + 1 entries, none of length x.
+    never more than max(n) + 1; rho is formed per block.  From blocks, or
+    for f = g = 1, it holds no array of length x.
     """
     ns = [cut(x, f, g) for x in xs]
     fv, gv = (None if t is None else t.values for t in (f, g))
@@ -453,8 +454,9 @@ def apostol_log_average_terms(f: FunctionTable | None,
 
 
 def _with_mu(f: FunctionTable, n: int) -> FunctionTable:
-    """Table of f*mu on 1..n built from the given table's values."""
-    return _derived(convolve(f.spec, MU), n, f.values, sieve_values(MU, n))
+    """Table of f*mu on 1..n built from the given table's values; mu is
+    sieved only where the build reads it (not for a multiplicative f)."""
+    return _derived(convolve(f.spec, MU), n, f.values, MU)
 
 
 def gcd_log_average(f: FunctionTable, x: float) -> float:
@@ -491,8 +493,7 @@ def cesaro_average(f: FunctionTable, x: float) -> tuple[float, float]:
     """
     n = cut(x, f)
     lhs = float(np.sum(_cesaro_terms(f.values, n)[1:]))
-    conv = _derived(convolve(f.spec, PHI), n, f.values,
-                    sieve_values(PHI, n)).values
+    conv = _derived(convolve(f.spec, PHI), n, f.values, PHI).values
     rhs = dot(conv[1:n + 1], 1.0 / np.arange(1, n + 1, dtype=np.float64))
     return lhs, rhs
 

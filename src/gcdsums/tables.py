@@ -8,9 +8,13 @@ exact values on 1..n_max.  The named functions are members of these
 families: 1 and n are id_0 and id_1, tau and sigma are sigma_0 and
 sigma_1, log n is 1 weighted by log, and phi_a is mu * id_a.
 
-mu is sieved in int8 and converted once.  phi, sigma_a and every conv
-tree of mu, phi, id_a and sigma_a are products of their values at prime
-powers; n, tau, sigma and phi are integers below 2^53, so all are exact.
+phi, sigma_a and every conv tree of mu, phi, id_a and sigma_a are
+products of their values at prime powers, and mu the sign of an integer
+product of primes; n, tau, sigma and phi are integers below 2^53, so all
+are exact.  These,
+n^a and Lambda are built a block at a time by ``blocks``, which a scan
+reads in place of a whole table; a whole table is its blocks written
+into one array.
 
 Other convolutions do O(n_max log n_max) work in about 2 sqrt(n_max) strided
 updates: every pair d*l <= n_max has d <= r = isqrt(n_max) or
@@ -18,8 +22,8 @@ l <= n_max // (r+1), so one update per small d (a row) and one per small
 l (a column) cover all pairs, each taken a block at a time so that no
 temporary is n_max long.  The columns run in descending l,
 so each entry still adds its terms in ascending d, the order of the plain
-divisor loop, and the float results are bit-identical to it.  The mu
-sieve and the product builder split their primes at r the same way.
+divisor loop, and the float results are bit-identical to it.  The
+product builder splits its primes at r the same way.
 
 No table is cached: each is built for the call that reads it and freed
 with its last reference, so a caller that reads one table at several
@@ -43,6 +47,10 @@ MAX_NESTING = 4
 # exponents |a|*log(n_max) beyond this overflow float64
 _MAX_EXP_PRODUCT = 700.0
 
+# a block strikes the multiples of a prime below this a slice at a time,
+# the rest together (``_multiples``)
+_TINY = 256
+
 # smallest size a table is built at (see ``sieve_values``)
 _MIN_CAPACITY = 1024
 
@@ -65,7 +73,7 @@ class Kind(Enum):
 
 _NEEDS_EXPONENT = {Kind.ID_POW, Kind.SIGMA_POW, Kind.POINTWISE_POW}
 _UNARY = {Kind.POINTWISE_LOG, Kind.POINTWISE_POW}
-# the kinds of the trees that ``_multiplicative_values`` builds
+# the kinds of the trees that ``_product_fill`` builds
 _MULTIPLICATIVE = {Kind.ID_POW, Kind.MOEBIUS, Kind.TOTIENT, Kind.SIGMA_POW,
                    Kind.CONVOLVE}
 
@@ -256,7 +264,8 @@ class FunctionTable:
 
     ``values`` has length n_max + 1; slot 0 is unused and holds 0 so that
     ``values[n]`` is the value at n.  The array is read-only: tables are
-    immutable after construction and safe to share across threads.
+    immutable after construction and safe to share across threads.  A
+    table from ``blocks`` has ``Blocks`` instead, read by slices only.
     """
 
     spec: FunctionSpec
@@ -282,42 +291,17 @@ def cut(x: float, *tables: FunctionTable | None) -> int:
 
 
 def _primes_upto(n: int) -> np.ndarray:
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    is_prime = np.ones(n + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if is_prime[p]:
-            is_prime[p * p::p] = False
-    return np.nonzero(is_prime)[0].astype(np.int64)
-
-
-def _split_primes(n: int):
-    """The primes p <= r = isqrt(n), and the pairs (k, P) that cover the rest.
-
-    A prime p > r divides m <= n at most once, as m = k*p with k <= n // (r+1).
-    So for each such k, P holds the primes in (r, n // k], and the pairs
-    reach every multiple of a large prime in about sqrt(n) iterations.
-    """
-    r = math.isqrt(n)
-    primes = _primes_upto(n)
-    cut = np.searchsorted(primes, r, side="right")
-    large = primes[cut:]
-    ends = np.searchsorted(large, n // np.arange(1, n // (r + 1) + 1), side="right")
-    return primes[:cut], [(k, large[:end]) for k, end in enumerate(ends, 1)]
-
-
-def _mobius_values(n: int) -> np.ndarray:
-    """mu on 0..n in int8, an eighth of the float64 table it becomes."""
-    mu = np.ones(n + 1, dtype=np.int8)
-    mu[0] = 0
-    small, large = _split_primes(n)
-    for p in small:
-        mu[p::p] *= -1
-        mu[p * p::p * p] = 0
-    for k, P in large:
-        mu[k * P] *= -1
-    return mu
+    """The primes up to n, above r = isqrt(n) by segments of 8 ``_BLOCK``
+    of the sieve of Eratosthenes (Bays and Hudson, BIT 17 (1977) 121-127)."""
+    r, step = math.isqrt(n), 8 * _BLOCK
+    small = _primes_upto(r) if r > 1 else np.empty(0, dtype=np.int64)
+    segments = [small]
+    for lo in range(r + 1, n + 1, step):
+        prime = np.ones(min(step, n + 1 - lo), dtype=bool)
+        for p in small.tolist():
+            prime[max(p * p, -(-lo // p) * p) - lo::p] = False
+        segments.append(np.flatnonzero(prime) + lo)
+    return np.concatenate(segments)
 
 
 def _prime_power_values(spec: FunctionSpec, q: np.ndarray) -> np.ndarray:
@@ -341,55 +325,175 @@ def _prime_power_values(spec: FunctionSpec, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _multiplicative_values(spec: FunctionSpec, n: int) -> np.ndarray:
-    """A multiplicative spec on 0..n, the product of f(p^e) over the p^e
-    || m in ascending p: each p <= isqrt(n) scales its multiples a block
-    at a time, and a larger p, which divides m once as its largest prime
-    factor, scales last, through the (k, P) pairs.  f(p) is one expression
-    at every prime, so no entry's bytes depend on n.  The peak is the
-    result, the primes, f at the large ones and a few blocks."""
-    small, large = _split_primes(n)
-    q = np.full((max(n.bit_length(), 2), len(small)), small, np.longdouble)
+def _multiples(ps: np.ndarray, first: np.ndarray, lo: int, hi: int):
+    """The multiples first[i] + k ps[i] (first >= lo) below hi of each ps[i]
+    in turn, as offsets from lo, and how many each has, by one cumsum."""
+    counts = np.maximum((hi - 1 - first) // ps + 1, 0)
+    steps, ran = np.repeat(ps, counts), counts > 0
+    heads = first[ran] - lo
+    tails = heads + ps[ran] * (counts[ran] - 1)
+    steps[(np.cumsum(counts) - counts)[ran]] = heads - np.append(0, tails[:-1])
+    return np.cumsum(steps, out=steps), counts
+
+
+def _large_hits(large: np.ndarray, r: int, lo: int, hi: int):
+    """Each m = k P in lo..hi-1 with P in ``large``, the primes above r =
+    isqrt(n), as (m - lo, index of P), ``_BLOCK`` // 8 or so at a time: the
+    P in [lo/k, (hi-1)/k] for all k at once, expanded by repeat, cumsum."""
+    ks = np.arange(1, (hi - 1) // (r + 1) + 1)
+    begin = np.searchsorted(large, -(-lo // ks))
+    counts = np.maximum(
+        np.searchsorted(large, (hi - 1) // ks, side="right") - begin, 0)
+    cuts = np.searchsorted(np.cumsum(counts), np.arange(
+        _BLOCK // 8, counts.sum(), _BLOCK // 8)).tolist()
+    for a, b in zip([0, *cuts], [*cuts, len(ks)]):
+        c = counts[a:b]
+        index = np.repeat(begin[a:b] - np.cumsum(c) + c, c)
+        index += np.arange(len(index))
+        yield np.repeat(ks[a:b], c) * large[index] - lo, index
+
+
+def _product_fill(spec: FunctionSpec, n: int):
+    """A multiplicative spec on blocks of 0..n: m is the product of f(p^e)
+    over the p^e || m in ascending p, each f(p) one longdouble expression,
+    so no byte depends on n or the block.  A p < ``_TINY`` scales strided
+    slices, the other p <= r = isqrt(n) (p^3 > n) scale by one
+    ``np.multiply.at``, and P > r, the largest prime factor, last."""
+    r, primes = math.isqrt(n), _primes_upto(n)
+    small, large = np.split(primes, [np.searchsorted(primes, r, side="right")])
+    q = np.full((max(n.bit_length(), 3), len(small)), small, np.longdouble)
     q[0] = 1.0
-    rows = _prime_power_values(spec, np.minimum(np.cumprod(q, axis=0), n))
-    big = large[0][1] if large else small[:0]
+    rows = _prime_power_values(
+        spec, np.minimum(np.cumprod(q, axis=0), n)).astype(np.float64)
     # 4096 primes at a time, so the longdouble temporaries stay small
     at_big = np.concatenate([_prime_power_values(spec, np.stack(
         [np.ones(len(P), np.longdouble), P]))[1].astype(np.float64)
-        for P in np.array_split(big, len(big) // 4096 + 1)])
-    out = np.ones(n + 1)
-    out[0] = 0.0
-    for p, f in zip(small.tolist(), rows.T.astype(np.float64).tolist()):
-        for b in range(1, n // p + 1, _BLOCK):
-            e = min(b + _BLOCK, n // p + 1)
-            factors = np.full(e - b, f[1])
-            step, k = p, 2
+        for P in np.array_split(large, len(large) // 4096 + 1)])
+    t = int(np.searchsorted(small, max(_TINY, round(n ** (1 / 3)) + 1)))
+    tiny, mid = list(zip(small[:t].tolist(), rows[:, :t].T.tolist())), small[t:]
+    sq = mid * mid  # p^3 > n: f(p^2) stands for f(p) where p^2 | m
+
+    def fill(out: np.ndarray, lo: int) -> None:
+        hi = lo + len(out)
+        out.fill(1.0)
+        out[:1 - min(lo, 1)] = 0.0  # slot 0
+        for p, f in tiny:
+            b, e = max(-(-lo // p), 1), (hi - 1) // p + 1
+            factors, step, k = np.full(max(e - b, 0), f[1]), p, 2
             while step < e:  # p^k divides p*i where p^(k-1) divides i
                 factors[-b % step::step] = f[k]
                 step, k = step * p, k + 1
-            out[p * b:p * e:p] *= factors
-    for k, P in large:
-        for lo in range(0, len(P), _BLOCK):
-            hi = min(lo + _BLOCK, len(P))
-            out[k * P[lo:hi]] *= at_big[lo:hi]
-    out += 0.0  # -0.0, a zero factor times a negative one, to 0.0
-    return out
+            out[p * b - lo:p * e - lo:p] *= factors
+        first = -(-max(lo, 1) // mid) * mid
+        at, counts = _multiples(mid, first, lo, hi)
+        factors = np.repeat(rows[1, t:], counts)
+        hit, c = _multiples(sq, -(-max(lo, 1) // sq) * sq, lo, hi)
+        i = np.repeat(np.arange(len(sq)), c)
+        factors[(np.cumsum(counts) - counts)[i] + (hit + lo - first[i])
+                // mid[i]] = rows[2, t:][i]
+        np.multiply.at(out, at, factors)
+        for at, index in _large_hits(large, r, lo, hi):
+            out[at] *= at_big[index]
+        out += 0.0  # -0.0, a zero factor times a negative one, to 0.0
+    return fill
 
 
-def _von_mangoldt_values(n: int) -> np.ndarray:
-    """log p at each prime power p^k <= n, by ``math.log``: at every prime
-    in one assignment, then at the higher powers of the p <= isqrt(n)."""
-    primes = _primes_upto(n)
-    logs = np.fromiter(map(math.log, primes.tolist()), np.float64, len(primes))
-    lam = np.zeros(n + 1, dtype=np.float64)
-    lam[primes] = logs
-    small = np.searchsorted(primes, math.isqrt(n), side="right")
-    for p, log_p in zip(primes[:small].tolist(), logs[:small].tolist()):
-        q = p * p
-        while q <= n:
-            lam[q] = log_p
-            q *= p
-    return lam
+def _mobius_fill(n: int):
+    """mu on blocks: each p <= r = isqrt(n) multiplies its multiples by -p
+    and zeroes those of p^2, so a product short of a squarefree m marks
+    its one prime above r, one more change of sign."""
+    small = _primes_upto(math.isqrt(n))
+    t = int(np.searchsorted(small, _TINY))
+
+    def fill(out: np.ndarray, lo: int) -> None:
+        hi = lo + len(out)
+        v = np.ones(hi - lo, np.int32 if hi <= 2 ** 31 else np.int64)
+        for p in small[:t].tolist():
+            v[max(-(-lo // p), 1) * p - lo::p] *= -p
+            v[-lo % (p * p)::p * p] = 0
+        mid, sq = small[t:], small[t:] ** 2
+        at, counts = _multiples(mid, -(-max(lo, 1) // mid) * mid, lo, hi)
+        np.multiply.at(v, at, np.repeat(-mid.astype(v.dtype), counts))
+        v[_multiples(sq, -(-lo // sq) * sq, lo, hi)[0]] = 0
+        v[:1 - min(lo, 1)] = 0  # slot 0
+        flip = v < 0
+        np.abs(v, out=v)
+        flip ^= v < np.arange(lo, hi, dtype=v.dtype)
+        np.multiply(v != 0, 1 - 2 * flip.view(np.int8), out=out)
+    return fill
+
+
+def _von_mangoldt_fill(n: int):
+    """Lambda on blocks: ``math.log`` of p at the listed p^k <= n."""
+    primes = _primes_upto(n)  # logged 4096 at a time, each listed int 36 B
+    logs = np.concatenate([np.fromiter(map(math.log, P.tolist()), np.float64)
+                           for P in np.array_split(primes, len(primes) // 4096 + 1)])
+    r = np.searchsorted(primes, math.isqrt(n), side="right")
+    pk = sorted((p ** k, log_p) for p, log_p in zip(primes[:r].tolist(),
+                logs[:r].tolist()) for k in range(2, n.bit_length()) if p ** k <= n)
+    runs = [(primes, logs), (np.array([q for q, _ in pk], dtype=np.int64),
+                             np.array([log_p for _, log_p in pk]))]
+
+    def fill(out: np.ndarray, lo: int) -> None:
+        out.fill(0.0)
+        for at, log_p in runs:
+            a, b = np.searchsorted(at, [lo, lo + len(out)])
+            out[at[a:b] - lo] = log_p[a:b]
+    return fill
+
+
+def _power_fill(a: float):
+    """n^a on blocks, powered in place (slot 0 stays 0: 0 ** a warns)."""
+    def fill(out: np.ndarray, lo: int) -> None:
+        out.fill(1.0)
+        out[0] = lo
+        np.cumsum(out, out=out)  # lo, lo + 1, ... exactly, with no temporary
+        np.power(out[1 - min(lo, 1):], a, out=out[1 - min(lo, 1):])
+    return fill
+
+
+@dataclass(frozen=True)
+class Blocks:
+    """A table's values from ``blocks``: ``values[lo:hi]``, for any 0 <= lo
+    < hi <= n_max + 1, as often and in any order, has the bytes of those of
+    ``sieve_values``; ``fill(out, lo)`` writes them into out."""
+
+    fill: object
+
+    def __getitem__(self, s: slice) -> np.ndarray:
+        out = np.empty(s.stop - s.start)
+        self.fill(out, s.start)
+        return out
+
+
+def _streams(spec: FunctionSpec) -> bool:
+    """n^a, Lambda and the multiplicative trees are built a block at a time."""
+    return (spec.kind is Kind.VON_MANGOLDT
+            or {s.kind for s in (spec, *_all_parts(spec))} <= _MULTIPLICATIVE)
+
+
+def _block_fill(spec: FunctionSpec, n: int):
+    """spec's fill on 0..n, prepared; read from its table if not streamed."""
+    if spec.kind is Kind.ID_POW:
+        return _power_fill(spec.exponent)
+    if spec.kind is Kind.MOEBIUS:
+        return _mobius_fill(n)
+    if spec.kind is Kind.VON_MANGOLDT:
+        return _von_mangoldt_fill(n)
+    if _streams(spec):
+        return _product_fill(spec, n)
+    values = sieve_values(spec, n)
+    return lambda out, lo: np.copyto(out, values[lo:lo + len(out)])
+
+
+def blocks(spec: FunctionSpec, n: int) -> FunctionTable:
+    """The table of spec on 1..n with ``Blocks`` as values, n and exponents
+    checked first: its reader holds a few blocks and what they share,
+    O(pi(n)) floats (O(sqrt(n)) for mu, none for n^a), not n + 1."""
+    n = cut(n)
+    for a in _exponents(spec):
+        _check_exponent(a, n)
+    return FunctionTable(spec, n, Blocks(_block_fill(spec, n)))
 
 
 def _divisor_weight_sieve(n: int, weight) -> np.ndarray:
@@ -493,17 +597,13 @@ def _build_values(spec: FunctionSpec, n: int, part) -> np.ndarray:
     """spec's values on 0..n, taking the values of each of its operands
     from ``part``."""
     kind = spec.kind
-    if kind is Kind.ID_POW:
-        # in place; slot 0 stays out of the power, as 0 ** a warns for a < 0
-        vals = np.arange(n + 1, dtype=np.float64)
-        np.power(vals[1:], spec.exponent, out=vals[1:])
-        return vals
-    if kind is Kind.MOEBIUS:
-        return _mobius_values(n).astype(np.float64)
-    if kind is Kind.VON_MANGOLDT:
-        return _von_mangoldt_values(n)
-    if {s.kind for s in (spec, *_all_parts(spec))} <= _MULTIPLICATIVE:
-        return _multiplicative_values(spec, n)
+    if _streams(spec):
+        # a whole table is its blocks, written into one array
+        source = blocks(spec, n).values  # prepared before out is formed
+        out = np.empty(n + 1)
+        for lo in range(0, n + 1, _BLOCK):
+            source.fill(out[lo:lo + _BLOCK], lo)
+        return out
     if kind is Kind.DIVISOR_LOG:
         return _divisor_weight_sieve(
             n, lambda v: np.log(np.asarray(v, dtype=np.float64)))
@@ -532,7 +632,9 @@ def sieve_values(spec: FunctionSpec, n_max: int) -> np.ndarray:
     at n = 6 below it).  Every other entry depends only on data at indices
     <= its own and a product of prime powers takes each f(p) from one
     expression, so the array is the first n_max + 1 entries of any larger
-    build bit for bit.
+    build bit for bit.  A spec that ``blocks`` streams is its blocks
+    written into the array: the peak is the array, what the blocks share
+    (O(pi(n_max)) floats) and a few blocks.
     Every exponent in the spec's tree is checked against n_max; where the
     larger size would overflow float64 and n_max does not, the array is
     built at n_max.
@@ -554,13 +656,19 @@ def sieve(spec: FunctionSpec, n_max: int) -> FunctionTable:
     return FunctionTable(spec, n_max, sieve_values(spec, n_max))
 
 
-def _derived(spec: FunctionSpec, n: int, *operands: np.ndarray) -> FunctionTable:
+def _derived(spec: FunctionSpec, n: int, *operands) -> FunctionTable:
     """The table of spec on 1..n, built by ``_build_values`` from the given
     operand values (in the order of ``spec.operands``) instead of sieves,
     so ``dirichlet_convolve(sieve(f), sieve(g))`` is ``sieve(conv:f,g)``
-    (a multiplicative tree reads none; the kernel's from 1024 up)."""
+    (a multiplicative tree reads none; the kernel's from 1024 up).  An
+    operand given as a spec is sieved up to n only if the build reads it."""
     given = iter(operands)
-    vals = _build_values(spec, n, lambda _: next(given))
+
+    def part(_):
+        v = next(given)
+        return sieve_values(v, n) if isinstance(v, FunctionSpec) else v
+
+    vals = _build_values(spec, n, part)
     vals.setflags(write=False)
     return FunctionTable(spec, n, vals)
 

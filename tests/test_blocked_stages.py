@@ -427,36 +427,38 @@ def _build(text):
     return lambda: tables._sieve_values(spec, _N)
 
 
-# the primes up to _N, which the Lambda sieve holds twice in int64
+# the primes up to _N, which a product of prime powers and Lambda hold
+# with a float each; and those up to 2^20, for the scans there
 _PRIMES = len(tables._primes_upto(_N))
+_PRIMES_20 = len(tables._primes_upto(1 << 20))
 
 
 _STAGES = {
-    # the mu weights it builds, cast from int8 (1 + 1/8), and a block's
-    # weights and Delta values, one dot each; with a, sigma_a's pairs at
-    # the quotients, its sieve freed before the weights are built
+    # a block of the mu weights and the Delta values, one dot each, and
+    # with a, sigma_a's pairs at the quotients; the weights and sigma_a
+    # are read a block at a time
     "mu_delta_sum": (
         lambda: asymptotics.mu_delta_sum(_N, "mu"), 1 + 1 / 8, 6, 0),
     "mu_delta_sum_a": (lambda: asymptotics.mu_delta_sum(_N, "mu", -0.5),
                        1 + 1 / 8, 6, _quotient_floats([_N])),
-    # the result and the int8 sieve it is cast from
+    # the result and, per block, its int32 signed product of small primes
     "build_mu": (_build("mu"), 1 + 1 / 8, 1, 0),
-    # a product of prime powers: the result, a block of factors, and per
-    # prime its int64 value, its factor (above isqrt(n)) and the large
-    # pass's index and gathered values, a block at a time (measured 5.9
-    # floats per prime in all)
+    # a product of prime powers: the result, per prime its int64 value and
+    # its factor (above isqrt(n)), and a block's multiples of the primes
+    # up to isqrt(n) and of the large ones, an eighth of a block at a time
     "build_phi": (_build("phi"), 1, 1, 6 * _PRIMES),
     "build_sigmapow": (_build("sigmapow:-0.5"), 1, 1, 6 * _PRIMES),
     "build_conv_mu_mu": (_build("conv:mu,mu"), 1, 1, 6 * _PRIMES),
     "build_conv_jordan_mu": (_build("conv:conv:mu,idpow:0.5,mu"), 1, 1,
                              6 * _PRIMES),
-    # the result, powered in place
+    # the result, counted and powered in place
     "build_idpow": (_build("idpow:0.5"), 1, 1, 0),
     # the operand and the result, its copy weighted a block at a time
     "build_ptlog_one": (_build("ptlog:one"), 2, 2, 0),
     "build_ptpow_mu": (_build("ptpow:0.5,mu"), 2, 2, 0),
-    # the result, the bool prime sieve, the primes twice in int64 and
-    # 1 KB (128 floats) of the arrays' headers
+    # the result, the primes in int64 with log p at each, a segment of
+    # the bool prime sieve while they are listed, and 1 KB (128 floats) of
+    # the arrays' headers
     "build_lambda": (_build("lambda"), 1 + 1 / 8, 0, 2 * _PRIMES + 128),
     "on_quotients": (lambda: _accum.on_quotients(_VALUES, _N), 0, 3, 0),
     # one pass for a whole grid: every point's quotient set ...
@@ -492,6 +494,16 @@ _STAGES = {
     # each Stirling row: the result, one row of n + 1 entries
     "log_factorial_row": (lambda: stirling.log_factorial_row(_N), 1, 8, 0),
     "rho_row": (lambda: stirling.rho_row(_N), 1, 8, 0),
+    # a scan at x = 2^20 reads each table a block at a time: a pass's few
+    # blocks, and what the blocks share, per prime above isqrt(x) P and
+    # f(P) for a product and nothing for mu; no x-long array (measured
+    # 4.75 MB for each, 0.57 of one)
+    "scan_id_log_avg": (
+        lambda: asymptotics.residual_scan("id-log-avg", [1 << 20]), 0, 10,
+        2 * _PRIMES_20),
+    "scan_jordan_log_avg": (
+        lambda: asymptotics.residual_scan("jordan-log-avg", [1 << 20], -0.5),
+        0, 10, 2 * _PRIMES_20),
 }
 
 

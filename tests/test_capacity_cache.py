@@ -51,6 +51,31 @@ def test_sieve_slice_after_large_request(text):
         assert _same_bytes(small, wide[:n + 1]), n
 
 
+_B = 1 << 16
+# every spec ``tables.blocks`` builds a block at a time, and the sizes
+# around one and two blocks
+_BLOCK_SPECS = ["mu", "lambda", "phi", "idpow:0.5", "idpow:-0.5",
+                "sigmapow:-0.5", "sigmapow:-1", "jordan:0.5", "jordan:-1",
+                "conv:mu,mu", "conv:phi,mu", "conv:jordan:0.5,mu"]
+_BLOCK_N = [1, 2, _B - 1, _B, _B + 1, 2 * _B + 1, 10 ** 6 + 7]
+
+
+@pytest.mark.parametrize("text", _BLOCK_SPECS)
+def test_blocks_equal_a_wider_build(text):
+    # each block at each size has the bytes of the same entries of one
+    # wider whole build, whether read in order, in reverse or twice, as the
+    # passes read them (from 1) or as the whole build writes them (from 0)
+    spec = parse_spec(text)
+    wide = tables.sieve_values(spec, 10 ** 6 + _B)
+    for n in _BLOCK_N:
+        values = tables.blocks(spec, n).values
+        for start in (0, 1):
+            los = list(range(start, n + 1, _B))
+            for lo in los + los[::-1]:
+                hi = min(lo + _B, n + 1)
+                assert _same_bytes(values[lo:hi], wide[lo:hi]), (n, lo)
+
+
 @pytest.mark.parametrize("row", [stirling.log_factorial_row,
                                  stirling.rho_row], ids=["log_factorial", "rho"])
 def test_stirling_row_is_a_slice_of_a_wider_row(row):
@@ -97,12 +122,13 @@ def test_multiplicative_tree_builds_no_operand(monkeypatch, text):
     spec = parse_spec(text)
     n = 5000
     derived = G.dirichlet_convolve(*(G.sieve(op, n) for op in spec.operands))
-    builds = _recording(monkeypatch, "_multiplicative_values")
+    builds = _recording(monkeypatch, "_block_fill")
     others = [_recording(monkeypatch, name) for name in
-              ("_mobius_values", "_convolve_values", "_split_primes")]
+              ("_convolve_values", "_primes_upto")]
     got = tables.sieve_values(spec, n)
     assert builds == [(spec, n)]
-    assert others == [[], [], [(n,)]]
+    # the primes up to n are listed once, not once per block
+    assert others[0] == [] and others[1].count((n,)) == 1
     assert _same_bytes(got, derived.values)
 
 
@@ -116,9 +142,9 @@ _GRID = [1e3, 7e3, 2e4]
      ["conv:conv:mu,idpow:0.5,mu", "conv:mu,mu", "sigmapow:-0.5"])])
 def test_delta_corrected_scan_builds_each_table_once(monkeypatch, target, a,
                                                      specs):
-    # the exact side and the Delta correction each build their tables for
-    # the largest x, once per scan, not once per x
-    calls = _recording(monkeypatch, "_sieve_values")
+    # the exact side and the Delta correction each prepare their tables'
+    # blocks for the largest x, once per scan, not once per x
+    calls = _recording(monkeypatch, "_block_fill")
     asymptotics.residual_scan(target, _GRID, a)
     assert Counter(spec for spec, _ in calls) == Counter(map(parse_spec, specs))
     assert all(n == _GRID[-1] for _, n in calls)
@@ -148,10 +174,10 @@ _OPERANDS = {
 
 @pytest.mark.parametrize("name", sorted(_OPERANDS))
 def test_statistic_builds_its_operands_not_their_product(monkeypatch, name):
-    # a hyperbola sum of its two operands: each sieved operand built once,
-    # for the largest x, and the product never
+    # a hyperbola sum of its two operands: each sieved operand's blocks
+    # prepared once, for the largest x, and the product never
     product, operands = _OPERANDS[name]
-    calls = _recording(monkeypatch, "_sieve_values")
+    calls = _recording(monkeypatch, "_block_fill")
     t = asymptotics.STATISTICS[name]
     t.parts(_GRID, -0.5 if t.needs_a else None)
     built = [spec for spec, _ in calls]
@@ -164,10 +190,8 @@ def test_jordan_scan_sieves_no_mu(monkeypatch):
     # conv:jordan:0.5,mu (the exact side), sigma_{-1/2} (for Delta_a) and
     # conv:mu,mu (the Delta weights) are each one product of prime powers
     # at the largest x, and none of them sieves mu
-    calls = _recording(monkeypatch, "_mobius_values")
-    builds = _recording(monkeypatch, "_multiplicative_values")
+    builds = _recording(monkeypatch, "_block_fill")
     asymptotics.residual_scan("jordan-log-avg", [1e3, 2e4], -0.5)
-    assert calls == []
     assert Counter(builds) == Counter(
         (parse_spec(text), 20000)
         for text in ("conv:jordan:0.5,mu", "sigmapow:-0.5", "conv:mu,mu"))
@@ -175,13 +199,19 @@ def test_jordan_scan_sieves_no_mu(monkeypatch):
 
 @pytest.mark.parametrize("text", ["id", "phi", "idpow:0.5", "log"])
 def test_series_bracket_builds_f_mu_up_to_k(monkeypatch, text):
-    # f*mu and its mu are built up to K (1024 at least), not to f's range,
-    # and the bracket's lhs is the one from f*mu built over all of f
-    f = G.sieve(parse_spec(text), 10 ** 5)
+    # f*mu is built up to K (1024 at least), not to f's range, and the
+    # bracket's lhs is the one from f*mu built over all of f; mu is sieved
+    # only for the kernel's log*mu, as a multiplicative f*mu is a product
+    # of prime powers that reads no operand
+    spec = parse_spec(text)
+    f = G.sieve(spec, 10 ** 5)
     whole = identities._with_mu(f, f.n_max)
     for k in (6, 100, 1000, 5000, 10 ** 5):
-        calls = _recording(monkeypatch, "_mobius_values")
+        calls = _recording(monkeypatch, "_block_fill")
         lhs = G.series_theta_bracket(f, 3.0, k).lhs
         monkeypatch.undo()
-        assert calls == [(max(k, 1024),)]
+        mus = [n for s, n in calls if s == G.MU]
+        assert mus == ([max(k, 1024)] if text == "log" else []), k
+        if text != "log":
+            assert calls == [(tables.convolve(spec, G.MU), max(k, 1024))]
         assert lhs == series._u_partial_sum(whole, None, 3.0, k), k

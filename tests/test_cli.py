@@ -45,7 +45,9 @@ def test_write_rows_equals_format_value_per_cell():
              np.float64(np.pi), np.float32(0.1), np.float64("nan")]
     rows = [(k, cells[k], cells[-1 - k]) for k in range(len(cells))]
     rows += [tuple(cells), (np.float64(1.25), 3), [2, 0.5]]
-    text = csvio.write_rows("a,b,c", rows, io.StringIO())
+    out = io.StringIO()
+    csvio.write_rows("a,b,c", rows, out)
+    text = out.getvalue()
     want = "a,b,c\n" + "".join(
         ",".join(csvio.format_value(v) for v in row) + "\n" for row in rows)
     assert text == want
@@ -96,8 +98,9 @@ def test_identity_stdout_equals_per_k_rows(capsys, which, f, g):
                     "--f", f, "--g", g]) == 0
     ft, gt = sieve(G.parse_spec(f), kmax), sieve(G.parse_spec(g), kmax)
     rows = [_per_k_row(which, ft, gt, k) for k in range(1, kmax + 1)]
-    expected = csvio.write_rows("k,direct,identity,abs_gap", rows, io.StringIO())
-    assert capsys.readouterr().out == expected
+    expected = io.StringIO()
+    csvio.write_rows("k,direct,identity,abs_gap", rows, expected)
+    assert capsys.readouterr().out == expected.getvalue()
 
 
 def test_scan_command_csv_and_check(tmp_path):
@@ -211,7 +214,7 @@ def test_scan_x_rejected_before_any_sieve(monkeypatch, capsys, grid):
     # the scan's largest x runs first and fails the range rule at once
     from gcdsums import tables
     calls = []
-    monkeypatch.setattr(tables, "_sieve_values", lambda *a: calls.append(a))
+    monkeypatch.setattr(tables, "_block_fill", lambda *a: calls.append(a))
     rc = run_cli(["scan", "--target", "id-log-avg", "--grid", grid])
     captured = capsys.readouterr()
     assert rc == 2
@@ -253,8 +256,8 @@ def test_sieve_size_rejected_before_any_sieve(monkeypatch, capsys, argv):
     # sigma_a for its default --xmax before the series is asked for
     from gcdsums import tables
     calls = []
-    real = tables._sieve_values
-    monkeypatch.setattr(tables, "_sieve_values",
+    real = tables._block_fill
+    monkeypatch.setattr(tables, "_block_fill",
                         lambda spec, n: calls.append(n) or real(spec, n))
     rc = run_cli(argv)
     err = capsys.readouterr().err
@@ -312,7 +315,7 @@ def test_unusable_file_argument_exit_2(tmp_path, capsys, flag):
 def test_missing_calibration_row_exit_2_before_the_scan(monkeypatch, capsys):
     from gcdsums import tables
     calls = []
-    monkeypatch.setattr(tables, "_sieve_values", lambda *a: calls.append(a))
+    monkeypatch.setattr(tables, "_block_fill", lambda *a: calls.append(a))
     rc = run_cli(["scan", "--target", "power_sum", "--a", "-0.5",
                   "--grid", "1e3,1e5", "--check"])
     captured = capsys.readouterr()
@@ -350,7 +353,7 @@ def test_exponent_for_an_entry_without_one_exit_2(monkeypatch, capsys,
     # an --a the entry takes no exponent for is refused before any sieve
     from gcdsums import tables
     calls = []
-    monkeypatch.setattr(tables, "_sieve_values", lambda *a: calls.append(a))
+    monkeypatch.setattr(tables, "_block_fill", lambda *a: calls.append(a))
     rc = run_cli(["scan", "--target", target, "--a", a, "--grid", "1e3,1e4"])
     captured = capsys.readouterr()
     assert rc == 2
@@ -416,3 +419,67 @@ def test_grid_commands_leave_numpy_ma_unimported(argv):
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, check=True)
     assert done.stdout == "False\n"
+
+
+def test_sieve_dump_equals_its_table_rows(tmp_path):
+    # the dump, streamed a block at a time, has the bytes of the whole
+    # table's rows at 17 significant digits
+    n = (1 << 17) + 3
+    out = tmp_path / "phi.csv"
+    assert run_cli(["sieve", "--spec", "phi", "--nmax", str(n),
+                    "--out", str(out)]) == 0
+    values = G.sieve_values(G.PHI, n).tolist()
+    assert out.read_text() == "n,value\n" + "".join(
+        "%d,%.17g\n" % (k, values[k]) for k in range(1, n + 1))
+
+
+def test_sieve_unwritable_out_exit_2(tmp_path, capsys):
+    # the file is opened before the first row is formed
+    path = tmp_path / "missing" / "x.csv"
+    assert run_cli(["sieve", "--spec", "phi", "--nmax", "1000",
+                    "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == (
+        f"error: cannot use {path}: No such file or directory")
+
+
+# run by a bare interpreter, which forks and execs the command with its
+# output dropped and prints the child's exit code and ru_maxrss (KB) from
+# wait4: a child forked from this test process would count its pages too
+_MAXRSS = """import os, sys
+pid = os.fork()
+if pid == 0:
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, 1)
+    os.dup2(null, 2)
+    os.execv(sys.executable, [sys.executable, *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"""
+
+
+def _child_maxrss(argv):
+    """Peak RSS in MB of ``python argv``, run in a child of its own."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", _MAXRSS, *argv], env=env,
+                          capture_output=True, check=True, text=True)
+    code, kb = map(int, done.stdout.split())
+    assert code == 0, argv
+    return kb / 1024.0
+
+
+@pytest.mark.parametrize("args", [
+    ["scan", "--target", "id-log-avg", "--grid", "geom:1e3,1e6,7", "--check"],
+    ["scan", "--target", "jordan-log-avg", "--a", "-0.5",
+     "--grid", "geom:1e3,1e6,7", "--check"],
+    ["sieve", "--spec", "phi", "--nmax", "1000000", "--out", os.devnull]],
+    ids=["id-log-avg", "jordan-log-avg", "sieve-phi"])
+def test_command_peak_rss_near_the_import(args):
+    # each table is read a block at a time and a dump keeps no text, so
+    # the command peaks within 8 MB of the bare import: a whole phi or mu
+    # table at 10^6 is 8 MB, and the scans built whole peaked about 13 MB
+    # above it, the dump about 36 MB
+    command = _child_maxrss(["-m", "gcdsums.cli", *args])
+    bare = _child_maxrss(["-c", "import gcdsums.cli"])
+    assert command - bare < 8.0, (command, bare)

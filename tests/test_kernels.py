@@ -1,7 +1,7 @@
 """The sqrt-split sieve kernels against the plain loops they replaced.
 
 Every kernel must reproduce its reference loop in ``oracles`` bit for
-bit (mu, sieved in int8, by exact value and its own dtype), and every
+bit (mu as the float64 cast of its loop's values), and every
 array ``sieve_values`` gives must equal the same entries of a wider
 build, and a build at its own size from 1024 up, by bytes.  The tables
 built from their prime powers (phi, sigma_a and the conv trees of mu,
@@ -58,11 +58,10 @@ _PAIRS = [("id", "mu"), ("phi", "mu"), ("mu", "idpow:0.5"), ("one", "one"),
 
 
 def _reference_sieve(spec, n):
-    """``_sieve_values`` with the reference loops in place of the kernels;
-    the product builder stays, checked against the loops and the factored
-    oracle below."""
-    with mock.patch.multiple(tables, _convolve_values=loop_convolve,
-                             _mobius_values=loop_mobius):
+    """``_sieve_values`` with the reference loop in place of the convolution
+    kernel; the block builders stay, checked against the loops and the
+    factored oracle below."""
+    with mock.patch.multiple(tables, _convolve_values=loop_convolve):
         return tables._sieve_values(spec, n)
 
 
@@ -72,9 +71,8 @@ def _same_bytes(a, b):
 
 @pytest.mark.parametrize("n", KERNEL_SIZES)
 def test_kernels_match_reference_loops(n):
-    mu, phi = tables._mobius_values(n), tables._sieve_values(G.PHI, n)
-    assert mu.dtype == np.int8
-    assert np.array_equal(mu, loop_mobius(n))
+    mu, phi = tables._sieve_values(G.MU, n), tables._sieve_values(G.PHI, n)
+    assert _same_bytes(mu, loop_mobius(n).astype(np.float64))
     assert _same_bytes(phi, loop_totient(n).astype(np.float64))
     lf = G.log_factorial_table(n).log_factorial
     for f, g in _PAIRS:
@@ -90,7 +88,8 @@ def test_kernels_match_reference_loops(n):
 def test_von_mangoldt_equals_per_prime_loop(n):
     # log p set at every prime at once, the higher powers from the
     # p <= isqrt(n) only; math.log keeps the loop's bytes
-    assert _same_bytes(tables._von_mangoldt_values(n), loop_von_mangoldt(n))
+    assert _same_bytes(tables._sieve_values(G.VON_MANGOLDT, n),
+                       loop_von_mangoldt(n))
 
 
 def test_totient_dtype_holds_every_sieve_size():
@@ -106,7 +105,7 @@ def test_mobius_and_totient_sieves_match_naive():
     mu = np.array([0] + [naive_mobius(k) for k in range(1, n_max + 1)])
     phi = np.array([0] + [naive_phi(k) for k in range(1, n_max + 1)])
     for n in range(1, n_max + 1):
-        assert np.array_equal(tables._mobius_values(n), mu[:n + 1]), n
+        assert np.array_equal(tables._sieve_values(G.MU, n), mu[:n + 1]), n
         assert np.array_equal(tables._sieve_values(G.PHI, n), phi[:n + 1]), n
 
 

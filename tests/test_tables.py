@@ -53,6 +53,19 @@ def test_mobius_range_and_integrality():
         assert np.all(vals == np.rint(vals))
 
 
+def test_mertens_function_from_blocks():
+    # M(x) = sum_{n<=x} mu(n), summed a block at a time as the scans read
+    # mu, against the published M(10^6) = 212 and M(10^7) = 1037
+    from gcdsums import tables
+    mu = tables.blocks(G.MU, 10 ** 7).values
+    block = 1 << 16
+    partial = [int(mu[lo:min(lo + block, 10 ** 7 + 1)].sum())
+               for lo in range(0, 10 ** 7 + 1, block)]
+    m6 = sum(partial[:10 ** 6 // block]) + int(
+        mu[10 ** 6 // block * block:10 ** 6 + 1].sum())
+    assert (m6, sum(partial)) == (212, 1037)
+
+
 def test_von_mangoldt_structure():
     t = G.sieve(G.VON_MANGOLDT, 200)
     for n in range(1, 201):
