@@ -59,10 +59,10 @@ import numpy as np
 from ._accum import (_BLOCK, ascending, block_of, dot, fsum, hyperbola_sum,
                      prefix_with_zero, quotient_prefixes, running_sum)
 from .errors import require
-from .stirling import log_factorial_row, one_weight_sums, rho_block
-from .tables import (_MIN_CAPACITY, MU, PHI, VON_MANGOLDT, FunctionSpec,
-                     FunctionTable, _derived, _divisor_pair_sum, convolve, cut,
-                     divisor_lists, divisors_of, sieve_values)
+from .stirling import SEED, log_factorial_row, one_weight_sums, rho_block
+from .tables import (LOG, MU, PHI, VON_MANGOLDT, FunctionSpec, FunctionTable,
+                     convolve, cut, divisor_lists, divisors_of, sieve,
+                     sieve_values)
 from .zeta import LOG_SQRT_2PI
 
 
@@ -274,24 +274,23 @@ def cesaro_audits(f: FunctionTable, kmax: int):
 
 def identity_sum_table(fv: np.ndarray, gv: np.ndarray | None,
                        log_fact: np.ndarray, n: int) -> np.ndarray:
-    """u(k) for all k <= n via the identity, as one divisor-pair sum.
+    """u(k) for all k <= n via the identity, one strided update per d.
 
-    u(k) = sum_{d*l = k} (f(d) log d) (g(l) l) + f(d) (g(l) log l!), summed
-    in ascending d by the same split loop as the convolution sieves.  The
-    per-d log is ``math.log``, as in the plain divisor loop this replaced;
-    ``np.log`` rounds a few arguments differently; gv None is 1.  Reference
-    only: it serves the per-k ``apostol_log_average``; summatory values
-    and the series partial sums are hyperbola sums over d*l <= n instead.
+    u(k) = sum_{d*l = k} (f(d) log d) (g(l) l) + f(d) (g(l) log l!), added
+    in ascending d; the per-d log is ``math.log``; gv None is 1.  Rows with
+    f(d) = 0 are skipped.  Reference only: it serves the per-k
+    ``apostol_log_average``; summatory values and the series partial sums
+    are hyperbola sums over d*l <= n instead.
     """
     larr = np.arange(n + 1, dtype=np.float64)
     g = block_of(gv, 0, n + 1)
     g_id = g * larr
     g_lf = g * log_fact[:n + 1]
-    f_log = np.zeros(n + 1)
-    f_log[1:] = fv[1:n + 1] * np.fromiter(map(math.log, range(1, n + 1)),
-                                          dtype=np.float64, count=n)
-    return _divisor_pair_sum(
-        fv, n, lambda d, l: f_log[d] * g_id[l] + fv[d] * g_lf[l])
+    u = np.zeros(n + 1)
+    for d in (np.flatnonzero(fv[1:n + 1]) + 1).tolist():
+        m = n // d
+        u[d::d] += (fv[d] * math.log(d)) * g_id[1:m + 1] + fv[d] * g_lf[1:m + 1]
+    return u
 
 
 def apostol_log_average(f: FunctionTable, g: FunctionTable | None,
@@ -360,7 +359,7 @@ def _one_pairs(ns, a: float | None = None):
     arrays of isqrt(n) + 1 entries; nothing of length n.
     """
     ns = ascending(ns)
-    t = min(max(math.isqrt(ns[-1]), _MIN_CAPACITY), ns[-1])
+    t = min(max(math.isqrt(ns[-1]), SEED), ns[-1])
     width = 6 if a is None else 7
     table = np.zeros((width, t + 1))
     totals = [np.longdouble(0.0)] * width
@@ -454,9 +453,8 @@ def apostol_log_average_terms(f: FunctionTable | None,
 
 
 def _with_mu(f: FunctionTable, n: int) -> FunctionTable:
-    """Table of f*mu on 1..n built from the given table's values; mu is
-    sieved only where the build reads it (not for a multiplicative f)."""
-    return _derived(convolve(f.spec, MU), n, f.values, MU)
+    """Table of f*mu on 1..n; log * mu is Lambda."""
+    return sieve(VON_MANGOLDT if f.spec == LOG else convolve(f.spec, MU), n)
 
 
 def gcd_log_average(f: FunctionTable, x: float) -> float:
@@ -493,7 +491,7 @@ def cesaro_average(f: FunctionTable, x: float) -> tuple[float, float]:
     """
     n = cut(x, f)
     lhs = float(np.sum(_cesaro_terms(f.values, n)[1:]))
-    conv = _derived(convolve(f.spec, PHI), n, f.values, PHI).values
+    conv = sieve_values(convolve(f.spec, PHI), n)
     rhs = dot(conv[1:n + 1], 1.0 / np.arange(1, n + 1, dtype=np.float64))
     return lhs, rhs
 

@@ -25,7 +25,7 @@ from ._accum import block_of, hyperbola_sum, quotient_prefixes
 from .errors import require
 from .identities import _with_mu
 from .stirling import THETA_HI, THETA_LO, log_factorial_row
-from .tables import _MIN_CAPACITY, FunctionTable, abscissa, cut
+from .tables import FunctionTable, abscissa, cut
 from .zeta import LOG_SQRT_2PI, constants
 
 # coefficient of the (1 + log K)^2 / K^(s-2) truncation allowance; the
@@ -157,14 +157,11 @@ def series_theta_bracket(f: FunctionTable, s: float, k_max: int) -> ThetaBracket
 
     evaluated with F, F' truncated at K and exact zeta values; the
     interval is [rhs(0), rhs(1/12)] widened by the truncation allowance.
-    f*mu (and the mu it is built from) is built up to K only, or to
-    ``_MIN_CAPACITY`` below that, where the convolution fixes its order.
+    f*mu is built up to K only.
     """
     require(max(abscissa(f.spec), 2.0) < s < math.inf,
             f"s={s} too small for the bracket, or not finite")
-    cut(k_max, f)
-    n = min(f.n_max, max(k_max, _MIN_CAPACITY))
-    lhs = _u_partial_sum(_with_mu(f, n), None, s, k_max)
+    lhs = _u_partial_sum(_with_mu(f, cut(k_max, f)), None, s, k_max)
 
     big_f = dirichlet_partial_sum(f, s, k_max)
     big_f_prime = -dirichlet_partial_sum(f, s, k_max, log_weight=True)

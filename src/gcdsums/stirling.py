@@ -13,14 +13,14 @@ is smaller than the rounding of rho, and theta is 1.0 or just below it
 (both still occur at l = 4e7; no l up to 4e7 gives more than 1.0).
 
 Subtracting two ~l log l sized numbers would lose rho, so from
-l = _MIN_CAPACITY on the table evaluates the remainder series
+l = SEED on the table evaluates the remainder series
 1/(12 l) - 1/(360 l^3) + 1/(1260 l^5) - 1/(1680 l^7) (relative truncation
 error < l^-8) in extended precision, and below that it runs the
 cancellation-free backward recurrence
 
     rho(l-1) = rho(l) + t_l,   t_l = (l - 1/2) log(l / (l-1)) - 1,
 
-seeded at l = _MIN_CAPACITY, where each t_l = sum_{i>=1} x^{2i} / (2i+1)
+seeded at l = SEED, where each t_l = sum_{i>=1} x^{2i} / (2i+1)
 with x = 1/(2l-1) is a positive fast-converging series.
 
 log_factorial itself is a plain extended-precision cumulative sum of
@@ -52,8 +52,12 @@ import numpy as np
 
 from ._accum import _BLOCK, running_sum
 from .errors import require
-from .tables import _MIN_CAPACITY
 from .zeta import LOG_SQRT_2PI
+
+# rho(l) is the remainder series from l = SEED on and the backward
+# recurrence below it; the closed forms of ``one_weight_sums`` hold from
+# here on
+SEED = 1024
 
 # the Stirling slot Theta of the main terms ranges over [THETA_LO, THETA_HI]
 THETA_LO = 0.0
@@ -188,7 +192,7 @@ def _real_power_sum(v: np.ndarray, a: float) -> np.ndarray:
 def one_weight_sums(v: np.ndarray, a: float | None = None) -> list[np.ndarray]:
     """Phi(v) for each g = 1 weight of the six-term expansion (1, log l,
     log l / l, 1/l, rho(l)/l and 1/l^2), then of l^a where a is given,
-    in longdouble, at each integer v >= _MIN_CAPACITY: sum_{l<=v} of the
+    in longdouble, at each integer v >= SEED: sum_{l<=v} of the
     weight up to a constant of its own, so Phi(v) - Phi(t) is the sum
     over t < l <= v.
 
@@ -200,7 +204,7 @@ def one_weight_sums(v: np.ndarray, a: float | None = None) -> list[np.ndarray]:
       d^m/dl^m (log l / l) = (-1)^m m! (log l - H_m) / l^(m+1);
     - l^a: ``_real_power_sum``, through B_10.
 
-    From v, t >= _MIN_CAPACITY = 1024 on, every first omitted term is
+    From v, t >= SEED = 1024 on, every first omitted term is
     below 1e-30 (the largest, 1/(1188 t^9) of the Stirling series, is
     7e-31; the B_10 term of log l / l is 3e-32, and the B_12 term of l^a
     below 2e-35), far below the longdouble rounding of Phi.
@@ -230,13 +234,12 @@ def one_weight_sums(v: np.ndarray, a: float | None = None) -> list[np.ndarray]:
 
 
 def _rho_below_seed() -> np.ndarray:
-    """rho(l) for l = 1.._MIN_CAPACITY - 1 in longdouble, by the backward
-    recurrence seeded with the series at l = _MIN_CAPACITY."""
-    seed = _MIN_CAPACITY
-    # rho(l) = rho(seed) + sum_{j=l+1..seed} t_j, accumulated high-to-low
-    t = _transition_terms(np.arange(2, seed + 1))
+    """rho(l) for l = 1..SEED - 1 in longdouble, by the backward
+    recurrence seeded with the series at l = SEED."""
+    # rho(l) = rho(SEED) + sum_{j=l+1..SEED} t_j, accumulated high-to-low
+    t = _transition_terms(np.arange(2, SEED + 1))
     rho = np.cumsum(t[::-1].astype(np.longdouble))[::-1]
-    rho += _remainder_series(np.arange(seed, seed + 1))[0]
+    rho += _remainder_series(np.arange(SEED, SEED + 1))[0]
     return rho
 
 
@@ -253,11 +256,11 @@ def _fill_log_factorial(row: np.ndarray) -> None:
 
 def rho_block(lo: int, hi: int) -> np.ndarray:
     """rho(l) for l = lo..hi-1 (lo >= 1) as float64, the entries of the
-    rho row: the backward recurrence below _MIN_CAPACITY and the remainder
+    rho row: the backward recurrence below SEED and the remainder
     series from there on.  The series' longdouble temporaries (about five
     float64 blocks) are freed before it returns."""
     out = np.empty(hi - lo)
-    below = min(max(_MIN_CAPACITY - lo, 0), hi - lo)
+    below = min(max(SEED - lo, 0), hi - lo)
     if below:
         out[:below] = _rho_below_seed()[lo - 1:lo - 1 + below]
     out[below:] = _remainder_series(np.arange(lo + below, hi))

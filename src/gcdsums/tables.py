@@ -11,19 +11,12 @@ sigma_1, log n is 1 weighted by log, and phi_a is mu * id_a.
 phi, sigma_a and every conv tree of mu, phi, id_a and sigma_a are
 products of their values at prime powers, and mu the sign of an integer
 product of primes; n, tau, sigma and phi are integers below 2^53, so all
-are exact.  These,
-n^a and Lambda are built a block at a time by ``blocks``, which a scan
-reads in place of a whole table; a whole table is its blocks written
-into one array.
-
-Other convolutions do O(n_max log n_max) work in about 2 sqrt(n_max) strided
-updates: every pair d*l <= n_max has d <= r = isqrt(n_max) or
-l <= n_max // (r+1), so one update per small d (a row) and one per small
-l (a column) cover all pairs, each taken a block at a time so that no
-temporary is n_max long.  The columns run in descending l,
-so each entry still adds its terms in ascending d, the order of the plain
-divisor loop, and the float results are bit-identical to it.  The
-product builder splits its primes at r the same way.
+are exact.  A conv tree may hold only these kinds (log * mu is Lambda,
+spelled ``lambda``); any other is refused when its spec is formed.  Every
+table is built a block at a time by ``blocks``, which a scan reads in
+place of a whole table: the pointwise weightings and divlog weigh their
+operand's (tau's) blocks.  A whole table is its blocks written into one
+array.
 
 No table is cached: each is built for the call that reads it and freed
 with its last reference, so a caller that reads one table at several
@@ -51,9 +44,6 @@ _MAX_EXP_PRODUCT = 700.0
 # the rest together (``_multiples``)
 _TINY = 256
 
-# smallest size a table is built at (see ``sieve_values``)
-_MIN_CAPACITY = 1024
-
 # O(x) memory is accepted up to here: every x, k, K and sieve size past it
 # is rejected before any allocation
 MAX_SIEVE = 10_000_000
@@ -73,7 +63,8 @@ class Kind(Enum):
 
 _NEEDS_EXPONENT = {Kind.ID_POW, Kind.SIGMA_POW, Kind.POINTWISE_POW}
 _UNARY = {Kind.POINTWISE_LOG, Kind.POINTWISE_POW}
-# the kinds of the trees that ``_product_fill`` builds
+# the kinds of a conv tree: each is a product of its values at prime
+# powers, which ``_product_fill`` builds
 _MULTIPLICATIVE = {Kind.ID_POW, Kind.MOEBIUS, Kind.TOTIENT, Kind.SIGMA_POW,
                    Kind.CONVOLVE}
 
@@ -95,6 +86,10 @@ class FunctionSpec:
         n_ops = len(self.operands)
         if self.kind is Kind.CONVOLVE:
             require(n_ops == 2, "convolution takes two operands")
+            for op in self.operands:
+                require(op.kind in _MULTIPLICATIVE,
+                        f"cannot convolve {op}: a conv tree holds only mu, "
+                        "phi, idpow, sigmapow and conv")
         elif self.kind in _UNARY:
             require(n_ops == 1, f"{self.kind.value} takes one operand")
         else:
@@ -186,7 +181,9 @@ def parse_spec(text: str) -> FunctionSpec:
     A spec is a name from ``_SIMPLE_NAMES``; ``idpow:a``, ``sigmapow:a``
     or ``jordan:a``; or an operator with a fixed number of parameters,
     ``conv:f,g``, ``ptlog:f`` or ``ptpow:a,f``, whose operands are specs
-    in turn, to any depth up to ``MAX_NESTING``.  So
+    in turn, to any depth up to ``MAX_NESTING``; a ``conv`` tree holds
+    only ``mu``, ``phi``, ``idpow``, ``sigmapow`` and ``conv`` (so also
+    ``one``, ``id``, ``tau``, ``sigma`` and ``jordan``).  So
     ``conv:conv:mu,mu,idpow:0`` is (mu * mu) * 1, and
     ``parse_spec(spec.label()) == spec`` for every spec.
     """
@@ -224,7 +221,11 @@ def parse_spec(text: str) -> FunctionSpec:
         if name in _EXPONENT_FAMILIES:
             return _EXPONENT_FAMILIES[name](exponent(":"))
         if name == "conv":
-            return convolve(spec(":", depth + 1), spec(",", depth + 1))
+            f, g = spec(":", depth + 1), spec(",", depth + 1)
+            try:
+                return convolve(f, g)
+            except DomainError as exc:
+                fail(exc)
         if name == "ptlog":
             return pointwise_log_spec(spec(":", depth + 1))
         if name == "ptpow":
@@ -466,24 +467,33 @@ class Blocks:
         return out
 
 
-def _streams(spec: FunctionSpec) -> bool:
-    """n^a, Lambda and the multiplicative trees are built a block at a time."""
-    return (spec.kind is Kind.VON_MANGOLDT
-            or {s.kind for s in (spec, *_all_parts(spec))} <= _MULTIPLICATIVE)
+def _weighted_fill(spec: FunctionSpec, n: int):
+    """f(m) log m, f(m) m^a or tau(m) log(m) / 2 (divlog, the sum of
+    log d over the divisors d of m) on blocks: f's fill, then each m >= 1
+    weighted by one numpy operation."""
+    kind, a = spec.kind, spec.exponent
+    inner = _block_fill(TAU if kind is Kind.DIVISOR_LOG else spec.operands[0], n)
+    weigh = {Kind.POINTWISE_LOG: np.log, Kind.POINTWISE_POW: lambda m: m ** a,
+             Kind.DIVISOR_LOG: lambda m: np.log(m) / 2}[kind]
+
+    def fill(out: np.ndarray, lo: int) -> None:
+        inner(out, lo)
+        s = 1 - min(lo, 1)  # slot 0 keeps f's 0
+        out[s:] *= weigh(np.arange(lo + s, lo + len(out), dtype=np.float64))
+    return fill
 
 
 def _block_fill(spec: FunctionSpec, n: int):
-    """spec's fill on 0..n, prepared; read from its table if not streamed."""
+    """spec's fill on 0..n, prepared."""
     if spec.kind is Kind.ID_POW:
         return _power_fill(spec.exponent)
     if spec.kind is Kind.MOEBIUS:
         return _mobius_fill(n)
     if spec.kind is Kind.VON_MANGOLDT:
         return _von_mangoldt_fill(n)
-    if _streams(spec):
+    if spec.kind in _MULTIPLICATIVE:
         return _product_fill(spec, n)
-    values = sieve_values(spec, n)
-    return lambda out, lo: np.copyto(out, values[lo:lo + len(out)])
+    return _weighted_fill(spec, n)
 
 
 def blocks(spec: FunctionSpec, n: int) -> FunctionTable:
@@ -496,158 +506,34 @@ def blocks(spec: FunctionSpec, n: int) -> FunctionTable:
     return FunctionTable(spec, n, Blocks(_block_fill(spec, n)))
 
 
-def _divisor_weight_sieve(n: int, weight) -> np.ndarray:
-    """out[m] = sum_{d|m} weight(d), accumulated over pairs d <= m/d.
-
-    ``weight`` maps a divisor (scalar or int64 array) to its contribution;
-    the loop runs d up to sqrt(n) and credits both members of each divisor
-    pair, counting the square root of a perfect square once.  Each row of
-    cofactors l is taken in blocks of ``_BLOCK``, so the temporaries stay
-    small next to ``out`` (the d = 1 row whole would take three more
-    n-long arrays); every entry still gets the same one addition per d.
-    """
-    out = np.zeros(n + 1, dtype=np.float64)
-    for d in range(1, math.isqrt(n) + 1):
-        wd = weight(np.int64(d))
-        _add_blocked(out, d, d, n // d, lambda l: wd + weight(
-            np.arange(l.start, l.stop, dtype=np.int64)))
-        out[d * d] -= wd
-    return out
-
-
-def _add_blocked(out: np.ndarray, step: int, lo: int, end: int,
-                 terms) -> None:
-    """out[step * i] += terms(i) for i in lo..end, where ``terms`` maps a
-    slice of i to an array; the slices hold at most ``_BLOCK`` entries, so
-    no temporary is longer than a block."""
-    for b in range(lo, end + 1, _BLOCK):
-        e = min(b + _BLOCK, end + 1)
-        out[step * b:step * e:step] += terms(slice(b, e))
-
-
-def _divisor_pair_sum(fv: np.ndarray, n: int, term) -> np.ndarray:
-    """out[k] = sum_{d*l = k} term(d, l) for k <= n, added in ascending d.
-
-    ``term`` is called with one index an int and the other a slice (rows
-    d <= isqrt(n) against every l, then columns l <= n // (isqrt(n)+1)
-    against every d > isqrt(n), in descending l) and returns the pair
-    terms as an array.  Rows with fv[d] == 0 are skipped, so ``term`` must
-    vanish where fv does; the columns add those zeros, which leaves every
-    sum bit-unchanged for finite operands.  Each row and column is taken
-    in slices of ``_BLOCK`` (``_add_blocked``), so the temporaries stay
-    small next to ``out`` (the d = 1 row and the l = 1 column whole are
-    n-long); every entry still gets the same one addition per (d, l), in
-    the same order.
-    """
-    r = math.isqrt(n)
-    out = np.zeros(n + 1, dtype=np.float64)
-    for d in (np.nonzero(fv[1:r + 1])[0] + 1):
-        _add_blocked(out, d, 1, n // d, lambda l: term(d, l))
-    for l in range(n // (r + 1), 0, -1):
-        _add_blocked(out, l, r + 1, n // l, lambda d: term(d, l))
-    return out
-
-
-def _convolve_values(fv: np.ndarray, gv: np.ndarray, n: int) -> np.ndarray:
-    """(f*g)(k) = sum_{d|k} f(d) g(k/d) for k <= n, summed in ascending d.
-
-    d runs over the factor with fewer nonzero values among its first
-    ``_MIN_CAPACITY``.  The split loop is as fast either way, but the
-    choice fixes the summation order: the other order moves float results
-    in the last bits (conv:log,mu's).  Counting a fixed prefix, not all n
-    values, makes every build from ``_MIN_CAPACITY`` up pick the same
-    order.  Multiplicative trees are built from their prime powers instead.
-    """
-    w = min(n, _MIN_CAPACITY) + 1
-    if np.count_nonzero(gv[1:w]) < np.count_nonzero(fv[1:w]):
-        fv, gv = gv, fv
-    return _divisor_pair_sum(fv, n, lambda d, l: fv[d] * gv[l])
-
-
-def _overflows(a: float, n: int) -> bool:
-    return n > 1 and abs(a) * math.log(n) > _MAX_EXP_PRODUCT
-
-
 def _check_exponent(a: float, n: int) -> None:
-    if _overflows(a, n):
+    if n > 1 and abs(a) * math.log(n) > _MAX_EXP_PRODUCT:
         raise DomainError(f"exponent {a} overflows float64 at n_max={n}")
 
 
-def _all_parts(spec: FunctionSpec):
-    """Every operand sieved on the way to spec, once per use."""
-    for part in spec.operands:
-        yield part
-        yield from _all_parts(part)
-
-
 def _exponents(spec: FunctionSpec) -> list[float]:
-    """The exponent of spec and of every part sieved on the way to it."""
-    return [s.exponent for s in (spec, *_all_parts(spec))
-            if s.exponent is not None]
-
-
-def _sieve_values(spec: FunctionSpec, n: int) -> np.ndarray:
-    """spec's values on 0..n, each operand sieved for the build it is in."""
-    for a in _exponents(spec):
-        _check_exponent(a, n)
-    return _build_values(spec, n, lambda node: _sieve_values(node, n))
-
-
-def _build_values(spec: FunctionSpec, n: int, part) -> np.ndarray:
-    """spec's values on 0..n, taking the values of each of its operands
-    from ``part``."""
-    kind = spec.kind
-    if _streams(spec):
-        # a whole table is its blocks, written into one array
-        source = blocks(spec, n).values  # prepared before out is formed
-        out = np.empty(n + 1)
-        for lo in range(0, n + 1, _BLOCK):
-            source.fill(out[lo:lo + _BLOCK], lo)
-        return out
-    if kind is Kind.DIVISOR_LOG:
-        return _divisor_weight_sieve(
-            n, lambda v: np.log(np.asarray(v, dtype=np.float64)))
-    if kind is Kind.CONVOLVE:
-        fv, gv = map(part, spec.operands)
-        return _convolve_values(fv, gv, n)
-    if kind in _UNARY:
-        # the weights a block at a time, so no temporary is n long
-        weigh = (np.log if kind is Kind.POINTWISE_LOG
-                 else lambda m: m ** spec.exponent)
-        fv = part(spec.operands[0]).copy()
-        for lo in range(1, n + 1, _BLOCK):
-            hi = min(lo + _BLOCK, n + 1)
-            fv[lo:hi] *= weigh(np.arange(lo, hi, dtype=np.float64))
-        return fv
-    raise DomainError(f"cannot sieve {spec}")
+    """The exponents of spec's tree, in prefix order."""
+    own = [] if spec.exponent is None else [spec.exponent]
+    return own + [a for op in spec.operands for a in _exponents(op)]
 
 
 def sieve_values(spec: FunctionSpec, n_max: int) -> np.ndarray:
-    """Read-only value array for spec on 0..n_max (slot 0 is 0), built for
-    this call and freed with its last reference.
+    """Read-only value array for spec on 0..n_max (slot 0 is 0): the blocks
+    of ``blocks(spec, n_max)`` written into one array, built for this call
+    and freed with its last reference.
 
-    It is built at max(n_max, ``_MIN_CAPACITY``) and sliced: only the
-    convolution kernel needs that floor, as it picks its summation order
-    from its operands' first ``_MIN_CAPACITY`` values (conv:log,mu differs
-    at n = 6 below it).  Every other entry depends only on data at indices
-    <= its own and a product of prime powers takes each f(p) from one
-    expression, so the array is the first n_max + 1 entries of any larger
-    build bit for bit.  A spec that ``blocks`` streams is its blocks
-    written into the array: the peak is the array, what the blocks share
-    (O(pi(n_max)) floats) and a few blocks.
-    Every exponent in the spec's tree is checked against n_max; where the
-    larger size would overflow float64 and n_max does not, the array is
-    built at n_max.
+    No entry depends on n_max or the block (the product builder takes
+    each f(p) from one expression and multiplies in ascending p), so the
+    array is the first n_max + 1 entries of any larger build bit for bit.
+    What the blocks share is prepared before the array is allocated, so
+    the peak is the array, O(pi(n_max)) floats and a few blocks.
     """
-    n_max = cut(n_max)
-    for a in _exponents(spec):
-        _check_exponent(a, n_max)
-    size = max(n_max, _MIN_CAPACITY)
-    if any(_overflows(a, size) for a in _exponents(spec)):
-        size = n_max
-    vals = _sieve_values(spec, size)
-    vals.setflags(write=False)
-    return vals[:n_max + 1]
+    source = blocks(spec, n_max)
+    out = np.empty(source.n_max + 1)
+    for lo in range(0, len(out), _BLOCK):
+        source.values.fill(out[lo:lo + _BLOCK], lo)
+    out.setflags(write=False)
+    return out
 
 
 def sieve(spec: FunctionSpec, n_max: int) -> FunctionTable:
@@ -656,39 +542,21 @@ def sieve(spec: FunctionSpec, n_max: int) -> FunctionTable:
     return FunctionTable(spec, n_max, sieve_values(spec, n_max))
 
 
-def _derived(spec: FunctionSpec, n: int, *operands) -> FunctionTable:
-    """The table of spec on 1..n, built by ``_build_values`` from the given
-    operand values (in the order of ``spec.operands``) instead of sieves,
-    so ``dirichlet_convolve(sieve(f), sieve(g))`` is ``sieve(conv:f,g)``
-    (a multiplicative tree reads none; the kernel's from 1024 up).  An
-    operand given as a spec is sieved up to n only if the build reads it."""
-    given = iter(operands)
-
-    def part(_):
-        v = next(given)
-        return sieve_values(v, n) if isinstance(v, FunctionSpec) else v
-
-    vals = _build_values(spec, n, part)
-    vals.setflags(write=False)
-    return FunctionTable(spec, n, vals)
-
-
 def dirichlet_convolve(f: FunctionTable, g: FunctionTable) -> FunctionTable:
-    """Table of (f*g)(n) = sum_{d|n} f(d) g(n/d)."""
+    """Table of (f*g)(n) = sum_{d|n} f(d) g(n/d): ``sieve`` of its spec."""
     require(f.n_max == g.n_max,
             f"table sizes differ: {f.n_max} != {g.n_max}")
-    return _derived(convolve(f.spec, g.spec), f.n_max, f.values, g.values)
+    return sieve(convolve(f.spec, g.spec), f.n_max)
 
 
 def pointwise_log(f: FunctionTable) -> FunctionTable:
-    """Table of f(n) * log n."""
-    return _derived(pointwise_log_spec(f.spec), f.n_max, f.values)
+    """Table of f(n) * log n: ``sieve`` of its spec."""
+    return sieve(pointwise_log_spec(f.spec), f.n_max)
 
 
 def pointwise_power(f: FunctionTable, a: float) -> FunctionTable:
-    """Table of f(n) * n^a."""
-    _check_exponent(a, f.n_max)
-    return _derived(pointwise_pow_spec(f.spec, a), f.n_max, f.values)
+    """Table of f(n) * n^a: ``sieve`` of its spec."""
+    return sieve(pointwise_pow_spec(f.spec, a), f.n_max)
 
 
 def divisors_of(n: int) -> list[int]:

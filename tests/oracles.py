@@ -7,7 +7,11 @@ Euler's constant.
 
 The ``loop_*`` functions are the plain sieve loops (one Python iteration
 per divisor or prime up to n) that the production kernels replaced; the
-kernels must reproduce them bit for bit.  ``euclid_gather`` is likewise
+kernels must reproduce them bit for bit.  ``split_convolve`` and
+``split_identity_sum`` take the same divisor sums in about 2 sqrt(n)
+strided updates with the plain loop's bytes: the convolution oracle of
+the tables that are not products of prime powers, and the independent
+form of ``identity_sum_table``.  ``euclid_gather`` is likewise
 the Euclid-based gcd gather the per-k brute-force audits replaced, and
 ``loop_s_by_gcd`` and ``matrix_toth`` are those audits' per-k tables as
 they were before the divisor sieve: an O(tau(k)^2) divisibility scan and
@@ -39,7 +43,9 @@ _BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
 
 
 def naive_divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The divisors of n, ascending, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
 
 
 def naive_factorize(n: int) -> dict[int, int]:
@@ -218,17 +224,66 @@ def loop_convolve(fv: np.ndarray, gv: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def loop_identity_sum(fv: np.ndarray, gv: np.ndarray,
-                      log_fact: np.ndarray, n: int) -> np.ndarray:
-    """u(k) = sum_{d|k} f(d) (log d g(l) l + g(l) log l!), l = k/d."""
+# the split kernel: a plain divisor loop's bytes in about 2 sqrt(n) strided
+# updates, fast enough to be the product oracle of the sieved statistics
+# at 10^6; its row and column slices are at most this long
+_SPLIT_BLOCK = 1 << 16
+# the first values that ``split_convolve`` counts to pick its order
+_SPLIT_PREFIX = 1024
+
+
+def _add_blocked(out: np.ndarray, step: int, lo: int, end: int,
+                 terms) -> None:
+    """out[step * i] += terms(i) for i in lo..end, where ``terms`` maps a
+    slice of i to an array, ``_SPLIT_BLOCK`` entries at a time."""
+    for b in range(lo, end + 1, _SPLIT_BLOCK):
+        e = min(b + _SPLIT_BLOCK, end + 1)
+        out[step * b:step * e:step] += terms(slice(b, e))
+
+
+def divisor_pair_sum(fv: np.ndarray, n: int, term) -> np.ndarray:
+    """out[k] = sum_{d*l = k} term(d, l) for k <= n, added in ascending d.
+
+    ``term`` is called with one index an int and the other a slice: rows
+    d <= r = isqrt(n) against every l, then columns l <= n // (r+1)
+    against every d > r, in descending l.  Every pair d*l <= n has
+    d <= r or l <= n // (r+1), and each entry still adds its terms in
+    ascending d, the order of the plain divisor loop, so the float
+    results are bit-identical to it.  Rows with fv[d] == 0 are skipped,
+    so ``term`` must vanish where fv does; the columns add those zeros,
+    which leaves every sum bit-unchanged for finite operands.
+    """
+    r = math.isqrt(n)
+    out = np.zeros(n + 1, dtype=np.float64)
+    for d in (np.nonzero(fv[1:r + 1])[0] + 1):
+        _add_blocked(out, d, 1, n // d, lambda l: term(d, l))
+    for l in range(n // (r + 1), 0, -1):
+        _add_blocked(out, l, r + 1, n // l, lambda d: term(d, l))
+    return out
+
+
+def split_convolve(fv: np.ndarray, gv: np.ndarray, n: int) -> np.ndarray:
+    """(f*g)(k) for k <= n by ``divisor_pair_sum``, d over the operand with
+    fewer nonzero values among its first ``_SPLIT_PREFIX``: a fixed prefix,
+    so every build from there up adds in the same order."""
+    w = min(n, _SPLIT_PREFIX) + 1
+    if np.count_nonzero(gv[1:w]) < np.count_nonzero(fv[1:w]):
+        fv, gv = gv, fv
+    return divisor_pair_sum(fv, n, lambda d, l: fv[d] * gv[l])
+
+
+def split_identity_sum(fv: np.ndarray, gv: np.ndarray,
+                       log_fact: np.ndarray, n: int) -> np.ndarray:
+    """u(k) = sum_{d|k} f(d) (log d g(l) l + g(l) log l!), l = k/d, by
+    ``divisor_pair_sum``, the per-d log by ``math.log``."""
     larr = np.arange(n + 1, dtype=np.float64)
     g_id = gv[:n + 1] * larr
     g_lf = gv[:n + 1] * log_fact[:n + 1]
-    u = np.zeros(n + 1)
-    for d in (np.nonzero(fv[1:n + 1])[0] + 1):
-        m = n // d
-        u[d::d] += (fv[d] * math.log(d)) * g_id[1:m + 1] + fv[d] * g_lf[1:m + 1]
-    return u
+    f_log = np.zeros(n + 1)
+    f_log[1:] = fv[1:n + 1] * np.fromiter(map(math.log, range(1, n + 1)),
+                                          dtype=np.float64, count=n)
+    return divisor_pair_sum(
+        fv, n, lambda d, l: f_log[d] * g_id[l] + fv[d] * g_lf[l])
 
 
 def euclid_gather(values: np.ndarray, k: int) -> np.ndarray:

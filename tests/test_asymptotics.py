@@ -355,7 +355,7 @@ def test_exponent_refused_where_none_is_taken(monkeypatch, call):
     # an a handed to an entry that takes none is refused before any table
     from gcdsums import tables
     calls = []
-    monkeypatch.setattr(tables, "_sieve_values", lambda *a: calls.append(a))
+    monkeypatch.setattr(tables, "_block_fill", lambda *a: calls.append(a))
     with pytest.raises(DomainError, match="takes no exponent a"):
         call()
     assert calls == []
@@ -369,7 +369,7 @@ def test_divisor_sums_of_one_build_no_sieve(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"sieved {args}")
 
-    monkeypatch.setattr(tables, "_sieve_values", refuse)
+    monkeypatch.setattr(tables, "_block_fill", refuse)
     grid = standard_grid(1e3, 1e7, 9)
     for name in ("tau_over_n", "sigma_over_n", "divisor_log", "sigma_minus1",
                  "sigma_logne"):

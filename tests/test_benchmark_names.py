@@ -50,6 +50,11 @@ def test_traced_function_keeps_its_parameters(fn, params):
                for p in signature)
 
 
+def test_pair_counter_reads_identity_sum_table_locals():
+    # the divisor-pair counter reads these frame locals at the call
+    assert {"fv", "n"} <= set(identities.identity_sum_table.__code__.co_varnames)
+
+
 @pytest.mark.parametrize("module, name", _spanned(),
                          ids=lambda v: v.rpartition(".")[2])
 def test_spanned_name_is_a_plain_function(module, name):

@@ -45,7 +45,7 @@ from gcdsums.tables import (DIVISOR_LOG, ID, LOG, MU, ONE, PHI, SIGMA, TAU,
                             pointwise_pow_spec, sieve_values, sigma_pow)
 from gcdsums.zeta import constants
 
-from oracles import (fsum_mu_delta, whole_array_average_pairs,
+from oracles import (fsum_mu_delta, split_convolve, whole_array_average_pairs,
                      whole_array_mu_delta, whole_array_on_quotients,
                      whole_array_prefix, whole_array_rho, whole_array_stirling)
 
@@ -197,7 +197,7 @@ _TAU_N = [1, 2, 3, 4, 5, 1023, 1024, 1025, 999_999, 10 ** 6, 3_000_017,
 
 @pytest.fixture(scope="module")
 def tau_values():
-    return tables._sieve_values(TAU, max(_TAU_N))
+    return sieve_values(TAU, max(_TAU_N))
 
 
 @pytest.mark.parametrize("n", _TAU_N)
@@ -236,7 +236,9 @@ def test_u_partial_sum_equals_whole_array_form(k, f, g, s):
 
 
 # each statistic's spec at a = -0.5 and whether its terms are divided by m
-# (over_n) and weighted by log(m/e) (log_ratio), as ``_statistics`` defines it
+# (over_n) and weighted by log(m/e) (log_ratio), as ``_statistics`` defines
+# it; a product with Lambda, which no conv tree holds, as its two operands,
+# convolved by the oracle kernel
 _A = -0.5
 _PHI_M1 = jordan(-1.0)
 _STATISTIC_SUMS = {
@@ -252,10 +254,10 @@ _STATISTIC_SUMS = {
     "phi_over_n": (PHI, True, False),
     "tau_over_n": (TAU, True, False),
     "sigma_over_n": (SIGMA, True, False),
-    "id_lambda": (convolve(ID, VON_MANGOLDT), True, False),
-    "phi_lambda": (convolve(PHI, VON_MANGOLDT), True, False),
-    "idpow_lambda": (convolve(id_pow(1 + _A), VON_MANGOLDT), True, False),
-    "jordan_lambda": (convolve(jordan(1 + _A), VON_MANGOLDT), True, False),
+    "id_lambda": ((ID, VON_MANGOLDT), True, False),
+    "phi_lambda": ((PHI, VON_MANGOLDT), True, False),
+    "idpow_lambda": ((id_pow(1 + _A), VON_MANGOLDT), True, False),
+    "jordan_lambda": ((jordan(1 + _A), VON_MANGOLDT), True, False),
     "id_jordan_m1": (convolve(ID, _PHI_M1), True, False),
     "phi_jordan_m1": (convolve(PHI, _PHI_M1), True, False),
     "idpow_jordan_m1": (convolve(id_pow(1 + _A), _PHI_M1), True, False),
@@ -279,7 +281,9 @@ def _statistic(name):
     # n + 1 entries of a wider one
     top = max(_PREFIX_N)
     prefix = functools.cache(lambda: whole_array_prefix(
-        sieve_values(spec, top), top, over_n, log_ratio))
+        split_convolve(*(sieve_values(op, top) for op in spec), top)
+        if isinstance(spec, tuple) else sieve_values(spec, top),
+        top, over_n, log_ratio))
     return got, lambda n: float(prefix()[n])
 
 
@@ -424,7 +428,7 @@ def _build(text):
     """A sieve build: its peak is the result and the operands live at
     once, each part freed after its last use."""
     spec = tables.parse_spec(text)
-    return lambda: tables._sieve_values(spec, _N)
+    return lambda: tables.sieve_values(spec, _N)
 
 
 # the primes up to _N, which a product of prime powers and Lambda hold
@@ -453,9 +457,12 @@ _STAGES = {
                              6 * _PRIMES),
     # the result, counted and powered in place
     "build_idpow": (_build("idpow:0.5"), 1, 1, 0),
-    # the operand and the result, its copy weighted a block at a time
+    # the result, its operand's blocks weighted in place (declared as the
+    # former whole-table build, which held the operand and its copy)
     "build_ptlog_one": (_build("ptlog:one"), 2, 2, 0),
     "build_ptpow_mu": (_build("ptpow:0.5,mu"), 2, 2, 0),
+    # tau's product build, its blocks weighted by log(m) / 2 in place
+    "build_divlog": (_build("divlog"), 1, 2, 6 * _PRIMES),
     # the result, the primes in int64 with log p at each, a segment of
     # the bool prime sieve while they are listed, and 1 KB (128 floats) of
     # the arrays' headers

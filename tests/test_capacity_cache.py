@@ -21,7 +21,7 @@ from gcdsums import asymptotics, identities, series, stirling, tables
 from gcdsums.tables import parse_spec
 
 _WIDE = 1 << 20
-# around the smallest build size (1024), a block edge and above
+# around the Stirling seed (1024), a block edge and above
 _SIZES = [1, 6, 1023, 1024, 1025, 5000, 65537]
 
 
@@ -29,17 +29,15 @@ def _same_bytes(a, b):
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-# every kind; conv:log,mu is the one whose build below 1024 would round
-# differently (at n = 6), as its sparser operand changes with n; the
-# products of prime powers (phi, sigma_a and the conv trees of mu, phi,
+# every kind; the products of prime powers (phi, sigma_a and the conv trees of mu, phi,
 # id_a and sigma_a) take f(p) from one expression on both sides of
 # isqrt(n), so a prime that is large in a small build and small in a wide
 # one scales its multiples by the same bytes, and last in both
 @pytest.mark.parametrize("text", ["phi", "conv:id,phi", "jordan:0.5",
                                   "jordan:-1", "conv:jordan:0.5,mu",
                                   "conv:mu,mu", "mu", "idpow:-0.5", "lambda",
-                                  "sigmapow:-0.5", "divlog", "conv:log,mu",
-                                  "ptlog:phi", "ptpow:0.5,mu"])
+                                  "sigmapow:-0.5", "divlog", "ptlog:phi",
+                                  "ptpow:0.5,mu"])
 def test_sieve_slice_after_large_request(text):
     spec = parse_spec(text)
     wide = tables.sieve_values(spec, _WIDE)
@@ -52,11 +50,12 @@ def test_sieve_slice_after_large_request(text):
 
 
 _B = 1 << 16
-# every spec ``tables.blocks`` builds a block at a time, and the sizes
-# around one and two blocks
+# every kind ``tables.blocks`` builds, and the sizes around one and two
+# blocks
 _BLOCK_SPECS = ["mu", "lambda", "phi", "idpow:0.5", "idpow:-0.5",
                 "sigmapow:-0.5", "sigmapow:-1", "jordan:0.5", "jordan:-1",
-                "conv:mu,mu", "conv:phi,mu", "conv:jordan:0.5,mu"]
+                "conv:mu,mu", "conv:phi,mu", "conv:jordan:0.5,mu", "log",
+                "divlog", "ptlog:lambda", "ptpow:0.5,mu"]
 _BLOCK_N = [1, 2, _B - 1, _B, _B + 1, 2 * _B + 1, 10 ** 6 + 7]
 
 
@@ -117,19 +116,15 @@ def _recording(monkeypatch, name):
 @pytest.mark.parametrize("text", ["conv:jordan:0.5,mu", "conv:mu,mu"])
 def test_multiplicative_tree_builds_no_operand(monkeypatch, text):
     # built from its prime powers in one pass: no operand is sieved, mu
-    # (which the tree repeats) not even once, and the kernel never runs;
-    # the table derived from its operands' sieves has the same bytes
+    # (which the tree repeats) not even once
     spec = parse_spec(text)
     n = 5000
-    derived = G.dirichlet_convolve(*(G.sieve(op, n) for op in spec.operands))
     builds = _recording(monkeypatch, "_block_fill")
-    others = [_recording(monkeypatch, name) for name in
-              ("_convolve_values", "_primes_upto")]
-    got = tables.sieve_values(spec, n)
+    primes = _recording(monkeypatch, "_primes_upto")
+    tables.sieve_values(spec, n)
     assert builds == [(spec, n)]
     # the primes up to n are listed once, not once per block
-    assert others[0] == [] and others[1].count((n,)) == 1
-    assert _same_bytes(got, derived.values)
+    assert primes.count((n,)) == 1
 
 
 _GRID = [1e3, 7e3, 2e4]
@@ -150,25 +145,24 @@ def test_delta_corrected_scan_builds_each_table_once(monkeypatch, target, a,
     assert all(n == _GRID[-1] for _, n in calls)
 
 
-# each statistic that reads a sieved operand, at a = -0.5: the product
-# whose sum it is, and the operands it builds instead (id and id_{1+a}
-# are the count and l^a pairs of the g = 1 side, built by no sieve)
+# each statistic that reads a sieved operand, at a = -0.5: the operands
+# it builds in place of the product whose sum it is (id and id_{1+a} are
+# the count and l^a pairs of the g = 1 side, built by no sieve)
 _OPERANDS = {
-    "id_phi": ("conv:id,phi", ["phi"]),
-    "phi_phi": ("conv:phi,phi", ["phi"]),
-    "idpow_phi": ("conv:idpow:0.5,phi", ["phi"]),
-    "jordan_phi": ("conv:jordan:0.5,phi", ["jordan:0.5", "phi"]),
-    "jordan_over_n": ("jordan:0.5", ["mu"]),
-    "phi_over_n": ("phi", ["mu"]),
-    "id_lambda": ("conv:id,lambda", ["lambda"]),
-    "phi_lambda": ("conv:phi,lambda", ["phi", "lambda"]),
-    "idpow_lambda": ("conv:idpow:0.5,lambda", ["lambda"]),
-    "jordan_lambda": ("conv:jordan:0.5,lambda", ["jordan:0.5", "lambda"]),
-    "id_jordan_m1": ("conv:id,jordan:-1", ["jordan:-1"]),
-    "phi_jordan_m1": ("conv:phi,jordan:-1", ["phi", "jordan:-1"]),
-    "idpow_jordan_m1": ("conv:idpow:0.5,jordan:-1", ["jordan:-1"]),
-    "jordan_jordan_m1": ("conv:jordan:0.5,jordan:-1",
-                         ["jordan:0.5", "jordan:-1"]),
+    "id_phi": ["phi"],
+    "phi_phi": ["phi"],
+    "idpow_phi": ["phi"],
+    "jordan_phi": ["jordan:0.5", "phi"],
+    "jordan_over_n": ["mu"],
+    "phi_over_n": ["mu"],
+    "id_lambda": ["lambda"],
+    "phi_lambda": ["phi", "lambda"],
+    "idpow_lambda": ["lambda"],
+    "jordan_lambda": ["jordan:0.5", "lambda"],
+    "id_jordan_m1": ["jordan:-1"],
+    "phi_jordan_m1": ["phi", "jordan:-1"],
+    "idpow_jordan_m1": ["jordan:-1"],
+    "jordan_jordan_m1": ["jordan:0.5", "jordan:-1"],
 }
 
 
@@ -176,13 +170,11 @@ _OPERANDS = {
 def test_statistic_builds_its_operands_not_their_product(monkeypatch, name):
     # a hyperbola sum of its two operands: each sieved operand's blocks
     # prepared once, for the largest x, and the product never
-    product, operands = _OPERANDS[name]
     calls = _recording(monkeypatch, "_block_fill")
     t = asymptotics.STATISTICS[name]
     t.parts(_GRID, -0.5 if t.needs_a else None)
     built = [spec for spec, _ in calls]
-    assert parse_spec(product) not in built
-    assert built == [parse_spec(text) for text in operands]
+    assert built == [parse_spec(text) for text in _OPERANDS[name]]
     assert all(n == _GRID[-1] for _, n in calls)
 
 
@@ -199,19 +191,16 @@ def test_jordan_scan_sieves_no_mu(monkeypatch):
 
 @pytest.mark.parametrize("text", ["id", "phi", "idpow:0.5", "log"])
 def test_series_bracket_builds_f_mu_up_to_k(monkeypatch, text):
-    # f*mu is built up to K (1024 at least), not to f's range, and the
-    # bracket's lhs is the one from f*mu built over all of f; mu is sieved
-    # only for the kernel's log*mu, as a multiplicative f*mu is a product
-    # of prime powers that reads no operand
+    # f*mu is built up to K, not to f's range, and the bracket's lhs is
+    # the one from f*mu built over all of f; f*mu is one table, a product
+    # of prime powers or, for log, Lambda, so mu is never sieved
     spec = parse_spec(text)
+    f_mu = G.VON_MANGOLDT if text == "log" else tables.convolve(spec, G.MU)
     f = G.sieve(spec, 10 ** 5)
     whole = identities._with_mu(f, f.n_max)
     for k in (6, 100, 1000, 5000, 10 ** 5):
         calls = _recording(monkeypatch, "_block_fill")
         lhs = G.series_theta_bracket(f, 3.0, k).lhs
         monkeypatch.undo()
-        mus = [n for s, n in calls if s == G.MU]
-        assert mus == ([max(k, 1024)] if text == "log" else []), k
-        if text != "log":
-            assert calls == [(tables.convolve(spec, G.MU), max(k, 1024))]
+        assert calls == [(f_mu, k)], k
         assert lhs == series._u_partial_sum(whole, None, 3.0, k), k

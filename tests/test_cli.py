@@ -91,7 +91,7 @@ def _per_k_row(which, f, g, k):
 @pytest.mark.parametrize("which, f, g", [
     ("apostol", "id", "mu"), ("apostol", "one", "one"),
     ("apostol", "phi", "one"), ("apostol", "idpow:0.5", "mu"),
-    ("toth", "id", "mu"), ("cesaro", "id", "mu")])
+    ("toth", "id", "mu"), ("cesaro", "id", "mu"), ("cesaro", "log", "mu")])
 def test_identity_stdout_equals_per_k_rows(capsys, which, f, g):
     kmax = 300
     assert run_cli(["identity", "--which", which, "--kmax", str(kmax),
@@ -267,11 +267,22 @@ def test_sieve_size_rejected_before_any_sieve(monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize("text", ["conv:mu,idpow:x", "conv:mu", "ptpow:-1",
-                                  "mu,one", "idpow:", ""])
-def test_malformed_spec_exit_2(capsys, text):
+                                  "mu,one", "idpow:", "",
+                                  # a conv of a kind no conv tree holds
+                                  "conv:lambda,one", "conv:log,mu",
+                                  "conv:divlog,mu",
+                                  "conv:ptpow:-1,sigmapow:0,idpow:0"])
+def test_malformed_spec_exit_2(monkeypatch, capsys, text):
+    # refused while parsing: one error line naming the spec, nothing on
+    # stdout and no table prepared
+    from gcdsums import tables
+    calls = []
+    monkeypatch.setattr(tables, "_block_fill", lambda *a: calls.append(a))
     assert run_cli(["identity", "--f", text, "--kmax", "5"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("bad function spec") == 1 and "Traceback" not in err
+    out, err = capsys.readouterr()
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and f"bad function spec {text!r}" in errors[0]
+    assert out == "" and calls == [] and "Traceback" not in err
 
 
 def test_exponent_checked_at_the_requested_n(tmp_path, capsys):
@@ -282,12 +293,12 @@ def test_exponent_checked_at_the_requested_n(tmp_path, capsys):
     assert run_cli(["sieve", "--f", "idpow:60", "--nmax", "100000",
                     "--out", str(out)]) == 0
     spec = G.id_pow(60.0)
-    want = tables._sieve_values(spec, 100000)
+    want = tables.blocks(spec, 100000).values[0:100001]
     assert tables.sieve_values(spec, 100000).tobytes() == want.tobytes()
     assert np.array_equal(csvio.read_table_values(out), want)
     nested = G.convolve(spec, G.MU)
     assert (tables.sieve_values(nested, 100000).tobytes()
-            == tables._sieve_values(nested, 100000).tobytes())
+            == tables.blocks(nested, 100000).values[0:100001].tobytes())
     for text in ("idpow:60", "conv:mu,idpow:60"):
         assert run_cli(["sieve", "--f", text, "--nmax", "200000"]) == 2
         err = capsys.readouterr().err.splitlines()

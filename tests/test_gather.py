@@ -135,7 +135,7 @@ def test_per_k_functions_build_no_sieve(monkeypatch, catalog_tables):
         raise AssertionError(f"sieved {spec} at {n}")
 
     f, g = catalog_tables[0]
-    monkeypatch.setattr(tables, "_sieve_values", refuse)
+    monkeypatch.setattr(tables, "_block_fill", refuse)
     for k in SAMPLED_K:
         identities.apostol_log_sum_direct(f, g, k)
         identities.toth_identity(k)

@@ -1,18 +1,19 @@
-"""The sqrt-split sieve kernels against the plain loops they replaced.
+"""The sieve builders against the plain loops they replaced.
 
-Every kernel must reproduce its reference loop in ``oracles`` bit for
-bit (mu as the float64 cast of its loop's values), and every
-array ``sieve_values`` gives must equal the same entries of a wider
-build, and a build at its own size from 1024 up, by bytes.  The tables
-built from their prime powers (phi, sigma_a and the conv trees of mu,
-phi, id_a and sigma_a) must keep the bytes of the reference loops where
-their values are integers, and elsewhere come within a few ulps of
+mu, phi and Lambda must reproduce their reference loops in ``oracles``
+bit for bit (mu and phi as the float64 casts of their loops' values), the
+split oracle kernels their plain loops, and ``identity_sum_table`` the
+split form.  Every array ``sieve_values`` gives must equal the same
+entries of a wider build by bytes, and a pointwise weighting the whole
+array of its operand weighted at once.  The tables built from their prime
+powers (phi, sigma_a and the conv trees of mu, phi, id_a and sigma_a)
+must keep the bytes of the reference loops where their values are
+integers, and elsewhere come within a few ulps of
 ``oracles.factored_value``, no further than the convolution kernel.
 """
 
 import math
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,21 +25,23 @@ from gcdsums import identities, stirling, tables
 from gcdsums.errors import DomainError
 from gcdsums.tables import parse_spec
 
-from oracles import (factored_value, loop_convolve, loop_identity_sum,
-                     loop_mobius, loop_totient, loop_von_mangoldt,
-                     naive_mobius, naive_phi, row_divisor_weight_sieve,
-                     ulps_from)
+from oracles import (factored_value, loop_convolve, loop_mobius,
+                     loop_totient, loop_von_mangoldt, naive_mobius, naive_phi,
+                     naive_value, row_divisor_weight_sieve, split_convolve,
+                     split_identity_sum, ulps_from)
 
-_PRIMITIVES = ["one", "id", "mu", "phi", "lambda", "log", "tau", "sigma",
-               "divlog", "idpow:-0.5", "idpow:0.5", "sigmapow:-1",
-               "jordan:0.5", "jordan:-1"]
+# the primitives a conv tree may hold, and the others
+_MULTIPLICATIVE = ["one", "id", "mu", "phi", "tau", "sigma", "idpow:-0.5",
+                   "idpow:0.5", "sigmapow:-1", "jordan:0.5", "jordan:-1"]
+_PRIMITIVES = _MULTIPLICATIVE + ["lambda", "log", "divlog"]
 _EXPONENTS = st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0])
 _primitive = st.sampled_from(_PRIMITIVES)
-_conv = st.builds("conv:{},{}".format, _primitive, _primitive)
+_factor = st.sampled_from(_MULTIPLICATIVE)
+_conv = st.builds("conv:{},{}".format, _factor, _factor)
 _operand = st.one_of(_primitive, _conv)
 
-# the spec grammar: primitives, conv pairs of primitives, jordan:a and
-# pointwise log/power weightings of either
+# the spec grammar: primitives, conv pairs of the multiplicative ones,
+# jordan:a and pointwise log/power weightings of either
 grammar_specs = st.one_of(
     _primitive,
     _conv,
@@ -58,11 +61,19 @@ _PAIRS = [("id", "mu"), ("phi", "mu"), ("mu", "idpow:0.5"), ("one", "one"),
 
 
 def _reference_sieve(spec, n):
-    """``_sieve_values`` with the reference loop in place of the convolution
-    kernel; the block builders stay, checked against the loops and the
-    factored oracle below."""
-    with mock.patch.multiple(tables, _convolve_values=loop_convolve):
-        return tables._sieve_values(spec, n)
+    """spec's values with each pointwise weighting, and divlog's tau(m)
+    log(m) / 2, applied to its operand's whole array at once; the trees
+    below them from ``sieve_values``, whose builders the tests here check
+    against the loops and the factored oracle."""
+    weights = {tables.Kind.POINTWISE_LOG: np.log,
+               tables.Kind.POINTWISE_POW: lambda m: m ** spec.exponent,
+               tables.Kind.DIVISOR_LOG: lambda m: np.log(m) / 2}
+    if spec.kind not in weights:
+        return G.sieve_values(spec, n)
+    operand = G.TAU if spec.kind is tables.Kind.DIVISOR_LOG else spec.operands[0]
+    fv = _reference_sieve(operand, n).copy()
+    fv[1:] *= weights[spec.kind](np.arange(1, n + 1, dtype=np.float64))
+    return fv
 
 
 def _same_bytes(a, b):
@@ -71,24 +82,24 @@ def _same_bytes(a, b):
 
 @pytest.mark.parametrize("n", KERNEL_SIZES)
 def test_kernels_match_reference_loops(n):
-    mu, phi = tables._sieve_values(G.MU, n), tables._sieve_values(G.PHI, n)
+    mu, phi = G.sieve_values(G.MU, n), G.sieve_values(G.PHI, n)
     assert _same_bytes(mu, loop_mobius(n).astype(np.float64))
     assert _same_bytes(phi, loop_totient(n).astype(np.float64))
     lf = G.log_factorial_table(n).log_factorial
     for f, g in _PAIRS:
-        fv = tables._sieve_values(parse_spec(f), n)
-        gv = tables._sieve_values(parse_spec(g), n)
-        assert _same_bytes(tables._convolve_values(fv, gv, n),
+        fv = G.sieve_values(parse_spec(f), n)
+        gv = G.sieve_values(parse_spec(g), n)
+        assert _same_bytes(split_convolve(fv, gv, n),
                            loop_convolve(fv, gv, n)), (f, g)
         assert _same_bytes(identities.identity_sum_table(fv, gv, lf, n),
-                           loop_identity_sum(fv, gv, lf, n)), (f, g)
+                           split_identity_sum(fv, gv, lf, n)), (f, g)
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 1024, 65537, 10 ** 6])
 def test_von_mangoldt_equals_per_prime_loop(n):
     # log p set at every prime at once, the higher powers from the
     # p <= isqrt(n) only; math.log keeps the loop's bytes
-    assert _same_bytes(tables._sieve_values(G.VON_MANGOLDT, n),
+    assert _same_bytes(G.sieve_values(G.VON_MANGOLDT, n),
                        loop_von_mangoldt(n))
 
 
@@ -97,7 +108,7 @@ def test_totient_dtype_holds_every_sieve_size():
     # so is every partial product of its factors phi(p^e): float64 holds
     # each exactly
     assert tables.MAX_SIEVE < 2 ** 53
-    assert tables._sieve_values(G.PHI, 1).dtype == np.float64
+    assert G.sieve_values(G.PHI, 1).dtype == np.float64
 
 
 def test_mobius_and_totient_sieves_match_naive():
@@ -105,8 +116,8 @@ def test_mobius_and_totient_sieves_match_naive():
     mu = np.array([0] + [naive_mobius(k) for k in range(1, n_max + 1)])
     phi = np.array([0] + [naive_phi(k) for k in range(1, n_max + 1)])
     for n in range(1, n_max + 1):
-        assert np.array_equal(tables._sieve_values(G.MU, n), mu[:n + 1]), n
-        assert np.array_equal(tables._sieve_values(G.PHI, n), phi[:n + 1]), n
+        assert np.array_equal(G.sieve_values(G.MU, n), mu[:n + 1]), n
+        assert np.array_equal(G.sieve_values(G.PHI, n), phi[:n + 1]), n
 
 
 def _integer_references(n):
@@ -128,7 +139,7 @@ def test_integer_products_equal_reference_loops(n):
     # exact integers below 2^53 either way, so equal by bytes (no -0.0
     # where a zero factor meets a negative one)
     for text, want in _integer_references(n).items():
-        got = tables._sieve_values(parse_spec(text), n)
+        got = G.sieve_values(parse_spec(text), n)
         assert _same_bytes(got, want), text
 
 
@@ -142,15 +153,15 @@ def test_integer_products_equal_factored_oracle():
 
 def _kernel_values(spec, n):
     """A multiplicative tree as the former builds made it: each conv by the
-    convolution kernel, sigma_a by the divisor-weight loop."""
+    split convolution kernel, sigma_a by the divisor-weight loop."""
     if spec.kind is tables.Kind.CONVOLVE:
         fv, gv = (_kernel_values(op, n) for op in spec.operands)
-        return tables._convolve_values(fv, gv, n)
+        return split_convolve(fv, gv, n)
     if spec.kind is tables.Kind.SIGMA_POW:
         a = spec.exponent
         return row_divisor_weight_sieve(
             n, lambda v: np.asarray(v, dtype=np.float64) ** a, np.float64)
-    return tables._sieve_values(spec, n)
+    return G.sieve_values(spec, n)
 
 
 # fixed-seed n <= 10^6 and every n below 200; each table's error against
@@ -171,7 +182,7 @@ _ULP_SAMPLE = sorted(set(range(2, 200)) | {
                                   "sigmapow:-1"])
 def test_float_products_within_ulps_of_factored_oracle(text):
     spec = parse_spec(text)
-    got = tables._sieve_values(spec, _ULP_N)
+    got = G.sieve_values(spec, _ULP_N)
     kernel = _kernel_values(spec, _ULP_N)
     exact = [factored_value(spec, m) for m in _ULP_SAMPLE]
     ulps, kernel_ulps = (
@@ -183,10 +194,19 @@ def test_float_products_within_ulps_of_factored_oracle(text):
     assert ulps.mean() <= mean_ratio * kernel_ulps.mean()
 
 
+def test_divlog_within_2_ulps_of_divisor_fsum():
+    # tau(m) log(m) / 2 from tau's blocks against the fsum of log d over
+    # the divisors d of m (measured at most 1 ulp)
+    got = G.sieve_values(G.DIVISOR_LOG, _ULP_N)
+    for m in _ULP_SAMPLE:
+        want = naive_value("divlog", m)
+        assert abs(got[m] - want) <= 2 * np.spacing(want), m
+
+
 @settings(max_examples=60, deadline=None)
 @given(grammar_specs, st.integers(min_value=1, max_value=4096))
 def test_grammar_sieves_match_reference_loops(spec, n):
-    assert _same_bytes(tables._sieve_values(spec, n), _reference_sieve(spec, n))
+    assert _same_bytes(G.sieve_values(spec, n), _reference_sieve(spec, n))
 
 
 @settings(max_examples=40, deadline=None)
@@ -196,16 +216,15 @@ def test_identity_sum_table_matches_reference_loop(f_spec, g_spec, n):
     gv = tables.sieve_values(g_spec, n)
     lf = G.log_factorial_table(n).log_factorial
     assert _same_bytes(identities.identity_sum_table(fv, gv, lf, n),
-                       loop_identity_sum(fv, gv, lf, n))
+                       split_identity_sum(fv, gv, lf, n))
 
 
 @settings(max_examples=80, deadline=None)
 @given(grammar_specs, st.integers(min_value=1, max_value=4096))
 def test_cached_slice_is_bit_identical(spec, n):
     got = tables.sieve_values(spec, n)
-    assert _same_bytes(got, tables._sieve_values(spec, 4096)[:n + 1])
-    if n >= tables._MIN_CAPACITY:
-        assert _same_bytes(got, tables._sieve_values(spec, n))
+    assert _same_bytes(got, G.sieve_values(spec, 4096)[:n + 1])
+    assert _same_bytes(got, tables.blocks(spec, 4096).values[0:n + 1])
 
 
 def _direct_stirling(l_max):
@@ -216,8 +235,8 @@ def _direct_stirling(l_max):
     return stirling.StirlingTable(l_max, *rows)
 
 
-@pytest.mark.parametrize("l_max", [1, 7, 1023, 1024, 1025, 5000,
-                                   4 * 4096 + 1])
+@pytest.mark.parametrize("l_max", [1, 7, stirling.SEED - 1, stirling.SEED,
+                                   stirling.SEED + 1, 5000, 4 * 4096 + 1])
 def test_stirling_slice_matches_direct_build(l_max):
     direct = _direct_stirling(l_max)
     table = G.log_factorial_table(l_max)

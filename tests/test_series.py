@@ -9,6 +9,7 @@ from gcdsums.errors import DomainError
 from gcdsums.series import (dirichlet_partial_sum, log_factorial_partial_sum,
                             mu_series_report, series_identity_compare,
                             series_theta_bracket)
+from gcdsums.tables import blocks
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +107,16 @@ def test_theta_bracket_phi_one(tables):
     assert b.hi - b.lo == pytest.approx(span + 2 * b.allowance, rel=1e-12)
     with pytest.raises(DomainError):
         series_theta_bracket(tables["id"], 2.0, 100)
+
+
+@pytest.mark.parametrize("k", [1, 6, 100, 1000, 10 ** 4])
+def test_theta_bracket_of_log_reads_lambda(k):
+    # log * mu is Lambda: the bracket's lhs for f = log is the one from
+    # Lambda's blocks up to K, and the bracket still contains it
+    b = series_theta_bracket(G.sieve(G.LOG, 10 ** 4), 3.0, k)
+    lam = blocks(G.VON_MANGOLDT, k)
+    assert b.lhs == series._u_partial_sum(lam, None, 3.0, k)
+    assert b.contains
 
 
 def test_mu_series_report(tables):

@@ -47,11 +47,11 @@ def test_theta_against_log_gamma_oracle():
 
 
 def test_rho_within_one_ulp_at_the_seam_and_far_out():
-    # the recurrence below _MIN_CAPACITY meets the series at 1024
+    # the recurrence below stirling.SEED meets the series there
     mpmath = pytest.importorskip("mpmath")
     t = G.log_factorial_table(1 << 20)
     with mpmath.workdps(50):
-        for l in (1023, 1024, 1025, 1 << 20):
+        for l in (stirling.SEED - 1, stirling.SEED, stirling.SEED + 1, 1 << 20):
             exact = (mpmath.loggamma(l + 1) - l * mpmath.log(l) + l
                      - mpmath.log(l) / 2 - mpmath.log(2 * mpmath.pi) / 2)
             ulp = np.spacing(float(exact))
@@ -60,7 +60,7 @@ def test_rho_within_one_ulp_at_the_seam_and_far_out():
 
 def test_theta_range_from_the_series():
     # no table: the series alone reaches l where float64 theta hits 1
-    l = np.array([1024, 10 ** 6, 2 * 10 ** 7])
+    l = np.array([stirling.SEED, 10 ** 6, 2 * 10 ** 7])
     rho = stirling._remainder_series(l)
     theta = (12 * l * rho).astype(np.float64)
     assert np.all(rho > 0)

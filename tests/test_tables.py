@@ -10,7 +10,7 @@ from gcdsums.errors import DomainError
 from gcdsums.tables import (MAX_NESTING, Kind, parse_spec, pointwise_log_spec,
                             pointwise_pow_spec)
 
-from oracles import naive_value
+from oracles import naive_value, split_convolve
 
 RTOL = 1e-12
 
@@ -102,25 +102,27 @@ def test_convolution_identities():
     assert e[1] == 1.0 and np.all(e[2:] == 0.0)
 
     pairs = [
-        (G.dirichlet_convolve(mu, idt), G.sieve(G.PHI, n)),
-        (G.dirichlet_convolve(mu, ida), G.sieve(G.jordan(-0.5), n)),
-        (G.dirichlet_convolve(one, ida), G.sieve(G.sigma_pow(-0.5), n)),
-        (G.dirichlet_convolve(mu, log), G.sieve(G.VON_MANGOLDT, n)),
-        (G.dirichlet_convolve(one, log), G.sieve(G.DIVISOR_LOG, n)),
+        (G.dirichlet_convolve(mu, idt).values, G.sieve(G.PHI, n)),
+        (G.dirichlet_convolve(mu, ida).values, G.sieve(G.jordan(-0.5), n)),
+        (G.dirichlet_convolve(one, ida).values, G.sieve(G.sigma_pow(-0.5), n)),
+        # log is no product of prime powers: its convolutions are refused,
+        # and the oracle kernel takes them
+        (split_convolve(mu.values, log.values, n), G.sieve(G.VON_MANGOLDT, n)),
+        (split_convolve(one.values, log.values, n), G.sieve(G.DIVISOR_LOG, n)),
     ]
     for built, direct in pairs:
-        gap = np.abs(built.values - direct.values)
-        assert np.all(gap <= RTOL * (1.0 + np.abs(direct.values))), built.spec
+        gap = np.abs(built - direct.values)
+        assert np.all(gap <= RTOL * (1.0 + np.abs(direct.values))), direct.spec
+    for f in (mu, one):
+        with pytest.raises(DomainError, match="cannot convolve ptlog"):
+            G.dirichlet_convolve(f, log)
 
 
 @pytest.mark.parametrize("n", [1, 6, 100, 1023, 1024, 5000])
 def test_derived_convolution_equals_sieve_of_its_spec(n):
-    # a product of prime powers reads no operand, so at any n; the kernel
-    # picks its order from the first 1024 values, so from 1024 up
+    # a product of prime powers reads no operand, so at any n
     pairs = [("mu", "mu"), ("phi", "mu"), ("jordan:0.5", "mu"),
              ("mu", "idpow:-0.5"), ("sigmapow:-1", "id")]
-    if n >= 1024:
-        pairs += [("log", "mu"), ("lambda", "idpow:0.5")]
     for f, g in pairs:
         derived = G.dirichlet_convolve(G.sieve(parse_spec(f), n),
                                        G.sieve(parse_spec(g), n))
@@ -173,8 +175,8 @@ def test_multiplicativity_spot_check():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["mu", "one", "id", "tau", "lambda"]),
-       st.sampled_from(["one", "id", "log", "idpow:-0.5"]),
+@given(st.sampled_from(["mu", "one", "id", "tau", "phi"]),
+       st.sampled_from(["one", "id", "sigma", "idpow:-0.5"]),
        st.sampled_from(["one", "mu", "phi"]))
 def test_convolution_associativity(fa, fb, fc):
     n = 120
@@ -189,23 +191,33 @@ def test_convolution_associativity(fa, fb, fc):
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-def _specs(depth):
-    """Spec trees at most depth deep, from every constructor and name."""
+def _factors(depth):
+    """Trees at most depth deep that a conv may hold: mu, phi, idpow,
+    sigmapow and conv of these."""
     leaves = st.one_of(
-        st.sampled_from([G.MU, G.PHI, G.VON_MANGOLDT, G.DIVISOR_LOG, G.ONE,
-                         G.ID, G.TAU, G.SIGMA]),
+        st.sampled_from([G.MU, G.PHI, G.ONE, G.ID, G.TAU, G.SIGMA]),
         st.builds(G.id_pow, _FINITE), st.builds(G.sigma_pow, _FINITE))
     if depth == 1:
         return leaves
+    inner = _factors(depth - 1)
+    return st.one_of(leaves, st.builds(G.jordan, _FINITE),
+                     st.builds(G.convolve, inner, inner))
+
+
+def _specs(depth):
+    """Spec trees at most depth deep, from every constructor and name."""
+    leaves = st.one_of(_factors(1),
+                       st.sampled_from([G.VON_MANGOLDT, G.DIVISOR_LOG]))
+    if depth == 1:
+        return leaves
     inner = _specs(depth - 1)
-    return st.one_of(leaves, st.just(G.LOG), st.builds(G.jordan, _FINITE),
-                     st.builds(G.convolve, inner, inner),
+    return st.one_of(leaves, st.just(G.LOG), _factors(depth),
                      st.builds(pointwise_log_spec, inner),
                      st.builds(pointwise_pow_spec, inner, _FINITE))
 
 
 @settings(max_examples=300, deadline=None)
-@example(G.convolve(pointwise_pow_spec(G.TAU, -1.0), G.ONE))
+@example(pointwise_pow_spec(G.convolve(G.TAU, G.ONE), -1.0))
 @example(G.convolve(G.convolve(G.MU, G.MU), G.ONE))
 @example(G.id_pow(0.1234567))
 @given(_specs(MAX_NESTING))
@@ -221,8 +233,8 @@ def test_named_functions_are_family_members():
     assert [G.ID, G.SIGMA, G.LOG, G.jordan(0.5)] == list(named.values())
     for text, spec in named.items():
         assert parse_spec(text) == spec
-    labels = {"conv:ptpow:-1,sigmapow:0,idpow:0":
-              G.convolve(pointwise_pow_spec(G.TAU, -1.0), G.ONE),
+    labels = {"ptpow:-1,conv:sigmapow:0,idpow:0":
+              pointwise_pow_spec(G.convolve(G.TAU, G.ONE), -1.0),
               "conv:conv:mu,mu,idpow:0": G.convolve(G.convolve(G.MU, G.MU), G.ONE),
               "conv:conv:mu,idpow:0.5,mu": parse_spec("conv:jordan:0.5,mu"),
               "idpow:0.1234567": G.id_pow(0.1234567)}
@@ -244,6 +256,20 @@ def test_spec_validation_errors():
     deep = G.convolve(G.convolve(G.convolve(G.MU, G.ONE), G.ONE), G.ONE)
     with pytest.raises(DomainError):
         G.convolve(deep, G.ONE)  # nesting depth 5
+
+
+@pytest.mark.parametrize("operand", [
+    G.VON_MANGOLDT, G.LOG, G.DIVISOR_LOG, pointwise_pow_spec(G.TAU, -1.0),
+    pointwise_log_spec(G.PHI)], ids=str)
+def test_conv_of_other_kinds_refused(operand):
+    # a conv tree holds only kinds whose tables are products of prime
+    # powers; any other operand, on either side, is refused when the spec
+    # is formed, naming it
+    for make in (lambda: G.convolve(operand, G.MU),
+                 lambda: G.convolve(G.ONE, operand),
+                 lambda: G.convolve(G.convolve(operand, G.MU), G.MU)):
+        with pytest.raises(DomainError, match=f"cannot convolve {operand}"):
+            make()
 
 
 def test_convolve_size_mismatch():
@@ -270,17 +296,14 @@ def _traced_peak(build):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("weight", [
-    lambda v: np.asarray(v, dtype=np.float64),
-    lambda v: np.log(np.asarray(v, dtype=np.float64)),
-    lambda v: np.ones_like(v, dtype=np.float64),
-], ids=["sigma", "divlog", "tau"])
-def test_divisor_weight_sieve_peak_near_its_result(weight):
-    # rows go in blocks: taking the d = 1 row whole peaked at 3x the result
-    # (divlog is its one build; sigma_a is a product of prime powers)
-    from gcdsums import tables
-    out, peak = _traced_peak(
-        lambda: tables._divisor_weight_sieve(1 << 20, weight))
+@pytest.mark.parametrize("spec", [G.SIGMA, G.DIVISOR_LOG, G.TAU],
+                         ids=["sigma", "divlog", "tau"])
+def test_divisor_weight_sieve_peak_near_its_result(spec):
+    # the divisor-weight tables, written from their blocks (divlog weighs
+    # tau's): the result, what the blocks share and a few blocks; the
+    # former row sieve peaked at 3x the result before its rows were
+    # blocked
+    out, peak = _traced_peak(lambda: G.sieve_values(spec, 1 << 20))
     assert peak < 1.5 * out.nbytes
 
 
@@ -288,7 +311,8 @@ def test_divisor_weight_sieve_peak_near_its_result(weight):
 # a product of prime powers holds the result, the primes, its factors at
 # the primes above isqrt(n) and a few blocks (1.32); lambda the result,
 # the bool prime sieve and the primes twice (1.16); a pointwise weighting
-# its operand and its copy, weighted a block at a time (2.00)
+# the result, what its operand's blocks share and a few blocks (1.13; it
+# held its operand and a copy, 2.00, when it weighed a whole table)
 @pytest.mark.parametrize("text, results", [
     ("phi", 1.5), ("sigmapow:-0.5", 1.5), ("conv:mu,mu", 1.5),
     ("conv:jordan:0.5,mu", 1.5), ("lambda", 1.25), ("ptlog:one", 2.1),
@@ -296,25 +320,32 @@ def test_divisor_weight_sieve_peak_near_its_result(weight):
 def test_sieve_build_peak_near_its_result(text, results):
     from gcdsums import tables
     spec = parse_spec(text)
-    out, peak = _traced_peak(lambda: tables._sieve_values(spec, 1 << 20))
+    out, peak = _traced_peak(lambda: tables.sieve_values(spec, 1 << 20))
     assert peak < results * out.nbytes
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 1000, 1 << 16, (1 << 16) + 1,
                                (1 << 17) + 5])
 def test_blocked_divisor_weight_sieve_equals_whole_rows(n):
-    # n = 2^17 + 5 puts the rows of d = 1 and d = 2 over one block
-    from gcdsums import tables
+    # the divisor-weight tables, built a block at a time, against the sums
+    # of whole rows of divisor pairs: tau and sigma (integer weights summed
+    # in int64 rows, cast once) by bytes, sigma_{-1/2} and divlog (float
+    # terms, each row rounding once per divisor) within 1e-13 relative;
+    # n = 2^17 + 5 spans two blocks
     from oracles import row_divisor_weight_sieve
-    weights = [(lambda v: np.ones_like(v), np.int64),
-               (lambda v: v, np.int64),
-               (lambda v: np.asarray(v, dtype=np.float64) ** -0.5, np.float64),
-               (lambda v: np.log(np.asarray(v, dtype=np.float64)), np.float64)]
-    for weight, dtype in weights:
-        got = tables._divisor_weight_sieve(n, weight)
-        # the integer weights summed in int64 rows, cast once
+    weights = [(G.TAU, lambda v: np.ones_like(v), np.int64),
+               (G.SIGMA, lambda v: v, np.int64),
+               (G.sigma_pow(-0.5),
+                lambda v: np.asarray(v, dtype=np.float64) ** -0.5, np.float64),
+               (G.DIVISOR_LOG,
+                lambda v: np.log(np.asarray(v, dtype=np.float64)), np.float64)]
+    for spec, weight, dtype in weights:
+        got = G.sieve_values(spec, n)
         want = row_divisor_weight_sieve(n, weight, dtype).astype(np.float64)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        if dtype is np.int64:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        else:
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), spec
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 1 << 16, (1 << 16) + 1,
@@ -338,5 +369,5 @@ def test_one_and_tau_builds_equal_their_former_sieves(n):
               (G.ID, np.arange(n + 1, dtype=np.float64)),
               (G.SIGMA, sigma.astype(np.float64)), (G.LOG, log)]
     for spec, want in former:
-        got = tables._sieve_values(spec, n)
+        got = tables.sieve_values(spec, n)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), spec
