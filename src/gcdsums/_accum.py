@@ -7,6 +7,8 @@ summation) is kept in a single place:
 - ``np.dot`` / ``np.sum`` already use pairwise blocking,
 - long running prefix sums are done in ``np.longdouble`` and rounded once;
   the exact sides keep them at the quotients n // i (``quotient_prefixes``),
+  a block at a time: a pass owns its block buffers, allocated once and
+  freed when it ends, and nothing is cached between passes,
 - a prefix of a smooth weight past a table (the g = 1 side of
   ``identities._average_pairs``) is the table's longdouble sum P(t) plus
   a longdouble closed form Phi(v) - Phi(t), rounded once
@@ -32,20 +34,40 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b))
 
 
-def running_sum(block: np.ndarray, total) -> np.ndarray:
+def running_sum(block: np.ndarray, total, out: np.ndarray) -> np.ndarray:
     """block's cumulative sums in longdouble, seeded with ``total`` (the
-    sum of everything before it).  Chained over consecutive blocks, with
-    each result's last entry as the next total, these make the same
-    additions in the same order as one longdouble ``np.cumsum``."""
-    sums = block.astype(np.longdouble)
+    sum of everything before it), in the head of out, a longdouble buffer
+    of the caller's.  Chained over consecutive blocks, with each result's
+    last entry as the next total, these make the same additions in the
+    same order as one longdouble ``np.cumsum``."""
+    sums = out[:len(block)]
+    sums[:] = block
     sums[0] += total
     return np.cumsum(sums, out=sums)
 
 
-def block_of(values: np.ndarray | None, lo: int, hi: int) -> np.ndarray:
-    """values[lo:hi], or for values None (the constant 1) a block of ones,
-    which makes the same products as a slice of the ONE sieve."""
-    return np.ones(hi - lo) if values is None else values[lo:hi]
+def ramp(out: np.ndarray, lo: int) -> np.ndarray:
+    """lo, lo + 1, ... written into out, exactly and with no temporary:
+    each step adds k to the first k entries, into the next k."""
+    out[:1] = lo
+    k = 1
+    while k < len(out):
+        head = out[k:2 * k]
+        np.add(out[:len(head)], k, out=head)
+        k *= 2
+    return out
+
+
+def block_of(values, lo: int, out: np.ndarray) -> np.ndarray:
+    """values[lo:lo + len(out)] in out, from ``tables.Blocks``, an array,
+    or None, the constant 1: ones make the products of the ONE sieve."""
+    if values is None:
+        out.fill(1.0)
+    elif isinstance(values, np.ndarray):
+        out[:] = values[lo:lo + len(out)]
+    else:
+        values.fill(out, lo)
+    return out
 
 
 def prefix_with_zero(values: np.ndarray) -> np.ndarray:
@@ -57,9 +79,9 @@ def prefix_with_zero(values: np.ndarray) -> np.ndarray:
     """
     out = np.empty(len(values), dtype=np.float64)
     out[0] = 0.0
-    total = np.longdouble(0.0)
+    total, buf = np.longdouble(0.0), np.empty(min(_BLOCK, len(values)), np.longdouble)
     for lo in range(1, len(values), _BLOCK):
-        sums = running_sum(values[lo:lo + _BLOCK], total)
+        sums = running_sum(values[lo:lo + _BLOCK], total, buf)
         out[lo:lo + len(sums)] = sums
         total = sums[-1]
     return out
@@ -95,7 +117,7 @@ def _one_pass(weights, ns: list[int]) -> list[list]:
     n's quotients as its blocks pass."""
     rs = [math.isqrt(n) for n in ns]
     pairs = [[] for _ in ns]  # per n, per weight: (lo, hi)
-    totals = []
+    totals, buf = [], np.empty(_BLOCK, np.longdouble)
     for start in range(1, ns[-1] + 1, _BLOCK):
         stop = min(start + _BLOCK, ns[-1] + 1)
         # hi[d] = P(n // d) for the d <= r with n // d in [start, stop)
@@ -106,7 +128,7 @@ def _one_pass(weights, ns: list[int]) -> list[list]:
                 totals.append(np.longdouble(0.0))
                 for p, r in zip(pairs, rs):
                     p.append((np.zeros(r + 1), np.empty(r + 1)))
-            sums = running_sum(block, totals[k])
+            sums = running_sum(block, totals[k], buf)
             totals[k] = sums[-1]
             for p, n, r, d_lo, d_hi in live:
                 lo, hi = p[k]
@@ -117,7 +139,6 @@ def _one_pass(weights, ns: list[int]) -> list[list]:
                                              - start]
                 if n < stop:
                     hi[0] = sums[n - start]
-            del block, sums  # before the next block is formed
     return pairs
 
 
@@ -133,10 +154,11 @@ def quotient_prefixes(weights, ns):
     each n of ns in turn, the list of its pairs, one per weight; a
     repeated n yields the same list again.  Each weight's running sums
     are chained with ``running_sum`` and sampled at the quotients of every
-    n as its blocks pass; a block and its sums are released before the
-    next one is formed.  So a pass holds one weight's block, its
-    longdouble sums and sum 2 (isqrt(n) + 1) floats per weight over its
-    run, at most max(ns) + 1, never a whole prefix.  The running sums do
+    n as its blocks pass.  Each array is read before the next is asked
+    for, so ``weights`` may write them all into buffers of its own, and
+    the sums go into one longdouble buffer of the pass's.  So a pass holds
+    these and sum 2 (isqrt(n) + 1) floats per weight over its run, at most
+    max(ns) + 1, never a whole prefix.  The running sums do
     not depend on n, so each pair equals ``prefix_with_zero`` sampled at
     the quotients of its n, bit for bit, and the pass over a grid gives
     the bytes of the passes over its points one at a time.

@@ -39,25 +39,33 @@ from pathlib import Path
 
 import numpy as np
 
-from ._accum import _BLOCK, dot, fsum, hyperbola_sum, quotient_prefixes
+from ._accum import (_BLOCK, block_of, dot, fsum, hyperbola_sum,
+                     quotient_prefixes, ramp)
 from .errors import DomainError, require
 from .identities import (_one_pairs, apostol_log_average_grid,
                          apostol_log_average_terms)
 from .stirling import THETA_HI, THETA_LO
-from .tables import (ID, MU, ONE, PHI, VON_MANGOLDT, blocks, convolve, cut,
-                     id_pow, jordan, sieve_values, sigma_pow)
+from .tables import (ID, MU, ONE, PHI, VON_MANGOLDT, _primes_upto, blocks,
+                     convolve, cut, id_pow, jordan, sieve_values, sigma_pow)
 from .zeta import LOG_SQRT_2PI, constants
 
 
 def _quotient_sums(values, ns, weigh):
     """The ``on_quotients`` pair at each n of ns (ascending) of ``values``
-    (an array or ``tables.Blocks``) weighted by ``weigh`` (a function of a
-    block of values and its m as float64, which it may overwrite), as
+    (an array or ``tables.Blocks``) weighted by ``weigh`` (an elementwise
+    function of values and their m as float64, which it may overwrite), as
     ``quotient_prefixes`` yields it; hi[0] of a pair is the sum over
-    m <= n.  One blocked pass over the values per run of ``_runs``; no
-    n-length array is formed."""
+    m <= n.  One blocked pass over the values per run of ``_runs``, into a
+    block of its own, weighed an eighth of a block at a time; no n-length
+    array is formed."""
+    v, m = np.empty(min(_BLOCK, ns[-1])), np.empty(min(_BLOCK // 8, ns[-1]))
+
     def blocks(lo, hi):
-        return (weigh(values[lo:hi], np.arange(lo, hi, dtype=np.float64)),)
+        block_of(values, lo, v[:hi - lo])
+        for s in range(0, hi - lo, len(m)):
+            w = v[s:s + len(m)]
+            w[:] = weigh(w, ramp(m[:len(w)], lo + s))
+        return (v[:hi - lo],)
 
     return (pairs[0] for pairs in quotient_prefixes(blocks, ns))
 
@@ -68,7 +76,7 @@ def _quotient_sums(values, ns, weigh):
 _COUNT, _LOG_FACT, _LOG_OVER, _INV, _RHO_OVER, _INV_SQ, _POW = range(7)
 
 
-def _hyperbola_sums(ns, a, terms) -> list[float]:
+def _hyperbola_sums(ns, a, terms, primes=None) -> list[float]:
     """At each n of ns (ascending), the sum of sign * H(w, c) over the
     terms (sign, w, c), in one ``hyperbola_sum``: H is the Dirichlet
     hyperbola sum (Tenenbaum, Introduction to Analytic and Probabilistic
@@ -76,12 +84,14 @@ def _hyperbola_sums(ns, a, terms) -> list[float]:
     index of ``_one_pairs``' list, by ID (the count) for a None or
     id_pow(1 + a) (l^a), or by any other spec h, whose h(m)/m is summed
     by one ``quotient_prefixes`` pass over its ``tables.blocks`` up to
-    max(ns), one spec after another."""
+    max(ns), one spec after another, all from one list of the primes."""
     one = {ID: _COUNT} if a is None else {id_pow(1 + a): _POW}
     terms = [(sign, one.get(w, w), one.get(c, c)) for sign, w, c in terms]
     keys = dict.fromkeys(k for _, w, c in terms for k in (w, c))
     specs = [k for k in keys if not isinstance(k, int)]
-    sieved = [list(_quotient_sums(blocks(h, ns[-1]).values, ns,
+    if primes is None and len(specs) > 1:
+        primes = _primes_upto(ns[-1])
+    sieved = [list(_quotient_sums(blocks(h, ns[-1], primes).values, ns,
                                   lambda v, m: np.divide(v, m, out=m)))
               for h in specs]
     out = []
@@ -102,44 +112,47 @@ def _floors(xs) -> list[int]:
 # divisor-problem remainders
 
 
-def _tau_prefixes(n: int) -> list:
-    """The ``on_quotients`` pairs at n of tau(m) and of m tau(m), by the
-    integer hyperbola: with s = isqrt(v) and T(u) = u (u + 1) / 2,
+def _tau_prefixes(n: int, moments: int = 2) -> list:
+    """The ``on_quotients`` pairs at n of tau(m) and of m tau(m) (or the
+    first ``moments``), by the integer hyperbola: with s = isqrt(v) and
+    T(u) = u (u + 1) / 2,
 
         D(v) = sum_{m<=v} tau(m)   = 2 sum_{i<=s} floor(v/i) - s^2,
         S(v) = sum_{m<=v} m tau(m) = 2 sum_{i<=s} i T(floor(v/i)) - T(s)^2,
 
-    in int64 at the 2 isqrt(n) + 1 quotients, O(n^(3/4)) work and no
-    sieve.  Every partial sum up to ``MAX_SIEVE`` is an integer below
-    2^53, so its float64 equals the longdouble prefix of the tau sieve.
+    in int64 at the 2 isqrt(n) + 1 quotients, each pair (v, i <= s) formed
+    by repeat ``_BLOCK`` // 8 or so at a time: O(n^(3/4)) work, no sieve.
+    Every partial sum up to ``MAX_SIEVE`` is an integer below 2^53, so its
+    float64 equals the longdouble prefix of the tau sieve.
     """
     r = math.isqrt(n)
-    # the points of hi (n // d for d = 1..r) then of lo (r..0): descending
-    v = np.concatenate((n // np.arange(1, r + 1), np.arange(r, -1, -1)))
-    squares = np.arange(1, r + 1) ** 2
-    d_sum, s_sum = np.zeros_like(v), np.zeros_like(v)
-    # the points with i <= isqrt(v), i.e. v >= i^2, are a prefix of v
-    for i, k in enumerate(np.searchsorted(-v, -squares, side="right"), 1):
-        q = v[:k] // i
-        d_sum[:k] += q
-        s_sum[:k] += i * (q * (q + 1) // 2)
-    s = np.searchsorted(squares, v, side="right")  # isqrt(v)
+    # the points of hi (n // d for d = 1..r) then of lo (r..1); lo[0] is 0
+    v = np.concatenate((n // np.arange(1, r + 1), np.arange(r, 0, -1)))
+    s = np.searchsorted(np.arange(1, r + 1) ** 2, v, side="right")  # isqrt(v)
     t = s * (s + 1) // 2
-    return [(p[r:][::-1].astype(np.float64),
-             np.concatenate((p[:1], p[:r])).astype(np.float64))
-            for p in (2 * d_sum - s * s, 2 * s_sum - t * t)]
+    d_sum, s_sum, ends = -s * s, -t * t, np.cumsum(s)
+    cuts = np.searchsorted(ends, np.arange(_BLOCK // 8, ends[-1], _BLOCK // 8))
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(v)]):
+        heads = ends[a:b] - ends[a] + s[a] - s[a:b]
+        i = np.arange(1, heads[-1] + s[b - 1] + 1) - np.repeat(heads, s[a:b])
+        q = np.repeat(v[a:b], s[a:b]) // i
+        d_sum[a:b] += 2 * np.add.reduceat(q, heads)
+        if moments > 1:
+            s_sum[a:b] += 2 * np.add.reduceat(i * (q * (q + 1) // 2), heads)
+    return [(np.append(0.0, p[r:][::-1]), np.append(p[:1], p[:r]) * 1.0)
+            for p in (d_sum, s_sum)[:moments]]
 
 
-def _delta_prefixes(ns, a: float | None):
+def _delta_prefixes(ns, a: float | None, primes=None):
     """(the ``on_quotients`` pair at each n of ns, ascending, smooth part
     on arrays) of Delta's divisor sum: tau by ``_tau_prefixes`` for a
     None, else sigma_a from one pass over its blocks."""
     if a is None:
         slope = 2.0 * constants().gamma - 1.0
-        return ((_tau_prefixes(n)[0] for n in ns),
+        return ((_tau_prefixes(n, 1)[0] for n in ns),
                 lambda y: y * np.log(y) + slope * y)
     a = _require_a(a)
-    return (_quotient_sums(blocks(sigma_pow(a), ns[-1]).values, ns,
+    return (_quotient_sums(blocks(sigma_pow(a), ns[-1], primes).values, ns,
                            lambda v, m: v),
             lambda y: _sigma_a_smooth(y, a))
 
@@ -237,11 +250,11 @@ def mu_delta_sum(x: float, kind: str, a: float | None = None,
 
 
 def mu_delta_grid(xs, kind: str, a: float | None = None,
-                  log_factor: bool = True) -> list[float]:
+                  log_factor: bool = True, primes=None) -> list[float]:
     """``mu_delta_sum`` at every x of xs, in any order, from one pass over
     the weights' ``tables.blocks`` up to the largest x, which is checked
     first.  With ``a``, Delta_a's pairs at every x come first, from one
-    pass over sigma_a's blocks.
+    pass over sigma_a's blocks; both read the primes given, if any.
 
     Each x stays one term per n <= x, as each summand T(x/n) - smooth(x/n)
     cancels inside itself: a ``hyperbola_sum`` minus the smooth sum erred
@@ -263,15 +276,16 @@ def mu_delta_grid(xs, kind: str, a: float | None = None,
         raise DomainError(f"unknown weight kind {kind!r}")
     ns = _floors(xs)
     order = sorted(range(len(ns)), key=ns.__getitem__)
-    pairs, smooth = _delta_prefixes([ns[i] for i in order], a)
+    pairs, smooth = _delta_prefixes([ns[i] for i in order], a, primes)
     pairs = dict(zip(order, pairs))  # sigma_a's pass ends before wv's
     top = ns[order[-1]]
-    wv = blocks(_WEIGHT_SPECS[kind], top).values
+    wv = blocks(_WEIGHT_SPECS[kind], top, primes).values
+    narr, weights = np.empty((2, min(_BLOCK, top)))  # the pass's own
     partials = [[] for _ in ns]
     for lo in range(0, top, _BLOCK):
-        narr = np.arange(lo + 1, min(lo + _BLOCK, top) + 1, dtype=np.float64)
-        weights = wv[lo + 1:lo + 1 + len(narr)]
-        weights /= narr
+        size = min(_BLOCK, top - lo)
+        wv.fill(weights[:size], lo + 1)
+        weights[:size] /= ramp(narr[:size], lo + 1)
         for i in order:
             x, n, (p_lo, p_hi) = xs[i], ns[i], pairs[i]
             if n <= lo:
@@ -280,10 +294,10 @@ def mu_delta_grid(xs, kind: str, a: float | None = None,
             r = len(p_lo) - 1
             # floor(x/d) = floor(n/d) for integer d, so one integer path
             # serves any x; P(n // d) is p_hi[d] up to d = r, then
-            # p_lo[n // d]
-            mid = lo + 1 + min(max(r - lo, 0), hi - lo)
-            deltas = np.concatenate((p_hi[lo + 1:mid],
-                                     p_lo[n // np.arange(mid, hi + 1)]))
+            # p_lo[n // d], n / d truncated (exact for n < 2^52)
+            k = min(max(r - lo, 0), hi - lo)
+            deltas = np.concatenate((p_hi[lo + 1:lo + 1 + k], p_lo[
+                np.divide(n, narr[k:hi - lo]).astype(np.intp)]))
             deltas -= smooth(np.divide(x, narr[:hi - lo]))
             partials[i].append(dot(weights[:hi - lo], deltas))
     out = [fsum(p) for p in partials]
@@ -338,25 +352,25 @@ class Target:
     mu-weighted Delta correction
     (``correction(xs, a)``, one ``mu_delta_grid`` call for a grid) sums
     ``weight`` against Delta (Delta_a where ``needs_a``), times log(x/e)
-    for a log average.
+    for a log average.  Both take the primes up to the largest x, to share.
     """
 
     name: str
-    parts: object           # callable (xs, a) -> (exact, stirling_remainder)
+    parts: object           # (xs, a, primes=None) -> (exact, remainder)
     main: object            # callable (x, a, theta) -> float
     normalizer: Normalizer
     needs_a: bool = False
     weight: str | None = None       # mu-weighted Delta correction kind
     pair: object = None             # callable a -> (f, g) specs, or None
 
-    def correction(self, xs, a: float | None) -> np.ndarray:
+    def correction(self, xs, a: float | None, primes=None) -> np.ndarray:
         """The mu-weighted Delta correction at each x of xs (0.0 where
         there is none)."""
         if self.weight is None:
             return np.zeros(len(xs))
         return np.array(mu_delta_grid(xs, self.weight,
                                       a if self.needs_a else None,
-                                      log_factor=self.pair is not None))
+                                      self.pair is not None, primes))
 
 
 # main terms, one formula per family in k (see the module docstring); at
@@ -436,9 +450,9 @@ def _statistics() -> dict[str, Target]:
         return x ** (1 + a) / ((1 + a) * C.zeta(2 + a))
 
     def entry(name, exact, main, norm=const, needs_a=False, **kw):
-        """exact(ns, a) at the floors of a grid, against main(x, a)."""
-        def parts(xs, a):
-            values = exact(_floors(xs), a)
+        """exact(ns, a, primes) at a grid's floors, against main(x, a)."""
+        def parts(xs, a, primes=None):
+            values = exact(_floors(xs), a, primes)
             return np.array(values), np.zeros(len(values))
 
         return Target(name, parts,
@@ -447,16 +461,16 @@ def _statistics() -> dict[str, Target]:
 
     def pair_stat(name, terms, main, **kw):
         """The ``_hyperbola_sums`` of terms that name g = 1 pairs only."""
-        return entry(name, lambda ns, a: _hyperbola_sums(ns, a, terms), main,
-                     **kw)
+        return entry(name, lambda ns, a, _: _hyperbola_sums(ns, a, terms),
+                     main, **kw)
 
     def stat(name, operands, main, **kw):
         """The sum over m <= x of (f * h)(m) / m for (f, h) = operands(a)
         (or operands): the ``_hyperbola_sums`` H(f(d)/d, h(l)/l), which
         never sieves the product f * h."""
         at = operands if callable(operands) else lambda a: operands
-        return entry(name, lambda ns, a: _hyperbola_sums(ns, a, [(1, *at(a))]),
-                     main, **kw)
+        return entry(name, lambda ns, a, primes: _hyperbola_sums(
+            ns, a, [(1, *at(a))], primes), main, **kw)
 
     defs = [
         stat("id_phi", (ID, PHI), _phi_stat_main(1), norm=log(1),
@@ -481,7 +495,7 @@ def _statistics() -> dict[str, Target]:
                   norm=log(5 / 3)),
         # the l^a prefix at x: hi[0] of its pair
         entry("power_sum",
-              lambda ns, a: [p[_POW][1][0] for p in _one_pairs(ns, a)],
+              lambda ns, a, _: [p[_POW][1][0] for p in _one_pairs(ns, a)],
               lambda x, a: x ** (1 + a) / (1 + a) + C.zeta(-a),
               norm=Normalizer("x_pow", None), needs_a=True),
         stat("jordan_over_n", lambda a: (MU, id_pow(1 + a)), phi_over_n,
@@ -520,9 +534,9 @@ def _scan_targets() -> dict[str, Target]:
     def target(name, pair, main, power, stirling=True, **kw):
         """The log average of the (f, g) = pair(a) sums; with ``stirling``
         the main term has a slot for the exact Stirling remainder."""
-        def parts(xs, a):
+        def parts(xs, a, primes=None):
             n = max(_floors(xs))
-            f, g = (None if spec == ONE else blocks(spec, n)
+            f, g = (None if spec == ONE else blocks(spec, n, primes)
                     for spec in pair(a))  # 1 is formed per block
             decs = apostol_log_average_grid(f, g, xs)
             return (np.array([d.total for d in decs]),
@@ -648,11 +662,15 @@ def residual_scan(target: str, grid, a: float | None = None) -> ResidualScan:
 
     t, a = _lookup(target, a)
     # the largest x is checked first, so an x out of range fails before
-    # any sieve; the exact side is one call for the whole grid
-    exact, rem = t.parts(grid, a)
+    # any sieve; the exact side is one call for the whole grid.  It shares
+    # one list of the primes up to there with a correction that builds a
+    # product (mu * mu, or sigma_a): mu lists the few it needs itself
+    shared = t.weight == "mu_star_mu" or (t.weight and t.needs_a)
+    primes = _primes_upto(cut(grid[-1])) if shared else None
+    exact, rem = t.parts(grid, a, primes)
     main0 = np.array([t.main(x, a, THETA_LO) for x in grid])
     main_hi = np.array([t.main(x, a, THETA_HI) for x in grid])
-    corr = t.correction(grid, a)
+    corr = t.correction(grid, a, primes)
     residual_hi = exact - main0 - corr
     residual = residual_hi - rem
     residual_lo = exact - main_hi - corr

@@ -57,12 +57,12 @@ from itertools import chain
 import numpy as np
 
 from ._accum import (_BLOCK, ascending, block_of, dot, fsum, hyperbola_sum,
-                     prefix_with_zero, quotient_prefixes, running_sum)
+                     prefix_with_zero, quotient_prefixes, ramp, running_sum)
 from .errors import require
 from .stirling import SEED, log_factorial_row, one_weight_sums, rho_block
 from .tables import (LOG, MU, PHI, VON_MANGOLDT, FunctionSpec, FunctionTable,
-                     convolve, cut, divisor_lists, divisors_of, sieve,
-                     sieve_values)
+                     convolve, cut, divisor_lists, divisors_of, nonnegative,
+                     sieve, sieve_values)
 from .zeta import LOG_SQRT_2PI
 
 
@@ -274,7 +274,8 @@ def cesaro_audits(f: FunctionTable, kmax: int):
 
 def identity_sum_table(fv: np.ndarray, gv: np.ndarray | None,
                        log_fact: np.ndarray, n: int) -> np.ndarray:
-    """u(k) for all k <= n via the identity, one strided update per d.
+    """u(k) for all k <= n via the identity, one strided update per
+    d <= r = isqrt(n), then one per l <= r, descending, for all d > r.
 
     u(k) = sum_{d*l = k} (f(d) log d) (g(l) l) + f(d) (g(l) log l!), added
     in ascending d; the per-d log is ``math.log``; gv None is 1.  Rows with
@@ -283,13 +284,21 @@ def identity_sum_table(fv: np.ndarray, gv: np.ndarray | None,
     are hyperbola sums over d*l <= n instead.
     """
     larr = np.arange(n + 1, dtype=np.float64)
-    g = block_of(gv, 0, n + 1)
+    g = np.ones(n + 1) if gv is None else gv[:n + 1]
     g_id = g * larr
     g_lf = g * log_fact[:n + 1]
     u = np.zeros(n + 1)
-    for d in (np.flatnonzero(fv[1:n + 1]) + 1).tolist():
+    ds = np.flatnonzero(fv[1:n + 1]) + 1
+    r = math.isqrt(n)
+    for d in ds[ds <= r].tolist():
         m = n // d
         u[d::d] += (fv[d] * math.log(d)) * g_id[1:m + 1] + fv[d] * g_lf[1:m + 1]
+    ds = ds[ds > r]
+    f = fv[ds]
+    f_log = f * np.fromiter(map(math.log, ds.tolist()), np.float64, len(ds))
+    for l in range(n // (r + 1), 0, -1):
+        c = np.searchsorted(ds, n // l, side="right")
+        u[ds[:c] * l] += f_log[:c] * g_id[l] + f[:c] * g_lf[l]
     return u
 
 
@@ -303,44 +312,38 @@ def apostol_log_average(f: FunctionTable, g: FunctionTable | None,
     return dot(u[1:], 1.0 / k)
 
 
-def _g_weights(gv: np.ndarray | None, lo: int, hi: int):
+def _g_weights(gv: np.ndarray | None, lo: int, hi: int, buf: np.ndarray,
+               a: float | None = None):
     """The g-side weights at l = lo..hi-1: g, g log, g log/l, g/l, g rho/l
-    and |g|/l^2, one after another; gv None is the constant 1.  rho is
-    formed first, so its longdouble temporaries are gone before the rest
-    is."""
-    rho = rho_block(lo, hi)
-    l = np.arange(lo, hi, dtype=np.float64)
-    g = block_of(gv, lo, hi)
-    lg = np.log(l)  # equal to the LOG sieve bit for bit
-    inv = np.divide(1.0, l, out=l)
-    gi = g * inv
-    yield g
-    yield g * lg
-    yield gi * lg
-    yield gi
-    rho *= gi
-    yield rho
-    del rho
-    yield np.abs(gi) * inv
-
-
-def _f_weights(fv: np.ndarray, lo: int, hi: int):
-    """The f-side weights at d = lo..hi-1: f/d, f log d/d and |f|/d."""
-    inv = np.arange(lo, hi, dtype=np.float64)
-    lg = np.log(inv)
+    and |g|/l^2, one after another, then l^a where a is given (the bytes
+    of the ``idpow:a`` sieve's power), each in a row of buf that is
+    rewritten once read; gv None is the constant 1."""
+    g, lg, inv, out = buf[:, :hi - lo]
+    block_of(gv, lo, g)
+    np.log(ramp(inv, lo), out=lg)  # equal to the LOG sieve bit for bit
     np.divide(1.0, inv, out=inv)
-    w = block_of(fv, lo, hi) * inv
-    yield w
-    yield w * lg
-    yield np.abs(w)
-
-
-def _one_weights(lo: int, hi: int, a: float | None):
-    """The six g = 1 weights of ``_g_weights`` at l = lo..hi-1, then l^a
-    where a is given (the bytes of the ``idpow:a`` sieve's power)."""
-    yield from _g_weights(None, lo, hi)
+    yield g
+    yield np.multiply(g, lg, out=out)
+    gi = np.multiply(g, inv, out=g)
+    yield np.multiply(gi, lg, out=out)
+    yield gi
+    rho = rho_block(lo, hi, lg)
+    yield np.multiply(rho, gi, out=rho)
+    yield np.multiply(np.abs(gi, out=out), inv, out=out)
     if a is not None:
-        yield np.power(np.arange(lo, hi, dtype=np.float64), a)
+        yield np.power(ramp(out, lo), a, out=out)
+
+
+def _f_weights(fv: np.ndarray, lo: int, hi: int, buf: np.ndarray,
+               signed: bool = True):
+    """The f-side weights at d = lo..hi-1: f/d, f log d/d and, for a signed
+    f, |f|/d, in the two rows of buf (d is counted twice, for 1/d and log d)."""
+    w, lg = buf[:, :hi - lo]
+    np.divide(1.0, ramp(lg, lo), out=lg)
+    yield np.multiply(block_of(fv, lo, w), lg, out=w)
+    yield np.multiply(w, np.log(ramp(lg, lo), out=lg), out=lg)
+    if signed:
+        yield np.abs(w, out=lg)
 
 
 def _one_pairs(ns, a: float | None = None):
@@ -349,7 +352,7 @@ def _one_pairs(ns, a: float | None = None):
     given, at each n of ns (ascending), with no pass past
     t = min(max(isqrt(max n), 1024), max n).
 
-    Up to t, the weights of ``_one_weights`` are summed a block at a time
+    Up to t, the weights of ``_g_weights`` are summed a block at a time
     by ``running_sum``, so every prefix P(v) at v <= t has the bytes of
     the pass over all of 1..n.  Above t, P(v) = P(t) + Phi(v) - Phi(t)
     with the longdouble P(t) of that sum and the closed forms Phi of
@@ -363,10 +366,12 @@ def _one_pairs(ns, a: float | None = None):
     width = 6 if a is None else 7
     table = np.zeros((width, t + 1))
     totals = [np.longdouble(0.0)] * width
+    buf = np.empty((4, min(_BLOCK, t)))
+    lsums = np.empty(buf.shape[1], np.longdouble)
     for start in range(1, t + 1, _BLOCK):
         stop = min(start + _BLOCK, t + 1)
-        for k, block in enumerate(_one_weights(start, stop, a)):
-            sums = running_sum(block, totals[k])
+        for k, block in enumerate(_g_weights(None, start, stop, buf, a)):
+            sums = running_sum(block, totals[k], lsums)
             table[k, start:stop] = sums
             totals[k] = sums[-1]
     # P(t) - Phi(t), read only above t
@@ -385,26 +390,31 @@ def _one_pairs(ns, a: float | None = None):
         yield list(zip(table[:, :r + 1], his))
 
 
-def _average_pairs(fv: np.ndarray | None, gv: np.ndarray | None, ns):
+def _average_pairs(fv: np.ndarray | None, gv: np.ndarray | None, ns,
+                   signed: bool = True):
     """The ``on_quotients`` pairs of the six-term expansion's weights at
     each n of ns (ascending): the six of ``_g_weights``, then the three of
-    ``_f_weights``; fv or gv given as None is the constant 1.
+    ``_f_weights``; fv or gv given as None is the constant 1; f not
+    ``signed`` (f >= 0) takes the f/d pair for |f|/d.
 
-    For a given g, all nine come from one ``quotient_prefixes`` pass.  For
-    g = 1 the six g-side pairs come from ``_one_pairs``, closed forms above
-    a table of t <= max(isqrt(max n), 1024) entries, and the pass carries
-    only the three f-side weights; for f = 1 too there is no pass, since
-    1/d, log d/d and |1|/d are the g-side's 1/l, log l/l and 1/l.
+    For a given g, all nine come from one ``quotient_prefixes`` pass, in
+    one buffer of four blocks, the f side's after the g side's.  For g = 1
+    the six g-side pairs come from ``_one_pairs``, closed forms above a
+    table of t <= max(isqrt(max n), 1024) entries, and the pass carries
+    only the f-side weights; for f = 1 too there is no pass, since 1/d,
+    log d/d and |1|/d are the g-side's 1/l, log l/l and 1/l.
     """
-    if gv is not None:
-        return quotient_prefixes(
-            lambda lo, hi: chain(_g_weights(gv, lo, hi),
-                                 _f_weights(fv, lo, hi)), ns)
     if fv is None:
         return ([*g, g[3], g[2], g[3]] for g in _one_pairs(ns))
-    return ([*g, *f] for g, f in zip(
-        _one_pairs(ns),
-        quotient_prefixes(lambda lo, hi: _f_weights(fv, lo, hi), ns)))
+    buf = np.empty((2 if gv is None else 4, min(_BLOCK, max(ns))))
+    if gv is None:
+        pairs = ([*g, *f] for g, f in zip(_one_pairs(ns), quotient_prefixes(
+            lambda lo, hi: _f_weights(fv, lo, hi, buf, signed), ns)))
+    else:
+        pairs = quotient_prefixes(lambda lo, hi: chain(
+            _g_weights(gv, lo, hi, buf),
+            _f_weights(fv, lo, hi, buf[:2], signed)), ns)
+    return (p if signed else [*p, p[6]] for p in pairs)
 
 
 def apostol_log_average_grid(f: FunctionTable | None,
@@ -424,8 +434,9 @@ def apostol_log_average_grid(f: FunctionTable | None,
     """
     ns = [cut(x, f, g) for x in xs]
     fv, gv = (None if t is None else t.values for t in (f, g))
+    signed = f is not None and not nonnegative(f.spec)
     return [_decomposition(x, *pairs)
-            for x, pairs in zip(xs, _average_pairs(fv, gv, ns))]
+            for x, pairs in zip(xs, _average_pairs(fv, gv, ns, signed))]
 
 
 def _decomposition(x, cg, cg_log, cg_log_over, cg_over, cg_rho, cg_abs, fw,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import block_of, hyperbola_sum, quotient_prefixes
+from ._accum import _BLOCK, hyperbola_sum, quotient_prefixes, ramp
 from .errors import require
 from .identities import _with_mu
 from .stirling import THETA_HI, THETA_LO, log_factorial_row
@@ -105,17 +105,22 @@ def _u_partial_sum(f: FunctionTable, g: FunctionTable | None, s: float,
     if lf is None:
         lf = log_factorial_row(k_max)
     fv, gv = f.values, None if g is None else g.values
+    buf = np.empty((3, min(_BLOCK, k_max)))  # a row is rewritten once read
 
     def weights(lo, hi):
         # log l equals the LOG sieve, and the powers _powers(1, K + 1, .),
         # bit for bit
-        lg = np.log(np.arange(lo, hi, dtype=np.float64))
-        p = _powers(lo, hi, s)
-        g = block_of(gv, lo, hi)
-        yield fv[lo:hi] * lg * p
-        yield g * _powers(lo, hi, s - 1.0)
-        yield fv[lo:hi] * p
-        yield g * lf[lo:hi] * p
+        lg, p, w = buf[:, :hi - lo]
+        np.log(ramp(lg, lo), out=lg)
+        p = ramp(p, lo)
+        p **= -s
+        g = np.ones(hi - lo) if gv is None else gv[lo:hi]
+        yield np.multiply(np.multiply(fv[lo:hi], lg, out=w), p, out=w)
+        q = ramp(lg, lo)
+        q **= -(s - 1.0)
+        yield np.multiply(g, q, out=q)
+        yield np.multiply(fv[lo:hi], p, out=w)
+        yield np.multiply(np.multiply(g, lf[lo:hi], out=w), p, out=w)
 
     (w_log, c_id, w, c_lf), = quotient_prefixes(weights, [k_max])
     return hyperbola_sum([(1, w_log, c_id), (1, w, c_lf)])

@@ -246,24 +246,26 @@ def _rho_below_seed() -> np.ndarray:
 def _fill_log_factorial(row: np.ndarray) -> None:
     """row[l] = L(l) for l = 0..len(row) - 1, as running longdouble sums
     of log l, a block of ``_BLOCK`` at a time."""
-    total = np.longdouble(0.0)
+    total, buf = np.longdouble(0.0), np.empty(min(_BLOCK, len(row)), np.longdouble)
     for lo in range(1, len(row), _BLOCK):
         hi = min(lo + _BLOCK, len(row))
-        sums = running_sum(np.log(np.arange(lo, hi, dtype=np.float64)), total)
+        sums = running_sum(np.log(np.arange(lo, hi, dtype=np.float64)), total,
+                           buf)
         row[lo:hi] = sums
         total = sums[-1]
 
 
-def rho_block(lo: int, hi: int) -> np.ndarray:
+def rho_block(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
     """rho(l) for l = lo..hi-1 (lo >= 1) as float64, the entries of the
-    rho row: the backward recurrence below SEED and the remainder
-    series from there on.  The series' longdouble temporaries (about five
-    float64 blocks) are freed before it returns."""
-    out = np.empty(hi - lo)
+    rho row, written into out: the backward recurrence below SEED and the
+    remainder series from there on, an eighth of ``_BLOCK`` at a time, so
+    that its longdouble temporaries stay small."""
     below = min(max(SEED - lo, 0), hi - lo)
     if below:
         out[:below] = _rho_below_seed()[lo - 1:lo - 1 + below]
-    out[below:] = _remainder_series(np.arange(lo + below, hi))
+    for a in range(lo + below, hi, _BLOCK // 8):
+        b = min(a + _BLOCK // 8, hi)
+        out[a - lo:b - lo] = _remainder_series(np.arange(a, b))
     return out
 
 
@@ -272,7 +274,7 @@ def _fill_rho(row: np.ndarray) -> None:
     time."""
     for lo in range(1, len(row), _BLOCK):
         hi = min(lo + _BLOCK, len(row))
-        row[lo:hi] = rho_block(lo, hi)
+        rho_block(lo, hi, row[lo:hi])
 
 
 def _row(fill, l_max: int) -> np.ndarray:

@@ -29,10 +29,11 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
-from ._accum import _BLOCK
+from ._accum import _BLOCK, ramp
 from .errors import DomainError, require
 
 MAX_NESTING = 4
@@ -259,6 +260,14 @@ def abscissa(spec: FunctionSpec) -> float:
     raise DomainError(f"no abscissa rule for {spec}")
 
 
+def nonnegative(spec: FunctionSpec) -> bool:
+    """Whether spec is >= 0 everywhere by its kind: phi, n^a, sigma_a and
+    a conv of two such (conservative: False says nothing)."""
+    if spec.kind is Kind.CONVOLVE:
+        return all(map(nonnegative, spec.operands))
+    return spec.kind in (Kind.TOTIENT, Kind.ID_POW, Kind.SIGMA_POW)
+
+
 @dataclass(frozen=True)
 class FunctionTable:
     """Exact values of an arithmetical function on 1..n_max.
@@ -306,23 +315,25 @@ def _primes_upto(n: int) -> np.ndarray:
 
 
 def _prime_power_values(spec: FunctionSpec, q: np.ndarray) -> np.ndarray:
-    """f(p^e) for a multiplicative spec, where row e of q holds p^e at the
-    primes p = q[1] (min(p^e, n): rows past n are not read), in longdouble,
-    so that a factor whose terms cancel (p^(1/2) - 2) keeps its digits when
-    it is rounded to float64; p^a is exp(a log p), 4x quicker than powl."""
+    """f(p^e) for a multiplicative spec, where row e - 1 of q holds p^e at
+    the primes p = q[0] (min(p^e, n): rows past n are not read; f(p) needs
+    the row of p alone), in longdouble, so that a factor whose terms
+    cancel (p^(1/2) - 2) keeps its digits when it is rounded to float64;
+    p^a is exp(a log p), 4x quicker than powl."""
     kind = spec.kind
-    if kind is Kind.ID_POW:
-        return np.exp(spec.exponent * np.log(q))
-    if kind is Kind.SIGMA_POW:
-        return np.cumsum(np.exp(spec.exponent * np.log(q)), axis=0)
+    if kind in (Kind.ID_POW, Kind.SIGMA_POW):
+        out = np.exp(spec.exponent * np.log(q))
+        if kind is Kind.SIGMA_POW:
+            out[0] += 1.0
+            np.cumsum(out, axis=0, out=out)
+        return out
     if kind is Kind.CONVOLVE:
         f, g = (_prime_power_values(op, q) for op in spec.operands)
-        return np.array([sum(f[i] * g[e - i] for i in range(e + 1))
-                         for e in range(len(q))])
-    out = q - q / q[1] if kind is Kind.TOTIENT else np.zeros_like(q)
-    out[0] = 1.0
+        return np.array([sum([g[e], *(f[i] * g[e - 1 - i] for i in range(e)),
+                              f[e]]) for e in range(len(q))])
+    out = q - q / q[0] if kind is Kind.TOTIENT else np.zeros_like(q)
     if kind is Kind.MOEBIUS:
-        out[1] = -1.0
+        out[0] = -1.0
     return out
 
 
@@ -354,21 +365,21 @@ def _large_hits(large: np.ndarray, r: int, lo: int, hi: int):
         yield np.repeat(ks[a:b], c) * large[index] - lo, index
 
 
-def _product_fill(spec: FunctionSpec, n: int):
+def _product_fill(spec: FunctionSpec, n: int, primes: np.ndarray | None):
     """A multiplicative spec on blocks of 0..n: m is the product of f(p^e)
     over the p^e || m in ascending p, each f(p) one longdouble expression,
     so no byte depends on n or the block.  A p < ``_TINY`` scales strided
     slices, the other p <= r = isqrt(n) (p^3 > n) scale by one
     ``np.multiply.at``, and P > r, the largest prime factor, last."""
-    r, primes = math.isqrt(n), _primes_upto(n)
+    r = math.isqrt(n)
+    primes = _primes_upto(n) if primes is None else primes
     small, large = np.split(primes, [np.searchsorted(primes, r, side="right")])
-    q = np.full((max(n.bit_length(), 3), len(small)), small, np.longdouble)
-    q[0] = 1.0
+    q = np.full((max(n.bit_length() - 1, 2), len(small)), small, np.longdouble)
     rows = _prime_power_values(
         spec, np.minimum(np.cumprod(q, axis=0), n)).astype(np.float64)
     # 4096 primes at a time, so the longdouble temporaries stay small
-    at_big = np.concatenate([_prime_power_values(spec, np.stack(
-        [np.ones(len(P), np.longdouble), P]))[1].astype(np.float64)
+    at_big = np.concatenate([_prime_power_values(spec, np.array(
+        [P], np.longdouble))[0].astype(np.float64)
         for P in np.array_split(large, len(large) // 4096 + 1)])
     t = int(np.searchsorted(small, max(_TINY, round(n ** (1 / 3)) + 1)))
     tiny, mid = list(zip(small[:t].tolist(), rows[:, :t].T.tolist())), small[t:]
@@ -380,18 +391,18 @@ def _product_fill(spec: FunctionSpec, n: int):
         out[:1 - min(lo, 1)] = 0.0  # slot 0
         for p, f in tiny:
             b, e = max(-(-lo // p), 1), (hi - 1) // p + 1
-            factors, step, k = np.full(max(e - b, 0), f[1]), p, 2
-            while step < e:  # p^k divides p*i where p^(k-1) divides i
+            factors, step, k = np.full(max(e - b, 0), f[0]), p, 1
+            while step < e:  # p^(k+1) divides p*i where p^k divides i
                 factors[-b % step::step] = f[k]
                 step, k = step * p, k + 1
             out[p * b - lo:p * e - lo:p] *= factors
         first = -(-max(lo, 1) // mid) * mid
         at, counts = _multiples(mid, first, lo, hi)
-        factors = np.repeat(rows[1, t:], counts)
+        factors = np.repeat(rows[0, t:], counts)
         hit, c = _multiples(sq, -(-max(lo, 1) // sq) * sq, lo, hi)
         i = np.repeat(np.arange(len(sq)), c)
         factors[(np.cumsum(counts) - counts)[i] + (hit + lo - first[i])
-                // mid[i]] = rows[2, t:][i]
+                // mid[i]] = rows[1, t:][i]
         np.multiply.at(out, at, factors)
         for at, index in _large_hits(large, r, lo, hi):
             out[at] *= at_big[index]
@@ -399,11 +410,14 @@ def _product_fill(spec: FunctionSpec, n: int):
     return fill
 
 
-def _mobius_fill(n: int):
+def _mobius_fill(n: int, primes: np.ndarray | None):
     """mu on blocks: each p <= r = isqrt(n) multiplies its multiples by -p
     and zeroes those of p^2, so a product short of a squarefree m marks
-    its one prime above r, one more change of sign."""
-    small = _primes_upto(math.isqrt(n))
+    its one prime above r, one more change of sign.  Of a list of primes
+    given it keeps a copy of those up to r, so the rest are not held."""
+    r = math.isqrt(n)
+    small = (_primes_upto(r) if primes is None else
+             primes[:np.searchsorted(primes, r, side="right")].copy())
     t = int(np.searchsorted(small, _TINY))
 
     def fill(out: np.ndarray, lo: int) -> None:
@@ -424,9 +438,10 @@ def _mobius_fill(n: int):
     return fill
 
 
-def _von_mangoldt_fill(n: int):
+def _von_mangoldt_fill(n: int, primes: np.ndarray | None):
     """Lambda on blocks: ``math.log`` of p at the listed p^k <= n."""
-    primes = _primes_upto(n)  # logged 4096 at a time, each listed int 36 B
+    # logged 4096 at a time, each listed int 36 B
+    primes = _primes_upto(n) if primes is None else primes
     logs = np.concatenate([np.fromiter(map(math.log, P.tolist()), np.float64)
                            for P in np.array_split(primes, len(primes) // 4096 + 1)])
     r = np.searchsorted(primes, math.isqrt(n), side="right")
@@ -446,10 +461,8 @@ def _von_mangoldt_fill(n: int):
 def _power_fill(a: float):
     """n^a on blocks, powered in place (slot 0 stays 0: 0 ** a warns)."""
     def fill(out: np.ndarray, lo: int) -> None:
-        out.fill(1.0)
-        out[0] = lo
-        np.cumsum(out, out=out)  # lo, lo + 1, ... exactly, with no temporary
-        np.power(out[1 - min(lo, 1):], a, out=out[1 - min(lo, 1):])
+        s = 1 - min(lo, 1)
+        np.power(ramp(out, lo)[s:], a, out=out[s:])
     return fill
 
 
@@ -457,7 +470,8 @@ def _power_fill(a: float):
 class Blocks:
     """A table's values from ``blocks``: ``values[lo:hi]``, for any 0 <= lo
     < hi <= n_max + 1, as often and in any order, has the bytes of those of
-    ``sieve_values``; ``fill(out, lo)`` writes them into out."""
+    ``sieve_values``; ``fill(out, lo)`` writes them into out, a buffer of
+    the reader's, which a pass reuses block after block."""
 
     fill: object
 
@@ -467,12 +481,13 @@ class Blocks:
         return out
 
 
-def _weighted_fill(spec: FunctionSpec, n: int):
+def _weighted_fill(spec: FunctionSpec, n: int, primes: np.ndarray | None):
     """f(m) log m, f(m) m^a or tau(m) log(m) / 2 (divlog, the sum of
     log d over the divisors d of m) on blocks: f's fill, then each m >= 1
     weighted by one numpy operation."""
     kind, a = spec.kind, spec.exponent
-    inner = _block_fill(TAU if kind is Kind.DIVISOR_LOG else spec.operands[0], n)
+    inner = _block_fill(TAU if kind is Kind.DIVISOR_LOG else spec.operands[0],
+                        n)(primes)
     weigh = {Kind.POINTWISE_LOG: np.log, Kind.POINTWISE_POW: lambda m: m ** a,
              Kind.DIVISOR_LOG: lambda m: np.log(m) / 2}[kind]
 
@@ -484,26 +499,29 @@ def _weighted_fill(spec: FunctionSpec, n: int):
 
 
 def _block_fill(spec: FunctionSpec, n: int):
-    """spec's fill on 0..n, prepared."""
+    """spec's fill on 0..n, as a function of the primes up to n (None to
+    list those it needs) that prepares it."""
     if spec.kind is Kind.ID_POW:
-        return _power_fill(spec.exponent)
+        return lambda primes: _power_fill(spec.exponent)
     if spec.kind is Kind.MOEBIUS:
-        return _mobius_fill(n)
+        return partial(_mobius_fill, n)
     if spec.kind is Kind.VON_MANGOLDT:
-        return _von_mangoldt_fill(n)
+        return partial(_von_mangoldt_fill, n)
     if spec.kind in _MULTIPLICATIVE:
-        return _product_fill(spec, n)
-    return _weighted_fill(spec, n)
+        return partial(_product_fill, spec, n)
+    return partial(_weighted_fill, spec, n)
 
 
-def blocks(spec: FunctionSpec, n: int) -> FunctionTable:
+def blocks(spec: FunctionSpec, n: int,
+           primes: np.ndarray | None = None) -> FunctionTable:
     """The table of spec on 1..n with ``Blocks`` as values, n and exponents
-    checked first: its reader holds a few blocks and what they share,
-    O(pi(n)) floats (O(sqrt(n)) for mu, none for n^a), not n + 1."""
+    checked first: it holds what its blocks share, O(pi(n)) floats
+    (O(sqrt(n)) for mu, none for n^a), and no block; its reader fills
+    buffers of its own.  Tables built together take the primes up to n."""
     n = cut(n)
     for a in _exponents(spec):
         _check_exponent(a, n)
-    return FunctionTable(spec, n, Blocks(_block_fill(spec, n)))
+    return FunctionTable(spec, n, Blocks(_block_fill(spec, n)(primes)))
 
 
 def _check_exponent(a: float, n: int) -> None:

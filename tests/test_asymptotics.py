@@ -308,9 +308,9 @@ def test_residual_scan_reads_the_exact_side_once(monkeypatch, name, a):
     target = registry[name]
     calls = []
 
-    def parts(xs, a):
+    def parts(xs, a, primes=None):
         calls.append(list(xs))
-        return target.parts(xs, a)
+        return target.parts(xs, a, primes)
 
     monkeypatch.setitem(registry, name,
                         dataclasses.replace(target, parts=parts))
