@@ -29,21 +29,25 @@ Core objects, for tables f, g and integers k, j:
   and its summatory average.
 
 The brute-force sides (``apostol_log_sum_direct``, ``toth_identity``'s
-lhs, ``cesaro_*``'s lhs) still visit every j <= k; gcd(j, k) is found by
-divisor strides rather than by Euclid.  For each divisor m of k, taken in
-ascending order, the value at m is written to every multiple of m, so the
-last write to j comes from the largest divisor of k dividing j, which is
-gcd(j, k).  That is sigma(k) strided stores and tau(k) Python iterations
-per k.
+lhs, ``cesaro_*``'s lhs) still visit every j <= k, in a scratch buffer of
+k floats; gcd(j, k) is found by divisor strides rather than by Euclid.
+For each divisor m of k, taken in ascending order, s_k(m) (apostol) or
+f(m) (cesaro) is stored to every multiple of m, so the last store to j
+comes from the largest divisor of k dividing j, which is gcd(j, k): sigma(k)
+strided stores and tau(k) Python iterations per k.  Toth's lhs forms
+c_k(j) = sum_{d | (j,k)} d mu(k/d) by its definition instead: the d = 1
+term stored, then one strided add of d mu(k/d) per d > 1 with
+mu(k/d) != 0; its values are integers, so the adds are exact.
 
 Each audit has one per-k kernel, given D[m] = the divisors of each m | k.
 The ``*_audits`` batches that ``identity`` runs take D from one
-``divisor_lists`` sieve and build each table once; a table passed as a
-list of Python floats gives the same IEEE products as numpy scalars.
-The public per-k functions build no sieve: they take log m from ``np.log``
-(the LOG sieve's bytes) and mu, phi and Lambda at the divisors of k from
-the divisors themselves, mu and phi as exact integers, so their values
-equal the batches' bit for bit.
+``divisor_lists`` sieve, build each table once and share one scratch
+buffer of kmax floats; a table passed as a list of Python floats gives
+the same IEEE products as numpy scalars.  The public per-k functions
+build no sieve: they take log m from ``np.log`` (the LOG sieve's bytes),
+log d from ``math.log`` as the batches do, and mu, phi and Lambda at the
+divisors of k from the divisors themselves, mu and phi as exact integers,
+so their values equal the batches' bit for bit.
 
 All sums over x cut at floor(x); an integer x includes k = x.
 """
@@ -126,44 +130,53 @@ def ramanujan_sum(k: int, j: int) -> int:
     return sum(d * mobius_of(k // d) for d in divisors_of(m))
 
 
-def _gather_by_gcd(values: np.ndarray, divs: list[int], k: int) -> np.ndarray:
-    """out[j-1] = values[gcd(j, k)] for j = 1..k, by divisor strides.
+def _gather_by_gcd(values: np.ndarray, divs: list[int], k: int,
+                   buf: np.ndarray) -> np.ndarray:
+    """out[j-1] = values[gcd(j, k)] for j = 1..k, by divisor strides, in
+    out, the head of buf (a float64 buffer of at least k entries).
 
     ``divs`` holds the divisors of k, ascending: a later, larger divisor m
     overwrites the multiples of m, so slot j ends with the largest divisor
     of k that divides j.
     """
-    out = np.empty(k, dtype=values.dtype)
+    out = buf[:k]
     for m in divs:
         out[m - 1::m] = values[m]
     return out
 
 
-def _apostol_direct(fv, gv, logs: np.ndarray, k: int, D) -> float:
+def _apostol_direct(fv, gv, logs: np.ndarray, k: int, D, buf) -> float:
     divs = D[k]
     term = {d: fv[d] * gv[k // d] for d in divs}.__getitem__
-    table = np.zeros(k + 1)  # s_k at each divisor of k
-    table[divs] = [fsum(map(term, D[m])) for m in divs]
-    return dot(logs[1:k + 1], _gather_by_gcd(table, divs, k))
+    out = buf[:k]
+    for m in divs:  # ascending, as in the gather: slot j ends with s_k(gcd)
+        out[m - 1::m] = fsum(map(term, D[m]))
+    return dot(logs[1:k + 1], out)
 
 
-def _apostol_identity(fv, gv, lf, k: int, D) -> float:
-    return fsum(fv[d] * (math.log(d) * gv[l] * l + gv[l] * lf[l])
+def _apostol_identity(fv, gv, lf, lg, k: int, D) -> float:
+    return fsum(fv[d] * (lg[d] * gv[l] * l + gv[l] * lf[l])
                 for d, l in zip(D[k], reversed(D[k])))  # l = k/d
 
 
-def _toth_sides(mu, logs: np.ndarray, lam_k, lf, k: int,
-                D) -> tuple[float, float]:
+def _toth_sides(mu, logs: np.ndarray, lam_k, lf, k: int, D,
+                buf) -> tuple[float, float]:
+    # c_k(j) = sum_{d | (j,k)} d mu(k/d): the d = 1 term stored, then one
+    # strided add per d > 1 with mu(k/d) != 0; exact, as its values are
+    # integers below 2^53
     divs = D[k]
-    term = {d: d * mu[k // d] for d in divs}.__getitem__
-    c_by = np.zeros(k + 1)  # c_k at each m | k, exact: integers below 2^53
-    c_by[divs] = [sum(map(term, D[m])) for m in divs]
-    lhs = dot(logs[1:k + 1], _gather_by_gcd(c_by, divs, k)) / k
-    return lhs, float(lam_k) + fsum(mu[d] / d * lf[d] for d in divs)
+    c = buf[:k]
+    c.fill(mu[k])
+    for d in divs[1:]:
+        m = mu[k // d]
+        if m:
+            c[d - 1::d] += d * m
+    lhs = dot(logs[1:k + 1], c) / k
+    return lhs, float(lam_k) + fsum(mu[d] / d * lf[d] for d in divs if mu[d])
 
 
-def _cesaro_sides(fv: np.ndarray, phi, k: int, D) -> tuple[float, float]:
-    return (float(_gather_by_gcd(fv, D[k], k).sum()),
+def _cesaro_sides(fv: np.ndarray, phi, k: int, D, buf) -> tuple[float, float]:
+    return (float(_gather_by_gcd(fv, D[k], k, buf).sum()),
             fsum(fv[d] * phi[k // d] for d in D[k]))
 
 
@@ -192,14 +205,17 @@ def _logs(k: int) -> np.ndarray:
 def apostol_log_sum_direct(f: FunctionTable, g: FunctionTable, k: int) -> float:
     """Brute-force sum_{j<=k} s_k(j) log j over every j; the oracle path."""
     cut(k, f, g)
-    return _apostol_direct(f.values, g.values, _logs(k), k, _divisor_map(k))
+    return _apostol_direct(f.values, g.values, _logs(k), k, _divisor_map(k),
+                           np.empty(k))
 
 
 def apostol_log_sum(f: FunctionTable, g: FunctionTable, k: int) -> float:
     """sum_{j<=k} s_k(j) log j through the exact log-factorial identity."""
     cut(k, f, g)
     lf = log_factorial_row(k)
-    return _apostol_identity(f.values, g.values, lf, k, _divisor_map(k))
+    D = _divisor_map(k)
+    lg = {d: math.log(d) for d in D}
+    return _apostol_identity(f.values, g.values, lf, lg, k, D)
 
 
 def log_sum_audit(f: FunctionTable, g: FunctionTable, k: int) -> GcdSumResult:
@@ -221,7 +237,7 @@ def toth_identity(k: int) -> tuple[float, float]:
     lam_k = (math.log(divs[1]) if k > 1 and divs[1] ** (len(divs) - 1) == k
              else 0.0)
     return _toth_sides(_mobius_on(D), _logs(k), lam_k, log_factorial_row(k),
-                       k, D)
+                       k, D, np.empty(k))
 
 
 def cesaro_identity(f: FunctionTable, k: int) -> tuple[float, float]:
@@ -230,14 +246,16 @@ def cesaro_identity(f: FunctionTable, k: int) -> tuple[float, float]:
     D = _divisor_map(k)
     mu = _mobius_on(D)
     phi = {m: sum(mu[d] * (m // d) for d in D[m]) for m in D}  # mu * id
-    return _cesaro_sides(f.values, phi, k, D)
+    return _cesaro_sides(f.values, phi, k, D, np.empty(k))
 
 
 def _batch(kernel, D):
-    """kernel(k) for k = 1..kmax; D[k] is dropped once 2k > kmax (its last use)."""
+    """kernel(k, buf) for k = 1..kmax, with one scratch buffer of kmax
+    floats for every k; D[k] is dropped once 2k > kmax (its last use)."""
     kmax = len(D) - 1
+    buf = np.empty(kmax)
     for k in range(1, kmax + 1):
-        yield kernel(k)
+        yield kernel(k, buf)
         if 2 * k > kmax:
             D[k] = None
 
@@ -248,8 +266,9 @@ def apostol_audits(f: FunctionTable, g: FunctionTable, kmax: int):
     D, logs = divisor_lists(kmax), _logs(kmax)
     fv, gv = f.values[:kmax + 1].tolist(), g.values[:kmax + 1].tolist()
     lf = log_factorial_row(kmax).tolist()
-    return _batch(lambda k: (_apostol_direct(fv, gv, logs, k, D),
-                             _apostol_identity(fv, gv, lf, k, D)), D)
+    lg = [0.0, *map(math.log, range(1, kmax + 1))]
+    return _batch(lambda k, buf: (_apostol_direct(fv, gv, logs, k, D, buf),
+                                  _apostol_identity(fv, gv, lf, lg, k, D)), D)
 
 
 def toth_audits(kmax: int):
@@ -257,15 +276,16 @@ def toth_audits(kmax: int):
     D, logs = divisor_lists(kmax), _logs(kmax)
     mu = sieve_values(MU, kmax).astype(np.int64).tolist()
     lam = sieve_values(VON_MANGOLDT, kmax)
-    lf = log_factorial_row(kmax)
-    return _batch(lambda k: _toth_sides(mu, logs, lam[k], lf, k, D), D)
+    lf = log_factorial_row(kmax).tolist()
+    return _batch(lambda k, buf: _toth_sides(mu, logs, lam[k], lf, k, D, buf),
+                  D)
 
 
 def cesaro_audits(f: FunctionTable, kmax: int):
     """``cesaro_identity(f, k)`` for k = 1..kmax."""
     cut(kmax, f)
     D, phi = divisor_lists(kmax), sieve_values(PHI, kmax).tolist()
-    return _batch(lambda k: _cesaro_sides(f.values, phi, k, D), D)
+    return _batch(lambda k, buf: _cesaro_sides(f.values, phi, k, D, buf), D)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +509,9 @@ def gcd_log_average_terms(f: FunctionTable, x: float) -> AverageDecomposition:
 def _cesaro_terms(fv: np.ndarray, n: int) -> np.ndarray:
     """(1/k) sum_{j<=k} f(gcd(j,k)) in slot k = 1..n by the double loop;
     slot 0 holds 0."""
-    terms = np.zeros(n + 1)
+    terms, buf = np.zeros(n + 1), np.empty(n)
     for k, divs in enumerate(divisor_lists(n)[1:], 1):
-        terms[k] = _gather_by_gcd(fv, divs, k).sum() / k
+        terms[k] = _gather_by_gcd(fv, divs, k, buf).sum() / k
     return terms
 
 

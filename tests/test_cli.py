@@ -175,6 +175,23 @@ def test_argparse_error_exit_2():
     assert exc.value.code == 2
 
 
+def test_unknown_scan_target_exit_2_lists_the_targets():
+    # --target is checked against the registries after parsing, with
+    # argparse's wording
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "gcdsums.cli", "scan",
+                           "--target", "not-a-target"],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("usage: gcdsums")
+    assert ("error: argument --target: invalid choice: 'not-a-target' "
+            "(choose from ") in done.stderr
+    for name in [*G.SCAN_TARGETS, *G.STATISTICS]:
+        assert repr(name) in done.stderr, name
+
+
 def test_failure_report_exit_1(tmp_path, capsys):
     # a calibration file with an absurdly small bound forces a failure
     calib = tmp_path / "calib.txt"

@@ -1,0 +1,114 @@
+"""The package namespace loads its modules on first use, and each command
+loads only the modules it runs.
+
+Both are checked in fresh interpreters, where nothing but what the child
+itself imports is loaded.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gcdsums as G
+
+SRC = Path(G.__file__).resolve().parents[1]
+
+# the names ``import gcdsums`` has always exported, by defining module
+EXPORTS = {
+    "asymptotics": [
+        "SCAN_TARGETS", "STATISTICS", "ResidualScan", "calibrate",
+        "default_calibration_path", "delta_integral_ratio", "divisor_delta",
+        "divisor_delta_a", "divisor_delta_a_series", "exact_value",
+        "limit_ratio", "limit_ratio_grid", "load_calibration", "main_term",
+        "mu_delta_grid", "mu_delta_sum", "residual_scan", "standard_grid",
+        "summatory", "tau_gcd_log_avg_routes", "write_calibration"],
+    "errors": ["DomainError"],
+    "identities": [
+        "AverageDecomposition", "GcdSumResult", "anderson_apostol",
+        "apostol_audits", "apostol_log_average", "apostol_log_average_terms",
+        "apostol_log_sum", "apostol_log_sum_direct", "cesaro_audits",
+        "cesaro_average", "cesaro_average_profile", "cesaro_identity",
+        "gcd_log_average", "gcd_log_average_terms", "log_sum_audit",
+        "ramanujan_sum", "toth_audits", "toth_identity"],
+    "series": [
+        "MuSeriesReport", "SeriesComparison", "ThetaBracket",
+        "dirichlet_partial_sum", "log_factorial_partial_sum",
+        "mu_series_report", "series_identity_compare",
+        "series_theta_bracket"],
+    "stirling": ["StirlingTable", "StirlingValue", "log_factorial_table"],
+    "tables": [
+        "DIVISOR_LOG", "ID", "LOG", "MU", "ONE", "PHI", "SIGMA", "TAU",
+        "VON_MANGOLDT", "FunctionSpec", "FunctionTable", "Kind", "abscissa",
+        "convolve", "dirichlet_convolve", "divisors_of", "id_pow", "jordan",
+        "mobius_of", "parse_spec", "pointwise_log", "pointwise_power",
+        "sieve", "sieve_values", "sigma_pow"],
+    "zeta": ["LOG_SQRT_2PI", "ConstantSet", "constants", "euler_gamma",
+             "zeta", "zeta_prime"],
+}
+
+HEAVY = ["gcdsums.asymptotics", "gcdsums.identities", "gcdsums.series",
+         "gcdsums.stirling"]
+
+
+def _child(code: str) -> str:
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+def test_every_export_resolves_to_its_module_object():
+    code = f"""import importlib, json, sys
+from gcdsums import sieve, MU
+import gcdsums
+assert sieve is sys.modules["gcdsums.tables"].sieve
+assert MU is sys.modules["gcdsums.tables"].MU
+wrong = []
+for module, names in {EXPORTS!r}.items():
+    for name in names:
+        value = getattr(gcdsums, name)
+        if value is not getattr(importlib.import_module("gcdsums." + module),
+                                name):
+            wrong.append(name)
+print(json.dumps([wrong, callable(gcdsums.zeta),
+                  gcdsums.zeta is sys.modules["gcdsums.zeta"].zeta,
+                  sorted(gcdsums.__all__),
+                  set(gcdsums.__all__) <= set(dir(gcdsums))]))
+"""
+    wrong, zeta_callable, zeta_is_function, exported, listed = \
+        json.loads(_child(code))
+    assert wrong == []
+    assert zeta_callable and zeta_is_function
+    assert exported == sorted(n for names in EXPORTS.values() for n in names)
+    assert listed
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        G.no_such_name
+    assert not hasattr(G, "no_such_name")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["sieve", "--spec", "phi", "--nmax", "100"], []),
+    (["identity", "--which", "toth", "--kmax", "10"],
+     ["gcdsums.identities", "gcdsums.stirling"]),
+    (["series", "--which", "identity", "--K", "10,100"],
+     ["gcdsums.identities", "gcdsums.series", "gcdsums.stirling"]),
+], ids=["sieve", "identity-toth", "series-identity"])
+def test_command_loads_only_its_modules(argv, loaded):
+    code = f"""import contextlib, io, json, sys
+import gcdsums.cli
+heavy = {HEAVY!r}
+before = [m for m in heavy if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert gcdsums.cli.main({argv!r}) == 0
+print(json.dumps([before, [m for m in heavy if m in sys.modules]]))
+"""
+    before, after = json.loads(_child(code))
+    assert before == []
+    assert after == loaded
