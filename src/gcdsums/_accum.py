@@ -9,8 +9,8 @@ summation) is kept in a single place:
   the exact sides keep them at the quotients n // i (``quotient_prefixes``),
   a block at a time: a pass owns its block buffers, allocated once and
   freed when it ends, and nothing is cached between passes,
-- a prefix of a smooth weight past a table (the g = 1 side of
-  ``identities._average_pairs``) is the table's longdouble sum P(t) plus
+- a prefix of a smooth weight past a table (a weight of the constant 1,
+  ``identities._one_pairs``) is the table's longdouble sum P(t) plus
   a longdouble closed form Phi(v) - Phi(t), rounded once
   (``stirling.one_weight_sums``),
 - short heterogeneous sums use ``math.fsum``,

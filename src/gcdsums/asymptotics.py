@@ -1,10 +1,12 @@
 """Main-term evaluators, divisor-problem remainders and residual scans.
 
 Each summatory statistic is one or a few Dirichlet hyperbola sums over
-d*l <= x, of f(d)/d and h(l)/l for sum_{m<=x} (f * h)(m) / m.  A weight
-of the constant 1 (the count for id, l^a for id_{1+a}, 1/l, l^-2,
-log l / l) takes its closed-form g = 1 prefix, any other one pass over
-its operand's own sieve; no statistic sieves its product.  Main terms
+d*l <= x, of f(d)/d and h(l)/l for sum_{m<=x} (f * h)(m) / m: a term
+list of ``identities._hyperbola_sums``, its weights named by table and
+kind as the log averages' are.  A weight of the constant 1 (the count
+for id, l^a for id_{1+a}, 1/l, l^-2, log l / l) takes its closed-form
+g = 1 prefix, any other is the v/m of its operand's blocks, one pass
+per operand; no statistic sieves its product.  Main terms
 are the displayed asymptotic formulas with all zeta / zeta' / gamma
 constants evaluated by the zeta module.  Because the error bounds carry
 no explicit constants, order-of-growth claims are checked by
@@ -39,66 +41,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ._accum import (_BLOCK, block_of, dot, fsum, hyperbola_sum,
-                     quotient_prefixes, ramp)
+from ._accum import _BLOCK, dot, fsum, ramp
 from .errors import DomainError, require
-from .identities import (_one_pairs, apostol_log_average_grid,
-                         apostol_log_average_terms)
+from .identities import (_hyperbola_sums, _one_pairs, _table_pairs,
+                         apostol_log_average_grid, apostol_log_average_terms)
 from .stirling import THETA_HI, THETA_LO
 from .tables import (ID, MU, ONE, PHI, VON_MANGOLDT, _primes_upto, blocks,
                      convolve, cut, id_pow, jordan, sieve_values, sigma_pow)
 from .zeta import LOG_SQRT_2PI, constants
-
-
-def _quotient_sums(values, ns, weigh):
-    """The ``on_quotients`` pair at each n of ns (ascending) of ``values``
-    (an array or ``tables.Blocks``) weighted by ``weigh`` (an elementwise
-    function of values and their m as float64, which it may overwrite), as
-    ``quotient_prefixes`` yields it; hi[0] of a pair is the sum over
-    m <= n.  One blocked pass over the values per run of ``_runs``, into a
-    block of its own, weighed an eighth of a block at a time; no n-length
-    array is formed."""
-    v, m = np.empty(min(_BLOCK, ns[-1])), np.empty(min(_BLOCK // 8, ns[-1]))
-
-    def blocks(lo, hi):
-        block_of(values, lo, v[:hi - lo])
-        for s in range(0, hi - lo, len(m)):
-            w = v[s:s + len(m)]
-            w[:] = weigh(w, ramp(m[:len(w)], lo + s))
-        return (v[:hi - lo],)
-
-    return (pairs[0] for pairs in quotient_prefixes(blocks, ns))
-
-
-# the pairs of ``identities._one_pairs``, by the prefix sums of its g = 1
-# weights: the count, log l!, then those of log l / l, 1/l, rho(l)/l,
-# l^-2 and, where an exponent is given, l^a
-_COUNT, _LOG_FACT, _LOG_OVER, _INV, _RHO_OVER, _INV_SQ, _POW = range(7)
-
-
-def _hyperbola_sums(ns, a, terms, primes=None) -> list[float]:
-    """At each n of ns (ascending), the sum of sign * H(w, c) over the
-    terms (sign, w, c), in one ``hyperbola_sum``: H is the Dirichlet
-    hyperbola sum (Tenenbaum, Introduction to Analytic and Probabilistic
-    Number Theory, I.3.2) of the pairs of w and c.  A pair is named by an
-    index of ``_one_pairs``' list, by ID (the count) for a None or
-    id_pow(1 + a) (l^a), or by any other spec h, whose h(m)/m is summed
-    by one ``quotient_prefixes`` pass over its ``tables.blocks`` up to
-    max(ns), one spec after another, all from one list of the primes."""
-    one = {ID: _COUNT} if a is None else {id_pow(1 + a): _POW}
-    terms = [(sign, one.get(w, w), one.get(c, c)) for sign, w, c in terms]
-    keys = dict.fromkeys(k for _, w, c in terms for k in (w, c))
-    specs = [k for k in keys if not isinstance(k, int)]
-    if primes is None and len(specs) > 1:
-        primes = _primes_upto(ns[-1])
-    sieved = [list(_quotient_sums(blocks(h, ns[-1], primes).values, ns,
-                                  lambda v, m: np.divide(v, m, out=m)))
-              for h in specs]
-    out = []
-    for i, p in enumerate(_one_pairs(ns, a)):
-        p = {**dict(enumerate(p)), **{h: s[i] for h, s in zip(specs, sieved)}}
-        out.append(hyperbola_sum([(sign, p[w], p[c]) for sign, w, c in terms]))
-    return out
 
 
 def _floors(xs) -> list[int]:
@@ -152,8 +102,8 @@ def _delta_prefixes(ns, a: float | None, primes=None):
         return ((_tau_prefixes(n, 1)[0] for n in ns),
                 lambda y: y * np.log(y) + slope * y)
     a = _require_a(a)
-    return (_quotient_sums(blocks(sigma_pow(a), ns[-1], primes).values, ns,
-                           lambda v, m: v),
+    sigma = blocks(sigma_pow(a), ns[-1], primes).values
+    return ((p["v"] for p in _table_pairs(sigma, ["v"], ns)),
             lambda y: _sigma_a_smooth(y, a))
 
 
@@ -209,15 +159,15 @@ def divisor_delta_a(x: float, a: float) -> float:
 def divisor_delta_a_grid(xs, a: float) -> list[float]:
     """``divisor_delta_a`` at every x of xs, in any order; the largest x
     is checked first.  sum_{n<=x} sigma_a(n) = sum_{d*l<=x} d^a is the
-    ``hyperbola_sum`` of the pairs of l^a and of 1 from ``_one_pairs``,
-    so nothing is sieved."""
+    hyperbola sum of l^a and of 1, both weights of the constant 1, so
+    nothing is sieved."""
     a = _require_a(a)
     ns = _floors(xs)
     order = sorted(range(len(ns)), key=ns.__getitem__)
     out = [0.0] * len(ns)
-    for i, p in zip(order, _one_pairs([ns[i] for i in order], a)):
-        out[i] = (hyperbola_sum([(1, p[_POW], p[_COUNT])])
-                  - float(_sigma_a_smooth(xs[i], a)))
+    for i, (s,) in zip(order, _hyperbola_sums(
+            [ns[i] for i in order], [[(1, (None, "m^a"), (None, "v"))]], a)):
+        out[i] = s - float(_sigma_a_smooth(xs[i], a))
     return out
 
 
@@ -460,17 +410,32 @@ def _statistics() -> dict[str, Target]:
                       norm, needs_a=needs_a, **kw)
 
     def pair_stat(name, terms, main, **kw):
-        """The ``_hyperbola_sums`` of terms that name g = 1 pairs only."""
-        return entry(name, lambda ns, a, _: _hyperbola_sums(ns, a, terms),
-                     main, **kw)
+        """The hyperbola sums of terms (sign, w, c) whose weights w and c
+        are kinds of the constant 1 (v is 1: the count, log l!, and the
+        sums of 1/l, log l / l and l^-2)."""
+        terms = [(sign, (None, w), (None, c)) for sign, w, c in terms]
+        return entry(name, lambda ns, a, _: [
+            s for s, in _hyperbola_sums(ns, [terms], a)], main, **kw)
 
     def stat(name, operands, main, **kw):
         """The sum over m <= x of (f * h)(m) / m for (f, h) = operands(a)
-        (or operands): the ``_hyperbola_sums`` H(f(d)/d, h(l)/l), which
-        never sieves the product f * h."""
+        (or operands): H(f(d)/d, h(l)/l), which never sieves the product
+        f * h.  m/m is the count of the constant 1 and m^(1 + a)/m its
+        m^a; any other operand is the v/m of its ``tables.blocks``, all
+        built from one list of the primes."""
         at = operands if callable(operands) else lambda a: operands
-        return entry(name, lambda ns, a, primes: _hyperbola_sums(
-            ns, a, [(1, *at(a))], primes), main, **kw)
+
+        def exact(ns, a, primes):
+            one = {ID: "v"} if a is None else {id_pow(1 + a): "m^a"}
+            specs = [h for h in dict.fromkeys(at(a)) if h not in one]
+            if primes is None and len(specs) > 1:
+                primes = _primes_upto(ns[-1])
+            values = {h: blocks(h, ns[-1], primes).values for h in specs}
+            w, c = ((None, one[h]) if h in one else (values[h], "v/m")
+                    for h in at(a))
+            return [s for s, in _hyperbola_sums(ns, [[(1, w, c)]], a)]
+
+        return entry(name, exact, main, **kw)
 
     defs = [
         stat("id_phi", (ID, PHI), _phi_stat_main(1), norm=log(1),
@@ -483,31 +448,31 @@ def _statistics() -> dict[str, Target]:
              _pow_phi_stat_main(2), norm=log(2), needs_a=True,
              weight="mu_star_mu"),
         # sum_{d*l<=x} log(d) / (d l)
-        pair_stat("divisor_log", [(1, _LOG_OVER, _INV)],
+        pair_stat("divisor_log", [(1, "v log m/m", "v/m")],
                   lambda x, a: (math.log(x) ** 3 / 6.0
                                 + 0.5 * g * math.log(x) ** 2),
                   norm=log(1)),
         # sum_{d*l<=x} (log d + log l - 1) / l
-        pair_stat("sigma_logne", [(1, _LOG_OVER, _COUNT),
-                                  (1, _INV, _LOG_FACT), (-1, _INV, _COUNT)],
+        pair_stat("sigma_logne", [(1, "v log m/m", "v"),
+                                  (1, "v/m", "v log m"), (-1, "v/m", "v")],
                   lambda x, a: (z2 * x * math.log(x) - 2 * z2 * x
                                 - 0.25 * math.log(x) ** 2),
                   norm=log(5 / 3)),
         # the l^a prefix at x: hi[0] of its pair
         entry("power_sum",
-              lambda ns, a, _: [p[_POW][1][0] for p in _one_pairs(ns, a)],
+              lambda ns, a, _: [p["m^a"][1][0] for p in _one_pairs(ns, a)],
               lambda x, a: x ** (1 + a) / (1 + a) + C.zeta(-a),
               norm=Normalizer("x_pow", None), needs_a=True),
         stat("jordan_over_n", lambda a: (MU, id_pow(1 + a)), phi_over_n,
              needs_a=True),
         # sum_{d*l<=x} 1 / (d^2 l)
-        pair_stat("sigma_minus1", [(1, _INV_SQ, _INV)], lambda x, a: 0.0,
+        pair_stat("sigma_minus1", [(1, "|v|/m^2", "v/m")], lambda x, a: 0.0,
                   norm=log(1)),
         stat("phi_over_n", (MU, ID), phi_over_n, norm=log(2 / 3)),
         # sum_{d*l<=x} 1 / (d l) and sum_{d*l<=x} 1 / d
-        pair_stat("tau_over_n", [(1, _INV, _INV)],
+        pair_stat("tau_over_n", [(1, "v/m", "v/m")],
                   lambda x, a: 0.5 * math.log(x) ** 2 + 2 * g * math.log(x)),
-        pair_stat("sigma_over_n", [(1, _INV, _COUNT)],
+        pair_stat("sigma_over_n", [(1, "v/m", "v")],
                   lambda x, a: z2 * x - 0.5 * math.log(x), norm=log(2 / 3)),
         stat("id_lambda", (ID, VON_MANGOLDT), lam(1), norm=log(1)),
         stat("phi_lambda", (PHI, VON_MANGOLDT), lam(2), norm=log(5 / 3)),

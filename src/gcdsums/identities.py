@@ -16,12 +16,12 @@ Core objects, for tables f, g and integers k, j:
   the Stirling form l log l - l + (1/2) log l + log sqrt(2 pi) + rho(l)
   (``apostol_log_average_terms``), one Dirichlet hyperbola sum per term
   (``_accum.hyperbola_sum``, the one kernel for pairs d*l <= x).
-  Scans take it for a whole grid from one pass
+  Scans take it for a whole grid from one pass per table
   (``apostol_log_average_grid``), for both the exact side and the
   Stirling remainder; the per-k sum is the reference it is checked
   against.  For g = 1 every g-side prefix is a smooth function of l, so
   above a table of max(isqrt(x), 1024) entries it is a closed form
-  (Stirling and Euler-Maclaurin) and the pass sieves only the f side.
+  (Stirling and Euler-Maclaurin) and only the f side is sieved.
 - ``gcd_log_average(f, x)``: sum_{k<=x} (1/k) sum_{j<=k} f(gcd(k,j)) log j,
   evaluated as the (f*mu, 1) case of the above since
   sum_{d | gcd} (f*mu)(d) = f(gcd).
@@ -49,6 +49,12 @@ log d from ``math.log`` as the batches do, and mu, phi and Lambda at the
 divisors of k from the divisors themselves, mu and phi as exact integers,
 so their values equal the batches' bit for bit.
 
+Each hyperbola sum, of the six terms and of the statistics in
+``asymptotics`` alike, is a list of terms (sign, w, c) for
+``_hyperbola_sums`` over weights named (values, kind): a table's values
+or None, the constant 1, and a kind of ``_KINDS``, which one blocked
+writer, ``_weigh``, forms.
+
 All sums over x cut at floor(x); an integer x includes k = x.
 """
 
@@ -56,7 +62,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -332,50 +337,79 @@ def apostol_log_average(f: FunctionTable, g: FunctionTable | None,
     return dot(u[1:], 1.0 / k)
 
 
-def _g_weights(gv: np.ndarray | None, lo: int, hi: int, buf: np.ndarray,
-               a: float | None = None):
-    """The g-side weights at l = lo..hi-1: g, g log, g log/l, g/l, g rho/l
-    and |g|/l^2, one after another, then l^a where a is given (the bytes
-    of the ``idpow:a`` sieve's power), each in a row of buf that is
-    rewritten once read; gv None is the constant 1."""
-    g, lg, inv, out = buf[:, :hi - lo]
-    block_of(gv, lo, g)
-    np.log(ramp(inv, lo), out=lg)  # equal to the LOG sieve bit for bit
-    np.divide(1.0, inv, out=inv)
-    yield g
-    yield np.multiply(g, lg, out=out)
-    gi = np.multiply(g, inv, out=g)
-    yield np.multiply(gi, lg, out=out)
-    yield gi
-    rho = rho_block(lo, hi, lg)
-    yield np.multiply(rho, gi, out=rho)
-    yield np.multiply(np.abs(gi, out=out), inv, out=out)
-    if a is not None:
-        yield np.power(ramp(out, lo), a, out=out)
+# the weights a hyperbola sum reads of a table, by kind, for its values v
+# at m (the constant 1 where there is no table): the g = 1 ones first, in
+# the order of ``stirling.one_weight_sums``, then |v|/m
+_KINDS = ("v", "v log m", "v log m/m", "v/m", "v rho/m", "|v|/m^2", "m^a",
+          "|v|/m")
 
 
-def _f_weights(fv: np.ndarray, lo: int, hi: int, buf: np.ndarray,
-               signed: bool = True):
-    """The f-side weights at d = lo..hi-1: f/d, f log d/d and, for a signed
-    f, |f|/d, in the two rows of buf (d is counted twice, for 1/d and log d)."""
-    w, lg = buf[:, :hi - lo]
-    np.divide(1.0, ramp(lg, lo), out=lg)
-    yield np.multiply(block_of(fv, lo, w), lg, out=w)
-    yield np.multiply(w, np.log(ramp(lg, lo), out=lg), out=lg)
-    if signed:
-        yield np.abs(w, out=lg)
+def _buffers(kinds, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The v and m that ``_weigh`` writes the kinds into, for blocks up to
+    top: v is a block, m a block too, but an eighth of one where only v
+    and v/m are asked for and nothing for v alone."""
+    kinds = set(kinds)
+    size = (0 if kinds <= {"v"} else _BLOCK // 8 if kinds <= {"v", "v/m"}
+            else _BLOCK)
+    return np.empty(min(_BLOCK, top)), np.empty(min(size, top))
+
+
+def _weigh(values, kinds, lo: int, hi: int, v: np.ndarray, m: np.ndarray,
+           a: float | None = None):
+    """The weights ``kinds`` of values (an array, ``tables.Blocks`` or
+    None, the constant 1) at m = lo..hi-1, in the order of ``_KINDS``,
+    each rewritten once read: in v, the values' block, which then turns
+    into v/m = v * (1/m) a length of m at a time, or in m.  m holds exact
+    integers when 1/m, log m or m^a is taken, so no weight depends on
+    where its block starts or stops."""
+    v = block_of(values, lo, v[:hi - lo])
+    m = m[:hi - lo]
+    if "v" in kinds:
+        yield v
+    if "v log m" in kinds:
+        yield np.multiply(v, np.log(ramp(m, lo), out=m), out=m)
+    if not set(kinds) <= {"v", "v log m", "m^a"}:
+        for s in range(0, len(v), len(m)):
+            w = v[s:s + len(m)]
+            r = ramp(m[:len(w)], lo + s)
+            np.multiply(w, np.divide(1.0, r, out=r), out=w)
+    if "v log m/m" in kinds:
+        yield np.multiply(v, np.log(ramp(m, lo), out=m), out=m)
+    if "v/m" in kinds:
+        yield v
+    if "v rho/m" in kinds:
+        yield np.multiply(rho_block(lo, hi, m), v, out=m)
+    if "|v|/m^2" in kinds:
+        np.divide(1.0, ramp(m, lo), out=m)
+        yield np.abs(np.multiply(v, m, out=m), out=m)
+    if "m^a" in kinds:
+        yield np.power(ramp(m, lo), a, out=m)
+    if "|v|/m" in kinds:
+        yield np.abs(v, out=m)
+
+
+def _table_pairs(values, kinds, ns, buffers=None):
+    """The ``on_quotients`` pairs of the weights ``kinds`` of one table
+    (values as ``_weigh`` takes them) at each n of ns (ascending), a dict
+    kind -> pair per n, from one ``quotient_prefixes`` pass per run.  The
+    pass writes its blocks into ``buffers``, a v and m of ``_buffers``
+    that cover the kinds, or into its own."""
+    kinds = [k for k in _KINDS if k in kinds]
+    v, m = buffers or _buffers(kinds, max(ns))
+    return (dict(zip(kinds, pairs)) for pairs in quotient_prefixes(
+        lambda lo, hi: _weigh(values, kinds, lo, hi, v, m), ns))
 
 
 def _one_pairs(ns, a: float | None = None):
-    """The ``on_quotients`` pairs of the six g-side weights for g = 1 (1,
-    log l, log l / l, 1/l, rho(l)/l and 1/l^2), then of l^a where a is
-    given, at each n of ns (ascending), with no pass past
+    """The pairs of ``_table_pairs`` for the g = 1 kinds of the constant
+    1 (1, log l, log l / l, 1/l, rho(l)/l, 1/l^2 and l^a where a is
+    given) at each n of ns (ascending), with no pass past
     t = min(max(isqrt(max n), 1024), max n).
 
-    Up to t, the weights of ``_g_weights`` are summed a block at a time
-    by ``running_sum``, so every prefix P(v) at v <= t has the bytes of
-    the pass over all of 1..n.  Above t, P(v) = P(t) + Phi(v) - Phi(t)
-    with the longdouble P(t) of that sum and the closed forms Phi of
+    Up to t, the weights of ``_weigh`` are summed a block at a time by
+    ``running_sum``, so every prefix P(v) at v <= t has the bytes of the
+    pass over all of 1..n.  Above t, P(v) = P(t) + Phi(v) - Phi(t) with
+    the longdouble P(t) of that sum and the closed forms Phi of
     ``stirling.one_weight_sums``, rounded once: the count is exact, and
     every other entry is within an ulp of the pass's.  It holds six (or
     seven) (t + 1)-float tables and, per n, its pairs and a few longdouble
@@ -383,14 +417,15 @@ def _one_pairs(ns, a: float | None = None):
     """
     ns = ascending(ns)
     t = min(max(math.isqrt(ns[-1]), SEED), ns[-1])
-    width = 6 if a is None else 7
-    table = np.zeros((width, t + 1))
-    totals = [np.longdouble(0.0)] * width
-    buf = np.empty((4, min(_BLOCK, t)))
-    lsums = np.empty(buf.shape[1], np.longdouble)
+    kinds = _KINDS[:6 if a is None else 7]
+    table = np.zeros((len(kinds), t + 1))
+    totals = [np.longdouble(0.0)] * len(kinds)
+    buffers = _buffers(kinds, t)
+    lsums = np.empty(len(buffers[0]), np.longdouble)
     for start in range(1, t + 1, _BLOCK):
         stop = min(start + _BLOCK, t + 1)
-        for k, block in enumerate(_g_weights(None, start, stop, buf, a)):
+        for k, block in enumerate(_weigh(None, kinds, start, stop, *buffers,
+                                         a)):
             sums = running_sum(block, totals[k], lsums)
             table[k, start:stop] = sums
             totals[k] = sums[-1]
@@ -401,50 +436,50 @@ def _one_pairs(ns, a: float | None = None):
         r = math.isqrt(n)
         v = n // np.maximum(np.arange(r + 1), 1)
         above = int(np.count_nonzero(v > t))  # v descends
-        his = np.empty((width, r + 1))
+        his = np.empty((len(kinds), r + 1))
         his[:, above:] = table[:, v[above:]]
         if above:
             for row, p, phi in zip(his, offsets,
                                    one_weight_sums(v[:above], a)):
                 row[:above] = p + phi
-        yield list(zip(table[:, :r + 1], his))
+        yield dict(zip(kinds, zip(table[:, :r + 1], his)))
 
 
-def _average_pairs(fv: np.ndarray | None, gv: np.ndarray | None, ns,
-                   signed: bool = True):
-    """The ``on_quotients`` pairs of the six-term expansion's weights at
-    each n of ns (ascending): the six of ``_g_weights``, then the three of
-    ``_f_weights``; fv or gv given as None is the constant 1; f not
-    ``signed`` (f >= 0) takes the f/d pair for |f|/d.
-
-    For a given g, all nine come from one ``quotient_prefixes`` pass, in
-    one buffer of four blocks, the f side's after the g side's.  For g = 1
-    the six g-side pairs come from ``_one_pairs``, closed forms above a
-    table of t <= max(isqrt(max n), 1024) entries, and the pass carries
-    only the f-side weights; for f = 1 too there is no pass, since 1/d,
-    log d/d and |1|/d are the g-side's 1/l, log l/l and 1/l.
+def _hyperbola_sums(ns, sums, a: float | None = None):
+    """For each n of ns (ascending), one sum per term list of ``sums``:
+    sign * H(w, c) over its terms (sign, w, c), by one ``hyperbola_sum``
+    of the pairs of w and c, H the Dirichlet hyperbola sum (Tenenbaum,
+    Introduction to Analytic and Probabilistic Number Theory, I.3.2).
+    A weight is named (values, kind): values None, the constant 1, takes
+    its pairs from ``_one_pairs`` (l^a with the a given), other values
+    theirs from one ``_table_pairs`` pass for every kind named of them.
+    The passes run one after another, into one v and m of ``_buffers``.
     """
-    if fv is None:
-        return ([*g, g[3], g[2], g[3]] for g in _one_pairs(ns))
-    buf = np.empty((2 if gv is None else 4, min(_BLOCK, max(ns))))
-    if gv is None:
-        pairs = ([*g, *f] for g, f in zip(_one_pairs(ns), quotient_prefixes(
-            lambda lo, hi: _f_weights(fv, lo, hi, buf, signed), ns)))
-    else:
-        pairs = quotient_prefixes(lambda lo, hi: chain(
-            _g_weights(gv, lo, hi, buf),
-            _f_weights(fv, lo, hi, buf[:2], signed)), ns)
-    return (p if signed else [*p, p[6]] for p in pairs)
+    named = {}
+    for terms in sums:
+        for _, *names in terms:
+            for values, kind in names:
+                named.setdefault(id(values), (values, set()))[1].add(kind)
+    sieved = [kinds for values, kinds in named.values() if values is not None]
+    buffers = _buffers(set().union(*sieved), max(ns)) if sieved else None
+    sources = [_one_pairs(ns, a) if values is None
+               else _table_pairs(values, kinds, ns, buffers)
+               for values, kinds in named.values()]
+    for found in zip(*sources):
+        pairs = dict(zip(named, found))
+        yield [hyperbola_sum([(sign, pairs[id(w)][wk], pairs[id(c)][ck])
+                              for sign, (w, wk), (c, ck) in terms])
+               for terms in sums]
 
 
 def apostol_log_average_grid(f: FunctionTable | None,
                              g: FunctionTable | None,
                              xs) -> list[AverageDecomposition]:
-    """``apostol_log_average_terms`` at every x of an ascending grid, from
-    ``_average_pairs`` up to the largest x.  f and g are tables or
-    ``tables.Blocks``; either given as None is the constant 1, which is
-    then never sieved; for g = 1 the g-side prefixes above a table of
-    t = max(isqrt(max x), 1024) entries are closed forms.
+    """``apostol_log_average_terms`` at every x of an ascending grid: one
+    term list of ``_hyperbola_sums`` per field of ``AverageDecomposition``.
+    f and g are tables, their values arrays or ``tables.Blocks``; None is
+    the constant 1, never sieved.  An f that ``tables.nonnegative``
+    accepts names |f(d)|/d as f(d)/d.
 
     Peak memory: the tables it is given, or what their blocks share, plus
     a few blocks of ``_accum._BLOCK`` and the pairs of one run of
@@ -454,23 +489,17 @@ def apostol_log_average_grid(f: FunctionTable | None,
     """
     ns = [cut(x, f, g) for x in xs]
     fv, gv = (None if t is None else t.values for t in (f, g))
-    signed = f is not None and not nonnegative(f.spec)
-    return [_decomposition(x, *pairs)
-            for x, pairs in zip(xs, _average_pairs(fv, gv, ns, signed))]
-
-
-def _decomposition(x, cg, cg_log, cg_log_over, cg_over, cg_rho, cg_abs, fw,
-                   fw_log, fw_abs) -> AverageDecomposition:
-    return AverageDecomposition(
-        x=float(x),
-        log_d_term=hyperbola_sum([(1, fw_log, cg)]),
-        log_l_term=hyperbola_sum([(1, fw, cg_log)]),
-        unit_term=-hyperbola_sum([(1, fw, cg)]),
-        half_log_term=0.5 * hyperbola_sum([(1, fw, cg_log_over)]),
-        const_term=LOG_SQRT_2PI * hyperbola_sum([(1, fw, cg_over)]),
-        remainder_term=hyperbola_sum([(1, fw, cg_rho)]),
-        remainder_bound=hyperbola_sum([(1, fw_abs, cg_abs)]) / 12.0,
-    )
+    over = (fv, "v/m")
+    absolute = over if f is None or nonnegative(f.spec) else (fv, "|v|/m")
+    sums = _hyperbola_sums(ns, [
+        [(1, (fv, "v log m/m"), (gv, "v"))], [(1, over, (gv, "v log m"))],
+        [(1, over, (gv, "v"))], [(1, over, (gv, "v log m/m"))],
+        [(1, over, (gv, "v/m"))], [(1, over, (gv, "v rho/m"))],
+        [(1, absolute, (gv, "|v|/m^2"))]])
+    return [AverageDecomposition(float(x), log_d, log_l, -unit, 0.5 * half,
+                                 LOG_SQRT_2PI * const, rem, bound / 12.0)
+            for x, (log_d, log_l, unit, half, const, rem, bound)
+            in zip(xs, sums)]
 
 
 def apostol_log_average_terms(f: FunctionTable | None,

@@ -194,7 +194,10 @@ def one_weight_sums(v: np.ndarray, a: float | None = None) -> list[np.ndarray]:
     log l / l, 1/l, rho(l)/l and 1/l^2), then of l^a where a is given,
     in longdouble, at each integer v >= SEED: sum_{l<=v} of the
     weight up to a constant of its own, so Phi(v) - Phi(t) is the sum
-    over t < l <= v.
+    over t < l <= v.  The list follows the first kinds of
+    ``identities._KINDS`` (v, v log m, v log m/m, v/m, v rho(m)/m,
+    |v|/m^2 and m^a with v = 1), the order ``identities._one_pairs``
+    reads it in.
 
     - 1: v, exactly;
     - log l: log v! by Stirling, (v + 1/2) log v - v plus the remainder

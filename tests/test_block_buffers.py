@@ -139,19 +139,20 @@ def test_nonnegative_f_takes_its_f_over_d_pair(text, rule):
     spec = parse_spec(text)
     assert tables.nonnegative(spec) is rule
     ns = [1, 1000, _B + 1, 3 * _B + 5]
-    if not rule:
-        # the scans' path keeps the |f|/d pass of an f that may be < 0
-        f = tables.blocks(spec, ns[-1])
-        for x, got, pairs in zip(ns, identities.apostol_log_average_grid(
-                f, None, ns), identities._average_pairs(f.values, None, ns)):
-            assert got == identities._decomposition(x, *pairs)
-        return
-    fv = tables.sieve_values(spec, ns[-1])
-    assert np.all(fv >= 0)
-    for got, want in zip(identities._average_pairs(fv, None, ns, False),
-                         identities._average_pairs(fv, None, ns)):
-        assert all(_same_bytes(g, w) for gp, wp in zip(got, want)
-                   for g, w in zip(gp, wp))
+    f = tables.blocks(spec, ns[-1])
+    # remainder_bound is (1/12) H(|f(d)|/d, 1/l^2), the scans' path keeping
+    # the |f|/d pass of an f that may be < 0
+    bounds = [d.remainder_bound for d in
+              identities.apostol_log_average_grid(f, None, ns)]
+    kind = "v/m" if rule else "|v|/m"
+    assert bounds == [s / 12.0 for s, in identities._hyperbola_sums(
+        ns, [[(1, (f.values, kind), (None, "|v|/m^2"))]])]
+    if rule:
+        fv = tables.sieve_values(spec, ns[-1])
+        assert np.all(fv >= 0)
+        for pairs in identities._table_pairs(fv, ["v/m", "|v|/m"], ns):
+            assert all(_same_bytes(g, w) for g, w in zip(pairs["v/m"],
+                                                         pairs["|v|/m"]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 1024, 10 ** 6 + 3])

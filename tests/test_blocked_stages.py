@@ -135,10 +135,16 @@ def test_grid_pass_rejects_a_descending_grid():
                                       [10, 9]))
 
 
-def _average_pairs(fv, gv, n):
-    """The six-term weights' pairs at n alone, rho formed per block."""
-    pairs, = identities._average_pairs(fv, gv, [n])
-    return pairs
+# the six g-side kinds of the six-term expansion and the three f-side
+# ones, in the order of ``whole_array_average_pairs``
+_G_KINDS = ("v", "v log m", "v log m/m", "v/m", "v rho/m", "|v|/m^2")
+_F_KINDS = ("v/m", "v log m/m", "|v|/m")
+
+
+def _kind_pairs(values, kinds, n):
+    """The pairs of one table's kinds at n alone, rho formed per block."""
+    pairs, = identities._table_pairs(values, kinds, [n])
+    return [pairs[k] for k in kinds]
 
 
 @pytest.mark.parametrize("x", SIZES)
@@ -148,7 +154,8 @@ def test_average_weights_equal_whole_array_form(x, f, g):
     n = math.floor(x)
     fv, gv, rho = (sieve_values(f, n), sieve_values(g, n),
                    G.log_factorial_table(n).rho)
-    assert _same_pairs(_average_pairs(fv, gv, n),
+    assert _same_pairs(_kind_pairs(gv, _G_KINDS, n)
+                       + _kind_pairs(fv, _F_KINDS, n),
                        whole_array_average_pairs(fv, gv, rho,
                                                  sieve_values(LOG, n), n))
 
@@ -165,16 +172,19 @@ def test_average_weights_with_one_per_block_equal_one_sieve(n):
     # g = 1 (and f = 1) from its closed forms past t = 1024: the ONE
     # sieve's bytes up to there, past it each prefix within an ulp of the
     # sieve's and each of the seven terms within 4 ulps of 1.0, relative
-    fv, one = sieve_values(PHI, n), sieve_values(ONE, n)
-    for f, f_sieved in ((fv, fv), (None, one)):
-        got, want = _average_pairs(f, None, n), _average_pairs(f_sieved, one, n)
-        if n <= 1024:
-            assert _same_pairs(got, want)
-            continue
-        assert all(_within_ulps(g, w, 1) for gp, wp in zip(got, want)
-                   for g, w in zip(gp, wp))
-        terms = [np.array([*d.terms, d.remainder_bound]) for d in
-                 (identities._decomposition(n, *p) for p in (got, want))]
+    got, = identities._one_pairs([n])
+    got = list(got.values())
+    want = _kind_pairs(sieve_values(ONE, n), _G_KINDS, n)
+    if n <= 1024:
+        assert _same_pairs(got, want)
+        return
+    assert all(_within_ulps(g, w, 1) for gp, wp in zip(got, want)
+               for g, w in zip(gp, wp))
+    phi, one = G.sieve(PHI, n), G.sieve(ONE, n)
+    for f, f_sieved in ((phi, phi), (None, one)):
+        terms = [np.array([*d.terms, d.remainder_bound]) for d, in
+                 (identities.apostol_log_average_grid(f, None, [n]),
+                  identities.apostol_log_average_grid(f_sieved, one, [n]))]
         assert np.all(abs(terms[0] - terms[1])
                       <= 4 * 2.0 ** -52 * abs(terms[1]))
 

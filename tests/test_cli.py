@@ -404,32 +404,56 @@ def test_exponent_refused_before_the_calibration_row(capsys):
 
 
 _GEOM = ["--grid", "geom:1e3,1e7,9"]
+# per name, a command and its count of stdout lines
+_BLAS_COMMANDS = {
+    "scan-tau_over_n": (["scan", "--target", "tau_over_n", *_GEOM], 10),
+    "delta-point-a": (["delta", "--which", "point", "--a", "-0.5", *_GEOM],
+                      10),
+    "scan-tau-log-avg": (["scan", "--target", "tau-log-avg", *_GEOM], 10),
+    "series-identity": (["series", "--which", "identity", "--f", "one",
+                         "--g", "one", "--s", "4", "--K", "1000,100000"], 3),
+    "scan-jordan_over_n": (["scan", "--target", "jordan_over_n", "--a",
+                            "-0.5", *_GEOM], 10),
+    "scan-id_lambda": (["scan", "--target", "id_lambda", *_GEOM], 10),
+}
+
+# run by a child: the stdout of ``cli.main`` for each argv of the JSON
+# list it is given, as a JSON list
+_RUN_EACH = """import contextlib, io, json, sys
+from gcdsums import cli
+outs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0, argv
+    outs.append(out.getvalue())
+print(json.dumps(outs))"""
 
 
-@pytest.mark.parametrize("argv, lines", [
-    (["scan", "--target", "tau_over_n", *_GEOM], 10),
-    (["delta", "--which", "point", "--a", "-0.5", *_GEOM], 10),
-    (["scan", "--target", "tau-log-avg", *_GEOM], 10),
-    (["series", "--which", "identity", "--f", "one", "--g", "one", "--s",
-      "4", "--K", "1000,100000"], 3),
-    (["scan", "--target", "jordan_over_n", "--a", "-0.5", *_GEOM], 10),
-    (["scan", "--target", "id_lambda", *_GEOM], 10),
-], ids=["scan-tau_over_n", "delta-point-a", "scan-tau-log-avg",
-        "series-identity", "scan-jordan_over_n", "scan-id_lambda"])
-def test_stdout_independent_of_blas_threads(argv, lines):
-    # their hyperbola sums add by math.fsum and their plain sums by
-    # np.sum, through no BLAS dot, so one thread and two must give the
-    # same bytes
+@pytest.fixture(scope="module")
+def blas_thread_outputs():
+    """Per command of ``_BLAS_COMMANDS``, its stdout with one BLAS thread
+    and with two: each thread count runs every command in one child."""
     src = Path(cli.__file__).resolve().parents[1]
     outs = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": str(src)}
-        done = subprocess.run([sys.executable, "-m", "gcdsums.cli", *argv],
-                              env=env, capture_output=True, check=True)
-        outs.append(done.stdout)
-    assert outs[0] == outs[1]
-    assert len(outs[0].splitlines()) == lines
+        done = subprocess.run(
+            [sys.executable, "-c", _RUN_EACH,
+             json.dumps([argv for argv, _ in _BLAS_COMMANDS.values()])],
+            env=env, capture_output=True, text=True, check=True)
+        outs.append(json.loads(done.stdout))
+    return dict(zip(_BLAS_COMMANDS, zip(*outs)))
+
+
+@pytest.mark.parametrize("name", _BLAS_COMMANDS)
+def test_stdout_independent_of_blas_threads(blas_thread_outputs, name):
+    # their hyperbola sums add by math.fsum and their plain sums by
+    # np.sum, through no BLAS dot, so one thread and two must give the
+    # same bytes
+    one, two = blas_thread_outputs[name]
+    assert one == two
+    assert len(one.splitlines()) == _BLAS_COMMANDS[name][1]
 
 
 @pytest.mark.parametrize("argv", [["scan", "--target", "tau_over_n"],
@@ -497,17 +521,23 @@ def _child_maxrss(argv):
     return kb / 1024.0
 
 
+@pytest.fixture(scope="module")
+def bare_import_maxrss():
+    """Peak RSS in MB of a bare ``import gcdsums.cli``, the baseline of
+    every command: measured once."""
+    return _child_maxrss(["-c", "import gcdsums.cli"])
+
+
 @pytest.mark.parametrize("args", [
     ["scan", "--target", "id-log-avg", "--grid", "geom:1e3,1e6,7", "--check"],
     ["scan", "--target", "jordan-log-avg", "--a", "-0.5",
      "--grid", "geom:1e3,1e6,7", "--check"],
     ["sieve", "--spec", "phi", "--nmax", "1000000", "--out", os.devnull]],
     ids=["id-log-avg", "jordan-log-avg", "sieve-phi"])
-def test_command_peak_rss_near_the_import(args):
+def test_command_peak_rss_near_the_import(bare_import_maxrss, args):
     # each table is read a block at a time and a dump keeps no text, so
     # the command peaks within 8 MB of the bare import: a whole phi or mu
     # table at 10^6 is 8 MB, and the scans built whole peaked about 13 MB
     # above it, the dump about 36 MB
     command = _child_maxrss(["-m", "gcdsums.cli", *args])
-    bare = _child_maxrss(["-c", "import gcdsums.cli"])
-    assert command - bare < 8.0, (command, bare)
+    assert command - bare_import_maxrss < 8.0, (command, bare_import_maxrss)

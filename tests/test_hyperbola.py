@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import gcdsums as G
-from gcdsums import _accum, asymptotics, identities, series
+from gcdsums import _accum, identities, series
 from gcdsums.identities import identity_sum_table
 from gcdsums.stirling import log_factorial_table
 from gcdsums.tables import ONE, TAU, sieve_values
@@ -39,28 +39,22 @@ def test_cumsum_extended_matches_one_longdouble_cumsum(length):
     assert _accum.prefix_with_zero(v).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("log_ratio,over_n,factor", [
-    (False, False, 1.5),   # the plain tau sum
-    (True, True, 4.0),     # weighted by log(m/e) and divided by m
-])
-def test_prefix_build_peak_memory(log_ratio, over_n, factor):
+@pytest.mark.parametrize("kind,factor", [
+    ("v", 1.5),            # the plain tau sum
+    ("v log m/m", 4.0),    # weighted by log m and divided by m
+], ids=["v", "v-log-m-over-m"])
+def test_prefix_build_peak_memory(kind, factor):
     """The blocked prefix pass stays below the bound the full-length
     prefix build it replaced was held to: factor n-length arrays."""
     n = 2 ** 20
-
-    def weigh(v, m):
-        if log_ratio:
-            v = v * (np.log(m) - 1.0)
-        return np.divide(v, m, out=m) if over_n else v
-
     values = sieve_values(TAU, n)  # built before the measurement
     tracemalloc.start()
     try:
-        (_, hi), = asymptotics._quotient_sums(values, [n], weigh)
+        pairs, = identities._table_pairs(values, [kind], [n])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.isfinite(hi[0])
+    assert np.isfinite(pairs[kind][1][0])
     assert peak < factor * 8 * (n + 1)
 
 
@@ -162,7 +156,7 @@ def test_one_prefixes_against_mpmath(n):
     r = math.isqrt(n)
     t = max(r, 1024)
     quotients = [*range(r + 1), *(n // max(d, 1) for d in range(r + 1))]
-    for k, (lo, hi) in enumerate(pairs):
+    for k, (lo, hi) in enumerate(pairs.values()):
         for i, (v, got) in enumerate(zip(quotients, [*lo, *hi])):
             if k == 2 and v > MP_DIRECT and i % 64:
                 continue
@@ -177,7 +171,7 @@ def test_power_prefixes_against_mpmath(n, a):
     # quotient of n: within an ulp of zeta(-a) - zeta(-a, v + 1)
     n = int(n)
     pairs, = identities._one_pairs([n], a)
-    lo, hi = pairs[6]
+    lo, hi = pairs["m^a"]
     r = math.isqrt(n)
     quotients = [*range(r + 1), *(n // max(d, 1) for d in range(r + 1))]
     for v, got in zip(quotients, [*lo, *hi]):
