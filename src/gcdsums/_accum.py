@@ -8,7 +8,9 @@ summation) is kept in a single place:
 - long running prefix sums are done in ``np.longdouble`` and rounded once;
   the exact sides keep them at the quotients n // i (``quotient_prefixes``),
   a block at a time: a pass owns its block buffers, allocated once and
-  freed when it ends, and nothing is cached between passes,
+  freed when it ends, and nothing is cached between passes; every
+  longdouble running sum is formed an eighth of a block at a time, into
+  a workspace of ``_BLOCK // 8`` entries,
 - a prefix of a smooth weight past a table (a weight of the constant 1,
   ``identities._one_pairs``) is the table's longdouble sum P(t) plus
   a longdouble closed form Phi(v) - Phi(t), rounded once
@@ -37,9 +39,10 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
 def running_sum(block: np.ndarray, total, out: np.ndarray) -> np.ndarray:
     """block's cumulative sums in longdouble, seeded with ``total`` (the
     sum of everything before it), in the head of out, a longdouble buffer
-    of the caller's.  Chained over consecutive blocks, with each result's
-    last entry as the next total, these make the same additions in the
-    same order as one longdouble ``np.cumsum``."""
+    of the caller's (a workspace of ``_BLOCK // 8`` entries, the block
+    given a slice at a time).  Chained over consecutive blocks, with each
+    result's last entry as the next total, these make the same additions
+    in the same order as one longdouble ``np.cumsum``."""
     sums = out[:len(block)]
     sums[:] = block
     sums[0] += total
@@ -72,16 +75,17 @@ def block_of(values, lo: int, out: np.ndarray) -> np.ndarray:
 
 def prefix_with_zero(values: np.ndarray) -> np.ndarray:
     """Prefix sums P with P[0] = 0 and P[m] = values[1] + ... + values[m],
-    in extended precision, holding one block of ``_BLOCK`` at a time.
+    in extended precision, chained over slices of ``_BLOCK // 8`` entries in
+    one longdouble workspace of that size.
 
     ``values`` is indexed from 0; entry 0 is ignored (tables store n = 1..N
     at positions 1..N).
     """
     out = np.empty(len(values), dtype=np.float64)
     out[0] = 0.0
-    total, buf = np.longdouble(0.0), np.empty(min(_BLOCK, len(values)), np.longdouble)
-    for lo in range(1, len(values), _BLOCK):
-        sums = running_sum(values[lo:lo + _BLOCK], total, buf)
+    total, buf = np.longdouble(0.0), np.empty(min(_BLOCK // 8, len(values)), np.longdouble)
+    for lo in range(1, len(values), _BLOCK // 8):
+        sums = running_sum(values[lo:lo + _BLOCK // 8], total, buf)
         out[lo:lo + len(sums)] = sums
         total = sums[-1]
     return out
@@ -113,32 +117,35 @@ def _runs(ns: list[int]):
 
 def _one_pass(weights, ns: list[int]) -> list[list]:
     """The pairs of every n of ns (ascending, distinct), from one blocked
-    pass up to max(ns): each weight's running sums are sampled at every
-    n's quotients as its blocks pass."""
+    pass up to max(ns): each weight block is summed an eighth at a time,
+    and the running sums are sampled at every n's quotients (lo, hi and
+    hi[0]) in the eighth they land in."""
     rs = [math.isqrt(n) for n in ns]
     pairs = [[] for _ in ns]  # per n, per weight: (lo, hi)
-    totals, buf = [], np.empty(_BLOCK, np.longdouble)
+    totals, buf = [], np.empty(_BLOCK // 8, np.longdouble)
     for start in range(1, ns[-1] + 1, _BLOCK):
         stop = min(start + _BLOCK, ns[-1] + 1)
-        # hi[d] = P(n // d) for the d <= r with n // d in [start, stop)
-        live = [(p, n, r, n // stop + 1, min(n // start, r))
-                for p, n, r in zip(pairs, ns, rs) if n >= start]
+        live = [(p, n, r) for p, n, r in zip(pairs, ns, rs) if n >= start]
         for k, block in enumerate(weights(start, stop)):
             if k == len(totals):
                 totals.append(np.longdouble(0.0))
                 for p, r in zip(pairs, rs):
                     p.append((np.zeros(r + 1), np.empty(r + 1)))
-            sums = running_sum(block, totals[k], buf)
-            totals[k] = sums[-1]
-            for p, n, r, d_lo, d_hi in live:
-                lo, hi = p[k]
-                if start <= r:
-                    lo[start:r + 1] = sums[:r + 1 - start]
-                if d_lo <= d_hi:
-                    hi[d_lo:d_hi + 1] = sums[n // np.arange(d_lo, d_hi + 1)
-                                             - start]
-                if n < stop:
-                    hi[0] = sums[n - start]
+            for a in range(start, stop, _BLOCK // 8):
+                b = min(a + _BLOCK // 8, stop)
+                sums = running_sum(block[a - start:b - start], totals[k], buf)
+                totals[k] = sums[-1]
+                for p, n, r in live:
+                    lo, hi = p[k]
+                    if a <= r:
+                        lo[a:min(r + 1, b)] = sums[:r + 1 - a]
+                    # hi[d] = P(n // d) for the d <= r with n // d in [a, b)
+                    d_lo, d_hi = n // b + 1, min(n // a, r)
+                    if d_lo <= d_hi:
+                        hi[d_lo:d_hi + 1] = sums[n // np.arange(d_lo, d_hi + 1)
+                                                 - a]
+                    if a <= n < b:
+                        hi[0] = sums[n - a]
     return pairs
 
 
@@ -156,9 +163,10 @@ def quotient_prefixes(weights, ns):
     are chained with ``running_sum`` and sampled at the quotients of every
     n as its blocks pass.  Each array is read before the next is asked
     for, so ``weights`` may write them all into buffers of its own, and
-    the sums go into one longdouble buffer of the pass's.  So a pass holds
-    these and sum 2 (isqrt(n) + 1) floats per weight over its run, at most
-    max(ns) + 1, never a whole prefix.  The running sums do
+    the sums go into one longdouble buffer of the pass's, ``_BLOCK // 8``
+    entries (128 KB), an eighth of a block chained at a time.  So a pass
+    holds these and sum 2 (isqrt(n) + 1) floats per weight over its run,
+    at most max(ns) + 1, never a whole prefix.  The running sums do
     not depend on n, so each pair equals ``prefix_with_zero`` sampled at
     the quotients of its n, bit for bit, and the pass over a grid gives
     the bytes of the passes over its points one at a time.

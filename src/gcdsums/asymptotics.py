@@ -212,8 +212,10 @@ def mu_delta_grid(xs, kind: str, a: float | None = None,
     x = 1e6, against 1.4e-11 and 2.6e-11 per term.
 
     Peak memory: what the weight blocks share (the primes up to the
-    largest x for mu*mu, up to its square root for mu), a few blocks of
-    ``_accum._BLOCK`` and Delta's pairs at every x, sum 2 (isqrt(n) + 1)
+    largest x for mu*mu, up to its square root for mu), the weight fill's
+    blocks, three blocks of ``_accum._BLOCK`` the pass owns (n, the weights
+    and one x's Delta values, whose gather and smooth part are formed in
+    eighths of a block) and Delta's pairs at every x, sum 2 (isqrt(n) + 1)
     floats; no x-length array.  Each block of weights is dotted against
     the Delta values of every x it reaches, one dot per (x, block), and
     each x's partial dots add by ``math.fsum``.  For x below ``_BLOCK`` + 1
@@ -230,7 +232,7 @@ def mu_delta_grid(xs, kind: str, a: float | None = None,
     pairs = dict(zip(order, pairs))  # sigma_a's pass ends before wv's
     top = ns[order[-1]]
     wv = blocks(_WEIGHT_SPECS[kind], top, primes).values
-    narr, weights = np.empty((2, min(_BLOCK, top)))  # the pass's own
+    narr, weights, deltas = np.empty((3, min(_BLOCK, top)))  # the pass's
     partials = [[] for _ in ns]
     for lo in range(0, top, _BLOCK):
         size = min(_BLOCK, top - lo)
@@ -246,10 +248,13 @@ def mu_delta_grid(xs, kind: str, a: float | None = None,
             # serves any x; P(n // d) is p_hi[d] up to d = r, then
             # p_lo[n // d], n / d truncated (exact for n < 2^52)
             k = min(max(r - lo, 0), hi - lo)
-            deltas = np.concatenate((p_hi[lo + 1:lo + 1 + k], p_lo[
-                np.divide(n, narr[k:hi - lo]).astype(np.intp)]))
-            deltas -= smooth(np.divide(x, narr[:hi - lo]))
-            partials[i].append(dot(weights[:hi - lo], deltas))
+            deltas[:k] = p_hi[lo + 1:lo + 1 + k]
+            for a in range(0, hi - lo, _BLOCK // 8):
+                b = min(a + _BLOCK // 8, hi - lo)
+                j = max(a, k)
+                deltas[j:b] = p_lo[np.divide(n, narr[j:b]).astype(np.intp)]
+                deltas[a:b] -= smooth(np.divide(x, narr[a:b]))
+            partials[i].append(dot(weights[:hi - lo], deltas[:hi - lo]))
     out = [fsum(p) for p in partials]
     if log_factor:
         out = [v * (math.log(x) - 1.0) for v, x in zip(out, xs)]

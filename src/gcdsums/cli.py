@@ -88,15 +88,17 @@ def cmd_identity(args) -> int:
         sides = (identities.cesaro_audits(f, args.kmax) if args.which == "cesaro"
                  else identities.apostol_audits(
                      f, sieve(parse_spec(args.g), args.kmax), args.kmax))
-    rows = []
-    worst = (0.0, None)
-    for k, (lhs, rhs) in enumerate(sides, 1):
-        gap = abs(lhs - rhs)
-        rows.append((k, lhs, rhs, gap))
-        rel = gap / (1.0 + abs(lhs))
-        if rel > worst[0]:
-            worst = (rel, k)
-    csvio.write_rows("k,direct,identity,abs_gap", rows, args.out)
+    worst = [0.0, None]
+
+    def rows():  # streamed: each row is written as its batch forms it
+        for k, (lhs, rhs) in enumerate(sides, 1):
+            gap = abs(lhs - rhs)
+            rel = gap / (1.0 + abs(lhs))
+            if rel > worst[0]:
+                worst[:] = rel, k
+            yield k, lhs, rhs, gap
+
+    csvio.write_rows("k,direct,identity,abs_gap", rows(), args.out)
     if worst[0] > tol:
         return _fail({"invariant": f"{args.which}-identity",
                       "k": worst[1], "relative_gap": worst[0], "limit": tol})
@@ -167,10 +169,8 @@ def cmd_series(args) -> int:
     if args.which == "identity":
         f = sieve(parse_spec(args.f), n_max)
         g = sieve(parse_spec(args.g), n_max)
-        rows = []
-        for k in k_values:
-            cmp = series.series_identity_compare(f, g, args.s, k)
-            rows.append((cmp.s, cmp.truncation, cmp.lhs, cmp.rhs, cmp.gap))
+        rows = [(cmp.s, cmp.truncation, cmp.lhs, cmp.rhs, cmp.gap) for cmp
+                in series.series_identity_grid(f, g, args.s, k_values)]
         csvio.write_rows("s,K,lhs,rhs,gap", rows, args.out)
         gaps = [r[4] for r in rows]
         for prev, cur in zip(gaps, gaps[1:]):

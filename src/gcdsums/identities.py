@@ -406,12 +406,14 @@ def _one_pairs(ns, a: float | None = None):
     given) at each n of ns (ascending), with no pass past
     t = min(max(isqrt(max n), 1024), max n).
 
-    Up to t, the weights of ``_weigh`` are summed a block at a time by
-    ``running_sum``, so every prefix P(v) at v <= t has the bytes of the
-    pass over all of 1..n.  Above t, P(v) = P(t) + Phi(v) - Phi(t) with
-    the longdouble P(t) of that sum and the closed forms Phi of
-    ``stirling.one_weight_sums``, rounded once: the count is exact, and
-    every other entry is within an ulp of the pass's.  It holds six (or
+    Up to t, the weights of ``_weigh`` are formed and summed by
+    ``running_sum`` an eighth of a block at a time, in buffers and a
+    longdouble workspace of ``_BLOCK // 8`` entries, so every prefix P(v)
+    at v <= t has the bytes of the pass over all of 1..n.  Above t,
+    P(v) = P(t) + Phi(v) - Phi(t) with the longdouble P(t) of that sum and
+    the closed forms Phi of ``stirling.one_weight_sums``, rounded once:
+    the count is exact, and every other entry is within an ulp of the
+    pass's.  It holds six (or
     seven) (t + 1)-float tables and, per n, its pairs and a few longdouble
     arrays of isqrt(n) + 1 entries; nothing of length n.
     """
@@ -420,10 +422,10 @@ def _one_pairs(ns, a: float | None = None):
     kinds = _KINDS[:6 if a is None else 7]
     table = np.zeros((len(kinds), t + 1))
     totals = [np.longdouble(0.0)] * len(kinds)
-    buffers = _buffers(kinds, t)
+    buffers = _buffers(kinds, min(t, _BLOCK // 8))
     lsums = np.empty(len(buffers[0]), np.longdouble)
-    for start in range(1, t + 1, _BLOCK):
-        stop = min(start + _BLOCK, t + 1)
+    for start in range(1, t + 1, _BLOCK // 8):
+        stop = min(start + _BLOCK // 8, t + 1)
         for k, block in enumerate(_weigh(None, kinds, start, stop, *buffers,
                                          a)):
             sums = running_sum(block, totals[k], lsums)

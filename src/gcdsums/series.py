@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import _BLOCK, hyperbola_sum, quotient_prefixes, ramp
+from ._accum import _BLOCK, ascending, hyperbola_sum, quotient_prefixes, ramp
 from .errors import require
 from .identities import _with_mu
 from .stirling import THETA_HI, THETA_LO, log_factorial_row
@@ -72,10 +72,20 @@ def dirichlet_partial_sum(f: FunctionTable, s: float, k_max: int,
     Note F'(s) = -(the log-weighted sum).
     """
     cut(k_max, f)
-    vals = f.values[1:k_max + 1] * _powers(1, k_max + 1, s)
-    if log_weight:
-        vals = vals * np.log(np.arange(1, k_max + 1, dtype=np.float64))
-    return float(np.sum(vals))
+    return _power_sum(f.values[1:k_max + 1].copy(), s, log_weight)
+
+
+def _power_sum(terms: np.ndarray, s: float, log_weight: bool = False) -> float:
+    """np.sum of terms[k - 1] k^-s (log k)^w for k = 1..len(terms), w = 0
+    or 1, in terms itself: the powers and logs are formed an eighth of
+    ``_BLOCK`` at a time, with the products and sum of the whole-K forms,
+    so no other K-length array is made."""
+    for lo in range(1, len(terms) + 1, _BLOCK // 8):
+        part = terms[lo - 1:lo - 1 + _BLOCK // 8]
+        part *= _powers(lo, lo + len(part), s)
+        if log_weight:
+            part *= np.log(np.arange(lo, lo + len(part), dtype=np.float64))
+    return float(np.sum(terms))
 
 
 def log_factorial_partial_sum(g: FunctionTable, s: float, k_max: int) -> float:
@@ -87,21 +97,24 @@ def log_factorial_partial_sum(g: FunctionTable, s: float, k_max: int) -> float:
 def _log_factorial_dot(g: FunctionTable, lf: np.ndarray, s: float,
                        k_max: int) -> float:
     """``log_factorial_partial_sum`` with the log l! row lf given."""
-    return float(np.sum(g.values[1:k_max + 1] * lf[1:k_max + 1]
-                        * _powers(1, k_max + 1, s)))
+    return _power_sum(g.values[1:k_max + 1] * lf[1:k_max + 1], s)
 
 
 def _u_partial_sum(f: FunctionTable, g: FunctionTable | None, s: float,
-                   k_max: int, lf: np.ndarray | None = None) -> float:
-    """sum_{k<=K} u(k) k^-s as the hyperbola sums over d*l <= K of
+                   ks, lf: np.ndarray | None = None) -> list[float]:
+    """sum_{k<=K} u(k) k^-s at each K of ks (ascending) as the hyperbola
+    sums over d*l <= K of
     (f(d) log d d^-s) (g(l) l^(1-s)) + (f(d) d^-s) (g(l) L(l) l^-s).
 
     g given as None is the constant 1.  The four weights are formed a
     block of ``_accum._BLOCK`` at a time, with the products and powers of
-    the whole-K forms, so the peak is the tables it reads (f and g), the
-    log l! row (built here unless given as lf, with at least K + 1
-    entries) and a few blocks; no other K-length array is formed.
+    the whole-K forms, and one ``quotient_prefixes`` pass up to the
+    largest K serves every K, as no weight depends on K.  So the peak is
+    the tables it reads (f and g), the log l! row (built here unless given
+    as lf, with at least max(ks) + 1 entries) and a few blocks; no other
+    K-length array is formed.
     """
+    k_max = max(ks)
     if lf is None:
         lf = log_factorial_row(k_max)
     fv, gv = f.values, None if g is None else g.values
@@ -122,24 +135,33 @@ def _u_partial_sum(f: FunctionTable, g: FunctionTable | None, s: float,
         yield np.multiply(fv[lo:hi], p, out=w)
         yield np.multiply(np.multiply(g, lf[lo:hi], out=w), p, out=w)
 
-    (w_log, c_id, w, c_lf), = quotient_prefixes(weights, [k_max])
-    return hyperbola_sum([(1, w_log, c_id), (1, w, c_lf)])
+    return [hyperbola_sum([(1, w_log, c_id), (1, w, c_lf)])
+            for w_log, c_id, w, c_lf in quotient_prefixes(weights, ks)]
 
 
 def series_identity_compare(f: FunctionTable, g: FunctionTable, s: float,
                             k_max: int) -> SeriesComparison:
-    """Truncated U(s) against -F'(s) G(s-1) + F(s) G_L(s) at the same K."""
+    """Truncated U(s) against -F'(s) G(s-1) + F(s) G_L(s) at the same K:
+    the grid of one of ``series_identity_grid``."""
+    return series_identity_grid(f, g, s, [k_max])[0]
+
+
+def series_identity_grid(f: FunctionTable, g: FunctionTable, s: float,
+                         ks) -> list[SeriesComparison]:
+    """``series_identity_compare`` at each K of ks (ascending), from one
+    log l! row at the largest K for both sides and one pass for every
+    lhs: the bytes of the comparisons at each K alone."""
     alpha = max(abscissa(f.spec), abscissa(g.spec) + 1.0)
     require(alpha < s < math.inf,
             f"s={s} not finite or in the divergence region (need s > {alpha})")
-    cut(k_max, f, g)
-    lf = log_factorial_row(k_max)  # one row for both sides
-    lhs = _u_partial_sum(f, g, s, k_max, lf)
-    rhs = (dirichlet_partial_sum(f, s, k_max, log_weight=True)
-           * dirichlet_partial_sum(g, s - 1.0, k_max)
-           + dirichlet_partial_sum(f, s, k_max)
-           * _log_factorial_dot(g, lf, s, k_max))
-    return SeriesComparison(s, k_max, lhs, rhs)
+    ks = [cut(k, f, g) for k in ascending(ks)]
+    lf = log_factorial_row(ks[-1])
+    rhs = [dirichlet_partial_sum(f, s, k, log_weight=True)
+           * dirichlet_partial_sum(g, s - 1.0, k)
+           + dirichlet_partial_sum(f, s, k) * _log_factorial_dot(g, lf, s, k)
+           for k in ks]
+    return [SeriesComparison(s, k, lhs, r) for k, lhs, r
+            in zip(ks, _u_partial_sum(f, g, s, ks, lf), rhs)]
 
 
 def _tail_allowance(s: float, k_max: int) -> float:
@@ -166,7 +188,7 @@ def series_theta_bracket(f: FunctionTable, s: float, k_max: int) -> ThetaBracket
     """
     require(max(abscissa(f.spec), 2.0) < s < math.inf,
             f"s={s} too small for the bracket, or not finite")
-    lhs = _u_partial_sum(_with_mu(f, cut(k_max, f)), None, s, k_max)
+    lhs, = _u_partial_sum(_with_mu(f, cut(k_max, f)), None, s, [k_max])
 
     big_f = dirichlet_partial_sum(f, s, k_max)
     big_f_prime = -dirichlet_partial_sum(f, s, k_max, log_weight=True)
@@ -222,7 +244,7 @@ def mu_series_report(s: float, k_max: int, id_table: FunctionTable,
     """Compare truncated U_{id,mu}(s) against both closed-form candidates."""
     require(2.0 < s < math.inf, "the id,mu series needs a finite s > 2")
     cut(k_max, id_table, mu_table)
-    lhs = _u_partial_sum(id_table, mu_table, s, k_max)
+    lhs, = _u_partial_sum(id_table, mu_table, s, [k_max])
     z, zp, zm1, zpm1, zp1 = _zetas(s)
     head = lambda theta: (zm1 * zp / (2.0 * z ** 2) + LOG_SQRT_2PI * zm1 / z
                           + theta * zm1 / zp1)

@@ -248,10 +248,11 @@ def _rho_below_seed() -> np.ndarray:
 
 def _fill_log_factorial(row: np.ndarray) -> None:
     """row[l] = L(l) for l = 0..len(row) - 1, as running longdouble sums
-    of log l, a block of ``_BLOCK`` at a time."""
-    total, buf = np.longdouble(0.0), np.empty(min(_BLOCK, len(row)), np.longdouble)
-    for lo in range(1, len(row), _BLOCK):
-        hi = min(lo + _BLOCK, len(row))
+    of log l, an eighth of ``_BLOCK`` at a time: the logs and their sums
+    are workspaces of ``_BLOCK // 8`` entries."""
+    total, buf = np.longdouble(0.0), np.empty(min(_BLOCK // 8, len(row)), np.longdouble)
+    for lo in range(1, len(row), _BLOCK // 8):
+        hi = min(lo + _BLOCK // 8, len(row))
         sums = running_sum(np.log(np.arange(lo, hi, dtype=np.float64)), total,
                            buf)
         row[lo:hi] = sums
@@ -283,9 +284,9 @@ def _fill_rho(row: np.ndarray) -> None:
 def _row(fill, l_max: int) -> np.ndarray:
     """Entries 0..l_max of the row that ``fill`` writes, read-only.
 
-    ``fill`` writes the row a block of ``_BLOCK`` at a time, so the peak
-    is the row plus a few blocks (a float64 log and its longdouble running
-    sums, or the series' int64 l and two longdouble arrays).
+    ``fill`` works an eighth of ``_BLOCK`` at a time, so the peak is the
+    row plus under a block (the l, their float64 logs and longdouble
+    running sums, or the series' int64 l and two longdouble arrays).
     """
     require(l_max >= 1, "l_max must be >= 1")
     row = np.zeros(int(l_max) + 1)

@@ -8,9 +8,9 @@ must give the bytes of the whole-array form in ``oracles`` at sizes around
 the block edge; past one block, ``mu_delta_sum``, whose partial dots add
 in another order, must instead come within a few ulps of the exact sum
 of its terms.  Each must peak at the tables it is given plus its
-declared count of n-length arrays (the tables it builds among them), a
-few blocks and, for the one pass over a whole grid, its declared
-quotient-set floats, and each sieve build at its result and live
+declared count of n-length arrays (the tables it builds among them), its
+declared count of blocks and, for the one pass over a whole grid, its
+declared quotient-set floats, and each sieve build at its result and live
 operands plus a few blocks (a product of prime powers at its result, a
 block and a few floats per prime).  The pass over a grid must give the bytes of
 the passes over its points one at a time, and rho formed per block the
@@ -192,8 +192,8 @@ def test_average_weights_with_one_per_block_equal_one_sieve(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, _B - 1, _B, _B + 1])
 def test_series_and_per_k_reference_with_one_equal_one_sieve(n):
     fmu, one = G.sieve(convolve(PHI, MU), n), G.sieve(ONE, n)
-    assert (series._u_partial_sum(fmu, None, 3.5, n)
-            == series._u_partial_sum(fmu, one, 3.5, n))
+    assert (series._u_partial_sum(fmu, None, 3.5, [n])[0]
+            == series._u_partial_sum(fmu, one, 3.5, [n])[0])
     lf = stirling.log_factorial_row(n)
     assert _same_bytes(identities.identity_sum_table(fmu.values, None, lf, n),
                        identities.identity_sum_table(fmu.values, one.values,
@@ -228,6 +228,24 @@ def test_blocked_powers_equal_whole_array_powers(k, s):
         assert _same_bytes(np.concatenate(blocks), whole)
 
 
+@pytest.mark.parametrize("k", [1, 7, _B // 8 - 1, _B // 8, _B // 8 + 1,
+                               _B + 1, 3 * _B + 5])
+@pytest.mark.parametrize("s", [3.0, 4.0])
+def test_power_sums_equal_whole_array_form(k, s):
+    # the powers and logs formed an eighth of a block at a time into the
+    # one K-length array: the products and np.sum of the whole-K forms
+    ft, gt = G.sieve(PHI, k), G.sieve(MU, k)
+    lf, ks = stirling.log_factorial_row(k), np.arange(1, k + 1,
+                                                      dtype=np.float64)
+    p = ks ** (-s)
+    assert (series.dirichlet_partial_sum(ft, s, k)
+            == float(np.sum(ft.values[1:] * p)))
+    assert (series.dirichlet_partial_sum(ft, s, k, log_weight=True)
+            == float(np.sum(ft.values[1:] * p * np.log(ks))))
+    assert (series.log_factorial_partial_sum(gt, s, k)
+            == float(np.sum(gt.values[1:] * lf[1:] * p)))
+
+
 @pytest.mark.parametrize("k", [1, 7, _B - 1, _B, _B + 1, 3 * _B + 5])
 @pytest.mark.parametrize("f, g, s", [(ID, MU, 3.0), (PHI, ONE, 4.0)])
 def test_u_partial_sum_equals_whole_array_form(k, f, g, s):
@@ -242,7 +260,7 @@ def test_u_partial_sum_equals_whole_array_form(k, f, g, s):
     want = _accum.hyperbola_sum([
         (1, pair(ft.values * logs, s), pair(gt.values, s - 1.0)),
         (1, pair(ft.values, s), pair(gt.values * lf, s))])
-    assert series._u_partial_sum(ft, gt, s, k) == want
+    assert series._u_partial_sum(ft, gt, s, [k])[0] == want
 
 
 # each statistic's spec at a = -0.5 and whether its terms are divided by m
@@ -431,7 +449,7 @@ def _terms():
 
 
 def _u_sum():
-    return series._u_partial_sum(*_id_mu(), 3.0, _N)
+    return series._u_partial_sum(*_id_mu(), 3.0, [_N])
 
 
 def _build(text):
@@ -450,11 +468,22 @@ _PRIMES_20 = len(tables._primes_upto(1 << 20))
 _STAGES = {
     # a block of the mu weights and the Delta values, one dot each, and
     # with a, sigma_a's pairs at the quotients; the weights and sigma_a
-    # are read a block at a time
+    # are read a block at a time, and the Delta values formed an eighth
+    # of a block at a time into a block of the pass's
     "mu_delta_sum": (
-        lambda: asymptotics.mu_delta_sum(_N, "mu"), 1 + 1 / 8, 6, 0),
+        lambda: asymptotics.mu_delta_sum(_N, "mu"), 1 + 1 / 8, 1, 0),
     "mu_delta_sum_a": (lambda: asymptotics.mu_delta_sum(_N, "mu", -0.5),
-                       1 + 1 / 8, 6, _quotient_floats([_N])),
+                       1 + 1 / 8, 1, _quotient_floats([_N])),
+    # the same over a grid, declared in blocks: sigma_a's pass, then the
+    # pass's n, weights and Delta blocks with the fill's and the eighth
+    # blocks' temporaries, every x's pairs and, for mu*mu, what its blocks
+    # share (measured 4.39 and 4.08 blocks)
+    "mu_delta_grid_mu": (
+        lambda: asymptotics.mu_delta_grid(_GEOM_N, "mu", -0.5), 0, 5,
+        _quotient_floats(_GEOM_N)),
+    "mu_delta_grid_mu_star_mu": (
+        lambda: asymptotics.mu_delta_grid(_GEOM_N, "mu_star_mu", -0.5), 0, 5,
+        _quotient_floats(_GEOM_N) + 2 * _PRIMES),
     # the result and, per block, its int32 signed product of small primes
     "build_mu": (_build("mu"), 1 + 1 / 8, 1, 0),
     # a product of prime powers: the result, per prime its int64 value and
@@ -477,13 +506,14 @@ _STAGES = {
     # the bool prime sieve while they are listed, and 1 KB (128 floats) of
     # the arrays' headers
     "build_lambda": (_build("lambda"), 1 + 1 / 8, 0, 2 * _PRIMES + 128),
-    "on_quotients": (lambda: _accum.on_quotients(_VALUES, _N), 0, 3, 0),
+    # a pass's running sums: an eighth of a block of longdouble
+    "on_quotients": (lambda: _accum.on_quotients(_VALUES, _N), 0, 1, 0),
     # one pass for a whole grid: every point's quotient set ...
-    "grid_pass": (_grid_pass(_GEOM_N), 0, 3, _quotient_floats(_GEOM_N)),
+    "grid_pass": (_grid_pass(_GEOM_N), 0, 1, _quotient_floats(_GEOM_N)),
     # ... and for a dense one, runs whose sets hold at most max(ns) + 1
-    "grid_pass_runs": (_grid_pass(_DENSE_N), 0, 3, _N + 1),
+    "grid_pass_runs": (_grid_pass(_DENSE_N), 0, 1, _N + 1),
     # rho formed per block, its block first
-    "apostol_log_average_terms": (_terms, 0, 10, 0),
+    "apostol_log_average_terms": (_terms, 0, 4, 0),
     # f = g = 1 at x = 10^6: six tables of t + 1 = 1025 floats, and per x
     # its pairs and the closed forms' longdouble arrays over isqrt(x) + 1
     # entries (measured 39 floats per table entry); nothing of length x
@@ -491,7 +521,7 @@ _STAGES = {
         lambda: identities.apostol_log_average_grid(None, None, [1e6]),
         0, 0, 48 * 1025),
     # the log l! row it builds
-    "u_partial_sum": (_u_sum, 1, 6, 0),
+    "u_partial_sum": (_u_sum, 1, 4, 0),
     # hyperbola sums of the g = 1 pairs at _N, so t = 1024: six tables
     # of t + 1 floats, the pairs over isqrt(_N) + 1 entries and the closed
     # forms above t (measured 19 floats per table entry); no sieve
@@ -508,19 +538,20 @@ _STAGES = {
     # tau's prefixes at the quotients: O(isqrt(n)) entries, no sieve
     "delta_integral_ratio": (
         lambda: asymptotics.delta_integral_ratio(_N), 0, 1, 0),
-    # each Stirling row: the result, one row of n + 1 entries
-    "log_factorial_row": (lambda: stirling.log_factorial_row(_N), 1, 8, 0),
+    # each Stirling row: the result, one row of n + 1 entries, and for
+    # log l! an eighth of a block of l, logs and longdouble sums
+    "log_factorial_row": (lambda: stirling.log_factorial_row(_N), 1, 1, 0),
     "rho_row": (lambda: stirling.rho_row(_N), 1, 8, 0),
     # a scan at x = 2^20 reads each table a block at a time: a pass's few
     # blocks, and what the blocks share, per prime above isqrt(x) P and
     # f(P) for a product and nothing for mu; no x-long array (measured
-    # 4.75 MB for each, 0.57 of one)
+    # 3.52 and 4.24 blocks besides those)
     "scan_id_log_avg": (
-        lambda: asymptotics.residual_scan("id-log-avg", [1 << 20]), 0, 10,
+        lambda: asymptotics.residual_scan("id-log-avg", [1 << 20]), 0, 5,
         2 * _PRIMES_20),
     "scan_jordan_log_avg": (
         lambda: asymptotics.residual_scan("jordan-log-avg", [1 << 20], -0.5),
-        0, 10, 2 * _PRIMES_20),
+        0, 5, 2 * _PRIMES_20),
 }
 
 

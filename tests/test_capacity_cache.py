@@ -203,4 +203,4 @@ def test_series_bracket_builds_f_mu_up_to_k(monkeypatch, text):
         lhs = G.series_theta_bracket(f, 3.0, k).lhs
         monkeypatch.undo()
         assert calls == [(f_mu, k)], k
-        assert lhs == series._u_partial_sum(whole, None, 3.0, k), k
+        assert lhs == series._u_partial_sum(whole, None, 3.0, [k])[0], k

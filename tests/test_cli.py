@@ -103,6 +103,40 @@ def test_identity_stdout_equals_per_k_rows(capsys, which, f, g):
     assert capsys.readouterr().out == expected.getvalue()
 
 
+def test_identity_streams_its_rows():
+    # each row is written as its batch forms it and no list of the rows is
+    # held: the peak is the divisor lists (1.8 MB at kmax = 10^4), the
+    # per-k lists, the batch buffer and the text the CSV writer returns
+    # (1.1 MB); a list of the 10^4 rows would add about 1.5 MB
+    import tracemalloc
+    argv = ["identity", "--which", "toth", "--kmax", "10000",
+            "--out", os.devnull]
+    assert run_cli(argv) == 0  # the zeta constants and imports, once
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.4 * 2 ** 20
+
+
+def test_identity_failure_follows_its_rows(monkeypatch, capsys):
+    # the worst relative gap, tracked as the rows stream, is reported
+    # after the whole CSV
+    kmax = 300
+    monkeypatch.setitem(cli.IDENTITY_TOL, "toth", 0.0)
+    assert run_cli(["identity", "--which", "toth", "--kmax", str(kmax)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    rows = [[float(c) for c in line.split(",")] for line in lines[1:-1]]
+    assert len(rows) == kmax
+    gaps = [gap / (1.0 + abs(lhs)) for _, lhs, _, gap in rows]
+    report = json.loads(lines[-1])
+    assert report["invariant"] == "toth-identity"
+    assert report["relative_gap"] == max(gaps) > 0.0
+    assert report["k"] == 1 + gaps.index(max(gaps))
+
+
 def test_scan_command_csv_and_check(tmp_path):
     out = tmp_path / "scan.csv"
     assert run_cli(["scan", "--target", "ramanujan-log-avg",

@@ -63,7 +63,7 @@ def test_identity_compare_builds_one_log_factorial_row(tables, monkeypatch,
                                                        k_max):
     # one row for both sides, and the bytes of a row built for each
     f, g = tables["phi"], tables["one"]
-    lhs = series._u_partial_sum(f, g, 3.0, k_max)
+    lhs = series._u_partial_sum(f, g, 3.0, [k_max])[0]
     rhs = (dirichlet_partial_sum(f, 3.0, k_max, log_weight=True)
            * dirichlet_partial_sum(g, 2.0, k_max)
            + dirichlet_partial_sum(f, 3.0, k_max)
@@ -75,6 +75,21 @@ def test_identity_compare_builds_one_log_factorial_row(tables, monkeypatch,
     cmp = series_identity_compare(f, g, 3.0, k_max)
     assert built == [k_max]
     assert (cmp.lhs, cmp.rhs) == (lhs, rhs)
+
+
+@pytest.mark.parametrize("pair,s", [(("id", "mu"), 3.0), (("phi", "one"), 4.0)])
+def test_identity_grid_equals_per_k_compares(tables, monkeypatch, pair, s):
+    # one pass and one log l! row, at the largest K, for the whole K list,
+    # with the bytes of each K compared alone
+    f, g = tables[pair[0]], tables[pair[1]]
+    ks = [1, 100, 1000, 10 ** 4]
+    alone = [series_identity_compare(f, g, s, k) for k in ks]
+    built = []
+    row = series.log_factorial_row
+    monkeypatch.setattr(series, "log_factorial_row",
+                        lambda l_max: built.append(l_max) or row(l_max))
+    assert series.series_identity_grid(f, g, s, ks) == alone
+    assert built == [max(ks)]
 
 
 def test_identity_compare_divergence_guard(tables):
@@ -115,7 +130,7 @@ def test_theta_bracket_of_log_reads_lambda(k):
     # Lambda's blocks up to K, and the bracket still contains it
     b = series_theta_bracket(G.sieve(G.LOG, 10 ** 4), 3.0, k)
     lam = blocks(G.VON_MANGOLDT, k)
-    assert b.lhs == series._u_partial_sum(lam, None, 3.0, k)
+    assert b.lhs == series._u_partial_sum(lam, None, 3.0, [k])[0]
     assert b.contains
 
 
