@@ -427,7 +427,8 @@ def _statistics() -> dict[str, Target]:
         (or operands): H(f(d)/d, h(l)/l), which never sieves the product
         f * h.  m/m is the count of the constant 1 and m^(1 + a)/m its
         m^a; any other operand is the v/m of its ``tables.blocks``, all
-        built from one list of the primes."""
+        built from one list of the primes, each when its pass runs and
+        dropped with its pass, before the next is built."""
         at = operands if callable(operands) else lambda a: operands
 
         def exact(ns, a, primes):
@@ -435,7 +436,8 @@ def _statistics() -> dict[str, Target]:
             specs = [h for h in dict.fromkeys(at(a)) if h not in one]
             if primes is None and len(specs) > 1:
                 primes = _primes_upto(ns[-1])
-            values = {h: blocks(h, ns[-1], primes).values for h in specs}
+            values = {h: lambda h=h: blocks(h, ns[-1], primes).values
+                      for h in specs}
             w, c = ((None, one[h]) if h in one else (values[h], "v/m")
                     for h in at(a))
             return [s for s, in _hyperbola_sums(ns, [[(1, w, c)]], a)]

@@ -167,8 +167,8 @@ def cmd_series(args) -> int:
     k_values = _parse_counts(args.K)
     n_max = max(k_values)
     if args.which == "identity":
-        f = sieve(parse_spec(args.f), n_max)
-        g = sieve(parse_spec(args.g), n_max)
+        f = blocks(parse_spec(args.f), n_max)
+        g = blocks(parse_spec(args.g), n_max)
         rows = [(cmp.s, cmp.truncation, cmp.lhs, cmp.rhs, cmp.gap) for cmp
                 in series.series_identity_grid(f, g, args.s, k_values)]
         csvio.write_rows("s,K,lhs,rhs,gap", rows, args.out)
@@ -179,7 +179,7 @@ def cmd_series(args) -> int:
                               "s": args.s, "gaps": gaps})
         return 0
     if args.which == "bracket":
-        f = sieve(parse_spec(args.f), n_max)
+        f = blocks(parse_spec(args.f), n_max)
         rows = []
         ok = True
         for k in k_values:
@@ -191,8 +191,8 @@ def cmd_series(args) -> int:
             return _fail({"invariant": "series-theta-bracket", "s": args.s})
         return 0
     # mu-report: compare the two closed-form candidates for the id,mu series
-    id_table = sieve(ID, n_max)
-    mu_table = sieve(MU, n_max)
+    id_table = blocks(ID, n_max)
+    mu_table = blocks(MU, n_max)
     rows = []
     for k in k_values:
         r = series.mu_series_report(args.s, k, id_table, mu_table)

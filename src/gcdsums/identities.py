@@ -61,12 +61,14 @@ All sums over x cut at floor(x); an integer x includes k = x.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import (_BLOCK, ascending, block_of, dot, fsum, hyperbola_sum,
-                     prefix_with_zero, quotient_prefixes, ramp, running_sum)
+from ._accum import (_BLOCK, _runs, ascending, block_of, dot, fsum,
+                     hyperbola_sum, prefix_with_zero, quotient_prefixes, ramp,
+                     running_sum)
 from .errors import require
 from .stirling import SEED, log_factorial_row, one_weight_sums, rho_block
 from .tables import (LOG, MU, PHI, VON_MANGOLDT, FunctionSpec, FunctionTable,
@@ -447,6 +449,19 @@ def _one_pairs(ns, a: float | None = None):
         yield dict(zip(kinds, zip(table[:, :r + 1], his)))
 
 
+def _built_pairs(build, kinds, ns):
+    """The pairs of ``_table_pairs`` for the values that ``build()``
+    makes, built afresh for each run of ``_accum._runs`` over ns
+    (ascending) and dropped, with the pass's buffers, before that run's
+    pairs are yielded: tables built in turn never live at once, and each
+    is built before its pass allocates."""
+    i = 0
+    for run in _runs(sorted(set(ns))):
+        j = bisect_right(ns, run[-1])
+        yield from list(_table_pairs(build(), kinds, ns[i:j]))
+        i = j
+
+
 def _hyperbola_sums(ns, sums, a: float | None = None):
     """For each n of ns (ascending), one sum per term list of ``sums``:
     sign * H(w, c) over its terms (sign, w, c), by one ``hyperbola_sum``
@@ -454,18 +469,23 @@ def _hyperbola_sums(ns, sums, a: float | None = None):
     Introduction to Analytic and Probabilistic Number Theory, I.3.2).
     A weight is named (values, kind): values None, the constant 1, takes
     its pairs from ``_one_pairs`` (l^a with the a given), other values
-    theirs from one ``_table_pairs`` pass for every kind named of them.
-    The passes run one after another, into one v and m of ``_buffers``.
+    theirs from one ``_table_pairs`` pass for every kind named of them;
+    values given as a function that builds them take theirs from
+    ``_built_pairs``, so of those one table lives at a time.  The passes
+    run one after another, those over values given into one v and m of
+    ``_buffers``.
     """
     named = {}
     for terms in sums:
         for _, *names in terms:
             for values, kind in names:
                 named.setdefault(id(values), (values, set()))[1].add(kind)
-    sieved = [kinds for values, kinds in named.values() if values is not None]
+    sieved = [kinds for values, kinds in named.values()
+              if values is not None and not callable(values)]
     buffers = _buffers(set().union(*sieved), max(ns)) if sieved else None
     sources = [_one_pairs(ns, a) if values is None
-               else _table_pairs(values, kinds, ns, buffers)
+               else _built_pairs(values, kinds, ns)
+               if callable(values) else _table_pairs(values, kinds, ns, buffers)
                for values, kinds in named.values()]
     for found in zip(*sources):
         pairs = dict(zip(named, found))
@@ -514,9 +534,9 @@ def apostol_log_average_terms(f: FunctionTable | None,
     return apostol_log_average_grid(f, g, [x])[0]
 
 
-def _with_mu(f: FunctionTable, n: int) -> FunctionTable:
-    """Table of f*mu on 1..n; log * mu is Lambda."""
-    return sieve(VON_MANGOLDT if f.spec == LOG else convolve(f.spec, MU), n)
+def _with_mu(spec: FunctionSpec) -> FunctionSpec:
+    """The spec of f*mu for f's spec; log * mu is Lambda."""
+    return VON_MANGOLDT if spec == LOG else convolve(spec, MU)
 
 
 def gcd_log_average(f: FunctionTable, x: float) -> float:
@@ -526,7 +546,7 @@ def gcd_log_average(f: FunctionTable, x: float) -> float:
     since sum_{d | gcd} (f*mu)(d) = f(gcd); same identity path underneath.
     """
     n = cut(x, f)
-    return apostol_log_average(_with_mu(f, n), None, x)
+    return apostol_log_average(sieve(_with_mu(f.spec), n), None, x)
 
 
 def gcd_log_average_terms(f: FunctionTable, x: float) -> AverageDecomposition:
@@ -534,7 +554,7 @@ def gcd_log_average_terms(f: FunctionTable, x: float) -> AverageDecomposition:
     terms gives sum (f*phi)(n)/n log(n/e), the fourth is
     (1/2) sum (f*Lambda)(n)/n and the fifth log sqrt(2 pi) sum f(n)/n."""
     n = cut(x, f)
-    return apostol_log_average_terms(_with_mu(f, n), None, x)
+    return apostol_log_average_terms(sieve(_with_mu(f.spec), n), None, x)
 
 
 def _cesaro_terms(fv: np.ndarray, n: int) -> np.ndarray:

@@ -12,20 +12,29 @@ L(k) by the Stirling form turns G_L into
 Theta in (0, 1/12), which gives bracketed closed forms once F and G are
 zeta quotients.  Everything here is evaluated with both sides truncated
 at the same K; convergence-trend assertions replace absolute equality.
+
+Both sides come from one blocked pass (``_passes``): the four weights of
+the lhs's hyperbola sums have as prefix sums at K the truncated -F'(s),
+G(s-1), F(s) and G_L(s) of the rhs, so a K list costs one pass up to its
+largest K.  Every table is read a block at a time, arrays and
+``tables.Blocks`` alike, and L(l) is carried from block to block: no
+K-length array and no log l! row is built.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._accum import _BLOCK, ascending, hyperbola_sum, quotient_prefixes, ramp
+from ._accum import (_BLOCK, ascending, block_of, hyperbola_sum,
+                     quotient_prefixes, ramp, running_sum)
 from .errors import require
 from .identities import _with_mu
-from .stirling import THETA_HI, THETA_LO, log_factorial_row
-from .tables import FunctionTable, abscissa, cut
+from .stirling import THETA_HI, THETA_LO
+from .tables import FunctionTable, abscissa, blocks, cut
 from .zeta import LOG_SQRT_2PI, constants
 
 # coefficient of the (1 + log K)^2 / K^(s-2) truncation allowance; the
@@ -60,83 +69,114 @@ class ThetaBracket:
         return self.lo <= self.lhs <= self.hi
 
 
-def _powers(lo: int, hi: int, s: float) -> np.ndarray:
-    """l^-s for l = lo..hi-1."""
-    return np.arange(lo, hi, dtype=np.float64) ** (-s)
+def _weights(f: FunctionTable | None, g: FunctionTable | None, s: float,
+             ks: list[int], h: FunctionTable | None = None):
+    """The ``weights(lo, hi)`` of ``quotient_prefixes`` for sum u(k) k^-s
+    up to the largest K of ks (ascending): h(d) log d d^-s and h(d) d^-s
+    where a table h is given, then f(d) log d d^-s, g(l) l^(1-s),
+    f(d) d^-s and g(l) L(l) l^-s, whose sums at K are the truncated
+    -H'(s), H(s), -F'(s), G(s-1), F(s) and G_L(s); and the dict K -> the
+    sums at K of h's two where h is given, else of the four, which the
+    pass fills.
+
+    f, g and h are tables (arrays or ``tables.Blocks``) or None, the
+    constant 1, each read a block of ``_BLOCK`` at a time into five blocks
+    of the writer's.  L(l) = log l! is the running longdouble sum of log l
+    that ``stirling.log_factorial_row`` makes, formed an eighth of a block
+    at a time and carried from block to block, so it has the row's bytes
+    and no row is built.  The pass asks for its blocks in ascending order
+    from 1, and each pass starts the sums afresh.
+
+    A sum at K is not the running sum of the pass, which drops each term
+    below half a longdouble ulp of its total (sum k^-3 to 1e7 ends 237
+    float64 ulps low): each block is added pairwise in longdouble
+    (``np.sum``), the blocks' sums are chained, and the result is rounded
+    once, within an ulp of ``math.fsum`` of the same float64 terms.
+    """
+    fv, gv, hv = (None if t is None else t.values for t in (f, g, h))
+    fb, gb, lg, p, lf = np.empty((5, min(_BLOCK, ks[-1])))
+    sums = np.empty(min(_BLOCK // 8, ks[-1]), np.longdouble)
+    totals, summed = {}, 2 if h is not None else 4
+    carry = []  # L(lo - 1), then each summed weight's sum up to lo - 1
+
+    def blocks_at(lo, hi):
+        n = hi - lo
+        # log l equals the LOG sieve, and the powers the whole-K ones,
+        # bit for bit
+        lgs = np.log(ramp(lg[:n], lo), out=lg[:n])
+        ps, lfs = ramp(p[:n], lo), lf[:n]
+        ps **= -s
+        for a in range(0, n, _BLOCK // 8):
+            part = running_sum(lgs[a:a + _BLOCK // 8], carry[0], sums)
+            lfs[a:a + len(part)] = part
+            carry[0] = part[-1]
+        if h is not None:
+            w = block_of(hv, lo, fb[:n])
+            yield np.multiply(np.multiply(w, lgs, out=gb[:n]), ps, out=gb[:n])
+            yield np.multiply(w, ps, out=w)
+        w, c = block_of(fv, lo, fb[:n]), block_of(gv, lo, gb[:n])
+        yield np.multiply(np.multiply(w, lgs, out=lgs), ps, out=lgs)
+        q = ramp(lgs, lo)
+        q **= -(s - 1.0)
+        yield np.multiply(c, q, out=q)
+        yield np.multiply(w, ps, out=w)
+        yield np.multiply(np.multiply(c, lfs, out=lfs), ps, out=lfs)
+
+    def weights(lo, hi):
+        if lo == 1:
+            carry[:] = [np.longdouble(0.0)] * (1 + summed)
+        at = ks[bisect_left(ks, lo):bisect_left(ks, hi)]
+        for i, w in enumerate(blocks_at(lo, hi), 1):
+            if i <= summed:
+                for k in at:
+                    totals.setdefault(k, {})[i] = carry[i] + np.sum(
+                        w[:k - lo + 1], dtype=np.longdouble)
+                carry[i] += np.sum(w, dtype=np.longdouble)
+            yield w
+
+    return weights, totals
+
+
+def _passes(f, g, s: float, ks, h=None):
+    """For each K of ks (ascending), the lhs sum_{k<=K} u(k) k^-s and the
+    sums at K that ``_weights`` takes: the lhs is the hyperbola sums over
+    d*l <= K of
+    (f(d) log d d^-s) (g(l) l^(1-s)) + (f(d) d^-s) (g(l) L(l) l^-s),
+    from one ``quotient_prefixes`` pass up to the largest K for every K,
+    as no weight depends on K, and the sums come from the same blocks.
+    It holds the tables it is given, or what their blocks share, the
+    writer's blocks and the pairs; no K-length array."""
+    ks = ascending(ks)
+    weights, totals = _weights(f, g, s, ks, h)
+    for k, pairs in zip(ks, quotient_prefixes(weights, ks)):
+        w_log, c_id, w, c_lf = pairs[-4:]
+        yield (hyperbola_sum([(1, w_log, c_id), (1, w, c_lf)]),
+               [float(total) for total in totals[k].values()])
 
 
 def dirichlet_partial_sum(f: FunctionTable, s: float, k_max: int,
                           log_weight: bool = False) -> float:
-    """sum_{k<=K} f(k) (log k)^w / k^s with w = 0 or 1.
+    """sum_{k<=K} f(k) (log k)^w / k^s with w = 0 or 1, from a one-point
+    pass of ``_passes``.
 
     Note F'(s) = -(the log-weighted sum).
     """
-    cut(k_max, f)
-    return _power_sum(f.values[1:k_max + 1].copy(), s, log_weight)
-
-
-def _power_sum(terms: np.ndarray, s: float, log_weight: bool = False) -> float:
-    """np.sum of terms[k - 1] k^-s (log k)^w for k = 1..len(terms), w = 0
-    or 1, in terms itself: the powers and logs are formed an eighth of
-    ``_BLOCK`` at a time, with the products and sum of the whole-K forms,
-    so no other K-length array is made."""
-    for lo in range(1, len(terms) + 1, _BLOCK // 8):
-        part = terms[lo - 1:lo - 1 + _BLOCK // 8]
-        part *= _powers(lo, lo + len(part), s)
-        if log_weight:
-            part *= np.log(np.arange(lo, lo + len(part), dtype=np.float64))
-    return float(np.sum(terms))
+    (_, (f_log, _, f_sum, _)), = _passes(f, None, s, [cut(k_max, f)])
+    return f_log if log_weight else f_sum
 
 
 def log_factorial_partial_sum(g: FunctionTable, s: float, k_max: int) -> float:
-    """sum_{k<=K} g(k) L(k) / k^s with exact L(k) = log k!."""
-    cut(k_max, g)
-    return _log_factorial_dot(g, log_factorial_row(k_max), s, k_max)
+    """sum_{k<=K} g(k) L(k) / k^s with exact L(k) = log k!, from a
+    one-point pass of ``_passes``."""
+    (_, (*_, g_lf)), = _passes(None, g, s, [cut(k_max, g)])
+    return g_lf
 
 
-def _log_factorial_dot(g: FunctionTable, lf: np.ndarray, s: float,
-                       k_max: int) -> float:
-    """``log_factorial_partial_sum`` with the log l! row lf given."""
-    return _power_sum(g.values[1:k_max + 1] * lf[1:k_max + 1], s)
-
-
-def _u_partial_sum(f: FunctionTable, g: FunctionTable | None, s: float,
-                   ks, lf: np.ndarray | None = None) -> list[float]:
-    """sum_{k<=K} u(k) k^-s at each K of ks (ascending) as the hyperbola
-    sums over d*l <= K of
-    (f(d) log d d^-s) (g(l) l^(1-s)) + (f(d) d^-s) (g(l) L(l) l^-s).
-
-    g given as None is the constant 1.  The four weights are formed a
-    block of ``_accum._BLOCK`` at a time, with the products and powers of
-    the whole-K forms, and one ``quotient_prefixes`` pass up to the
-    largest K serves every K, as no weight depends on K.  So the peak is
-    the tables it reads (f and g), the log l! row (built here unless given
-    as lf, with at least max(ks) + 1 entries) and a few blocks; no other
-    K-length array is formed.
-    """
-    k_max = max(ks)
-    if lf is None:
-        lf = log_factorial_row(k_max)
-    fv, gv = f.values, None if g is None else g.values
-    buf = np.empty((3, min(_BLOCK, k_max)))  # a row is rewritten once read
-
-    def weights(lo, hi):
-        # log l equals the LOG sieve, and the powers _powers(1, K + 1, .),
-        # bit for bit
-        lg, p, w = buf[:, :hi - lo]
-        np.log(ramp(lg, lo), out=lg)
-        p = ramp(p, lo)
-        p **= -s
-        g = np.ones(hi - lo) if gv is None else gv[lo:hi]
-        yield np.multiply(np.multiply(fv[lo:hi], lg, out=w), p, out=w)
-        q = ramp(lg, lo)
-        q **= -(s - 1.0)
-        yield np.multiply(g, q, out=q)
-        yield np.multiply(fv[lo:hi], p, out=w)
-        yield np.multiply(np.multiply(g, lf[lo:hi], out=w), p, out=w)
-
-    return [hyperbola_sum([(1, w_log, c_id), (1, w, c_lf)])
-            for w_log, c_id, w, c_lf in quotient_prefixes(weights, ks)]
+def _u_partial_sum(f: FunctionTable | None, g: FunctionTable | None, s: float,
+                   ks) -> list[float]:
+    """sum_{k<=K} u(k) k^-s at each K of ks (ascending): the lhs of
+    ``_passes``; g given as None is the constant 1."""
+    return [lhs for lhs, _ in _passes(f, g, s, ks)]
 
 
 def series_identity_compare(f: FunctionTable, g: FunctionTable, s: float,
@@ -148,20 +188,17 @@ def series_identity_compare(f: FunctionTable, g: FunctionTable, s: float,
 
 def series_identity_grid(f: FunctionTable, g: FunctionTable, s: float,
                          ks) -> list[SeriesComparison]:
-    """``series_identity_compare`` at each K of ks (ascending), from one
-    log l! row at the largest K for both sides and one pass for every
-    lhs: the bytes of the comparisons at each K alone."""
+    """``series_identity_compare`` at each K of ks (ascending), both sides
+    from one pass: the lhs, and the rhs from the prefix sums at K of the
+    lhs's own weights, so the bytes of the comparisons at each K alone
+    and of ``dirichlet_partial_sum`` and ``log_factorial_partial_sum``."""
     alpha = max(abscissa(f.spec), abscissa(g.spec) + 1.0)
     require(alpha < s < math.inf,
             f"s={s} not finite or in the divergence region (need s > {alpha})")
     ks = [cut(k, f, g) for k in ascending(ks)]
-    lf = log_factorial_row(ks[-1])
-    rhs = [dirichlet_partial_sum(f, s, k, log_weight=True)
-           * dirichlet_partial_sum(g, s - 1.0, k)
-           + dirichlet_partial_sum(f, s, k) * _log_factorial_dot(g, lf, s, k)
-           for k in ks]
-    return [SeriesComparison(s, k, lhs, r) for k, lhs, r
-            in zip(ks, _u_partial_sum(f, g, s, ks, lf), rhs)]
+    return [SeriesComparison(s, k, lhs, f_log * g_id + f_sum * g_lf)
+            for k, (lhs, (f_log, g_id, f_sum, g_lf))
+            in zip(ks, _passes(f, g, s, ks))]
 
 
 def _tail_allowance(s: float, k_max: int) -> float:
@@ -184,14 +221,15 @@ def series_theta_bracket(f: FunctionTable, s: float, k_max: int) -> ThetaBracket
 
     evaluated with F, F' truncated at K and exact zeta values; the
     interval is [rhs(0), rhs(1/12)] widened by the truncation allowance.
-    f*mu is built up to K only.
+    The blocks of f*mu, prepared up to K only, and of f are read in one
+    pass, for the lhs and for F and F' at K alike.
     """
     require(max(abscissa(f.spec), 2.0) < s < math.inf,
             f"s={s} too small for the bracket, or not finite")
-    lhs, = _u_partial_sum(_with_mu(f, cut(k_max, f)), None, s, [k_max])
-
-    big_f = dirichlet_partial_sum(f, s, k_max)
-    big_f_prime = -dirichlet_partial_sum(f, s, k_max, log_weight=True)
+    k = cut(k_max, f)
+    (lhs, (f_log, big_f)), = _passes(blocks(_with_mu(f.spec), k), None, s,
+                                     [k], f)
+    big_f_prime = -f_log
     z, zp, zm1, zpm1, zp1 = _zetas(s)
 
     def rhs(theta: float) -> float:

@@ -29,10 +29,11 @@ log m, so identity checks elsewhere reuse one consistent L(l) array.
 Each row is built at the l_max asked for, read-only, and freed with its
 last reference; entry l depends on nothing past l, so a row equals the
 first l_max + 1 entries of a wider row bit for bit.  Neither row reads
-the other: the per-k audits and the Dirichlet series read L alone
-(``log_factorial_row``), and ``log_factorial_table`` is the public view
-of both.  The scans build no rho row: they form rho a block at a time
-(``rho_block``, which fills the row too), so their blocks equal the
+the other: the per-k audits read L alone (``log_factorial_row``), and
+``log_factorial_table`` is the public view of both.  The Dirichlet series
+build no row: they carry L's running sum from block to block, with the
+row's bytes.  The scans build no rho row: they form rho a block at a
+time (``rho_block``, which fills the row too), so their blocks equal the
 row's entries bit for bit.  approx and theta are derived from l and rho
 when read; the package itself reads only L and rho.
 
@@ -300,11 +301,7 @@ def log_factorial_row(l_max: int) -> np.ndarray:
     return _row(_fill_log_factorial, l_max)
 
 
-def rho_row(l_max: int) -> np.ndarray:
-    """rho(l) for l = 0..l_max, read-only; builds no L."""
-    return _row(_fill_rho, l_max)
-
-
 def log_factorial_table(l_max: int) -> StirlingTable:
     """Table of L(l), approx(l), rho(l), theta(l) for l = 1..l_max."""
-    return StirlingTable(int(l_max), log_factorial_row(l_max), rho_row(l_max))
+    return StirlingTable(int(l_max), log_factorial_row(l_max),
+                         _row(_fill_rho, l_max))

@@ -352,6 +352,39 @@ def series_lhs_longdouble(fv: np.ndarray, gv: np.ndarray, s: float, k: int):
             + _pair_sum_longdouble(f, g * np.cumsum(logs), k))
 
 
+def series_rhs_terms(fv: np.ndarray, gv: np.ndarray, lf: np.ndarray, s: float,
+                     k: int, log_last: bool = False) -> list[np.ndarray]:
+    """The terms of the series rhs's truncated -F'(s), G(s-1), F(s) and
+    G_L(s) at K as whole-K float64 arrays: (f(d) log d) d^-s, g(l) l^(1-s),
+    f(d) d^-s and (g(l) L(l)) l^-s, in the series' weight writer's product
+    order, or with ``log_last`` (f(d) d^-s) log d, as ``np_sum_series_sums``
+    formed it."""
+    ks = np.arange(1, k + 1, dtype=np.float64)
+    p, logs = ks ** (-s), np.log(ks)
+    f, g = fv[1:k + 1], gv[1:k + 1]
+    return [f * p * logs if log_last else f * logs * p,
+            g * ks ** (-(s - 1.0)), f * p, g * lf[1:k + 1] * p]
+
+
+def blockwise_longdouble_sum(terms: np.ndarray, block: int) -> float:
+    """The sum of terms as the series pass takes a weight's sum at K:
+    ``np.sum`` in longdouble of each ``block`` terms from the first, the
+    block sums added in turn, rounded once."""
+    total = np.longdouble(0.0)
+    for a in range(0, len(terms), block):
+        total += np.sum(terms[a:a + block], dtype=np.longdouble)
+    return float(total)
+
+
+def np_sum_series_sums(fv: np.ndarray, gv: np.ndarray, lf: np.ndarray,
+                       s: float, k: int) -> list[float]:
+    """-F'(s), G(s-1), F(s) and G_L(s) at K as the series formed them before
+    they were streamed: ``np.sum`` (pairwise, in float64) of each whole-K
+    product."""
+    return [float(np.sum(t))
+            for t in series_rhs_terms(fv, gv, lf, s, k, log_last=True)]
+
+
 # ---------------------------------------------------------------------------
 # whole-array forms of the blocked stages: each builds every n-length
 # temporary at once, as the stages did before they were blocked, and must

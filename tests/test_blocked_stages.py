@@ -45,9 +45,11 @@ from gcdsums.tables import (DIVISOR_LOG, ID, LOG, MU, ONE, PHI, SIGMA, TAU,
                             pointwise_pow_spec, sieve_values, sigma_pow)
 from gcdsums.zeta import constants
 
-from oracles import (fsum_mu_delta, split_convolve, whole_array_average_pairs,
-                     whole_array_mu_delta, whole_array_on_quotients,
-                     whole_array_prefix, whole_array_rho, whole_array_stirling)
+from oracles import (blockwise_longdouble_sum, fsum_mu_delta,
+                     series_rhs_terms, split_convolve,
+                     whole_array_average_pairs, whole_array_mu_delta,
+                     whole_array_on_quotients, whole_array_prefix,
+                     whole_array_rho, whole_array_stirling)
 
 _B = _accum._BLOCK
 SIZES = [1, _B - 1, _B, _B + 1, 10 ** 6 + 7, 100.5]
@@ -221,10 +223,15 @@ def test_tau_prefixes_equal_tau_sieve_prefixes(tau_values, n):
 @pytest.mark.parametrize("k", [1, 7, _B - 1, _B, _B + 1, 3 * _B + 5])
 @pytest.mark.parametrize("s", [3.0, 4.0])
 def test_blocked_powers_equal_whole_array_powers(k, s):
+    # the series' weight writer powers each block of exact integers
+    # (``_accum.ramp``) in place
     for e in (s, s - 1.0):
         whole = np.arange(1, k + 1, dtype=np.float64) ** (-e)
-        blocks = [series._powers(lo, min(lo + _B, k + 1), e)
-                  for lo in range(1, k + 1, _B)]
+        blocks = []
+        for lo in range(1, k + 1, _B):
+            block = _accum.ramp(np.empty(min(lo + _B, k + 1) - lo), lo)
+            block **= -e
+            blocks.append(block)
         assert _same_bytes(np.concatenate(blocks), whole)
 
 
@@ -232,18 +239,18 @@ def test_blocked_powers_equal_whole_array_powers(k, s):
                                _B + 1, 3 * _B + 5])
 @pytest.mark.parametrize("s", [3.0, 4.0])
 def test_power_sums_equal_whole_array_form(k, s):
-    # the powers and logs formed an eighth of a block at a time into the
-    # one K-length array: the products and np.sum of the whole-K forms
+    # each sum at K, from the blocks and the L(l) carried from block to
+    # block: the blocks' longdouble sums of the whole-K products, in the
+    # weight writer's product order, chained and rounded once
     ft, gt = G.sieve(PHI, k), G.sieve(MU, k)
-    lf, ks = stirling.log_factorial_row(k), np.arange(1, k + 1,
-                                                      dtype=np.float64)
-    p = ks ** (-s)
-    assert (series.dirichlet_partial_sum(ft, s, k)
-            == float(np.sum(ft.values[1:] * p)))
-    assert (series.dirichlet_partial_sum(ft, s, k, log_weight=True)
-            == float(np.sum(ft.values[1:] * p * np.log(ks))))
-    assert (series.log_factorial_partial_sum(gt, s, k)
-            == float(np.sum(gt.values[1:] * lf[1:] * p)))
+    f_log, g_id, f_sum, g_lf = (
+        blockwise_longdouble_sum(t, _B) for t in
+        series_rhs_terms(ft.values, gt.values, stirling.log_factorial_row(k),
+                         s, k))
+    assert series.dirichlet_partial_sum(ft, s, k) == f_sum
+    assert series.dirichlet_partial_sum(ft, s, k, log_weight=True) == f_log
+    assert series.dirichlet_partial_sum(gt, s - 1.0, k) == g_id
+    assert series.log_factorial_partial_sum(gt, s, k) == g_lf
 
 
 @pytest.mark.parametrize("k", [1, 7, _B - 1, _B, _B + 1, 3 * _B + 5])
@@ -407,7 +414,8 @@ def test_each_stirling_row_equals_whole_array_form(x):
     # each row built without the other
     n = math.floor(x)
     both = whole_array_stirling(n)
-    rho, lf = stirling.rho_row(n), stirling.log_factorial_row(n)
+    rho, lf = (stirling.log_factorial_table(n).rho,
+               stirling.log_factorial_row(n))
     assert _same_bytes(rho, whole_array_rho(n).astype(np.float64))
     assert _same_bytes(rho, both[1])
     assert _same_bytes(lf, both[0])
@@ -442,6 +450,12 @@ def _id_mu():
     """The tables f = id and g = mu on 1.._N, built once, before any
     measurement that reads them."""
     return G.sieve(G.ID, _N), G.sieve(G.MU, _N)
+
+
+@functools.cache
+def _id_mu_blocks():
+    """The tables id and mu on 1.._N as ``tables.blocks``, built once."""
+    return tables.blocks(G.ID, _N), tables.blocks(G.MU, _N)
 
 
 def _terms():
@@ -520,8 +534,20 @@ _STAGES = {
     "one_closed_forms": (
         lambda: identities.apostol_log_average_grid(None, None, [1e6]),
         0, 0, 48 * 1025),
-    # the log l! row it builds
-    "u_partial_sum": (_u_sum, 1, 4, 0),
+    # no log l! row and no K-length array: the writer's five blocks and
+    # its and the pass's eighths of a block of longdouble (measured 5.60)
+    "u_partial_sum": (_u_sum, 0, 6, 0),
+    # both sides of a K list from tables given as blocks: the same, and
+    # a block's temporaries of the mu fill (measured 6.95)
+    "series_identity_grid": (
+        lambda: series.series_identity_grid(*_id_mu_blocks(), 3.0,
+                                            [100, 1000, _N]), 0, 8, 0),
+    # the blocks of f, given, and of f*mu, prepared up to K, which share
+    # per prime above isqrt(K) P and f(P), in one pass (measured 7.38
+    # blocks with those)
+    "series_theta_bracket": (
+        lambda: series.series_theta_bracket(_id_mu_blocks()[0], 3.0, _N),
+        0, 6, 6 * _PRIMES),
     # hyperbola sums of the g = 1 pairs at _N, so t = 1024: six tables
     # of t + 1 floats, the pairs over isqrt(_N) + 1 entries and the closed
     # forms above t (measured 19 floats per table entry); no sieve
@@ -535,13 +561,23 @@ _STAGES = {
     # side; no table of id * phi, the product (measured 1.76 arrays)
     "statistic_operands": (lambda: asymptotics.summatory("id_phi", _N),
                            1 + 1 / 2, 3, _quotient_floats([_N]) + 24 * 1025),
+    # phi * Lambda, two sieved operands: the one list of the primes and
+    # the 2 floats per prime that one operand's blocks share, each table
+    # built after the last is dropped, a pass's blocks and the pairs
+    # (measured 2.12 blocks besides the primes; both tables at once held
+    # a float more per prime)
+    "statistic_two_operands": (
+        lambda: asymptotics.summatory("phi_lambda", _N), 0, 2.25,
+        3 * _PRIMES + _quotient_floats([_N])),
     # tau's prefixes at the quotients: O(isqrt(n)) entries, no sieve
     "delta_integral_ratio": (
         lambda: asymptotics.delta_integral_ratio(_N), 0, 1, 0),
-    # each Stirling row: the result, one row of n + 1 entries, and for
-    # log l! an eighth of a block of l, logs and longdouble sums
+    # the log l! row: the result, one row of n + 1 entries, and an eighth
+    # of a block of l, logs and longdouble sums
     "log_factorial_row": (lambda: stirling.log_factorial_row(_N), 1, 1, 0),
-    "rho_row": (lambda: stirling.rho_row(_N), 1, 8, 0),
+    # both rows of ``log_factorial_table``, and an eighth of a block of
+    # the rho fill's l and longdouble temporaries (measured 0.63 blocks)
+    "rho_row": (lambda: stirling.log_factorial_table(_N), 2, 1, 0),
     # a scan at x = 2^20 reads each table a block at a time: a pass's few
     # blocks, and what the blocks share, per prime above isqrt(x) P and
     # f(P) for a product and nothing for mu; no x-long array (measured

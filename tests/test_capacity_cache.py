@@ -76,7 +76,8 @@ def test_blocks_equal_a_wider_build(text):
 
 
 @pytest.mark.parametrize("row", [stirling.log_factorial_row,
-                                 stirling.rho_row], ids=["log_factorial", "rho"])
+                                 lambda n: stirling.log_factorial_table(n).rho],
+                         ids=["log_factorial", "rho"])
 def test_stirling_row_is_a_slice_of_a_wider_row(row):
     wide = row(_WIDE)
     for n in _SIZES:
@@ -197,7 +198,7 @@ def test_series_bracket_builds_f_mu_up_to_k(monkeypatch, text):
     spec = parse_spec(text)
     f_mu = G.VON_MANGOLDT if text == "log" else tables.convolve(spec, G.MU)
     f = G.sieve(spec, 10 ** 5)
-    whole = identities._with_mu(f, f.n_max)
+    whole = G.sieve(identities._with_mu(spec), f.n_max)
     for k in (6, 100, 1000, 5000, 10 ** 5):
         calls = _recording(monkeypatch, "_block_fill")
         lhs = G.series_theta_bracket(f, 3.0, k).lhs

@@ -566,12 +566,15 @@ def bare_import_maxrss():
     ["scan", "--target", "id-log-avg", "--grid", "geom:1e3,1e6,7", "--check"],
     ["scan", "--target", "jordan-log-avg", "--a", "-0.5",
      "--grid", "geom:1e3,1e6,7", "--check"],
-    ["sieve", "--spec", "phi", "--nmax", "1000000", "--out", os.devnull]],
-    ids=["id-log-avg", "jordan-log-avg", "sieve-phi"])
+    ["sieve", "--spec", "phi", "--nmax", "1000000", "--out", os.devnull],
+    ["series", "--which", "identity", "--f", "id", "--g", "mu", "--s", "3",
+     "--K", "100,1000000"]],
+    ids=["id-log-avg", "jordan-log-avg", "sieve-phi", "series-identity"])
 def test_command_peak_rss_near_the_import(bare_import_maxrss, args):
     # each table is read a block at a time and a dump keeps no text, so
     # the command peaks within 8 MB of the bare import: a whole phi or mu
     # table at 10^6 is 8 MB, and the scans built whole peaked about 13 MB
-    # above it, the dump about 36 MB
+    # above it, the dump about 36 MB and the series, with their sieves,
+    # log l! row and K-length products, about 32 MB
     command = _child_maxrss(["-m", "gcdsums.cli", *args])
     assert command - bare_import_maxrss < 8.0, (command, bare_import_maxrss)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import gcdsums as G
-from gcdsums import series
+from gcdsums import _accum, series, stirling
 from gcdsums.errors import DomainError
 from gcdsums.series import (dirichlet_partial_sum, log_factorial_partial_sum,
                             mu_series_report, series_identity_compare,
                             series_theta_bracket)
 from gcdsums.tables import blocks
+
+from oracles import np_sum_series_sums, series_rhs_terms
 
 
 @pytest.fixture(scope="module")
@@ -58,38 +60,54 @@ def test_identity_compare_gap_shrinks(tables, pair, s):
     assert gaps[1] < gaps[0]
 
 
+def _record_rows(monkeypatch):
+    """The l_max of every Stirling row built from here on: both rows
+    (log l! and rho) are built by ``stirling._row``."""
+    built = []
+    row = stirling._row
+    monkeypatch.setattr(stirling, "_row", lambda fill, l_max:
+                        built.append(l_max) or row(fill, l_max))
+    return built
+
+
 @pytest.mark.parametrize("k_max", [1, 1000, 10 ** 4])
 def test_identity_compare_builds_one_log_factorial_row(tables, monkeypatch,
                                                        k_max):
-    # one row for both sides, and the bytes of a row built for each
+    # no log l! row: L(l) is carried from block to block, and both sides
+    # have the bytes of the one-point passes of the partial-sum functions
     f, g = tables["phi"], tables["one"]
     lhs = series._u_partial_sum(f, g, 3.0, [k_max])[0]
     rhs = (dirichlet_partial_sum(f, 3.0, k_max, log_weight=True)
            * dirichlet_partial_sum(g, 2.0, k_max)
            + dirichlet_partial_sum(f, 3.0, k_max)
            * log_factorial_partial_sum(g, 3.0, k_max))
-    built = []
-    row = series.log_factorial_row
-    monkeypatch.setattr(series, "log_factorial_row",
-                        lambda l_max: built.append(l_max) or row(l_max))
+    built = _record_rows(monkeypatch)
     cmp = series_identity_compare(f, g, 3.0, k_max)
-    assert built == [k_max]
+    assert built == []
     assert (cmp.lhs, cmp.rhs) == (lhs, rhs)
 
 
 @pytest.mark.parametrize("pair,s", [(("id", "mu"), 3.0), (("phi", "one"), 4.0)])
 def test_identity_grid_equals_per_k_compares(tables, monkeypatch, pair, s):
-    # one pass and one log l! row, at the largest K, for the whole K list,
-    # with the bytes of each K compared alone
+    # one pass and no log l! row for the whole K list, with the bytes of
+    # each K compared alone
     f, g = tables[pair[0]], tables[pair[1]]
     ks = [1, 100, 1000, 10 ** 4]
     alone = [series_identity_compare(f, g, s, k) for k in ks]
-    built = []
-    row = series.log_factorial_row
-    monkeypatch.setattr(series, "log_factorial_row",
-                        lambda l_max: built.append(l_max) or row(l_max))
+    built = _record_rows(monkeypatch)
     assert series.series_identity_grid(f, g, s, ks) == alone
-    assert built == [max(ks)]
+    assert built == []
+
+
+def test_identity_grid_over_several_runs_equals_per_k_compares(tables):
+    # a dense K list runs as several passes, each from l = 1, so L(l)
+    # restarts with each; blocks or arrays give the same bytes
+    f, g = (blocks(spec, 3000) for spec in (G.PHI, G.ONE))
+    ks = list(range(2000, 2101))
+    assert len(list(_accum._runs(ks))) > 1
+    grid = series.series_identity_grid(f, g, 3.0, ks)
+    assert grid == [series_identity_compare(tables["phi"], tables["one"], 3.0,
+                                            k) for k in ks]
 
 
 def test_identity_compare_divergence_guard(tables):
@@ -149,3 +167,39 @@ def test_mu_series_report_rejects_k_outside_its_tables(tables, k_max):
     # the same range rule as the other series: K in 1..n_max of both tables
     with pytest.raises(DomainError):
         mu_series_report(3.0, k_max, tables["id"], tables["mu"])
+
+
+@pytest.fixture(scope="module")
+def catalog_tables():
+    n = 10 ** 5
+    return n, stirling.log_factorial_row(n), {
+        text: G.sieve(G.parse_spec(text), n)
+        for text in ("id", "mu", "one", "phi", "idpow:0.5")}
+
+
+@pytest.mark.parametrize("k", [10 ** 4, 10 ** 5])
+@pytest.mark.parametrize("s", [3.0, 4.0])
+@pytest.mark.parametrize("pair", [("id", "mu"), ("one", "one"), ("phi", "one"),
+                                  ("idpow:0.5", "mu")],
+                         ids=["id-mu", "one-one", "phi-one", "idpow-mu"])
+def test_rhs_sums_within_an_ulp_of_fsum(catalog_tables, pair, s, k):
+    # -F'(s), G(s-1), F(s) and G_L(s), the longdouble running sums of the
+    # pass rounded once, against math.fsum of the same float64 terms:
+    # within an ulp, and never further from it than the np.sum of the
+    # whole-K products that the rhs was before the pass gave it
+    n, lf, t = catalog_tables
+    f, g = t[pair[0]], t[pair[1]]
+    got = [dirichlet_partial_sum(f, s, k, log_weight=True),
+           dirichlet_partial_sum(g, s - 1.0, k),
+           dirichlet_partial_sum(f, s, k),
+           log_factorial_partial_sum(g, s, k)]
+    exact = [math.fsum(terms) for terms
+             in series_rhs_terms(f.values, g.values, lf, s, k)]
+    old = np_sum_series_sums(f.values, g.values, lf, s, k)
+    old_exact = [math.fsum(terms) for terms
+                 in series_rhs_terms(f.values, g.values, lf, s, k,
+                                     log_last=True)]
+    for name, a, e, b, be in zip(("F'", "G(s-1)", "F", "G_L"), got, exact,
+                                 old, old_exact):
+        assert abs(a - e) <= np.spacing(abs(e)), name
+        assert abs(a - e) <= abs(b - be), name
