@@ -18,8 +18,7 @@ The paper's log averages and the summatory statistics behind them are
 one kind of record, a ``Target``: an exact side with the exact Stirling
 remainder its main term's theta slot stands for, the main term, a
 normalizer and an optional mu-weighted Delta correction.  ``residual_scan``,
-``main_term``, ``exact_value`` and ``summatory`` run every target through
-the same steps.
+``main_term`` and ``summatory`` run every target through the same steps.
 
 Each family of main terms is one formula in k, the count of factors
 1/zeta(2) (or 1/zeta(2 + a)): k = 1 for f = id and id_{1+a}, k = 2 for
@@ -582,12 +581,6 @@ def main_term(target: str, x: float, a: float | None = None,
     return t.main(x, a, theta)
 
 
-def exact_value(target: str, x: float, a: float | None = None) -> float:
-    """Exact (sieved) summatory value of a target at x."""
-    t, a = _lookup(target, a)
-    return float(t.parts([x], a)[0][0])
-
-
 # ---------------------------------------------------------------------------
 # residual scans
 
@@ -707,15 +700,10 @@ _LIMIT_VARIANTS = {
 }
 
 
-def limit_ratio(variant: str, x: float, a: float | None = None) -> float:
-    """L(x; f) / (limit * x log^p x); tends to 1 as x grows: the grid of
-    one of ``limit_ratio_grid``."""
-    return limit_ratio_grid(variant, [x], a)[0]
-
-
 def limit_ratio_grid(variant: str, xs, a: float | None = None) -> list[float]:
-    """``limit_ratio`` at every x of xs, in any order, from one exact-side
-    pass (``Target.parts``) up to the largest x."""
+    """L(x; f) / (limit * x log^p x) at every x of xs, in any order, from
+    one exact-side pass (``Target.parts``) up to the largest x; it tends
+    to 1 as x grows."""
     if variant not in _LIMIT_VARIANTS:
         raise DomainError(f"unknown limit variant {variant!r}")
     target, p, k = _LIMIT_VARIANTS[variant]

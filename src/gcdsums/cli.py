@@ -179,25 +179,17 @@ def cmd_series(args) -> int:
                               "s": args.s, "gaps": gaps})
         return 0
     if args.which == "bracket":
-        f = blocks(parse_spec(args.f), n_max)
-        rows = []
-        ok = True
-        for k in k_values:
-            b = series.series_theta_bracket(f, args.s, k)
-            rows.append((b.s, b.truncation, b.lhs, b.lo, b.hi))
-            ok = ok and b.contains
-        csvio.write_rows("s,K,lhs,lo,hi", rows, args.out)
-        if not ok:
+        brackets = series.series_theta_bracket(
+            blocks(parse_spec(args.f), n_max), args.s, k_values)
+        csvio.write_rows("s,K,lhs,lo,hi", [(b.s, b.truncation, b.lhs, b.lo,
+                                            b.hi) for b in brackets], args.out)
+        if not all(b.contains for b in brackets):
             return _fail({"invariant": "series-theta-bracket", "s": args.s})
         return 0
     # mu-report: compare the two closed-form candidates for the id,mu series
-    id_table = blocks(ID, n_max)
-    mu_table = blocks(MU, n_max)
-    rows = []
-    for k in k_values:
-        r = series.mu_series_report(args.s, k, id_table, mu_table)
-        rows.append((r.s, r.truncation, r.lhs,
-                     int(r.matches_constant_tail), int(r.matches_ratio_tail)))
+    rows = [(r.s, r.truncation, r.lhs, int(r.matches_constant_tail),
+             int(r.matches_ratio_tail)) for r in series.mu_series_report(
+                 args.s, k_values, blocks(ID, n_max), blocks(MU, n_max))]
     csvio.write_rows("s,K,lhs,matches_constant_tail,matches_ratio_tail",
                      rows, args.out)
     return 0

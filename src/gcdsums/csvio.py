@@ -1,4 +1,4 @@
-"""CSV emission and parsing; all numeric output at 17 significant digits.
+"""CSV emission; all numeric output at 17 significant digits.
 
 float64 round-trips exactly through 17 significant digits, so dumped
 tables re-read bit-identically and identical configs produce
@@ -57,14 +57,3 @@ def write_table(table, out=None) -> None:
         range(lo, end), memoryview(table.values[lo:min(lo + _BLOCK, end)])))
     write_rows("n,value", rows, out, keep=False)
 
-
-def read_table_values(path) -> np.ndarray:
-    """Read a table dump back into a values array (slot 0 = 0)."""
-    lines = Path(path).read_text().splitlines()
-    values = [0.0]
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        _, value = line.split(",")
-        values.append(float(value))
-    return np.asarray(values, dtype=np.float64)

@@ -2,8 +2,8 @@
 
 Core objects, for tables f, g and integers k, j:
 
-- ``anderson_apostol(f, g, k, j)``: s_k(j) = sum_{d | gcd(k,j)} f(d) g(k/d);
-  the Ramanujan sum c_k(j) is the special case f = id, g = mu.
+- s_k(j) = sum_{d | gcd(k,j)} f(d) g(k/d), the Anderson-Apostol sum; the
+  Ramanujan sum c_k(j) is the special case f = id, g = mu.
 - ``apostol_log_sum*``: u(k) = sum_{j<=k} s_k(j) log j, computed either by
   the brute-force sum over every j <= k (oracle) or through the exact
   identity
@@ -69,22 +69,11 @@ import numpy as np
 from ._accum import (_BLOCK, _runs, ascending, block_of, dot, fsum,
                      hyperbola_sum, prefix_with_zero, quotient_prefixes, ramp,
                      running_sum)
-from .errors import require
 from .stirling import SEED, log_factorial_row, one_weight_sums, rho_block
 from .tables import (LOG, MU, PHI, VON_MANGOLDT, FunctionSpec, FunctionTable,
                      convolve, cut, divisor_lists, divisors_of, nonnegative,
                      sieve, sieve_values)
 from .zeta import LOG_SQRT_2PI
-
-
-@dataclass(frozen=True)
-class GcdSumResult:
-    """Direct vs identity-based value of sum_j s_k(j) log j."""
-
-    k: int
-    direct: float
-    via_identity: float
-    abs_gap: float
 
 
 @dataclass(frozen=True)
@@ -119,22 +108,6 @@ class AverageDecomposition:
     @property
     def total(self) -> float:
         return fsum(self.terms)
-
-
-def anderson_apostol(f: FunctionTable, g: FunctionTable, k: int, j: int) -> float:
-    """s_k(j) = sum_{d | gcd(k,j)} f(d) g(k/d)."""
-    cut(k, f, g)
-    require(j >= 1, "j must be >= 1")
-    m = math.gcd(k, j)
-    return fsum(f.values[d] * g.values[k // d] for d in divisors_of(m))
-
-
-def ramanujan_sum(k: int, j: int) -> int:
-    """c_k(j) = sum_{d | gcd(j,k)} d mu(k/d), exact integer arithmetic."""
-    require(k >= 1 and j >= 1, "k and j must be >= 1")
-    from .tables import mobius_of
-    m = math.gcd(k, j)
-    return sum(d * mobius_of(k // d) for d in divisors_of(m))
 
 
 def _gather_by_gcd(values: np.ndarray, divs: list[int], k: int,
@@ -223,12 +196,6 @@ def apostol_log_sum(f: FunctionTable, g: FunctionTable, k: int) -> float:
     D = _divisor_map(k)
     lg = {d: math.log(d) for d in D}
     return _apostol_identity(f.values, g.values, lf, lg, k, D)
-
-
-def log_sum_audit(f: FunctionTable, g: FunctionTable, k: int) -> GcdSumResult:
-    direct = apostol_log_sum_direct(f, g, k)
-    ident = apostol_log_sum(f, g, k)
-    return GcdSumResult(k, direct, ident, abs(direct - ident))
 
 
 def toth_identity(k: int) -> tuple[float, float]:
@@ -547,14 +514,6 @@ def gcd_log_average(f: FunctionTable, x: float) -> float:
     """
     n = cut(x, f)
     return apostol_log_average(sieve(_with_mu(f.spec), n), None, x)
-
-
-def gcd_log_average_terms(f: FunctionTable, x: float) -> AverageDecomposition:
-    """Exact expansion of ``gcd_log_average``; grouping the first three
-    terms gives sum (f*phi)(n)/n log(n/e), the fourth is
-    (1/2) sum (f*Lambda)(n)/n and the fifth log sqrt(2 pi) sum f(n)/n."""
-    n = cut(x, f)
-    return apostol_log_average_terms(sieve(_with_mu(f.spec), n), None, x)
 
 
 def _cesaro_terms(fv: np.ndarray, n: int) -> np.ndarray:

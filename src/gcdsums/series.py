@@ -72,12 +72,12 @@ class ThetaBracket:
 def _weights(f: FunctionTable | None, g: FunctionTable | None, s: float,
              ks: list[int], h: FunctionTable | None = None):
     """The ``weights(lo, hi)`` of ``quotient_prefixes`` for sum u(k) k^-s
-    up to the largest K of ks (ascending): h(d) log d d^-s and h(d) d^-s
-    where a table h is given, then f(d) log d d^-s, g(l) l^(1-s),
+    up to the largest K of ks (ascending): f(d) log d d^-s, g(l) l^(1-s),
     f(d) d^-s and g(l) L(l) l^-s, whose sums at K are the truncated
-    -H'(s), H(s), -F'(s), G(s-1), F(s) and G_L(s); and the dict K -> the
-    sums at K of h's two where h is given, else of the four, which the
-    pass fills.
+    -F'(s), G(s-1), F(s) and G_L(s); and the dict K -> the sums at K of
+    the four or, where a table h is given, of h(d) log d d^-s and
+    h(d) d^-s (-H'(s) and H(s)), which are summed only there and not
+    yielded.  The pass fills the dict.
 
     f, g and h are tables (arrays or ``tables.Blocks``) or None, the
     constant 1, each read a block of ``_BLOCK`` at a time into five blocks
@@ -96,7 +96,10 @@ def _weights(f: FunctionTable | None, g: FunctionTable | None, s: float,
     fv, gv, hv = (None if t is None else t.values for t in (f, g, h))
     fb, gb, lg, p, lf = np.empty((5, min(_BLOCK, ks[-1])))
     sums = np.empty(min(_BLOCK // 8, ks[-1]), np.longdouble)
-    totals, summed = {}, 2 if h is not None else 4
+    # h's two weights are summed at K and not yielded; without h, f and
+    # g's four are summed
+    own = 0 if h is None else 2
+    totals, summed = {}, own or 4
     carry = []  # L(lo - 1), then each summed weight's sum up to lo - 1
 
     def blocks_at(lo, hi):
@@ -132,7 +135,8 @@ def _weights(f: FunctionTable | None, g: FunctionTable | None, s: float,
                     totals.setdefault(k, {})[i] = carry[i] + np.sum(
                         w[:k - lo + 1], dtype=np.longdouble)
                 carry[i] += np.sum(w, dtype=np.longdouble)
-            yield w
+            if i > own:
+                yield w
 
     return weights, totals
 
@@ -148,8 +152,7 @@ def _passes(f, g, s: float, ks, h=None):
     writer's blocks and the pairs; no K-length array."""
     ks = ascending(ks)
     weights, totals = _weights(f, g, s, ks, h)
-    for k, pairs in zip(ks, quotient_prefixes(weights, ks)):
-        w_log, c_id, w, c_lf = pairs[-4:]
+    for k, (w_log, c_id, w, c_lf) in zip(ks, quotient_prefixes(weights, ks)):
         yield (hyperbola_sum([(1, w_log, c_id), (1, w, c_lf)]),
                [float(total) for total in totals[k].values()])
 
@@ -213,35 +216,37 @@ def _zetas(s: float) -> tuple[float, float, float, float, float]:
             C.zeta_prime(s - 1.0), C.zeta(s + 1.0))
 
 
-def series_theta_bracket(f: FunctionTable, s: float, k_max: int) -> ThetaBracket:
-    """Truncated U_{f*mu,1}(s) against its zeta closed form bracket.
+def series_theta_bracket(f: FunctionTable, s: float,
+                         ks) -> list[ThetaBracket]:
+    """Truncated U_{f*mu,1}(s) against its zeta closed form bracket, at
+    each K of ks (ascending).
 
     rhs(theta) = (F z' - F' z) z(s-1)/z^2 - (z(s-1) + z'(s-1)) F/z
                  - F z'/(2 z) + log sqrt(2 pi) F + theta F z(s+1)/z
 
     evaluated with F, F' truncated at K and exact zeta values; the
     interval is [rhs(0), rhs(1/12)] widened by the truncation allowance.
-    The blocks of f*mu, prepared up to K only, and of f are read in one
-    pass, for the lhs and for F and F' at K alike.
+    The blocks of f*mu, prepared up to the largest K only, and of f are
+    read in one pass, for the lhs and for F and F' at every K alike.
     """
     require(max(abscissa(f.spec), 2.0) < s < math.inf,
             f"s={s} too small for the bracket, or not finite")
-    k = cut(k_max, f)
-    (lhs, (f_log, big_f)), = _passes(blocks(_with_mu(f.spec), k), None, s,
-                                     [k], f)
-    big_f_prime = -f_log
+    ks = [cut(k, f) for k in ascending(ks)]
     z, zp, zm1, zpm1, zp1 = _zetas(s)
 
-    def rhs(theta: float) -> float:
-        return ((big_f * zp - big_f_prime * z) * zm1 / z ** 2
-                - (zm1 + zpm1) * big_f / z
-                - big_f * zp / (2.0 * z)
-                + LOG_SQRT_2PI * big_f
-                + theta * big_f * zp1 / z)
+    def bracket(k, lhs, f_log, big_f):
+        big_f_prime = -f_log
+        lo, hi = ((big_f * zp - big_f_prime * z) * zm1 / z ** 2
+                  - (zm1 + zpm1) * big_f / z
+                  - big_f * zp / (2.0 * z)
+                  + LOG_SQRT_2PI * big_f
+                  + theta * big_f * zp1 / z for theta in (THETA_LO, THETA_HI))
+        allowance = _tail_allowance(s, k)
+        return ThetaBracket(s, k, lhs, lo - allowance, hi + allowance,
+                            allowance)
 
-    allowance = _tail_allowance(s, k_max)
-    return ThetaBracket(s, k_max, lhs, rhs(THETA_LO) - allowance,
-                        rhs(THETA_HI) + allowance, allowance)
+    return [bracket(k, lhs, *sums) for k, (lhs, sums) in zip(
+        ks, _passes(blocks(_with_mu(f.spec), ks[-1]), None, s, ks, f))]
 
 
 @dataclass(frozen=True)
@@ -277,23 +282,24 @@ class MuSeriesReport:
         return self.ratio_tail_lo <= self.lhs <= self.ratio_tail_hi
 
 
-def mu_series_report(s: float, k_max: int, id_table: FunctionTable,
-                     mu_table: FunctionTable) -> MuSeriesReport:
-    """Compare truncated U_{id,mu}(s) against both closed-form candidates."""
+def mu_series_report(s: float, ks, id_table: FunctionTable,
+                     mu_table: FunctionTable) -> list[MuSeriesReport]:
+    """Compare truncated U_{id,mu}(s) against both closed-form candidates
+    at each K of ks (ascending), from one pass."""
     require(2.0 < s < math.inf, "the id,mu series needs a finite s > 2")
-    cut(k_max, id_table, mu_table)
-    lhs, = _u_partial_sum(id_table, mu_table, s, [k_max])
+    ks = [cut(k, id_table, mu_table) for k in ascending(ks)]
     z, zp, zm1, zpm1, zp1 = _zetas(s)
-    head = lambda theta: (zm1 * zp / (2.0 * z ** 2) + LOG_SQRT_2PI * zm1 / z
-                          + theta * zm1 / zp1)
+    lo, hi = (zm1 * zp / (2.0 * z ** 2) + LOG_SQRT_2PI * zm1 / z
+              + theta * zm1 / zp1 for theta in (THETA_LO, THETA_HI))
     constant_tail = -1.0
     ratio_tail = -zpm1 / zm1 + (z / zm1) * (zpm1 / zm1 - 1.0)
-    allowance = _tail_allowance(s, k_max)
-    return MuSeriesReport(
-        s, k_max, lhs,
-        head(THETA_LO) + constant_tail - allowance,
-        head(THETA_HI) + constant_tail + allowance,
-        head(THETA_LO) + ratio_tail - allowance,
-        head(THETA_HI) + ratio_tail + allowance,
-        allowance,
-    )
+
+    def report(k, lhs):
+        allowance = _tail_allowance(s, k)
+        return MuSeriesReport(s, k, lhs, lo + constant_tail - allowance,
+                              hi + constant_tail + allowance,
+                              lo + ratio_tail - allowance,
+                              hi + ratio_tail + allowance, allowance)
+
+    return [report(k, lhs) for k, lhs in
+            zip(ks, _u_partial_sum(id_table, mu_table, s, ks))]

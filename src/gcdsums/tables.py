@@ -560,23 +560,6 @@ def sieve(spec: FunctionSpec, n_max: int) -> FunctionTable:
     return FunctionTable(spec, n_max, sieve_values(spec, n_max))
 
 
-def dirichlet_convolve(f: FunctionTable, g: FunctionTable) -> FunctionTable:
-    """Table of (f*g)(n) = sum_{d|n} f(d) g(n/d): ``sieve`` of its spec."""
-    require(f.n_max == g.n_max,
-            f"table sizes differ: {f.n_max} != {g.n_max}")
-    return sieve(convolve(f.spec, g.spec), f.n_max)
-
-
-def pointwise_log(f: FunctionTable) -> FunctionTable:
-    """Table of f(n) * log n: ``sieve`` of its spec."""
-    return sieve(pointwise_log_spec(f.spec), f.n_max)
-
-
-def pointwise_power(f: FunctionTable, a: float) -> FunctionTable:
-    """Table of f(n) * n^a: ``sieve`` of its spec."""
-    return sieve(pointwise_pow_spec(f.spec, a), f.n_max)
-
-
 def divisors_of(n: int) -> list[int]:
     """Sorted divisors of n by trial division up to sqrt(n)."""
     require(n >= 1, "n must be >= 1")
@@ -602,20 +585,3 @@ def divisor_lists(n: int) -> list[list[int]]:
             divs.append(d)
     return lists
 
-
-def mobius_of(n: int) -> int:
-    """mu(n) by trial-division factorization (exact integer)."""
-    require(n >= 1, "n must be >= 1")
-    result = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result = -result
-    return result

@@ -27,14 +27,24 @@ factorization of n and its rule at each prime power, in mpmath.
 ``mp_one_prefix`` is the exact prefix sum of a g = 1 weight of the
 six-term expansion, and ``mp_power_prefix`` that of l^a, from mpmath's
 special functions.
+
+``anderson_apostol`` and ``ramanujan_sum`` are s_k(j) and c_k(j) at one
+(k, j) by the divisors of gcd(k, j), mu by trial division
+(``mobius_of``), and ``read_table_values`` reads a ``sieve`` CSV dump
+back into a values array.
 """
 
 import functools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
+
+from gcdsums._accum import fsum
+from gcdsums.errors import require
+from gcdsums.tables import FunctionTable, cut, divisors_of
 
 # Bernoulli numbers B_2, B_4, ..., B_16
 _BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
@@ -108,6 +118,51 @@ def naive_value(kind: str, n: int, a: float | None = None) -> float:
     if kind == "divlog":
         return math.fsum(math.log(d) for d in naive_divisors(n))
     raise ValueError(kind)
+
+
+def anderson_apostol(f: FunctionTable, g: FunctionTable, k: int, j: int) -> float:
+    """s_k(j) = sum_{d | gcd(k,j)} f(d) g(k/d)."""
+    cut(k, f, g)
+    require(j >= 1, "j must be >= 1")
+    m = math.gcd(k, j)
+    return fsum(f.values[d] * g.values[k // d] for d in divisors_of(m))
+
+
+def ramanujan_sum(k: int, j: int) -> int:
+    """c_k(j) = sum_{d | gcd(j,k)} d mu(k/d), exact integer arithmetic."""
+    require(k >= 1 and j >= 1, "k and j must be >= 1")
+    m = math.gcd(k, j)
+    return sum(d * mobius_of(k // d) for d in divisors_of(m))
+
+
+def mobius_of(n: int) -> int:
+    """mu(n) by trial-division factorization (exact integer)."""
+    require(n >= 1, "n must be >= 1")
+    result = 1
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            result = -result
+        p += 1 if p == 2 else 2
+    if m > 1:
+        result = -result
+    return result
+
+
+def read_table_values(path) -> np.ndarray:
+    """Read a table dump back into a values array (slot 0 = 0)."""
+    lines = Path(path).read_text().splitlines()
+    values = [0.0]
+    for line in lines[1:]:
+        if not line.strip():
+            continue
+        _, value = line.split(",")
+        values.append(float(value))
+    return np.asarray(values, dtype=np.float64)
 
 
 def _mp_prime_power(spec, p: int, e: int):

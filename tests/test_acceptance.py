@@ -14,10 +14,9 @@ import pytest
 
 import gcdsums as G
 from gcdsums.asymptotics import (delta_integral_ratio, divisor_delta_a,
-                                 divisor_delta_a_series, exact_value,
-                                 limit_ratio_grid, load_calibration,
-                                 residual_scan, standard_grid,
-                                 tau_gcd_log_avg_routes)
+                                 divisor_delta_a_series, limit_ratio_grid,
+                                 load_calibration, residual_scan,
+                                 standard_grid, tau_gcd_log_avg_routes)
 from gcdsums.series import (mu_series_report, series_identity_compare,
                             series_theta_bracket)
 
@@ -130,8 +129,8 @@ def test_c08_ramanujan_avg_theta_bracket():
     coeff = c.log_sqrt_2pi / c.zeta2 + c.zeta_prime_2 / (2.0 * c.zeta2 ** 2)
     ok = True
     details = []
-    for x in (1e4, 1e5, 1e6):
-        value = exact_value("ramanujan-log-avg", x)
+    grid = (1e4, 1e5, 1e6)
+    for x, value in zip(grid, residual_scan("ramanujan-log-avg", grid).exact):
         r = value / x - coeff
         slack = 3.0 * math.log(x) ** 2 / x
         lo, hi = -slack, 1.0 / (12.0 * c.zeta3) + slack
@@ -202,9 +201,9 @@ def test_c12_dirichlet_series():
                                      G.FunctionTable(G.MU, n, gv), 3.0, n)
     finite_ok = finite.gap <= 1e-10 * (1.0 + abs(finite.lhs))
 
-    bracket = series_theta_bracket(pairs["id,mu"][0], 3.0, 10 ** 5)
+    bracket, = series_theta_bracket(pairs["id,mu"][0], 3.0, [10 ** 5])
 
-    report = mu_series_report(3.0, 10 ** 5, *pairs["id,mu"])
+    report, = mu_series_report(3.0, [10 ** 5], *pairs["id,mu"])
     print(f"    [report] id,mu series at s=3, K=1e5: lhs={report.lhs:.8f}; "
           f"constant-tail match={report.matches_constant_tail}, "
           f"ratio-tail match={report.matches_ratio_tail} (reported, "

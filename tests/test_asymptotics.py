@@ -9,8 +9,7 @@ from gcdsums.asymptotics import (SCAN_TARGETS, STATISTICS, calibrate,
                                  divisor_delta, divisor_delta_a,
                                  divisor_delta_a_grid,
                                  divisor_delta_a_series,
-                                 delta_integral_ratio, exact_value,
-                                 limit_ratio, limit_ratio_grid,
+                                 delta_integral_ratio, limit_ratio_grid,
                                  load_calibration, main_term,
                                  mu_delta_sum, residual_scan, standard_grid,
                                  summatory, tau_gcd_log_avg_routes,
@@ -279,7 +278,7 @@ def test_residual_scan_single_point_composition():
         t = SCAN_TARGETS[name] if log_average else STATISTICS[name]
         a = -0.5 if t.needs_a else None
         scan = residual_scan(name, [x], a)
-        exact = exact_value(name, x, a)
+        exact = t.parts([x], a)[0][0]
         main = main_term(name, x, a)
         corr = (mu_delta_sum(x, t.weight, a if t.needs_a else None,
                              log_factor=log_average) if t.weight else 0.0)
@@ -346,9 +345,9 @@ def test_residual_scan_validation():
     lambda: residual_scan("id-log-avg", [100.0], a=-0.5),
     lambda: residual_scan("sigma_logne", [100.0], a=5.0),
     lambda: summatory("id_phi", 100.0, -0.5),
-    lambda: limit_ratio("phi", 1e3, -0.5),
+    lambda: limit_ratio_grid("phi", [1e3], -0.5),
     lambda: main_term("tau-log-avg", 100.0, -0.5),
-    lambda: exact_value("ramanujan-log-avg", 100.0, -0.5),
+    lambda: residual_scan("ramanujan-log-avg", [100.0], -0.5).exact,
 ], ids=["scan-target", "scan-statistic", "summatory", "limit_ratio",
         "main_term", "exact_value"])
 def test_exponent_refused_where_none_is_taken(monkeypatch, call):
@@ -421,9 +420,9 @@ def test_limit_ratio_improves():
     assert abs(r2 - 1.0) < abs(r1 - 1.0)
     # one pass for the grid, in any order, gives each x's own ratio
     assert limit_ratio_grid("id", [1e4, 1e3]) == [r2, r1]
-    assert limit_ratio("id", 1e3) == r1
+    assert limit_ratio_grid("id", [1e3]) == [r1]
     with pytest.raises(DomainError):
-        limit_ratio("nope", 1e3)
+        limit_ratio_grid("nope", [1e3])
 
 
 def test_sigma_minus1_log_bound():

@@ -546,7 +546,7 @@ _STAGES = {
     # per prime above isqrt(K) P and f(P), in one pass (measured 7.38
     # blocks with those)
     "series_theta_bracket": (
-        lambda: series.series_theta_bracket(_id_mu_blocks()[0], 3.0, _N),
+        lambda: series.series_theta_bracket(_id_mu_blocks()[0], 3.0, [_N]),
         0, 6, 6 * _PRIMES),
     # hyperbola sums of the g = 1 pairs at _N, so t = 1024: six tables
     # of t + 1 floats, the pairs over isqrt(_N) + 1 entries and the closed

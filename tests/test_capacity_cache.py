@@ -201,7 +201,7 @@ def test_series_bracket_builds_f_mu_up_to_k(monkeypatch, text):
     whole = G.sieve(identities._with_mu(spec), f.n_max)
     for k in (6, 100, 1000, 5000, 10 ** 5):
         calls = _recording(monkeypatch, "_block_fill")
-        lhs = G.series_theta_bracket(f, 3.0, k).lhs
+        lhs = G.series_theta_bracket(f, 3.0, [k])[0].lhs
         monkeypatch.undo()
         assert calls == [(f_mu, k)], k
         assert lhs == series._u_partial_sum(whole, None, 3.0, [k])[0], k

@@ -12,6 +12,8 @@ import gcdsums as G
 from gcdsums import cli, csvio, sieve, MU
 from gcdsums.tables import MAX_SIEVE
 
+from oracles import read_table_values
+
 
 def run_cli(args):
     return cli.main(args)
@@ -31,7 +33,7 @@ def test_table_round_trip(tmp_path):
     table = sieve(MU, 257)
     out = tmp_path / "t.csv"
     csvio.write_table(table, out)
-    back = csvio.read_table_values(out)
+    back = read_table_values(out)
     assert np.array_equal(back, table.values)
 
 
@@ -58,7 +60,7 @@ def test_round_trip_float_table(tmp_path):
     table = sieve(sigma_pow(-0.5), 300)
     out = tmp_path / "t.csv"
     csvio.write_table(table, out)
-    back = csvio.read_table_values(out)
+    back = read_table_values(out)
     assert np.array_equal(back, table.values)
 
 
@@ -82,9 +84,12 @@ def test_identity_command_apostol(tmp_path):
 
 def _per_k_row(which, f, g, k):
     if which == "apostol":
-        r = G.log_sum_audit(f, g, k)
-        return k, r.direct, r.via_identity, r.abs_gap
-    lhs, rhs = G.toth_identity(k) if which == "toth" else G.cesaro_identity(f, k)
+        lhs = G.apostol_log_sum_direct(f, g, k)
+        rhs = G.apostol_log_sum(f, g, k)
+    elif which == "toth":
+        lhs, rhs = G.toth_identity(k)
+    else:
+        lhs, rhs = G.cesaro_identity(f, k)
     return k, lhs, rhs, abs(lhs - rhs)
 
 
@@ -169,6 +174,23 @@ def test_delta_and_series_commands(tmp_path):
     lines = out2.read_text().splitlines()
     assert lines[0] == "s,K,lhs,rhs,gap"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("which", ["bracket", "mu-report"])
+def test_series_k_list_prints_the_rows_of_one_k_runs(capsys, which):
+    # a K list is one pass, and prints the rows of each K alone, byte for
+    # byte
+    ks = ["100", "1000", "10000", "100000"]
+    argv = ["series", "--which", which, "--f", "id", "--s", "3", "--K"]
+    assert run_cli(argv + [",".join(ks)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines(keepends=True)
+    alone = []
+    for k in ks:
+        assert run_cli(argv + [k]) == 0
+        head, row = capsys.readouterr().out.splitlines(keepends=True)
+        assert head == header
+        alone.append(row)
+    assert "".join(rows) == "".join(alone)
 
 
 def test_delta_series_command(tmp_path):
@@ -346,7 +368,7 @@ def test_exponent_checked_at_the_requested_n(tmp_path, capsys):
     spec = G.id_pow(60.0)
     want = tables.blocks(spec, 100000).values[0:100001]
     assert tables.sieve_values(spec, 100000).tobytes() == want.tobytes()
-    assert np.array_equal(csvio.read_table_values(out), want)
+    assert np.array_equal(read_table_values(out), want)
     nested = G.convolve(spec, G.MU)
     assert (tables.sieve_values(nested, 100000).tobytes()
             == tables.blocks(nested, 100000).values[0:100001].tobytes())

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gcdsums as G
+from gcdsums import cli
 from gcdsums.errors import DomainError
+from gcdsums.identities import _with_mu
 from gcdsums.zeta import LOG_SQRT_2PI
 
-from oracles import split_convolve
+from oracles import anderson_apostol, ramanujan_sum, split_convolve
 
 
 def rel_gap(a, b):
@@ -26,22 +28,22 @@ def small_tables():
 
 def test_anderson_apostol_examples(small_tables):
     t = small_tables
-    assert G.anderson_apostol(t["one"], t["one"], 6, 4) == 2.0
-    assert G.anderson_apostol(t["tau"], t["phi"], 1, 1) == \
+    assert anderson_apostol(t["one"], t["one"], 6, 4) == 2.0
+    assert anderson_apostol(t["tau"], t["phi"], 1, 1) == \
         t["tau"].values[1] * t["phi"].values[1]
-    assert G.anderson_apostol(t["id"], t["mu"], 4, 2) == -2.0
+    assert anderson_apostol(t["id"], t["mu"], 4, 2) == -2.0
     with pytest.raises(DomainError):
-        G.anderson_apostol(t["id"], t["mu"], 401, 1)
+        anderson_apostol(t["id"], t["mu"], 401, 1)
 
 
 def test_ramanujan_examples():
-    assert G.ramanujan_sum(1, 1) == 1
-    assert G.ramanujan_sum(2, 1) == -1
-    assert G.ramanujan_sum(6, 6) == 2
+    assert ramanujan_sum(1, 1) == 1
+    assert ramanujan_sum(2, 1) == -1
+    assert ramanujan_sum(6, 6) == 2
     # c_k(k) = phi(k)
     phi = G.sieve(G.PHI, 60)
     for k in range(1, 61):
-        assert G.ramanujan_sum(k, k) == int(phi.values[k])
+        assert ramanujan_sum(k, k) == int(phi.values[k])
 
 
 def test_log_sum_examples(small_tables):
@@ -61,8 +63,9 @@ def test_log_sum_examples(small_tables):
 def test_direct_vs_identity_small_sweep(catalog_tables):
     for f, g in catalog_tables:
         for k in range(1, 301):
-            r = G.log_sum_audit(f, g, k)
-            assert r.abs_gap <= 1e-9 * (1.0 + abs(r.direct)), (f.spec, k)
+            direct = G.apostol_log_sum_direct(f, g, k)
+            gap = abs(direct - G.apostol_log_sum(f, g, k))
+            assert gap <= 1e-9 * (1.0 + abs(direct)), (f.spec, k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -157,8 +160,10 @@ def test_averages_reject_x_out_of_range(small_tables, x, over):
     f = small_tables["id"]
     with pytest.raises(DomainError):
         G.apostol_log_average_terms(None, None, over)
-    for average in (G.gcd_log_average, G.gcd_log_average_terms,
-                    G.cesaro_average):
+    with pytest.raises(DomainError):  # gcd_log_average's expansion
+        G.apostol_log_average_terms(G.sieve(_with_mu(f.spec), f.n_max), None,
+                                    x)
+    for average in (G.gcd_log_average, G.cesaro_average):
         with pytest.raises(DomainError):
             average(f, x)
 
@@ -180,7 +185,7 @@ def test_exact_value_matches_per_k_reference():
         f_spec, g_spec = target.pair(a)
         f, g = G.sieve(f_spec, 1000), G.sieve(g_spec, 1000)
         for x in (2.0, 17.0, 50.5, 1000.0):
-            value = G.exact_value(name, x, a)
+            value = target.parts([x], a)[0][0]
             assert value == pytest.approx(
                 G.apostol_log_average(f, g, x), rel=1e-12), (name, x)
             if x <= 60:
@@ -211,9 +216,8 @@ def test_gcd_log_average_equals_general_form(small_tables):
     # L(x; f) = K(x; f*mu, 1) exactly: same identity path underneath
     t = small_tables
     for x in (1.0, 3.0, 50.0, 200.0):
-        mu = G.sieve(G.MU, 400)
         one = G.sieve(G.ONE, 400)
-        fmu = G.dirichlet_convolve(t["id"], mu)
+        fmu = G.sieve(G.convolve(G.ID, G.MU), 400)
         assert G.gcd_log_average(t["id"], x) == pytest.approx(
             G.apostol_log_average(fmu, one, x), rel=1e-9, abs=1e-12)
 
@@ -243,7 +247,8 @@ def test_gcd_log_average_terms_grouping():
     # grouped decomposition terms equal the sieved per-n groupings
     x = 300
     idt = G.sieve(G.ID, x)
-    dec = G.gcd_log_average_terms(idt, float(x))
+    dec = G.apostol_log_average_terms(G.sieve(_with_mu(idt.spec), x), None,
+                                      float(x))
     narr = np.arange(1, x + 1, dtype=np.float64)
     id_phi = G.sieve_values(G.convolve(G.ID, G.PHI), x)[1:]
     # Lambda is in no conv tree: id * Lambda by the oracle kernel
@@ -274,8 +279,14 @@ def test_cesaro_average_profile_agreement():
     assert np.all(np.abs(lhs[1:] - rhs[1:]) <= 1e-10 * (1.0 + np.abs(lhs[1:])))
 
 
-def test_identity_csv_audit_schema(catalog_tables):
-    f, g = catalog_tables[0]
-    r = G.log_sum_audit(f, g, 37)
-    assert r.k == 37
-    assert r.abs_gap == abs(r.direct - r.via_identity)
+def test_identity_csv_audit_schema(capsys, catalog_tables):
+    # the identity command's row at k is k, the pair
+    # apostol_log_sum_direct / apostol_log_sum at k, and their gap
+    f, g = catalog_tables[0]  # id, mu: the command's defaults
+    assert cli.main(["identity", "--which", "apostol", "--kmax", "37"]) == 0
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    k, direct, ident, gap = int(row[0]), *map(float, row[1:])
+    assert k == 37
+    assert (direct, ident) == (G.apostol_log_sum_direct(f, g, 37),
+                               G.apostol_log_sum(f, g, 37))
+    assert gap == abs(direct - ident)

@@ -17,23 +17,22 @@ import gcdsums as G
 
 SRC = Path(G.__file__).resolve().parents[1]
 
-# the names ``import gcdsums`` has always exported, by defining module
+# the names ``import gcdsums`` exports, by defining module
 EXPORTS = {
     "asymptotics": [
         "SCAN_TARGETS", "STATISTICS", "ResidualScan", "calibrate",
         "default_calibration_path", "delta_integral_ratio", "divisor_delta",
-        "divisor_delta_a", "divisor_delta_a_series", "exact_value",
-        "limit_ratio", "limit_ratio_grid", "load_calibration", "main_term",
-        "mu_delta_grid", "mu_delta_sum", "residual_scan", "standard_grid",
-        "summatory", "tau_gcd_log_avg_routes", "write_calibration"],
+        "divisor_delta_a", "divisor_delta_a_series", "limit_ratio_grid",
+        "load_calibration", "main_term", "mu_delta_grid", "mu_delta_sum",
+        "residual_scan", "standard_grid", "summatory",
+        "tau_gcd_log_avg_routes", "write_calibration"],
     "errors": ["DomainError"],
     "identities": [
-        "AverageDecomposition", "GcdSumResult", "anderson_apostol",
-        "apostol_audits", "apostol_log_average", "apostol_log_average_terms",
-        "apostol_log_sum", "apostol_log_sum_direct", "cesaro_audits",
-        "cesaro_average", "cesaro_average_profile", "cesaro_identity",
-        "gcd_log_average", "gcd_log_average_terms", "log_sum_audit",
-        "ramanujan_sum", "toth_audits", "toth_identity"],
+        "AverageDecomposition", "apostol_audits", "apostol_log_average",
+        "apostol_log_average_terms", "apostol_log_sum",
+        "apostol_log_sum_direct", "cesaro_audits", "cesaro_average",
+        "cesaro_average_profile", "cesaro_identity", "gcd_log_average",
+        "toth_audits", "toth_identity"],
     "series": [
         "MuSeriesReport", "SeriesComparison", "ThetaBracket",
         "dirichlet_partial_sum", "log_factorial_partial_sum",
@@ -43,9 +42,8 @@ EXPORTS = {
     "tables": [
         "DIVISOR_LOG", "ID", "LOG", "MU", "ONE", "PHI", "SIGMA", "TAU",
         "VON_MANGOLDT", "FunctionSpec", "FunctionTable", "Kind", "abscissa",
-        "convolve", "dirichlet_convolve", "divisors_of", "id_pow", "jordan",
-        "mobius_of", "parse_spec", "pointwise_log", "pointwise_power",
-        "sieve", "sieve_values", "sigma_pow"],
+        "convolve", "divisors_of", "id_pow", "jordan", "parse_spec", "sieve",
+        "sieve_values", "sigma_pow"],
     "zeta": ["LOG_SQRT_2PI", "ConstantSet", "constants", "euler_gamma",
              "zeta", "zeta_prime"],
 }

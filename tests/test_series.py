@@ -131,7 +131,7 @@ def test_finite_support_exact_equality():
 
 
 def test_theta_bracket_phi_one(tables):
-    b = series_theta_bracket(tables["id"], 3.0, 10 ** 4)
+    b, = series_theta_bracket(tables["id"], 3.0, [10 ** 4])
     assert b.contains
     # interval width equals the theta span plus both allowances
     c = G.constants()
@@ -139,21 +139,21 @@ def test_theta_bracket_phi_one(tables):
     span = (1.0 / 12.0) * f3 * c.zeta(4.0) / c.zeta(3.0)
     assert b.hi - b.lo == pytest.approx(span + 2 * b.allowance, rel=1e-12)
     with pytest.raises(DomainError):
-        series_theta_bracket(tables["id"], 2.0, 100)
+        series_theta_bracket(tables["id"], 2.0, [100])
 
 
 @pytest.mark.parametrize("k", [1, 6, 100, 1000, 10 ** 4])
 def test_theta_bracket_of_log_reads_lambda(k):
     # log * mu is Lambda: the bracket's lhs for f = log is the one from
     # Lambda's blocks up to K, and the bracket still contains it
-    b = series_theta_bracket(G.sieve(G.LOG, 10 ** 4), 3.0, k)
+    b, = series_theta_bracket(G.sieve(G.LOG, 10 ** 4), 3.0, [k])
     lam = blocks(G.VON_MANGOLDT, k)
     assert b.lhs == series._u_partial_sum(lam, None, 3.0, [k])[0]
     assert b.contains
 
 
 def test_mu_series_report(tables):
-    r = mu_series_report(3.0, 10 ** 4, tables["id"], tables["mu"])
+    r, = mu_series_report(3.0, [10 ** 4], tables["id"], tables["mu"])
     # the constant-tail closed form is supported by the data, the
     # ratio-tail variant is not; report both rather than asserting the
     # displayed variant
@@ -162,11 +162,38 @@ def test_mu_series_report(tables):
     assert r.ratio_tail_lo > r.lhs or r.ratio_tail_hi < r.lhs
 
 
+def test_k_lists_are_one_pass_of_four_weights(tables, monkeypatch):
+    # the bracket and the report take a K list in one pass, with the
+    # bytes of each K alone; the pass samples only the four weights of
+    # the lhs, and the bracket's F and F' are summed at K alone
+    ks = [1, 100, 1000, 10 ** 4]
+    alone = ([series_theta_bracket(tables["id"], 3.0, [k])[0] for k in ks],
+             [mu_series_report(3.0, [k], tables["id"], tables["mu"])[0]
+              for k in ks])
+    passes, widths = [], set()
+    real = series.quotient_prefixes
+
+    def record(weights, ns):
+        def counted(lo, hi):
+            n = 0
+            for w in weights(lo, hi):
+                n += 1
+                yield w
+            widths.add(n)
+        passes.append(ns)
+        return real(counted, ns)
+
+    monkeypatch.setattr(series, "quotient_prefixes", record)
+    assert (series_theta_bracket(tables["id"], 3.0, ks),
+            mu_series_report(3.0, ks, tables["id"], tables["mu"])) == alone
+    assert passes == [ks, ks] and widths == {4}
+
+
 @pytest.mark.parametrize("k_max", [0, 10 ** 4 + 1, 10 ** 5])
 def test_mu_series_report_rejects_k_outside_its_tables(tables, k_max):
     # the same range rule as the other series: K in 1..n_max of both tables
     with pytest.raises(DomainError):
-        mu_series_report(3.0, k_max, tables["id"], tables["mu"])
+        mu_series_report(3.0, [k_max], tables["id"], tables["mu"])
 
 
 @pytest.fixture(scope="module")
