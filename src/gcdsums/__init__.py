@@ -3,6 +3,16 @@
 The names below load their module on first use (PEP 562), so a command
 pays only for the modules it runs.  ``zeta`` is imported here: its
 function of that name must shadow the submodule's.
+
+Start-up is kept to what each command runs: ``import gcdsums.cli`` loads
+``errors``, ``zeta``, ``_accum``, ``tables`` and ``csvio`` over numpy and
+argparse; ``series`` adds only its own module, ``identity`` adds
+``identities`` and ``stirling``, and ``scan`` and ``delta`` add
+``asymptotics`` with those two.  No import loads ``fractions``,
+``decimal`` or ``json`` (``cli`` imports json to print a failed check),
+and the records are ``NamedTuple`` or ``__slots__`` classes, which are
+built without ``exec``; ``asymptotics.Target`` alone is a dataclass, so
+only ``scan`` and ``delta`` load ``dataclasses``.
 """
 
 from .errors import DomainError
@@ -20,12 +30,10 @@ _LAZY = {
     "identities": (
         "AverageDecomposition", "apostol_audits", "apostol_log_average",
         "apostol_log_average_terms", "apostol_log_sum",
-        "apostol_log_sum_direct", "cesaro_audits", "cesaro_average",
-        "cesaro_average_profile", "cesaro_identity", "gcd_log_average",
-        "toth_audits", "toth_identity"),
+        "apostol_log_sum_direct", "cesaro_audits", "cesaro_average_profile",
+        "cesaro_identity", "gcd_log_average", "toth_audits", "toth_identity"),
     "series": (
         "MuSeriesReport", "SeriesComparison", "ThetaBracket",
-        "dirichlet_partial_sum", "log_factorial_partial_sum",
         "mu_series_report", "series_identity_compare",
         "series_theta_bracket"),
     "stirling": ("StirlingTable", "StirlingValue", "log_factorial_table"),

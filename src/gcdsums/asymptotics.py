@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,10 +45,9 @@ from ._accum import _BLOCK, dot, fsum, ramp
 from .errors import DomainError, require
 from .identities import (_hyperbola_sums, _one_pairs, _table_pairs,
                          apostol_log_average_grid, apostol_log_average_terms)
-from .stirling import THETA_HI, THETA_LO
 from .tables import (ID, MU, ONE, PHI, VON_MANGOLDT, _primes_upto, blocks,
                      convolve, cut, id_pow, jordan, sieve_values, sigma_pow)
-from .zeta import LOG_SQRT_2PI, constants
+from .zeta import LOG_SQRT_2PI, THETA_HI, THETA_LO, constants
 
 
 def _floors(xs) -> list[int]:
@@ -264,8 +264,7 @@ def mu_delta_grid(xs, kind: str, a: float | None = None,
 # targets: an exact side and the displayed main term it is checked against
 
 
-@dataclass(frozen=True)
-class Normalizer:
+class Normalizer(NamedTuple):
     kind: str  # "log_pow" | "x_pow" | "const"
     power: float | None = 0.0  # None stands for the exponent a
 
@@ -288,6 +287,8 @@ class Normalizer:
         return "const"
 
 
+# the one dataclass record: ``dataclasses.replace`` swaps a field of a
+# registered target (perfbench's tracer wraps ``main`` so, tests ``parts``)
 @dataclass(frozen=True)
 class Target:
     """A summatory quantity and the displayed main term it is checked against.
@@ -585,8 +586,7 @@ def main_term(target: str, x: float, a: float | None = None,
 # residual scans
 
 
-@dataclass(frozen=True)
-class ResidualScan:
+class ResidualScan(NamedTuple):
     """Exact vs main values over a grid, with corrections and residuals.
 
     ``correction`` holds the mu-weighted Delta sum (where the formula has

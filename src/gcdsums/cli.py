@@ -26,7 +26,6 @@ exits 2 with nothing on stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -64,6 +63,7 @@ def _parse_counts(text: str) -> list[int]:
 
 
 def _fail(report: dict) -> int:
+    import json  # only a failed check prints JSON
     print(json.dumps(report, sort_keys=True))
     return 1
 

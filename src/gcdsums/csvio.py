@@ -43,8 +43,9 @@ def write_rows(header: str, rows, out=None, keep: bool = True) -> str:
                 "%d" if issubclass(t, (int, np.integer)) else "%.17g"
                 for t in types) + "\n")
             lines.append(fmt % row)
-        out.write("".join(lines))
-        text += lines if keep else []
+        block = "".join(lines)
+        out.write(block)
+        text += [block] if keep else []
     return "".join(text)
 
 

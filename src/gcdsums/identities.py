@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,14 +70,13 @@ from ._accum import (_BLOCK, _runs, ascending, block_of, dot, fsum,
                      hyperbola_sum, prefix_with_zero, quotient_prefixes, ramp,
                      running_sum)
 from .stirling import SEED, log_factorial_row, one_weight_sums, rho_block
-from .tables import (LOG, MU, PHI, VON_MANGOLDT, FunctionSpec, FunctionTable,
-                     convolve, cut, divisor_lists, divisors_of, nonnegative,
-                     sieve, sieve_values)
+from .tables import (MU, PHI, VON_MANGOLDT, FunctionSpec, FunctionTable,
+                     _with_mu, convolve, cut, divisor_lists, divisors_of,
+                     nonnegative, sieve, sieve_values)
 from .zeta import LOG_SQRT_2PI
 
 
-@dataclass(frozen=True)
-class AverageDecomposition:
+class AverageDecomposition(NamedTuple):
     """The six exact components of sum_{k<=x} u(k)/k over pairs d*l <= x.
 
     log_d_term       sum (f(d) log d / d) g(l)
@@ -223,14 +222,16 @@ def cesaro_identity(f: FunctionTable, k: int) -> tuple[float, float]:
     return _cesaro_sides(f.values, phi, k, D, np.empty(k))
 
 
-def _batch(kernel, D):
+def _batch(kernel, D, own: bool = False):
     """kernel(k, buf) for k = 1..kmax, with one scratch buffer of kmax
-    floats for every k; D[k] is dropped once 2k > kmax (its last use)."""
+    floats for every k.  D[k] is dropped after its last use: right after
+    kernel(k) when ``own`` (the kernel reads D[k] alone), else once
+    2k > kmax (kernel(k) reads D[m] for every m | k)."""
     kmax = len(D) - 1
     buf = np.empty(kmax)
     for k in range(1, kmax + 1):
         yield kernel(k, buf)
-        if 2 * k > kmax:
+        if own or 2 * k > kmax:
             D[k] = None
 
 
@@ -252,14 +253,15 @@ def toth_audits(kmax: int):
     lam = sieve_values(VON_MANGOLDT, kmax)
     lf = log_factorial_row(kmax).tolist()
     return _batch(lambda k, buf: _toth_sides(mu, logs, lam[k], lf, k, D, buf),
-                  D)
+                  D, own=True)
 
 
 def cesaro_audits(f: FunctionTable, kmax: int):
     """``cesaro_identity(f, k)`` for k = 1..kmax."""
     cut(kmax, f)
     D, phi = divisor_lists(kmax), sieve_values(PHI, kmax).tolist()
-    return _batch(lambda k, buf: _cesaro_sides(f.values, phi, k, D, buf), D)
+    return _batch(lambda k, buf: _cesaro_sides(f.values, phi, k, D, buf), D,
+                  own=True)
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +503,6 @@ def apostol_log_average_terms(f: FunctionTable | None,
     return apostol_log_average_grid(f, g, [x])[0]
 
 
-def _with_mu(spec: FunctionSpec) -> FunctionSpec:
-    """The spec of f*mu for f's spec; log * mu is Lambda."""
-    return VON_MANGOLDT if spec == LOG else convolve(spec, MU)
-
-
 def gcd_log_average(f: FunctionTable, x: float) -> float:
     """sum_{k<=x} (1/k) sum_{j<=k} f(gcd(k,j)) log j.
 
@@ -525,20 +522,10 @@ def _cesaro_terms(fv: np.ndarray, n: int) -> np.ndarray:
     return terms
 
 
-def cesaro_average(f: FunctionTable, x: float) -> tuple[float, float]:
-    """Both routes of sum_{k<=x}(1/k) sum_j f(gcd(j,k)) (no log weight).
-
-    lhs is the double loop, rhs is sum_{n<=x} (f*phi)(n)/n.
-    """
-    n = cut(x, f)
-    lhs = float(np.sum(_cesaro_terms(f.values, n)[1:]))
-    conv = sieve_values(convolve(f.spec, PHI), n)
-    rhs = dot(conv[1:n + 1], 1.0 / np.arange(1, n + 1, dtype=np.float64))
-    return lhs, rhs
-
-
 def cesaro_average_profile(f_spec: FunctionSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative lhs and rhs of ``cesaro_average`` at every integer x <= n."""
+    """Both routes of sum_{k<=x} (1/k) sum_{j<=k} f(gcd(j,k)) (no log
+    weight), cumulative at every integer x <= n: lhs by the double loop,
+    rhs as sum_{m<=x} (f*phi)(m)/m."""
     n = cut(n)
     lhs = prefix_with_zero(_cesaro_terms(sieve_values(f_spec, n), n))
     conv = sieve_values(convolve(f_spec, PHI), n).copy()

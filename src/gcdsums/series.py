@@ -25,17 +25,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ._accum import (_BLOCK, ascending, block_of, hyperbola_sum,
                      quotient_prefixes, ramp, running_sum)
 from .errors import require
-from .identities import _with_mu
-from .stirling import THETA_HI, THETA_LO
-from .tables import FunctionTable, abscissa, blocks, cut
-from .zeta import LOG_SQRT_2PI, constants
+from .tables import FunctionTable, _with_mu, abscissa, blocks, cut
+from .zeta import LOG_SQRT_2PI, THETA_HI, THETA_LO, constants
 
 # coefficient of the (1 + log K)^2 / K^(s-2) truncation allowance; the
 # catalog u(k) grow like k log^2 k times an O(1) factor, so the tail of
@@ -43,8 +41,7 @@ from .zeta import LOG_SQRT_2PI, constants
 _TAIL_COEFF = 10.0
 
 
-@dataclass(frozen=True)
-class SeriesComparison:
+class SeriesComparison(NamedTuple):
     s: float
     truncation: int
     lhs: float
@@ -55,8 +52,7 @@ class SeriesComparison:
         return abs(self.lhs - self.rhs)
 
 
-@dataclass(frozen=True)
-class ThetaBracket:
+class ThetaBracket(NamedTuple):
     s: float
     truncation: int
     lhs: float
@@ -157,24 +153,6 @@ def _passes(f, g, s: float, ks, h=None):
                [float(total) for total in totals[k].values()])
 
 
-def dirichlet_partial_sum(f: FunctionTable, s: float, k_max: int,
-                          log_weight: bool = False) -> float:
-    """sum_{k<=K} f(k) (log k)^w / k^s with w = 0 or 1, from a one-point
-    pass of ``_passes``.
-
-    Note F'(s) = -(the log-weighted sum).
-    """
-    (_, (f_log, _, f_sum, _)), = _passes(f, None, s, [cut(k_max, f)])
-    return f_log if log_weight else f_sum
-
-
-def log_factorial_partial_sum(g: FunctionTable, s: float, k_max: int) -> float:
-    """sum_{k<=K} g(k) L(k) / k^s with exact L(k) = log k!, from a
-    one-point pass of ``_passes``."""
-    (_, (*_, g_lf)), = _passes(None, g, s, [cut(k_max, g)])
-    return g_lf
-
-
 def _u_partial_sum(f: FunctionTable | None, g: FunctionTable | None, s: float,
                    ks) -> list[float]:
     """sum_{k<=K} u(k) k^-s at each K of ks (ascending): the lhs of
@@ -193,8 +171,7 @@ def series_identity_grid(f: FunctionTable, g: FunctionTable, s: float,
                          ks) -> list[SeriesComparison]:
     """``series_identity_compare`` at each K of ks (ascending), both sides
     from one pass: the lhs, and the rhs from the prefix sums at K of the
-    lhs's own weights, so the bytes of the comparisons at each K alone
-    and of ``dirichlet_partial_sum`` and ``log_factorial_partial_sum``."""
+    lhs's own weights, so the bytes of the comparisons at each K alone."""
     alpha = max(abscissa(f.spec), abscissa(g.spec) + 1.0)
     require(alpha < s < math.inf,
             f"s={s} not finite or in the divergence region (need s > {alpha})")
@@ -249,8 +226,7 @@ def series_theta_bracket(f: FunctionTable, s: float,
         ks, _passes(blocks(_with_mu(f.spec), ks[-1]), None, s, ks, f))]
 
 
-@dataclass(frozen=True)
-class MuSeriesReport:
+class MuSeriesReport(NamedTuple):
     """Numerical comparison of two closed-form candidates for U_{id,mu}(s).
 
     Both equal z(s-1) z'(s)/(2 z(s)^2) + log sqrt(2 pi) z(s-1)/z(s)

@@ -46,13 +46,13 @@ the remainder series, and the others by Euler-Maclaurin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from ._accum import _BLOCK, running_sum
 from .errors import require
+from .tables import _Frozen
 from .zeta import LOG_SQRT_2PI
 
 # rho(l) is the remainder series from l = SEED on and the backward
@@ -60,24 +60,17 @@ from .zeta import LOG_SQRT_2PI
 # here on
 SEED = 1024
 
-# the Stirling slot Theta of the main terms ranges over [THETA_LO, THETA_HI]
-THETA_LO = 0.0
-THETA_HI = 1.0 / 12.0
-
 # x^{2i}/(2i+1) with x <= 1/(2*2-1); 20 terms reach relative 1e-19
 _SERIES_TERMS = 20
 # coefficients of the remainder series in 1/l^2, highest power first
 _REMAINDER_COEFFS = tuple(np.longdouble(1) / c for c in (-1680, 1260, -360, 12))
-# B_2, B_4, B_6, B_8 and the harmonic numbers H_0..H_7 of the
-# Euler-Maclaurin forms in ``one_weight_sums``; B_10 too for l^a
-_BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
-              Fraction(-1, 30))
-_B10 = Fraction(5, 66)
-_HARMONIC = [sum(Fraction(1, i) for i in range(1, m + 1)) for m in range(8)]
+# B_2, B_4, B_6, B_8 and B_10 as (numerator, denominator): the
+# Euler-Maclaurin forms in ``one_weight_sums`` read them through B_8, that
+# of l^a through B_10
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66))
 
 
-@dataclass(frozen=True)
-class StirlingValue:
+class StirlingValue(NamedTuple):
     l: int
     log_factorial: float
     approx: float
@@ -85,17 +78,14 @@ class StirlingValue:
     theta: float
 
 
-@dataclass(frozen=True)
-class StirlingTable:
+class StirlingTable(_Frozen):
     """L(l) and rho(l) indexed by l (slot 0 unused), read-only.
 
     approx and theta are derived from them on read, as new read-only
     arrays: nothing in the package reads them, so they are not stored.
     """
 
-    l_max: int
-    log_factorial: np.ndarray
-    rho: np.ndarray
+    __slots__ = ("l_max", "log_factorial", "rho")
 
     def __len__(self) -> int:
         return self.l_max
@@ -150,8 +140,41 @@ def _remainder_series(l_values: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _ld(q: Fraction) -> np.longdouble:
-    return np.longdouble(q.numerator) / q.denominator
+def _ld(num: int, den: int) -> np.longdouble:
+    """num/den in longdouble: the numerator of the reduced fraction over
+    its denominator."""
+    g = math.gcd(num, den)
+    return np.longdouble(num // g) / (den // g)
+
+
+def _power_sum_coeffs(s: int) -> list[np.longdouble]:
+    """B_2k/(2k)! (s)_(2k-1), k = 1..4, with (s)_m the rising factorial
+    s (s+1) ... (s+m-1): the coefficients of ``_power_sum``."""
+    return [_ld(b * math.prod(range(s, s + 2 * k - 1)),
+                d * math.factorial(2 * k))
+            for k, (b, d) in enumerate(_BERNOULLI[:4], 1)]
+
+
+def _real_power_coeffs() -> list[np.longdouble]:
+    """B_2k/(2k)!, k = 1..5: the coefficients of ``_real_power_sum``
+    before the falling factorials of a."""
+    return [_ld(b, d * math.factorial(2 * k))
+            for k, (b, d) in enumerate(_BERNOULLI, 1)]
+
+
+def _harmonic(m: int) -> tuple[int, int]:
+    """H_m = 1 + 1/2 + ... + 1/m as (numerator, denominator)."""
+    num, den = 0, 1
+    for i in range(1, m + 1):
+        num, den = num * i + den, den * i
+    return num, den
+
+
+def _harmonic_coeffs() -> list[tuple[np.longdouble, np.longdouble]]:
+    """(B_2k/(2k), H_(2k-1)), k = 1..4: the coefficients of the 1/l and
+    log l / l forms of ``one_weight_sums``."""
+    return [(_ld(b, d * 2 * k), _ld(*_harmonic(2 * k - 1)))
+            for k, (b, d) in enumerate(_BERNOULLI[:4], 1)]
 
 
 def _power_sum(u: np.ndarray, s: int) -> np.ndarray:
@@ -160,9 +183,8 @@ def _power_sum(u: np.ndarray, s: int) -> np.ndarray:
     form, through B_8, of sum_{l<=v} l^-s up to a constant."""
     w = u * u
     acc = np.zeros_like(u)
-    for k in range(len(_BERNOULLI), 0, -1):
-        rising = math.prod(range(s, s + 2 * k - 1))
-        acc += _ld(_BERNOULLI[k - 1] * rising / math.factorial(2 * k))
+    for c in reversed(_power_sum_coeffs(s)):
+        acc += c
         acc *= w
     acc = 0.5 * u - acc
     acc -= np.longdouble(1) / (s - 1)
@@ -179,8 +201,7 @@ def _real_power_sum(v: np.ndarray, a: float) -> np.ndarray:
     a = np.longdouble(a)
     w = np.reciprocal(v * v)
     acc = np.zeros_like(v)
-    for k, b in reversed(list(enumerate((*_BERNOULLI, _B10), 1))):
-        c = _ld(b / math.factorial(2 * k))
+    for k, c in reversed(list(enumerate(_real_power_coeffs(), 1))):
         for i in range(2 * k - 1):
             c *= a - i
         acc *= w
@@ -219,11 +240,10 @@ def one_weight_sums(v: np.ndarray, a: float | None = None) -> list[np.ndarray]:
     w = u * u
     harmonic = np.zeros_like(u)
     log_over = np.zeros_like(u)
-    for k in range(len(_BERNOULLI), 0, -1):
-        b = _ld(_BERNOULLI[k - 1] / (2 * k))
+    for b, h in reversed(_harmonic_coeffs()):
         harmonic += b
         harmonic *= w
-        log_over += b * (lg - _ld(_HARMONIC[2 * k - 1]))
+        log_over += b * (lg - h)
         log_over *= w
     harmonic = lg + 0.5 * u - harmonic
     log_over = 0.5 * lg * (lg + u) - log_over

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 
@@ -70,15 +69,36 @@ _MULTIPLICATIVE = {Kind.ID_POW, Kind.MOEBIUS, Kind.TOTIENT, Kind.SIGMA_POW,
                    Kind.CONVOLVE}
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
-    """Symbolic descriptor of an arithmetical function."""
+class _Frozen:
+    """Base of the read-only records: the constructor sets each name of
+    ``__slots__`` once, in order, and any later assignment raises."""
 
-    kind: Kind
-    exponent: float | None = None
-    operands: tuple["FunctionSpec", ...] = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class FunctionSpec(_Frozen):
+    """Symbolic descriptor of an arithmetical function, equal and hashable
+    by its kind, exponent and operands."""
+
+    __slots__ = ("kind", "exponent", "operands")
+
+    def __init__(self, kind: Kind, exponent: float | None = None,
+                 operands: tuple["FunctionSpec", ...] = ()):
+        super().__init__(kind, exponent, operands)
         if self.kind in _NEEDS_EXPONENT:
             if self.exponent is None or not math.isfinite(self.exponent):
                 raise DomainError(f"{self.kind.value} requires a finite exponent")
@@ -96,6 +116,17 @@ class FunctionSpec:
         else:
             require(n_ops == 0, f"{self.kind.value} takes no operands")
         require(self.depth() <= MAX_NESTING, f"nesting deeper than {MAX_NESTING}")
+
+    def _key(self) -> tuple:
+        return self.kind, self.exponent, self.operands
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def depth(self) -> int:
         if not self.operands:
@@ -151,6 +182,11 @@ def pointwise_pow_spec(f: FunctionSpec, a: float) -> FunctionSpec:
 def jordan(a: float) -> FunctionSpec:
     """phi_a = mu * id_a (phi_1 is Euler's totient, sieved as ``PHI``)."""
     return convolve(MU, id_pow(a))
+
+
+def _with_mu(spec: FunctionSpec) -> FunctionSpec:
+    """The spec of f*mu for f's spec; log * mu is Lambda."""
+    return VON_MANGOLDT if spec == LOG else convolve(spec, MU)
 
 
 # the named members of the families above, by their builds
@@ -268,8 +304,7 @@ def nonnegative(spec: FunctionSpec) -> bool:
     return spec.kind in (Kind.TOTIENT, Kind.ID_POW, Kind.SIGMA_POW)
 
 
-@dataclass(frozen=True)
-class FunctionTable:
+class FunctionTable(_Frozen):
     """Exact values of an arithmetical function on 1..n_max.
 
     ``values`` has length n_max + 1; slot 0 is unused and holds 0 so that
@@ -278,9 +313,7 @@ class FunctionTable:
     table from ``blocks`` has ``Blocks`` instead, read by slices only.
     """
 
-    spec: FunctionSpec
-    n_max: int
-    values: np.ndarray
+    __slots__ = ("spec", "n_max", "values")
 
     def __len__(self) -> int:
         return self.n_max
@@ -466,14 +499,13 @@ def _power_fill(a: float):
     return fill
 
 
-@dataclass(frozen=True)
-class Blocks:
+class Blocks(_Frozen):
     """A table's values from ``blocks``: ``values[lo:hi]``, for any 0 <= lo
     < hi <= n_max + 1, as often and in any order, has the bytes of those of
     ``sieve_values``; ``fill(out, lo)`` writes them into out, a buffer of
     the reader's, which a pass reuses block after block."""
 
-    fill: object
+    __slots__ = ("fill",)
 
     def __getitem__(self, s: slice) -> np.ndarray:
         out = np.empty(s.stop - s.start)

@@ -12,13 +12,14 @@ coefficients are exact integers, so e_k is correctly rounded.  At n = 50
 the truncation error is below 1e-30 over the arguments used here.
 
 zeta_prime(s) (s > 1) differentiates the same expression term by term.
-Both are memoized through :class:`ConstantSet`.
+Both are memoized through :class:`ConstantSet`.  The module also holds
+the constants that the main terms and series brackets share:
+``LOG_SQRT_2PI`` and the range [THETA_LO, THETA_HI] of the Stirling slot.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -27,19 +28,27 @@ from .errors import require
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
+# the Stirling slot Theta of the main terms ranges over [THETA_LO, THETA_HI]
+THETA_LO = 0.0
+THETA_HI = 1.0 / 12.0
+
 _BORWEIN_N = 50
 
 
 @lru_cache(maxsize=4)
 def _borwein_weights(n: int) -> tuple[float, ...]:
+    """e_k = (d_n - d_k)/d_n for k < n.  Each term of d_k is an integer
+    (up to sign, the coefficient of x^i in T_n(2x - 1), T_n the Chebyshev
+    polynomial), so d_k is summed in ints and int / int rounds e_k
+    correctly."""
     d = []
-    acc = Fraction(0)
+    acc = 0
     for i in range(n + 1):
-        acc += Fraction(n * math.factorial(n + i - 1) * 4 ** i,
-                        math.factorial(n - i) * math.factorial(2 * i))
+        acc += (n * math.factorial(n + i - 1) * 4 ** i
+                // (math.factorial(n - i) * math.factorial(2 * i)))
         d.append(acc)
     d_n = d[n]
-    return tuple(float((d_n - d_k) / d_n) for d_k in d[:n])
+    return tuple((d_n - d_k) / d_n for d_k in d[:n])
 
 
 def _eta_sums(s: float) -> tuple[float, float]:

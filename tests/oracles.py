@@ -32,6 +32,10 @@ special functions.
 (k, j) by the divisors of gcd(k, j), mu by trial division
 (``mobius_of``), and ``read_table_values`` reads a ``sieve`` CSV dump
 back into a values array.
+
+The ``fraction_*`` functions are the exact constants of ``zeta`` and
+``stirling`` (Borwein's weights, the Euler-Maclaurin coefficients) as
+``Fraction`` arithmetic forms them, the package's integer pairs' reference.
 """
 
 import functools
@@ -665,3 +669,38 @@ def ulps_from(got: float, exact) -> float:
     """|got - exact| in units of the last place of float(exact)."""
     return float(abs(mpmath.mpf(got) - exact)
                  / np.spacing(abs(float(exact))))
+
+
+def fraction_ld(q: Fraction) -> np.longdouble:
+    """q in longdouble: the numerator of the reduced Fraction over its
+    denominator."""
+    return np.longdouble(q.numerator) / q.denominator
+
+
+def fraction_borwein_weights(n: int) -> list[float]:
+    """Borwein's e_k = (d_n - d_k)/d_n, k < n, with d_k summed in Fractions
+    and each e_k rounded by ``float``."""
+    d, acc = [], Fraction(0)
+    for i in range(n + 1):
+        acc += Fraction(n * math.factorial(n + i - 1) * 4 ** i,
+                        math.factorial(n - i) * math.factorial(2 * i))
+        d.append(acc)
+    return [float((d[n] - d_k) / d[n]) for d_k in d[:n]]
+
+
+def fraction_power_sum_coeffs(s: int) -> list[Fraction]:
+    """B_2k/(2k)! s (s+1) ... (s+2k-2), k = 1..4."""
+    return [_BERNOULLI[k - 1] * math.prod(range(s, s + 2 * k - 1))
+            / math.factorial(2 * k) for k in range(1, 5)]
+
+
+def fraction_real_power_coeffs() -> list[Fraction]:
+    """B_2k/(2k)!, k = 1..5."""
+    return [_BERNOULLI[k - 1] / math.factorial(2 * k) for k in range(1, 6)]
+
+
+def fraction_harmonic_coeffs() -> list[tuple[Fraction, Fraction]]:
+    """(B_2k/(2k), H_(2k-1)), k = 1..4, H_m = 1 + 1/2 + ... + 1/m."""
+    return [(_BERNOULLI[k - 1] / (2 * k),
+             sum(Fraction(1, i) for i in range(1, 2 * k)))
+            for k in range(1, 5)]

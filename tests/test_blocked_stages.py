@@ -247,10 +247,8 @@ def test_power_sums_equal_whole_array_form(k, s):
         blockwise_longdouble_sum(t, _B) for t in
         series_rhs_terms(ft.values, gt.values, stirling.log_factorial_row(k),
                          s, k))
-    assert series.dirichlet_partial_sum(ft, s, k) == f_sum
-    assert series.dirichlet_partial_sum(ft, s, k, log_weight=True) == f_log
-    assert series.dirichlet_partial_sum(gt, s - 1.0, k) == g_id
-    assert series.log_factorial_partial_sum(gt, s, k) == g_lf
+    (_, sums), = series._passes(ft, gt, s, [k])
+    assert sums == [f_log, g_id, f_sum, g_lf]
 
 
 @pytest.mark.parametrize("k", [1, 7, _B - 1, _B, _B + 1, 3 * _B + 5])

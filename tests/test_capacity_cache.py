@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import gcdsums as G
-from gcdsums import asymptotics, identities, series, stirling, tables
+from gcdsums import asymptotics, series, stirling, tables
 from gcdsums.tables import parse_spec
 
 _WIDE = 1 << 20
@@ -198,7 +198,7 @@ def test_series_bracket_builds_f_mu_up_to_k(monkeypatch, text):
     spec = parse_spec(text)
     f_mu = G.VON_MANGOLDT if text == "log" else tables.convolve(spec, G.MU)
     f = G.sieve(spec, 10 ** 5)
-    whole = G.sieve(identities._with_mu(spec), f.n_max)
+    whole = G.sieve(tables._with_mu(spec), f.n_max)
     for k in (6, 100, 1000, 5000, 10 ** 5):
         calls = _recording(monkeypatch, "_block_fill")
         lhs = G.series_theta_bracket(f, 3.0, [k])[0].lhs

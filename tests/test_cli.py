@@ -110,9 +110,13 @@ def test_identity_stdout_equals_per_k_rows(capsys, which, f, g):
 
 def test_identity_streams_its_rows():
     # each row is written as its batch forms it and no list of the rows is
-    # held: the peak is the divisor lists (1.8 MB at kmax = 10^4), the
-    # per-k lists, the batch buffer and the text the CSV writer returns
-    # (1.1 MB); a list of the 10^4 rows would add about 1.5 MB
+    # held: the peak, about 2.7 MB, comes early, while most of the divisor
+    # lists (1.8 MB at kmax = 10^4, each dropped once its k is audited)
+    # are alive beside the per-k lists, the batch buffer and the first
+    # blocks of the text the CSV writer returns (0.6 MB at the end); a
+    # list of the 10^4 rows would add about 1.5 MB.  The interpreter's
+    # free lists make the traced peak vary by about 0.15 MB with what ran
+    # before.
     import tracemalloc
     argv = ["identity", "--which", "toth", "--kmax", "10000",
             "--out", os.devnull]

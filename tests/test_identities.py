@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import gcdsums as G
 from gcdsums import cli
 from gcdsums.errors import DomainError
-from gcdsums.identities import _with_mu
+from gcdsums.tables import _with_mu
 from gcdsums.zeta import LOG_SQRT_2PI
 
 from oracles import anderson_apostol, ramanujan_sum, split_convolve
@@ -163,9 +163,10 @@ def test_averages_reject_x_out_of_range(small_tables, x, over):
     with pytest.raises(DomainError):  # gcd_log_average's expansion
         G.apostol_log_average_terms(G.sieve(_with_mu(f.spec), f.n_max), None,
                                     x)
-    for average in (G.gcd_log_average, G.cesaro_average):
-        with pytest.raises(DomainError):
-            average(f, x)
+    with pytest.raises(DomainError):
+        G.gcd_log_average(f, x)
+    with pytest.raises(DomainError):  # the Cesaro routes, cut at x
+        G.cesaro_average_profile(f.spec, over)
 
 
 def test_decomposition_matches_average_on_catalog(catalog_tables):
@@ -264,14 +265,13 @@ def test_gcd_log_average_terms_grouping():
 
 
 def test_cesaro_average_examples():
-    one = G.sieve(G.ONE, 10)
-    tau = G.sieve(G.TAU, 10)
-    idt = G.sieve(G.ID, 10)
-    assert G.cesaro_average(one, 3.0) == (3.0, 3.0)
-    lhs, rhs = G.cesaro_average(tau, 4.0)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
-    lhs, rhs = G.cesaro_average(idt, 10.0)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
+    # both routes at x, entry x of the cumulative profiles
+    lhs, rhs = G.cesaro_average_profile(G.ONE, 10)
+    assert (lhs[3], rhs[3]) == (3.0, 3.0)
+    lhs, rhs = G.cesaro_average_profile(G.TAU, 10)
+    assert lhs[4] == pytest.approx(rhs[4], rel=1e-12)
+    lhs, rhs = G.cesaro_average_profile(G.ID, 10)
+    assert lhs[10] == pytest.approx(rhs[10], rel=1e-12)
 
 
 def test_cesaro_average_profile_agreement():

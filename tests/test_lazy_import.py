@@ -5,6 +5,7 @@ Both are checked in fresh interpreters, where nothing but what the child
 itself imports is loaded.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -30,12 +31,10 @@ EXPORTS = {
     "identities": [
         "AverageDecomposition", "apostol_audits", "apostol_log_average",
         "apostol_log_average_terms", "apostol_log_sum",
-        "apostol_log_sum_direct", "cesaro_audits", "cesaro_average",
-        "cesaro_average_profile", "cesaro_identity", "gcd_log_average",
-        "toth_audits", "toth_identity"],
+        "apostol_log_sum_direct", "cesaro_audits", "cesaro_average_profile",
+        "cesaro_identity", "gcd_log_average", "toth_audits", "toth_identity"],
     "series": [
         "MuSeriesReport", "SeriesComparison", "ThetaBracket",
-        "dirichlet_partial_sum", "log_factorial_partial_sum",
         "mu_series_report", "series_identity_compare",
         "series_theta_bracket"],
     "stirling": ["StirlingTable", "StirlingValue", "log_factorial_table"],
@@ -50,6 +49,9 @@ EXPORTS = {
 
 HEAVY = ["gcdsums.asymptotics", "gcdsums.identities", "gcdsums.series",
          "gcdsums.stirling"]
+# standard modules no command needs, each a few ms of start-up; only
+# ``asymptotics.Target`` is a dataclass, so only a scan or delta loads it
+STDLIB = ["dataclasses", "decimal", "fractions", "json"]
 
 
 def _child(code: str) -> str:
@@ -91,22 +93,34 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(G, "no_such_name")
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (["sieve", "--spec", "phi", "--nmax", "100"], []),
+@pytest.mark.parametrize("argv, loaded, stdlib", [
+    (["sieve", "--spec", "phi", "--nmax", "100"], [], []),
     (["identity", "--which", "toth", "--kmax", "10"],
-     ["gcdsums.identities", "gcdsums.stirling"]),
-    (["series", "--which", "identity", "--K", "10,100"],
-     ["gcdsums.identities", "gcdsums.series", "gcdsums.stirling"]),
-], ids=["sieve", "identity-toth", "series-identity"])
-def test_command_loads_only_its_modules(argv, loaded):
-    code = f"""import contextlib, io, json, sys
+     ["gcdsums.identities", "gcdsums.stirling"], []),
+    (["series", "--which", "identity", "--K", "10,100"], ["gcdsums.series"],
+     []),
+    (["scan", "--target", "tau_over_n", "--grid", "1000,2000"],
+     ["gcdsums.asymptotics", "gcdsums.identities", "gcdsums.stirling"],
+     ["dataclasses"]),
+], ids=["sieve", "identity-toth", "series-identity", "scan"])
+def test_command_loads_only_its_modules(argv, loaded, stdlib):
+    # the child prints by repr: importing json would load a watched module
+    code = f"""import contextlib, io, sys
 import gcdsums.cli
-heavy = {HEAVY!r}
-before = [m for m in heavy if m in sys.modules]
+watched = {HEAVY + STDLIB!r}
+before = [m for m in watched if m in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     assert gcdsums.cli.main({argv!r}) == 0
-print(json.dumps([before, [m for m in heavy if m in sys.modules]]))
+after = [m for m in watched if m in sys.modules]
+import dataclasses
+records = sorted(f"{{name}}.{{k}}" for name, module in list(sys.modules.items())
+                 if name.startswith("gcdsums") for k, v in vars(module).items()
+                 if isinstance(v, type) and v.__module__ == name
+                 and dataclasses.is_dataclass(v))
+print(repr([before, after, records]))
 """
-    before, after = json.loads(_child(code))
+    before, after, records = ast.literal_eval(_child(code))
     assert before == []
-    assert after == loaded
+    assert after == loaded + stdlib
+    assert records == (["gcdsums.asymptotics.Target"]
+                       if "gcdsums.asymptotics" in loaded else [])

@@ -6,12 +6,25 @@ import pytest
 import gcdsums as G
 from gcdsums import _accum, series, stirling
 from gcdsums.errors import DomainError
-from gcdsums.series import (dirichlet_partial_sum, log_factorial_partial_sum,
-                            mu_series_report, series_identity_compare,
-                            series_theta_bracket)
+from gcdsums.series import (mu_series_report, series_identity_compare,
+                            series_identity_grid, series_theta_bracket)
 from gcdsums.tables import blocks
 
 from oracles import np_sum_series_sums, series_rhs_terms
+
+
+def dirichlet_partial_sum(f, s, k, log_weight=False):
+    """sum_{k<=K} f(k) (log k)^w / k^s with w = 0 or 1, from a one-point
+    pass of ``series._passes``."""
+    (_, (f_log, _, f_sum, _)), = series._passes(f, None, s, [k])
+    return f_log if log_weight else f_sum
+
+
+def log_factorial_partial_sum(g, s, k):
+    """sum_{k<=K} g(k) L(k) / k^s, L(k) = log k!, from a one-point pass of
+    ``series._passes``."""
+    (_, (*_, g_lf)), = series._passes(None, g, s, [k])
+    return g_lf
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +43,8 @@ def test_partial_sum_examples(tables):
         <= 1.01e-3
     assert abs(dirichlet_partial_sum(t["mu"], 2.0, 10 ** 4)
                - 1.0 / G.zeta(2.0)) <= 2e-4
-    with pytest.raises(DomainError):
-        dirichlet_partial_sum(t["one"], 2.0, 0)
+    with pytest.raises(DomainError):  # a K of 0 is refused
+        series_identity_grid(t["one"], t["one"], 3.0, [0])
 
 
 def test_log_factorial_sum_examples(tables):

@@ -8,7 +8,9 @@ from gcdsums import stirling
 from gcdsums.errors import DomainError
 from gcdsums.zeta import LOG_SQRT_2PI
 
-from oracles import whole_array_rho
+from oracles import (fraction_harmonic_coeffs, fraction_ld,
+                     fraction_power_sum_coeffs, fraction_real_power_coeffs,
+                     whole_array_rho)
 
 
 def test_examples():
@@ -100,3 +102,25 @@ def test_derived_rows_match_the_stored_ones():
     for i in l[::20]:
         v = t.value(int(i))
         assert (v.approx, v.theta, v.rho) == (approx[i], theta[i], t.rho[i])
+
+
+def _same(got, want) -> bool:
+    """Equal longdoubles, one by one: for these nonzero finite values, the
+    same bits."""
+    return len(got) == len(want) and all(a == b for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("s", range(2, 9))
+def test_power_sum_coeffs_equal_the_fraction_route(s):
+    # integer pairs reduced by gcd give the reduced Fractions' longdoubles
+    assert _same(stirling._power_sum_coeffs(s),
+                 [fraction_ld(q) for q in fraction_power_sum_coeffs(s)])
+
+
+def test_real_power_and_harmonic_coeffs_equal_the_fraction_route():
+    assert _same(stirling._real_power_coeffs(),
+                 [fraction_ld(q) for q in fraction_real_power_coeffs()])
+    got = [c for pair in stirling._harmonic_coeffs() for c in pair]
+    want = [fraction_ld(q) for pair in fraction_harmonic_coeffs()
+            for q in pair]
+    assert _same(got, want)

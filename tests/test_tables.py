@@ -43,6 +43,12 @@ def test_table_shape_and_immutability():
         t.values[5] = 3.0
     with pytest.raises(DomainError):
         t[101]
+    # tables and their specs are read-only records, not tuples
+    for record, name in [(t, "n_max"), (t, "values"), (G.MU, "exponent"),
+                         (t.spec, "kind")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert G.MU != (Kind.MOEBIUS, None, ())
 
 
 def test_mobius_range_and_integrality():
@@ -215,7 +221,11 @@ def _specs(depth):
 @example(G.id_pow(0.1234567))
 @given(_specs(MAX_NESTING))
 def test_spec_grammar_round_trip(spec):
-    assert parse_spec(spec.label()) == spec
+    copy = parse_spec(spec.label())
+    assert copy == spec
+    # equal and hashable by value, printed as its label
+    assert hash(copy) == hash(spec) and {spec: 1}[copy] == 1
+    assert str(spec) == spec.label()
 
 
 def test_named_functions_are_family_members():
@@ -240,6 +250,10 @@ def test_spec_validation_errors():
         parse_spec("nope")
     with pytest.raises(DomainError):
         G.FunctionSpec(Kind.ID_POW)  # missing exponent
+    with pytest.raises(DomainError):
+        G.FunctionSpec(Kind.MOEBIUS, exponent=1.0)  # takes none
+    with pytest.raises(DomainError):
+        G.FunctionSpec(Kind.CONVOLVE, operands=(G.MU,))  # takes two
     with pytest.raises(DomainError):
         G.id_pow(float("nan"))
     with pytest.raises(DomainError):

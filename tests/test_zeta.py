@@ -5,8 +5,10 @@ import pytest
 
 import gcdsums as G
 from gcdsums.errors import DomainError
+from gcdsums.zeta import _borwein_weights
 
-from oracles import euler_gamma_oracle, zeta_euler_maclaurin
+from oracles import (euler_gamma_oracle, fraction_borwein_weights,
+                     zeta_euler_maclaurin)
 
 
 def test_zeta2_analytic():
@@ -88,3 +90,10 @@ def test_domain_errors():
     for bad in (1.0, 0.5):
         with pytest.raises(DomainError):
             G.zeta_prime(bad)
+
+
+def test_borwein_weights_equal_the_fraction_route():
+    # summed in ints, each e_k is int / int: the bytes of the Fractions'
+    got = _borwein_weights(50)
+    assert [w.hex() for w in got] == \
+        [w.hex() for w in fraction_borwein_weights(50)]
