@@ -5,12 +5,14 @@ these, so the numerical contract (pairwise or extended-precision
 summation) is kept in a single place:
 
 - ``np.dot`` / ``np.sum`` already use pairwise blocking,
-- long running prefix sums are done in ``np.longdouble`` and rounded once;
-  the exact sides keep them at the quotients n // i (``quotient_prefixes``),
-  a block at a time: a pass owns its block buffers, allocated once and
-  freed when it ends, and nothing is cached between passes; every
-  longdouble running sum is formed an eighth of a block at a time, into
-  a workspace of ``_BLOCK // 8`` entries,
+- long running prefix sums are done in ``np.longdouble`` and rounded
+  once, chained by ``running_sum`` an eighth of a block at a time in a
+  workspace of ``_BLOCK // 8`` entries, and only here: a whole row by
+  ``prefix_rows``, and at the quotients n // i of a grid by
+  ``quotient_prefixes``, one blocked pass per run of the grid, which
+  opens its tables and block buffers when it starts and drops them when
+  it ends, so nothing is cached between passes (the one other chain is
+  the Dirichlet series' log l!, carried from block to block),
 - a prefix of a smooth weight past a table (a weight of the constant 1,
   ``identities._one_pairs``) is the table's longdouble sum P(t) plus
   a longdouble closed form Phi(v) - Phi(t), rounded once
@@ -26,10 +28,6 @@ from itertools import chain
 import numpy as np
 
 _BLOCK = 1 << 16
-
-
-def fsum(values) -> float:
-    return math.fsum(values)
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -73,21 +71,35 @@ def block_of(values, lo: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def prefix_rows(weights, n: int, rows: np.ndarray) -> list:
+    """rows[k, m] = w_k(1) + ... + w_k(m) for m = 1..n, in extended
+    precision and rounded once, for the weights w_k that ``weights(lo,
+    hi)`` gives at lo..hi-1, an iterable of arrays in the order of rows;
+    column 0 is left as it is.  It is asked for an eighth of ``_BLOCK``
+    at a time, in ascending order, and each array is chained by
+    ``running_sum`` before the next is asked for, in one longdouble
+    workspace of ``_BLOCK // 8`` entries.  Returns each weight's
+    longdouble sum up to n."""
+    totals = [np.longdouble(0.0)] * len(rows)
+    buf = np.empty(min(_BLOCK // 8, n), np.longdouble)
+    for lo in range(1, n + 1, _BLOCK // 8):
+        hi = min(lo + _BLOCK // 8, n + 1)
+        for k, block in enumerate(weights(lo, hi)):
+            sums = running_sum(block, totals[k], buf)
+            rows[k, lo:hi] = sums
+            totals[k] = sums[-1]
+    return totals
+
+
 def prefix_with_zero(values: np.ndarray) -> np.ndarray:
     """Prefix sums P with P[0] = 0 and P[m] = values[1] + ... + values[m],
-    in extended precision, chained over slices of ``_BLOCK // 8`` entries in
-    one longdouble workspace of that size.
+    by ``prefix_rows``.
 
     ``values`` is indexed from 0; entry 0 is ignored (tables store n = 1..N
     at positions 1..N).
     """
-    out = np.empty(len(values), dtype=np.float64)
-    out[0] = 0.0
-    total, buf = np.longdouble(0.0), np.empty(min(_BLOCK // 8, len(values)), np.longdouble)
-    for lo in range(1, len(values), _BLOCK // 8):
-        sums = running_sum(values[lo:lo + _BLOCK // 8], total, buf)
-        out[lo:lo + len(sums)] = sums
-        total = sums[-1]
+    out = np.zeros(len(values))
+    prefix_rows(lambda lo, hi: (values[lo:hi],), len(values) - 1, out[None])
     return out
 
 
@@ -149,50 +161,48 @@ def _one_pass(weights, ns: list[int]) -> list[list]:
     return pairs
 
 
-def quotient_prefixes(weights, ns):
-    """The ``on_quotients`` pairs of several weights at every n of a grid,
-    in one blocked pass per run of ``_runs``.
+def quotient_prefixes(open_pass, ns):
+    """The quotient pairs of several weights at every n of a grid, in one
+    blocked pass per run of ``_runs``: for the prefix sums P of a weight
+    (P(0) = 0) and r = isqrt(n), the pair (lo, hi) with lo[i] = P(i) for
+    i <= r, hi[d] = P(n // d) for 1 <= d <= r and hi[0] = P(n).
 
-    ``weights(lo, hi)`` gives each weight's values at lo..hi-1, an
-    iterable of arrays (a generator forms them one at a time); it is
-    called once per block of ``_BLOCK`` covering 1..max(n), in ascending
-    order, and a value must not depend on where its block starts or
-    stops.  ``ns`` is ascending and may repeat an n.  This yields, for
-    each n of ns in turn, the list of its pairs, one per weight; a
-    repeated n yields the same list again.  Each weight's running sums
-    are chained with ``running_sum`` and sampled at the quotients of every
-    n as its blocks pass.  Each array is read before the next is asked
-    for, so ``weights`` may write them all into buffers of its own, and
-    the sums go into one longdouble buffer of the pass's, ``_BLOCK // 8``
-    entries (128 KB), an eighth of a block chained at a time.  So a pass
-    holds these and sum 2 (isqrt(n) + 1) floats per weight over its run,
-    at most max(ns) + 1, never a whole prefix.  The running sums do
-    not depend on n, so each pair equals ``prefix_with_zero`` sampled at
-    the quotients of its n, bit for bit, and the pass over a grid gives
-    the bytes of the passes over its points one at a time.
+    ``open_pass()`` is called once per run, when its pass starts, and
+    gives the pass's ``weights(lo, hi)``: each weight's values at
+    lo..hi-1, an iterable of arrays (a generator forms them one at a
+    time), asked for once per block of ``_BLOCK`` covering 1..max(n) of
+    the run, in ascending order; a value must not depend on where its
+    block starts or stops.  What it returns, and so every table and
+    buffer the opener made, is dropped when the pass ends, before the
+    run's pairs are yielded: the tables of two passes never live at once.
+    ``ns`` is ascending and may repeat an n.  This yields, for each n of
+    ns in turn, the list of its pairs, one per weight; a repeated n yields
+    the same list again.  Each weight's running sums are chained with
+    ``running_sum`` and sampled at the quotients of every n as its blocks
+    pass.  Each array is read before the next is asked for, so
+    ``weights`` may write them all into buffers of its own, and the sums
+    go into one longdouble buffer of the pass's, ``_BLOCK // 8`` entries
+    (128 KB), an eighth of a block chained at a time.  So a pass holds
+    these and sum 2 (isqrt(n) + 1) floats per weight over its run, at
+    most max(ns) + 1, never a whole prefix.  The running sums do not
+    depend on n, so each pair equals ``prefix_with_zero`` sampled at the
+    quotients of its n, bit for bit, and the pass over a grid gives the
+    bytes of the passes over its points one at a time.
     """
     ns = ascending(ns)
     i = 0
     for run in _runs(sorted(set(ns))):
-        done = dict(zip(run, _one_pass(weights, run)))
+        done = dict(zip(run, _one_pass(open_pass(), run)))
         while i < len(ns) and ns[i] in done:
             yield done[ns[i]]
             i += 1
         del done  # before the next run's pass
 
 
-def on_quotients(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``prefix_with_zero`` sums P of ``values`` at the quotients of n only:
-    (lo, hi) with lo[i] = P(i) for i <= r = isqrt(n), hi[d] = P(n // d) for
-    1 <= d <= r and hi[0] = P(n).  No full-length P is formed."""
-    pairs, = quotient_prefixes(lambda lo, hi: (values[lo:hi],), [n])
-    return pairs[0]
-
-
 def hyperbola_sum(terms) -> float:
     """The sum over the terms (sign, w_pair, c_pair) of
-    sign * sum_{d*l <= n} w(d) c(l), from the ``on_quotients`` pairs W, C
-    of each term, all taken at the same n:
+    sign * sum_{d*l <= n} w(d) c(l), from the ``quotient_prefixes`` pairs
+    W, C of each term, all taken at the same n:
 
         sum_{d<=r} w(d) C(n//d) + sum_{l<=r} c(l) W(n//l) - W(r) C(r),
 

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._accum import _BLOCK, dot, fsum, ramp
+from ._accum import _BLOCK, dot, ramp
 from .errors import DomainError, require
 from .identities import (_hyperbola_sums, _one_pairs, _table_pairs,
                          apostol_log_average_grid, apostol_log_average_terms)
@@ -62,8 +62,8 @@ def _floors(xs) -> list[int]:
 
 
 def _tau_prefixes(n: int, moments: int = 2) -> list:
-    """The ``on_quotients`` pairs at n of tau(m) and of m tau(m) (or the
-    first ``moments``), by the integer hyperbola: with s = isqrt(v) and
+    """The ``quotient_prefixes`` pairs at n of tau(m) and of m tau(m) (or
+    the first ``moments``), by the integer hyperbola: with s = isqrt(v) and
     T(u) = u (u + 1) / 2,
 
         D(v) = sum_{m<=v} tau(m)   = 2 sum_{i<=s} floor(v/i) - s^2,
@@ -93,16 +93,17 @@ def _tau_prefixes(n: int, moments: int = 2) -> list:
 
 
 def _delta_prefixes(ns, a: float | None, primes=None):
-    """(the ``on_quotients`` pair at each n of ns, ascending, smooth part
-    on arrays) of Delta's divisor sum: tau by ``_tau_prefixes`` for a
-    None, else sigma_a from one pass over its blocks."""
+    """(the ``quotient_prefixes`` pair at each n of ns, ascending, smooth
+    part on arrays) of Delta's divisor sum: tau by ``_tau_prefixes`` for
+    a None, else sigma_a from one pass per run over its blocks, prepared
+    once."""
     if a is None:
         slope = 2.0 * constants().gamma - 1.0
         return ((_tau_prefixes(n, 1)[0] for n in ns),
                 lambda y: y * np.log(y) + slope * y)
     a = _require_a(a)
     sigma = blocks(sigma_pow(a), ns[-1], primes).values
-    return ((p["v"] for p in _table_pairs(sigma, ["v"], ns)),
+    return ((p["v"] for p in _table_pairs(lambda: sigma, ["v"], ns)),
             lambda y: _sigma_a_smooth(y, a))
 
 
@@ -254,7 +255,7 @@ def mu_delta_grid(xs, kind: str, a: float | None = None,
                 deltas[j:b] = p_lo[np.divide(n, narr[j:b]).astype(np.intp)]
                 deltas[a:b] -= smooth(np.divide(x, narr[a:b]))
             partials[i].append(dot(weights[:hi - lo], deltas[:hi - lo]))
-    out = [fsum(p) for p in partials]
+    out = [math.fsum(p) for p in partials]
     if log_factor:
         out = [v * (math.log(x) - 1.0) for v, x in zip(out, xs)]
     return out
@@ -703,9 +704,12 @@ _LIMIT_VARIANTS = {
 def limit_ratio_grid(variant: str, xs, a: float | None = None) -> list[float]:
     """L(x; f) / (limit * x log^p x) at every x of xs, in any order, from
     one exact-side pass (``Target.parts``) up to the largest x; it tends
-    to 1 as x grows."""
+    to 1 as x grows.  Every x must exceed 1, where log x > 0, as for
+    ``main_term``."""
     if variant not in _LIMIT_VARIANTS:
         raise DomainError(f"unknown limit variant {variant!r}")
+    xs = list(xs)  # read twice, so an iterator is listed first
+    require(all(x > 1.0 for x in xs), "x must be > 1")
     target, p, k = _LIMIT_VARIANTS[variant]
     t, a = _lookup(target, a)
     grid = sorted(xs)

@@ -17,18 +17,12 @@ import numpy as np
 from ._accum import _BLOCK
 
 
-def format_value(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.17g}"
-
-
 def write_rows(header: str, rows, out=None, keep: bool = True) -> str:
     """Write header and rows as CSV, 1024 rows at a time, to stdout (out
     None), a path (opened before the first row is formed) or a file object, and
     return the text written (the header alone without ``keep``).  A row is
-    one %-format per tuple of its cell types: ``format_value``'s ``%d`` at
-    an integer and ``%.17g`` elsewhere."""
+    one %-format per tuple of its cell types: ``%d`` at an integer and
+    ``%.17g`` elsewhere."""
     if isinstance(out, (str, Path)):
         with open(out, "w") as f:
             return write_rows(header, rows, f, keep)

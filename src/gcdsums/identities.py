@@ -51,9 +51,12 @@ so their values equal the batches' bit for bit.
 
 Each hyperbola sum, of the six terms and of the statistics in
 ``asymptotics`` alike, is a list of terms (sign, w, c) for
-``_hyperbola_sums`` over weights named (values, kind): a table's values
-or None, the constant 1, and a kind of ``_KINDS``, which one blocked
-writer, ``_weigh``, forms.
+``_hyperbola_sums`` over weights named (build, kind): a function that
+gives a table's values, or None, the constant 1, and a kind of
+``_KINDS``, which one blocked writer, ``_weigh``, forms.  Each pass
+opens its table and buffers and drops them when it ends
+(``_accum.quotient_prefixes``), and the g = 1 prefixes are summed by
+``_accum.prefix_rows``: this module chains no running sum of its own.
 
 All sums over x cut at floor(x); an integer x includes k = x.
 """
@@ -61,14 +64,12 @@ All sums over x cut at floor(x); an integer x includes k = x.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
 
-from ._accum import (_BLOCK, _runs, ascending, block_of, dot, fsum,
-                     hyperbola_sum, prefix_with_zero, quotient_prefixes, ramp,
-                     running_sum)
+from ._accum import (_BLOCK, ascending, block_of, dot, hyperbola_sum,
+                     prefix_rows, prefix_with_zero, quotient_prefixes, ramp)
 from .stirling import SEED, log_factorial_row, one_weight_sums, rho_block
 from .tables import (MU, PHI, VON_MANGOLDT, FunctionSpec, FunctionTable,
                      _with_mu, convolve, cut, divisor_lists, divisors_of,
@@ -106,7 +107,7 @@ class AverageDecomposition(NamedTuple):
 
     @property
     def total(self) -> float:
-        return fsum(self.terms)
+        return math.fsum(self.terms)
 
 
 def _gather_by_gcd(values: np.ndarray, divs: list[int], k: int,
@@ -129,13 +130,13 @@ def _apostol_direct(fv, gv, logs: np.ndarray, k: int, D, buf) -> float:
     term = {d: fv[d] * gv[k // d] for d in divs}.__getitem__
     out = buf[:k]
     for m in divs:  # ascending, as in the gather: slot j ends with s_k(gcd)
-        out[m - 1::m] = fsum(map(term, D[m]))
+        out[m - 1::m] = math.fsum(map(term, D[m]))
     return dot(logs[1:k + 1], out)
 
 
 def _apostol_identity(fv, gv, lf, lg, k: int, D) -> float:
-    return fsum(fv[d] * (lg[d] * gv[l] * l + gv[l] * lf[l])
-                for d, l in zip(D[k], reversed(D[k])))  # l = k/d
+    return math.fsum(fv[d] * (lg[d] * gv[l] * l + gv[l] * lf[l])
+                     for d, l in zip(D[k], reversed(D[k])))  # l = k/d
 
 
 def _toth_sides(mu, logs: np.ndarray, lam_k, lf, k: int, D,
@@ -151,12 +152,13 @@ def _toth_sides(mu, logs: np.ndarray, lam_k, lf, k: int, D,
         if m:
             c[d - 1::d] += d * m
     lhs = dot(logs[1:k + 1], c) / k
-    return lhs, float(lam_k) + fsum(mu[d] / d * lf[d] for d in divs if mu[d])
+    return lhs, float(lam_k) + math.fsum(mu[d] / d * lf[d] for d in divs
+                                         if mu[d])
 
 
 def _cesaro_sides(fv: np.ndarray, phi, k: int, D, buf) -> tuple[float, float]:
     return (float(_gather_by_gcd(fv, D[k], k, buf).sum()),
-            fsum(fv[d] * phi[k // d] for d in D[k]))
+            math.fsum(fv[d] * phi[k // d] for d in D[k]))
 
 
 def _divisor_map(k: int) -> dict[int, list[int]]:
@@ -359,16 +361,21 @@ def _weigh(values, kinds, lo: int, hi: int, v: np.ndarray, m: np.ndarray,
         yield np.abs(v, out=m)
 
 
-def _table_pairs(values, kinds, ns, buffers=None):
-    """The ``on_quotients`` pairs of the weights ``kinds`` of one table
-    (values as ``_weigh`` takes them) at each n of ns (ascending), a dict
-    kind -> pair per n, from one ``quotient_prefixes`` pass per run.  The
-    pass writes its blocks into ``buffers``, a v and m of ``_buffers``
-    that cover the kinds, or into its own."""
+def _table_pairs(build, kinds, ns):
+    """The ``quotient_prefixes`` pairs of the weights ``kinds`` of one
+    table at each n of ns (ascending), a dict kind -> pair per n, from one
+    pass per run.  Each pass opens the values that ``build()`` makes (as
+    ``_weigh`` takes them), then a v and m of ``_buffers``, and drops them
+    when it ends: tables built in turn never live at once, and each is
+    built before its pass allocates."""
     kinds = [k for k in _KINDS if k in kinds]
-    v, m = buffers or _buffers(kinds, max(ns))
-    return (dict(zip(kinds, pairs)) for pairs in quotient_prefixes(
-        lambda lo, hi: _weigh(values, kinds, lo, hi, v, m), ns))
+
+    def open_pass():
+        values, (v, m) = build(), _buffers(kinds, max(ns))
+        return lambda lo, hi: _weigh(values, kinds, lo, hi, v, m)
+
+    return (dict(zip(kinds, pairs))
+            for pairs in quotient_prefixes(open_pass, ns))
 
 
 def _one_pairs(ns, a: float | None = None):
@@ -377,31 +384,23 @@ def _one_pairs(ns, a: float | None = None):
     given) at each n of ns (ascending), with no pass past
     t = min(max(isqrt(max n), 1024), max n).
 
-    Up to t, the weights of ``_weigh`` are formed and summed by
-    ``running_sum`` an eighth of a block at a time, in buffers and a
-    longdouble workspace of ``_BLOCK // 8`` entries, so every prefix P(v)
-    at v <= t has the bytes of the pass over all of 1..n.  Above t,
-    P(v) = P(t) + Phi(v) - Phi(t) with the longdouble P(t) of that sum and
-    the closed forms Phi of ``stirling.one_weight_sums``, rounded once:
-    the count is exact, and every other entry is within an ulp of the
-    pass's.  It holds six (or
-    seven) (t + 1)-float tables and, per n, its pairs and a few longdouble
-    arrays of isqrt(n) + 1 entries; nothing of length n.
+    Up to t, the weights of ``_weigh``, formed an eighth of a block at a
+    time in buffers of that size, are summed by ``prefix_rows``, so every
+    prefix P(v) at v <= t has the bytes of the pass over all of 1..n.
+    Above t, P(v) = P(t) + Phi(v) - Phi(t) with the longdouble P(t) of
+    that sum and the closed forms Phi of ``stirling.one_weight_sums``,
+    rounded once: the count is exact, and every other entry is within an
+    ulp of the pass's.  It holds six (or seven) (t + 1)-float tables and,
+    per n, its pairs and a few longdouble arrays of isqrt(n) + 1 entries;
+    nothing of length n.
     """
     ns = ascending(ns)
     t = min(max(math.isqrt(ns[-1]), SEED), ns[-1])
     kinds = _KINDS[:6 if a is None else 7]
     table = np.zeros((len(kinds), t + 1))
-    totals = [np.longdouble(0.0)] * len(kinds)
     buffers = _buffers(kinds, min(t, _BLOCK // 8))
-    lsums = np.empty(len(buffers[0]), np.longdouble)
-    for start in range(1, t + 1, _BLOCK // 8):
-        stop = min(start + _BLOCK // 8, t + 1)
-        for k, block in enumerate(_weigh(None, kinds, start, stop, *buffers,
-                                         a)):
-            sums = running_sum(block, totals[k], lsums)
-            table[k, start:stop] = sums
-            totals[k] = sums[-1]
+    totals = prefix_rows(
+        lambda lo, hi: _weigh(None, kinds, lo, hi, *buffers, a), t, table)
     # P(t) - Phi(t), read only above t
     offsets = [p - phi[0] for p, phi in
                zip(totals, one_weight_sums(np.array([t]), a))]
@@ -418,44 +417,26 @@ def _one_pairs(ns, a: float | None = None):
         yield dict(zip(kinds, zip(table[:, :r + 1], his)))
 
 
-def _built_pairs(build, kinds, ns):
-    """The pairs of ``_table_pairs`` for the values that ``build()``
-    makes, built afresh for each run of ``_accum._runs`` over ns
-    (ascending) and dropped, with the pass's buffers, before that run's
-    pairs are yielded: tables built in turn never live at once, and each
-    is built before its pass allocates."""
-    i = 0
-    for run in _runs(sorted(set(ns))):
-        j = bisect_right(ns, run[-1])
-        yield from list(_table_pairs(build(), kinds, ns[i:j]))
-        i = j
-
-
 def _hyperbola_sums(ns, sums, a: float | None = None):
     """For each n of ns (ascending), one sum per term list of ``sums``:
     sign * H(w, c) over its terms (sign, w, c), by one ``hyperbola_sum``
     of the pairs of w and c, H the Dirichlet hyperbola sum (Tenenbaum,
     Introduction to Analytic and Probabilistic Number Theory, I.3.2).
-    A weight is named (values, kind): values None, the constant 1, takes
-    its pairs from ``_one_pairs`` (l^a with the a given), other values
-    theirs from one ``_table_pairs`` pass for every kind named of them;
-    values given as a function that builds them take theirs from
-    ``_built_pairs``, so of those one table lives at a time.  The passes
-    run one after another, those over values given into one v and m of
-    ``_buffers``.
+    A weight is named (build, kind): build None, the constant 1, takes
+    its pairs from ``_one_pairs`` (l^a with the a given), any other build,
+    a function that gives a table's values, takes theirs from one
+    ``_table_pairs`` pass per run for every kind named of it.  The passes
+    run one after another, each opening its table and buffers and
+    dropping them when it ends, so one table lives at a time.
     """
     named = {}
     for terms in sums:
         for _, *names in terms:
-            for values, kind in names:
-                named.setdefault(id(values), (values, set()))[1].add(kind)
-    sieved = [kinds for values, kinds in named.values()
-              if values is not None and not callable(values)]
-    buffers = _buffers(set().union(*sieved), max(ns)) if sieved else None
-    sources = [_one_pairs(ns, a) if values is None
-               else _built_pairs(values, kinds, ns)
-               if callable(values) else _table_pairs(values, kinds, ns, buffers)
-               for values, kinds in named.values()]
+            for build, kind in names:
+                named.setdefault(id(build), (build, set()))[1].add(kind)
+    sources = [_one_pairs(ns, a) if build is None
+               else _table_pairs(build, kinds, ns)
+               for build, kinds in named.values()]
     for found in zip(*sources):
         pairs = dict(zip(named, found))
         yield [hyperbola_sum([(sign, pairs[id(w)][wk], pairs[id(c)][ck])
@@ -468,9 +449,10 @@ def apostol_log_average_grid(f: FunctionTable | None,
                              xs) -> list[AverageDecomposition]:
     """``apostol_log_average_terms`` at every x of an ascending grid: one
     term list of ``_hyperbola_sums`` per field of ``AverageDecomposition``.
-    f and g are tables, their values arrays or ``tables.Blocks``; None is
-    the constant 1, never sieved.  An f that ``tables.nonnegative``
-    accepts names |f(d)|/d as f(d)/d.
+    f and g are tables, their values arrays or ``tables.Blocks``, named
+    by builders that return those values; None is the constant 1, never
+    sieved.  An f that ``tables.nonnegative`` accepts names |f(d)|/d as
+    f(d)/d.
 
     Peak memory: the tables it is given, or what their blocks share, plus
     a few blocks of ``_accum._BLOCK`` and the pairs of one run of
@@ -479,7 +461,7 @@ def apostol_log_average_grid(f: FunctionTable | None,
     for f = g = 1, it holds no array of length x.
     """
     ns = [cut(x, f, g) for x in xs]
-    fv, gv = (None if t is None else t.values for t in (f, g))
+    fv, gv = (None if t is None else (lambda v=t.values: v) for t in (f, g))
     over = (fv, "v/m")
     absolute = over if f is None or nonnegative(f.spec) else (fv, "|v|/m")
     sums = _hyperbola_sums(ns, [

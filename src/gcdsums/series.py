@@ -67,21 +67,23 @@ class ThetaBracket(NamedTuple):
 
 def _weights(f: FunctionTable | None, g: FunctionTable | None, s: float,
              ks: list[int], h: FunctionTable | None = None):
-    """The ``weights(lo, hi)`` of ``quotient_prefixes`` for sum u(k) k^-s
-    up to the largest K of ks (ascending): f(d) log d d^-s, g(l) l^(1-s),
-    f(d) d^-s and g(l) L(l) l^-s, whose sums at K are the truncated
-    -F'(s), G(s-1), F(s) and G_L(s); and the dict K -> the sums at K of
-    the four or, where a table h is given, of h(d) log d d^-s and
-    h(d) d^-s (-H'(s) and H(s)), which are summed only there and not
-    yielded.  The pass fills the dict.
+    """The ``weights(lo, hi)`` that each ``quotient_prefixes`` pass opens
+    for sum u(k) k^-s up to the largest K of ks (ascending): f(d) log d
+    d^-s, g(l) l^(1-s), f(d) d^-s and g(l) L(l) l^-s, whose sums at K
+    are the truncated -F'(s), G(s-1), F(s) and G_L(s); and the dict K ->
+    the sums at K of the four or, where a table h is given, of
+    h(d) log d d^-s and h(d) d^-s (-H'(s) and H(s)), which are summed
+    only there and not yielded.  The pass fills the dict.
 
     f, g and h are tables (arrays or ``tables.Blocks``) or None, the
     constant 1, each read a block of ``_BLOCK`` at a time into five blocks
     of the writer's.  L(l) = log l! is the running longdouble sum of log l
     that ``stirling.log_factorial_row`` makes, formed an eighth of a block
     at a time and carried from block to block, so it has the row's bytes
-    and no row is built.  The pass asks for its blocks in ascending order
-    from 1, and each pass starts the sums afresh.
+    and no row is built: the one running sum chained outside ``_accum``,
+    as it is a factor of a weight, not a weight.  The pass asks for its
+    blocks in ascending order from 1, and each pass starts the sums
+    afresh.
 
     A sum at K is not the running sum of the pass, which drops each term
     below half a longdouble ulp of its total (sum k^-3 to 1e7 ends 237
@@ -148,7 +150,8 @@ def _passes(f, g, s: float, ks, h=None):
     writer's blocks and the pairs; no K-length array."""
     ks = ascending(ks)
     weights, totals = _weights(f, g, s, ks, h)
-    for k, (w_log, c_id, w, c_lf) in zip(ks, quotient_prefixes(weights, ks)):
+    for k, (w_log, c_id, w, c_lf) in zip(
+            ks, quotient_prefixes(lambda: weights, ks)):
         yield (hyperbola_sum([(1, w_log, c_id), (1, w, c_lf)]),
                [float(total) for total in totals[k].values()])
 

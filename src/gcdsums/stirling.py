@@ -24,7 +24,8 @@ seeded at l = SEED, where each t_l = sum_{i>=1} x^{2i} / (2i+1)
 with x = 1/(2l-1) is a positive fast-converging series.
 
 log_factorial itself is a plain extended-precision cumulative sum of
-log m, so identity checks elsewhere reuse one consistent L(l) array.
+log m, chained by ``_accum.prefix_rows`` like every other prefix row, so
+identity checks elsewhere reuse one consistent L(l) array.
 
 Each row is built at the l_max asked for, read-only, and freed with its
 last reference; entry l depends on nothing past l, so a row equals the
@@ -50,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._accum import _BLOCK, running_sum
+from ._accum import _BLOCK, prefix_rows
 from .errors import require
 from .tables import _Frozen
 from .zeta import LOG_SQRT_2PI
@@ -267,17 +268,9 @@ def _rho_below_seed() -> np.ndarray:
     return rho
 
 
-def _fill_log_factorial(row: np.ndarray) -> None:
-    """row[l] = L(l) for l = 0..len(row) - 1, as running longdouble sums
-    of log l, an eighth of ``_BLOCK`` at a time: the logs and their sums
-    are workspaces of ``_BLOCK // 8`` entries."""
-    total, buf = np.longdouble(0.0), np.empty(min(_BLOCK // 8, len(row)), np.longdouble)
-    for lo in range(1, len(row), _BLOCK // 8):
-        hi = min(lo + _BLOCK // 8, len(row))
-        sums = running_sum(np.log(np.arange(lo, hi, dtype=np.float64)), total,
-                           buf)
-        row[lo:hi] = sums
-        total = sums[-1]
+def _logs(lo: int, hi: int) -> tuple[np.ndarray]:
+    """log l for l = lo..hi-1, the one weight whose running sums are L."""
+    return (np.log(np.arange(lo, hi, dtype=np.float64)),)
 
 
 def rho_block(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
@@ -306,8 +299,9 @@ def _row(fill, l_max: int) -> np.ndarray:
     """Entries 0..l_max of the row that ``fill`` writes, read-only.
 
     ``fill`` works an eighth of ``_BLOCK`` at a time, so the peak is the
-    row plus under a block (the l, their float64 logs and longdouble
-    running sums, or the series' int64 l and two longdouble arrays).
+    row plus under a block (the l, their float64 logs and the longdouble
+    workspace of ``prefix_rows``, or the series' int64 l and two
+    longdouble arrays).
     """
     require(l_max >= 1, "l_max must be >= 1")
     row = np.zeros(int(l_max) + 1)
@@ -317,8 +311,10 @@ def _row(fill, l_max: int) -> np.ndarray:
 
 
 def log_factorial_row(l_max: int) -> np.ndarray:
-    """L(l) for l = 0..l_max, read-only; builds no rho."""
-    return _row(_fill_log_factorial, l_max)
+    """L(l) for l = 0..l_max, read-only: the running longdouble sums of
+    log l by ``_accum.prefix_rows``; builds no rho."""
+    return _row(lambda row: prefix_rows(_logs, len(row) - 1, row[None]),
+                l_max)
 
 
 def log_factorial_table(l_max: int) -> StirlingTable:

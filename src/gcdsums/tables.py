@@ -310,7 +310,8 @@ class FunctionTable(_Frozen):
     ``values`` has length n_max + 1; slot 0 is unused and holds 0 so that
     ``values[n]`` is the value at n.  The array is read-only: tables are
     immutable after construction and safe to share across threads.  A
-    table from ``blocks`` has ``Blocks`` instead, read by slices only.
+    table from ``blocks`` has ``Blocks`` instead, read by slices only
+    (``table[n]`` reads a one-entry slice).
     """
 
     __slots__ = ("spec", "n_max", "values")
@@ -320,7 +321,7 @@ class FunctionTable(_Frozen):
 
     def __getitem__(self, n: int) -> float:
         require(1 <= n <= self.n_max, f"index {n} outside 1..{self.n_max}")
-        return float(self.values[n])
+        return float(self.values[n:n + 1][0])
 
 
 def cut(x: float, *tables: FunctionTable | None) -> int:

@@ -30,8 +30,9 @@ special functions.
 
 ``anderson_apostol`` and ``ramanujan_sum`` are s_k(j) and c_k(j) at one
 (k, j) by the divisors of gcd(k, j), mu by trial division
-(``mobius_of``), and ``read_table_values`` reads a ``sieve`` CSV dump
-back into a values array.
+(``mobius_of``), ``read_table_values`` reads a ``sieve`` CSV dump
+back into a values array, and ``format_value`` is the text of one CSV
+cell, the reference of ``csvio.write_rows``' per-row formats.
 
 The ``fraction_*`` functions are the exact constants of ``zeta`` and
 ``stirling`` (Borwein's weights, the Euler-Maclaurin coefficients) as
@@ -46,7 +47,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from gcdsums._accum import fsum
+from gcdsums._accum import quotient_prefixes
 from gcdsums.errors import require
 from gcdsums.tables import FunctionTable, cut, divisors_of
 
@@ -129,7 +130,7 @@ def anderson_apostol(f: FunctionTable, g: FunctionTable, k: int, j: int) -> floa
     cut(k, f, g)
     require(j >= 1, "j must be >= 1")
     m = math.gcd(k, j)
-    return fsum(f.values[d] * g.values[k // d] for d in divisors_of(m))
+    return math.fsum(f.values[d] * g.values[k // d] for d in divisors_of(m))
 
 
 def ramanujan_sum(k: int, j: int) -> int:
@@ -167,6 +168,13 @@ def read_table_values(path) -> np.ndarray:
         _, value = line.split(",")
         values.append(float(value))
     return np.asarray(values, dtype=np.float64)
+
+
+def format_value(v) -> str:
+    """One CSV cell: ``%d`` at an integer, 17 significant digits else."""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return f"{float(v):.17g}"
 
 
 def _mp_prime_power(spec, p: int, e: int):
@@ -451,8 +459,17 @@ def np_sum_series_sums(fv: np.ndarray, gv: np.ndarray, lf: np.ndarray,
 # partial dots add in another order, ``fsum_mu_delta`` bounds it)
 
 
+def on_quotients(values: np.ndarray, n: int):
+    """The ``quotient_prefixes`` pair (lo, hi) of one array at n alone:
+    lo[i] = P(i) for i <= isqrt(n), hi[d] = P(n // d), hi[0] = P(n), with
+    no full-length P formed."""
+    (pair,), = quotient_prefixes(lambda: lambda lo, hi: (values[lo:hi],),
+                                 [n])
+    return pair
+
+
 def whole_array_on_quotients(values: np.ndarray, n: int):
-    """(lo, hi) of ``_accum.on_quotients`` from one full-length longdouble
+    """(lo, hi) of ``on_quotients`` from one full-length longdouble
     prefix: lo[i] = P(i) for i <= isqrt(n), hi[d] = P(n // d), hi[0] = P(n)."""
     full = np.zeros(n + 1)
     full[1:] = np.cumsum(values[1:n + 1].astype(np.longdouble))

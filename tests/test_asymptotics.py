@@ -421,8 +421,23 @@ def test_limit_ratio_improves():
     # one pass for the grid, in any order, gives each x's own ratio
     assert limit_ratio_grid("id", [1e4, 1e3]) == [r2, r1]
     assert limit_ratio_grid("id", [1e3]) == [r1]
+    assert limit_ratio_grid("id", iter([1e4, 1e3])) == [r2, r1]
     with pytest.raises(DomainError):
         limit_ratio_grid("nope", [1e3])
+
+
+@pytest.mark.parametrize("xs", [[1.0], [1e3, 1.0], [0.5], [1e3, -2.0]])
+def test_limit_ratio_refuses_x_not_above_1_before_its_exact_side(
+        monkeypatch, xs):
+    # log x = 0 at x = 1 is in the ratio's denominator: refused, as by
+    # ``main_term``, before any exact side is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact side built")
+
+    monkeypatch.setitem(SCAN_TARGETS, "id-log-avg", dataclasses.replace(
+        SCAN_TARGETS["id-log-avg"], parts=refuse))
+    with pytest.raises(DomainError, match="x must be > 1"):
+        limit_ratio_grid("id", xs)
 
 
 def test_sigma_minus1_log_bound():

@@ -146,11 +146,12 @@ def test_nonnegative_f_takes_its_f_over_d_pair(text, rule):
               identities.apostol_log_average_grid(f, None, ns)]
     kind = "v/m" if rule else "|v|/m"
     assert bounds == [s / 12.0 for s, in identities._hyperbola_sums(
-        ns, [[(1, (f.values, kind), (None, "|v|/m^2"))]])]
+        ns, [[(1, (lambda: f.values, kind), (None, "|v|/m^2"))]])]
     if rule:
         fv = tables.sieve_values(spec, ns[-1])
         assert np.all(fv >= 0)
-        for pairs in identities._table_pairs(fv, ["v/m", "|v|/m"], ns):
+        for pairs in identities._table_pairs(lambda: fv, ["v/m", "|v|/m"],
+                                             ns):
             assert all(_same_bytes(g, w) for g, w in zip(pairs["v/m"],
                                                          pairs["|v|/m"]))
 

@@ -32,6 +32,7 @@ import functools
 import math
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from gcdsums.tables import (DIVISOR_LOG, ID, LOG, MU, ONE, PHI, SIGMA, TAU,
                             pointwise_pow_spec, sieve_values, sigma_pow)
 from gcdsums.zeta import constants
 
-from oracles import (blockwise_longdouble_sum, fsum_mu_delta,
+from oracles import (blockwise_longdouble_sum, fsum_mu_delta, on_quotients,
                      series_rhs_terms, split_convolve,
                      whole_array_average_pairs, whole_array_mu_delta,
                      whole_array_on_quotients, whole_array_prefix,
@@ -98,7 +99,7 @@ def test_mu_delta_sum_equals_whole_array_form(x, kind, weight, a):
 def test_on_quotients_equals_whole_array_form(x):
     n = math.floor(x)
     v = np.random.default_rng(n).standard_normal(n + 1) * 1e3
-    assert _same_pairs([_accum.on_quotients(v, n)],
+    assert _same_pairs([on_quotients(v, n)],
                        [whole_array_on_quotients(v, n)])
 
 
@@ -120,10 +121,10 @@ def test_grid_pass_equals_per_n_passes(grid):
         yield v[lo:hi]
         yield v[lo:hi] / np.arange(lo, hi)
 
-    got = list(_accum.quotient_prefixes(weights, ns))
+    got = list(_accum.quotient_prefixes(lambda: weights, ns))
     assert len(got) == len(ns)
     for n, pairs in zip(ns, got):
-        alone, = _accum.quotient_prefixes(weights, [n])
+        alone, = _accum.quotient_prefixes(lambda: weights, [n])
         assert _same_pairs(pairs, alone), n
     runs = list(_accum._runs(sorted(set(ns))))
     assert (len(runs) > 1) == (grid is _GRIDS["dense_runs"])
@@ -133,8 +134,44 @@ def test_grid_pass_equals_per_n_passes(grid):
 
 def test_grid_pass_rejects_a_descending_grid():
     with pytest.raises(ValueError):
-        next(_accum.quotient_prefixes(lambda lo, hi: (_VALUES[lo:hi],),
-                                      [10, 9]))
+        next(_accum.quotient_prefixes(
+            lambda: lambda lo, hi: (_VALUES[lo:hi],), [10, 9]))
+
+
+def test_grid_pass_opens_each_run_and_drops_it_before_its_pairs():
+    # a dense grid that ``_runs`` splits: one ``open_pass`` per run, and
+    # what it made is freed when that run's first pair arrives
+    ns = list(_GRIDS["dense_runs"])
+    runs = list(_accum._runs(ns))
+    assert len(runs) > 1
+    opened = []
+
+    def open_pass():
+        values = np.ones(ns[-1] + 1)
+        opened.append(weakref.ref(values))
+        return lambda lo, hi: (values[lo:hi],)
+
+    firsts = {run[0]: i for i, run in enumerate(runs, 1)}
+    for n, ((_, hi),) in zip(ns, _accum.quotient_prefixes(open_pass, ns)):
+        assert hi[0] == n
+        if n in firsts:
+            assert len(opened) == firsts[n]
+            assert opened[-1]() is None, n
+    assert len(opened) == len(runs)
+
+
+def test_table_pass_builds_its_table_once_per_run():
+    # ``identities._table_pairs`` opens its builder inside each run's pass
+    ns = list(_GRIDS["dense_runs"])
+    built = []
+
+    def build():
+        built.append(None)
+        return np.ones(ns[-1] + 1)
+
+    pairs = list(identities._table_pairs(build, ["v"], ns))
+    assert len(built) == len(list(_accum._runs(ns)))
+    assert [p["v"][1][0] for p in pairs] == ns
 
 
 # the six g-side kinds of the six-term expansion and the three f-side
@@ -145,7 +182,7 @@ _F_KINDS = ("v/m", "v log m/m", "|v|/m")
 
 def _kind_pairs(values, kinds, n):
     """The pairs of one table's kinds at n alone, rho formed per block."""
-    pairs, = identities._table_pairs(values, kinds, [n])
+    pairs, = identities._table_pairs(lambda: values, kinds, [n])
     return [pairs[k] for k in kinds]
 
 
@@ -395,7 +432,7 @@ def test_exact_side_equals_whole_array_prefix(side):
 def _filled_rows(n):
     """The rows log l! and rho filled at exactly l = 0..n, as one array."""
     out = np.zeros((2, n + 1))
-    stirling._fill_log_factorial(out[0])
+    _accum.prefix_rows(stirling._logs, n, out[:1])
     stirling._fill_rho(out[1])
     return out
 
@@ -438,7 +475,8 @@ def _grid_pass(ns):
     """One weight's pass over the grid ns, each n's pairs dropped once
     read, as the exact sides read them."""
     def run():
-        pairs = _accum.quotient_prefixes(lambda lo, hi: (_VALUES[lo:hi],), ns)
+        pairs = _accum.quotient_prefixes(
+            lambda: lambda lo, hi: (_VALUES[lo:hi],), ns)
         return [hi[0] for ((_, hi),) in pairs]
     return run
 
@@ -519,7 +557,7 @@ _STAGES = {
     # the arrays' headers
     "build_lambda": (_build("lambda"), 1 + 1 / 8, 0, 2 * _PRIMES + 128),
     # a pass's running sums: an eighth of a block of longdouble
-    "on_quotients": (lambda: _accum.on_quotients(_VALUES, _N), 0, 1, 0),
+    "on_quotients": (lambda: on_quotients(_VALUES, _N), 0, 1, 0),
     # one pass for a whole grid: every point's quotient set ...
     "grid_pass": (_grid_pass(_GEOM_N), 0, 1, _quotient_floats(_GEOM_N)),
     # ... and for a dense one, runs whose sets hold at most max(ns) + 1

@@ -12,7 +12,7 @@ import gcdsums as G
 from gcdsums import cli, csvio, sieve, MU
 from gcdsums.tables import MAX_SIEVE
 
-from oracles import read_table_values
+from oracles import format_value, read_table_values
 
 
 def run_cli(args):
@@ -51,7 +51,7 @@ def test_write_rows_equals_format_value_per_cell():
     csvio.write_rows("a,b,c", rows, out)
     text = out.getvalue()
     want = "a,b,c\n" + "".join(
-        ",".join(csvio.format_value(v) for v in row) + "\n" for row in rows)
+        ",".join(format_value(v) for v in row) + "\n" for row in rows)
     assert text == want
 
 

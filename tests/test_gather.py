@@ -7,6 +7,7 @@ functions bit for bit, the per-k functions must build no sieve, and the
 divisor sieve the batches share must equal naive divisor enumeration.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 import gcdsums as G
 from gcdsums import identities
-from gcdsums._accum import dot, fsum
+from gcdsums._accum import dot
 from gcdsums.errors import DomainError
 from gcdsums.stirling import log_factorial_table
 from gcdsums.tables import MAX_SIEVE, divisor_lists, divisors_of, sieve_values
@@ -92,7 +93,7 @@ def _old_toth(k):
 def _old_cesaro(f, k):
     phi = sieve_values(G.PHI, k)
     lhs = float(euclid_gather(f.values, k).sum())
-    rhs = fsum(f.values[d] * phi[k // d] for d in divisors_of(k))
+    rhs = math.fsum(f.values[d] * phi[k // d] for d in divisors_of(k))
     return lhs, rhs
 
 

@@ -23,7 +23,8 @@ from gcdsums.stirling import log_factorial_table
 from gcdsums.tables import ONE, TAU, sieve_values
 
 from oracles import (MP_DIRECT, mp_one_prefix, mp_power_prefix,
-                     series_lhs_longdouble, six_term_longdouble, ulps_from)
+                     on_quotients, series_lhs_longdouble, six_term_longdouble,
+                     ulps_from)
 
 _BOUNDARY_N = sorted({m for r in range(1, 41)
                       for m in (r * r - 1, r * r, r * r + r, r * r + r + 1)
@@ -50,7 +51,7 @@ def test_prefix_build_peak_memory(kind, factor):
     values = sieve_values(TAU, n)  # built before the measurement
     tracemalloc.start()
     try:
-        pairs, = identities._table_pairs(values, [kind], [n])
+        pairs, = identities._table_pairs(lambda: values, [kind], [n])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -72,7 +73,7 @@ def test_hyperbola_sum_equals_double_loop(n_values):
     w[0] = c[0] = 0
     wl, cl = w.tolist(), c.tolist()
     for n in n_values:
-        pairs = [_accum.on_quotients(v.astype(float), n) for v in (w, c)]
+        pairs = [on_quotients(v.astype(float), n) for v in (w, c)]
         got = _accum.hyperbola_sum([(1, *pairs)])
         assert got == _brute_pair_sum(wl, cl, n), n
 
@@ -81,7 +82,7 @@ def test_hyperbola_sum_equals_double_loop(n_values):
 def test_on_quotients_equals_prefix_at_every_quotient(n):
     v = np.random.default_rng(n).standard_normal(n + 1)
     full = _accum.prefix_with_zero(v)
-    lo, hi = _accum.on_quotients(v, n)
+    lo, hi = on_quotients(v, n)
     r = math.isqrt(n)
     assert lo.tobytes() == full[:r + 1].tobytes()
     assert hi[0] == full[n]

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gcdsums as G
-from gcdsums import identities, stirling, tables
+from gcdsums import _accum, identities, stirling, tables
 from gcdsums.errors import DomainError
 from gcdsums.tables import parse_spec
 
@@ -230,7 +230,7 @@ def test_cached_slice_is_bit_identical(spec, n):
 def _direct_stirling(l_max):
     """A table from the row fills at exactly l_max."""
     rows = np.zeros((2, l_max + 1))
-    stirling._fill_log_factorial(rows[0])
+    _accum.prefix_rows(stirling._logs, l_max, rows[:1])
     stirling._fill_rho(rows[1])
     return stirling.StirlingTable(l_max, *rows)
 

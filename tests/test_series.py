@@ -186,15 +186,19 @@ def test_k_lists_are_one_pass_of_four_weights(tables, monkeypatch):
     passes, widths = [], set()
     real = series.quotient_prefixes
 
-    def record(weights, ns):
-        def counted(lo, hi):
-            n = 0
-            for w in weights(lo, hi):
-                n += 1
-                yield w
-            widths.add(n)
+    def record(open_pass, ns):
+        def counted_pass():
+            weights = open_pass()
+
+            def counted(lo, hi):
+                n = 0
+                for w in weights(lo, hi):
+                    n += 1
+                    yield w
+                widths.add(n)
+            return counted
         passes.append(ns)
-        return real(counted, ns)
+        return real(counted_pass, ns)
 
     monkeypatch.setattr(series, "quotient_prefixes", record)
     assert (series_theta_bracket(tables["id"], 3.0, ks),

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gcdsums as G
+from gcdsums import tables
 from gcdsums.errors import DomainError
 from gcdsums.tables import (MAX_NESTING, Kind, parse_spec, pointwise_log_spec,
                             pointwise_pow_spec)
@@ -49,6 +50,20 @@ def test_table_shape_and_immutability():
         with pytest.raises(AttributeError):
             setattr(record, name, None)
     assert G.MU != (Kind.MOEBIUS, None, ())
+
+
+@pytest.mark.parametrize("text", ["phi", "mu", "lambda", "idpow:0.5",
+                                  "conv:jordan:0.5,mu", "ptlog:one"])
+def test_blocks_table_indexes_as_its_sieve(text):
+    # a table from ``blocks`` reads one entry as a one-entry slice
+    spec, n = parse_spec(text), 100
+    whole, streamed = G.sieve(spec, n), tables.blocks(spec, n)
+    for m in (1, 2, 5, 64, 97, n):
+        assert streamed[m] == whole[m]
+    for table in (whole, streamed):
+        for m in (0, -1, n + 1):
+            with pytest.raises(DomainError):
+                table[m]
 
 
 def test_mobius_range_and_integrality():
