@@ -18,8 +18,8 @@ summation) is kept in a single place:
   a longdouble closed form Phi(v) - Phi(t), rounded once
   (``stirling.one_weight_sums``),
 - short heterogeneous sums use ``math.fsum``,
-- sums over the pairs d*l <= n go through ``hyperbola_sum``, which adds
-  every product once by ``math.fsum``.
+- sums over the pairs d*l <= n go through ``hyperbola_sum`` (each product
+  added once by ``math.fsum``); at every n // i, ``hyperbola_prefixes``.
 """
 
 import math
@@ -221,3 +221,36 @@ def hyperbola_sum(terms) -> float:
         corners.append(-sign * float(w_lo[-1] * c_lo[-1]))
     # a memoryview yields Python floats one at a time, with no list of them
     return math.fsum(chain(corners, *map(memoryview, products)))
+
+
+def hyperbola_prefixes(n: int, w_pair, c_pair):
+    """The ``quotient_prefixes`` pair at n of the Dirichlet product of two
+    weights, from their pairs W, C at n: at each quotient v, s = isqrt(v),
+
+        H(v) = sum_{d<=s} w(d) C(v//d) + sum_{l<=s} c(l) W(v//l) - W(s) C(s).
+
+    A quotient of a quotient of n is one of n, so the pairs hold every
+    prefix read; w and c are differences of lo, as in ``hyperbola_sum``.
+    The O(n^(3/4)) terms are formed about ``_BLOCK`` // 8 at a time, and
+    each v's summed in longdouble and rounded once: exact on integers.
+    """
+    r = len(w_pair[0]) - 1
+    # a quotient u at u up to r, and n // k at 2r + 1 - k past it
+    W, C = (np.concatenate((lo, hi[r:0:-1])).astype(np.longdouble)
+            for lo, hi in (w_pair, c_pair))
+    w, c = (np.diff(lo).astype(np.longdouble) for lo, _ in (w_pair, c_pair))
+    v = np.concatenate((np.arange(1, r + 1), n // np.arange(r, 0, -1)))
+    s = np.searchsorted(np.arange(1, r + 1) ** 2, v, side="right")
+    out = np.append(0.0, -W[s] * C[s])  # H(0), and H's corners
+    ends = np.cumsum(s)
+    cuts = np.searchsorted(ends, np.arange(_BLOCK // 8, ends[-1], _BLOCK // 8))
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(v)]):
+        heads = ends[a:b] - ends[a] + s[a] - s[a:b]
+        i = np.arange(heads[-1] + s[b - 1]) - np.repeat(heads, s[a:b])
+        q = np.repeat(v[a:b], s[a:b]) // (i + 1)
+        q = np.where(q <= r, q, 2 * r + 1 - n // q)  # where v // d is
+        terms = w[i] * C[q]
+        terms += c[i] * W[q]
+        out[a + 1:b + 1] += np.add.reduceat(terms, heads)
+    out = out.astype(np.float64)
+    return out[:r + 1], out[np.r_[2 * r, 2 * r:r:-1]]  # hi[0] = hi[1]

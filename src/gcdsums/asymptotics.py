@@ -41,10 +41,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._accum import _BLOCK, dot, ramp
+from ._accum import _BLOCK, dot, hyperbola_prefixes, hyperbola_sum, ramp
 from .errors import DomainError, require
-from .identities import (_hyperbola_sums, _one_pairs, _table_pairs,
-                         apostol_log_average_grid, apostol_log_average_terms)
+from .identities import (_hyperbola_sums, _one_pairs, apostol_log_average_grid,
+                         apostol_log_average_terms)
 from .tables import (ID, MU, ONE, PHI, VON_MANGOLDT, _primes_upto, blocks,
                      convolve, cut, id_pow, jordan, sieve_values, sigma_pow)
 from .zeta import LOG_SQRT_2PI, THETA_HI, THETA_LO, constants
@@ -61,59 +61,26 @@ def _floors(xs) -> list[int]:
 # divisor-problem remainders
 
 
-def _tau_prefixes(n: int, moments: int = 2) -> list:
-    """The ``quotient_prefixes`` pairs at n of tau(m) and of m tau(m) (or
-    the first ``moments``), by the integer hyperbola: with s = isqrt(v) and
-    T(u) = u (u + 1) / 2,
-
-        D(v) = sum_{m<=v} tau(m)   = 2 sum_{i<=s} floor(v/i) - s^2,
-        S(v) = sum_{m<=v} m tau(m) = 2 sum_{i<=s} i T(floor(v/i)) - T(s)^2,
-
-    in int64 at the 2 isqrt(n) + 1 quotients, each pair (v, i <= s) formed
-    by repeat ``_BLOCK`` // 8 or so at a time: O(n^(3/4)) work, no sieve.
-    Every partial sum up to ``MAX_SIEVE`` is an integer below 2^53, so its
-    float64 equals the longdouble prefix of the tau sieve.
-    """
-    r = math.isqrt(n)
-    # the points of hi (n // d for d = 1..r) then of lo (r..1); lo[0] is 0
-    v = np.concatenate((n // np.arange(1, r + 1), np.arange(r, 0, -1)))
-    s = np.searchsorted(np.arange(1, r + 1) ** 2, v, side="right")  # isqrt(v)
-    t = s * (s + 1) // 2
-    d_sum, s_sum, ends = -s * s, -t * t, np.cumsum(s)
-    cuts = np.searchsorted(ends, np.arange(_BLOCK // 8, ends[-1], _BLOCK // 8))
-    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(v)]):
-        heads = ends[a:b] - ends[a] + s[a] - s[a:b]
-        i = np.arange(1, heads[-1] + s[b - 1] + 1) - np.repeat(heads, s[a:b])
-        q = np.repeat(v[a:b], s[a:b]) // i
-        d_sum[a:b] += 2 * np.add.reduceat(q, heads)
-        if moments > 1:
-            s_sum[a:b] += 2 * np.add.reduceat(i * (q * (q + 1) // 2), heads)
-    return [(np.append(0.0, p[r:][::-1]), np.append(p[:1], p[:r]) * 1.0)
-            for p in (d_sum, s_sum)[:moments]]
-
-
-def _delta_prefixes(ns, a: float | None, primes=None):
-    """(the ``quotient_prefixes`` pair at each n of ns, ascending, smooth
-    part on arrays) of Delta's divisor sum: tau by ``_tau_prefixes`` for
-    a None, else sigma_a from one pass per run over its blocks, prepared
-    once."""
+def _delta_prefixes(ns, a: float | None):
+    """(the pair at each n of ns, smooth part on arrays) of Delta's sum of
+    tau, or of sigma_a with a: ``hyperbola_prefixes`` of n's own g = 1
+    pairs (count, count) or (l^a, count), which no grid moves; no sieve."""
     if a is None:
         slope = 2.0 * constants().gamma - 1.0
-        return ((_tau_prefixes(n, 1)[0] for n in ns),
-                lambda y: y * np.log(y) + slope * y)
-    a = _require_a(a)
-    sigma = blocks(sigma_pow(a), ns[-1], primes).values
-    return ((p["v"] for p in _table_pairs(lambda: sigma, ["v"], ns)),
-            lambda y: _sigma_a_smooth(y, a))
+        kind, smooth = "v", lambda y: y * np.log(y) + slope * y
+    else:
+        a = _require_a(a)
+        kind, smooth = "m^a", lambda y: _sigma_a_smooth(y, a)
+    return ((hyperbola_prefixes(n, p[kind], p["v"])
+             for n in ns for p in _one_pairs([n], a)), smooth)
 
 
 def divisor_delta(x: float) -> float:
     """Delta(x) = sum_{n<=x} tau(n) - (x log x + (2 gamma - 1) x)."""
-    pairs, _ = _delta_prefixes([cut(x)], None)
-    (_, hi), = pairs
-    gamma = constants().gamma
+    count = next(_one_pairs([cut(x)]))["v"]
     # math.log, not the smooth part's np.log, which rounds a few x otherwise
-    return float(hi[0]) - (x * math.log(x) + (2.0 * gamma - 1.0) * x)
+    smooth = x * math.log(x) + (2.0 * constants().gamma - 1.0) * x
+    return hyperbola_sum([(1, count, count)]) - smooth
 
 
 def delta_integral_ratio(big_x: float) -> float:
@@ -125,8 +92,11 @@ def delta_integral_ratio(big_x: float) -> float:
     require(big_x >= 2.0, "X must be >= 2")
     n = cut(big_x)
     gamma = constants().gamma
-    (_, t), (_, nt) = _tau_prefixes(n)
-    step_integral = big_x * float(t[0]) - float(nt[0])
+    count = next(_one_pairs([n]))["v"]
+    # sum_{m<=n} m tau(m) = H(U, U), U(u) = u (u + 1) / 2; exact products
+    u = tuple(v * (v + 1) / 2 for v in count)
+    step_integral = (big_x * hyperbola_sum([(1, count, count)])
+                     - hyperbola_sum([(1, u, u)]))
 
     def smooth_antiderivative(y: float) -> float:
         return (0.5 * y * y * math.log(y) - 0.25 * y * y
@@ -162,13 +132,12 @@ def divisor_delta_a_grid(xs, a: float) -> list[float]:
     hyperbola sum of l^a and of 1, both weights of the constant 1, so
     nothing is sieved."""
     a = _require_a(a)
+    xs = list(xs)  # read twice, so an iterator is listed first
     ns = _floors(xs)
-    order = sorted(range(len(ns)), key=ns.__getitem__)
-    out = [0.0] * len(ns)
-    for i, (s,) in zip(order, _hyperbola_sums(
-            [ns[i] for i in order], [[(1, (None, "m^a"), (None, "v"))]], a)):
-        out[i] = s - float(_sigma_a_smooth(xs[i], a))
-    return out
+    grid = sorted(set(ns))
+    sums = dict(zip(grid, _hyperbola_sums(
+        grid, [[(1, (None, "m^a"), (None, "v"))]], a)))
+    return [sums[n][0] - float(_sigma_a_smooth(x, a)) for x, n in zip(xs, ns)]
 
 
 def divisor_delta_a_series(x: float, a: float, n_terms: int) -> float:
@@ -194,17 +163,16 @@ def mu_delta_sum(x: float, kind: str, a: float | None = None,
     With ``a`` given, Delta_a replaces Delta.  ``log_factor=False`` drops
     the log(x/e) factor (the bare form corrects the unweighted summatory
     statistics; the weighted form corrects the log averages).  The grid
-    of one of ``mu_delta_grid``.
-    """
+    of one of ``mu_delta_grid``."""
     return mu_delta_grid([x], kind, a, log_factor)[0]
 
 
 def mu_delta_grid(xs, kind: str, a: float | None = None,
                   log_factor: bool = True, primes=None) -> list[float]:
-    """``mu_delta_sum`` at every x of xs, in any order, from one pass over
-    the weights' ``tables.blocks`` up to the largest x, which is checked
-    first.  With ``a``, Delta_a's pairs at every x come first, from one
-    pass over sigma_a's blocks; both read the primes given, if any.
+    """``mu_delta_sum`` at every x of xs, in any order: Delta's pairs at
+    every x from ``_delta_prefixes``, which sieves nothing, then one pass
+    over the weights' ``tables.blocks`` (the primes given, if any) up to
+    the largest x, which is checked first.
 
     Each x stays one term per n <= x, as each summand T(x/n) - smooth(x/n)
     cancels inside itself: a ``hyperbola_sum`` minus the smooth sum erred
@@ -226,11 +194,11 @@ def mu_delta_grid(xs, kind: str, a: float | None = None,
     """
     if kind not in _WEIGHT_SPECS:
         raise DomainError(f"unknown weight kind {kind!r}")
+    xs = list(xs)  # read twice, so an iterator is listed first
     ns = _floors(xs)
-    order = sorted(range(len(ns)), key=ns.__getitem__)
-    pairs, smooth = _delta_prefixes([ns[i] for i in order], a, primes)
-    pairs = dict(zip(order, pairs))  # sigma_a's pass ends before wv's
-    top = ns[order[-1]]
+    pairs, smooth = _delta_prefixes(ns, a)
+    pairs = list(pairs)  # every x's, before wv's blocks
+    top = max(ns)
     wv = blocks(_WEIGHT_SPECS[kind], top, primes).values
     narr, weights, deltas = np.empty((3, min(_BLOCK, top)))  # the pass's
     partials = [[] for _ in ns]
@@ -238,8 +206,7 @@ def mu_delta_grid(xs, kind: str, a: float | None = None,
         size = min(_BLOCK, top - lo)
         wv.fill(weights[:size], lo + 1)
         weights[:size] /= ramp(narr[:size], lo + 1)
-        for i in order:
-            x, n, (p_lo, p_hi) = xs[i], ns[i], pairs[i]
+        for i, (x, n, (p_lo, p_hi)) in enumerate(zip(xs, ns, pairs)):
             if n <= lo:
                 continue
             hi = min(lo + _BLOCK, n)
@@ -305,10 +272,10 @@ class Target:
     the blocks share, no x-long array.  ``main(x, a, theta)`` is the
     displayed main term with the slot at theta.  A log average keeps its
     (f, g) specs in ``pair(a)``; a statistic leaves it None.  The
-    mu-weighted Delta correction
-    (``correction(xs, a)``, one ``mu_delta_grid`` call for a grid) sums
-    ``weight`` against Delta (Delta_a where ``needs_a``), times log(x/e)
-    for a log average.  Both take the primes up to the largest x, to share.
+    mu-weighted Delta correction (``correction(xs, a)``, one
+    ``mu_delta_grid`` call for a grid) sums ``weight`` against Delta
+    (Delta_a where ``needs_a``), times log(x/e) for a log average.  Both
+    take the primes up to the largest x, for the weight mu * mu to share.
     """
 
     name: str
@@ -620,7 +587,8 @@ class ResidualScan(NamedTuple):
 
 
 def residual_scan(target: str, grid, a: float | None = None) -> ResidualScan:
-    """Scan a target over an ascending grid of x values."""
+    """Scan a target over an ascending grid of x values: its exact side
+    and Delta correction, each one call for the whole grid."""
     grid = np.asarray(list(grid), dtype=np.float64)
     require(len(grid) >= 1, "grid is empty")
     require(bool(np.all(np.diff(grid) > 0)), "grid must be strictly ascending")
@@ -628,11 +596,10 @@ def residual_scan(target: str, grid, a: float | None = None) -> ResidualScan:
 
     t, a = _lookup(target, a)
     # the largest x is checked first, so an x out of range fails before
-    # any sieve; the exact side is one call for the whole grid.  It shares
-    # one list of the primes up to there with a correction that builds a
-    # product (mu * mu, or sigma_a): mu lists the few it needs itself
-    shared = t.weight == "mu_star_mu" or (t.weight and t.needs_a)
-    primes = _primes_upto(cut(grid[-1])) if shared else None
+    # any sieve; the exact side shares one list of the primes up to there
+    # with the weight mu * mu (mu lists the few it needs itself)
+    primes = (_primes_upto(cut(grid[-1])) if t.weight == "mu_star_mu"
+              else None)
     exact, rem = t.parts(grid, a, primes)
     main0 = np.array([t.main(x, a, THETA_LO) for x in grid])
     main_hi = np.array([t.main(x, a, THETA_HI) for x in grid])

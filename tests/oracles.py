@@ -1,9 +1,9 @@
 """Independent test oracles.
 
-Everything here is deliberately written without touching the production
-sieves or series accelerations: naive divisor enumeration, trial-division
-factorization, Euler-Maclaurin zeta, and harmonic-sum extrapolation for
-Euler's constant.
+Everything here but the former routes named last below is deliberately
+written without touching the production sieves or series accelerations:
+naive divisor enumeration, trial-division factorization, Euler-Maclaurin
+zeta, and harmonic-sum extrapolation for Euler's constant.
 
 The ``loop_*`` functions are the plain sieve loops (one Python iteration
 per divisor or prime up to n) that the production kernels replaced; the
@@ -25,8 +25,14 @@ sum in ``np.longdouble``; they take the f and g values (and rho) as given.
 factorization of n and its rule at each prime power, in mpmath.
 
 ``mp_one_prefix`` is the exact prefix sum of a g = 1 weight of the
-six-term expansion, and ``mp_power_prefix`` that of l^a, from mpmath's
-special functions.
+six-term expansion, ``mp_power_prefix`` that of l^a, from mpmath's
+special functions, and ``mp_sigma_a_sum`` the sum of sigma_a over its
+floor groups of l^a prefixes.
+
+``integer_tau_prefixes`` and ``sieved_sigma_a_prefixes`` are the two
+routes that Delta's divisor sums at the quotients took before
+``_accum.hyperbola_prefixes``: tau's by the integer hyperbola in int64,
+and sigma_a's from one pass over its sieved blocks.
 
 ``anderson_apostol`` and ``ramanujan_sum`` are s_k(j) and c_k(j) at one
 (k, j) by the divisors of gcd(k, j), mu by trial division
@@ -47,9 +53,10 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from gcdsums._accum import quotient_prefixes
+from gcdsums._accum import _BLOCK, quotient_prefixes
 from gcdsums.errors import require
-from gcdsums.tables import FunctionTable, cut, divisors_of
+from gcdsums.identities import _table_pairs
+from gcdsums.tables import FunctionTable, blocks, cut, divisors_of, sigma_pow
 
 # Bernoulli numbers B_2, B_4, ..., B_16
 _BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
@@ -468,6 +475,40 @@ def on_quotients(values: np.ndarray, n: int):
     return pair
 
 
+def integer_tau_prefixes(n: int):
+    """The ``quotient_prefixes`` pairs at n of tau(m) and of m tau(m), by
+    the integer hyperbola: with s = isqrt(v) and T(u) = u (u + 1) / 2,
+
+        D(v) = sum_{m<=v} tau(m)   = 2 sum_{i<=s} floor(v/i) - s^2,
+        S(v) = sum_{m<=v} m tau(m) = 2 sum_{i<=s} i T(floor(v/i)) - T(s)^2,
+
+    in int64 at the 2 isqrt(n) + 1 quotients, each pair (v, i <= s) formed
+    by repeat ``_BLOCK`` // 8 or so at a time.  Every partial sum up to
+    10^7 is an integer below 2^53, so its float64 is exact."""
+    r = math.isqrt(n)
+    # the points of hi (n // d for d = 1..r) then of lo (r..1); lo[0] is 0
+    v = np.concatenate((n // np.arange(1, r + 1), np.arange(r, 0, -1)))
+    s = np.searchsorted(np.arange(1, r + 1) ** 2, v, side="right")  # isqrt(v)
+    t = s * (s + 1) // 2
+    d_sum, s_sum, ends = -s * s, -t * t, np.cumsum(s)
+    cuts = np.searchsorted(ends, np.arange(_BLOCK // 8, ends[-1], _BLOCK // 8))
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(v)]):
+        heads = ends[a:b] - ends[a] + s[a] - s[a:b]
+        i = np.arange(1, heads[-1] + s[b - 1] + 1) - np.repeat(heads, s[a:b])
+        q = np.repeat(v[a:b], s[a:b]) // i
+        d_sum[a:b] += 2 * np.add.reduceat(q, heads)
+        s_sum[a:b] += 2 * np.add.reduceat(i * (q * (q + 1) // 2), heads)
+    return [(np.append(0.0, p[r:][::-1]), np.append(p[:1], p[:r]) * 1.0)
+            for p in (d_sum, s_sum)]
+
+
+def sieved_sigma_a_prefixes(ns, a: float) -> list:
+    """The ``quotient_prefixes`` pair of sigma_a at each n of ns
+    (ascending), from one pass per run over the blocks of its sieve."""
+    sigma = blocks(sigma_pow(a), ns[-1]).values
+    return [p["v"] for p in _table_pairs(lambda: sigma, ["v"], ns)]
+
+
 def whole_array_on_quotients(values: np.ndarray, n: int):
     """(lo, hi) of ``on_quotients`` from one full-length longdouble
     prefix: lo[i] = P(i) for i <= isqrt(n), hi[d] = P(n // d), hi[0] = P(n)."""
@@ -680,6 +721,20 @@ def mp_power_prefix(v: int, a: float):
         return _mp_power_direct(a)[v]
     with mpmath.workdps(_MP_DIGITS):
         return _mp_zeta(-a) - mpmath.zeta(-a, v + 1)
+
+
+def mp_sigma_a_sum(v: int, a: float):
+    """sum_{m<=v} sigma_a(m) = sum_{d<=v} d^a floor(v/d), exact to 30
+    digits, over the floor groups: q times the l^a prefixes
+    (``mp_power_prefix``) at the ends of the d with floor(v/d) = q."""
+    with mpmath.workdps(_MP_DIGITS):
+        total, below, d = mpmath.mpf(0), mpmath.mpf(0), 1
+        while d <= v:
+            q = v // d
+            end = mp_power_prefix(v // q, a)
+            total += q * (end - below)
+            below, d = end, v // q + 1
+        return total
 
 
 def ulps_from(got: float, exact) -> float:

@@ -5,7 +5,9 @@ refers to ``_runs``, the split of a grid into passes, and only ``_accum``
 chains ``running_sum``, the extended-precision running sums behind every
 prefix.  The one exception is the Dirichlet series' log l!
 (``series._weights``), a running sum carried from block to block inside
-a weight, not a weight's prefix.
+a weight, not a weight's prefix.  Only ``_accum`` refers to
+``reduceat``, by which ``hyperbola_prefixes`` sums each quotient's
+terms, so every hyperbola sum is formed there.
 """
 
 import ast
@@ -41,3 +43,7 @@ def test_only_accum_splits_a_grid_into_runs():
 
 def test_only_accum_chains_running_sums():
     assert _references("running_sum") == _EXCEPTIONS
+
+
+def test_only_accum_forms_hyperbola_sums_by_reduceat():
+    assert _references("reduceat") == set()

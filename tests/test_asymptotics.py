@@ -11,7 +11,8 @@ from gcdsums.asymptotics import (SCAN_TARGETS, STATISTICS, calibrate,
                                  divisor_delta_a_series,
                                  delta_integral_ratio, limit_ratio_grid,
                                  load_calibration, main_term,
-                                 mu_delta_sum, residual_scan, standard_grid,
+                                 mu_delta_grid, mu_delta_sum, residual_scan,
+                                 standard_grid,
                                  summatory, tau_gcd_log_avg_routes,
                                  write_calibration)
 from gcdsums.errors import DomainError
@@ -324,6 +325,17 @@ def test_delta_a_grid_in_any_order_equals_points():
     assert got == [divisor_delta_a(x, -0.5) for x in xs]
     with pytest.raises(DomainError):
         divisor_delta_a_grid([1e3, 2e7], -0.5)
+
+
+@pytest.mark.parametrize("grid", [
+    lambda xs: divisor_delta_a_grid(xs, -0.5),
+    lambda xs: mu_delta_grid(xs, "mu", -0.5),
+    lambda xs: mu_delta_grid(xs, "mu_star_mu")],
+    ids=["delta_a", "mu", "mu_mu"])
+def test_delta_grid_of_a_generator_equals_its_list(grid):
+    # each reads its xs more than once, so a generator is listed first
+    xs = [5000.0, 1000.5, 7e4]
+    assert grid(x for x in xs) == grid(xs)
 
 
 def test_residual_scan_theta_envelope_order():

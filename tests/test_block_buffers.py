@@ -99,10 +99,11 @@ def test_prime_values_from_the_row_of_p_alone(text):
 
 @pytest.mark.parametrize("target, a, shared", [
     ("jordan-log-avg", -0.5, True), ("jordan_phi", -0.5, True),
-    ("idpow-log-avg", -0.5, True), ("id-log-avg", None, False)])
+    ("idpow-log-avg", -0.5, False), ("id-log-avg", None, False)])
 def test_scan_lists_its_primes_once(monkeypatch, target, a, shared):
-    # the exact side's table and a correction's products (mu * mu, sigma_a)
-    # read one list; mu takes its head, or lists the few it needs itself
+    # the exact side's table and a correction's product mu * mu read one
+    # list; mu takes its head, or lists the few it needs itself, and
+    # Delta_a's divisor sum sieves nothing
     calls = []
     real = tables._primes_upto
 
@@ -158,8 +159,13 @@ def test_nonnegative_f_takes_its_f_over_d_pair(text, rule):
 
 @pytest.mark.parametrize("n", [1, 2, 1024, 10 ** 6 + 3])
 def test_tau_count_prefixes_alone(n):
-    (alone,), (d, _) = asymptotics._tau_prefixes(n, 1), asymptotics._tau_prefixes(n)
-    assert all(_same_bytes(a, b) for a, b in zip(alone, d))
+    # Delta's pairs at n alone are n's in a grid whose largest x would size
+    # a wider g = 1 table: the sums of tau, and of sigma_a, whose l^a
+    # prefixes above a table are closed forms an ulp from the table's
+    for a in (None, -0.9, -0.1):
+        (alone,), _ = asymptotics._delta_prefixes([n], a)
+        (_, d, _), _ = asymptotics._delta_prefixes([1, n, 10 ** 7], a)
+        assert all(_same_bytes(x, y) for x, y in zip(alone, d)), a
 
 
 def test_id_log_avg_exact_side_peak_not_above_per_block_allocation():

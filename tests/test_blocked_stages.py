@@ -1,30 +1,30 @@
 """The blocked O(x) stages of a scan against their whole-array forms.
 
-``mu_delta_sum``, the prefix sums at the quotients (``on_quotients``, the
-six-term weights of ``apostol_log_average_terms``, the Dirichlet series'
-weights and the exact sides of the statistics and the Delta diagnostics)
-and the Stirling rows work a block of ``_accum._BLOCK`` at a time.  Each
-must give the bytes of the whole-array form in ``oracles`` at sizes around
-the block edge; past one block, ``mu_delta_sum``, whose partial dots add
-in another order, must instead come within a few ulps of the exact sum
-of its terms.  Each must peak at the tables it is given plus its
-declared count of n-length arrays (the tables it builds among them), its
-declared count of blocks and, for the one pass over a whole grid, its
-declared quotient-set floats, and each sieve build at its result and live
-operands plus a few blocks (a product of prime powers at its result, a
-block and a few floats per prime).  The pass over a grid must give the bytes of
-the passes over its points one at a time, and rho formed per block the
-bytes of the rho row.  The constant
-1 formed per block (in the series and the per-k reference) must equal
-the ONE sieve, and tau's prefixes by the integer hyperbola the tau
-sieve's, by bytes.  The g = 1 six-term prefixes must equal the ONE
-sieve's by bytes up to n = 1024 and, closed forms past their table,
-within an ulp; f = g = 1 must hold no array of length x.  The exact
-sides that are hyperbola sums of those g = 1 prefixes (five divisor
-statistics, ``power_sum`` and ``Delta_a``) sieve nothing, and the
-sieved whole-array prefix stays their oracle: each must come within 4
-ulps of it, relative.  The other statistics, hyperbola sums of their two
-operands, must come within 2 ulps of it, and build no table of their
+``mu_delta_sum``, the prefix sums at the quotients (``on_quotients``,
+the six-term weights of ``apostol_log_average_terms``, the Dirichlet
+series' weights and the exact sides of the statistics and the Delta
+diagnostics) and the Stirling rows work a block of ``_accum._BLOCK`` at
+a time.  Each must give the bytes of the whole-array form in ``oracles``
+at sizes around the block edge; past one block, ``mu_delta_sum``, whose
+partial dots add in another order, must instead come within a few ulps
+of the exact sum of its terms.  Each must peak at the tables it is given
+plus its declared count of n-length arrays (the tables it builds among
+them), its declared count of blocks and, for the one pass over a whole
+grid, its declared quotient-set floats, and each sieve build at its
+result and live operands plus a few blocks (a product of prime powers at
+its result, a block and a few floats per prime).  The pass over a grid
+must give the bytes of the passes over its points one at a time, and rho
+formed per block the bytes of the rho row.  The constant 1 formed per
+block (in the series and the per-k reference) must equal the ONE sieve,
+and tau's prefixes by ``hyperbola_prefixes`` the tau sieve's and the
+integer hyperbola's, by bytes.  The g = 1 six-term prefixes must equal
+the ONE sieve's by bytes up to n = 1024 and, closed forms past their
+table, within an ulp; f = g = 1 must hold no array of length x.  The
+exact sides that are hyperbola sums of those g = 1 prefixes (five
+divisor statistics, ``power_sum`` and ``Delta_a``) sieve nothing, and
+the sieved whole-array prefix stays their oracle: each must come within
+4 ulps of it, relative.  The other statistics, hyperbola sums of their
+two operands, must come within 2 ulps of it, and build no table of their
 product.
 """
 
@@ -46,11 +46,12 @@ from gcdsums.tables import (DIVISOR_LOG, ID, LOG, MU, ONE, PHI, SIGMA, TAU,
                             pointwise_pow_spec, sieve_values, sigma_pow)
 from gcdsums.zeta import constants
 
-from oracles import (blockwise_longdouble_sum, fsum_mu_delta, on_quotients,
-                     series_rhs_terms, split_convolve,
-                     whole_array_average_pairs, whole_array_mu_delta,
-                     whole_array_on_quotients, whole_array_prefix,
-                     whole_array_rho, whole_array_stirling)
+from oracles import (blockwise_longdouble_sum, fsum_mu_delta,
+                     integer_tau_prefixes, on_quotients, series_rhs_terms,
+                     split_convolve, whole_array_average_pairs,
+                     whole_array_mu_delta, whole_array_on_quotients,
+                     whole_array_prefix, whole_array_rho,
+                     whole_array_stirling)
 
 _B = _accum._BLOCK
 SIZES = [1, _B - 1, _B, _B + 1, 10 ** 6 + 7, 100.5]
@@ -78,7 +79,13 @@ def test_mu_delta_sum_equals_whole_array_form(x, kind, weight, a):
         def smooth(y):
             return y * np.log(y) + slope * y
     else:
-        prefix = whole_array_prefix(sieve_values(sigma_pow(a), n), n)
+        # the pairs mu_delta_sum reads, on the quotients of n: the blocked
+        # dot is checked here, and the pairs against their oracles in
+        # test_hyperbola
+        (lo, hi), = asymptotics._delta_prefixes([n], a)[0]
+        prefix = np.zeros(n + 1)
+        prefix[:len(lo)] = lo
+        prefix[n // np.arange(1, len(hi))] = hi[1:]
 
         def smooth(y):
             return asymptotics._sigma_a_smooth(y, a)
@@ -240,8 +247,8 @@ def test_series_and_per_k_reference_with_one_equal_one_sieve(n):
 
 
 # perfect squares (1, 4, 1024, 10^6) and the block and capacity edges
-_TAU_N = [1, 2, 3, 4, 5, 1023, 1024, 1025, 999_999, 10 ** 6, 3_000_017,
-          9_999_991, 10 ** 7]
+_TAU_N = [1, 2, 3, 4, 5, 1023, 1024, 1025, 65537, 999_999, 10 ** 6,
+          3_000_017, 9_999_991, 10 ** 7]
 
 
 @pytest.fixture(scope="module")
@@ -251,10 +258,17 @@ def tau_values():
 
 @pytest.mark.parametrize("n", _TAU_N)
 def test_tau_prefixes_equal_tau_sieve_prefixes(tau_values, n):
-    d_pair, s_pair = asymptotics._tau_prefixes(n)
+    # sum tau = H(count, count) and sum m tau(m) = H(T, T), T(u) =
+    # u (u + 1) / 2, by ``hyperbola_prefixes`` as the Delta sides form
+    # them: the bytes of the sieve's prefixes and of the integer hyperbola
+    (d_pair,), _ = asymptotics._delta_prefixes([n], None)
+    count = next(identities._one_pairs([n]))["v"]
+    t = tuple(u * (u + 1) / 2 for u in count)
+    s_pair = _accum.hyperbola_prefixes(n, t, t)
     assert _same_pairs([d_pair], [whole_array_on_quotients(tau_values, n)])
     m_tau = tau_values[:n + 1] * np.arange(n + 1)
     assert _same_pairs([s_pair], [whole_array_on_quotients(m_tau, n)])
+    assert _same_pairs([d_pair, s_pair], integer_tau_prefixes(n))
 
 
 @pytest.mark.parametrize("k", [1, 7, _B - 1, _B, _B + 1, 3 * _B + 5])
@@ -494,6 +508,12 @@ def _id_mu_blocks():
     return tables.blocks(G.ID, _N), tables.blocks(G.MU, _N)
 
 
+@functools.cache
+def _count():
+    """The count's pair at _N, the g = 1 weight 1, built once."""
+    return next(identities._one_pairs([_N]))["v"]
+
+
 def _terms():
     return identities.apostol_log_average_terms(*_id_mu(), float(_N))
 
@@ -517,17 +537,19 @@ _PRIMES_20 = len(tables._primes_upto(1 << 20))
 
 _STAGES = {
     # a block of the mu weights and the Delta values, one dot each, and
-    # with a, sigma_a's pairs at the quotients; the weights and sigma_a
-    # are read a block at a time, and the Delta values formed an eighth
-    # of a block at a time into a block of the pass's
+    # Delta's pairs at the quotients, with a sigma_a's from the g = 1
+    # table (seven rows of 1025 floats); the weights are read a block at
+    # a time, and the Delta values formed an eighth of a block at a time
+    # into a block of the pass's
     "mu_delta_sum": (
         lambda: asymptotics.mu_delta_sum(_N, "mu"), 1 + 1 / 8, 1, 0),
     "mu_delta_sum_a": (lambda: asymptotics.mu_delta_sum(_N, "mu", -0.5),
-                       1 + 1 / 8, 1, _quotient_floats([_N])),
-    # the same over a grid, declared in blocks: sigma_a's pass, then the
-    # pass's n, weights and Delta blocks with the fill's and the eighth
-    # blocks' temporaries, every x's pairs and, for mu*mu, what its blocks
-    # share (measured 4.39 and 4.08 blocks)
+                       1 + 1 / 8, 1, _quotient_floats([_N]) + 7 * 1025),
+    # the same over a grid, declared in blocks: Delta_a's pairs from
+    # ``hyperbola_prefixes``, then the pass's n, weights and Delta blocks
+    # with the fill's and the eighth blocks' temporaries, every x's pairs
+    # and, for mu*mu, what its blocks share (measured 4.38 and 4.08
+    # blocks; no sigma_a table)
     "mu_delta_grid_mu": (
         lambda: asymptotics.mu_delta_grid(_GEOM_N, "mu", -0.5), 0, 5,
         _quotient_floats(_GEOM_N)),
@@ -605,7 +627,15 @@ _STAGES = {
     "statistic_two_operands": (
         lambda: asymptotics.summatory("phi_lambda", _N), 0, 2.25,
         3 * _PRIMES + _quotient_floats([_N])),
-    # tau's prefixes at the quotients: O(isqrt(n)) entries, no sieve
+    # the Dirichlet product at every quotient: its chunks of about an
+    # eighth of a block of terms, ten floats each (the indices and the
+    # longdouble products), and a few longdouble arrays over the
+    # quotients; no array of the O(n^(3/4)) terms (measured 1.43 blocks)
+    "hyperbola_prefixes": (
+        lambda: _accum.hyperbola_prefixes(_N, _count(), _count()), 0, 1.5,
+        8 * _quotient_floats([_N])),
+    # sum tau and sum m tau(m) at n, two hyperbola sums of the g = 1
+    # table's count pair: no sieve
     "delta_integral_ratio": (
         lambda: asymptotics.delta_integral_ratio(_N), 0, 1, 0),
     # the log l! row: the result, one row of n + 1 entries, and an eighth

@@ -7,8 +7,9 @@ promised is promised by the builds themselves: a build at n equals the
 first n + 1 entries of any wider build, bit for bit, so a scan's values
 do not depend on the size or order its points are evaluated in.  A scan
 builds each table once: its exact side for the largest x, and its Delta
-correction (``mu_delta_grid``) its weight sieve, and sigma_a for
-``Delta_a``, once for the whole grid.
+correction (``mu_delta_grid``) its weight sieve, once for the whole grid.
+Delta's divisor sum, sigma_a for ``Delta_a`` as tau for ``Delta``, is a
+hyperbola sum of the g = 1 pairs, so no scan builds a sigma_a table.
 """
 
 from collections import Counter
@@ -134,8 +135,7 @@ _GRID = [1e3, 7e3, 2e4]
 @pytest.mark.parametrize("target, a, specs", [
     ("id-log-avg", None, ["phi", "mu"]),
     ("id_phi", None, ["phi", "mu"]),
-    ("jordan-log-avg", -0.5,
-     ["conv:conv:mu,idpow:0.5,mu", "conv:mu,mu", "sigmapow:-0.5"])])
+    ("jordan-log-avg", -0.5, ["conv:conv:mu,idpow:0.5,mu", "conv:mu,mu"])])
 def test_delta_corrected_scan_builds_each_table_once(monkeypatch, target, a,
                                                      specs):
     # the exact side and the Delta correction each prepare their tables'
@@ -180,14 +180,32 @@ def test_statistic_builds_its_operands_not_their_product(monkeypatch, name):
 
 
 def test_jordan_scan_sieves_no_mu(monkeypatch):
-    # conv:jordan:0.5,mu (the exact side), sigma_{-1/2} (for Delta_a) and
-    # conv:mu,mu (the Delta weights) are each one product of prime powers
-    # at the largest x, and none of them sieves mu
+    # conv:jordan:0.5,mu (the exact side) and conv:mu,mu (the Delta
+    # weights) are each one product of prime powers at the largest x, and
+    # neither sieves mu
     builds = _recording(monkeypatch, "_block_fill")
     asymptotics.residual_scan("jordan-log-avg", [1e3, 2e4], -0.5)
     assert Counter(builds) == Counter(
         (parse_spec(text), 20000)
-        for text in ("conv:jordan:0.5,mu", "sigmapow:-0.5", "conv:mu,mu"))
+        for text in ("conv:jordan:0.5,mu", "conv:mu,mu"))
+
+
+def _holds_sigma_pow(spec):
+    return (spec.kind is tables.Kind.SIGMA_POW
+            or any(map(_holds_sigma_pow, spec.operands)))
+
+
+_TARGETS = {**asymptotics.SCAN_TARGETS, **asymptotics.STATISTICS}
+
+
+@pytest.mark.parametrize("target", sorted(_TARGETS))
+def test_scan_builds_no_sigma_pow_table(monkeypatch, target):
+    # Delta_a's sum of sigma_a is H(l^a, count) of the g = 1 pairs, and no
+    # exact side reads a sigma_a table either
+    calls = _recording(monkeypatch, "_block_fill")
+    a = -0.5 if _TARGETS[target].needs_a else None
+    asymptotics.residual_scan(target, _GRID, a)
+    assert not [spec for spec, _ in calls if _holds_sigma_pow(spec)]
 
 
 @pytest.mark.parametrize("text", ["id", "phi", "idpow:0.5", "log"])
