@@ -5,14 +5,19 @@ these, so the numerical contract (pairwise or extended-precision
 summation) is kept in a single place:
 
 - ``np.dot`` / ``np.sum`` already use pairwise blocking,
-- long running prefix sums are done in ``np.longdouble`` and rounded
-  once, chained by ``running_sum`` an eighth of a block at a time in a
-  workspace of ``_BLOCK // 8`` entries, and only here: a whole row by
-  ``prefix_rows``, and at the quotients n // i of a grid by
-  ``quotient_prefixes``, one blocked pass per run of the grid, which
-  opens its tables and block buffers when it starts and drops them when
-  it ends, so nothing is cached between passes (the one other chain is
-  the Dirichlet series' log l!, carried from block to block),
+- every prefix sum follows one rule, ``chained_sums``, and is rounded
+  once: each eighth of a block, in a workspace of ``_BLOCK // 8``
+  entries, is summed from zero by one longdouble cumsum, and the sum
+  before it is carried as a longdouble pair (hi, lo), advanced by the
+  eighth's pairwise longdouble sum through TwoSum, so no term is lost
+  below an ulp of the total.  Only here: a whole row by ``prefix_rows``,
+  which adds hi + lo to every entry, and at the quotients n // i of a
+  grid by ``quotient_prefixes``, which adds it to the entries it
+  samples and sums each eighth no further than the last of them, one
+  blocked pass per run of the grid that opens its tables and block
+  buffers when it starts and drops them when it ends, so nothing is
+  cached between passes (the one other caller is the Dirichlet series'
+  log l!, summed from block to block),
 - a prefix of a smooth weight past a table (a weight of the constant 1,
   ``identities._one_pairs``) is the table's longdouble sum P(t) plus
   a longdouble closed form Phi(v) - Phi(t), rounded once
@@ -34,17 +39,26 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b))
 
 
-def running_sum(block: np.ndarray, total, out: np.ndarray) -> np.ndarray:
-    """block's cumulative sums in longdouble, seeded with ``total`` (the
-    sum of everything before it), in the head of out, a longdouble buffer
-    of the caller's (a workspace of ``_BLOCK // 8`` entries, the block
-    given a slice at a time).  Chained over consecutive blocks, with each
-    result's last entry as the next total, these make the same additions
-    in the same order as one longdouble ``np.cumsum``."""
+def chained_sums(block, carry, out: np.ndarray, upto=None):
+    """block's running sums from zero, one longdouble cumsum into the head
+    of out (a workspace of ``_BLOCK // 8`` entries, the block given a
+    slice at a time), and the sum of everything before block, which the
+    caller adds to the sums it reads.  That sum is kept in ``carry``, a
+    longdouble pair [hi, lo], and returned as hi + lo; this advances it
+    by block's pairwise longdouble sum through TwoSum (Knuth, TAOCP
+    vol. 2, 4.2.2), so no term is lost below an ulp of the total and no
+    rounding of the cumsum is carried on.  As the carry does not read
+    the cumsum, it stops at entry ``upto`` where given (the entries past
+    it are left as block's values)."""
     sums = out[:len(block)]
     sums[:] = block
-    sums[0] += total
-    return np.cumsum(sums, out=sums)
+    total = np.sum(sums)
+    np.cumsum(sums[:upto], out=sums[:upto])
+    hi, lo = carry
+    carry[0] = hi + total
+    t = carry[0] - hi
+    carry[1] = lo + ((hi - (carry[0] - t)) + (total - t))
+    return sums, hi + lo
 
 
 def ramp(out: np.ndarray, lo: int) -> np.ndarray:
@@ -76,19 +90,18 @@ def prefix_rows(weights, n: int, rows: np.ndarray) -> list:
     precision and rounded once, for the weights w_k that ``weights(lo,
     hi)`` gives at lo..hi-1, an iterable of arrays in the order of rows;
     column 0 is left as it is.  It is asked for an eighth of ``_BLOCK``
-    at a time, in ascending order, and each array is chained by
-    ``running_sum`` before the next is asked for, in one longdouble
-    workspace of ``_BLOCK // 8`` entries.  Returns each weight's
-    longdouble sum up to n."""
-    totals = [np.longdouble(0.0)] * len(rows)
+    at a time, in ascending order, and each array is summed by
+    ``chained_sums`` before the next is asked for, in one longdouble
+    workspace of ``_BLOCK // 8`` entries, every entry carried.  Returns
+    each weight's longdouble sum up to n."""
+    carries = [[np.longdouble(0.0)] * 2 for _ in rows]
     buf = np.empty(min(_BLOCK // 8, n), np.longdouble)
     for lo in range(1, n + 1, _BLOCK // 8):
         hi = min(lo + _BLOCK // 8, n + 1)
         for k, block in enumerate(weights(lo, hi)):
-            sums = running_sum(block, totals[k], buf)
-            rows[k, lo:hi] = sums
-            totals[k] = sums[-1]
-    return totals
+            sums, before = chained_sums(block, carries[k], buf)
+            rows[k, lo:hi] = np.add(sums, before, out=sums)
+    return [hi + lo for hi, lo in carries]
 
 
 def prefix_with_zero(values: np.ndarray) -> np.ndarray:
@@ -129,35 +142,42 @@ def _runs(ns: list[int]):
 
 def _one_pass(weights, ns: list[int]) -> list[list]:
     """The pairs of every n of ns (ascending, distinct), from one blocked
-    pass up to max(ns): each weight block is summed an eighth at a time,
-    and the running sums are sampled at every n's quotients (lo, hi and
-    hi[0]) in the eighth they land in."""
+    pass up to max(ns): each weight block is summed an eighth at a time
+    by ``chained_sums``, up to the last entry any n samples there, and
+    the sums that land in it at every n's quotients (lo, hi and hi[0])
+    are carried and sampled."""
     rs = [math.isqrt(n) for n in ns]
     pairs = [[] for _ in ns]  # per n, per weight: (lo, hi)
-    totals, buf = [], np.empty(_BLOCK // 8, np.longdouble)
+    carries, buf = [], np.empty(_BLOCK // 8, np.longdouble)
     for start in range(1, ns[-1] + 1, _BLOCK):
         stop = min(start + _BLOCK, ns[-1] + 1)
         live = [(p, n, r) for p, n, r in zip(pairs, ns, rs) if n >= start]
+        eighths = [(a, min(a + _BLOCK // 8, stop))
+                   for a in range(start, stop, _BLOCK // 8)]
+        # the sums an eighth needs: no n samples past its last quotient
+        # below b, nor lo past r
+        uptos = [max([0] + [max(min(r, b - 1), n // (n // b + 1)) + 1 - a
+                            for _, n, r in live]) for a, b in eighths]
         for k, block in enumerate(weights(start, stop)):
-            if k == len(totals):
-                totals.append(np.longdouble(0.0))
+            if k == len(carries):
+                carries.append([np.longdouble(0.0)] * 2)
                 for p, r in zip(pairs, rs):
                     p.append((np.zeros(r + 1), np.empty(r + 1)))
-            for a in range(start, stop, _BLOCK // 8):
-                b = min(a + _BLOCK // 8, stop)
-                sums = running_sum(block[a - start:b - start], totals[k], buf)
-                totals[k] = sums[-1]
+            for (a, b), upto in zip(eighths, uptos):
+                sums, before = chained_sums(block[a - start:b - start],
+                                            carries[k], buf, upto)
                 for p, n, r in live:
                     lo, hi = p[k]
                     if a <= r:
-                        lo[a:min(r + 1, b)] = sums[:r + 1 - a]
+                        np.add(sums[:r + 1 - a], before,
+                               out=lo[a:min(r + 1, b)])
                     # hi[d] = P(n // d) for the d <= r with n // d in [a, b)
                     d_lo, d_hi = n // b + 1, min(n // a, r)
                     if d_lo <= d_hi:
-                        hi[d_lo:d_hi + 1] = sums[n // np.arange(d_lo, d_hi + 1)
-                                                 - a]
+                        at = n // np.arange(d_lo, d_hi + 1) - a
+                        np.add(sums[at], before, out=hi[d_lo:d_hi + 1])
                     if a <= n < b:
-                        hi[0] = sums[n - a]
+                        hi[0] = sums[n - a] + before
     return pairs
 
 
@@ -177,15 +197,15 @@ def quotient_prefixes(open_pass, ns):
     run's pairs are yielded: the tables of two passes never live at once.
     ``ns`` is ascending and may repeat an n.  This yields, for each n of
     ns in turn, the list of its pairs, one per weight; a repeated n yields
-    the same list again.  Each weight's running sums are chained with
-    ``running_sum`` and sampled at the quotients of every n as its blocks
-    pass.  Each array is read before the next is asked for, so
+    the same list again.  Each weight's prefix sums are formed by
+    ``chained_sums`` and sampled at the quotients of every n as its
+    blocks pass.  Each array is read before the next is asked for, so
     ``weights`` may write them all into buffers of its own, and the sums
     go into one longdouble buffer of the pass's, ``_BLOCK // 8`` entries
     (128 KB), an eighth of a block chained at a time.  So a pass holds
     these and sum 2 (isqrt(n) + 1) floats per weight over its run, at
-    most max(ns) + 1, never a whole prefix.  The running sums do not
-    depend on n, so each pair equals ``prefix_with_zero`` sampled at the
+    most max(ns) + 1, never a whole prefix.  The sums do not depend on
+    n, so each pair equals ``prefix_with_zero`` sampled at the
     quotients of its n, bit for bit, and the pass over a grid gives the
     bytes of the passes over its points one at a time.
     """

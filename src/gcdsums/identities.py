@@ -56,7 +56,7 @@ gives a table's values, or None, the constant 1, and a kind of
 ``_KINDS``, which one blocked writer, ``_weigh``, forms.  Each pass
 opens its table and buffers and drops them when it ends
 (``_accum.quotient_prefixes``), and the g = 1 prefixes are summed by
-``_accum.prefix_rows``: this module chains no running sum of its own.
+``_accum.prefix_rows``: this module forms no prefix sum of its own.
 
 All sums over x cut at floor(x); an integer x includes k = x.
 """

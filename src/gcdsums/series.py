@@ -15,22 +15,22 @@ at the same K; convergence-trend assertions replace absolute equality.
 
 Both sides come from one blocked pass (``_passes``): the four weights of
 the lhs's hyperbola sums have as prefix sums at K the truncated -F'(s),
-G(s-1), F(s) and G_L(s) of the rhs, so a K list costs one pass up to its
-largest K.  Every table is read a block at a time, arrays and
-``tables.Blocks`` alike, and L(l) is carried from block to block: no
-K-length array and no log l! row is built.
+G(s-1), F(s) and G_L(s) of the rhs, read as the hi[0] of their pairs, so
+a K list costs one pass up to its largest K and every sum follows the
+one rule of ``_accum.chained_sums``.  Every table is read a block at a
+time, arrays and ``tables.Blocks`` alike, and L(l) is summed from block
+to block by the same rule: no K-length array and no log l! row is built.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import NamedTuple
 
 import numpy as np
 
-from ._accum import (_BLOCK, ascending, block_of, hyperbola_sum,
-                     quotient_prefixes, ramp, running_sum)
+from ._accum import (_BLOCK, ascending, block_of, chained_sums,
+                     hyperbola_sum, quotient_prefixes, ramp)
 from .errors import require
 from .tables import FunctionTable, _with_mu, abscissa, blocks, cut
 from .zeta import LOG_SQRT_2PI, THETA_HI, THETA_LO, constants
@@ -66,41 +66,27 @@ class ThetaBracket(NamedTuple):
 
 
 def _weights(f: FunctionTable | None, g: FunctionTable | None, s: float,
-             ks: list[int], h: FunctionTable | None = None):
-    """The ``weights(lo, hi)`` that each ``quotient_prefixes`` pass opens
-    for sum u(k) k^-s up to the largest K of ks (ascending): f(d) log d
-    d^-s, g(l) l^(1-s), f(d) d^-s and g(l) L(l) l^-s, whose sums at K
-    are the truncated -F'(s), G(s-1), F(s) and G_L(s); and the dict K ->
-    the sums at K of the four or, where a table h is given, of
-    h(d) log d d^-s and h(d) d^-s (-H'(s) and H(s)), which are summed
-    only there and not yielded.  The pass fills the dict.
+             k_max: int, h: FunctionTable | None = None):
+    """The ``weights(lo, hi)`` of one ``quotient_prefixes`` pass for
+    sum u(k) k^-s up to k_max: where a table h is given, h(d) log d d^-s
+    and h(d) d^-s, whose sums at K are -H'(s) and H(s); then f(d) log d
+    d^-s, g(l) l^(1-s), f(d) d^-s and g(l) L(l) l^-s, whose sums at K are
+    the truncated -F'(s), G(s-1), F(s) and G_L(s).
 
     f, g and h are tables (arrays or ``tables.Blocks``) or None, the
     constant 1, each read a block of ``_BLOCK`` at a time into five blocks
-    of the writer's.  L(l) = log l! is the running longdouble sum of log l
-    that ``stirling.log_factorial_row`` makes, formed an eighth of a block
-    at a time and carried from block to block, so it has the row's bytes
-    and no row is built: the one running sum chained outside ``_accum``,
-    as it is a factor of a weight, not a weight.  The pass asks for its
-    blocks in ascending order from 1, and each pass starts the sums
-    afresh.
-
-    A sum at K is not the running sum of the pass, which drops each term
-    below half a longdouble ulp of its total (sum k^-3 to 1e7 ends 237
-    float64 ulps low): each block is added pairwise in longdouble
-    (``np.sum``), the blocks' sums are chained, and the result is rounded
-    once, within an ulp of ``math.fsum`` of the same float64 terms.
+    of the writer's.  L(l) = log l! is carried from block to block by
+    ``chained_sums`` an eighth of a block at a time, every entry carried
+    as ``stirling.log_factorial_row``'s are, so it has the row's bytes and
+    no row is built.  The pass asks for its blocks in ascending order
+    from 1.
     """
     fv, gv, hv = (None if t is None else t.values for t in (f, g, h))
-    fb, gb, lg, p, lf = np.empty((5, min(_BLOCK, ks[-1])))
-    sums = np.empty(min(_BLOCK // 8, ks[-1]), np.longdouble)
-    # h's two weights are summed at K and not yielded; without h, f and
-    # g's four are summed
-    own = 0 if h is None else 2
-    totals, summed = {}, own or 4
-    carry = []  # L(lo - 1), then each summed weight's sum up to lo - 1
+    fb, gb, lg, p, lf = np.empty((5, min(_BLOCK, k_max)))
+    sums = np.empty(min(_BLOCK // 8, k_max), np.longdouble)
+    carry = [np.longdouble(0.0)] * 2  # L(lo - 1)
 
-    def blocks_at(lo, hi):
+    def weights(lo, hi):
         n = hi - lo
         # log l equals the LOG sieve, and the powers the whole-K ones,
         # bit for bit
@@ -108,9 +94,8 @@ def _weights(f: FunctionTable | None, g: FunctionTable | None, s: float,
         ps, lfs = ramp(p[:n], lo), lf[:n]
         ps **= -s
         for a in range(0, n, _BLOCK // 8):
-            part = running_sum(lgs[a:a + _BLOCK // 8], carry[0], sums)
-            lfs[a:a + len(part)] = part
-            carry[0] = part[-1]
+            part, before = chained_sums(lgs[a:a + _BLOCK // 8], carry, sums)
+            lfs[a:a + len(part)] = np.add(part, before, out=part)
         if h is not None:
             w = block_of(hv, lo, fb[:n])
             yield np.multiply(np.multiply(w, lgs, out=gb[:n]), ps, out=gb[:n])
@@ -123,37 +108,24 @@ def _weights(f: FunctionTable | None, g: FunctionTable | None, s: float,
         yield np.multiply(w, ps, out=w)
         yield np.multiply(np.multiply(c, lfs, out=lfs), ps, out=lfs)
 
-    def weights(lo, hi):
-        if lo == 1:
-            carry[:] = [np.longdouble(0.0)] * (1 + summed)
-        at = ks[bisect_left(ks, lo):bisect_left(ks, hi)]
-        for i, w in enumerate(blocks_at(lo, hi), 1):
-            if i <= summed:
-                for k in at:
-                    totals.setdefault(k, {})[i] = carry[i] + np.sum(
-                        w[:k - lo + 1], dtype=np.longdouble)
-                carry[i] += np.sum(w, dtype=np.longdouble)
-            if i > own:
-                yield w
-
-    return weights, totals
+    return weights
 
 
 def _passes(f, g, s: float, ks, h=None):
     """For each K of ks (ascending), the lhs sum_{k<=K} u(k) k^-s and the
-    sums at K that ``_weights`` takes: the lhs is the hyperbola sums over
-    d*l <= K of
+    sums at K of the pass's weights: -H'(s) and H(s) where h is given,
+    else -F'(s), G(s-1), F(s) and G_L(s), each the hi[0] of its pair.
+    The lhs is the hyperbola sums over d*l <= K of
     (f(d) log d d^-s) (g(l) l^(1-s)) + (f(d) d^-s) (g(l) L(l) l^-s),
     from one ``quotient_prefixes`` pass up to the largest K for every K,
-    as no weight depends on K, and the sums come from the same blocks.
-    It holds the tables it is given, or what their blocks share, the
-    writer's blocks and the pairs; no K-length array."""
+    as no weight depends on K.  It holds the tables it is given, or what
+    their blocks share, the writer's blocks and the pairs; no K-length
+    array."""
     ks = ascending(ks)
-    weights, totals = _weights(f, g, s, ks, h)
-    for k, (w_log, c_id, w, c_lf) in zip(
-            ks, quotient_prefixes(lambda: weights, ks)):
-        yield (hyperbola_sum([(1, w_log, c_id), (1, w, c_lf)]),
-               [float(total) for total in totals[k].values()])
+    for pairs in quotient_prefixes(lambda: _weights(f, g, s, ks[-1], h), ks):
+        sums = [float(hi[0]) for _, hi in pairs]
+        yield (hyperbola_sum([(1, *pairs[-4:-2]), (1, *pairs[-2:])]),
+               sums if h is None else sums[:2])
 
 
 def _u_partial_sum(f: FunctionTable | None, g: FunctionTable | None, s: float,

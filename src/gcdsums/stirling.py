@@ -23,16 +23,16 @@ cancellation-free backward recurrence
 seeded at l = SEED, where each t_l = sum_{i>=1} x^{2i} / (2i+1)
 with x = 1/(2l-1) is a positive fast-converging series.
 
-log_factorial itself is a plain extended-precision cumulative sum of
-log m, chained by ``_accum.prefix_rows`` like every other prefix row, so
-identity checks elsewhere reuse one consistent L(l) array.
+log_factorial itself is the prefix sum of log m by ``_accum.prefix_rows``,
+carried like every other prefix (``_accum.chained_sums``), so identity
+checks elsewhere reuse one consistent L(l) array.
 
 Each row is built at the l_max asked for, read-only, and freed with its
 last reference; entry l depends on nothing past l, so a row equals the
 first l_max + 1 entries of a wider row bit for bit.  Neither row reads
 the other: the per-k audits read L alone (``log_factorial_row``), and
 ``log_factorial_table`` is the public view of both.  The Dirichlet series
-build no row: they carry L's running sum from block to block, with the
+build no row: they sum L from block to block by the same rule, with the
 row's bytes.  The scans build no rho row: they form rho a block at a
 time (``rho_block``, which fills the row too), so their blocks equal the
 row's entries bit for bit.  approx and theta are derived from l and rho
@@ -269,7 +269,7 @@ def _rho_below_seed() -> np.ndarray:
 
 
 def _logs(lo: int, hi: int) -> tuple[np.ndarray]:
-    """log l for l = lo..hi-1, the one weight whose running sums are L."""
+    """log l for l = lo..hi-1, the one weight whose prefix sums are L."""
     return (np.log(np.arange(lo, hi, dtype=np.float64)),)
 
 
@@ -311,8 +311,8 @@ def _row(fill, l_max: int) -> np.ndarray:
 
 
 def log_factorial_row(l_max: int) -> np.ndarray:
-    """L(l) for l = 0..l_max, read-only: the running longdouble sums of
-    log l by ``_accum.prefix_rows``; builds no rho."""
+    """L(l) for l = 0..l_max, read-only: the prefix sums of log l by
+    ``_accum.prefix_rows``, rounded once; builds no rho."""
     return _row(lambda row: prefix_rows(_logs, len(row) - 1, row[None]),
                 l_max)
 

@@ -440,14 +440,50 @@ def series_rhs_terms(fv: np.ndarray, gv: np.ndarray, lf: np.ndarray, s: float,
             g * ks ** (-(s - 1.0)), f * p, g * lf[1:k + 1] * p]
 
 
-def blockwise_longdouble_sum(terms: np.ndarray, block: int) -> float:
-    """The sum of terms as the series pass takes a weight's sum at K:
-    ``np.sum`` in longdouble of each ``block`` terms from the first, the
-    block sums added in turn, rounded once."""
-    total = np.longdouble(0.0)
-    for a in range(0, len(terms), block):
-        total += np.sum(terms[a:a + block], dtype=np.longdouble)
-    return float(total)
+def _two_sum(a, b):
+    """s = a + b rounded and its rounding error e, exactly a + b = s + e
+    (Knuth, TAOCP vol. 2, 4.2.2), for floats or arrays alike."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def double_double_sum(terms: np.ndarray, start=(0.0, 0.0)):
+    """start + sum(terms) as a double-double (hi, lo), for float64 terms
+    and a double-double start: the terms are added pairwise by TwoSum,
+    whose rounding errors are exact, and each level's errors summed by
+    ``np.sum``, so hi + lo is within about (log2 n)^2 2^-106 sum |terms|
+    of the exact sum (compare Ogita, Rump & Oishi, SIAM J. Sci. Comput.
+    26 (2005), Sum2)."""
+    x, err = np.asarray(terms, dtype=np.float64), 0.0
+    while len(x) > 1:
+        if len(x) % 2:
+            x = np.append(x, 0.0)
+        x, e = _two_sum(x[0::2], x[1::2])
+        err += float(np.sum(e))
+    hi, lo = _two_sum(start[0], float(x[0]) if len(x) else 0.0)
+    return _two_sum(hi, lo + start[1] + err)
+
+
+def carried_cumsum(values: np.ndarray) -> np.ndarray:
+    """The prefix sums of float64 values as ``_accum`` forms every prefix,
+    from whole arrays, rounded once: each eighth of ``_BLOCK`` (a row of
+    one 2-d array, and the tail) summed from zero by a longdouble cumsum,
+    plus the sum of the eighths before it, carried as a longdouble pair
+    by TwoSum over each eighth's pairwise longdouble sum."""
+    e = _BLOCK // 8
+    cut = len(values) - len(values) % e
+    rows = values[:cut].astype(np.longdouble).reshape(-1, e)
+    tail = values[cut:].astype(np.longdouble)
+    totals = [*rows.sum(axis=1), np.sum(tail)]
+    np.cumsum(rows, axis=1, out=rows)
+    np.cumsum(tail, out=tail)
+    out, hi, lo = np.empty(len(values)), np.longdouble(0.0), np.longdouble(0.0)
+    for i, (sums, total) in enumerate(zip([*rows, tail], totals)):
+        out[i * e:i * e + len(sums)] = sums + (hi + lo)
+        hi, err = _two_sum(hi, total)
+        lo += err
+    return out
 
 
 def np_sum_series_sums(fv: np.ndarray, gv: np.ndarray, lf: np.ndarray,
@@ -510,10 +546,11 @@ def sieved_sigma_a_prefixes(ns, a: float) -> list:
 
 
 def whole_array_on_quotients(values: np.ndarray, n: int):
-    """(lo, hi) of ``on_quotients`` from one full-length longdouble
-    prefix: lo[i] = P(i) for i <= isqrt(n), hi[d] = P(n // d), hi[0] = P(n)."""
+    """(lo, hi) of ``on_quotients`` from one full-length prefix
+    (``carried_cumsum``): lo[i] = P(i) for i <= isqrt(n), hi[d] = P(n // d),
+    hi[0] = P(n)."""
     full = np.zeros(n + 1)
-    full[1:] = np.cumsum(values[1:n + 1].astype(np.longdouble))
+    full[1:] = carried_cumsum(values[1:n + 1])
     r = math.isqrt(n)
     return full[:r + 1].copy(), full[n // np.maximum(np.arange(r + 1), 1)]
 
@@ -582,13 +619,13 @@ _STIRLING_SERIES_TERMS = 20
 
 
 def whole_array_stirling(l_max: int, seed: int = 1024) -> np.ndarray:
-    """Rows log l! and rho(l) for l = 0..l_max, each from whole arrays: one
-    longdouble cumsum of log l, the remainder series 1/(12 l) - ... from
+    """Rows log l! and rho(l) for l = 0..l_max, each from whole arrays: the
+    ``carried_cumsum`` of log l, the remainder series 1/(12 l) - ... from
     l = seed on, and below it the backward recurrence rho(l-1) = rho(l)
     + (l - 1/2) log(l/(l-1)) - 1 with its terms as a series in 1/(2l-1)^2."""
     out = np.zeros((2, l_max + 1))
     logs = np.log(np.arange(1, l_max + 1, dtype=np.float64))
-    out[0, 1:] = np.cumsum(logs.astype(np.longdouble))
+    out[0, 1:] = carried_cumsum(logs)
     out[1] = whole_array_rho(l_max, seed)
     return out
 

@@ -2,12 +2,13 @@
 
 Read from the source of every module of the package: only ``_accum``
 refers to ``_runs``, the split of a grid into passes, and only ``_accum``
-chains ``running_sum``, the extended-precision running sums behind every
-prefix.  The one exception is the Dirichlet series' log l!
-(``series._weights``), a running sum carried from block to block inside
-a weight, not a weight's prefix.  Only ``_accum`` refers to
-``reduceat``, by which ``hyperbola_prefixes`` sums each quotient's
-terms, so every hyperbola sum is formed there.
+calls ``chained_sums``, the one carried rule behind every prefix.  The
+one exception is the Dirichlet series' log l! (``series._weights``),
+summed by that rule from block to block inside a weight, not a weight's
+prefix.  No other module sums in longdouble by ``np.sum``, so a prefix
+has no second summation path.  Only ``_accum`` refers to ``reduceat``,
+by which ``hyperbola_prefixes`` sums each quotient's terms, so every
+hyperbola sum is formed there.
 """
 
 import ast
@@ -16,25 +17,25 @@ from pathlib import Path
 import gcdsums
 
 _SRC = Path(gcdsums.__file__).parent
-_EXCEPTIONS = {("running_sum", "series", "_weights")}
+_EXCEPTIONS = {("chained_sums", "series", "_weights")}
+
+
+def _trees():
+    """(module, top-level definition, its ast) of every module but
+    ``_accum``."""
+    for path in sorted(_SRC.glob("*.py")):
+        if path.stem != "_accum":
+            for top in ast.parse(path.read_text(), str(path)).body:
+                yield path.stem, getattr(top, "name", "<module>"), top
 
 
 def _references(name):
     """(module, top-level definition) of each use of ``name`` outside
     ``_accum``: a bare name or an attribute, not an import."""
-    found = set()
-    for path in sorted(_SRC.glob("*.py")):
-        if path.stem == "_accum":
-            continue
-        tree = ast.parse(path.read_text(), str(path))
-        for top in tree.body:
-            owner = getattr(top, "name", "<module>")
-            for node in ast.walk(top):
-                if (isinstance(node, ast.Name) and node.id == name
-                        or isinstance(node, ast.Attribute)
-                        and node.attr == name):
-                    found.add((name, path.stem, owner))
-    return found
+    return {(name, module, owner) for module, owner, top in _trees()
+            for node in ast.walk(top)
+            if isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name}
 
 
 def test_only_accum_splits_a_grid_into_runs():
@@ -42,7 +43,22 @@ def test_only_accum_splits_a_grid_into_runs():
 
 
 def test_only_accum_chains_running_sums():
-    assert _references("running_sum") == _EXCEPTIONS
+    assert _references("chained_sums") == _EXCEPTIONS
+
+
+def _longdouble_sum(node):
+    """A call of ``sum`` (np.sum or a method) with dtype=<...>.longdouble."""
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None))
+            == "sum"
+            and any(kw.arg == "dtype"
+                    and getattr(kw.value, "attr", None) == "longdouble"
+                    for kw in node.keywords))
+
+
+def test_only_accum_sums_in_longdouble():
+    assert {(module, owner) for module, owner, top in _trees()
+            for node in ast.walk(top) if _longdouble_sum(node)} == set()
 
 
 def test_only_accum_forms_hyperbola_sums_by_reduceat():

@@ -46,7 +46,7 @@ from gcdsums.tables import (DIVISOR_LOG, ID, LOG, MU, ONE, PHI, SIGMA, TAU,
                             pointwise_pow_spec, sieve_values, sigma_pow)
 from gcdsums.zeta import constants
 
-from oracles import (blockwise_longdouble_sum, fsum_mu_delta,
+from oracles import (carried_cumsum, fsum_mu_delta,
                      integer_tau_prefixes, on_quotients, series_rhs_terms,
                      split_convolve, whole_array_average_pairs,
                      whole_array_mu_delta, whole_array_on_quotients,
@@ -291,11 +291,11 @@ def test_blocked_powers_equal_whole_array_powers(k, s):
 @pytest.mark.parametrize("s", [3.0, 4.0])
 def test_power_sums_equal_whole_array_form(k, s):
     # each sum at K, from the blocks and the L(l) carried from block to
-    # block: the blocks' longdouble sums of the whole-K products, in the
-    # weight writer's product order, chained and rounded once
+    # block: the carried prefix at K of the whole-K products, in the
+    # weight writer's product order
     ft, gt = G.sieve(PHI, k), G.sieve(MU, k)
     f_log, g_id, f_sum, g_lf = (
-        blockwise_longdouble_sum(t, _B) for t in
+        carried_cumsum(t)[-1] for t in
         series_rhs_terms(ft.values, gt.values, stirling.log_factorial_row(k),
                          s, k))
     (_, sums), = series._passes(ft, gt, s, [k])

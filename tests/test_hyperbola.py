@@ -2,7 +2,9 @@
 
 ``hyperbola_sum`` must equal a brute-force double loop exactly on
 integer-valued weights, ``on_quotients`` must carry the bytes of
-``prefix_with_zero`` at every quotient, and the six-term expansion
+``prefix_with_zero`` at every quotient, the pairs of k^-3, k^-4 and
+mu(k)/k^2 to 1e7 must be within half an ulp of the exact sums of their
+terms, and the six-term expansion
 (each term and the total) and the Dirichlet series must stay within a
 few ulps of longdouble oracles.  The g = 1 prefixes, closed forms above
 their table, must each be within an ulp of their exact sums from mpmath;
@@ -15,6 +17,7 @@ ulp of the sieved pass it replaced and of mpmath.
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,10 +26,11 @@ import gcdsums as G
 from gcdsums import _accum, asymptotics, identities, series
 from gcdsums.identities import identity_sum_table
 from gcdsums.stirling import log_factorial_table
-from gcdsums.tables import ONE, TAU, sieve_values
+from gcdsums.tables import MU, ONE, TAU, blocks, sieve_values
 
-from oracles import (MP_DIRECT, mp_one_prefix, mp_power_prefix,
-                     mp_sigma_a_sum, on_quotients, series_lhs_longdouble,
+from oracles import (MP_DIRECT, carried_cumsum, double_double_sum,
+                     mp_one_prefix, mp_power_prefix, mp_sigma_a_sum,
+                     on_quotients, series_lhs_longdouble,
                      sieved_sigma_a_prefixes, six_term_longdouble, ulps_from)
 
 _BOUNDARY_N = sorted({m for r in range(1, 41)
@@ -37,10 +41,42 @@ _BOUNDARY_N = sorted({m for r in range(1, 41)
 @pytest.mark.parametrize("length", [1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1,
                                     10 ** 6 + 7])
 def test_cumsum_extended_matches_one_longdouble_cumsum(length):
+    # the blocked prefix row against the whole-array form of its carry
     v = np.random.default_rng(length).standard_normal(length + 1) * 1e3
-    sums = np.cumsum(v[1:].astype(np.longdouble)).astype(np.float64)
-    want = np.append(0.0, sums)
+    want = np.append(0.0, carried_cumsum(v[1:]))
     assert _accum.prefix_with_zero(v).tobytes() == want.tobytes()
+
+
+def test_quotient_prefixes_within_half_an_ulp_of_exact_sums():
+    # k^-3, k^-4 and mu(k)/k^2 to 1e7, one pass: each pair at eight
+    # quotients, hi[0] among them, within half an ulp of the exact sum of
+    # the same float64 terms (one longdouble running sum drops every term
+    # below half its ulp: 237 ulps for k^-3), each block's terms summed
+    # by the oracle as the pass asks for them
+    n = 10 ** 7
+    r = math.isqrt(n)
+    ds = [0, 2, 3, 7, 10, 151, 1000, r]
+    vs = [n // max(d, 1) for d in ds]
+    mu, buf = blocks(MU, n).values, np.empty(_accum._BLOCK)
+    totals, exact = [(0.0, 0.0)] * 3, [{} for _ in range(3)]
+
+    def weights(lo, hi):
+        inv = 1.0 / _accum.ramp(np.empty(hi - lo), lo)
+        sq = inv * inv
+        for i, t in enumerate((sq * inv, sq * sq,
+                               _accum.block_of(mu, lo, buf[:hi - lo]) * sq)):
+            for v in vs:
+                if lo <= v < hi:
+                    exact[i][v] = sum(map(Fraction, double_double_sum(
+                        t[:v - lo + 1], totals[i])))
+            totals[i] = double_double_sum(t, totals[i])
+            yield t
+
+    (pairs,) = _accum.quotient_prefixes(lambda: weights, [n])
+    for (_, hi), want in zip(pairs, exact):
+        for d, v in zip(ds, vs):
+            got = hi[d]
+            assert abs(Fraction(got) - want[v]) <= Fraction(math.ulp(got)) / 2
 
 
 @pytest.mark.parametrize("kind,factor", [

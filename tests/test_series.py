@@ -175,10 +175,10 @@ def test_mu_series_report(tables):
     assert r.ratio_tail_lo > r.lhs or r.ratio_tail_hi < r.lhs
 
 
-def test_k_lists_are_one_pass_of_four_weights(tables, monkeypatch):
+def test_k_lists_are_one_pass_of_their_weights(tables, monkeypatch):
     # the bracket and the report take a K list in one pass, with the
-    # bytes of each K alone; the pass samples only the four weights of
-    # the lhs, and the bracket's F and F' are summed at K alone
+    # bytes of each K alone; the report's pass holds the four weights of
+    # the lhs, and the bracket's two more for F' and F, read at K as hi[0]
     ks = [1, 100, 1000, 10 ** 4]
     alone = ([series_theta_bracket(tables["id"], 3.0, [k])[0] for k in ks],
              [mu_series_report(3.0, [k], tables["id"], tables["mu"])[0]
@@ -203,7 +203,7 @@ def test_k_lists_are_one_pass_of_four_weights(tables, monkeypatch):
     monkeypatch.setattr(series, "quotient_prefixes", record)
     assert (series_theta_bracket(tables["id"], 3.0, ks),
             mu_series_report(3.0, ks, tables["id"], tables["mu"])) == alone
-    assert passes == [ks, ks] and widths == {4}
+    assert passes == [ks, ks] and widths == {6, 4}
 
 
 @pytest.mark.parametrize("k_max", [0, 10 ** 4 + 1, 10 ** 5])
