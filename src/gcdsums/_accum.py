@@ -21,7 +21,8 @@ summation) is kept in a single place:
 - a prefix of a smooth weight past a table (a weight of the constant 1,
   ``identities._one_pairs``) is the table's longdouble sum P(t) plus
   a longdouble closed form Phi(v) - Phi(t), rounded once
-  (``stirling.one_weight_sums``),
+  (``stirling.one_weight_sums``), t = min(max(isqrt(n), 1024), n) of
+  n's own, so n's pairs do not depend on the grid,
 - short heterogeneous sums use ``math.fsum``,
 - sums over the pairs d*l <= n go through ``hyperbola_sum`` (each product
   added once by ``math.fsum``); at every n // i, ``hyperbola_prefixes``.

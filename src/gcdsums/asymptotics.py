@@ -51,59 +51,15 @@ from .zeta import LOG_SQRT_2PI, THETA_HI, THETA_LO, constants
 
 
 def _floors(xs) -> list[int]:
-    """floor(x) at each x of xs, the largest checked by ``cut`` first, so
-    an x out of range fails before any table is built."""
+    """floor(x) at each x of a grid that is not empty, the largest checked
+    by ``cut`` first, so an x out of range fails before any table."""
+    require(len(xs) > 0, "grid is empty")
     cut(max(xs))
     return [cut(x) for x in xs]
 
 
 # ---------------------------------------------------------------------------
 # divisor-problem remainders
-
-
-def _delta_prefixes(ns, a: float | None):
-    """(the pair at each n of ns, smooth part on arrays) of Delta's sum of
-    tau, or of sigma_a with a: ``hyperbola_prefixes`` of n's own g = 1
-    pairs (count, count) or (l^a, count), which no grid moves; no sieve."""
-    if a is None:
-        slope = 2.0 * constants().gamma - 1.0
-        kind, smooth = "v", lambda y: y * np.log(y) + slope * y
-    else:
-        a = _require_a(a)
-        kind, smooth = "m^a", lambda y: _sigma_a_smooth(y, a)
-    return ((hyperbola_prefixes(n, p[kind], p["v"])
-             for n in ns for p in _one_pairs([n], a)), smooth)
-
-
-def divisor_delta(x: float) -> float:
-    """Delta(x) = sum_{n<=x} tau(n) - (x log x + (2 gamma - 1) x)."""
-    count = next(_one_pairs([cut(x)]))["v"]
-    # math.log, not the smooth part's np.log, which rounds a few x otherwise
-    smooth = x * math.log(x) + (2.0 * constants().gamma - 1.0) * x
-    return hyperbola_sum([(1, count, count)]) - smooth
-
-
-def delta_integral_ratio(big_x: float) -> float:
-    """(1/X) * integral_1^X Delta(y) dy, evaluated exactly.
-
-    The step part integrates to X * T(X) - sum_{n<=X} n tau(n) with
-    T(X) = sum_{n<=X} tau(n); the smooth part has a closed antiderivative.
-    """
-    require(big_x >= 2.0, "X must be >= 2")
-    n = cut(big_x)
-    gamma = constants().gamma
-    count = next(_one_pairs([n]))["v"]
-    # sum_{m<=n} m tau(m) = H(U, U), U(u) = u (u + 1) / 2; exact products
-    u = tuple(v * (v + 1) / 2 for v in count)
-    step_integral = (big_x * hyperbola_sum([(1, count, count)])
-                     - hyperbola_sum([(1, u, u)]))
-
-    def smooth_antiderivative(y: float) -> float:
-        return (0.5 * y * y * math.log(y) - 0.25 * y * y
-                + 0.5 * (2.0 * gamma - 1.0) * y * y)
-
-    smooth = smooth_antiderivative(big_x) - smooth_antiderivative(1.0)
-    return (step_integral - smooth) / big_x
 
 
 def _require_a(a: float | None) -> float:
@@ -119,25 +75,69 @@ def _sigma_a_smooth(y, a: float) -> np.ndarray:
             - 0.5 * c.zeta(-a))
 
 
-def divisor_delta_a(x: float, a: float) -> float:
-    """Delta_a(x) = sum_{n<=x} sigma_a(n) - (zeta(1-a) x
-    + zeta(1+a) x^(1+a)/(1+a) - zeta(-a)/2), for -1 < a < 0: the grid of
-    one of ``divisor_delta_a_grid``."""
-    return divisor_delta_a_grid([x], a)[0]
-
-
-def divisor_delta_a_grid(xs, a: float) -> list[float]:
-    """``divisor_delta_a`` at every x of xs, in any order; the largest x
-    is checked first.  sum_{n<=x} sigma_a(n) = sum_{d*l<=x} d^a is the
-    hyperbola sum of l^a and of 1, both weights of the constant 1, so
-    nothing is sieved."""
+def _delta_sum(a: float | None):
+    """(a checked, the kind w whose H(w, count) of the g = 1 pairs is the
+    sum of tau, or of sigma_a with a, its smooth part by the log given)."""
+    if a is None:
+        slope = 2.0 * constants().gamma - 1.0
+        return None, "v", lambda y, log=np.log: y * log(y) + slope * y
     a = _require_a(a)
+    return a, "m^a", lambda y, log=None: _sigma_a_smooth(y, a)
+
+
+def _delta_prefixes(ns, a: float | None):
+    """(the pair at each n of ns, in any order, smooth part) of Delta's
+    divisor sum: ``hyperbola_prefixes`` of the g = 1 pairs of one
+    ``_one_pairs`` call over the distinct n; no sieve."""
+    a, kind, smooth = _delta_sum(a)
+    grid = sorted(set(ns))
+    pairs = dict(zip(grid, (hyperbola_prefixes(n, p[kind], p["v"]) for n, p
+                            in zip(grid, _one_pairs(grid, a, {kind, "v"})))))
+    return [pairs[n] for n in ns], smooth
+
+
+def divisor_delta_grid(xs, a: float | None = None) -> list[float]:
+    """Delta(x) = sum_{n<=x} tau(n) - (x log x + (2 gamma - 1) x) at every
+    x of xs, in any order, or with a, for -1 < a < 0, Delta_a(x) =
+    sum_{n<=x} sigma_a(n) - (zeta(1-a) x + zeta(1+a) x^(1+a)/(1+a)
+    - zeta(-a)/2), by H(count, count) or H(l^a, count) of the g = 1 pairs
+    and no sieve; the largest x is checked first."""
     xs = list(xs)  # read twice, so an iterator is listed first
+    a, kind, smooth = _delta_sum(a)
     ns = _floors(xs)
     grid = sorted(set(ns))
     sums = dict(zip(grid, _hyperbola_sums(
-        grid, [[(1, (None, "m^a"), (None, "v"))]], a)))
-    return [sums[n][0] - float(_sigma_a_smooth(x, a)) for x, n in zip(xs, ns)]
+        grid, [[(1, (None, kind), (None, "v"))]], a)))
+    # math.log, as np.log would round a few x otherwise
+    return [sums[n][0] - float(smooth(x, math.log)) for x, n in zip(xs, ns)]
+
+
+def divisor_delta(x: float) -> float:
+    """Delta(x): the grid of one of ``divisor_delta_grid``."""
+    return divisor_delta_grid([x])[0]
+
+
+def divisor_delta_a(x: float, a: float) -> float:
+    """Delta_a(x): the grid of one of ``divisor_delta_grid``."""
+    return divisor_delta_grid([x], _require_a(a))[0]
+
+
+def delta_integral_ratio(big_x: float) -> float:
+    """(1/X) * integral_1^X Delta(y) dy, evaluated exactly.
+
+    The step part integrates to X * T(X) - sum_{n<=X} n tau(n) with
+    T(X) = sum_{n<=X} tau(n); the smooth part has a closed antiderivative.
+    """
+    require(big_x >= 2.0, "X must be >= 2")
+    count = next(_one_pairs([cut(big_x)], None, ["v"]))["v"]
+    # sum_{m<=n} m tau(m) = H(U, U), U(u) = u (u + 1) / 2; exact products
+    u = tuple(v * (v + 1) / 2 for v in count)
+    step_integral = (big_x * hyperbola_sum([(1, count, count)])
+                     - hyperbola_sum([(1, u, u)]))
+    slope = 2.0 * constants().gamma - 1.0
+    at_x, at_1 = (0.5 * y * y * math.log(y) - 0.25 * y * y
+                  + 0.5 * slope * y * y for y in (big_x, 1.0))
+    return (step_integral - (at_x - at_1)) / big_x
 
 
 def divisor_delta_a_series(x: float, a: float, n_terms: int) -> float:
@@ -196,8 +196,7 @@ def mu_delta_grid(xs, kind: str, a: float | None = None,
         raise DomainError(f"unknown weight kind {kind!r}")
     xs = list(xs)  # read twice, so an iterator is listed first
     ns = _floors(xs)
-    pairs, smooth = _delta_prefixes(ns, a)
-    pairs = list(pairs)  # every x's, before wv's blocks
+    pairs, smooth = _delta_prefixes(ns, a)  # every x's, before wv's blocks
     top = max(ns)
     wv = blocks(_WEIGHT_SPECS[kind], top, primes).values
     narr, weights, deltas = np.empty((3, min(_BLOCK, top)))  # the pass's
@@ -434,10 +433,10 @@ def _statistics() -> dict[str, Target]:
                                 - 0.25 * math.log(x) ** 2),
                   norm=log(5 / 3)),
         # the l^a prefix at x: hi[0] of its pair
-        entry("power_sum",
-              lambda ns, a, _: [p["m^a"][1][0] for p in _one_pairs(ns, a)],
-              lambda x, a: x ** (1 + a) / (1 + a) + C.zeta(-a),
-              norm=Normalizer("x_pow", None), needs_a=True),
+        entry("power_sum", lambda ns, a, _: [
+            p["m^a"][1][0] for p in _one_pairs(ns, a, ["m^a"])],
+            lambda x, a: x ** (1 + a) / (1 + a) + C.zeta(-a),
+            norm=Normalizer("x_pow", None), needs_a=True),
         stat("jordan_over_n", lambda a: (MU, id_pow(1 + a)), phi_over_n,
              needs_a=True),
         # sum_{d*l<=x} 1 / (d^2 l)
@@ -638,18 +637,17 @@ def tau_gcd_log_avg_routes(x: float) -> tuple[float, float]:
     the three summatory statistics the paper reduces tau-log-avg to
     (sigma log(n/e), divisor-log and tau/n, each a hyperbola sum of the
     g = 1 pairs) plus the decomposition's exact Stirling remainder.  Both
-    read the pairs of ``identities._one_pairs``, closed forms above a
-    table of max(isqrt(x), 1024) entries, so they agree whether or not
+    read the pairs of ``identities._one_pairs``, closed forms above
+    t(x) = min(max(isqrt(x), 1024), x), so they agree whether or not
     those prefixes are right: the routes check the six-term algebra and
     its regrouping into the statistics.  Both add by the one
     ``hyperbola_sum``, so route two's tau/n and divisor-log parts equal
     route one's const and half-log terms by bytes; what is left between
     the routes is the grouping of the first three terms into sigma
-    log(n/e).  The prefixes themselves are
-    checked elsewhere: each closed form against mpmath
-    (``tests/oracles.py::mp_one_prefix``), and route two against the
-    whole-array sums of the SIGMA, DIVISOR_LOG and TAU sieves at
-    x <= 1e6.  The remainder is pinned to a log-gamma oracle.
+    log(n/e).  The prefixes themselves are checked elsewhere: each closed
+    form against mpmath (``tests/oracles.py::mp_one_prefix``), and route
+    two against the whole-array sums of the SIGMA, DIVISOR_LOG and TAU
+    sieves at x <= 1e6.  The remainder is pinned to a log-gamma oracle.
     """
     dec = apostol_log_average_terms(None, None, x)  # f = g = 1
     s1 = summatory("sigma_logne", x)[0]

@@ -139,10 +139,7 @@ def cmd_delta(args) -> int:
     from . import asymptotics
     if args.which == "point":
         grid = _parse_grid(args.grid)
-        if args.a is None:
-            values = [asymptotics.divisor_delta(x) for x in grid]
-        else:
-            values = asymptotics.divisor_delta_a_grid(grid, args.a)
+        values = asymptotics.divisor_delta_grid(grid, args.a)
         csvio.write_rows("x,delta", zip(grid, values), args.out)
     elif args.which == "integral":
         grid = _parse_grid(args.grid)

@@ -20,7 +20,7 @@ Core objects, for tables f, g and integers k, j:
   (``apostol_log_average_grid``), for both the exact side and the
   Stirling remainder; the per-k sum is the reference it is checked
   against.  For g = 1 every g-side prefix is a smooth function of l, so
-  above a table of max(isqrt(x), 1024) entries it is a closed form
+  above x's own t(x) = min(max(isqrt(x), 1024), x) it is a closed form
   (Stirling and Euler-Maclaurin) and only the f side is sieved.
 - ``gcd_log_average(f, x)``: sum_{k<=x} (1/k) sum_{j<=k} f(gcd(k,j)) log j,
   evaluated as the (f*mu, 1) case of the above since
@@ -311,8 +311,7 @@ def apostol_log_average(f: FunctionTable, g: FunctionTable | None,
 
 
 # the weights a hyperbola sum reads of a table, by kind, for its values v
-# at m (the constant 1 where there is no table): the g = 1 ones first, in
-# the order of ``stirling.one_weight_sums``, then |v|/m
+# at m (the constant 1 where there is no table): the g = 1 ones, then |v|/m
 _KINDS = ("v", "v log m", "v log m/m", "v/m", "v rho/m", "|v|/m^2", "m^a",
           "|v|/m")
 
@@ -378,42 +377,43 @@ def _table_pairs(build, kinds, ns):
             for pairs in quotient_prefixes(open_pass, ns))
 
 
-def _one_pairs(ns, a: float | None = None):
-    """The pairs of ``_table_pairs`` for the g = 1 kinds of the constant
-    1 (1, log l, log l / l, 1/l, rho(l)/l, 1/l^2 and l^a where a is
-    given) at each n of ns (ascending), with no pass past
-    t = min(max(isqrt(max n), 1024), max n).
-
-    Up to t, the weights of ``_weigh``, formed an eighth of a block at a
-    time in buffers of that size, are summed by ``prefix_rows``, so every
-    prefix P(v) at v <= t has the bytes of the pass over all of 1..n.
-    Above t, P(v) = P(t) + Phi(v) - Phi(t) with the longdouble P(t) of
-    that sum and the closed forms Phi of ``stirling.one_weight_sums``,
-    rounded once: the count is exact, and every other entry is within an
-    ulp of the pass's.  It holds six (or seven) (t + 1)-float tables and,
-    per n, its pairs and a few longdouble arrays of isqrt(n) + 1 entries;
+def _one_pairs(ns, a: float | None, kinds):
+    """The pairs of ``_table_pairs`` for the ``kinds`` asked of the
+    constant 1 (of 1, log l, log l / l, 1/l, rho(l)/l, 1/l^2 and l^a with
+    the a given) at each n of ns (ascending), from one table of those
+    kinds by ``prefix_rows``.  n reads it up to its own t(n) = min(max(
+    isqrt(n), 1024), n), the bytes of the pass over 1..n, and above it
+    P(v) = P(t(n)) + Phi(v) - Phi(t(n)), the longdouble P(t(n)) of a
+    table that stops at t(n) and the closed forms Phi of
+    ``stirling.one_weight_sums``, rounded once: the count exact, every
+    other entry within an ulp of the pass's, and n's pairs the same in
+    every grid.  It holds a (t + 1)-float row per kind, t the largest
+    n's, one more such table up to a smaller t(n) while it sums it, and
+    per n its pairs and a few longdouble arrays of isqrt(n) + 1 entries;
     nothing of length n.
     """
     ns = ascending(ns)
-    t = min(max(math.isqrt(ns[-1]), SEED), ns[-1])
-    kinds = _KINDS[:6 if a is None else 7]
-    table = np.zeros((len(kinds), t + 1))
-    buffers = _buffers(kinds, min(t, _BLOCK // 8))
-    totals = prefix_rows(
-        lambda lo, hi: _weigh(None, kinds, lo, hi, *buffers, a), t, table)
-    # P(t) - Phi(t), read only above t
-    offsets = [p - phi[0] for p, phi in
-               zip(totals, one_weight_sums(np.array([t]), a))]
+    kinds = [k for k in _KINDS if k in kinds]
+    own = {n: min(max(math.isqrt(n), SEED), n) for n in ns}
+    top = own[ns[-1]]
+    table = np.zeros((len(kinds), top + 1))
+    buffers, sums = _buffers(kinds, min(top, _BLOCK // 8)), {}
+    # the table, and P(t(n)) where n reads closed forms past it from a
+    # table that stops at t(n), as for n alone: no row entry is that carry
+    for t in {top, *(t for n, t in own.items() if t < n)}:
+        sums[t] = prefix_rows(
+            lambda lo, hi: _weigh(None, kinds, lo, hi, *buffers, a), t,
+            table if t == top else np.empty((len(kinds), t + 1)))
     for n in ns:
         r = math.isqrt(n)
         v = n // np.maximum(np.arange(r + 1), 1)
-        above = int(np.count_nonzero(v > t))  # v descends
+        above = int(np.count_nonzero(v > own[n]))  # v descends
         his = np.empty((len(kinds), r + 1))
         his[:, above:] = table[:, v[above:]]
         if above:
-            for row, p, phi in zip(his, offsets,
-                                   one_weight_sums(v[:above], a)):
-                row[:above] = p + phi
+            phis = one_weight_sums(np.append(own[n], v[:above]), kinds, a)
+            for row, p, phi in zip(his, sums[own[n]], phis):
+                row[:above] = (p - phi[0]) + phi[1:]
         yield dict(zip(kinds, zip(table[:, :r + 1], his)))
 
 
@@ -434,7 +434,7 @@ def _hyperbola_sums(ns, sums, a: float | None = None):
         for _, *names in terms:
             for build, kind in names:
                 named.setdefault(id(build), (build, set()))[1].add(kind)
-    sources = [_one_pairs(ns, a) if build is None
+    sources = [_one_pairs(ns, a, kinds) if build is None
                else _table_pairs(build, kinds, ns)
                for build, kinds in named.values()]
     for found in zip(*sources):

@@ -40,8 +40,9 @@ when read; the package itself reads only L and rho.
 
 ``one_weight_sums`` gives the prefix sums of the g = 1 weights of the
 six-term expansion (1, log l, log l / l, 1/l, rho(l)/l, 1/l^2), and of
-l^a for -1 < a < 0, above a table in closed form: L(v) by Stirling and
-the remainder series, and the others by Euler-Maclaurin.
+l^a for -1 < a < 0, each asked for, in closed form above each n's own
+t(n) = min(max(isqrt(n), 1024), n): L(v) by Stirling and the remainder
+series, and the others by Euler-Maclaurin.
 """
 
 from __future__ import annotations
@@ -212,15 +213,13 @@ def _real_power_sum(v: np.ndarray, a: float) -> np.ndarray:
     return acc * np.power(v, a)
 
 
-def one_weight_sums(v: np.ndarray, a: float | None = None) -> list[np.ndarray]:
-    """Phi(v) for each g = 1 weight of the six-term expansion (1, log l,
-    log l / l, 1/l, rho(l)/l and 1/l^2), then of l^a where a is given,
-    in longdouble, at each integer v >= SEED: sum_{l<=v} of the
-    weight up to a constant of its own, so Phi(v) - Phi(t) is the sum
-    over t < l <= v.  The list follows the first kinds of
-    ``identities._KINDS`` (v, v log m, v log m/m, v/m, v rho(m)/m,
-    |v|/m^2 and m^a with v = 1), the order ``identities._one_pairs``
-    reads it in.
+def one_weight_sums(v: np.ndarray, kinds, a: float | None = None) -> list[np.ndarray]:
+    """Phi(v) for each g = 1 weight of ``kinds`` (of 1, log l, log l / l,
+    1/l, rho(l)/l, 1/l^2 and l^a, with the a given), in longdouble, at
+    each integer v >= SEED: sum_{l<=v} of the weight up to a constant of
+    its own, so Phi(v) - Phi(t) is the sum over t < l <= v.  Only the
+    kinds asked, named as in ``identities._KINDS`` with v = 1, are
+    formed, in the order asked.
 
     - 1: v, exactly;
     - log l: log v! by Stirling, (v + 1/2) log v - v plus the remainder
@@ -237,25 +236,29 @@ def one_weight_sums(v: np.ndarray, a: float | None = None) -> list[np.ndarray]:
     """
     v = np.asarray(v, dtype=np.int64)
     u = np.reciprocal(v.astype(np.longdouble))
-    lg = np.log(v.astype(np.longdouble))
-    w = u * u
-    harmonic = np.zeros_like(u)
-    log_over = np.zeros_like(u)
-    for b, h in reversed(_harmonic_coeffs()):
-        harmonic += b
-        harmonic *= w
-        log_over += b * (lg - h)
-        log_over *= w
-    harmonic = lg + 0.5 * u - harmonic
-    log_over = 0.5 * lg * (lg + u) - log_over
-    log_fact = (v + np.longdouble(0.5)) * lg - v + _remainder_series(v)
-    rho_over = sum(c * _power_sum(u, 2 * j) for j, c in
-                   enumerate(reversed(_REMAINDER_COEFFS), 1))
-    sums = [v.astype(np.longdouble), log_fact, log_over, harmonic, rho_over,
-            _power_sum(u, 2)]
-    if a is not None:
-        sums.append(_real_power_sum(sums[0], a))
-    return sums
+    lg = (np.log(v.astype(np.longdouble))
+          if {"v log m", "v log m/m", "v/m"} & set(kinds) else None)
+
+    def tail(coeff):  # sum_k coeff(B_2k/(2k), H_(2k-1)) v^-2k, by Horner
+        acc = np.zeros_like(u)
+        for b, h in reversed(_harmonic_coeffs()):
+            acc += coeff(b, h)
+            acc *= u * u
+        return acc
+
+    forms = {
+        "v": lambda: v.astype(np.longdouble),
+        "v log m": lambda: ((v + np.longdouble(0.5)) * lg - v
+                            + _remainder_series(v)),
+        "v log m/m": lambda: 0.5 * lg * (lg + u) - tail(
+            lambda b, h: b * (lg - h)),
+        "v/m": lambda: lg + 0.5 * u - tail(lambda b, h: b),
+        "v rho/m": lambda: sum(c * _power_sum(u, 2 * j) for j, c in
+                               enumerate(reversed(_REMAINDER_COEFFS), 1)),
+        "|v|/m^2": lambda: _power_sum(u, 2),
+        "m^a": lambda: _real_power_sum(v.astype(np.longdouble), a),
+    }
+    return [forms[kind]() for kind in kinds]
 
 
 def _rho_below_seed() -> np.ndarray:

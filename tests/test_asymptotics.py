@@ -7,7 +7,7 @@ import pytest
 import gcdsums as G
 from gcdsums.asymptotics import (SCAN_TARGETS, STATISTICS, calibrate,
                                  divisor_delta, divisor_delta_a,
-                                 divisor_delta_a_grid,
+                                 divisor_delta_grid,
                                  divisor_delta_a_series,
                                  delta_integral_ratio, limit_ratio_grid,
                                  load_calibration, main_term,
@@ -320,15 +320,64 @@ def test_residual_scan_reads_the_exact_side_once(monkeypatch, name, a):
 
 
 def test_delta_a_grid_in_any_order_equals_points():
+    # Delta_a and Delta alike: divisor_delta_a and divisor_delta are its
+    # grids of one
     xs = [5000.0, 1000.5, 70000.0, 1000.0, 5000.0]
-    got = divisor_delta_a_grid(xs, -0.5)
+    got = divisor_delta_grid(xs, -0.5)
     assert got == [divisor_delta_a(x, -0.5) for x in xs]
+    assert divisor_delta_grid(xs) == [divisor_delta(x) for x in xs]
     with pytest.raises(DomainError):
-        divisor_delta_a_grid([1e3, 2e7], -0.5)
+        divisor_delta_grid([1e3, 2e7], -0.5)
+    with pytest.raises(DomainError, match="requires the exponent a"):
+        divisor_delta_a(1e3, None)
+
+
+@pytest.mark.parametrize("a", [None, -0.5])
+def test_delta_readers_make_one_one_pairs_call_per_grid(monkeypatch, a):
+    # one g = 1 table per grid, of the kinds each reader asks: the count,
+    # and l^a with a
+    from gcdsums import identities
+    calls = []
+
+    def counted(real):
+        def one_pairs(ns, a, kinds):
+            calls.append((list(ns), set(kinds)))
+            return real(ns, a, kinds)
+        return one_pairs
+
+    for module in (identities, G.asymptotics):
+        monkeypatch.setattr(module, "_one_pairs",
+                            counted(module._one_pairs))
+    kinds = {"v"} if a is None else {"v", "m^a"}
+    xs = [5000.0, 1000.5, 7e4, 1000.0]
+    mu_delta_grid(xs, "mu", a)
+    assert calls == [([1000, 5000, 70000], kinds)]
+    calls.clear()
+    divisor_delta_grid(xs, a)
+    assert calls == [([1000, 5000, 70000], kinds)]
+    calls.clear()
+    delta_integral_ratio(7e4)
+    assert calls == [([70000], {"v"})]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: residual_scan("id-log-avg", []),
+    lambda: mu_delta_grid([], "mu"),
+    lambda: mu_delta_grid([], "mu_star_mu", -0.5),
+    lambda: divisor_delta_grid([]),
+    lambda: divisor_delta_grid([], -0.5),
+    lambda: limit_ratio_grid("id", []),
+    lambda: limit_ratio_grid("jordan", [], -0.5),
+], ids=["residual_scan", "mu_delta_grid", "mu_delta_grid_a",
+        "divisor_delta_grid", "divisor_delta_grid_a", "limit_ratio_grid",
+        "limit_ratio_grid_a"])
+def test_empty_grid_is_refused(call):
+    with pytest.raises(DomainError, match="grid is empty"):
+        call()
 
 
 @pytest.mark.parametrize("grid", [
-    lambda xs: divisor_delta_a_grid(xs, -0.5),
+    lambda xs: divisor_delta_grid(xs, -0.5),
     lambda xs: mu_delta_grid(xs, "mu", -0.5),
     lambda xs: mu_delta_grid(xs, "mu_star_mu")],
     ids=["delta_a", "mu", "mu_mu"])
@@ -386,7 +435,7 @@ def test_divisor_sums_of_one_build_no_sieve(monkeypatch):
                  "sigma_logne"):
         residual_scan(name, grid)
     residual_scan("power_sum", grid, -0.5)
-    divisor_delta_a_grid(grid, -0.5)
+    divisor_delta_grid(grid, -0.5)
     tau_gcd_log_avg_routes(1e7)
     for a in ([], ["--a", "-0.5"]):
         assert cli.main(["delta", "--which", "point",

@@ -9,9 +9,12 @@ built from a given list equals one that lists its own.  The product
 builder takes f(p) at the primes above isqrt(n) from the row of p alone,
 with the bytes of the former form that stacked a row of ones on it.  An
 f that cannot be negative takes its f/d pair for |f|/d, and id-log-avg's
-exact side peaks no higher than when each block was allocated anew.
+exact side peaks no higher than when each block was allocated anew.  The
+g = 1 pairs of an n, read from a table shared by its grid, are the bytes
+of n alone.
 """
 
+import functools
 import random
 import tracemalloc
 
@@ -157,15 +160,42 @@ def test_nonnegative_f_takes_its_f_over_d_pair(text, rule):
                                                          pairs["|v|/m"]))
 
 
-@pytest.mark.parametrize("n", [1, 2, 1024, 10 ** 6 + 3])
+_ALONE_N = [1, 2, 1024, 10 ** 6 + 3, 2 * 10 ** 6 + 7, 5 * 10 ** 6 + 1]
+_ONE_A = [None, -0.9, -0.5, -0.1]
+
+
+def _one_kinds(a):
+    """Every kind of the constant 1: l^a where a is given."""
+    return identities._KINDS[:6] + (() if a is None else ("m^a",))
+
+
+@functools.cache
+def _in_a_grid(a):
+    """Every kind's g = 1 pairs, and Delta's, at each n of _ALONE_N in one
+    grid up to 10^7, whose largest n reads a wider table: once per a."""
+    ns = [*_ALONE_N, 10 ** 7]
+    return (dict(zip(ns, identities._one_pairs(ns, a, _one_kinds(a)))),
+            dict(zip(ns, asymptotics._delta_prefixes(ns, a)[0])))
+
+
+@pytest.mark.parametrize("n", _ALONE_N)
 def test_tau_count_prefixes_alone(n):
-    # Delta's pairs at n alone are n's in a grid whose largest x would size
-    # a wider g = 1 table: the sums of tau, and of sigma_a, whose l^a
-    # prefixes above a table are closed forms an ulp from the table's
-    for a in (None, -0.9, -0.1):
-        (alone,), _ = asymptotics._delta_prefixes([n], a)
-        (_, d, _), _ = asymptotics._delta_prefixes([1, n, 10 ** 7], a)
-        assert all(_same_bytes(x, y) for x, y in zip(alone, d)), a
+    # n reads the g = 1 table up to its own t(n) and takes closed forms
+    # above it, so its pairs of every kind, asked alone or together, are
+    # its pairs in any grid, and so are Delta's sums of tau and sigma_a
+    for a in _ONE_A:
+        kinds = _one_kinds(a)
+        alone, = identities._one_pairs([n], a, kinds)
+        pairs, deltas = _in_a_grid(a)
+        assert list(alone) == list(kinds)
+        for kind in kinds:
+            one, = identities._one_pairs([n], a, [kind])
+            assert list(one) == [kind]
+            for got in (pairs[n][kind], one[kind]):
+                assert all(_same_bytes(x, y)
+                           for x, y in zip(alone[kind], got)), (a, kind)
+        (d,), _ = asymptotics._delta_prefixes([n], a)
+        assert all(_same_bytes(x, y) for x, y in zip(d, deltas[n])), a
 
 
 def test_id_log_avg_exact_side_peak_not_above_per_block_allocation():

@@ -218,7 +218,7 @@ def test_average_weights_with_one_per_block_equal_one_sieve(n):
     # g = 1 (and f = 1) from its closed forms past t = 1024: the ONE
     # sieve's bytes up to there, past it each prefix within an ulp of the
     # sieve's and each of the seven terms within 4 ulps of 1.0, relative
-    got, = identities._one_pairs([n])
+    got, = identities._one_pairs([n], None, _G_KINDS)
     got = list(got.values())
     want = _kind_pairs(sieve_values(ONE, n), _G_KINDS, n)
     if n <= 1024:
@@ -262,7 +262,7 @@ def test_tau_prefixes_equal_tau_sieve_prefixes(tau_values, n):
     # u (u + 1) / 2, by ``hyperbola_prefixes`` as the Delta sides form
     # them: the bytes of the sieve's prefixes and of the integer hyperbola
     (d_pair,), _ = asymptotics._delta_prefixes([n], None)
-    count = next(identities._one_pairs([n]))["v"]
+    count = next(identities._one_pairs([n], None, ["v"]))["v"]
     t = tuple(u * (u + 1) / 2 for u in count)
     s_pair = _accum.hyperbola_prefixes(n, t, t)
     assert _same_pairs([d_pair], [whole_array_on_quotients(tau_values, n)])
@@ -405,7 +405,7 @@ def _per_x(fn):
 
 _EXACT_SIDES = {
     "divisor_delta": (_per_x(asymptotics.divisor_delta), _delta),
-    "divisor_delta_a": (lambda ns: asymptotics.divisor_delta_a_grid(ns, _A),
+    "divisor_delta_a": (lambda ns: asymptotics.divisor_delta_grid(ns, _A),
                         _delta_a),
     "delta_integral_ratio": (_per_x(asymptotics.delta_integral_ratio),
                              _delta_integral),
@@ -511,7 +511,7 @@ def _id_mu_blocks():
 @functools.cache
 def _count():
     """The count's pair at _N, the g = 1 weight 1, built once."""
-    return next(identities._one_pairs([_N]))["v"]
+    return next(identities._one_pairs([_N], None, ["v"]))["v"]
 
 
 def _terms():
@@ -538,9 +538,10 @@ _PRIMES_20 = len(tables._primes_upto(1 << 20))
 _STAGES = {
     # a block of the mu weights and the Delta values, one dot each, and
     # Delta's pairs at the quotients, with a sigma_a's from the g = 1
-    # table (seven rows of 1025 floats); the weights are read a block at
-    # a time, and the Delta values formed an eighth of a block at a time
-    # into a block of the pass's
+    # table (declared as seven rows of 1025 floats; it forms two, the
+    # count and l^a); the weights are read a block at a time, and the
+    # Delta values formed an eighth of a block at a time into a block of
+    # the pass's
     "mu_delta_sum": (
         lambda: asymptotics.mu_delta_sum(_N, "mu"), 1 + 1 / 8, 1, 0),
     "mu_delta_sum_a": (lambda: asymptotics.mu_delta_sum(_N, "mu", -0.5),
@@ -606,12 +607,14 @@ _STAGES = {
     "series_theta_bracket": (
         lambda: series.series_theta_bracket(_id_mu_blocks()[0], 3.0, [_N]),
         0, 6, 6 * _PRIMES),
-    # hyperbola sums of the g = 1 pairs at _N, so t = 1024: six tables
-    # of t + 1 floats, the pairs over isqrt(_N) + 1 entries and the closed
-    # forms above t (measured 19 floats per table entry); no sieve
+    # hyperbola sums of the g = 1 pairs at _N, so t = 1024: declared as
+    # six tables of t + 1 floats, the pairs over isqrt(_N) + 1 entries and
+    # the closed forms above t (it forms the four kinds it names: measured
+    # 14 floats per table entry); no sieve
     "statistic_exact_side": (
         lambda: asymptotics.summatory("sigma_logne", _N), 0, 0, 24 * 1025),
-    # the same with l^a, a seventh table (measured 21 per entry)
+    # the same with l^a, declared as a seventh table (it forms the count
+    # and l^a: measured 10 per entry)
     "divisor_delta_a": (
         lambda: asymptotics.divisor_delta_a(_N, -0.5), 0, 0, 28 * 1025),
     # id * phi as the hyperbola sum of its operands: phi, cast from int32,
@@ -638,6 +641,17 @@ _STAGES = {
     # table's count pair: no sieve
     "delta_integral_ratio": (
         lambda: asymptotics.delta_integral_ratio(_N), 0, 1, 0),
+    # Delta's pairs over a grid, from one g = 1 table of the kinds asked
+    # (here t = 1024): its row and eighth-block buffer per kind, the count
+    # (and l^a), every x's pairs, and ``hyperbola_prefixes``' chunks and
+    # longdouble arrays at the largest x (measured 1.50 and 1.54 blocks
+    # in all)
+    "delta_prefixes": (
+        lambda: asymptotics._delta_prefixes(_GEOM_N, None), 0, 1.5,
+        _quotient_floats(_GEOM_N) + 8 * _quotient_floats([_N]) + 2 * 1025),
+    "delta_prefixes_a": (
+        lambda: asymptotics._delta_prefixes(_GEOM_N, -0.5), 0, 1.5,
+        _quotient_floats(_GEOM_N) + 8 * _quotient_floats([_N]) + 4 * 1025),
     # the log l! row: the result, one row of n + 1 entries, and an eighth
     # of a block of l, logs and longdouble sums
     "log_factorial_row": (lambda: stirling.log_factorial_row(_N), 1, 1, 0),

@@ -10,6 +10,10 @@ builds each table once: its exact side for the largest x, and its Delta
 correction (``mu_delta_grid``) its weight sieve, once for the whole grid.
 Delta's divisor sum, sigma_a for ``Delta_a`` as tau for ``Delta``, is a
 hyperbola sum of the g = 1 pairs, so no scan builds a sigma_a table.
+The g = 1 pairs keep the same promise: a grid shares one g = 1 table,
+but each n reads it only up to its own t(n) = min(max(isqrt(n), 1024),
+n) and takes closed forms above it, so n's pairs are the same in every
+grid (``tests/test_block_buffers.py::test_tau_count_prefixes_alone``).
 """
 
 from collections import Counter

@@ -197,6 +197,22 @@ def test_series_k_list_prints_the_rows_of_one_k_runs(capsys, which):
     assert "".join(rows) == "".join(alone)
 
 
+@pytest.mark.parametrize("a", [[], ["--a", "-0.5"]], ids=["tau", "sigma_a"])
+def test_delta_point_prints_the_values_at_each_x(capsys, a):
+    # one call for the grid, with or without --a, prints the bytes of
+    # divisor_delta and divisor_delta_a taken one x at a time
+    grid = "999.5,3000,1e6,5000001,1e7"
+    assert run_cli(["delta", "--which", "point", "--grid", grid, *a]) == 0
+    xs = [float(x) for x in grid.split(",")]
+    if a:
+        values = [G.divisor_delta_a(x, -0.5) for x in xs]
+    else:
+        values = [G.divisor_delta(x) for x in xs]
+    out = io.StringIO()
+    csvio.write_rows("x,delta", zip(xs, values), out)
+    assert capsys.readouterr().out == out.getvalue()
+
+
 def test_delta_series_command(tmp_path):
     out = tmp_path / "v.csv"
     assert run_cli(["delta", "--which", "series", "--xmax", "1e4",

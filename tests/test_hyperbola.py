@@ -235,7 +235,7 @@ def test_one_prefixes_against_mpmath(n):
     # checked at every 64th quotient, as mpmath's Stieltjes constant
     # costs 30 ms.
     n = int(n)
-    pairs, = identities._one_pairs([n])
+    pairs, = identities._one_pairs([n], None, identities._KINDS[:6])
     t = max(math.isqrt(n), 1024)
     for k, (lo, hi) in enumerate(pairs.values()):
         for i, (v, got) in enumerate(zip(_quotients(n), [*lo, *hi])):
@@ -251,7 +251,7 @@ def test_power_prefixes_against_mpmath(n, a):
     # the l^a pair, summed up to t and Euler-Maclaurin past it, at every
     # quotient of n: within an ulp of zeta(-a) - zeta(-a, v + 1)
     n = int(n)
-    pairs, = identities._one_pairs([n], a)
+    pairs, = identities._one_pairs([n], a, ["m^a"])
     lo, hi = pairs["m^a"]
     for v, got in zip(_quotients(n), [*lo, *hi]):
         assert ulps_from(got, mp_power_prefix(v, a)) <= 1.0, v
