@@ -39,15 +39,17 @@ c_k(j) = sum_{d | (j,k)} d mu(k/d) by its definition instead: the d = 1
 term stored, then one strided add of d mu(k/d) per d > 1 with
 mu(k/d) != 0; its values are integers, so the adds are exact.
 
-Each audit has one per-k kernel, given D[m] = the divisors of each m | k.
-The ``*_audits`` batches that ``identity`` runs take D from one
-``divisor_lists`` sieve, build each table once and share one scratch
-buffer of kmax floats; a table passed as a list of Python floats gives
-the same IEEE products as numpy scalars.  The public per-k functions
-build no sieve: they take log m from ``np.log`` (the LOG sieve's bytes),
-log d from ``math.log`` as the batches do, and mu, phi and Lambda at the
-divisors of k from the divisors themselves, mu and phi as exact integers,
-so their values equal the batches' bit for bit.
+Each audit has one per-k kernel, given D[m] = the divisors of each m | k
+(toth's and cesaro's read D[k] alone).  The ``*_audits`` batches that
+``identity`` runs build each table once and share one scratch buffer of
+kmax floats; apostol's takes D from one ``divisor_lists`` sieve, and
+toth's and cesaro's take each D[k] in turn from ``iter_divisor_lists``,
+which holds one run of 2048 k at a time.  A table passed as a list of
+Python floats gives the same IEEE products as numpy scalars.  The public
+per-k functions build no sieve: they take log m from ``np.log`` (the
+LOG sieve's bytes), log d from ``math.log`` as the batches do, and mu,
+phi and Lambda at the divisors of k from the divisors themselves, mu and
+phi as exact integers, so their values equal the batches' bit for bit.
 
 Each hyperbola sum, of the six terms and of the statistics in
 ``asymptotics`` alike, is a list of terms (sign, w, c) for
@@ -64,6 +66,7 @@ All sums over x cut at floor(x); an integer x includes k = x.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -73,7 +76,7 @@ from ._accum import (_BLOCK, ascending, block_of, dot, hyperbola_sum,
 from .stirling import SEED, log_factorial_row, one_weight_sums, rho_block
 from .tables import (MU, PHI, VON_MANGOLDT, FunctionSpec, FunctionTable,
                      _with_mu, convolve, cut, divisor_lists, divisors_of,
-                     nonnegative, sieve, sieve_values)
+                     iter_divisor_lists, nonnegative, sieve, sieve_values)
 from .zeta import LOG_SQRT_2PI
 
 
@@ -139,12 +142,11 @@ def _apostol_identity(fv, gv, lf, lg, k: int, D) -> float:
                      for d, l in zip(D[k], reversed(D[k])))  # l = k/d
 
 
-def _toth_sides(mu, logs: np.ndarray, lam_k, lf, k: int, D,
+def _toth_sides(mu, logs: np.ndarray, lam_k, lf, k: int, divs,
                 buf) -> tuple[float, float]:
     # c_k(j) = sum_{d | (j,k)} d mu(k/d): the d = 1 term stored, then one
     # strided add per d > 1 with mu(k/d) != 0; exact, as its values are
     # integers below 2^53
-    divs = D[k]
     c = buf[:k]
     c.fill(mu[k])
     for d in divs[1:]:
@@ -156,9 +158,10 @@ def _toth_sides(mu, logs: np.ndarray, lam_k, lf, k: int, D,
                                          if mu[d])
 
 
-def _cesaro_sides(fv: np.ndarray, phi, k: int, D, buf) -> tuple[float, float]:
-    return (float(_gather_by_gcd(fv, D[k], k, buf).sum()),
-            math.fsum(fv[d] * phi[k // d] for d in D[k]))
+def _cesaro_sides(fv: np.ndarray, phi, k: int, divs,
+                  buf) -> tuple[float, float]:
+    return (float(_gather_by_gcd(fv, divs, k, buf).sum()),
+            math.fsum(fv[d] * phi[k // d] for d in divs))
 
 
 def _divisor_map(k: int) -> dict[int, list[int]]:
@@ -212,7 +215,7 @@ def toth_identity(k: int) -> tuple[float, float]:
     lam_k = (math.log(divs[1]) if k > 1 and divs[1] ** (len(divs) - 1) == k
              else 0.0)
     return _toth_sides(_mobius_on(D), _logs(k), lam_k, log_factorial_row(k),
-                       k, D, np.empty(k))
+                       k, divs, np.empty(k))
 
 
 def cesaro_identity(f: FunctionTable, k: int) -> tuple[float, float]:
@@ -221,20 +224,16 @@ def cesaro_identity(f: FunctionTable, k: int) -> tuple[float, float]:
     D = _divisor_map(k)
     mu = _mobius_on(D)
     phi = {m: sum(mu[d] * (m // d) for d in D[m]) for m in D}  # mu * id
-    return _cesaro_sides(f.values, phi, k, D, np.empty(k))
+    return _cesaro_sides(f.values, phi, k, D[k], np.empty(k))
 
 
-def _batch(kernel, D, own: bool = False):
-    """kernel(k, buf) for k = 1..kmax, with one scratch buffer of kmax
-    floats for every k.  D[k] is dropped after its last use: right after
-    kernel(k) when ``own`` (the kernel reads D[k] alone), else once
-    2k > kmax (kernel(k) reads D[m] for every m | k)."""
-    kmax = len(D) - 1
+def _batch(kernel, lists, kmax: int):
+    """kernel(k, D[k], buf) for k = 1..kmax, D[k] the k-th of lists (the
+    divisor lists of 1..kmax in turn), with one scratch buffer of kmax
+    floats for every k."""
     buf = np.empty(kmax)
-    for k in range(1, kmax + 1):
-        yield kernel(k, buf)
-        if own or 2 * k > kmax:
-            D[k] = None
+    for k, divs in enumerate(lists, 1):
+        yield kernel(k, divs, buf)
 
 
 def apostol_audits(f: FunctionTable, g: FunctionTable, kmax: int):
@@ -244,26 +243,36 @@ def apostol_audits(f: FunctionTable, g: FunctionTable, kmax: int):
     fv, gv = f.values[:kmax + 1].tolist(), g.values[:kmax + 1].tolist()
     lf = log_factorial_row(kmax).tolist()
     lg = [0.0, *map(math.log, range(1, kmax + 1))]
-    return _batch(lambda k, buf: (_apostol_direct(fv, gv, logs, k, D, buf),
-                                  _apostol_identity(fv, gv, lf, lg, k, D)), D)
+
+    def sides(k, divs, buf):
+        # k reads D[m] for every m | k, so D[k] is last read by k once
+        # 2k > kmax, and dropped then
+        both = (_apostol_direct(fv, gv, logs, k, D, buf),
+                _apostol_identity(fv, gv, lf, lg, k, D))
+        if 2 * k > kmax:
+            D[k] = None
+        return both
+
+    return _batch(sides, islice(D, 1, None), kmax)
 
 
 def toth_audits(kmax: int):
     """``toth_identity(k)`` for k = 1..kmax."""
-    D, logs = divisor_lists(kmax), _logs(kmax)
+    lists, logs = iter_divisor_lists(kmax), _logs(kmax)
     mu = sieve_values(MU, kmax).astype(np.int64).tolist()
     lam = sieve_values(VON_MANGOLDT, kmax)
     lf = log_factorial_row(kmax).tolist()
-    return _batch(lambda k, buf: _toth_sides(mu, logs, lam[k], lf, k, D, buf),
-                  D, own=True)
+    return _batch(lambda k, divs, buf: _toth_sides(mu, logs, lam[k], lf, k,
+                                                   divs, buf), lists, kmax)
 
 
 def cesaro_audits(f: FunctionTable, kmax: int):
     """``cesaro_identity(f, k)`` for k = 1..kmax."""
     cut(kmax, f)
-    D, phi = divisor_lists(kmax), sieve_values(PHI, kmax).tolist()
-    return _batch(lambda k, buf: _cesaro_sides(f.values, phi, k, D, buf), D,
-                  own=True)
+    phi = sieve_values(PHI, kmax).tolist()
+    return _batch(lambda k, divs, buf: _cesaro_sides(f.values, phi, k, divs,
+                                                     buf),
+                  iter_divisor_lists(kmax), kmax)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +508,7 @@ def _cesaro_terms(fv: np.ndarray, n: int) -> np.ndarray:
     """(1/k) sum_{j<=k} f(gcd(j,k)) in slot k = 1..n by the double loop;
     slot 0 holds 0."""
     terms, buf = np.zeros(n + 1), np.empty(n)
-    for k, divs in enumerate(divisor_lists(n)[1:], 1):
+    for k, divs in enumerate(iter_divisor_lists(n), 1):
         terms[k] = _gather_by_gcd(fv, divs, k, buf).sum() / k
     return terms
 

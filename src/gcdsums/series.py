@@ -18,8 +18,10 @@ the lhs's hyperbola sums have as prefix sums at K the truncated -F'(s),
 G(s-1), F(s) and G_L(s) of the rhs, read as the hi[0] of their pairs, so
 a K list costs one pass up to its largest K and every sum follows the
 one rule of ``_accum.chained_sums``.  Every table is read a block at a
-time, arrays and ``tables.Blocks`` alike, and L(l) is summed from block
-to block by the same rule: no K-length array and no log l! row is built.
+time, arrays and ``tables.Blocks`` alike, into one block of the pass's,
+as each table's weights are formed in turn, and L(l) is summed from
+block to block by the same rule: the pass holds four blocks, and no
+K-length array and no log l! row is built.
 """
 
 from __future__ import annotations
@@ -70,19 +72,21 @@ def _weights(f: FunctionTable | None, g: FunctionTable | None, s: float,
     """The ``weights(lo, hi)`` of one ``quotient_prefixes`` pass for
     sum u(k) k^-s up to k_max: where a table h is given, h(d) log d d^-s
     and h(d) d^-s, whose sums at K are -H'(s) and H(s); then f(d) log d
-    d^-s, g(l) l^(1-s), f(d) d^-s and g(l) L(l) l^-s, whose sums at K are
-    the truncated -F'(s), G(s-1), F(s) and G_L(s).
+    d^-s, f(d) d^-s, g(l) l^(1-s) and g(l) L(l) l^-s, whose sums at K are
+    the truncated -F'(s), F(s), G(s-1) and G_L(s).
 
     f, g and h are tables (arrays or ``tables.Blocks``) or None, the
-    constant 1, each read a block of ``_BLOCK`` at a time into five blocks
-    of the writer's.  L(l) = log l! is carried from block to block by
-    ``chained_sums`` an eighth of a block at a time, every entry carried
-    as ``stirling.log_factorial_row``'s are, so it has the row's bytes and
-    no row is built.  The pass asks for its blocks in ascending order
-    from 1.
+    constant 1, each read a block of ``_BLOCK`` at a time, in turn, into
+    one block of the writer's four: the others hold log l, l^-s, and the
+    log weights and then L(l) (l^(1-s) is written over log l once no
+    weight reads it).  L(l) = log l! is carried from block to block by
+    ``chained_sums`` an eighth of a block at a time, after f's weights,
+    every entry carried as ``stirling.log_factorial_row``'s are, so it
+    has the row's bytes and no row is built.  The pass asks for its
+    blocks in ascending order from 1.
     """
     fv, gv, hv = (None if t is None else t.values for t in (f, g, h))
-    fb, gb, lg, p, lf = np.empty((5, min(_BLOCK, k_max)))
+    t, lg, p, lf = np.empty((4, min(_BLOCK, k_max)))
     sums = np.empty(min(_BLOCK // 8, k_max), np.longdouble)
     carry = [np.longdouble(0.0)] * 2  # L(lo - 1)
 
@@ -93,19 +97,18 @@ def _weights(f: FunctionTable | None, g: FunctionTable | None, s: float,
         lgs = np.log(ramp(lg[:n], lo), out=lg[:n])
         ps, lfs = ramp(p[:n], lo), lf[:n]
         ps **= -s
+        for v in (fv,) if h is None else (hv, fv):
+            w = block_of(v, lo, t[:n])
+            yield np.multiply(np.multiply(w, lgs, out=lfs), ps, out=lfs)
+            yield np.multiply(w, ps, out=w)
+        # L(l), into the block the log weights were written to
         for a in range(0, n, _BLOCK // 8):
             part, before = chained_sums(lgs[a:a + _BLOCK // 8], carry, sums)
             lfs[a:a + len(part)] = np.add(part, before, out=part)
-        if h is not None:
-            w = block_of(hv, lo, fb[:n])
-            yield np.multiply(np.multiply(w, lgs, out=gb[:n]), ps, out=gb[:n])
-            yield np.multiply(w, ps, out=w)
-        w, c = block_of(fv, lo, fb[:n]), block_of(gv, lo, gb[:n])
-        yield np.multiply(np.multiply(w, lgs, out=lgs), ps, out=lgs)
+        c = block_of(gv, lo, t[:n])
         q = ramp(lgs, lo)
         q **= -(s - 1.0)
         yield np.multiply(c, q, out=q)
-        yield np.multiply(w, ps, out=w)
         yield np.multiply(np.multiply(c, lfs, out=lfs), ps, out=lfs)
 
     return weights
@@ -114,18 +117,20 @@ def _weights(f: FunctionTable | None, g: FunctionTable | None, s: float,
 def _passes(f, g, s: float, ks, h=None):
     """For each K of ks (ascending), the lhs sum_{k<=K} u(k) k^-s and the
     sums at K of the pass's weights: -H'(s) and H(s) where h is given,
-    else -F'(s), G(s-1), F(s) and G_L(s), each the hi[0] of its pair.
+    else -F'(s), G(s-1), F(s) and G_L(s), each the hi[0] of its pair
+    (the pass forms them in the order of ``_weights``).
     The lhs is the hyperbola sums over d*l <= K of
     (f(d) log d d^-s) (g(l) l^(1-s)) + (f(d) d^-s) (g(l) L(l) l^-s),
     from one ``quotient_prefixes`` pass up to the largest K for every K,
     as no weight depends on K.  It holds the tables it is given, or what
-    their blocks share, the writer's blocks and the pairs; no K-length
-    array."""
+    their blocks share, the writer's four blocks and the pairs; no
+    K-length array."""
     ks = ascending(ks)
     for pairs in quotient_prefixes(lambda: _weights(f, g, s, ks[-1], h), ks):
         sums = [float(hi[0]) for _, hi in pairs]
-        yield (hyperbola_sum([(1, *pairs[-4:-2]), (1, *pairs[-2:])]),
-               sums if h is None else sums[:2])
+        f_log, f_sum, g_id, g_lf = sums[-4:]
+        yield (hyperbola_sum([(1, *pairs[-4::2]), (1, *pairs[-3::2])]),
+               [f_log, g_id, f_sum, g_lf] if h is None else sums[:2])
 
 
 def _u_partial_sum(f: FunctionTable | None, g: FunctionTable | None, s: float,

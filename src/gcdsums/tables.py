@@ -44,6 +44,9 @@ _MAX_EXP_PRODUCT = 700.0
 # the rest together (``_multiples``)
 _TINY = 256
 
+# the m whose divisor lists ``iter_divisor_lists`` builds at a time
+_DIVISOR_RUN = 2048
+
 # O(x) memory is accepted up to here: every x, k, K and sieve size past it
 # is rejected before any allocation
 MAX_SIEVE = 10_000_000
@@ -607,14 +610,40 @@ def divisors_of(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def divisor_lists(n: int) -> list[list[int]]:
-    """Ascending divisors of every m <= n, as lists indexed by m (slot 0 empty):
-    about n ln n appends and 180 bytes per m at n = 10^4.  n is bounded by
-    ``MAX_SIEVE`` before any allocation."""
-    n = cut(n)
-    lists = [[] for _ in range(n + 1)]
-    for d in range(1, n + 1):
-        for divs in lists[d::d]:
+def _divisor_run(k0: int, k1: int) -> list[list[int]]:
+    """The ascending divisors of each m of k0..k1-1 (k0 >= 1), as lists
+    indexed by m - k0, d ascending: each d below the run's size appended
+    to its multiples there, then each larger d, which has one multiple
+    q d there at most, taken by q descending, so no d is visited that
+    divides no m of the run."""
+    size = k1 - k0
+    lists = [[] for _ in range(size)]
+    for d in range(1, size):
+        for divs in lists[-k0 % d::d]:
+            divs.append(d)
+    for q in range((k1 - 1) // size, 0, -1):
+        ds = range(max(size, -(-k0 // q)), -(-k1 // q))  # q d in k0..k1-1
+        for divs, d in zip(lists[q * ds.start - k0::q], ds):
             divs.append(d)
     return lists
 
+
+def divisor_lists(n: int) -> list[list[int]]:
+    """Ascending divisors of every m <= n, as lists indexed by m (slot 0 empty):
+    about n ln n appends and 180 bytes per m at n = 10^4.  n is bounded by
+    ``MAX_SIEVE`` before any allocation.  A reader that takes each m's
+    list once, in turn, holds less with ``iter_divisor_lists``."""
+    lists = _divisor_run(1, cut(n) + 1)
+    lists.insert(0, [])
+    return lists
+
+
+def iter_divisor_lists(n: int):
+    """The lists of ``divisor_lists(n)`` for m = 1..n in turn, built
+    ``_DIVISOR_RUN`` consecutive m at a time: a run is dropped once its
+    last list is read, so one run lives at a time, at most 0.5 MB at
+    n = 10^4 where the whole sieve takes 1.8 MB.  n is bounded by
+    ``MAX_SIEVE`` when this is called, before any list exists."""
+    n = cut(n)
+    return (divs for k0 in range(1, n + 1, _DIVISOR_RUN)
+            for divs in _divisor_run(k0, min(k0 + _DIVISOR_RUN, n + 1)))

@@ -12,14 +12,15 @@ plus its declared count of n-length arrays (the tables it builds among
 them), its declared count of blocks and, for the one pass over a whole
 grid, its declared quotient-set floats, and each sieve build at its
 result and live operands plus a few blocks (a product of prime powers at
-its result, a block and a few floats per prime).  The pass over a grid
-must give the bytes of the passes over its points one at a time, and rho
-formed per block the bytes of the rho row.  The constant 1 formed per
-block (in the series and the per-k reference) must equal the ONE sieve,
-and tau's prefixes by ``hyperbola_prefixes`` the tau sieve's and the
-integer hyperbola's, by bytes.  The g = 1 six-term prefixes must equal
-the ONE sieve's by bytes up to n = 1024 and, closed forms past their
-table, within an ulp; f = g = 1 must hold no array of length x.  The
+its result, a block and a few floats per prime), and Toth's per-k audits
+at their tables and lists plus one run of divisor lists.  The pass over
+a grid must give the bytes of the passes over its points one at a time,
+and rho formed per block the bytes of the rho row.  The constant 1
+formed per block (in the series and the per-k reference) must equal the
+ONE sieve, and tau's prefixes by ``hyperbola_prefixes`` the tau sieve's
+and the integer hyperbola's, by bytes.  The g = 1 six-term prefixes must
+equal the ONE sieve's by bytes up to n = 1024 and, closed forms past
+their table, within an ulp; f = g = 1 must hold no array of length x.  The
 exact sides that are hyperbola sums of those g = 1 prefixes (five
 divisor statistics, ``power_sum`` and ``Delta_a``) sieve nothing, and
 the sieved whole-array prefix stays their oracle: each must come within
@@ -522,6 +523,14 @@ def _u_sum():
     return series._u_partial_sum(*_id_mu(), 3.0, [_N])
 
 
+_K = 10 ** 4
+
+
+def _toth():
+    for _ in identities.toth_audits(_K):
+        pass
+
+
 def _build(text):
     """A sieve build: its peak is the result and the operands live at
     once, each part freed after its last use."""
@@ -593,20 +602,24 @@ _STAGES = {
     "one_closed_forms": (
         lambda: identities.apostol_log_average_grid(None, None, [1e6]),
         0, 0, 48 * 1025),
-    # no log l! row and no K-length array: the writer's five blocks and
-    # its and the pass's eighths of a block of longdouble (measured 5.60)
-    "u_partial_sum": (_u_sum, 0, 6, 0),
+    # no log l! row and no K-length array: the writer's four blocks (the
+    # one that f and g, and h, are read into in turn, log l, l^-s and
+    # L(l)) and its and the pass's eighths of a block of longdouble
+    # (measured 4.62; 5.62 with a block per table)
+    "u_partial_sum": (_u_sum, 0, 5, 0),
     # both sides of a K list from tables given as blocks: the same, and
-    # a block's temporaries of the mu fill (measured 6.95)
+    # a block's temporaries of the mu fill (measured 5.96; 6.96 with a
+    # block per table)
     "series_identity_grid": (
         lambda: series.series_identity_grid(*_id_mu_blocks(), 3.0,
-                                            [100, 1000, _N]), 0, 8, 0),
-    # the blocks of f, given, and of f*mu, prepared up to K, which share
-    # per prime above isqrt(K) P and f(P), in one pass (measured 7.38
-    # blocks with those)
+                                            [100, 1000, _N]), 0, 6.5, 0),
+    # the writer's four blocks, the blocks of f, given, and of f*mu,
+    # prepared up to K, which share per prime above isqrt(K) P and f(P),
+    # read in turn in one pass (measured 6.38 blocks with those; 7.38
+    # with a block per table)
     "series_theta_bracket": (
         lambda: series.series_theta_bracket(_id_mu_blocks()[0], 3.0, [_N]),
-        0, 6, 6 * _PRIMES),
+        0, 5, 6 * _PRIMES),
     # hyperbola sums of the g = 1 pairs at _N, so t = 1024: declared as
     # six tables of t + 1 floats, the pairs over isqrt(_N) + 1 entries and
     # the closed forms above t (it forms the four kinds it names: measured
@@ -652,6 +665,14 @@ _STAGES = {
     "delta_prefixes_a": (
         lambda: asymptotics._delta_prefixes(_GEOM_N, -0.5), 0, 1.5,
         _quotient_floats(_GEOM_N) + 8 * _quotient_floats([_N]) + 4 * 1025),
+    # Toth's audits to k = 10^4, each k's sides dropped once read: k + 1
+    # floats each for the logs, Lambda, the scratch buffer and mu's list,
+    # four per k for the list of L(k) (a pointer and a float object) and
+    # one for its row while the list is formed, and one run of divisor
+    # lists, 2048 lists of at most 256 bytes with their divisors' int
+    # objects (measured 1.15 MB in all, the run up to 247 bytes a list;
+    # the whole sieve held 1.8 MB, 180 bytes a list)
+    "toth_audits": (_toth, 0, 1, 9 * (_K + 1)),
     # the log l! row: the result, one row of n + 1 entries, and an eighth
     # of a block of l, logs and longdouble sums
     "log_factorial_row": (lambda: stirling.log_factorial_row(_N), 1, 1, 0),

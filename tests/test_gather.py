@@ -4,7 +4,8 @@
 each audit built on it must equal its former Euclid-based form bit for bit.
 The batch generators behind ``identity`` must equal the public per-k
 functions bit for bit, the per-k functions must build no sieve, and the
-divisor sieve the batches share must equal naive divisor enumeration.
+divisor lists the batches take, whole or a run at a time, must equal
+naive divisor enumeration.
 """
 
 import math
@@ -18,7 +19,8 @@ from gcdsums import identities
 from gcdsums._accum import dot
 from gcdsums.errors import DomainError
 from gcdsums.stirling import log_factorial_table
-from gcdsums.tables import MAX_SIEVE, divisor_lists, divisors_of, sieve_values
+from gcdsums.tables import (MAX_SIEVE, divisor_lists, divisors_of,
+                            iter_divisor_lists, sieve_values)
 
 from oracles import euclid_gather, loop_s_by_gcd, matrix_toth, naive_divisors
 
@@ -50,6 +52,23 @@ def test_divisor_sieve_rejects_size_before_allocating(n):
         divisor_lists(n)
     with pytest.raises(DomainError):
         G.toth_audits(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 2047, 2048, 2049, 4097, 10 ** 4])
+def test_divisor_runs_match_divisors_of(n):
+    # runs of 2048: the edges, and a short last run
+    got = list(iter_divisor_lists(n))
+    assert got == [divisors_of(m) for m in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n", [0, MAX_SIEVE + 1])
+def test_batches_by_runs_reject_size_when_called(n):
+    # before any list exists, not at the first k
+    f = G.sieve(G.ONE, 10)
+    with pytest.raises(DomainError):
+        iter_divisor_lists(n)
+    with pytest.raises(DomainError):
+        G.cesaro_audits(f, n)
 
 
 def _non_integer_table(k):
