@@ -6,30 +6,34 @@ list of ``identities._hyperbola_sums``, its weights named by table and
 kind as the log averages' are.  A weight of the constant 1 (the count
 for id, l^a for id_{1+a}, 1/l, l^-2, log l / l) takes its closed-form
 g = 1 prefix, any other is the v/m of its operand's blocks, one pass
-per operand; no statistic sieves its product.  Main terms
-are the displayed asymptotic formulas with all zeta / zeta' / gamma
-constants evaluated by the zeta module.  Because the error bounds carry
-no explicit constants, order-of-growth claims are checked by
-calibration regression: the first run freezes the normalized residuals
-over a standard geometric grid and later runs must stay within 2x of
-the frozen maxima.
+per operand; no statistic sieves its product.  Main terms are the
+displayed asymptotic formulas as data: tuples of terms (p, j, c), each
+c x^p log^j x with p = 0, 1 or 1 + a and j <= 3, the zeta / zeta' /
+gamma constants of c evaluated by the zeta module.  Because the error
+bounds carry no explicit constants, order-of-growth claims are checked
+by calibration regression: the first run freezes the normalized
+residuals over a standard geometric grid and later runs must stay
+within 2x of the frozen maxima.
 
 The paper's log averages and the summatory statistics behind them are
 one kind of record, a ``Target``: an exact side with the exact Stirling
 remainder its main term's theta slot stands for, the main term, a
-normalizer and an optional mu-weighted Delta correction.  ``residual_scan``,
-``main_term`` and ``summatory`` run every target through the same steps.
+normalizer x^p log^j x and an optional mu-weighted Delta correction.
+One evaluator, ``_value``, sums every main term and normalizer at x.
+``residual_scan``, ``main_term`` and ``summatory`` run every target
+through the same steps; ``limit_ratio_grid`` divides by a leading term.
 
-Each family of main terms is one formula in k, the count of factors
+Each family of main terms is one term list in k, the count of factors
 1/zeta(2) (or 1/zeta(2 + a)): k = 1 for f = id and id_{1+a}, k = 2 for
 phi and phi_{1+a}, since phi = id * mu puts one more 1/zeta(s) in the
 Dirichlet series.  A family written in a gives its id and phi members at
 a = 0.0, whatever a they are handed.
 
 The Stirling-remainder coefficient Theta is never fitted to a single
-number.  Main terms take theta in [0, 1/12] as a parameter; scans report
-residuals against both bracket ends and, as the calibrated quantity, the
-residual after subtracting the exactly computed remainder component.
+number.  Main terms take theta in [0, 1/12] as a parameter, read by one
+coefficient, the Stirling slot.  Scans report residuals against both
+bracket ends and, as the calibrated quantity, the residual after
+subtracting the exactly computed remainder component.
 """
 
 from __future__ import annotations
@@ -231,27 +235,17 @@ def mu_delta_grid(xs, kind: str, a: float | None = None,
 # targets: an exact side and the displayed main term it is checked against
 
 
-class Normalizer(NamedTuple):
-    kind: str  # "log_pow" | "x_pow" | "const"
-    power: float | None = 0.0  # None stands for the exponent a
+def _value(terms, x: float) -> float:
+    """sum c x^p log^j x over the terms (p, j, c), by ``math.fsum``."""
+    lx = math.log(x)
+    return math.fsum(c * x ** p * lx ** j for p, j, c in terms)
 
-    def at(self, a: float | None) -> "Normalizer":
-        """This normalizer with the exponent a in place of a power of None."""
-        return self if self.power is not None else Normalizer(self.kind, a)
 
-    def value(self, x: float) -> float:
-        if self.kind == "log_pow":
-            return math.log(x) ** self.power
-        if self.kind == "x_pow":
-            return x ** self.power
-        return 1.0
-
-    def label(self) -> str:
-        if self.kind == "log_pow":
-            return f"log^{self.power:g}"
-        if self.kind == "x_pow":
-            return f"x^{self.power:g}"
-        return "const"
+def _norm(normalizer, a: float | None):
+    """(the term list of a normalizer (p, j), p None read as a; its label)"""
+    p, j = (a, normalizer[1]) if normalizer[0] is None else normalizer
+    label = " ".join(f"{s}^{e:g}" for s, e in (("x", p), ("log", j)) if e)
+    return ((p, j, 1.0),), label or "const"
 
 
 # the one dataclass record: ``dataclasses.replace`` swaps a field of a
@@ -268,8 +262,10 @@ class Target:
     the ``tables.blocks`` of each table it needs once, for the largest x,
     and samples every x's prefix sums in one ``quotient_prefixes`` pass
     per table, a block at a time: its peak holds a few blocks and what
-    the blocks share, no x-long array.  ``main(x, a, theta)`` is the
-    displayed main term with the slot at theta.  A log average keeps its
+    the blocks share, no x-long array.  ``main(a, theta)`` is the
+    displayed main term as a tuple of terms (p, j, c), its Stirling slot
+    the one coefficient that reads theta; ``_value`` sums it at x, as it
+    does the normalizer's one term x^p log^j x.  A log average keeps its
     (f, g) specs in ``pair(a)``; a statistic leaves it None.  The
     mu-weighted Delta correction (``correction(xs, a)``, one
     ``mu_delta_grid`` call for a grid) sums ``weight`` against Delta
@@ -279,8 +275,8 @@ class Target:
 
     name: str
     parts: object           # (xs, a, primes=None) -> (exact, remainder)
-    main: object            # callable (x, a, theta) -> float
-    normalizer: Normalizer
+    main: object            # callable (a, theta) -> ((p, j, c), ...)
+    normalizer: tuple       # (p, j): x^p log^j x, p None for the exponent a
     needs_a: bool = False
     weight: str | None = None       # mu-weighted Delta correction kind
     pair: object = None             # callable a -> (f, g) specs, or None
@@ -295,64 +291,76 @@ class Target:
                                       self.pair is not None, primes))
 
 
-# main terms, one formula per family in k (see the module docstring); at
-# a = 0.0, (1 + a) * z is z and x ** (1 + a) is x, bit for bit
+# main terms, one term list per family in k (see the module docstring); at
+# a = 0.0, 1 + a is 1 and (1 + a) * z is z, bit for bit
 
 
 def _log_avg_main(k: int):
-    """The id (k = 1) and phi (k = 2) log averages, Stirling slot at theta."""
-    def main(x, a, theta):
+    """The log average of f = id (k = 1) or phi (k = 2):
+        x log^2 x / zeta(2)^k
+        + (2 gamma - 3 - k zeta'(2)/zeta(2)) x log x / zeta(2)^k
+        - (4 gamma - 3 - 2k zeta'(2)/zeta(2) + zeta'(2)/2 - Theta zeta(3)
+           - zeta(2) log sqrt(2 pi)) x / zeta(2)^k."""
+    def main(a, theta):
         C = constants()
-        z2, zp2, g = C.zeta2, C.zeta_prime_2, C.gamma
-        lx, zk = math.log(x), z2 ** k
-        return (x * lx ** 2 / zk
-                + (2 * g - 3 - k * zp2 / z2) * x * lx / zk
-                - (4 * g - 3 - 2 * k * zp2 / z2 + zp2 / 2 - theta * C.zeta3
-                   - z2 * LOG_SQRT_2PI) * x / zk)
+        z2, zp2, g, zk = C.zeta2, C.zeta_prime_2, C.gamma, C.zeta2 ** k
+        return ((1, 2, 1 / zk),
+                (1, 1, (2 * g - 3 - k * zp2 / z2) / zk),
+                (1, 0, -(4 * g - 3 - 2 * k * zp2 / z2 + zp2 / 2
+                         - theta * C.zeta3 - z2 * LOG_SQRT_2PI) / zk))
     return main
 
 
 def _pow_log_avg_main(k: int):
-    """The id_{1+a} (k = 1) and phi_{1+a} (k = 2) log averages."""
-    def main(x, a, theta):
+    """The log average of f = id_{1+a} (k = 1) or phi_{1+a} (k = 2), with
+    Z = (1 + a) zeta(2 + a)^k:
+        zeta(1-a)/zeta(2)^k x log x - 2 zeta(1-a)/zeta(2)^k x
+        + zeta(1+a)/Z x^(1+a) log x
+        - ((2+a) zeta(1+a)/(1+a) + zeta'(2+a)/2 - Theta zeta(3+a))/Z x^(1+a)
+        + log sqrt(2 pi) / ((1 + a) zeta(2 + a)^(k-1)) x^(1+a)."""
+    def main(a, theta):
         C = constants()
-        lx, zk, xa = math.log(x), C.zeta2 ** k, x ** (1 + a)
-        z1ma, z1pa, z2pa = C.zeta(1 - a), C.zeta(1 + a), C.zeta(2 + a)
-        return (z1ma / zk * x * lx - 2 * z1ma / zk * x
-                + z1pa / ((1 + a) * z2pa ** k) * xa * lx
-                - ((2 + a) * z1pa / (1 + a) + C.zeta_prime(2 + a) / 2
-                   - theta * C.zeta(3 + a)) / ((1 + a) * z2pa ** k) * xa
-                + LOG_SQRT_2PI / ((1 + a) * z2pa ** (k - 1)) * xa)
+        zk, z1ma, z1pa, z2pa = (C.zeta2 ** k, C.zeta(1 - a), C.zeta(1 + a),
+                                C.zeta(2 + a))
+        big_z = (1 + a) * z2pa ** k
+        return ((1, 1, z1ma / zk), (1, 0, -2 * z1ma / zk),
+                (1 + a, 1, z1pa / big_z),
+                (1 + a, 0, -((2 + a) * z1pa / (1 + a) + C.zeta_prime(2 + a) / 2
+                             - theta * C.zeta(3 + a)) / big_z),
+                (1 + a, 0, LOG_SQRT_2PI / ((1 + a) * z2pa ** (k - 1))))
     return main
 
 
 def _phi_stat_main(k: int):
-    """sum_{m<=x} (f * phi)(m) / m for f = id (k = 1) and phi (k = 2)."""
-    def main(x, a):
+    """sum_{m<=x} (f * phi)(m) / m for f = id (k = 1) and phi (k = 2):
+    x log x / zeta(2)^k + (2 gamma - 1 - k zeta'(2)/zeta(2)) x / zeta(2)^k."""
+    def main(a):
         C = constants()
         zk = C.zeta2 ** k
-        return (x / zk * math.log(x)
-                + x / zk * (2 * C.gamma - 1 - k * C.zeta_prime_2 / C.zeta2))
+        return ((1, 1, 1 / zk),
+                (1, 0, (2 * C.gamma - 1 - k * C.zeta_prime_2 / C.zeta2) / zk))
     return main
 
 
 def _pow_phi_stat_main(k: int):
-    """The same for f = id_{1+a} (k = 1) and phi_{1+a} (k = 2)."""
-    def main(x, a):
+    """The same for f = id_{1+a} (k = 1) and phi_{1+a} (k = 2):
+    zeta(1-a)/zeta(2)^k x + zeta(1+a)/((1+a) zeta(2+a)^k) x^(1+a)."""
+    def main(a):
         C = constants()
-        return (C.zeta(1 - a) / C.zeta2 ** k * x
-                + C.zeta(1 + a) / ((1 + a) * C.zeta(2 + a) ** k) * x ** (1 + a))
+        return ((1, 0, C.zeta(1 - a) / C.zeta2 ** k),
+                (1 + a, 0, C.zeta(1 + a) / ((1 + a) * C.zeta(2 + a) ** k)))
     return main
 
 
 def _over_zeta_main(k: int, top):
     """sum_{m<=x} (f * h)(m) / m for f = id_{1+a} (k = 1) and phi_{1+a}
     (k = 2), where h's Dirichlet series is T(s) / zeta(s) and top(C, a)
-    gives T(2 + a): -zeta'(2 + a) for h = Lambda, zeta(3 + a) for h =
+    gives T(2 + a): T(2 + a)/((1 + a) zeta(2 + a)^k) x^(1+a), with T = 1
+    for h = mu, -zeta'(2 + a) for h = Lambda, zeta(3 + a) for h =
     J_{-1}."""
-    def main(x, a):
+    def main(a):
         C = constants()
-        return top(C, a) / ((1 + a) * C.zeta(2 + a) ** k) * x ** (1 + a)
+        return ((1 + a, 0, top(C, a) / ((1 + a) * C.zeta(2 + a) ** k)),)
     return main
 
 
@@ -360,25 +368,21 @@ def _statistics() -> dict[str, Target]:
     """The summatory statistics; ``stat`` runs the main term of an entry
     that takes no a at a = 0.0, as the id and phi members of the families
     written in a (``*_lambda``, ``*_jordan_m1``, ``*_over_n``) need."""
-    log = lambda p: Normalizer("log_pow", p)
-    const = Normalizer("const")
     phi_m1 = jordan(-1.0)
     C = constants()
     z2, g = C.zeta2, C.gamma
     lam = lambda k: _over_zeta_main(k, lambda C, a: -C.zeta_prime(2 + a))
     j_m1 = lambda k: _over_zeta_main(k, lambda C, a: C.zeta(3 + a))
+    over_n = _over_zeta_main(1, lambda C, a: 1.0)  # phi (a = 0) and J_{1+a}
 
-    def phi_over_n(x, a):  # phi (a = 0) and J_{1+a} over n
-        return x ** (1 + a) / ((1 + a) * C.zeta(2 + a))
-
-    def entry(name, exact, main, norm=const, needs_a=False, **kw):
-        """exact(ns, a, primes) at a grid's floors, against main(x, a)."""
+    def entry(name, exact, main, norm=(0, 0), needs_a=False, **kw):
+        """exact(ns, a, primes) at a grid's floors, against main(a)."""
         def parts(xs, a, primes=None):
             values = exact(_floors(xs), a, primes)
             return np.array(values), np.zeros(len(values))
 
         return Target(name, parts,
-                      lambda x, a, theta: main(x, a if needs_a else 0.0),
+                      lambda a, theta: main(a if needs_a else 0.0),
                       norm, needs_a=needs_a, **kw)
 
     def pair_stat(name, terms, main, **kw):
@@ -411,55 +415,55 @@ def _statistics() -> dict[str, Target]:
 
         return entry(name, exact, main, **kw)
 
+    # the normalizer (0, j) is log^j x
     defs = [
-        stat("id_phi", (ID, PHI), _phi_stat_main(1), norm=log(1),
+        stat("id_phi", (ID, PHI), _phi_stat_main(1), norm=(0, 1),
              weight="mu"),
-        stat("phi_phi", (PHI, PHI), _phi_stat_main(2), norm=log(2),
+        stat("phi_phi", (PHI, PHI), _phi_stat_main(2), norm=(0, 2),
              weight="mu_star_mu"),
         stat("idpow_phi", lambda a: (id_pow(1 + a), PHI),
              _pow_phi_stat_main(1), needs_a=True, weight="mu"),
         stat("jordan_phi", lambda a: (jordan(1 + a), PHI),
-             _pow_phi_stat_main(2), norm=log(2), needs_a=True,
+             _pow_phi_stat_main(2), norm=(0, 2), needs_a=True,
              weight="mu_star_mu"),
-        # sum_{d*l<=x} log(d) / (d l)
+        # sum_{d*l<=x} log(d) / (d l) ~ log^3 x / 6 + gamma log^2 x / 2
         pair_stat("divisor_log", [(1, "v log m/m", "v/m")],
-                  lambda x, a: (math.log(x) ** 3 / 6.0
-                                + 0.5 * g * math.log(x) ** 2),
-                  norm=log(1)),
+                  lambda a: ((0, 3, 1 / 6), (0, 2, 0.5 * g)), norm=(0, 1)),
         # sum_{d*l<=x} (log d + log l - 1) / l
+        #     ~ zeta(2) x log x - 2 zeta(2) x - log^2 x / 4
         pair_stat("sigma_logne", [(1, "v log m/m", "v"),
                                   (1, "v/m", "v log m"), (-1, "v/m", "v")],
-                  lambda x, a: (z2 * x * math.log(x) - 2 * z2 * x
-                                - 0.25 * math.log(x) ** 2),
-                  norm=log(5 / 3)),
-        # the l^a prefix at x: hi[0] of its pair
+                  lambda a: ((1, 1, z2), (1, 0, -2 * z2), (0, 2, -0.25)),
+                  norm=(0, 5 / 3)),
+        # the l^a prefix at x, hi[0] of its pair ~ x^(1+a)/(1+a) + zeta(-a)
         entry("power_sum", lambda ns, a, _: [
             p["m^a"][1][0] for p in _one_pairs(ns, a, ["m^a"])],
-            lambda x, a: x ** (1 + a) / (1 + a) + C.zeta(-a),
-            norm=Normalizer("x_pow", None), needs_a=True),
-        stat("jordan_over_n", lambda a: (MU, id_pow(1 + a)), phi_over_n,
+            lambda a: ((1 + a, 0, 1 / (1 + a)), (0, 0, C.zeta(-a))),
+            norm=(None, 0), needs_a=True),
+        stat("jordan_over_n", lambda a: (MU, id_pow(1 + a)), over_n,
              needs_a=True),
-        # sum_{d*l<=x} 1 / (d^2 l)
-        pair_stat("sigma_minus1", [(1, "|v|/m^2", "v/m")], lambda x, a: 0.0,
-                  norm=log(1)),
-        stat("phi_over_n", (MU, ID), phi_over_n, norm=log(2 / 3)),
-        # sum_{d*l<=x} 1 / (d l) and sum_{d*l<=x} 1 / d
+        # sum_{d*l<=x} 1 / (d^2 l), O(log x): no main term
+        pair_stat("sigma_minus1", [(1, "|v|/m^2", "v/m")], lambda a: (),
+                  norm=(0, 1)),
+        stat("phi_over_n", (MU, ID), over_n, norm=(0, 2 / 3)),
+        # sum_{d*l<=x} 1 / (d l) ~ log^2 x / 2 + 2 gamma log x and
+        # sum_{d*l<=x} 1 / d ~ zeta(2) x - log x / 2
         pair_stat("tau_over_n", [(1, "v/m", "v/m")],
-                  lambda x, a: 0.5 * math.log(x) ** 2 + 2 * g * math.log(x)),
+                  lambda a: ((0, 2, 0.5), (0, 1, 2 * g))),
         pair_stat("sigma_over_n", [(1, "v/m", "v")],
-                  lambda x, a: z2 * x - 0.5 * math.log(x), norm=log(2 / 3)),
-        stat("id_lambda", (ID, VON_MANGOLDT), lam(1), norm=log(1)),
-        stat("phi_lambda", (PHI, VON_MANGOLDT), lam(2), norm=log(5 / 3)),
+                  lambda a: ((1, 0, z2), (0, 1, -0.5)), norm=(0, 2 / 3)),
+        stat("id_lambda", (ID, VON_MANGOLDT), lam(1), norm=(0, 1)),
+        stat("phi_lambda", (PHI, VON_MANGOLDT), lam(2), norm=(0, 5 / 3)),
         stat("idpow_lambda", lambda a: (id_pow(1 + a), VON_MANGOLDT),
-             lam(1), norm=log(1), needs_a=True),
+             lam(1), norm=(0, 1), needs_a=True),
         stat("jordan_lambda", lambda a: (jordan(1 + a), VON_MANGOLDT),
-             lam(2), norm=log(1), needs_a=True),
-        stat("id_jordan_m1", (ID, phi_m1), j_m1(1), norm=log(1)),
-        stat("phi_jordan_m1", (PHI, phi_m1), j_m1(2), norm=log(5 / 3)),
+             lam(2), norm=(0, 1), needs_a=True),
+        stat("id_jordan_m1", (ID, phi_m1), j_m1(1), norm=(0, 1)),
+        stat("phi_jordan_m1", (PHI, phi_m1), j_m1(2), norm=(0, 5 / 3)),
         stat("idpow_jordan_m1", lambda a: (id_pow(1 + a), phi_m1),
              j_m1(1), needs_a=True),
         stat("jordan_jordan_m1", lambda a: (jordan(1 + a), phi_m1),
-             j_m1(2), norm=log(1), needs_a=True),
+             j_m1(2), norm=(0, 1), needs_a=True),
     ]
     return {s.name: s for s in defs}
 
@@ -471,8 +475,9 @@ def _scan_targets() -> dict[str, Target]:
     z2, zp2 = C.zeta2, C.zeta_prime_2
 
     def target(name, pair, main, power, stirling=True, **kw):
-        """The log average of the (f, g) = pair(a) sums; with ``stirling``
-        the main term has a slot for the exact Stirling remainder."""
+        """The log average of the (f, g) = pair(a) sums, normalized by
+        log^power x; with ``stirling`` the main term has a slot for the
+        exact Stirling remainder."""
         def parts(xs, a, primes=None):
             n = max(_floors(xs))
             f, g = (None if spec == ONE else blocks(spec, n, primes)
@@ -482,21 +487,20 @@ def _scan_targets() -> dict[str, Target]:
                     np.array([d.remainder_term if stirling else 0.0
                               for d in decs]))
 
-        return Target(name, parts, main, Normalizer("log_pow", power),
-                      pair=pair, **kw)
-
-    def tau_log_avg(x, a, theta):
-        lx = math.log(x)
-        return (z2 * x * lx - 2 * z2 * x + lx ** 3 / 12.0
-                + (C.gamma - 1 + math.log(2 * math.pi)) / 4.0 * lx ** 2)
-
-    def ramanujan_log_avg(x, a, theta):
-        return (LOG_SQRT_2PI / z2 + zp2 / (2 * z2 ** 2) + theta / C.zeta3) * x
+        return Target(name, parts, main, (0, power), pair=pair, **kw)
 
     defs = [
-        target("tau-log-avg", lambda a: (ONE, ONE), tau_log_avg, 5 / 3,
-               stirling=False),
-        target("ramanujan-log-avg", lambda a: (ID, MU), ramanujan_log_avg, 2),
+        # zeta(2) x log x - 2 zeta(2) x + log^3 x / 12
+        # + (gamma - 1 + log 2 pi) / 4 log^2 x
+        target("tau-log-avg", lambda a: (ONE, ONE), lambda a, theta: (
+            (1, 1, z2), (1, 0, -2 * z2), (0, 3, 1 / 12),
+            (0, 2, (C.gamma - 1 + math.log(2 * math.pi)) / 4.0)), 5 / 3,
+            stirling=False),
+        # (log sqrt(2 pi) / zeta(2) + zeta'(2) / (2 zeta(2)^2)
+        # + Theta / zeta(3)) x
+        target("ramanujan-log-avg", lambda a: (ID, MU), lambda a, theta: (
+            (1, 0, LOG_SQRT_2PI / z2 + zp2 / (2 * z2 ** 2)
+             + theta / C.zeta3),), 2),
         target("id-log-avg", lambda a: (PHI, ONE), _log_avg_main(1), 2,
                weight="mu"),
         target("phi-log-avg", lambda a: (convolve(PHI, MU), ONE),
@@ -537,7 +541,7 @@ def _lookup(name: str, a: float | None,
 def summatory(statistic: str, x: float, a: float | None = None) -> tuple[float, float]:
     """(exact, main) for one summatory statistic at x."""
     t, a = _lookup(statistic, a, statistic=True)
-    return float(t.parts([x], a)[0][0]), t.main(x, a, THETA_LO)
+    return float(t.parts([x], a)[0][0]), _value(t.main(a, THETA_LO), x)
 
 
 def main_term(target: str, x: float, a: float | None = None,
@@ -546,7 +550,7 @@ def main_term(target: str, x: float, a: float | None = None,
     require(x > 1.0, "x must be > 1")
     require(THETA_LO <= theta <= THETA_HI, "theta outside [0, 1/12]")
     t, a = _lookup(target, a)
-    return t.main(x, a, theta)
+    return _value(t.main(a, theta), x)
 
 
 # ---------------------------------------------------------------------------
@@ -600,19 +604,19 @@ def residual_scan(target: str, grid, a: float | None = None) -> ResidualScan:
     primes = (_primes_upto(cut(grid[-1])) if t.weight == "mu_star_mu"
               else None)
     exact, rem = t.parts(grid, a, primes)
-    main0 = np.array([t.main(x, a, THETA_LO) for x in grid])
-    main_hi = np.array([t.main(x, a, THETA_HI) for x in grid])
+    norm, label = _norm(t.normalizer, a)
+    main0, main_hi, norms = (np.array([_value(terms, x) for x in grid])
+                             for terms in (t.main(a, THETA_LO),
+                                           t.main(a, THETA_HI), norm))
     corr = t.correction(grid, a, primes)
     residual_hi = exact - main0 - corr
     residual = residual_hi - rem
     residual_lo = exact - main_hi - corr
-    normalizer = t.normalizer.at(a)
-    norms = np.array([normalizer.value(x) for x in grid])
     return ResidualScan(target=target, a=a, grid=grid, exact=exact,
                         main=main0, correction=corr + rem,
                         residual=residual, normalized=residual / norms,
                         residual_lo=residual_lo, residual_hi=residual_hi,
-                        normalizer_label=normalizer.label())
+                        normalizer_label=label)
 
 
 def standard_grid(lo: float = 1e3, hi: float = 1e6, points: int = 7) -> np.ndarray:
@@ -656,32 +660,25 @@ def tau_gcd_log_avg_routes(x: float) -> tuple[float, float]:
     return dec.total, s1 + s2 + s3 + dec.remainder_term
 
 
-_LIMIT_VARIANTS = {
-    # target, log power p, k: the limit is 1/zeta(2)^k, times zeta(1 - a)
-    # where the target takes a
-    "id": ("id-log-avg", 2, 1),
-    "phi": ("phi-log-avg", 2, 2),
-    "idpow": ("idpow-log-avg", 1, 1),
-    "jordan": ("jordan-log-avg", 1, 2),
-}
+_LIMIT_VARIANTS = {"id": "id-log-avg", "phi": "phi-log-avg",
+                   "idpow": "idpow-log-avg", "jordan": "jordan-log-avg"}
 
 
 def limit_ratio_grid(variant: str, xs, a: float | None = None) -> list[float]:
-    """L(x; f) / (limit * x log^p x) at every x of xs, in any order, from
-    one exact-side pass (``Target.parts``) up to the largest x; it tends
-    to 1 as x grows.  Every x must exceed 1, where log x > 0, as for
-    ``main_term``."""
+    """L(x; f) / (c x^p log^j x), the leading term of its main term, at
+    every x of xs, in any order, from one exact-side pass
+    (``Target.parts``) up to the largest x; it tends to 1 as x grows.
+    Every x must exceed 1, where log x > 0, as for ``main_term``."""
     if variant not in _LIMIT_VARIANTS:
         raise DomainError(f"unknown limit variant {variant!r}")
     xs = list(xs)  # read twice, so an iterator is listed first
     require(all(x > 1.0 for x in xs), "x must be > 1")
-    target, p, k = _LIMIT_VARIANTS[variant]
-    t, a = _lookup(target, a)
+    t, a = _lookup(_LIMIT_VARIANTS[variant], a)
     grid = sorted(xs)
     exact = dict(zip(grid, t.parts(grid, a)[0]))
-    C = constants()
-    limit = (C.zeta(1 - a) if t.needs_a else 1.0) / C.zeta2 ** k
-    return [float(exact[x]) / (limit * x * math.log(x) ** p) for x in xs]
+    # the largest p, then the largest j: log x > 0 and 1 + a < 1
+    p, j, c = max(t.main(a, THETA_LO), key=lambda term: term[:2])
+    return [float(exact[x]) / (c * x ** p * math.log(x) ** j) for x in xs]
 
 
 # ---------------------------------------------------------------------------

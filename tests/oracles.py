@@ -43,12 +43,19 @@ cell, the reference of ``csvio.write_rows``' per-row formats.
 The ``fraction_*`` functions are the exact constants of ``zeta`` and
 ``stirling`` (Borwein's weights, the Euler-Maclaurin coefficients) as
 ``Fraction`` arithmetic forms them, the package's integer pairs' reference.
+
+``CLOSURE_MAINS`` and ``CLOSURE_NORMALIZERS`` are every registry entry's
+main term and normalizer as ``asymptotics`` wrote them before its term
+lists: one closure main(x, a, theta) per entry, each formula's own order
+of operations, and the ``Normalizer`` record (renamed
+``ClosureNormalizer`` here) with its three kinds.
 """
 
 import functools
 import math
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -57,6 +64,7 @@ from gcdsums._accum import _BLOCK, quotient_prefixes
 from gcdsums.errors import require
 from gcdsums.identities import _table_pairs
 from gcdsums.tables import FunctionTable, blocks, cut, divisors_of, sigma_pow
+from gcdsums.zeta import LOG_SQRT_2PI, constants
 
 # Bernoulli numbers B_2, B_4, ..., B_16
 _BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
@@ -813,3 +821,171 @@ def fraction_harmonic_coeffs() -> list[tuple[Fraction, Fraction]]:
     return [(_BERNOULLI[k - 1] / (2 * k),
              sum(Fraction(1, i) for i in range(1, 2 * k)))
             for k in range(1, 5)]
+
+
+# ---------------------------------------------------------------------------
+# main terms and normalizers as closures in x, as ``asymptotics`` wrote them
+# before its term lists; the reference of the lists and of ``_value``
+
+
+def _log_avg_main(k: int):
+    """The id (k = 1) and phi (k = 2) log averages, Stirling slot at theta."""
+    def main(x, a, theta):
+        C = constants()
+        z2, zp2, g = C.zeta2, C.zeta_prime_2, C.gamma
+        lx, zk = math.log(x), z2 ** k
+        return (x * lx ** 2 / zk
+                + (2 * g - 3 - k * zp2 / z2) * x * lx / zk
+                - (4 * g - 3 - 2 * k * zp2 / z2 + zp2 / 2 - theta * C.zeta3
+                   - z2 * LOG_SQRT_2PI) * x / zk)
+    return main
+
+
+def _pow_log_avg_main(k: int):
+    """The id_{1+a} (k = 1) and phi_{1+a} (k = 2) log averages."""
+    def main(x, a, theta):
+        C = constants()
+        lx, zk, xa = math.log(x), C.zeta2 ** k, x ** (1 + a)
+        z1ma, z1pa, z2pa = C.zeta(1 - a), C.zeta(1 + a), C.zeta(2 + a)
+        return (z1ma / zk * x * lx - 2 * z1ma / zk * x
+                + z1pa / ((1 + a) * z2pa ** k) * xa * lx
+                - ((2 + a) * z1pa / (1 + a) + C.zeta_prime(2 + a) / 2
+                   - theta * C.zeta(3 + a)) / ((1 + a) * z2pa ** k) * xa
+                + LOG_SQRT_2PI / ((1 + a) * z2pa ** (k - 1)) * xa)
+    return main
+
+
+def _phi_stat_main(k: int):
+    """sum_{m<=x} (f * phi)(m) / m for f = id (k = 1) and phi (k = 2)."""
+    def main(x, a):
+        C = constants()
+        zk = C.zeta2 ** k
+        return (x / zk * math.log(x)
+                + x / zk * (2 * C.gamma - 1 - k * C.zeta_prime_2 / C.zeta2))
+    return main
+
+
+def _pow_phi_stat_main(k: int):
+    """The same for f = id_{1+a} (k = 1) and phi_{1+a} (k = 2)."""
+    def main(x, a):
+        C = constants()
+        return (C.zeta(1 - a) / C.zeta2 ** k * x
+                + C.zeta(1 + a) / ((1 + a) * C.zeta(2 + a) ** k) * x ** (1 + a))
+    return main
+
+
+def _over_zeta_main(k: int, top):
+    """sum_{m<=x} (f * h)(m) / m for f = id_{1+a} (k = 1) and phi_{1+a}
+    (k = 2), where h's Dirichlet series is T(s) / zeta(s) and top(C, a)
+    gives T(2 + a): -zeta'(2 + a) for h = Lambda, zeta(3 + a) for h =
+    J_{-1}."""
+    def main(x, a):
+        C = constants()
+        return top(C, a) / ((1 + a) * C.zeta(2 + a) ** k) * x ** (1 + a)
+    return main
+
+
+def _closure_mains() -> dict:
+    """{entry name: main(x, a, theta)}, a statistic's main at the a it is
+    handed (0.0 for an entry that takes none)."""
+    C = constants()
+    z2, zp2, g = C.zeta2, C.zeta_prime_2, C.gamma
+    lam = lambda k: _over_zeta_main(k, lambda C, a: -C.zeta_prime(2 + a))
+    j_m1 = lambda k: _over_zeta_main(k, lambda C, a: C.zeta(3 + a))
+
+    def phi_over_n(x, a):  # phi (a = 0) and J_{1+a} over n
+        return x ** (1 + a) / ((1 + a) * C.zeta(2 + a))
+
+    def tau_log_avg(x, a, theta):
+        lx = math.log(x)
+        return (z2 * x * lx - 2 * z2 * x + lx ** 3 / 12.0
+                + (C.gamma - 1 + math.log(2 * math.pi)) / 4.0 * lx ** 2)
+
+    def ramanujan_log_avg(x, a, theta):
+        return (LOG_SQRT_2PI / z2 + zp2 / (2 * z2 ** 2) + theta / C.zeta3) * x
+
+    statistics = {
+        "id_phi": _phi_stat_main(1),
+        "phi_phi": _phi_stat_main(2),
+        "idpow_phi": _pow_phi_stat_main(1),
+        "jordan_phi": _pow_phi_stat_main(2),
+        "divisor_log": lambda x, a: (math.log(x) ** 3 / 6.0
+                                     + 0.5 * g * math.log(x) ** 2),
+        "sigma_logne": lambda x, a: (z2 * x * math.log(x) - 2 * z2 * x
+                                     - 0.25 * math.log(x) ** 2),
+        "power_sum": lambda x, a: x ** (1 + a) / (1 + a) + C.zeta(-a),
+        "jordan_over_n": phi_over_n,
+        "sigma_minus1": lambda x, a: 0.0,
+        "phi_over_n": phi_over_n,
+        "tau_over_n": lambda x, a: (0.5 * math.log(x) ** 2
+                                    + 2 * g * math.log(x)),
+        "sigma_over_n": lambda x, a: z2 * x - 0.5 * math.log(x),
+        "id_lambda": lam(1),
+        "phi_lambda": lam(2),
+        "idpow_lambda": lam(1),
+        "jordan_lambda": lam(2),
+        "id_jordan_m1": j_m1(1),
+        "phi_jordan_m1": j_m1(2),
+        "idpow_jordan_m1": j_m1(1),
+        "jordan_jordan_m1": j_m1(2),
+    }
+    return {
+        "tau-log-avg": tau_log_avg,
+        "ramanujan-log-avg": ramanujan_log_avg,
+        "id-log-avg": _log_avg_main(1),
+        "phi-log-avg": _log_avg_main(2),
+        "idpow-log-avg": _pow_log_avg_main(1),
+        "jordan-log-avg": _pow_log_avg_main(2),
+        **{name: lambda x, a, theta, main=main: main(x, a)
+           for name, main in statistics.items()},
+    }
+
+
+CLOSURE_MAINS = _closure_mains()
+
+
+class ClosureNormalizer(NamedTuple):
+    kind: str  # "log_pow" | "x_pow" | "const"
+    power: float | None = 0.0  # None stands for the exponent a
+
+    def at(self, a: float | None) -> "ClosureNormalizer":
+        """This normalizer with the exponent a in place of a power of None."""
+        return self if self.power is not None else ClosureNormalizer(self.kind, a)
+
+    def value(self, x: float) -> float:
+        if self.kind == "log_pow":
+            return math.log(x) ** self.power
+        if self.kind == "x_pow":
+            return x ** self.power
+        return 1.0
+
+    def label(self) -> str:
+        if self.kind == "log_pow":
+            return f"log^{self.power:g}"
+        if self.kind == "x_pow":
+            return f"x^{self.power:g}"
+        return "const"
+
+
+def _closure_normalizers() -> dict:
+    log = lambda p: ClosureNormalizer("log_pow", p)
+    const = ClosureNormalizer("const")
+    return {
+        "tau-log-avg": log(5 / 3), "ramanujan-log-avg": log(2),
+        "id-log-avg": log(2), "phi-log-avg": log(3),
+        "idpow-log-avg": log(1), "jordan-log-avg": log(3),
+        "id_phi": log(1), "phi_phi": log(2), "idpow_phi": const,
+        "jordan_phi": log(2), "divisor_log": log(1),
+        "sigma_logne": log(5 / 3),
+        "power_sum": ClosureNormalizer("x_pow", None),
+        "jordan_over_n": const, "sigma_minus1": log(1),
+        "phi_over_n": log(2 / 3), "tau_over_n": const,
+        "sigma_over_n": log(2 / 3), "id_lambda": log(1),
+        "phi_lambda": log(5 / 3), "idpow_lambda": log(1),
+        "jordan_lambda": log(1), "id_jordan_m1": log(1),
+        "phi_jordan_m1": log(5 / 3), "idpow_jordan_m1": const,
+        "jordan_jordan_m1": log(1),
+    }
+
+
+CLOSURE_NORMALIZERS = _closure_normalizers()

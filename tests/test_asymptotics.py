@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import gcdsums as G
-from gcdsums.asymptotics import (SCAN_TARGETS, STATISTICS, calibrate,
+from gcdsums.asymptotics import (SCAN_TARGETS, STATISTICS, _norm, _value,
+                                 calibrate,
                                  divisor_delta, divisor_delta_a,
                                  divisor_delta_grid,
                                  divisor_delta_a_series,
@@ -17,9 +18,10 @@ from gcdsums.asymptotics import (SCAN_TARGETS, STATISTICS, calibrate,
                                  write_calibration)
 from gcdsums.errors import DomainError
 from gcdsums.tables import DIVISOR_LOG, SIGMA, TAU, sieve_values
-from gcdsums.zeta import LOG_SQRT_2PI
+from gcdsums.zeta import LOG_SQRT_2PI, THETA_HI, THETA_LO
 
-from oracles import naive_value, whole_array_prefix
+from oracles import (CLOSURE_MAINS, CLOSURE_NORMALIZERS, naive_value,
+                     whole_array_prefix)
 
 GAMMA = G.euler_gamma()
 
@@ -267,6 +269,76 @@ def test_main_term_theta_linearity():
         main_term("idpow-log-avg", 100.0)  # missing a
     with pytest.raises(DomainError):
         main_term("ramanujan-log-avg", 100.0, theta=0.2)
+
+
+_ENTRIES = {**SCAN_TARGETS, **STATISTICS}
+
+
+@pytest.mark.parametrize("seed, name", list(enumerate(_ENTRIES)),
+                         ids=list(_ENTRIES))
+def test_term_lists_match_the_closures(seed, name):
+    # 200 seeded points: x log-uniform on [3, 1e12], a on (-0.95, -0.05)
+    # where the entry takes one, theta on [0, 1/12]; the terms' fsum is
+    # within 4 ulps of the largest term of the closure the list replaced
+    t = _ENTRIES[name]
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        x = float(np.exp(rng.uniform(math.log(3.0), math.log(1e12))))
+        a = float(rng.uniform(-0.95, -0.05)) if t.needs_a else None
+        theta = float(rng.uniform(THETA_LO, THETA_HI))
+        terms = t.main(a, theta)
+        got = _value(terms, x)
+        want = CLOSURE_MAINS[name](x, 0.0 if a is None else a, theta)
+        largest = max((abs(c * x ** p * math.log(x) ** j)
+                       for p, j, c in terms), default=0.0)
+        assert abs(got - want) <= 4 * math.ulp(largest), (name, x, a, theta)
+
+
+def test_term_list_format_and_normalizers():
+    # every term is (p, j, c) with p = 0, 1 or 1 + a and j <= 3; only the
+    # log averages with a Stirling slot have a coefficient that reads
+    # theta, one each; every normalizer is the closure form's, bit for bit
+    slotted = set(SCAN_TARGETS) - {"tau-log-avg"}
+    for name, t in _ENTRIES.items():
+        for a in ((-0.95, -0.5, -0.05) if t.needs_a else (None,)):
+            lo, hi = t.main(a, THETA_LO), t.main(a, THETA_HI)
+            powers = (0, 1) if a is None else (0, 1, 1 + a)
+            assert isinstance(lo, tuple) and isinstance(hi, tuple), name
+            for term in lo:
+                assert isinstance(term, tuple) and len(term) == 3, name
+                p, j, c = term
+                assert p in powers and j in (0, 1, 2, 3), (name, term)
+                assert isinstance(c, float), (name, term)
+            assert [u[:2] for u in lo] == [v[:2] for v in hi], name
+            moved = sum(u != v for u, v in zip(lo, hi))
+            assert moved == (name in slotted), (name, moved)
+            old = CLOSURE_NORMALIZERS[name].at(a)
+            norm, label = _norm(t.normalizer, a)
+            assert label == old.label(), name
+            for x in (1.5, 3.0, 1e3, 1e6 + 0.5, 1e12):
+                assert _value(norm, x) == old.value(x), (name, x)
+
+
+# each limit variant's leading term as it was tabled: (target, log power
+# p, k) of x log^p x / zeta(2)^k, times zeta(1 - a) where the target
+# takes a
+_LIMITS = {"id": ("id-log-avg", 2, 1), "phi": ("phi-log-avg", 2, 2),
+           "idpow": ("idpow-log-avg", 1, 1),
+           "jordan": ("jordan-log-avg", 1, 2)}
+
+
+@pytest.mark.parametrize("variant", list(_LIMITS))
+def test_limit_ratio_divides_by_the_leading_term(variant):
+    target, p, k = _LIMITS[variant]
+    t = SCAN_TARGETS[target]
+    c = G.constants()
+    xs = [1e4, 10.0, 2000.5, 317.0]
+    for a in ((-0.9, -0.5, -0.1) if t.needs_a else (None,)):
+        exact = dict(zip(sorted(xs), t.parts(sorted(xs), a)[0]))
+        limit = (c.zeta(1 - a) if t.needs_a else 1.0) / c.zeta2 ** k
+        want = [float(exact[x]) / (limit * x * math.log(x) ** p)
+                for x in xs]
+        assert limit_ratio_grid(variant, xs, a) == want, (variant, a)
 
 
 def test_residual_scan_single_point_composition():
