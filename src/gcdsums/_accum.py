@@ -222,8 +222,9 @@ def quotient_prefixes(open_pass, ns):
 
 def hyperbola_sum(terms) -> float:
     """The sum over the terms (sign, w_pair, c_pair) of
-    sign * sum_{d*l <= n} w(d) c(l), from the ``quotient_prefixes`` pairs
-    W, C of each term, all taken at the same n:
+    sign * sum_{d*l <= n} w(d) c(l), and over the terms (sign, w_pair) of
+    sign * W(n), from the ``quotient_prefixes`` pairs W, C of each term,
+    all taken at the same n:
 
         sum_{d<=r} w(d) C(n//d) + sum_{l<=r} c(l) W(n//l) - W(r) C(r),
 
@@ -236,7 +237,11 @@ def hyperbola_sum(terms) -> float:
     to 6.5 * 2^-52 by two float64 dots; the pairs are within an ulp.
     """
     products, corners = [], []
-    for sign, (w_lo, w_hi), (c_lo, c_hi) in terms:
+    for sign, (w_lo, w_hi), *c in terms:
+        if not c:  # W(n) alone
+            corners.append(sign * float(w_hi[0]))
+            continue
+        (c_lo, c_hi), = c
         products += [sign * np.diff(w_lo) * c_hi[1:],
                      sign * np.diff(c_lo) * w_hi[1:]]
         corners.append(-sign * float(w_lo[-1] * c_lo[-1]))

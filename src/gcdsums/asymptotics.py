@@ -1,27 +1,26 @@
 """Main-term evaluators, divisor-problem remainders and residual scans.
 
-Each summatory statistic is one or a few Dirichlet hyperbola sums over
-d*l <= x, of f(d)/d and h(l)/l for sum_{m<=x} (f * h)(m) / m: a term
-list of ``identities._hyperbola_sums``, its weights named by table and
-kind as the log averages' are.  A weight of the constant 1 (the count
-for id, l^a for id_{1+a}, 1/l, l^-2, log l / l) takes its closed-form
-g = 1 prefix, any other is the v/m of its operand's blocks, one pass
-per operand; no statistic sieves its product.  Main terms are the
-displayed asymptotic formulas as data: tuples of terms (p, j, c), each
-c x^p log^j x with p = 0, 1 or 1 + a and j <= 3, the zeta / zeta' /
-gamma constants of c evaluated by the zeta module.  Because the error
-bounds carry no explicit constants, order-of-growth claims are checked
-by calibration regression: the first run freezes the normalized
-residuals over a standard geometric grid and later runs must stay
-within 2x of the frozen maxima.
-
 The paper's log averages and the summatory statistics behind them are
-one kind of record, a ``Target``: an exact side with the exact Stirling
-remainder its main term's theta slot stands for, the main term, a
-normalizer x^p log^j x and an optional mu-weighted Delta correction.
-One evaluator, ``_value``, sums every main term and normalizer at x.
-``residual_scan``, ``main_term`` and ``summatory`` run every target
-through the same steps; ``limit_ratio_grid`` divides by a leading term.
+one kind of record, a ``Target``, whose exact side and main term are
+data.  The exact side, ``sums(a)``, is a tuple of (scale, term list),
+each list Dirichlet hyperbola sums over d*l <= x for
+``identities._hyperbola_sums``, weights named (None, a spec or a table;
+kind).  A log average's are ``identities.six_terms(f, g)``, the last its
+exact Stirling remainder.  A statistic sum_{m<=x} (f * h)(m) / m is one
+list, H(f(d)/d, h(l)/l): a weight of the constant 1 (the count for id,
+l^a for id_{1+a}, 1/l, l^-2, log l / l) takes its closed-form g = 1
+prefix, any other the v/m of its operand's blocks, so no statistic
+sieves its product.  The main term, ``main(a, theta)``, is the displayed
+formula as terms (p, j, c), each c x^p log^j x with p = 0, 1 or 1 + a
+and j <= 3, the zeta / zeta' / gamma constants of c evaluated by the
+zeta module; one evaluator, ``_value``, sums it, and the normalizer
+x^p log^j x, at x.  ``residual_scan``, ``main_term`` and ``summatory``
+run every target through the same steps; ``limit_ratio_grid`` divides
+by a leading term.  Because the error bounds carry no explicit
+constants, order-of-growth claims are checked by calibration
+regression: the first run freezes the normalized residuals over a
+standard geometric grid and later runs must stay within 2x of the
+frozen maxima.
 
 Each family of main terms is one term list in k, the count of factors
 1/zeta(2) (or 1/zeta(2 + a)): k = 1 for f = id and id_{1+a}, k = 2 for
@@ -47,10 +46,10 @@ import numpy as np
 
 from ._accum import _BLOCK, dot, hyperbola_prefixes, hyperbola_sum, ramp
 from .errors import DomainError, require
-from .identities import (_hyperbola_sums, _one_pairs, apostol_log_average_grid,
-                         apostol_log_average_terms)
-from .tables import (ID, MU, ONE, PHI, VON_MANGOLDT, _primes_upto, blocks,
-                     convolve, cut, id_pow, jordan, sieve_values, sigma_pow)
+from .identities import (_hyperbola_sums, _one_pairs, apostol_log_average_terms,
+                         six_terms)
+from .tables import (ID, MU, PHI, VON_MANGOLDT, _primes_upto, blocks, convolve,
+                     cut, jordan, sieve_values, sigma_pow)
 from .zeta import LOG_SQRT_2PI, THETA_HI, THETA_LO, constants
 
 
@@ -249,46 +248,52 @@ def _norm(normalizer, a: float | None):
 
 
 # the one dataclass record: ``dataclasses.replace`` swaps a field of a
-# registered target (perfbench's tracer wraps ``main`` so, tests ``parts``)
+# registered target (perfbench's tracer wraps ``main`` so)
 @dataclass(frozen=True)
 class Target:
     """A summatory quantity and the displayed main term it is checked against.
 
-    ``parts(xs, a)`` is the grid-level exact side: for an ascending grid
-    xs (one x is a grid of one) it gives the float64 arrays (exact,
-    stirling_remainder), the exact side at each x and the exactly computed
-    component that the main term's Stirling slot stands for (0.0 where the
-    main term has no slot).  It checks the largest x first, prepares
-    the ``tables.blocks`` of each table it needs once, for the largest x,
-    and samples every x's prefix sums in one ``quotient_prefixes`` pass
-    per table, a block at a time: its peak holds a few blocks and what
-    the blocks share, no x-long array.  ``main(a, theta)`` is the
-    displayed main term as a tuple of terms (p, j, c), its Stirling slot
-    the one coefficient that reads theta; ``_value`` sums it at x, as it
-    does the normalizer's one term x^p log^j x.  A log average keeps its
-    (f, g) specs in ``pair(a)``; a statistic leaves it None.  The
-    mu-weighted Delta correction (``correction(xs, a)``, one
-    ``mu_delta_grid`` call for a grid) sums ``weight`` against Delta
-    (Delta_a where ``needs_a``), times log(x/e) for a log average.  Both
-    take the primes up to the largest x, for the weight mu * mu to share.
+    ``sums(a)`` and ``main(a, theta)`` are its two sides as data (see the
+    module docstring).  ``parts(xs, a)`` runs the lists of ``sums(a)``
+    for an ascending grid xs (one x is a grid of one) by one
+    ``_hyperbola_sums`` call, one ``quotient_prefixes`` pass per table,
+    and gives the float64 arrays (exact, stirling_remainder): at each x
+    the ``math.fsum`` of the scaled lists, and the last list's value
+    where the main term reads theta (0.0 elsewhere), the exact component
+    its Stirling slot stands for.  Its peak holds a few blocks and what
+    they share, no x-long array.  The mu-weighted Delta correction
+    (``correction(xs, a)``, one ``mu_delta_grid`` call for a grid) sums
+    ``weight`` against Delta (Delta_a where ``needs_a``), times log(x/e)
+    for a log average.  Both take the primes up to the largest x, for
+    the weight mu * mu to share.
     """
 
     name: str
-    parts: object           # (xs, a, primes=None) -> (exact, remainder)
+    sums: object            # callable a -> ((scale, term list), ...)
     main: object            # callable (a, theta) -> ((p, j, c), ...)
     normalizer: tuple       # (p, j): x^p log^j x, p None for the exponent a
     needs_a: bool = False
     weight: str | None = None       # mu-weighted Delta correction kind
-    pair: object = None             # callable a -> (f, g) specs, or None
+
+    def parts(self, xs, a: float | None,
+              primes=None) -> tuple[np.ndarray, np.ndarray]:
+        """(exact, stirling_remainder) at each x of xs, ascending."""
+        scales, lists = zip(*self.sums(a))
+        rows = scales * np.array(list(_hyperbola_sums(_floors(xs), lists, a,
+                                                      primes)))
+        stirling = self.main(a, THETA_LO) != self.main(a, THETA_HI)
+        return (np.array([math.fsum(row) for row in rows]),
+                rows[:, -1] if stirling else np.zeros(len(rows)))
 
     def correction(self, xs, a: float | None, primes=None) -> np.ndarray:
-        """The mu-weighted Delta correction at each x of xs (0.0 where
-        there is none)."""
+        """The mu-weighted Delta correction at each x of xs (0.0 if none)."""
         if self.weight is None:
             return np.zeros(len(xs))
+        # a log average's last list, of rho(l)/l, puts log(x/e) on it
+        last = [kind for _, *names in self.sums(a)[-1][1] for _, kind in names]
         return np.array(mu_delta_grid(xs, self.weight,
                                       a if self.needs_a else None,
-                                      self.pair is not None, primes))
+                                      "v rho/m" in last, primes))
 
 
 # main terms, one term list per family in k (see the module docstring); at
@@ -365,9 +370,10 @@ def _over_zeta_main(k: int, top):
 
 
 def _statistics() -> dict[str, Target]:
-    """The summatory statistics; ``stat`` runs the main term of an entry
-    that takes no a at a = 0.0, as the id and phi members of the families
-    written in a (``*_lambda``, ``*_jordan_m1``, ``*_over_n``) need."""
+    """The summatory statistics, each one term list; ``stat`` runs the
+    main term of an entry that takes no a at a = 0.0, as the id and phi
+    members of the families written in a (``*_lambda``, ``*_jordan_m1``,
+    ``*_over_n``) need."""
     phi_m1 = jordan(-1.0)
     C = constants()
     z2, g = C.zeta2, C.gamma
@@ -375,139 +381,108 @@ def _statistics() -> dict[str, Target]:
     j_m1 = lambda k: _over_zeta_main(k, lambda C, a: C.zeta(3 + a))
     over_n = _over_zeta_main(1, lambda C, a: 1.0)  # phi (a = 0) and J_{1+a}
 
-    def entry(name, exact, main, norm=(0, 0), needs_a=False, **kw):
-        """exact(ns, a, primes) at a grid's floors, against main(a)."""
-        def parts(xs, a, primes=None):
-            values = exact(_floors(xs), a, primes)
-            return np.array(values), np.zeros(len(values))
-
-        return Target(name, parts,
+    def stat(name, terms, main, norm=(0, 0), needs_a=False, **kw):
+        """The sum of terms (or of terms(a)) against main(a)."""
+        at = terms if callable(terms) else lambda a: terms
+        return Target(name, lambda a: ((1, at(a)),),
                       lambda a, theta: main(a if needs_a else 0.0),
                       norm, needs_a=needs_a, **kw)
 
-    def pair_stat(name, terms, main, **kw):
-        """The hyperbola sums of terms (sign, w, c) whose weights w and c
-        are kinds of the constant 1 (v is 1: the count, log l!, and the
-        sums of 1/l, log l / l and l^-2)."""
-        terms = [(sign, (None, w), (None, c)) for sign, w, c in terms]
-        return entry(name, lambda ns, a, _: [
-            s for s, in _hyperbola_sums(ns, [terms], a)], main, **kw)
-
-    def stat(name, operands, main, **kw):
-        """The sum over m <= x of (f * h)(m) / m for (f, h) = operands(a)
-        (or operands): H(f(d)/d, h(l)/l), which never sieves the product
-        f * h.  m/m is the count of the constant 1 and m^(1 + a)/m its
-        m^a; any other operand is the v/m of its ``tables.blocks``, all
-        built from one list of the primes, each when its pass runs and
-        dropped with its pass, before the next is built."""
-        at = operands if callable(operands) else lambda a: operands
-
-        def exact(ns, a, primes):
-            one = {ID: "v"} if a is None else {id_pow(1 + a): "m^a"}
-            specs = [h for h in dict.fromkeys(at(a)) if h not in one]
-            if primes is None and len(specs) > 1:
-                primes = _primes_upto(ns[-1])
-            values = {h: lambda h=h: blocks(h, ns[-1], primes).values
-                      for h in specs}
-            w, c = ((None, one[h]) if h in one else (values[h], "v/m")
-                    for h in at(a))
-            return [s for s, in _hyperbola_sums(ns, [[(1, w, c)]], a)]
-
-        return entry(name, exact, main, **kw)
-
+    # sum_{m<=x} (f * h)(m) / m is H(f(d)/d, h(l)/l), which never sieves
+    # f * h: f(m)/m is the count of 1 for f = id, m^a of 1 for id_{1+a}
+    # and the v/m of any other f's blocks
+    one = lambda kind: (None, kind)
+    count, over = one("v"), lambda f: (f, "v/m")
     # the normalizer (0, j) is log^j x
     defs = [
-        stat("id_phi", (ID, PHI), _phi_stat_main(1), norm=(0, 1),
-             weight="mu"),
-        stat("phi_phi", (PHI, PHI), _phi_stat_main(2), norm=(0, 2),
-             weight="mu_star_mu"),
-        stat("idpow_phi", lambda a: (id_pow(1 + a), PHI),
+        stat("id_phi", ((1, count, over(PHI)),), _phi_stat_main(1),
+             norm=(0, 1), weight="mu"),
+        stat("phi_phi", ((1, over(PHI), over(PHI)),), _phi_stat_main(2),
+             norm=(0, 2), weight="mu_star_mu"),
+        stat("idpow_phi", ((1, one("m^a"), over(PHI)),),
              _pow_phi_stat_main(1), needs_a=True, weight="mu"),
-        stat("jordan_phi", lambda a: (jordan(1 + a), PHI),
+        stat("jordan_phi", lambda a: ((1, over(jordan(1 + a)), over(PHI)),),
              _pow_phi_stat_main(2), norm=(0, 2), needs_a=True,
              weight="mu_star_mu"),
         # sum_{d*l<=x} log(d) / (d l) ~ log^3 x / 6 + gamma log^2 x / 2
-        pair_stat("divisor_log", [(1, "v log m/m", "v/m")],
-                  lambda a: ((0, 3, 1 / 6), (0, 2, 0.5 * g)), norm=(0, 1)),
+        stat("divisor_log", ((1, one("v log m/m"), one("v/m")),),
+             lambda a: ((0, 3, 1 / 6), (0, 2, 0.5 * g)), norm=(0, 1)),
         # sum_{d*l<=x} (log d + log l - 1) / l
         #     ~ zeta(2) x log x - 2 zeta(2) x - log^2 x / 4
-        pair_stat("sigma_logne", [(1, "v log m/m", "v"),
-                                  (1, "v/m", "v log m"), (-1, "v/m", "v")],
-                  lambda a: ((1, 1, z2), (1, 0, -2 * z2), (0, 2, -0.25)),
-                  norm=(0, 5 / 3)),
-        # the l^a prefix at x, hi[0] of its pair ~ x^(1+a)/(1+a) + zeta(-a)
-        entry("power_sum", lambda ns, a, _: [
-            p["m^a"][1][0] for p in _one_pairs(ns, a, ["m^a"])],
-            lambda a: ((1 + a, 0, 1 / (1 + a)), (0, 0, C.zeta(-a))),
-            norm=(None, 0), needs_a=True),
-        stat("jordan_over_n", lambda a: (MU, id_pow(1 + a)), over_n,
+        stat("sigma_logne", ((1, one("v log m/m"), count),
+                             (1, one("v/m"), one("v log m")),
+                             (-1, one("v/m"), count)),
+             lambda a: ((1, 1, z2), (1, 0, -2 * z2), (0, 2, -0.25)),
+             norm=(0, 5 / 3)),
+        # the l^a prefix at x ~ x^(1+a)/(1+a) + zeta(-a)
+        stat("power_sum", ((1, one("m^a")),),
+             lambda a: ((1 + a, 0, 1 / (1 + a)), (0, 0, C.zeta(-a))),
+             norm=(None, 0), needs_a=True),
+        stat("jordan_over_n", ((1, over(MU), one("m^a")),), over_n,
              needs_a=True),
         # sum_{d*l<=x} 1 / (d^2 l), O(log x): no main term
-        pair_stat("sigma_minus1", [(1, "|v|/m^2", "v/m")], lambda a: (),
-                  norm=(0, 1)),
-        stat("phi_over_n", (MU, ID), over_n, norm=(0, 2 / 3)),
+        stat("sigma_minus1", ((1, one("|v|/m^2"), one("v/m")),),
+             lambda a: (), norm=(0, 1)),
+        stat("phi_over_n", ((1, over(MU), count),), over_n, norm=(0, 2 / 3)),
         # sum_{d*l<=x} 1 / (d l) ~ log^2 x / 2 + 2 gamma log x and
         # sum_{d*l<=x} 1 / d ~ zeta(2) x - log x / 2
-        pair_stat("tau_over_n", [(1, "v/m", "v/m")],
-                  lambda a: ((0, 2, 0.5), (0, 1, 2 * g))),
-        pair_stat("sigma_over_n", [(1, "v/m", "v")],
-                  lambda a: ((1, 0, z2), (0, 1, -0.5)), norm=(0, 2 / 3)),
-        stat("id_lambda", (ID, VON_MANGOLDT), lam(1), norm=(0, 1)),
-        stat("phi_lambda", (PHI, VON_MANGOLDT), lam(2), norm=(0, 5 / 3)),
-        stat("idpow_lambda", lambda a: (id_pow(1 + a), VON_MANGOLDT),
-             lam(1), norm=(0, 1), needs_a=True),
-        stat("jordan_lambda", lambda a: (jordan(1 + a), VON_MANGOLDT),
-             lam(2), norm=(0, 1), needs_a=True),
-        stat("id_jordan_m1", (ID, phi_m1), j_m1(1), norm=(0, 1)),
-        stat("phi_jordan_m1", (PHI, phi_m1), j_m1(2), norm=(0, 5 / 3)),
-        stat("idpow_jordan_m1", lambda a: (id_pow(1 + a), phi_m1),
-             j_m1(1), needs_a=True),
-        stat("jordan_jordan_m1", lambda a: (jordan(1 + a), phi_m1),
-             j_m1(2), norm=(0, 1), needs_a=True),
+        stat("tau_over_n", ((1, one("v/m"), one("v/m")),),
+             lambda a: ((0, 2, 0.5), (0, 1, 2 * g))),
+        stat("sigma_over_n", ((1, one("v/m"), count),),
+             lambda a: ((1, 0, z2), (0, 1, -0.5)), norm=(0, 2 / 3)),
+        stat("id_lambda", ((1, count, over(VON_MANGOLDT)),), lam(1),
+             norm=(0, 1)),
+        stat("phi_lambda", ((1, over(PHI), over(VON_MANGOLDT)),), lam(2),
+             norm=(0, 5 / 3)),
+        stat("idpow_lambda", ((1, one("m^a"), over(VON_MANGOLDT)),), lam(1),
+             norm=(0, 1), needs_a=True),
+        stat("jordan_lambda", lambda a: (
+            (1, over(jordan(1 + a)), over(VON_MANGOLDT)),), lam(2),
+             norm=(0, 1), needs_a=True),
+        stat("id_jordan_m1", ((1, count, over(phi_m1)),), j_m1(1),
+             norm=(0, 1)),
+        stat("phi_jordan_m1", ((1, over(PHI), over(phi_m1)),), j_m1(2),
+             norm=(0, 5 / 3)),
+        stat("idpow_jordan_m1", ((1, one("m^a"), over(phi_m1)),), j_m1(1),
+             needs_a=True),
+        stat("jordan_jordan_m1", lambda a: (
+            (1, over(jordan(1 + a)), over(phi_m1)),), j_m1(2), norm=(0, 1),
+             needs_a=True),
     ]
     return {s.name: s for s in defs}
 
 
 def _scan_targets() -> dict[str, Target]:
-    """The paper's log averages; id and phi share ``_log_avg_main``,
-    id_{1+a} and phi_{1+a} share ``_pow_log_avg_main``."""
+    """The paper's log averages, each the lists of ``six_terms(f, g)`` for
+    its (f, g) (None for 1, never sieved); id and phi share
+    ``_log_avg_main``, id_{1+a} and phi_{1+a} ``_pow_log_avg_main``."""
     C = constants()
     z2, zp2 = C.zeta2, C.zeta_prime_2
 
-    def target(name, pair, main, power, stirling=True, **kw):
-        """The log average of the (f, g) = pair(a) sums, normalized by
-        log^power x; with ``stirling`` the main term has a slot for the
-        exact Stirling remainder."""
-        def parts(xs, a, primes=None):
-            n = max(_floors(xs))
-            f, g = (None if spec == ONE else blocks(spec, n, primes)
-                    for spec in pair(a))  # 1 is formed per block
-            decs = apostol_log_average_grid(f, g, xs)
-            return (np.array([d.total for d in decs]),
-                    np.array([d.remainder_term if stirling else 0.0
-                              for d in decs]))
-
-        return Target(name, parts, main, (0, power), pair=pair, **kw)
+    def target(name, pair, main, power, **kw):
+        """The log average of (f, g) = pair(a), normalized by log^power x."""
+        return Target(name, lambda a: six_terms(*pair(a)), main, (0, power),
+                      **kw)
 
     defs = [
         # zeta(2) x log x - 2 zeta(2) x + log^3 x / 12
         # + (gamma - 1 + log 2 pi) / 4 log^2 x
-        target("tau-log-avg", lambda a: (ONE, ONE), lambda a, theta: (
+        target("tau-log-avg", lambda a: (None, None), lambda a, theta: (
             (1, 1, z2), (1, 0, -2 * z2), (0, 3, 1 / 12),
-            (0, 2, (C.gamma - 1 + math.log(2 * math.pi)) / 4.0)), 5 / 3,
-            stirling=False),
+            (0, 2, (C.gamma - 1 + math.log(2 * math.pi)) / 4.0)), 5 / 3),
         # (log sqrt(2 pi) / zeta(2) + zeta'(2) / (2 zeta(2)^2)
         # + Theta / zeta(3)) x
         target("ramanujan-log-avg", lambda a: (ID, MU), lambda a, theta: (
             (1, 0, LOG_SQRT_2PI / z2 + zp2 / (2 * z2 ** 2)
              + theta / C.zeta3),), 2),
-        target("id-log-avg", lambda a: (PHI, ONE), _log_avg_main(1), 2,
+        target("id-log-avg", lambda a: (PHI, None), _log_avg_main(1), 2,
                weight="mu"),
-        target("phi-log-avg", lambda a: (convolve(PHI, MU), ONE),
+        target("phi-log-avg", lambda a: (convolve(PHI, MU), None),
                _log_avg_main(2), 3, weight="mu_star_mu"),
-        target("idpow-log-avg", lambda a: (jordan(1 + a), ONE),
+        target("idpow-log-avg", lambda a: (jordan(1 + a), None),
                _pow_log_avg_main(1), 1, needs_a=True, weight="mu"),
-        target("jordan-log-avg", lambda a: (convolve(jordan(1 + a), MU), ONE),
+        target("jordan-log-avg",
+               lambda a: (convolve(jordan(1 + a), MU), None),
                _pow_log_avg_main(2), 3, needs_a=True, weight="mu_star_mu"),
     ]
     return {t.name: t for t in defs}

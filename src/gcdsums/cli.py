@@ -142,6 +142,9 @@ def cmd_delta(args) -> int:
         values = asymptotics.divisor_delta_grid(grid, args.a)
         csvio.write_rows("x,delta", zip(grid, values), args.out)
     elif args.which == "integral":
+        if args.a is not None:
+            raise DomainError(f"delta --which integral takes no exponent a "
+                              f"(got a={args.a})")
         grid = _parse_grid(args.grid)
         values = [asymptotics.delta_integral_ratio(x) for x in grid]
         csvio.write_rows("X,ratio", zip(grid, values), args.out)

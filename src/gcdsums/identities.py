@@ -14,14 +14,13 @@ Core objects, for tables f, g and integers k, j:
 - ``apostol_log_average(f, g, x)``: sum_{k<=x} u(k)/k, and its exact
   six-term expansion over pairs d*l <= x obtained by replacing L(l) with
   the Stirling form l log l - l + (1/2) log l + log sqrt(2 pi) + rho(l)
-  (``apostol_log_average_terms``), one Dirichlet hyperbola sum per term
-  (``_accum.hyperbola_sum``, the one kernel for pairs d*l <= x).
-  Scans take it for a whole grid from one pass per table
-  (``apostol_log_average_grid``), for both the exact side and the
-  Stirling remainder; the per-k sum is the reference it is checked
-  against.  For g = 1 every g-side prefix is a smooth function of l, so
-  above x's own t(x) = min(max(isqrt(x), 1024), x) it is a closed form
-  (Stirling and Euler-Maclaurin) and only the f side is sieved.
+  (``six_terms``, ``apostol_log_average_terms``), one Dirichlet hyperbola
+  sum per term (``_accum.hyperbola_sum``, the one kernel for pairs
+  d*l <= x).  Scans run its lists for a whole grid, one pass per table;
+  the per-k sum is the reference it is checked against.  For g = 1 every
+  g-side prefix is a smooth function of l, so above x's own
+  t(x) = min(max(isqrt(x), 1024), x) it is a closed form (Stirling and
+  Euler-Maclaurin) and only the f side is sieved.
 - ``gcd_log_average(f, x)``: sum_{k<=x} (1/k) sum_{j<=k} f(gcd(k,j)) log j,
   evaluated as the (f*mu, 1) case of the above since
   sum_{d | gcd} (f*mu)(d) = f(gcd).
@@ -52,13 +51,12 @@ phi and Lambda at the divisors of k from the divisors themselves, mu and
 phi as exact integers, so their values equal the batches' bit for bit.
 
 Each hyperbola sum, of the six terms and of the statistics in
-``asymptotics`` alike, is a list of terms (sign, w, c) for
-``_hyperbola_sums`` over weights named (build, kind): a function that
-gives a table's values, or None, the constant 1, and a kind of
-``_KINDS``, which one blocked writer, ``_weigh``, forms.  Each pass
-opens its table and buffers and drops them when it ends
-(``_accum.quotient_prefixes``), and the g = 1 prefixes are summed by
-``_accum.prefix_rows``: this module forms no prefix sum of its own.
+``asymptotics`` alike, is a term list for ``_hyperbola_sums``, the one
+place where a weight's name, None (the constant 1), a spec or a table,
+becomes pairs, of a kind of ``_KINDS`` that one blocked writer,
+``_weigh``, forms.  Each pass opens its table and buffers and drops
+them when it ends (``_accum.quotient_prefixes``), and the g = 1 prefixes
+are summed by ``_accum.prefix_rows``: this module forms no prefix sum.
 
 All sums over x cut at floor(x); an integer x includes k = x.
 """
@@ -66,6 +64,7 @@ All sums over x cut at floor(x); an integer x includes k = x.
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import islice
 from typing import NamedTuple
 
@@ -74,9 +73,10 @@ import numpy as np
 from ._accum import (_BLOCK, ascending, block_of, dot, hyperbola_sum,
                      prefix_rows, prefix_with_zero, quotient_prefixes, ramp)
 from .stirling import SEED, log_factorial_row, one_weight_sums, rho_block
-from .tables import (MU, PHI, VON_MANGOLDT, FunctionSpec, FunctionTable,
-                     _with_mu, convolve, cut, divisor_lists, divisors_of,
-                     iter_divisor_lists, nonnegative, sieve, sieve_values)
+from .tables import (MU, PHI, VON_MANGOLDT, FunctionSpec, FunctionTable, Kind,
+                     _primes_upto, _with_mu, blocks, convolve, cut,
+                     divisor_lists, divisors_of, iter_divisor_lists,
+                     nonnegative, sieve, sieve_values)
 from .zeta import LOG_SQRT_2PI
 
 
@@ -426,42 +426,63 @@ def _one_pairs(ns, a: float | None, kinds):
         yield dict(zip(kinds, zip(table[:, :r + 1], his)))
 
 
-def _hyperbola_sums(ns, sums, a: float | None = None):
-    """For each n of ns (ascending), one sum per term list of ``sums``:
-    sign * H(w, c) over its terms (sign, w, c), by one ``hyperbola_sum``
-    of the pairs of w and c, H the Dirichlet hyperbola sum (Tenenbaum,
-    Introduction to Analytic and Probabilistic Number Theory, I.3.2).
-    A weight is named (build, kind): build None, the constant 1, takes
-    its pairs from ``_one_pairs`` (l^a with the a given), any other build,
-    a function that gives a table's values, takes theirs from one
-    ``_table_pairs`` pass per run for every kind named of it.  The passes
-    run one after another, each opening its table and buffers and
-    dropping them when it ends, so one table lives at a time.
+def _hyperbola_sums(ns, sums, a: float | None = None, primes=None):
+    """For each n of ns (ascending), one ``hyperbola_sum`` per term list
+    of ``sums``: a term (sign, w, c) is sign * H(w, c), H the Dirichlet
+    hyperbola sum (Tenenbaum, Introduction to Analytic and Probabilistic
+    Number Theory, I.3.2), and (sign, w) is sign * W(n).  A weight is
+    (name, kind), a kind of ``_KINDS``.  Name None, the constant 1, takes
+    its pairs from ``_one_pairs`` (l^a with the a given); a table, or a
+    spec by its ``tables.blocks`` up to max(ns), from one ``_table_pairs``
+    pass per run for every kind named of it, and the passes run one after
+    another, so one table lives at a time.  Unless primes are given, two
+    or more specs other than n^a share one list of the primes.
     """
     named = {}
     for terms in sums:
         for _, *names in terms:
-            for build, kind in names:
-                named.setdefault(id(build), (build, set()))[1].add(kind)
-    sources = [_one_pairs(ns, a, kinds) if build is None
-               else _table_pairs(build, kinds, ns)
-               for build, kinds in named.values()]
+            for name, kind in names:
+                named.setdefault(name, set()).add(kind)
+    top = ns[-1]
+    sieved = [h for h in named if isinstance(h, FunctionSpec)
+              and h.kind is not Kind.ID_POW]
+    if primes is None and len(sieved) > 1:
+        primes = _primes_upto(top)
+
+    def values(name):  # a table's, or a spec's blocks', as its pass opens
+        return (name if isinstance(name, FunctionTable)
+                else blocks(name, top, primes)).values
+    sources = [_one_pairs(ns, a, kinds) if name is None
+               else _table_pairs(partial(values, name), kinds, ns)
+               for name, kinds in named.items()]
     for found in zip(*sources):
         pairs = dict(zip(named, found))
-        yield [hyperbola_sum([(sign, pairs[id(w)][wk], pairs[id(c)][ck])
-                              for sign, (w, wk), (c, ck) in terms])
+        yield [hyperbola_sum([(sign, *(pairs[name][kind]
+                                       for name, kind in names))
+                              for sign, *names in terms])
                for terms in sums]
+
+
+def six_terms(f, g):
+    """The six term lists of sum_{k<=x} u(k)/k over d*l <= x and their
+    scales, in the order of ``AverageDecomposition.terms``, for f and g
+    named as in ``_hyperbola_sums``: the last is of rho(l)/l."""
+    over = (f, "v/m")
+    return ((1, ((1, (f, "v log m/m"), (g, "v")),)),
+            (1, ((1, over, (g, "v log m")),)),
+            (-1, ((1, over, (g, "v")),)),
+            (0.5, ((1, over, (g, "v log m/m")),)),
+            (LOG_SQRT_2PI, ((1, over, (g, "v/m")),)),
+            (1, ((1, over, (g, "v rho/m")),)))
 
 
 def apostol_log_average_grid(f: FunctionTable | None,
                              g: FunctionTable | None,
                              xs) -> list[AverageDecomposition]:
-    """``apostol_log_average_terms`` at every x of an ascending grid: one
-    term list of ``_hyperbola_sums`` per field of ``AverageDecomposition``.
-    f and g are tables, their values arrays or ``tables.Blocks``, named
-    by builders that return those values; None is the constant 1, never
-    sieved.  An f that ``tables.nonnegative`` accepts names |f(d)|/d as
-    f(d)/d.
+    """``apostol_log_average_terms`` at every x of an ascending grid: the
+    lists of ``six_terms(f, g)`` and the bound's, for tables f and g, None
+    the constant 1, never sieved.  An f that ``tables.nonnegative``
+    accepts names |f(d)|/d as f(d)/d.
 
     Peak memory: the tables it is given, or what their blocks share, plus
     a few blocks of ``_accum._BLOCK`` and the pairs of one run of
@@ -470,27 +491,22 @@ def apostol_log_average_grid(f: FunctionTable | None,
     for f = g = 1, it holds no array of length x.
     """
     ns = [cut(x, f, g) for x in xs]
-    fv, gv = (None if t is None else (lambda v=t.values: v) for t in (f, g))
-    over = (fv, "v/m")
-    absolute = over if f is None or nonnegative(f.spec) else (fv, "|v|/m")
-    sums = _hyperbola_sums(ns, [
-        [(1, (fv, "v log m/m"), (gv, "v"))], [(1, over, (gv, "v log m"))],
-        [(1, over, (gv, "v"))], [(1, over, (gv, "v log m/m"))],
-        [(1, over, (gv, "v/m"))], [(1, over, (gv, "v rho/m"))],
-        [(1, absolute, (gv, "|v|/m^2"))]])
-    return [AverageDecomposition(float(x), log_d, log_l, -unit, 0.5 * half,
-                                 LOG_SQRT_2PI * const, rem, bound / 12.0)
-            for x, (log_d, log_l, unit, half, const, rem, bound)
-            in zip(xs, sums)]
+    six = six_terms(f, g)
+    absolute = (f, "v/m" if f is None or nonnegative(f.spec) else "|v|/m")
+    sums = _hyperbola_sums(ns, [terms for _, terms in six]
+                           + [[(1, absolute, (g, "|v|/m^2"))]])
+    return [AverageDecomposition(float(x), *(scale * s for (scale, _), s
+                                             in zip(six, values)),
+                                 bound / 12.0)
+            for x, (*values, bound) in zip(xs, sums)]
 
 
 def apostol_log_average_terms(f: FunctionTable | None,
                               g: FunctionTable | None,
                               x: float) -> AverageDecomposition:
     """Exact six-term expansion of ``apostol_log_average`` over d*l <= x,
-    one ``hyperbola_sum`` of an f-side and a g-side weight per term (and
-    per remainder_bound), each product added once by ``math.fsum``: the
-    grid of one of ``apostol_log_average_grid``."""
+    and its remainder_bound: the grid of one of
+    ``apostol_log_average_grid``."""
     return apostol_log_average_grid(f, g, [x])[0]
 
 

@@ -9,6 +9,11 @@ prefix.  No other module sums in longdouble by ``np.sum``, so a prefix
 has no second summation path.  Only ``_accum`` refers to ``reduceat``,
 by which ``hyperbola_prefixes`` sums each quotient's terms, so every
 hyperbola sum is formed there.
+
+A weight name becomes pairs in one place, ``identities._hyperbola_sums``:
+no module but ``identities`` refers to ``_table_pairs``, and
+``asymptotics`` builds ``tables.blocks`` only for the mu-weighted Delta
+corrections (``mu_delta_grid``), so every exact side is named as data.
 """
 
 import ast
@@ -63,3 +68,13 @@ def test_only_accum_sums_in_longdouble():
 
 def test_only_accum_forms_hyperbola_sums_by_reduceat():
     assert _references("reduceat") == set()
+
+
+def test_only_identities_turns_a_table_into_pairs():
+    assert {module for _, module, _ in _references("_table_pairs")} \
+        == {"identities"}
+
+
+def test_asymptotics_builds_blocks_only_for_the_delta_corrections():
+    assert {(module, owner) for _, module, owner in _references("blocks")
+            if module == "asymptotics"} == {("asymptotics", "mu_delta_grid")}

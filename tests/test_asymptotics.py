@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import gcdsums as G
-from gcdsums.asymptotics import (SCAN_TARGETS, STATISTICS, _norm, _value,
-                                 calibrate,
+from gcdsums.asymptotics import (SCAN_TARGETS, STATISTICS, Target, _norm,
+                                 _value, calibrate,
                                  divisor_delta, divisor_delta_a,
                                  divisor_delta_grid,
                                  divisor_delta_a_series,
@@ -16,8 +16,11 @@ from gcdsums.asymptotics import (SCAN_TARGETS, STATISTICS, _norm, _value,
                                  standard_grid,
                                  summatory, tau_gcd_log_avg_routes,
                                  write_calibration)
+from gcdsums import asymptotics, identities
 from gcdsums.errors import DomainError
-from gcdsums.tables import DIVISOR_LOG, SIGMA, TAU, sieve_values
+from gcdsums.identities import _KINDS, _hyperbola_sums, six_terms
+from gcdsums.tables import (DIVISOR_LOG, SIGMA, TAU, FunctionSpec,
+                            FunctionTable, blocks, sieve_values)
 from gcdsums.zeta import LOG_SQRT_2PI, THETA_HI, THETA_LO
 
 from oracles import (CLOSURE_MAINS, CLOSURE_NORMALIZERS, naive_value,
@@ -319,6 +322,101 @@ def test_term_list_format_and_normalizers():
                 assert _value(norm, x) == old.value(x), (name, x)
 
 
+def test_exact_sides_are_well_formed_term_lists():
+    # every entry's sums(a) is a tuple of (scale, term list); a term is
+    # (sign, w, c) or (sign, w), a weight (name, kind) with a kind of
+    # ``_KINDS`` and a name None, a spec or a table; a log average's lists
+    # are ``six_terms`` of the (f, g) its first list names, the last of
+    # rho(l)/l, and a statistic's are one list
+    for name, t in _ENTRIES.items():
+        for a in ((-0.9, -0.5, -0.1) if t.needs_a else (None,)):
+            sums = t.sums(a)
+            assert isinstance(sums, tuple) and sums, name
+            for scale, terms in sums:
+                assert isinstance(scale, (int, float)) and terms, name
+                for sign, *weights in terms:
+                    assert sign in (1, -1) and len(weights) in (1, 2), name
+                    for w, kind in weights:
+                        assert kind in _KINDS, (name, kind)
+                        assert w is None or isinstance(
+                            w, (FunctionSpec, FunctionTable)), (name, w)
+            if name in SCAN_TARGETS:
+                (_, ((_, (f, _), (g, _)),)), *_ = sums
+                assert sums == six_terms(f, g), name
+                assert sums[-1][1][0][2][1] == "v rho/m", name
+            else:
+                assert len(sums) == 1, name
+
+
+@pytest.mark.parametrize("spec", [G.PHI, G.MU, G.VON_MANGOLDT,
+                                  G.jordan(0.5),
+                                  G.convolve(G.PHI, G.MU)], ids=str)
+def test_a_spec_its_table_and_its_blocks_give_the_same_sums(spec):
+    # the three names of one table's values in ``_hyperbola_sums``
+    ns = [1, 1000, 65537, 3 * 65536 + 5]
+
+    def sums(name):
+        return list(_hyperbola_sums(ns, [
+            [(1, (name, "v log m/m"), (None, "v")),
+             (-1, (name, "|v|/m"), (name, "v rho/m"))],
+            [(1, (name, "v/m"), (name, "|v|/m^2")), (1, (name, "v"))]]))
+
+    want = sums(spec)
+    assert sums(G.sieve(spec, ns[-1])) == want
+    assert sums(blocks(spec, ns[-1])) == want
+
+
+def _spy_kinds(monkeypatch):
+    """The kinds that every ``_table_pairs`` and ``_one_pairs`` call is
+    asked for, recorded as each is made."""
+    asked = []
+
+    def spy(module, fn):
+        original = getattr(module, fn)
+
+        def call(*args):
+            asked.append(set(args[-1] if fn == "_one_pairs" else args[1]))
+            return original(*args)
+        monkeypatch.setattr(module, fn, call)
+
+    for module, fn in ((identities, "_table_pairs"),
+                       (identities, "_one_pairs"),
+                       (asymptotics, "_one_pairs")):
+        spy(module, fn)
+    return asked
+
+
+@pytest.mark.parametrize("name, a", [("phi-log-avg", None),
+                                     ("jordan-log-avg", -0.5)])
+def test_log_average_scans_form_no_bound_weight(monkeypatch, name, a):
+    # the remainder bound's |v|/m and |v|/m^2 are not part of a scan
+    asked = _spy_kinds(monkeypatch)
+    residual_scan(name, standard_grid(1e3, 1e5, 3), a)
+    kinds = set().union(*asked)
+    assert "v rho/m" in kinds
+    assert not kinds & {"|v|/m", "|v|/m^2"}, kinds
+
+
+@pytest.mark.parametrize("name, a, lists", [("jordan_phi", -0.5, 1),
+                                            ("ramanujan-log-avg", None, 0),
+                                            ("id-log-avg", None, 0)])
+def test_primes_listed_once_where_two_operands_sieve(monkeypatch, name, a,
+                                                     lists):
+    # jordan_phi's two operands share one list of the primes; the
+    # (id, mu) of ramanujan-log-avg, id a power, and id-log-avg's phi
+    # alone list none to share
+    calls = []
+    for module in (identities, asymptotics):
+        monkeypatch.setattr(module, "_primes_upto", lambda n, f=(
+            module._primes_upto): calls.append(n) or f(n))
+    grid = standard_grid(1e3, 1e5, 3)
+    _ENTRIES[name].parts(grid, a)
+    assert len(calls) == lists
+    calls.clear()
+    residual_scan(name, grid, a)
+    assert len(calls) == lists
+
+
 # each limit variant's leading term as it was tabled: (target, log power
 # p, k) of x log^p x / zeta(2)^k, times zeta(1 - a) where the target
 # takes a
@@ -357,7 +455,8 @@ def test_residual_scan_single_point_composition():
                              log_factor=log_average) if t.weight else 0.0)
         rem = 0.0
         if log_average and main_term(name, x, a, theta=1 / 12) != main:
-            f, g = (G.sieve(spec, 1000) for spec in t.pair(a))
+            (_, ((_, (f, _), (g, _)),)), *_ = t.sums(a)  # six_terms'
+            f, g = (G.sieve(G.ONE if s is None else s, 1000) for s in (f, g))
             rem = G.apostol_log_average_terms(f, g, x).remainder_term
         assert scan.exact[0] == exact, name
         assert scan.main[0] == main, name
@@ -376,16 +475,14 @@ def test_residual_scan_single_point_composition():
                                      ("sigma_logne", None)])
 def test_residual_scan_reads_the_exact_side_once(monkeypatch, name, a):
     # the exact side is one grid-level call per scan, not one per x
-    registry = SCAN_TARGETS if name in SCAN_TARGETS else STATISTICS
-    target = registry[name]
     calls = []
+    parts = Target.parts
 
-    def parts(xs, a, primes=None):
+    def spy(self, xs, a, primes=None):
         calls.append(list(xs))
-        return target.parts(xs, a, primes)
+        return parts(self, xs, a, primes)
 
-    monkeypatch.setitem(registry, name,
-                        dataclasses.replace(target, parts=parts))
+    monkeypatch.setattr(Target, "parts", spy)
     grid = standard_grid(1e3, 3e4, 4)
     residual_scan(name, grid, a)
     assert calls == [grid.tolist()]
@@ -568,7 +665,7 @@ def test_limit_ratio_refuses_x_not_above_1_before_its_exact_side(
         raise AssertionError("exact side built")
 
     monkeypatch.setitem(SCAN_TARGETS, "id-log-avg", dataclasses.replace(
-        SCAN_TARGETS["id-log-avg"], parts=refuse))
+        SCAN_TARGETS["id-log-avg"], sums=refuse))
     with pytest.raises(DomainError, match="x must be > 1"):
         limit_ratio_grid("id", xs)
 

@@ -150,7 +150,7 @@ def test_nonnegative_f_takes_its_f_over_d_pair(text, rule):
               identities.apostol_log_average_grid(f, None, ns)]
     kind = "v/m" if rule else "|v|/m"
     assert bounds == [s / 12.0 for s, in identities._hyperbola_sums(
-        ns, [[(1, (lambda: f.values, kind), (None, "|v|/m^2"))]])]
+        ns, [[(1, (f, kind), (None, "|v|/m^2"))]])]
     if rule:
         fv = tables.sieve_values(spec, ns[-1])
         assert np.all(fv >= 0)

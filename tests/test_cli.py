@@ -479,6 +479,25 @@ def test_exponent_refused_before_the_calibration_row(capsys):
     assert err[1].startswith("usage: gcdsums")
 
 
+def test_delta_integral_refuses_an_exponent_exit_2(monkeypatch, capsys):
+    # the Delta integral is of tau alone: an --a is refused, as scan
+    # refuses one its entry does not take, before any prefix is formed
+    from gcdsums import asymptotics
+    calls = []
+    monkeypatch.setattr(asymptotics, "_one_pairs",
+                        lambda *a: calls.append(a))
+    rc = run_cli(["delta", "--which", "integral", "--a", "-0.5",
+                  "--grid", "1e3,1e4"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert err[0] == ("error: delta --which integral takes no exponent a "
+                      "(got a=-0.5)")
+    assert err[1].startswith("usage: gcdsums")
+    assert calls == []
+
+
 _GEOM = ["--grid", "geom:1e3,1e7,9"]
 # per name, a command and its count of stdout lines
 _BLAS_COMMANDS = {

@@ -183,8 +183,9 @@ def test_exact_value_matches_per_k_reference():
     # per-k identity sum and, for small x, the brute-force j-loop
     for name, target in G.SCAN_TARGETS.items():
         a = -0.5 if target.needs_a else None
-        f_spec, g_spec = target.pair(a)
-        f, g = G.sieve(f_spec, 1000), G.sieve(g_spec, 1000)
+        # (f, g) as named by the first of its ``six_terms`` lists
+        (_, ((_, (f, _), (g, _)),)), *_ = target.sums(a)
+        f, g = (G.sieve(G.ONE if s is None else s, 1000) for s in (f, g))
         for x in (2.0, 17.0, 50.5, 1000.0):
             value = target.parts([x], a)[0][0]
             assert value == pytest.approx(
