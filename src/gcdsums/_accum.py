@@ -14,10 +14,10 @@ summation) is kept in a single place:
   which adds hi + lo to every entry, and at the quotients n // i of a
   grid by ``quotient_prefixes``, which adds it to the entries it
   samples and sums each eighth no further than the last of them, one
-  blocked pass per run of the grid that opens its tables and block
-  buffers when it starts and drops them when it ends, so nothing is
-  cached between passes (the one other caller is the Dirichlet series'
-  log l!, summed from block to block),
+  pass per run of the grid that asks its weights an eighth at a time,
+  each table served by a ``reader``, opened when it starts and dropped
+  when it ends, so nothing is cached between passes (the one other
+  caller is the Dirichlet series' log l!, summed eighth by eighth),
 - a prefix of a smooth weight past a table (a weight of the constant 1,
   ``identities._one_pairs``) is the table's longdouble sum P(t) plus
   a longdouble closed form Phi(v) - Phi(t), rounded once
@@ -62,28 +62,41 @@ def chained_sums(block, carry, out: np.ndarray, upto=None):
     return sums, hi + lo
 
 
+_ROW = np.arange(_BLOCK // 8, dtype=np.float64)  # 0, 1, ..., 2^13 - 1
+
+
 def ramp(out: np.ndarray, lo: int) -> np.ndarray:
     """lo, lo + 1, ... written into out, exactly and with no temporary:
-    each step adds k to the first k entries, into the next k."""
-    out[:1] = lo
-    k = 1
-    while k < len(out):
-        head = out[k:2 * k]
-        np.add(out[:len(head)], k, out=head)
-        k *= 2
+    an eighth of ``_BLOCK`` at a time, one add of its first value to the
+    fixed row 0..2^13 - 1."""
+    for s in range(0, len(out), len(_ROW)):
+        part = out[s:s + len(_ROW)]
+        np.add(_ROW[:len(part)], lo + s, out=part)
     return out
 
 
-def block_of(values, lo: int, out: np.ndarray) -> np.ndarray:
-    """values[lo:lo + len(out)] in out, from ``tables.Blocks``, an array,
-    or None, the constant 1: ones make the products of the ONE sieve."""
-    if values is None:
-        out.fill(1.0)
-    elif isinstance(values, np.ndarray):
-        out[:] = values[lo:lo + len(out)]
-    else:
-        values.fill(out, lo)
-    return out
+def reader(values, top: int):
+    """``read(lo, hi)``: values[lo:hi] of ``tables.Blocks``, an array, or
+    None, the constant 1 (ones make the products of the ONE sieve), for
+    spans of at most an eighth of ``_BLOCK`` asked in ascending order,
+    each once, in a buffer the caller may write over: an eighth-size copy
+    of the array or of ones, or the block up to top that ``Blocks`` fills
+    when a span passes the last one's end.  No cycle holds ``read``, so
+    its table is freed with its last reference."""
+    whole = not (values is None or isinstance(values, np.ndarray))
+    buf = np.empty(min(_BLOCK if whole else _BLOCK // 8, top))
+    start = end = 0
+
+    def read(lo, hi):
+        nonlocal start, end
+        if not whole:
+            buf[:hi - lo] = 1.0 if values is None else values[lo:hi]
+            return buf[:hi - lo]
+        if hi > end:
+            start, end = lo, min(lo + len(buf), top + 1)
+            values.fill(buf[:end - start], start)
+        return buf[lo - start:hi - start]
+    return read
 
 
 def prefix_rows(weights, n: int, rows: np.ndarray) -> list:
@@ -143,42 +156,37 @@ def _runs(ns: list[int]):
 
 def _one_pass(weights, ns: list[int]) -> list[list]:
     """The pairs of every n of ns (ascending, distinct), from one blocked
-    pass up to max(ns): each weight block is summed an eighth at a time
-    by ``chained_sums``, up to the last entry any n samples there, and
-    the sums that land in it at every n's quotients (lo, hi and hi[0])
-    are carried and sampled."""
+    pass up to max(ns): the weights are asked for an eighth of a block at
+    a time, each summed by ``chained_sums`` up to the last entry any n
+    samples there, and the sums that land in it at every n's quotients
+    (lo, hi and hi[0]) are carried and sampled."""
     rs = [math.isqrt(n) for n in ns]
     pairs = [[] for _ in ns]  # per n, per weight: (lo, hi)
     carries, buf = [], np.empty(_BLOCK // 8, np.longdouble)
-    for start in range(1, ns[-1] + 1, _BLOCK):
-        stop = min(start + _BLOCK, ns[-1] + 1)
-        live = [(p, n, r) for p, n, r in zip(pairs, ns, rs) if n >= start]
-        eighths = [(a, min(a + _BLOCK // 8, stop))
-                   for a in range(start, stop, _BLOCK // 8)]
-        # the sums an eighth needs: no n samples past its last quotient
+    for a in range(1, ns[-1] + 1, _BLOCK // 8):
+        b = min(a + _BLOCK // 8, ns[-1] + 1)
+        live = [(p, n, r) for p, n, r in zip(pairs, ns, rs) if n >= a]
+        # the sums the eighth needs: no n samples past its last quotient
         # below b, nor lo past r
-        uptos = [max([0] + [max(min(r, b - 1), n // (n // b + 1)) + 1 - a
-                            for _, n, r in live]) for a, b in eighths]
-        for k, block in enumerate(weights(start, stop)):
+        upto = max([0] + [max(min(r, b - 1), n // (n // b + 1)) + 1 - a
+                          for _, n, r in live])
+        for k, block in enumerate(weights(a, b)):
             if k == len(carries):
                 carries.append([np.longdouble(0.0)] * 2)
                 for p, r in zip(pairs, rs):
                     p.append((np.zeros(r + 1), np.empty(r + 1)))
-            for (a, b), upto in zip(eighths, uptos):
-                sums, before = chained_sums(block[a - start:b - start],
-                                            carries[k], buf, upto)
-                for p, n, r in live:
-                    lo, hi = p[k]
-                    if a <= r:
-                        np.add(sums[:r + 1 - a], before,
-                               out=lo[a:min(r + 1, b)])
-                    # hi[d] = P(n // d) for the d <= r with n // d in [a, b)
-                    d_lo, d_hi = n // b + 1, min(n // a, r)
-                    if d_lo <= d_hi:
-                        at = n // np.arange(d_lo, d_hi + 1) - a
-                        np.add(sums[at], before, out=hi[d_lo:d_hi + 1])
-                    if a <= n < b:
-                        hi[0] = sums[n - a] + before
+            sums, before = chained_sums(block, carries[k], buf, upto)
+            for p, n, r in live:
+                lo, hi = p[k]
+                if a <= r:
+                    np.add(sums[:r + 1 - a], before, out=lo[a:min(r + 1, b)])
+                # hi[d] = P(n // d) for the d <= r with n // d in [a, b)
+                d_lo, d_hi = n // b + 1, min(n // a, r)
+                if d_lo <= d_hi:
+                    at = n // np.arange(d_lo, d_hi + 1) - a
+                    np.add(sums[at], before, out=hi[d_lo:d_hi + 1])
+                if a <= n < b:
+                    hi[0] = sums[n - a] + before
     return pairs
 
 
@@ -191,21 +199,21 @@ def quotient_prefixes(open_pass, ns):
     ``open_pass()`` is called once per run, when its pass starts, and
     gives the pass's ``weights(lo, hi)``: each weight's values at
     lo..hi-1, an iterable of arrays (a generator forms them one at a
-    time), asked for once per block of ``_BLOCK`` covering 1..max(n) of
-    the run, in ascending order; a value must not depend on where its
-    block starts or stops.  What it returns, and so every table and
-    buffer the opener made, is dropped when the pass ends, before the
-    run's pairs are yielded: the tables of two passes never live at once.
+    time), asked for once per eighth of ``_BLOCK`` covering 1..max(n) of
+    the run, in ascending order, as a ``reader`` serves a table; a value
+    must not depend on where its span starts or stops.  What it returns,
+    and so every table and buffer the opener made, is dropped when the
+    pass ends, before the run's pairs are yielded: the tables of two
+    passes never live at once.
     ``ns`` is ascending and may repeat an n.  This yields, for each n of
     ns in turn, the list of its pairs, one per weight; a repeated n yields
     the same list again.  Each weight's prefix sums are formed by
     ``chained_sums`` and sampled at the quotients of every n as its
-    blocks pass.  Each array is read before the next is asked for, so
+    eighths pass.  Each array is read before the next is asked for, so
     ``weights`` may write them all into buffers of its own, and the sums
-    go into one longdouble buffer of the pass's, ``_BLOCK // 8`` entries
-    (128 KB), an eighth of a block chained at a time.  So a pass holds
-    these and sum 2 (isqrt(n) + 1) floats per weight over its run, at
-    most max(ns) + 1, never a whole prefix.  The sums do not depend on
+    go into one longdouble eighth of the pass's (128 KB).  So a pass
+    holds these and sum 2 (isqrt(n) + 1) floats per weight over its run,
+    at most max(ns) + 1, never a whole prefix.  The sums do not depend on
     n, so each pair equals ``prefix_with_zero`` sampled at the
     quotients of its n, bit for bit, and the pass over a grid gives the
     bytes of the passes over its points one at a time.

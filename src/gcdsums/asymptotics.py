@@ -46,8 +46,7 @@ import numpy as np
 
 from ._accum import _BLOCK, dot, hyperbola_prefixes, hyperbola_sum, ramp
 from .errors import DomainError, require
-from .identities import (_hyperbola_sums, _one_pairs, apostol_log_average_terms,
-                         six_terms)
+from .identities import _hyperbola_sums, _one_pairs, six_terms
 from .tables import (ID, MU, PHI, VON_MANGOLDT, _primes_upto, blocks, convolve,
                      cut, jordan, sieve_values, sigma_pow)
 from .zeta import LOG_SQRT_2PI, THETA_HI, THETA_LO, constants
@@ -184,10 +183,9 @@ def mu_delta_grid(xs, kind: str, a: float | None = None,
 
     Peak memory: what the weight blocks share (the primes up to the
     largest x for mu*mu, up to its square root for mu), the weight fill's
-    blocks, three blocks of ``_accum._BLOCK`` the pass owns (n, the weights
-    and one x's Delta values, whose gather and smooth part are formed in
-    eighths of a block) and Delta's pairs at every x, sum 2 (isqrt(n) + 1)
-    floats; no x-length array.  Each block of weights is dotted against
+    blocks, two blocks of ``_accum._BLOCK`` the pass owns (the weights and
+    one x's Delta values), formed an eighth of n at a time, and Delta's
+    pairs at every x, sum 2 (isqrt(n) + 1) floats; no x-length array.  Each block of weights is dotted against
     the Delta values of every x it reaches, one dot per (x, block), and
     each x's partial dots add by ``math.fsum``.  For x below ``_BLOCK`` + 1
     that is one dot, as in the whole-array form.  Past it the additions
@@ -202,12 +200,15 @@ def mu_delta_grid(xs, kind: str, a: float | None = None,
     pairs, smooth = _delta_prefixes(ns, a)  # every x's, before wv's blocks
     top = max(ns)
     wv = blocks(_WEIGHT_SPECS[kind], top, primes).values
-    narr, weights, deltas = np.empty((3, min(_BLOCK, top)))  # the pass's
+    weights, deltas = np.empty((2, min(_BLOCK, top)))  # the pass's
+    narr = np.empty(min(_BLOCK // 8, top))
     partials = [[] for _ in ns]
     for lo in range(0, top, _BLOCK):
         size = min(_BLOCK, top - lo)
         wv.fill(weights[:size], lo + 1)
-        weights[:size] /= ramp(narr[:size], lo + 1)
+        for a in range(0, size, _BLOCK // 8):
+            b = min(a + _BLOCK // 8, size)
+            weights[a:b] /= ramp(narr[:b - a], lo + 1 + a)
         for i, (x, n, (p_lo, p_hi)) in enumerate(zip(xs, ns, pairs)):
             if n <= lo:
                 continue
@@ -220,9 +221,9 @@ def mu_delta_grid(xs, kind: str, a: float | None = None,
             deltas[:k] = p_hi[lo + 1:lo + 1 + k]
             for a in range(0, hi - lo, _BLOCK // 8):
                 b = min(a + _BLOCK // 8, hi - lo)
-                j = max(a, k)
-                deltas[j:b] = p_lo[np.divide(n, narr[j:b]).astype(np.intp)]
-                deltas[a:b] -= smooth(np.divide(x, narr[a:b]))
+                m, j = ramp(narr[:b - a], lo + 1 + a), max(a, k)
+                deltas[j:b] = p_lo[np.divide(n, m[j - a:]).astype(np.intp)]
+                deltas[a:b] -= smooth(np.divide(x, m))
             partials[i].append(dot(weights[:hi - lo], deltas[:hi - lo]))
     out = [math.fsum(p) for p in partials]
     if log_factor:
@@ -612,7 +613,7 @@ def tau_gcd_log_avg_routes(x: float) -> tuple[float, float]:
     """The tau-log-avg exact side computed two ways, neither of which
     sieves.
 
-    Route one is the six-term decomposition's total.  Route two assembles
+    Route one is the total of ``six_terms(None, None)``.  Route two assembles
     the three summatory statistics the paper reduces tau-log-avg to
     (sigma log(n/e), divisor-log and tau/n, each a hyperbola sum of the
     g = 1 pairs) plus the decomposition's exact Stirling remainder.  Both
@@ -628,11 +629,13 @@ def tau_gcd_log_avg_routes(x: float) -> tuple[float, float]:
     two against the whole-array sums of the SIGMA, DIVISOR_LOG and TAU
     sieves at x <= 1e6.  The remainder is pinned to a log-gamma oracle.
     """
-    dec = apostol_log_average_terms(None, None, x)  # f = g = 1
+    six = six_terms(None, None)  # f = g = 1, and no remainder bound
+    terms = [scale * s for (scale, _), s in zip(six, next(_hyperbola_sums(
+        [cut(x)], [lists for _, lists in six])))]
     s1 = summatory("sigma_logne", x)[0]
     s2 = 0.5 * summatory("divisor_log", x)[0]
     s3 = LOG_SQRT_2PI * summatory("tau_over_n", x)[0]
-    return dec.total, s1 + s2 + s3 + dec.remainder_term
+    return math.fsum(terms), s1 + s2 + s3 + terms[-1]
 
 
 _LIMIT_VARIANTS = {"id": "id-log-avg", "phi": "phi-log-avg",

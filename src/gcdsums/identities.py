@@ -53,10 +53,11 @@ phi as exact integers, so their values equal the batches' bit for bit.
 Each hyperbola sum, of the six terms and of the statistics in
 ``asymptotics`` alike, is a term list for ``_hyperbola_sums``, the one
 place where a weight's name, None (the constant 1), a spec or a table,
-becomes pairs, of a kind of ``_KINDS`` that one blocked writer,
-``_weigh``, forms.  Each pass opens its table and buffers and drops
-them when it ends (``_accum.quotient_prefixes``), and the g = 1 prefixes
-are summed by ``_accum.prefix_rows``: this module forms no prefix sum.
+becomes pairs, of a kind of ``_KINDS`` that one writer, ``_weigh``,
+forms an eighth of a block at a time.  Each pass opens its table and
+drops it when it ends (``_accum.quotient_prefixes``), and the g = 1
+prefixes are summed by ``_accum.prefix_rows``: this module forms no
+prefix sum.
 
 All sums over x cut at floor(x); an integer x includes k = x.
 """
@@ -70,8 +71,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._accum import (_BLOCK, ascending, block_of, dot, hyperbola_sum,
-                     prefix_rows, prefix_with_zero, quotient_prefixes, ramp)
+from ._accum import (_BLOCK, ascending, dot, hyperbola_sum, prefix_rows,
+                     prefix_with_zero, quotient_prefixes, ramp, reader)
 from .stirling import SEED, log_factorial_row, one_weight_sums, rho_block
 from .tables import (MU, PHI, VON_MANGOLDT, FunctionSpec, FunctionTable, Kind,
                      _primes_upto, _with_mu, blocks, convolve, cut,
@@ -325,65 +326,52 @@ _KINDS = ("v", "v log m", "v log m/m", "v/m", "v rho/m", "|v|/m^2", "m^a",
           "|v|/m")
 
 
-def _buffers(kinds, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """The v and m that ``_weigh`` writes the kinds into, for blocks up to
-    top: v is a block, m a block too, but an eighth of one where only v
-    and v/m are asked for and nothing for v alone."""
-    kinds = set(kinds)
-    size = (0 if kinds <= {"v"} else _BLOCK // 8 if kinds <= {"v", "v/m"}
-            else _BLOCK)
-    return np.empty(min(_BLOCK, top)), np.empty(min(size, top))
+def _weigh(values, kinds, top: int, a: float | None = None):
+    """The ``weights(lo, hi)`` of a pass over values (an array,
+    ``tables.Blocks`` or None, the constant 1) up to top: the weights
+    ``kinds`` at m = lo..hi-1, at most an eighth of ``_BLOCK``, in the
+    order of ``_KINDS``, each rewritten once read: in v, the buffer of
+    values' ``_accum.reader``, which then turns into v/m = v * (1/m), or
+    in m, one eighth where a kind but v is asked.  m holds exact integers
+    when 1/m, log m or m^a is taken, so no weight depends on where its
+    span starts or stops."""
+    read = reader(values, top)
+    scratch = np.empty(0 if kinds == ["v"] else min(_BLOCK // 8, top))
 
-
-def _weigh(values, kinds, lo: int, hi: int, v: np.ndarray, m: np.ndarray,
-           a: float | None = None):
-    """The weights ``kinds`` of values (an array, ``tables.Blocks`` or
-    None, the constant 1) at m = lo..hi-1, in the order of ``_KINDS``,
-    each rewritten once read: in v, the values' block, which then turns
-    into v/m = v * (1/m) a length of m at a time, or in m.  m holds exact
-    integers when 1/m, log m or m^a is taken, so no weight depends on
-    where its block starts or stops."""
-    v = block_of(values, lo, v[:hi - lo])
-    m = m[:hi - lo]
-    if "v" in kinds:
-        yield v
-    if "v log m" in kinds:
-        yield np.multiply(v, np.log(ramp(m, lo), out=m), out=m)
-    if not set(kinds) <= {"v", "v log m", "m^a"}:
-        for s in range(0, len(v), len(m)):
-            w = v[s:s + len(m)]
-            r = ramp(m[:len(w)], lo + s)
-            np.multiply(w, np.divide(1.0, r, out=r), out=w)
-    if "v log m/m" in kinds:
-        yield np.multiply(v, np.log(ramp(m, lo), out=m), out=m)
-    if "v/m" in kinds:
-        yield v
-    if "v rho/m" in kinds:
-        yield np.multiply(rho_block(lo, hi, m), v, out=m)
-    if "|v|/m^2" in kinds:
-        np.divide(1.0, ramp(m, lo), out=m)
-        yield np.abs(np.multiply(v, m, out=m), out=m)
-    if "m^a" in kinds:
-        yield np.power(ramp(m, lo), a, out=m)
-    if "|v|/m" in kinds:
-        yield np.abs(v, out=m)
+    def weights(lo, hi):
+        v, m = read(lo, hi), scratch[:hi - lo]
+        if "v" in kinds:
+            yield v
+        if "v log m" in kinds:
+            yield np.multiply(v, np.log(ramp(m, lo), out=m), out=m)
+        if not set(kinds) <= {"v", "v log m", "m^a"}:
+            np.multiply(v, np.divide(1.0, ramp(m, lo), out=m), out=v)
+        if "v log m/m" in kinds:
+            yield np.multiply(v, np.log(ramp(m, lo), out=m), out=m)
+        if "v/m" in kinds:
+            yield v
+        if "v rho/m" in kinds:
+            yield np.multiply(rho_block(lo, hi, m), v, out=m)
+        if "|v|/m^2" in kinds:
+            np.divide(1.0, ramp(m, lo), out=m)
+            yield np.abs(np.multiply(v, m, out=m), out=m)
+        if "m^a" in kinds:
+            yield np.power(ramp(m, lo), a, out=m)
+        if "|v|/m" in kinds:
+            yield np.abs(v, out=m)
+    return weights
 
 
 def _table_pairs(build, kinds, ns):
     """The ``quotient_prefixes`` pairs of the weights ``kinds`` of one
     table at each n of ns (ascending), a dict kind -> pair per n, from one
     pass per run.  Each pass opens the values that ``build()`` makes (as
-    ``_weigh`` takes them), then a v and m of ``_buffers``, and drops them
-    when it ends: tables built in turn never live at once, and each is
-    built before its pass allocates."""
+    ``_weigh`` takes them), then their ``_weigh`` up to max(ns), and drops
+    them when it ends: tables built in turn never live at once, and each
+    is built before its pass allocates."""
     kinds = [k for k in _KINDS if k in kinds]
-
-    def open_pass():
-        values, (v, m) = build(), _buffers(kinds, max(ns))
-        return lambda lo, hi: _weigh(values, kinds, lo, hi, v, m)
-
-    return (dict(zip(kinds, pairs))
-            for pairs in quotient_prefixes(open_pass, ns))
+    return (dict(zip(kinds, pairs)) for pairs in quotient_prefixes(
+        lambda: _weigh(build(), kinds, max(ns)), ns))
 
 
 def _one_pairs(ns, a: float | None, kinds):
@@ -406,12 +394,12 @@ def _one_pairs(ns, a: float | None, kinds):
     own = {n: min(max(math.isqrt(n), SEED), n) for n in ns}
     top = own[ns[-1]]
     table = np.zeros((len(kinds), top + 1))
-    buffers, sums = _buffers(kinds, min(top, _BLOCK // 8)), {}
+    sums = {}
     # the table, and P(t(n)) where n reads closed forms past it from a
     # table that stops at t(n), as for n alone: no row entry is that carry
     for t in {top, *(t for n, t in own.items() if t < n)}:
         sums[t] = prefix_rows(
-            lambda lo, hi: _weigh(None, kinds, lo, hi, *buffers, a), t,
+            _weigh(None, kinds, t, a), t,
             table if t == top else np.empty((len(kinds), t + 1)))
     for n in ns:
         r = math.isqrt(n)
@@ -485,9 +473,9 @@ def apostol_log_average_grid(f: FunctionTable | None,
     accepts names |f(d)|/d as f(d)/d.
 
     Peak memory: the tables it is given, or what their blocks share, plus
-    a few blocks of ``_accum._BLOCK`` and the pairs of one run of
-    ``quotient_prefixes``, sum 2 (isqrt(n) + 1) floats per weight and
-    never more than max(n) + 1; rho is formed per block.  From blocks, or
+    a block of ``_accum._BLOCK`` for blocks, a few eighths of one and the
+    pairs of one run of ``quotient_prefixes``, sum 2 (isqrt(n) + 1)
+    floats per weight and never more than max(n) + 1.  From blocks, or
     for f = g = 1, it holds no array of length x.
     """
     ns = [cut(x, f, g) for x in xs]

@@ -17,10 +17,10 @@ Both sides come from one blocked pass (``_passes``): the four weights of
 the lhs's hyperbola sums have as prefix sums at K the truncated -F'(s),
 G(s-1), F(s) and G_L(s) of the rhs, read as the hi[0] of their pairs, so
 a K list costs one pass up to its largest K and every sum follows the
-one rule of ``_accum.chained_sums``.  Every table is read a block at a
-time, arrays and ``tables.Blocks`` alike, into one block of the pass's,
-as each table's weights are formed in turn, and L(l) is summed from
-block to block by the same rule: the pass holds four blocks, and no
+one rule of ``_accum.chained_sums``.  The weights are formed an eighth
+of a block at a time, L(l) summed from eighth to eighth by the same
+rule, and each table is served by an ``_accum.reader``: the pass holds
+one block per table of ``tables.Blocks`` and a few eighths, and no
 K-length array and no log l! row is built.
 """
 
@@ -31,8 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._accum import (_BLOCK, ascending, block_of, chained_sums,
-                     hyperbola_sum, quotient_prefixes, ramp)
+from ._accum import (_BLOCK, ascending, chained_sums, hyperbola_sum,
+                     quotient_prefixes, ramp, reader)
 from .errors import require
 from .tables import FunctionTable, _with_mu, abscissa, blocks, cut
 from .zeta import LOG_SQRT_2PI, THETA_HI, THETA_LO, constants
@@ -76,17 +76,18 @@ def _weights(f: FunctionTable | None, g: FunctionTable | None, s: float,
     the truncated -F'(s), F(s), G(s-1) and G_L(s).
 
     f, g and h are tables (arrays or ``tables.Blocks``) or None, the
-    constant 1, each read a block of ``_BLOCK`` at a time, in turn, into
-    one block of the writer's four: the others hold log l, l^-s, and the
-    log weights and then L(l) (l^(1-s) is written over log l once no
-    weight reads it).  L(l) = log l! is carried from block to block by
-    ``chained_sums`` an eighth of a block at a time, after f's weights,
-    every entry carried as ``stirling.log_factorial_row``'s are, so it
-    has the row's bytes and no row is built.  The pass asks for its
-    blocks in ascending order from 1.
+    constant 1, each served by an ``_accum.reader`` of its own.  The pass
+    asks for an eighth of ``_BLOCK`` at a time, in ascending order from
+    1, and the writer forms it in three eighths of its own: log l, l^-s,
+    and the log weights and then L(l) (l^(1-s) is written over log l once
+    no weight reads it).  L(l) = log l! is carried from eighth to eighth
+    by ``chained_sums``, after f's weights, every entry carried as
+    ``stirling.log_factorial_row``'s are, so it has the row's bytes and
+    no row is built.
     """
-    fv, gv, hv = (None if t is None else t.values for t in (f, g, h))
-    t, lg, p, lf = np.empty((4, min(_BLOCK, k_max)))
+    *reads, read_g = [reader(None if t is None else t.values, k_max)
+                      for t in ((f, g) if h is None else (h, f, g))]
+    lg, p, lf = np.empty((3, min(_BLOCK // 8, k_max)))
     sums = np.empty(min(_BLOCK // 8, k_max), np.longdouble)
     carry = [np.longdouble(0.0)] * 2  # L(lo - 1)
 
@@ -97,15 +98,14 @@ def _weights(f: FunctionTable | None, g: FunctionTable | None, s: float,
         lgs = np.log(ramp(lg[:n], lo), out=lg[:n])
         ps, lfs = ramp(p[:n], lo), lf[:n]
         ps **= -s
-        for v in (fv,) if h is None else (hv, fv):
-            w = block_of(v, lo, t[:n])
+        for read in reads:
+            w = read(lo, hi)
             yield np.multiply(np.multiply(w, lgs, out=lfs), ps, out=lfs)
             yield np.multiply(w, ps, out=w)
-        # L(l), into the block the log weights were written to
-        for a in range(0, n, _BLOCK // 8):
-            part, before = chained_sums(lgs[a:a + _BLOCK // 8], carry, sums)
-            lfs[a:a + len(part)] = np.add(part, before, out=part)
-        c = block_of(gv, lo, t[:n])
+        # L(l), into the eighth the log weights were written to
+        part, before = chained_sums(lgs, carry, sums)
+        lfs[:] = np.add(part, before, out=part)
+        c = read_g(lo, hi)
         q = ramp(lgs, lo)
         q **= -(s - 1.0)
         yield np.multiply(c, q, out=q)
@@ -123,8 +123,8 @@ def _passes(f, g, s: float, ks, h=None):
     (f(d) log d d^-s) (g(l) l^(1-s)) + (f(d) d^-s) (g(l) L(l) l^-s),
     from one ``quotient_prefixes`` pass up to the largest K for every K,
     as no weight depends on K.  It holds the tables it is given, or what
-    their blocks share, the writer's four blocks and the pairs; no
-    K-length array."""
+    their blocks share, the readers' and the writer's buffers and the
+    pairs; no K-length array."""
     ks = ascending(ks)
     for pairs in quotient_prefixes(lambda: _weights(f, g, s, ks[-1], h), ks):
         sums = [float(hi[0]) for _, hi in pairs]

@@ -32,7 +32,7 @@ last reference; entry l depends on nothing past l, so a row equals the
 first l_max + 1 entries of a wider row bit for bit.  Neither row reads
 the other: the per-k audits read L alone (``log_factorial_row``), and
 ``log_factorial_table`` is the public view of both.  The Dirichlet series
-build no row: they sum L from block to block by the same rule, with the
+build no row: they sum L eighth by eighth by the same rule, with the
 row's bytes.  The scans build no rho row: they form rho a block at a
 time (``rho_block``, which fills the row too), so their blocks equal the
 row's entries bit for bit.  approx and theta are derived from l and rho
@@ -303,8 +303,7 @@ def _row(fill, l_max: int) -> np.ndarray:
 
     ``fill`` works an eighth of ``_BLOCK`` at a time, so the peak is the
     row plus under a block (the l, their float64 logs and the longdouble
-    workspace of ``prefix_rows``, or the series' int64 l and two
-    longdouble arrays).
+    workspace of ``prefix_rows``).
     """
     require(l_max >= 1, "l_max must be >= 1")
     row = np.zeros(int(l_max) + 1)

@@ -635,6 +635,30 @@ def test_two_route_exact_side():
         assert abs(b - math.fsum([*sums, remainder])) <= 8 * 2.0 ** -52 * size
 
 
+def test_routes_form_no_remainder_bound(monkeypatch):
+    # route one sums the six lists alone: no g = 1 pairs of |v|/m^2, the
+    # bound's weight, are asked for, and its total and remainder are those
+    # of the decomposition
+    asked = set()
+    real = identities._one_pairs
+
+    def spy(ns, a, kinds):
+        asked.update(kinds)
+        return real(ns, a, kinds)
+
+    monkeypatch.setattr(identities, "_one_pairs", spy)
+    x = 1e5
+    a, b = tau_gcd_log_avg_routes(x)
+    assert "|v|/m^2" not in asked and asked <= set(_KINDS)
+    monkeypatch.setattr(identities, "_one_pairs", real)
+    dec = G.apostol_log_average_terms(None, None, x)
+    assert a == dec.total
+    assert b ==(summatory("sigma_logne", x)[0]
+                 + 0.5 * summatory("divisor_log", x)[0]
+                 + LOG_SQRT_2PI * summatory("tau_over_n", x)[0]
+                 + dec.remainder_term)
+
+
 @pytest.mark.parametrize("x", [1e3, 301414.0, 1e6, 8084462.0, 1e7])
 def test_routes_share_the_one_kernel(x):
     # the six-term sums and the statistics add by the same hyperbola

@@ -15,14 +15,17 @@ result and live operands plus a few blocks (a product of prime powers at
 its result, a block and a few floats per prime), and Toth's per-k audits
 at their tables and lists plus one run of divisor lists.  The pass over
 a grid must give the bytes of the passes over its points one at a time,
-and rho formed per block the bytes of the rho row.  The constant 1
-formed per block (in the series and the per-k reference) must equal the
-ONE sieve, and tau's prefixes by ``hyperbola_prefixes`` the tau sieve's
-and the integer hyperbola's, by bytes.  The g = 1 six-term prefixes must
-equal the ONE sieve's by bytes up to n = 1024 and, closed forms past
-their table, within an ulp; f = g = 1 must hold no array of length x.  The
-exact sides that are hyperbola sums of those g = 1 prefixes (five
-divisor statistics, ``power_sum`` and ``Delta_a``) sieve nothing, and
+and rho formed per block the bytes of the rho row.  A pass must ask its
+weights an eighth of a block at a time, fill each block of a table once
+and drop the table, with no reference cycle, before its pairs arrive.
+The constant 1 formed per block (in the series and the per-k reference)
+must equal the ONE sieve, and tau's prefixes by ``hyperbola_prefixes``
+the tau sieve's and the integer hyperbola's, by bytes.  The g = 1
+six-term prefixes must equal the ONE sieve's by bytes up to n = 1024
+and, closed forms past their table, within an ulp; f = g = 1 must hold
+no array of length x.  The exact sides that are hyperbola sums of
+those g = 1 prefixes (five divisor statistics, ``power_sum`` and
+``Delta_a``) sieve nothing, and
 the sieved whole-array prefix stays their oracle: each must come within
 4 ulps of it, relative.  The other statistics, hyperbola sums of their
 two operands, must come within 2 ulps of it, and build no table of their
@@ -30,6 +33,7 @@ product.
 """
 
 import functools
+import gc
 import math
 import random
 import tracemalloc
@@ -180,6 +184,84 @@ def test_table_pass_builds_its_table_once_per_run():
     pairs = list(identities._table_pairs(build, ["v"], ns))
     assert len(built) == len(list(_accum._runs(ns)))
     assert [p["v"][1][0] for p in pairs] == ns
+
+
+def test_table_pass_drops_its_blocks_before_its_pairs():
+    # with the collector off, each run's ``tables.blocks`` table, and the
+    # reader that serves it, is freed by reference counts alone by the
+    # time that run's first pair arrives: nothing of the pass holds a
+    # reference cycle (a table has no weak references; its fill has)
+    ns = list(_GRIDS["dense_runs"])
+    runs = list(_accum._runs(ns))
+    fills = []
+
+    def build():
+        values = tables.blocks(PHI, ns[-1]).values
+        fills.append(weakref.ref(values.fill))
+        return values
+
+    firsts = {run[0]: i for i, run in enumerate(runs, 1)}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for n, pairs in zip(ns, identities._table_pairs(
+                build, ["v", "v/m", "v rho/m"], ns)):
+            assert pairs["v/m"][1][0] > 0
+            if n in firsts:
+                assert len(fills) == firsts[n]
+                assert fills[-1]() is None, n
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(fills) == len(runs)
+
+
+@pytest.mark.parametrize("grid", [[1], [_B - 1], [_B], [_B + 1], [3 * _B + 5],
+                                  _GRIDS["dense_runs"]],
+                         ids=["1", "B-1", "B", "B+1", "3B+5", "dense_runs"])
+def test_table_pass_asks_for_eighths_and_fills_each_block_once(monkeypatch,
+                                                               grid):
+    # the pass asks its weights for spans of at most an eighth of a block
+    # that tile 1..max(n) of each run in ascending order, and the reader
+    # fills a table's block once, a whole block at a time
+    ns = list(grid)
+    runs = list(_accum._runs(ns))
+    asked, filled = [], []
+    real = identities.quotient_prefixes
+
+    def spy(open_pass, ns):
+        def spied_pass():
+            weights = open_pass()
+            asked.append([])
+
+            def spied(lo, hi):
+                asked[-1].append((lo, hi))
+                return weights(lo, hi)
+            return spied
+        return real(spied_pass, ns)
+
+    monkeypatch.setattr(identities, "quotient_prefixes", spy)
+    values = tables.blocks(PHI, ns[-1]).values
+
+    def counted(out, lo):
+        filled.append(lo)
+        values.fill(out, lo)
+
+    kinds = _F_KINDS + ("v", "v log m", "v rho/m")
+    got = list(identities._table_pairs(lambda: tables.Blocks(counted), kinds,
+                                       ns))
+    assert len(asked) == len(runs)
+    for spans, run in zip(asked, runs):
+        assert all(0 < hi - lo <= _B // 8 for lo, hi in spans)
+        assert [lo for lo, _ in spans] == [1] + [hi for _, hi in spans[:-1]]
+        assert spans[-1][1] == run[-1] + 1
+    assert filled == [lo for run in runs for lo in range(1, run[-1] + 1, _B)]
+    # and the pairs of the table read whole
+    monkeypatch.setattr(identities, "quotient_prefixes", real)
+    fv = sieve_values(PHI, ns[-1])
+    want = list(identities._table_pairs(lambda: fv, kinds, ns))
+    assert all(_same_pairs([p[k] for k in kinds], [w[k] for k in kinds])
+               for p, w in zip(got, want))
 
 
 # the six g-side kinds of the six-term expansion and the three f-side
@@ -556,10 +638,10 @@ _STAGES = {
     "mu_delta_sum_a": (lambda: asymptotics.mu_delta_sum(_N, "mu", -0.5),
                        1 + 1 / 8, 1, _quotient_floats([_N]) + 7 * 1025),
     # the same over a grid, declared in blocks: Delta_a's pairs from
-    # ``hyperbola_prefixes``, then the pass's n, weights and Delta blocks
-    # with the fill's and the eighth blocks' temporaries, every x's pairs
-    # and, for mu*mu, what its blocks share (measured 4.38 and 4.08
-    # blocks; no sigma_a table)
+    # ``hyperbola_prefixes``, then the pass's weights and Delta blocks and
+    # an eighth of n, with the fill's and the eighths' temporaries, every
+    # x's pairs and, for mu*mu, what its blocks share (measured 3.57 and
+    # 3.97 blocks; no sigma_a table)
     "mu_delta_grid_mu": (
         lambda: asymptotics.mu_delta_grid(_GEOM_N, "mu", -0.5), 0, 5,
         _quotient_floats(_GEOM_N)),
@@ -602,24 +684,25 @@ _STAGES = {
     "one_closed_forms": (
         lambda: identities.apostol_log_average_grid(None, None, [1e6]),
         0, 0, 48 * 1025),
-    # no log l! row and no K-length array: the writer's four blocks (the
-    # one that f and g, and h, are read into in turn, log l, l^-s and
-    # L(l)) and its and the pass's eighths of a block of longdouble
-    # (measured 4.62; 5.62 with a block per table)
-    "u_partial_sum": (_u_sum, 0, 5, 0),
-    # both sides of a K list from tables given as blocks: the same, and
-    # a block's temporaries of the mu fill (measured 5.96; 6.96 with a
-    # block per table)
+    # no log l! row, no K-length array and no block: an eighth each for
+    # the copies of the arrays f and g, log l, l^-s and L(l), and the
+    # writer's and the pass's longdouble eighths (measured 1.24 blocks;
+    # 4.62 while the writer formed whole blocks in four of its own)
+    "u_partial_sum": (_u_sum, 0, 1.5, 0),
+    # both sides of a K list from tables given as blocks: the same
+    # eighths, one block per table (id's and mu's) and a block's
+    # temporaries of the mu fill (measured 4.33; 5.96 with the writer's
+    # four blocks)
     "series_identity_grid": (
         lambda: series.series_identity_grid(*_id_mu_blocks(), 3.0,
-                                            [100, 1000, _N]), 0, 6.5, 0),
-    # the writer's four blocks, the blocks of f, given, and of f*mu,
+                                            [100, 1000, _N]), 0, 4.5, 0),
+    # the writer's eighths, a block each of f, given, and of f*mu,
     # prepared up to K, which share per prime above isqrt(K) P and f(P),
-    # read in turn in one pass (measured 6.38 blocks with those; 7.38
-    # with a block per table)
+    # read in one pass (measured 4.88 blocks with those; 6.38 with the
+    # writer's four blocks)
     "series_theta_bracket": (
         lambda: series.series_theta_bracket(_id_mu_blocks()[0], 3.0, [_N]),
-        0, 5, 6 * _PRIMES),
+        0, 3, 6 * _PRIMES),
     # hyperbola sums of the g = 1 pairs at _N, so t = 1024: declared as
     # six tables of t + 1 floats, the pairs over isqrt(_N) + 1 entries and
     # the closed forms above t (it forms the four kinds it names: measured
@@ -679,16 +762,18 @@ _STAGES = {
     # both rows of ``log_factorial_table``, and an eighth of a block of
     # the rho fill's l and longdouble temporaries (measured 0.63 blocks)
     "rho_row": (lambda: stirling.log_factorial_table(_N), 2, 1, 0),
-    # a scan at x = 2^20 reads each table a block at a time: a pass's few
+    # a scan at x = 2^20 reads each table a block at a time: a pass's
+    # table block and eighths, the Delta correction's weight and Delta
     # blocks, and what the blocks share, per prime above isqrt(x) P and
     # f(P) for a product and nothing for mu; no x-long array (measured
-    # 3.52 and 4.24 blocks besides those)
+    # 5.15 and 5.89 blocks with those; 6.03 and 6.76 while every pass held
+    # a block-sized scratch beside its table's block)
     "scan_id_log_avg": (
-        lambda: asymptotics.residual_scan("id-log-avg", [1 << 20]), 0, 5,
+        lambda: asymptotics.residual_scan("id-log-avg", [1 << 20]), 0, 3,
         2 * _PRIMES_20),
     "scan_jordan_log_avg": (
         lambda: asymptotics.residual_scan("jordan-log-avg", [1 << 20], -0.5),
-        0, 5, 2 * _PRIMES_20),
+        0, 3.75, 2 * _PRIMES_20),
 }
 
 

@@ -57,14 +57,13 @@ def test_quotient_prefixes_within_half_an_ulp_of_exact_sums():
     r = math.isqrt(n)
     ds = [0, 2, 3, 7, 10, 151, 1000, r]
     vs = [n // max(d, 1) for d in ds]
-    mu, buf = blocks(MU, n).values, np.empty(_accum._BLOCK)
+    mu = _accum.reader(blocks(MU, n).values, n)
     totals, exact = [(0.0, 0.0)] * 3, [{} for _ in range(3)]
 
     def weights(lo, hi):
         inv = 1.0 / _accum.ramp(np.empty(hi - lo), lo)
         sq = inv * inv
-        for i, t in enumerate((sq * inv, sq * sq,
-                               _accum.block_of(mu, lo, buf[:hi - lo]) * sq)):
+        for i, t in enumerate((sq * inv, sq * sq, mu(lo, hi) * sq)):
             for v in vs:
                 if lo <= v < hi:
                     exact[i][v] = sum(map(Fraction, double_double_sum(
