@@ -13,6 +13,12 @@ argparse; ``series`` adds only its own module, ``identity`` adds
 and the records are ``NamedTuple`` or ``__slots__`` classes, which are
 built without ``exec``; ``asymptotics.Target`` alone is a dataclass, so
 only ``scan`` and ``delta`` load ``dataclasses``.
+
+The CLI's entry, ``cli.run``, ends each command's process by
+``os._exit`` once stdout and stderr are flushed, so no interpreter
+teardown, ``atexit`` hook or finalizer runs after a command (see
+``cli``).  Code that needs work done at exit belongs in ``cli.main``
+before it returns.
 """
 
 from .errors import DomainError

@@ -21,11 +21,21 @@ argument that cannot be read or written included.  ``scan --check`` reads
 its entry and then its calibration row before it scans, so an ``--a``
 the entry does not take, a missing row or a malformed calibration file
 exits 2 with nothing on stdout.
+
+``run()`` is the program entry (``python -m gcdsums.cli`` and the
+installed ``gcdsums``): it calls ``main()``, flushes stdout and stderr
+and ends the process with ``os._exit``, so no interpreter teardown, no
+``atexit`` hook and no finalizer runs after a command.  It exits the
+ordinary way when a profiler or tracer is set, when a flush fails and
+when ``main`` raises.  A closed stdout ends the command by SIGPIPE, as
+it ends ``cat``.  ``main(argv)`` returns the exit status and is what
+callers in-process use.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -281,5 +291,29 @@ def main(argv=None) -> int:
     return 2
 
 
+def run() -> None:
+    """Run ``main()`` on ``sys.argv`` and end the process once its output
+    is flushed, skipping the interpreter's teardown: module clean-up, the
+    last garbage collection and numpy's own, none of which a command
+    needs.  The ordinary exit is kept where that teardown is wanted: under
+    a profiler or tracer (whose report is written at exit), when a flush
+    fails (the interpreter reports it) and when ``main`` raises."""
+    import signal
+    # a reader that closes the pipe ends the command quietly, as it ends
+    # cat, instead of with a BrokenPipeError traceback and status 1
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    code = main()
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        raise SystemExit(code)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        # the interpreter's exit flushes again and reports the failure
+        raise SystemExit(code) from None
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()
