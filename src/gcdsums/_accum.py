@@ -25,7 +25,8 @@ summation) is kept in a single place:
   n's own, so n's pairs do not depend on the grid,
 - short heterogeneous sums use ``math.fsum``,
 - sums over the pairs d*l <= n go through ``hyperbola_sum`` (each product
-  added once by ``math.fsum``); at every n // i, ``hyperbola_prefixes``.
+  added once by ``math.fsum``); at every n // i, ``hyperbola_prefixes``;
+  a weight against a remainder T(n // k) - s(k), ``delta_sum``.
 """
 
 import math
@@ -288,3 +289,21 @@ def hyperbola_prefixes(n: int, w_pair, c_pair):
         out[a + 1:b + 1] += np.add.reduceat(terms, heads)
     out = out.astype(np.float64)
     return out[:r + 1], out[np.r_[2 * r, 2 * r:r:-1]]  # hi[0] = hi[1]
+
+
+def delta_sum(n: int, t_pair, pairs, coefs, smooth) -> float:
+    """sum_{k<=n} u(k) (T(n // k) - s(k)) from the ``quotient_prefixes``
+    pairs at n of T and of the weights u_j of ``pairs``, u = u_0, where
+    ``smooth(k)`` is s at k (longdouble) and u(k) s(k) summed over any k is
+    sum_j coefs[j] times u_j summed over them.  For k <= n // (r + 1), r =
+    isqrt(n), one longdouble term per k, in which T and s cancel; past it
+    one per quotient q = n // k <= r, T(q) dU_0 - sum_j coefs[j] dU_j,
+    dU_j the differences of the pairs over its k.  Each term is rounded
+    once and all added by ``math.fsum``."""
+    ld, m = np.longdouble, n // len(t_pair[0])  # n // (r + 1)
+    u = np.diff(pairs[0][0][:m + 1].astype(ld))
+    head = u * (t_pair[1][1:m + 1] - smooth(np.arange(1, m + 1, dtype=ld)))
+    # each U_j at n // q for q = 1..r, then at n // (r + 1) = m <= r
+    steps = [-np.diff(np.append(hi[1:], lo[m]).astype(ld)) for lo, hi in pairs]
+    groups = t_pair[0][1:] * steps[0] - sum(map(np.multiply, coefs, steps))
+    return math.fsum(np.concatenate((head, groups)).astype(float).tolist())

@@ -14,13 +14,14 @@ sieves its product.  The main term, ``main(a, theta)``, is the displayed
 formula as terms (p, j, c), each c x^p log^j x with p = 0, 1 or 1 + a
 and j <= 3, the zeta / zeta' / gamma constants of c evaluated by the
 zeta module; one evaluator, ``_value``, sums it, and the normalizer
-x^p log^j x, at x.  ``residual_scan``, ``main_term`` and ``summatory``
-run every target through the same steps; ``limit_ratio_grid`` divides
-by a leading term.  Because the error bounds carry no explicit
-constants, order-of-growth claims are checked by calibration
-regression: the first run freezes the normalized residuals over a
-standard geometric grid and later runs must stay within 2x of the
-frozen maxima.
+x^p log^j x, at x.  The mu-weighted Delta correction, ``delta``, is a
+weight and a log factor, whose term list runs in the exact side's call.
+``residual_scan``, ``main_term`` and ``summatory`` run every target
+through the same steps; ``limit_ratio_grid`` divides by a leading term.
+Because the error bounds carry no explicit constants, order-of-growth
+claims are checked by calibration regression: the first run freezes the
+normalized residuals over a standard geometric grid and later runs must
+stay within 2x of the frozen maxima.
 
 Each family of main terms is one term list in k, the count of factors
 1/zeta(2) (or 1/zeta(2 + a)): k = 1 for f = id and id_{1+a}, k = 2 for
@@ -38,17 +39,17 @@ subtracting the exactly computed remainder component.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from ._accum import _BLOCK, dot, hyperbola_prefixes, hyperbola_sum, ramp
+from ._accum import delta_sum, dot, hyperbola_prefixes, hyperbola_sum
 from .errors import DomainError, require
 from .identities import _hyperbola_sums, _one_pairs, six_terms
-from .tables import (ID, MU, PHI, VON_MANGOLDT, _primes_upto, blocks, convolve,
-                     cut, jordan, sieve_values, sigma_pow)
+from .tables import (ID, MU, PHI, VON_MANGOLDT, convolve, cut, jordan,
+                     sieve_values, sigma_pow)
 from .zeta import LOG_SQRT_2PI, THETA_HI, THETA_LO, constants
 
 
@@ -85,17 +86,6 @@ def _delta_sum(a: float | None):
         return None, "v", lambda y, log=np.log: y * log(y) + slope * y
     a = _require_a(a)
     return a, "m^a", lambda y, log=None: _sigma_a_smooth(y, a)
-
-
-def _delta_prefixes(ns, a: float | None):
-    """(the pair at each n of ns, in any order, smooth part) of Delta's
-    divisor sum: ``hyperbola_prefixes`` of the g = 1 pairs of one
-    ``_one_pairs`` call over the distinct n; no sieve."""
-    a, kind, smooth = _delta_sum(a)
-    grid = sorted(set(ns))
-    pairs = dict(zip(grid, (hyperbola_prefixes(n, p[kind], p["v"]) for n, p
-                            in zip(grid, _one_pairs(grid, a, {kind, "v"})))))
-    return [pairs[n] for n in ns], smooth
 
 
 def divisor_delta_grid(xs, a: float | None = None) -> list[float]:
@@ -155,7 +145,31 @@ def divisor_delta_a_series(x: float, a: float, n_terms: int) -> float:
             * dot(amp, phase))
 
 
-_WEIGHT_SPECS = {"mu": MU, "mu_star_mu": convolve(MU, MU)}
+_MU_MU = convolve(MU, MU)
+_WEIGHT_SPECS = {"mu": MU, "mu_star_mu": _MU_MU}
+
+
+def _delta_terms(weight, log_factor: bool, a: float | None):
+    """The term list of sum_{n<=x} w(n)/n Delta(x/n) (Delta_a with a),
+    times log(x/e) with ``log_factor``: ``_accum.delta_sum`` of Delta's
+    pair, ``hyperbola_prefixes`` of the g = 1 pairs, and the weight's w/m,
+    w/m^2 and w log m/m^2 (w/m^(2+a) for Delta_a), its smooth part in
+    longdouble from the float64 constants of ``divisor_delta_grid``."""
+    a, kind, smooth = _delta_sum(a)
+    ld, c = np.longdouble, constants()
+
+    def value(x, n, w, count_a, count, *us):
+        lx = np.log(ld(x))
+        coefs = ((0.0, ld(x) * (lx + ld(2.0 * c.gamma - 1.0)), -ld(x))
+                 if a is None else
+                 (-0.5 * c.zeta(-a), c.zeta(1.0 - a) * ld(x),
+                  c.zeta(1.0 + a) / (1.0 + a) * ld(x) ** (1.0 + a)))
+        out = delta_sum(n, hyperbola_prefixes(n, count_a, count), (w, *us),
+                        coefs, lambda k: smooth(ld(x) / k, np.log))
+        return out * (math.log(x) - 1.0) if log_factor else out
+    return ((value, (weight, "v/m"), (None, kind), (None, "v"),
+             (weight, "v/m^2"),
+             (weight, "v log m/m^2" if a is None else "v/m^(2+a)")),)
 
 
 def mu_delta_sum(x: float, kind: str, a: float | None = None,
@@ -170,65 +184,31 @@ def mu_delta_sum(x: float, kind: str, a: float | None = None,
 
 
 def mu_delta_grid(xs, kind: str, a: float | None = None,
-                  log_factor: bool = True, primes=None) -> list[float]:
-    """``mu_delta_sum`` at every x of xs, in any order: Delta's pairs at
-    every x from ``_delta_prefixes``, which sieves nothing, then one pass
-    over the weights' ``tables.blocks`` (the primes given, if any) up to
-    the largest x, which is checked first.
+                  log_factor: bool = True) -> list[float]:
+    """``mu_delta_sum`` at every x of xs, in any order: ``_delta_terms``
+    over the distinct x by one ``_hyperbola_sums`` call, as a target's
+    ``parts`` runs it, the largest x checked first.
 
-    Each x stays one term per n <= x, as each summand T(x/n) - smooth(x/n)
-    cancels inside itself: a ``hyperbola_sum`` minus the smooth sum erred
-    6.6e-10 (mu) and 3.9e-9 (mu*mu) relative to a longdouble oracle at
-    x = 1e6, against 1.4e-11 and 2.6e-11 per term.
+    ``_accum.delta_sum`` takes each n <= x // (isqrt(x) + 1) as one
+    longdouble term, in which T(x/n) and the smooth part cancel, and the
+    rest as one term per quotient q: T(q) dS1 - x ((log x + 2 gamma - 1)
+    dS2 - dS3).  A plain hyperbola sum minus the smooth sum, which cancel
+    only in the total, erred 6.6e-10 (mu) and 3.9e-9 (mu*mu) relative to
+    a longdouble oracle at x = 1e6.  Against the longdouble oracle of the
+    tests at x <= 1e6 + 7 this erred at most 0.21 x log x 2^-52, the
+    former route (a float64 term per n, a BLAS dot per block) 0.65.
 
-    Peak memory: what the weight blocks share (the primes up to the
-    largest x for mu*mu, up to its square root for mu), the weight fill's
-    blocks, two blocks of ``_accum._BLOCK`` the pass owns (the weights and
-    one x's Delta values), formed an eighth of n at a time, and Delta's
-    pairs at every x, sum 2 (isqrt(n) + 1) floats; no x-length array.  Each block of weights is dotted against
-    the Delta values of every x it reaches, one dot per (x, block), and
-    each x's partial dots add by ``math.fsum``.  For x below ``_BLOCK`` + 1
-    that is one dot, as in the whole-array form.  Past it the additions
-    come in another order: on x = 1e5 to 1e7 the sum erred at most
-    7.7e-16 times the sum of the terms' absolute values against their
-    exact sum, where one dot over all terms erred up to 7.9e-15.
+    Peak memory: one pass over the weight's blocks for the three kinds,
+    their pairs, Delta's g = 1 pairs, and per x ``hyperbola_prefixes``'
+    chunks and O(isqrt(x)) terms; no x-length array.
     """
     if kind not in _WEIGHT_SPECS:
         raise DomainError(f"unknown weight kind {kind!r}")
     xs = list(xs)  # read twice, so an iterator is listed first
-    ns = _floors(xs)
-    pairs, smooth = _delta_prefixes(ns, a)  # every x's, before wv's blocks
-    top = max(ns)
-    wv = blocks(_WEIGHT_SPECS[kind], top, primes).values
-    weights, deltas = np.empty((2, min(_BLOCK, top)))  # the pass's
-    narr = np.empty(min(_BLOCK // 8, top))
-    partials = [[] for _ in ns]
-    for lo in range(0, top, _BLOCK):
-        size = min(_BLOCK, top - lo)
-        wv.fill(weights[:size], lo + 1)
-        for a in range(0, size, _BLOCK // 8):
-            b = min(a + _BLOCK // 8, size)
-            weights[a:b] /= ramp(narr[:b - a], lo + 1 + a)
-        for i, (x, n, (p_lo, p_hi)) in enumerate(zip(xs, ns, pairs)):
-            if n <= lo:
-                continue
-            hi = min(lo + _BLOCK, n)
-            r = len(p_lo) - 1
-            # floor(x/d) = floor(n/d) for integer d, so one integer path
-            # serves any x; P(n // d) is p_hi[d] up to d = r, then
-            # p_lo[n // d], n / d truncated (exact for n < 2^52)
-            k = min(max(r - lo, 0), hi - lo)
-            deltas[:k] = p_hi[lo + 1:lo + 1 + k]
-            for a in range(0, hi - lo, _BLOCK // 8):
-                b = min(a + _BLOCK // 8, hi - lo)
-                m, j = ramp(narr[:b - a], lo + 1 + a), max(a, k)
-                deltas[j:b] = p_lo[np.divide(n, m[j - a:]).astype(np.intp)]
-                deltas[a:b] -= smooth(np.divide(x, m))
-            partials[i].append(dot(weights[:hi - lo], deltas[:hi - lo]))
-    out = [math.fsum(p) for p in partials]
-    if log_factor:
-        out = [v * (math.log(x) - 1.0) for v, x in zip(out, xs)]
-    return out
+    grid = sorted(set(xs))
+    values = dict(zip(grid, (v for v, in _hyperbola_sums(_floors(grid), [
+        _delta_terms(_WEIGHT_SPECS[kind], log_factor, a)], a, grid))))
+    return [values[x] for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +235,16 @@ class Target:
     """A summatory quantity and the displayed main term it is checked against.
 
     ``sums(a)`` and ``main(a, theta)`` are its two sides as data (see the
-    module docstring).  ``parts(xs, a)`` runs the lists of ``sums(a)``
-    for an ascending grid xs (one x is a grid of one) by one
-    ``_hyperbola_sums`` call, one ``quotient_prefixes`` pass per table,
-    and gives the float64 arrays (exact, stirling_remainder): at each x
-    the ``math.fsum`` of the scaled lists, and the last list's value
-    where the main term reads theta (0.0 elsewhere), the exact component
-    its Stirling slot stands for.  Its peak holds a few blocks and what
-    they share, no x-long array.  The mu-weighted Delta correction
-    (``correction(xs, a)``, one ``mu_delta_grid`` call for a grid) sums
-    ``weight`` against Delta (Delta_a where ``needs_a``), times log(x/e)
-    for a log average.  Both take the primes up to the largest x, for
-    the weight mu * mu to share.
+    module docstring), and ``delta`` its mu-weighted Delta correction, if
+    any: (w, log factor), sum w(n)/n Delta(x/n), Delta_a where the entry
+    takes a, times log(x/e) for a log average.  ``parts(xs, a)`` runs the
+    lists of ``sums(a)`` and ``_delta_terms`` for an ascending grid xs
+    (one x is a grid of one) by one ``_hyperbola_sums`` call, one
+    ``quotient_prefixes`` pass per table, and gives the float64 arrays
+    (exact, stirling_remainder, correction): at each x the ``math.fsum``
+    of the scaled lists, the last list's value where the main term reads
+    theta, the exact component its Stirling slot stands for, and the
+    correction (or 0.0), holding a few blocks and what they share.
     """
 
     name: str
@@ -274,27 +252,20 @@ class Target:
     main: object            # callable (a, theta) -> ((p, j, c), ...)
     normalizer: tuple       # (p, j): x^p log^j x, p None for the exponent a
     needs_a: bool = False
-    weight: str | None = None       # mu-weighted Delta correction kind
+    delta: tuple | None = None  # (weight spec, log(x/e) factor)
 
-    def parts(self, xs, a: float | None,
-              primes=None) -> tuple[np.ndarray, np.ndarray]:
-        """(exact, stirling_remainder) at each x of xs, ascending."""
+    def parts(self, xs, a: float | None) -> tuple[np.ndarray, ...]:
+        """(exact, stirling_remainder, correction) at each x of xs."""
         scales, lists = zip(*self.sums(a))
-        rows = scales * np.array(list(_hyperbola_sums(_floors(xs), lists, a,
-                                                      primes)))
+        delta = () if self.delta is None else (_delta_terms(*self.delta, a),)
+        rows = np.array(list(_hyperbola_sums(_floors(xs), lists + delta, a,
+                                             xs)))
+        exact = scales * rows[:, :len(lists)]
         stirling = self.main(a, THETA_LO) != self.main(a, THETA_HI)
-        return (np.array([math.fsum(row) for row in rows]),
-                rows[:, -1] if stirling else np.zeros(len(rows)))
-
-    def correction(self, xs, a: float | None, primes=None) -> np.ndarray:
-        """The mu-weighted Delta correction at each x of xs (0.0 if none)."""
-        if self.weight is None:
-            return np.zeros(len(xs))
-        # a log average's last list, of rho(l)/l, puts log(x/e) on it
-        last = [kind for _, *names in self.sums(a)[-1][1] for _, kind in names]
-        return np.array(mu_delta_grid(xs, self.weight,
-                                      a if self.needs_a else None,
-                                      "v rho/m" in last, primes))
+        zeros = np.zeros(len(rows))
+        return (np.array([math.fsum(row) for row in exact]),
+                exact[:, -1] if stirling else zeros,
+                rows[:, -1] if delta else zeros)
 
 
 # main terms, one term list per family in k (see the module docstring); at
@@ -397,14 +368,14 @@ def _statistics() -> dict[str, Target]:
     # the normalizer (0, j) is log^j x
     defs = [
         stat("id_phi", ((1, count, over(PHI)),), _phi_stat_main(1),
-             norm=(0, 1), weight="mu"),
+             norm=(0, 1), delta=(MU, False)),
         stat("phi_phi", ((1, over(PHI), over(PHI)),), _phi_stat_main(2),
-             norm=(0, 2), weight="mu_star_mu"),
+             norm=(0, 2), delta=(_MU_MU, False)),
         stat("idpow_phi", ((1, one("m^a"), over(PHI)),),
-             _pow_phi_stat_main(1), needs_a=True, weight="mu"),
+             _pow_phi_stat_main(1), needs_a=True, delta=(MU, False)),
         stat("jordan_phi", lambda a: ((1, over(jordan(1 + a)), over(PHI)),),
              _pow_phi_stat_main(2), norm=(0, 2), needs_a=True,
-             weight="mu_star_mu"),
+             delta=(_MU_MU, False)),
         # sum_{d*l<=x} log(d) / (d l) ~ log^3 x / 6 + gamma log^2 x / 2
         stat("divisor_log", ((1, one("v log m/m"), one("v/m")),),
              lambda a: ((0, 3, 1 / 6), (0, 2, 0.5 * g)), norm=(0, 1)),
@@ -477,14 +448,14 @@ def _scan_targets() -> dict[str, Target]:
             (1, 0, LOG_SQRT_2PI / z2 + zp2 / (2 * z2 ** 2)
              + theta / C.zeta3),), 2),
         target("id-log-avg", lambda a: (PHI, None), _log_avg_main(1), 2,
-               weight="mu"),
+               delta=(MU, True)),
         target("phi-log-avg", lambda a: (convolve(PHI, MU), None),
-               _log_avg_main(2), 3, weight="mu_star_mu"),
+               _log_avg_main(2), 3, delta=(_MU_MU, True)),
         target("idpow-log-avg", lambda a: (jordan(1 + a), None),
-               _pow_log_avg_main(1), 1, needs_a=True, weight="mu"),
+               _pow_log_avg_main(1), 1, needs_a=True, delta=(MU, True)),
         target("jordan-log-avg",
                lambda a: (convolve(jordan(1 + a), MU), None),
-               _pow_log_avg_main(2), 3, needs_a=True, weight="mu_star_mu"),
+               _pow_log_avg_main(2), 3, needs_a=True, delta=(_MU_MU, True)),
     ]
     return {t.name: t for t in defs}
 
@@ -517,7 +488,8 @@ def _lookup(name: str, a: float | None,
 def summatory(statistic: str, x: float, a: float | None = None) -> tuple[float, float]:
     """(exact, main) for one summatory statistic at x."""
     t, a = _lookup(statistic, a, statistic=True)
-    return float(t.parts([x], a)[0][0]), _value(t.main(a, THETA_LO), x)
+    exact = replace(t, delta=None).parts([x], a)[0]  # no correction
+    return float(exact[0]), _value(t.main(a, THETA_LO), x)
 
 
 def main_term(target: str, x: float, a: float | None = None,
@@ -567,24 +539,18 @@ class ResidualScan(NamedTuple):
 
 def residual_scan(target: str, grid, a: float | None = None) -> ResidualScan:
     """Scan a target over an ascending grid of x values: its exact side
-    and Delta correction, each one call for the whole grid."""
+    and Delta correction from one call for the whole grid."""
     grid = np.asarray(list(grid), dtype=np.float64)
     require(len(grid) >= 1, "grid is empty")
     require(bool(np.all(np.diff(grid) > 0)), "grid must be strictly ascending")
     require(float(grid[0]) > 1.0, "grid points must exceed 1")
 
     t, a = _lookup(target, a)
-    # the largest x is checked first, so an x out of range fails before
-    # any sieve; the exact side shares one list of the primes up to there
-    # with the weight mu * mu (mu lists the few it needs itself)
-    primes = (_primes_upto(cut(grid[-1])) if t.weight == "mu_star_mu"
-              else None)
-    exact, rem = t.parts(grid, a, primes)
+    exact, rem, corr = t.parts(grid, a)
     norm, label = _norm(t.normalizer, a)
     main0, main_hi, norms = (np.array([_value(terms, x) for x in grid])
                              for terms in (t.main(a, THETA_LO),
                                            t.main(a, THETA_HI), norm))
-    corr = t.correction(grid, a, primes)
     residual_hi = exact - main0 - corr
     residual = residual_hi - rem
     residual_lo = exact - main_hi - corr
@@ -653,7 +619,7 @@ def limit_ratio_grid(variant: str, xs, a: float | None = None) -> list[float]:
     require(all(x > 1.0 for x in xs), "x must be > 1")
     t, a = _lookup(_LIMIT_VARIANTS[variant], a)
     grid = sorted(xs)
-    exact = dict(zip(grid, t.parts(grid, a)[0]))
+    exact = dict(zip(grid, replace(t, delta=None).parts(grid, a)[0]))
     # the largest p, then the largest j: log x > 0 and 1 + a < 1
     p, j, c = max(t.main(a, THETA_LO), key=lambda term: term[:2])
     return [float(exact[x]) / (c * x ** p * math.log(x) ** j) for x in xs]

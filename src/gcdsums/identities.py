@@ -320,10 +320,10 @@ def apostol_log_average(f: FunctionTable, g: FunctionTable | None,
     return dot(u[1:], 1.0 / k)
 
 
-# the weights a hyperbola sum reads of a table, by kind, for its values v
-# at m (the constant 1 where there is no table): the g = 1 ones, then |v|/m
+# the weights a hyperbola sum reads of a table, by kind, for its values v at
+# m (1 without a table): the g = 1 ones, |v|/m, then the Delta corrections'
 _KINDS = ("v", "v log m", "v log m/m", "v/m", "v rho/m", "|v|/m^2", "m^a",
-          "|v|/m")
+          "|v|/m", "v/m^2", "v log m/m^2", "v/m^(2+a)")
 
 
 def _weigh(values, kinds, top: int, a: float | None = None):
@@ -331,10 +331,10 @@ def _weigh(values, kinds, top: int, a: float | None = None):
     ``tables.Blocks`` or None, the constant 1) up to top: the weights
     ``kinds`` at m = lo..hi-1, at most an eighth of ``_BLOCK``, in the
     order of ``_KINDS``, each rewritten once read: in v, the buffer of
-    values' ``_accum.reader``, which then turns into v/m = v * (1/m), or
-    in m, one eighth where a kind but v is asked.  m holds exact integers
-    when 1/m, log m or m^a is taken, so no weight depends on where its
-    span starts or stops."""
+    values' ``_accum.reader``, which then turns into v/m = v * (1/m) and
+    v/m^2 = v/m * (1/m), or in m, one eighth where a kind but v is asked.
+    m holds exact integers when 1/m, log m or m^a is taken, so no weight
+    depends on where its span starts or stops."""
     read = reader(values, top)
     scratch = np.empty(0 if kinds == ["v"] else min(_BLOCK // 8, top))
 
@@ -359,19 +359,27 @@ def _weigh(values, kinds, top: int, a: float | None = None):
             yield np.power(ramp(m, lo), a, out=m)
         if "|v|/m" in kinds:
             yield np.abs(v, out=m)
+        if {"v/m^2", "v log m/m^2", "v/m^(2+a)"} & set(kinds):
+            np.multiply(v, np.divide(1.0, ramp(m, lo), out=m), out=v)
+        if "v/m^2" in kinds:
+            yield v
+        if "v log m/m^2" in kinds:
+            yield np.multiply(v, np.log(ramp(m, lo), out=m), out=m)
+        if "v/m^(2+a)" in kinds:
+            yield np.multiply(v, np.power(ramp(m, lo), -a, out=m), out=m)
     return weights
 
 
-def _table_pairs(build, kinds, ns):
+def _table_pairs(build, kinds, ns, a: float | None = None):
     """The ``quotient_prefixes`` pairs of the weights ``kinds`` of one
-    table at each n of ns (ascending), a dict kind -> pair per n, from one
-    pass per run.  Each pass opens the values that ``build()`` makes (as
-    ``_weigh`` takes them), then their ``_weigh`` up to max(ns), and drops
-    them when it ends: tables built in turn never live at once, and each
-    is built before its pass allocates."""
+    table (v/m^(2+a) with the a given) at each n of ns (ascending), a dict
+    kind -> pair per n, from one pass per run.  Each pass opens the values
+    that ``build()`` makes (as ``_weigh`` takes them), then their
+    ``_weigh`` up to max(ns), and drops them when it ends: tables built in
+    turn never live at once, and each is built before its pass allocates."""
     kinds = [k for k in _KINDS if k in kinds]
     return (dict(zip(kinds, pairs)) for pairs in quotient_prefixes(
-        lambda: _weigh(build(), kinds, max(ns)), ns))
+        lambda: _weigh(build(), kinds, max(ns), a), ns))
 
 
 def _one_pairs(ns, a: float | None, kinds):
@@ -414,40 +422,46 @@ def _one_pairs(ns, a: float | None, kinds):
         yield dict(zip(kinds, zip(table[:, :r + 1], his)))
 
 
-def _hyperbola_sums(ns, sums, a: float | None = None, primes=None):
-    """For each n of ns (ascending), one ``hyperbola_sum`` per term list
-    of ``sums``: a term (sign, w, c) is sign * H(w, c), H the Dirichlet
-    hyperbola sum (Tenenbaum, Introduction to Analytic and Probabilistic
-    Number Theory, I.3.2), and (sign, w) is sign * W(n).  A weight is
-    (name, kind), a kind of ``_KINDS``.  Name None, the constant 1, takes
-    its pairs from ``_one_pairs`` (l^a with the a given); a table, or a
-    spec by its ``tables.blocks`` up to max(ns), from one ``_table_pairs``
-    pass per run for every kind named of it, and the passes run one after
-    another, so one table lives at a time.  Unless primes are given, two
-    or more specs other than n^a share one list of the primes.
+def _hyperbola_sums(ns, sums, a: float | None = None, xs=None):
+    """For each n of ns (ascending), or x of xs, whose floors they are,
+    one value per term list of ``sums``: a term (sign, w, c) is sign *
+    H(w, c), H the Dirichlet hyperbola sum (Tenenbaum, Introduction to
+    Analytic and Probabilistic Number Theory, I.3.2), (sign, w) is sign *
+    W(n), and a list of one (f, w_1, ...), f callable, f(x, n, W_1, ...).  A
+    weight is (name, kind), a kind of ``_KINDS``.  Name None, the constant
+    1, takes its pairs from ``_one_pairs`` (l^a with the a given); a
+    table, or a spec by its ``tables.blocks`` up to max(ns), from one
+    ``_table_pairs`` pass per run for every kind named of it, over the
+    distinct n, one pass after another, so one table lives at a time.
+    Two or more specs other than n^a share one list of the primes.
     """
     named = {}
     for terms in sums:
         for _, *names in terms:
             for name, kind in names:
                 named.setdefault(name, set()).add(kind)
-    top = ns[-1]
+    ns = ascending(ns)
+    grid = sorted(set(ns))
     sieved = [h for h in named if isinstance(h, FunctionSpec)
               and h.kind is not Kind.ID_POW]
-    if primes is None and len(sieved) > 1:
-        primes = _primes_upto(top)
+    primes = _primes_upto(grid[-1]) if len(sieved) > 1 else None
 
     def values(name):  # a table's, or a spec's blocks', as its pass opens
         return (name if isinstance(name, FunctionTable)
-                else blocks(name, top, primes)).values
-    sources = [_one_pairs(ns, a, kinds) if name is None
-               else _table_pairs(partial(values, name), kinds, ns)
-               for name, kinds in named.items()]
-    for found in zip(*sources):
-        pairs = dict(zip(named, found))
-        yield [hyperbola_sum([(sign, *(pairs[name][kind]
-                                       for name, kind in names))
-                              for sign, *names in terms])
+                else blocks(name, grid[-1], primes)).values
+    found = zip(*(_one_pairs(grid, a, kinds) if name is None
+                  else _table_pairs(partial(values, name), kinds, grid, a)
+                  for name, kinds in named.items()))
+
+    def weigh(names):  # their pairs at the n of the loop
+        return [pairs[name][kind] for name, kind in names]
+    last = None
+    for x, n in zip(ns if xs is None else xs, ns):
+        if n != last:
+            pairs, last = dict(zip(named, next(found))), n
+        yield [terms[0][0](x, n, *weigh(terms[0][1:]))
+               if callable(terms[0][0]) else
+               hyperbola_sum([(sign, *weigh(names)) for sign, *names in terms])
                for terms in sums]
 
 

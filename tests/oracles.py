@@ -60,10 +60,12 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
-from gcdsums._accum import _BLOCK, quotient_prefixes
+from gcdsums._accum import _BLOCK, hyperbola_prefixes, quotient_prefixes
+from gcdsums.asymptotics import _delta_sum
 from gcdsums.errors import require
-from gcdsums.identities import _table_pairs
-from gcdsums.tables import FunctionTable, blocks, cut, divisors_of, sigma_pow
+from gcdsums.identities import _one_pairs, _table_pairs
+from gcdsums.tables import (TAU, FunctionTable, blocks, cut, divisors_of,
+                            sieve_values, sigma_pow)
 from gcdsums.zeta import LOG_SQRT_2PI, constants
 
 # Bernoulli numbers B_2, B_4, ..., B_16
@@ -506,8 +508,8 @@ def np_sum_series_sums(fv: np.ndarray, gv: np.ndarray, lf: np.ndarray,
 # ---------------------------------------------------------------------------
 # whole-array forms of the blocked stages: each builds every n-length
 # temporary at once, as the stages did before they were blocked, and must
-# give the same bytes (mu_delta_sum within one block; past it, whose
-# partial dots add in another order, ``fsum_mu_delta`` bounds it)
+# give the same bytes (``longdouble_mu_delta`` bounds mu_delta_sum
+# instead)
 
 
 def on_quotients(values: np.ndarray, n: int):
@@ -544,6 +546,17 @@ def integer_tau_prefixes(n: int):
         s_sum[a:b] += 2 * np.add.reduceat(i * (q * (q + 1) // 2), heads)
     return [(np.append(0.0, p[r:][::-1]), np.append(p[:1], p[:r]) * 1.0)
             for p in (d_sum, s_sum)]
+
+
+def delta_prefixes(ns, a: float | None):
+    """(the pair at each n of ns, in any order, smooth part) of Delta's
+    divisor sum, as a Delta correction forms it: ``hyperbola_prefixes`` of
+    the g = 1 pairs of one ``_one_pairs`` call over the distinct n."""
+    a, kind, smooth = _delta_sum(a)
+    grid = sorted(set(ns))
+    pairs = dict(zip(grid, (hyperbola_prefixes(n, p[kind], p["v"]) for n, p
+                            in zip(grid, _one_pairs(grid, a, {kind, "v"})))))
+    return [pairs[n] for n in ns], smooth
 
 
 def sieved_sigma_a_prefixes(ns, a: float) -> list:
@@ -592,33 +605,27 @@ def whole_array_average_pairs(fv: np.ndarray, gv: np.ndarray, rho: np.ndarray,
     return [whole_array_on_quotients(v, n) for v in weights]
 
 
-def _mu_delta_terms(x: float, weights: np.ndarray, prefix: np.ndarray,
-                    smooth):
-    """The weights w(n)/n and Delta values P(x // n) - smooth(x/n) of
-    ``mu_delta_sum``'s terms for n <= x, one n-length array each."""
-    n = math.floor(x)
-    narr = np.arange(1, n + 1, dtype=np.float64)
-    w = weights[1:n + 1] / narr
+def longdouble_mu_delta(x: float, weights: np.ndarray,
+                        a: float | None = None) -> float:
+    """sum_{n<=x} w(n)/n Delta(x/n), or Delta_a with a, for the weights
+    w(1..x) given (indexed from 0), with no log(x/e) factor: T(x // n) from
+    an int64 cumsum of the tau sieve (with a, a longdouble cumsum of the
+    sigma_a sieve), the smooth part at x/n from the float64 constants the
+    library uses, each term in longdouble and their pairwise longdouble
+    sum, rounded once.  One n-length array per step."""
+    ld, n = np.longdouble, math.floor(x)
+    c = constants()
+    y = ld(x) / np.arange(1, n + 1, dtype=ld)
+    if a is None:
+        prefix = np.cumsum(sieve_values(TAU, n).astype(np.int64)).astype(ld)
+        smooth = y * np.log(y) + ld(2.0 * c.gamma - 1.0) * y
+    else:
+        prefix = np.cumsum(sieve_values(sigma_pow(a), n).astype(ld))
+        smooth = (ld(c.zeta(1.0 - a)) * y + ld(c.zeta(1.0 + a) / (1.0 + a))
+                  * y ** ld(1.0 + a) - ld(0.5 * c.zeta(-a)))
     q = n // np.arange(1, n + 1, dtype=np.int64)
-    y = x / narr
-    return w, prefix[q] - smooth(y)
-
-
-def whole_array_mu_delta(x: float, weights: np.ndarray, prefix: np.ndarray,
-                         smooth) -> float:
-    """sum_{n<=x} w(n)/n (P(x/n) - smooth(x/n)) with one n-length array per
-    step and one dot; ``weights`` and ``prefix`` are indexed from 0."""
-    return float(np.dot(*_mu_delta_terms(x, weights, prefix, smooth)))
-
-
-def fsum_mu_delta(x: float, weights: np.ndarray, prefix: np.ndarray,
-                  smooth) -> tuple[float, float]:
-    """The ``math.fsum`` of the products ``whole_array_mu_delta`` dots,
-    which is the correctly rounded sum of those rounded products, and the
-    fsum of their absolute values (the scale of any summation error)."""
-    w, deltas = _mu_delta_terms(x, weights, prefix, smooth)
-    terms = w * deltas
-    return math.fsum(terms), math.fsum(np.abs(terms))
+    w = weights[1:n + 1].astype(ld) / np.arange(1, n + 1, dtype=ld)
+    return float(np.sum(w * (prefix[q] - smooth)))
 
 
 # the Stirling remainder series' coefficients in 1/l^2, highest power first

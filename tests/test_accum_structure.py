@@ -12,8 +12,10 @@ hyperbola sum is formed there.
 
 A weight name becomes pairs in one place, ``identities._hyperbola_sums``:
 no module but ``identities`` refers to ``_table_pairs``, and
-``asymptotics`` builds ``tables.blocks`` only for the mu-weighted Delta
-corrections (``mu_delta_grid``), so every exact side is named as data.
+``asymptotics`` builds no ``tables.blocks``, so every exact side and
+every mu-weighted Delta correction is named as data.  The one
+``_accum.dot``, a BLAS call whose sum depends on the thread count, left
+in ``asymptotics`` is ``divisor_delta_a_series``'s, which no scan runs.
 """
 
 import ast
@@ -77,4 +79,7 @@ def test_only_identities_turns_a_table_into_pairs():
 
 def test_asymptotics_builds_blocks_only_for_the_delta_corrections():
     assert {(module, owner) for _, module, owner in _references("blocks")
-            if module == "asymptotics"} == {("asymptotics", "mu_delta_grid")}
+            if module == "asymptotics"} == set()
+    assert {(module, owner) for _, module, owner in _references("dot")
+            if module == "asymptotics"} == {("asymptotics",
+                                             "divisor_delta_a_series")}

@@ -399,16 +399,15 @@ def test_log_average_scans_form_no_bound_weight(monkeypatch, name, a):
 
 @pytest.mark.parametrize("name, a, lists", [("jordan_phi", -0.5, 1),
                                             ("ramanujan-log-avg", None, 0),
-                                            ("id-log-avg", None, 0)])
+                                            ("id-log-avg", None, 1)])
 def test_primes_listed_once_where_two_operands_sieve(monkeypatch, name, a,
                                                      lists):
-    # jordan_phi's two operands share one list of the primes; the
-    # (id, mu) of ramanujan-log-avg, id a power, and id-log-avg's phi
-    # alone list none to share
+    # jordan_phi's two operands and its weight mu * mu share one list of
+    # the primes, as id-log-avg's phi and its weight mu do; the (id, mu)
+    # of ramanujan-log-avg, id a power, list none to share
     calls = []
-    for module in (identities, asymptotics):
-        monkeypatch.setattr(module, "_primes_upto", lambda n, f=(
-            module._primes_upto): calls.append(n) or f(n))
+    monkeypatch.setattr(identities, "_primes_upto", lambda n, f=(
+        identities._primes_upto): calls.append(n) or f(n))
     grid = standard_grid(1e3, 1e5, 3)
     _ENTRIES[name].parts(grid, a)
     assert len(calls) == lists
@@ -451,8 +450,14 @@ def test_residual_scan_single_point_composition():
         scan = residual_scan(name, [x], a)
         exact = t.parts([x], a)[0][0]
         main = main_term(name, x, a)
-        corr = (mu_delta_sum(x, t.weight, a if t.needs_a else None,
-                             log_factor=log_average) if t.weight else 0.0)
+        corr = 0.0
+        if t.delta is not None:
+            weight, log_factor = t.delta
+            kind, = [k for k, w in asymptotics._WEIGHT_SPECS.items()
+                     if w == weight]
+            assert log_factor is log_average, name
+            corr = mu_delta_sum(x, kind, a if t.needs_a else None,
+                                log_factor=log_average)
         rem = 0.0
         if log_average and main_term(name, x, a, theta=1 / 12) != main:
             (_, ((_, (f, _), (g, _)),)), *_ = t.sums(a)  # six_terms'
@@ -465,7 +470,7 @@ def test_residual_scan_single_point_composition():
         if not log_average:
             assert scan.residual_lo[0] == scan.residual[0] \
                 == scan.residual_hi[0], name
-    assert (SCAN_TARGETS["tau-log-avg"].weight is None
+    assert (SCAN_TARGETS["tau-log-avg"].delta is None
             and residual_scan("tau-log-avg", [x]).correction[0] == 0.0)
     assert residual_scan("power_sum", [x], -0.5).normalizer_label == "x^-0.5"
 
@@ -478,9 +483,9 @@ def test_residual_scan_reads_the_exact_side_once(monkeypatch, name, a):
     calls = []
     parts = Target.parts
 
-    def spy(self, xs, a, primes=None):
+    def spy(self, xs, a):
         calls.append(list(xs))
-        return parts(self, xs, a, primes)
+        return parts(self, xs, a)
 
     monkeypatch.setattr(Target, "parts", spy)
     grid = standard_grid(1e3, 3e4, 4)

@@ -24,6 +24,8 @@ import pytest
 from gcdsums import _accum, asymptotics, identities, tables
 from gcdsums.tables import Kind, parse_spec
 
+from oracles import delta_prefixes
+
 _B = _accum._BLOCK
 
 
@@ -102,11 +104,11 @@ def test_prime_values_from_the_row_of_p_alone(text):
 
 @pytest.mark.parametrize("target, a, shared", [
     ("jordan-log-avg", -0.5, True), ("jordan_phi", -0.5, True),
-    ("idpow-log-avg", -0.5, False), ("id-log-avg", None, False)])
+    ("idpow-log-avg", -0.5, True), ("id-log-avg", None, True)])
 def test_scan_lists_its_primes_once(monkeypatch, target, a, shared):
-    # the exact side's table and a correction's product mu * mu read one
-    # list; mu takes its head, or lists the few it needs itself, and
-    # Delta_a's divisor sum sieves nothing
+    # the exact side's tables and the correction's weight, mu or mu * mu,
+    # read one list, as one ``_hyperbola_sums`` call names them all; mu
+    # takes its head, and Delta's divisor sum sieves nothing
     calls = []
     real = tables._primes_upto
 
@@ -115,7 +117,7 @@ def test_scan_lists_its_primes_once(monkeypatch, target, a, shared):
         return real(n)
 
     monkeypatch.setattr(tables, "_primes_upto", record)
-    monkeypatch.setattr(asymptotics, "_primes_upto", record)
+    monkeypatch.setattr(identities, "_primes_upto", record)
     asymptotics.residual_scan(target, [1e3, 2e4], a)
     assert calls.count(20000) == 1
     # with a shared list, its recursion is the only other listing
@@ -175,7 +177,7 @@ def _in_a_grid(a):
     grid up to 10^7, whose largest n reads a wider table: once per a."""
     ns = [*_ALONE_N, 10 ** 7]
     return (dict(zip(ns, identities._one_pairs(ns, a, _one_kinds(a)))),
-            dict(zip(ns, asymptotics._delta_prefixes(ns, a)[0])))
+            dict(zip(ns, delta_prefixes(ns, a)[0])))
 
 
 @pytest.mark.parametrize("n", _ALONE_N)
@@ -194,7 +196,7 @@ def test_tau_count_prefixes_alone(n):
             for got in (pairs[n][kind], one[kind]):
                 assert all(_same_bytes(x, y)
                            for x, y in zip(alone[kind], got)), (a, kind)
-        (d,), _ = asymptotics._delta_prefixes([n], a)
+        (d,), _ = delta_prefixes([n], a)
         assert all(_same_bytes(x, y) for x, y in zip(d, deltas[n])), a
 
 

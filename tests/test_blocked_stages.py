@@ -5,11 +5,12 @@ the six-term weights of ``apostol_log_average_terms``, the Dirichlet
 series' weights and the exact sides of the statistics and the Delta
 diagnostics) and the Stirling rows work a block of ``_accum._BLOCK`` at
 a time.  Each must give the bytes of the whole-array form in ``oracles``
-at sizes around the block edge; past one block, ``mu_delta_sum``, whose
-partial dots add in another order, must instead come within a few ulps
-of the exact sum of its terms.  Each must peak at the tables it is given
-plus its declared count of n-length arrays (the tables it builds among
-them), its declared count of blocks and, for the one pass over a whole
+at sizes around the block edge, except ``mu_delta_sum``, whose grouped
+terms must come within a declared bound of a longdouble whole-array
+form, the bound the former per-n route met.  Each must peak at the
+tables it is given plus its declared count of n-length arrays (the
+tables it builds among them), its declared count of blocks and, for the
+one pass over a whole
 grid, its declared quotient-set floats, and each sieve build at its
 result and live operands plus a few blocks (a product of prime powers at
 its result, a block and a few floats per prime), and Toth's per-k audits
@@ -51,12 +52,11 @@ from gcdsums.tables import (DIVISOR_LOG, ID, LOG, MU, ONE, PHI, SIGMA, TAU,
                             pointwise_pow_spec, sieve_values, sigma_pow)
 from gcdsums.zeta import constants
 
-from oracles import (carried_cumsum, fsum_mu_delta,
-                     integer_tau_prefixes, on_quotients, series_rhs_terms,
+from oracles import (carried_cumsum, delta_prefixes, integer_tau_prefixes,
+                     longdouble_mu_delta, on_quotients, series_rhs_terms,
                      split_convolve, whole_array_average_pairs,
-                     whole_array_mu_delta, whole_array_on_quotients,
-                     whole_array_prefix, whole_array_rho,
-                     whole_array_stirling)
+                     whole_array_on_quotients, whole_array_prefix,
+                     whole_array_rho, whole_array_stirling)
 
 _B = _accum._BLOCK
 SIZES = [1, _B - 1, _B, _B + 1, 10 ** 6 + 7, 100.5]
@@ -71,40 +71,39 @@ def _same_pairs(got, want):
         _same_bytes(g, w) for gp, wp in zip(got, want) for g, w in zip(gp, wp))
 
 
+# the declared bound on mu_delta_sum against its longdouble oracle: the
+# former route, one float64 term per n dotted a block at a time, erred up
+# to 0.646 x log x 2^-52 (mu at x = 1e5) over SIZES and _ORACLE_XS; the
+# grouped route errs up to 0.21 of it (mu at 10^6 + 7)
+_MU_DELTA_BOUND = 0.65
+_ORACLE_XS = [1e3, 1e5]
+
+
+def _check_mu_delta(x, kind, weight, a):
+    want = longdouble_mu_delta(x, sieve_values(weight, math.floor(x)), a)
+    got = asymptotics.mu_delta_sum(x, kind, a, log_factor=False)
+    assert abs(got - want) <= (_MU_DELTA_BOUND * 2.0 ** -52
+                               * x * max(math.log(x), 1.0)), (got, want)
+    assert asymptotics.mu_delta_sum(x, kind, a) == got * (math.log(x) - 1.0)
+
+
+_WEIGHTS = [("mu", MU), ("mu_star_mu", convolve(MU, MU))]
+
+
 @pytest.mark.parametrize("x", SIZES)
-@pytest.mark.parametrize("kind, weight", [("mu", MU),
-                                          ("mu_star_mu", convolve(MU, MU))])
+@pytest.mark.parametrize("kind, weight", _WEIGHTS)
 @pytest.mark.parametrize("a", [None, -0.5])
 def test_mu_delta_sum_equals_whole_array_form(x, kind, weight, a):
-    n = math.floor(x)
-    if a is None:
-        slope = 2.0 * constants().gamma - 1.0
-        prefix = whole_array_prefix(sieve_values(TAU, n), n)
+    # within the declared bound of the longdouble whole-array form, whose
+    # T is the tau sieve's int64 cumsum (sigma_a's sieve with a)
+    _check_mu_delta(x, kind, weight, a)
 
-        def smooth(y):
-            return y * np.log(y) + slope * y
-    else:
-        # the pairs mu_delta_sum reads, on the quotients of n: the blocked
-        # dot is checked here, and the pairs against their oracles in
-        # test_hyperbola
-        (lo, hi), = asymptotics._delta_prefixes([n], a)[0]
-        prefix = np.zeros(n + 1)
-        prefix[:len(lo)] = lo
-        prefix[n // np.arange(1, len(hi))] = hi[1:]
 
-        def smooth(y):
-            return asymptotics._sigma_a_smooth(y, a)
-    weights = sieve_values(weight, n)
-    got = asymptotics.mu_delta_sum(x, kind, a, log_factor=False)
-    if n <= _B:
-        # one block: the one dot of the whole-array form
-        assert got == whole_array_mu_delta(x, weights, prefix, smooth)
-    else:
-        # the blocks' dots add in another order: within a few ulps of the
-        # exact sum of the same products, scaled by the sum of their sizes
-        want, size = fsum_mu_delta(x, weights, prefix, smooth)
-        assert abs(got - want) <= 4 * 2.0 ** -52 * size
-    assert asymptotics.mu_delta_sum(x, kind, a) == got * (math.log(x) - 1.0)
+@pytest.mark.parametrize("x", _ORACLE_XS)
+@pytest.mark.parametrize("kind, weight", _WEIGHTS)
+@pytest.mark.parametrize("a", [None, -0.5])
+def test_mu_delta_sum_within_its_bound_of_the_oracle(x, kind, weight, a):
+    _check_mu_delta(x, kind, weight, a)
 
 
 @pytest.mark.parametrize("x", SIZES)
@@ -344,7 +343,7 @@ def test_tau_prefixes_equal_tau_sieve_prefixes(tau_values, n):
     # sum tau = H(count, count) and sum m tau(m) = H(T, T), T(u) =
     # u (u + 1) / 2, by ``hyperbola_prefixes`` as the Delta sides form
     # them: the bytes of the sieve's prefixes and of the integer hyperbola
-    (d_pair,), _ = asymptotics._delta_prefixes([n], None)
+    (d_pair,), _ = delta_prefixes([n], None)
     count = next(identities._one_pairs([n], None, ["v"]))["v"]
     t = tuple(u * (u + 1) / 2 for u in count)
     s_pair = _accum.hyperbola_prefixes(n, t, t)
@@ -439,7 +438,7 @@ def _statistic(name):
 
     def got(ns):
         # the whole grid in one pass, ascending
-        exact, remainder = t.parts([float(n) for n in ns[::-1]], a)
+        exact, remainder, _ = t.parts([float(n) for n in ns[::-1]], a)
         assert not remainder.any()
         return exact[::-1].tolist()
 
@@ -627,27 +626,28 @@ _PRIMES_20 = len(tables._primes_upto(1 << 20))
 
 
 _STAGES = {
-    # a block of the mu weights and the Delta values, one dot each, and
-    # Delta's pairs at the quotients, with a sigma_a's from the g = 1
-    # table (declared as seven rows of 1025 floats; it forms two, the
-    # count and l^a); the weights are read a block at a time, and the
-    # Delta values formed an eighth of a block at a time into a block of
-    # the pass's
+    # the pass over the weight mu for its three kinds: the block its
+    # reader fills, the mu fill's temporaries over a block (its int32
+    # product, the int32 m and the masks), the pass's eighth of weights
+    # and of longdouble sums, and the three kinds' pairs; Delta's g = 1
+    # pairs, ``hyperbola_prefixes``' chunks (1.43 blocks) and the
+    # O(isqrt(n)) terms come after it and stay below it (measured 2.81
+    # blocks, Delta and Delta_a alike; 3.53 for the former
+    # route's own pass, with its block of weights and of Delta values)
     "mu_delta_sum": (
-        lambda: asymptotics.mu_delta_sum(_N, "mu"), 1 + 1 / 8, 1, 0),
+        lambda: asymptotics.mu_delta_sum(_N, "mu"), 0, 3,
+        3 * _quotient_floats([_N])),
     "mu_delta_sum_a": (lambda: asymptotics.mu_delta_sum(_N, "mu", -0.5),
-                       1 + 1 / 8, 1, _quotient_floats([_N]) + 7 * 1025),
-    # the same over a grid, declared in blocks: Delta_a's pairs from
-    # ``hyperbola_prefixes``, then the pass's weights and Delta blocks and
-    # an eighth of n, with the fill's and the eighths' temporaries, every
-    # x's pairs and, for mu*mu, what its blocks share (measured 3.57 and
-    # 3.97 blocks; no sigma_a table)
+                       0, 3, 3 * _quotient_floats([_N])),
+    # the same over a grid, every x's pairs of the three kinds and, for
+    # mu*mu, what its blocks share, per prime above isqrt(n) P and f(P)
+    # (measured 2.90 and 3.29 blocks in all; 3.57 and 3.97 before)
     "mu_delta_grid_mu": (
-        lambda: asymptotics.mu_delta_grid(_GEOM_N, "mu", -0.5), 0, 5,
-        _quotient_floats(_GEOM_N)),
+        lambda: asymptotics.mu_delta_grid(_GEOM_N, "mu", -0.5), 0, 3,
+        3 * _quotient_floats(_GEOM_N)),
     "mu_delta_grid_mu_star_mu": (
-        lambda: asymptotics.mu_delta_grid(_GEOM_N, "mu_star_mu", -0.5), 0, 5,
-        _quotient_floats(_GEOM_N) + 2 * _PRIMES),
+        lambda: asymptotics.mu_delta_grid(_GEOM_N, "mu_star_mu", -0.5), 0, 3,
+        3 * _quotient_floats(_GEOM_N) + 2 * _PRIMES),
     # the result and, per block, its int32 signed product of small primes
     "build_mu": (_build("mu"), 1 + 1 / 8, 1, 0),
     # a product of prime powers: the result, per prime its int64 value and
@@ -743,10 +743,10 @@ _STAGES = {
     # longdouble arrays at the largest x (measured 1.50 and 1.54 blocks
     # in all)
     "delta_prefixes": (
-        lambda: asymptotics._delta_prefixes(_GEOM_N, None), 0, 1.5,
+        lambda: delta_prefixes(_GEOM_N, None), 0, 1.5,
         _quotient_floats(_GEOM_N) + 8 * _quotient_floats([_N]) + 2 * 1025),
     "delta_prefixes_a": (
-        lambda: asymptotics._delta_prefixes(_GEOM_N, -0.5), 0, 1.5,
+        lambda: delta_prefixes(_GEOM_N, -0.5), 0, 1.5,
         _quotient_floats(_GEOM_N) + 8 * _quotient_floats([_N]) + 4 * 1025),
     # Toth's audits to k = 10^4, each k's sides dropped once read: k + 1
     # floats each for the logs, Lambda, the scratch buffer and mu's list,
@@ -762,18 +762,20 @@ _STAGES = {
     # both rows of ``log_factorial_table``, and an eighth of a block of
     # the rho fill's l and longdouble temporaries (measured 0.63 blocks)
     "rho_row": (lambda: stirling.log_factorial_table(_N), 2, 1, 0),
-    # a scan at x = 2^20 reads each table a block at a time: a pass's
-    # table block and eighths, the Delta correction's weight and Delta
-    # blocks, and what the blocks share, per prime above isqrt(x) P and
-    # f(P) for a product and nothing for mu; no x-long array (measured
-    # 5.15 and 5.89 blocks with those; 6.03 and 6.76 while every pass held
-    # a block-sized scratch beside its table's block)
+    # a scan at x = 2^20 reads each table a block at a time, its Delta
+    # correction's weight among them: a pass's table block and eighths,
+    # and what the blocks share, the one list of the primes and per prime
+    # above isqrt(x) f(P) for a product; no x-long array.  The peak is
+    # the exact side's pass (measured 5.16 and 5.66 blocks with those;
+    # 5.15 and 5.89 while the correction's own pass held a block of
+    # weights and one of Delta values, 6.03 and 6.76 while every pass
+    # held a block-sized scratch beside its table's block)
     "scan_id_log_avg": (
-        lambda: asymptotics.residual_scan("id-log-avg", [1 << 20]), 0, 3,
+        lambda: asymptotics.residual_scan("id-log-avg", [1 << 20]), 0, 2.75,
         2 * _PRIMES_20),
     "scan_jordan_log_avg": (
         lambda: asymptotics.residual_scan("jordan-log-avg", [1 << 20], -0.5),
-        0, 3.75, 2 * _PRIMES_20),
+        0, 3.25, 2 * _PRIMES_20),
 }
 
 

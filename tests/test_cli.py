@@ -510,6 +510,11 @@ _BLAS_COMMANDS = {
     "scan-jordan_over_n": (["scan", "--target", "jordan_over_n", "--a",
                             "-0.5", *_GEOM], 10),
     "scan-id_lambda": (["scan", "--target", "id_lambda", *_GEOM], 10),
+    # the Delta-corrected scans: their corrections add by math.fsum too
+    "scan-id-log-avg": (["scan", "--target", "id-log-avg", *_GEOM], 10),
+    "scan-id_phi": (["scan", "--target", "id_phi", *_GEOM], 10),
+    "scan-jordan-log-avg": (["scan", "--target", "jordan-log-avg", "--a",
+                             "-0.5", *_GEOM], 10),
 }
 
 # run by a child: the stdout of ``cli.main`` for each argv of the JSON

@@ -28,9 +28,9 @@ from gcdsums.identities import identity_sum_table
 from gcdsums.stirling import log_factorial_table
 from gcdsums.tables import MU, ONE, TAU, blocks, sieve_values
 
-from oracles import (MP_DIRECT, carried_cumsum, double_double_sum,
-                     mp_one_prefix, mp_power_prefix, mp_sigma_a_sum,
-                     on_quotients, series_lhs_longdouble,
+from oracles import (MP_DIRECT, carried_cumsum, delta_prefixes,
+                     double_double_sum, mp_one_prefix, mp_power_prefix,
+                     mp_sigma_a_sum, on_quotients, series_lhs_longdouble,
                      sieved_sigma_a_prefixes, six_term_longdouble, ulps_from)
 
 _BOUNDARY_N = sorted({m for r in range(1, 41)
@@ -141,7 +141,7 @@ def test_hyperbola_prefixes_equal_double_loop(n_values):
 def test_sigma_a_pairs_within_an_ulp_of_the_sieved_pass(n):
     # H(l^a, count) against the pass over sigma_a's blocks, both rounded
     # once from longdouble
-    (got,), _ = asymptotics._delta_prefixes([n], -0.5)
+    (got,), _ = delta_prefixes([n], -0.5)
     want, = sieved_sigma_a_prefixes([n], -0.5)
     for g, w in zip(got, want):
         assert np.all(np.abs(g - w) <= np.spacing(w)), n
@@ -152,7 +152,7 @@ def test_sigma_a_pairs_against_mpmath(a):
     # sampled quotients of n up to 10^7: measured at most 0.63 ulp, where
     # the sieved pass erred up to 0.92 at the same quotients
     for n in (10 ** 7, 10 ** 6 + 3):
-        (pair,), _ = asymptotics._delta_prefixes([n], a)
+        (pair,), _ = delta_prefixes([n], a)
         r = math.isqrt(n)
         for i in (0, 1, 100, r):
             for v, got in ((n // max(i, 1), pair[1][i]), (i, pair[0][i])):
